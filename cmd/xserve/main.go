@@ -62,8 +62,8 @@
 // With -wire set, the same backend additionally serves the length-
 // prefixed binary protocol (persistent pipelined connections; see
 // ARCHITECTURE.md §22) on that address. Query payloads are byte-identical
-// to the HTTP /search bodies, the -timeout and -max-inflight limits
-// apply equally, and SIGINT/SIGTERM drain both surfaces together.
+// to the HTTP /search bodies, -timeout applies to both and -max-inflight
+// bounds the two together, and SIGINT/SIGTERM drain both surfaces.
 // `xrefine search -wire host:port <query>` is the matching client.
 package main
 
@@ -117,9 +117,10 @@ func main() {
 	)
 	flag.Parse()
 
+	// -timeout is the pipeline's per-request deadline alone: the engine
+	// and the router see it through the request context.
 	cfg := &core.Config{
 		Parallelism:   *parallel,
-		Timeout:       *timeout,
 		PostingBudget: *budget,
 	}
 	var backend server.Backend
@@ -201,7 +202,7 @@ func main() {
 		backend = eng
 	}
 
-	h := server.NewFromBackend(backend, server.Config{
+	h := server.New(backend, server.Config{
 		Timeout:            *timeout,
 		MaxInFlight:        *maxInflight,
 		SlowLogThreshold:   *slowlog,
@@ -234,16 +235,13 @@ func main() {
 	go func() { errCh <- srv.ListenAndServe() }()
 	log.Printf("serving on %s", *addr)
 
-	// The binary surface shares the backend with HTTP — same engine, same
-	// admission limits, same flight recorder — so the two answer
-	// identically and drain together.
+	// The binary surface is a second codec over the same pipeline — one
+	// admission gate, one deadline, one flight recorder — so the two
+	// answer identically, are limited together and drain together.
 	var wsrv *wire.Server
 	wireErrCh := make(chan error, 1)
 	if *wireAddr != "" {
-		wsrv = wire.NewServer(backend, wire.Options{
-			Timeout:     *timeout,
-			MaxInFlight: *maxInflight,
-		})
+		wsrv = wire.NewServer(h.Pipeline(), wire.Options{})
 		wl, err := net.Listen("tcp", *wireAddr)
 		if err != nil {
 			log.Fatal(err)

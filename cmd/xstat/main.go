@@ -21,8 +21,8 @@
 // keydir footprint and cold-start load paths.
 //
 // With -blocks, the physical shape of the block-compressed posting
-// storage is reported: per-term block counts, encoded versus
-// materialized bytes, and a histogram of per-term compression ratios.
+// storage is reported: per-term block counts and encoded bytes, and the
+// resident bytes per posting corpus-wide and per term.
 package main
 
 import (
@@ -127,19 +127,18 @@ func run(args []string, w io.Writer) error {
 }
 
 // reportBlocks tabulates the physical shape of the block-compressed
-// posting storage: the heaviest terms by encoded footprint, corpus-wide
-// totals, and a histogram of per-term compression ratios (materialized
-// bytes over encoded resident bytes). Short lists compress worst — a
-// lone posting pays the full skip-table entry — so the histogram's low
-// buckets are dominated by rare terms and the totals by frequent ones.
+// posting storage: corpus-wide totals and the heaviest terms by encoded
+// footprint, each with its resident bytes per posting. Short lists cost
+// most per posting — a lone posting pays the full skip-table entry — so
+// rare terms sit high on that figure and frequent ones set the total.
 func reportBlocks(w io.Writer, ix *index.Index, top int) error {
 	type row struct {
-		term                   string
-		postings, blocks       int
-		encoded, raw, resident int
+		term              string
+		postings, blocks  int
+		encoded, resident int
 	}
 	rows := make([]row, 0, len(ix.Vocabulary()))
-	var totPost, totBlocks, totEnc, totRaw, totRes int
+	var totPost, totBlocks, totEnc, totRes int
 	for _, term := range ix.Vocabulary() {
 		l, err := ix.List(term)
 		if err != nil {
@@ -150,24 +149,24 @@ func reportBlocks(w io.Writer, ix *index.Index, top int) error {
 			postings: l.Len(),
 			blocks:   l.BlockCount(),
 			encoded:  l.EncodedBytes(),
-			raw:      l.LegacyBytes(),
 			resident: l.MemoryBytes(),
 		}
 		rows = append(rows, r)
 		totPost += r.postings
 		totBlocks += r.blocks
 		totEnc += r.encoded
-		totRaw += r.raw
 		totRes += r.resident
+	}
+	perPosting := func(bytes, postings int) float64 {
+		if postings == 0 {
+			return 0
+		}
+		return float64(bytes) / float64(postings)
 	}
 	fmt.Fprintf(w, "terms:       %d\n", len(rows))
 	fmt.Fprintf(w, "postings:    %d in %d blocks\n", totPost, totBlocks)
 	fmt.Fprintf(w, "encoded:     %d bytes payload, %d resident (payload + skip + types)\n", totEnc, totRes)
-	fmt.Fprintf(w, "raw:         %d bytes materialized\n", totRaw)
-	if totRes > 0 {
-		fmt.Fprintf(w, "compression: %.2fx (%.1f B/posting resident)\n",
-			float64(totRaw)/float64(totRes), float64(totRes)/float64(totPost))
-	}
+	fmt.Fprintf(w, "resident:    %.1f B/posting\n", perPosting(totRes, totPost))
 
 	sort.Slice(rows, func(i, j int) bool {
 		if rows[i].encoded != rows[j].encoded {
@@ -180,45 +179,10 @@ func reportBlocks(w io.Writer, ix *index.Index, top int) error {
 		n = len(rows)
 	}
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "\nterm\tpostings\tblocks\tencoded B\traw B\tratio")
+	fmt.Fprintln(tw, "\nterm\tpostings\tblocks\tencoded B\tresident B/posting")
 	for _, r := range rows[:n] {
-		ratio := 0.0
-		if r.resident > 0 {
-			ratio = float64(r.raw) / float64(r.resident)
-		}
-		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\t%.2fx\n",
-			r.term, r.postings, r.blocks, r.encoded, r.raw, ratio)
-	}
-	if err := tw.Flush(); err != nil {
-		return err
-	}
-
-	// Ratio histogram over terms.
-	bounds := []float64{1, 2, 3, 4, 6, 8, 12}
-	labels := []string{"<1x", "1-2x", "2-3x", "3-4x", "4-6x", "6-8x", "8-12x", ">=12x"}
-	counts := make([]int, len(labels))
-	for _, r := range rows {
-		if r.resident == 0 {
-			continue
-		}
-		ratio := float64(r.raw) / float64(r.resident)
-		b := sort.SearchFloat64s(bounds, ratio)
-		if b < len(bounds) && ratio == bounds[b] {
-			b++
-		}
-		counts[b]++
-	}
-	max := 1
-	for _, c := range counts {
-		if c > max {
-			max = c
-		}
-	}
-	tw = tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "\ncompression ratio\tterms\t")
-	for i, lab := range labels {
-		bar := strings.Repeat("#", counts[i]*40/max)
-		fmt.Fprintf(tw, "%s\t%d\t%s\n", lab, counts[i], bar)
+		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%.1f\n",
+			r.term, r.postings, r.blocks, r.encoded, perPosting(r.resident, r.postings))
 	}
 	return tw.Flush()
 }

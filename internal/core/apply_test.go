@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"xrefine/internal/dewey"
 	"xrefine/internal/kvstore"
 	"xrefine/internal/mutate"
+	"xrefine/internal/storage"
 	"xrefine/internal/xmltree"
 )
 
@@ -334,15 +336,15 @@ func TestApplyCrashRecoveryMatrix(t *testing.T) {
 
 	arms := []struct {
 		name string
-		arm  func(f *kvstore.Faults)
+		arm  func(f *storage.Faults)
 	}{
-		{"write-fail-1", func(f *kvstore.Faults) { f.FailWrites(1) }},
-		{"write-fail-2", func(f *kvstore.Faults) { f.FailWrites(2) }},
-		{"write-fail-5", func(f *kvstore.Faults) { f.FailWrites(5) }},
-		{"write-fail-20", func(f *kvstore.Faults) { f.FailWrites(20) }},
-		{"torn-write-1", func(f *kvstore.Faults) { f.TornWrite(1) }},
-		{"torn-write-3", func(f *kvstore.Faults) { f.TornWrite(3) }},
-		{"torn-write-8", func(f *kvstore.Faults) { f.TornWrite(8) }},
+		{"write-fail-1", func(f *storage.Faults) { f.FailWrites(1) }},
+		{"write-fail-2", func(f *storage.Faults) { f.FailWrites(2) }},
+		{"write-fail-5", func(f *storage.Faults) { f.FailWrites(5) }},
+		{"write-fail-20", func(f *storage.Faults) { f.FailWrites(20) }},
+		{"torn-write-1", func(f *storage.Faults) { f.TornWrite(1) }},
+		{"torn-write-3", func(f *storage.Faults) { f.TornWrite(3) }},
+		{"torn-write-8", func(f *storage.Faults) { f.TornWrite(8) }},
 	}
 	var sawFail, sawSilent int
 	for _, arm := range arms {
@@ -365,7 +367,7 @@ func TestApplyCrashRecoveryMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			faults := &kvstore.Faults{}
+			faults := &storage.Faults{}
 			store, err = kvstore.Open(path, &kvstore.Options{Faults: faults})
 			if err != nil {
 				t.Fatal(err)
@@ -492,5 +494,102 @@ func TestQueriesPinEpochDuringApply(t *testing.T) {
 	}
 	if eng.Epoch() != epochs {
 		t.Fatalf("epoch %d after %d applies", eng.Epoch(), epochs)
+	}
+}
+
+// TestLazyListLoadsBesideApply pages posting lists in from a B+tree store
+// while Apply holds an uncommitted batch open on it. The batches only add
+// new vocabulary, so every list read here is of a term no write touches —
+// and must parse and carry exactly the postings the index promises. A
+// store scan that lets go of the tree between steps reads the pages the
+// batch is editing in place ("parse block 0: bad posting count"); under
+// -race that is caught on the first overlap instead of one load in 25 000.
+func TestLazyListLoadsBesideApply(t *testing.T) {
+	doc, err := datagen.DBLPDocument(datagen.DBLPConfig{Authors: 120, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	store, err := kvstore.Open(filepath.Join(dir, "ix.kv"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	if err := NewFromDocument(doc, nil).SaveIndexWithDocument(store); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	eng, err := OpenLive(store, filepath.Join(dir, "ix.wal"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	// Each reader pages every list in through an index of its own, opened
+	// over the same store before the first write: enough cold loads to keep
+	// the store busy for as long as the writer runs.
+	const readers = 4
+	cold := make([]*Engine, 3*readers)
+	for i := range cold {
+		if cold[i], err = Open(store, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first := eng.Index()
+	vocab := first.Vocabulary()
+
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			// Fresh tags and fresh words only; many of them, so the batch
+			// spends its time writing to the store the lists load from.
+			var frag strings.Builder
+			frag.WriteString("<zzbatch>")
+			for j := 0; j < 200; j++ {
+				fmt.Fprintf(&frag, "<zzword>zz%dx%d</zzword>", i, j)
+			}
+			frag.WriteString("</zzbatch>")
+			_, err := eng.Apply(&mutate.Batch{Ops: []mutate.Op{{
+				Kind: mutate.OpInsert, Parent: dewey.Root(), XML: frag.String(),
+			}}})
+			if err != nil {
+				t.Errorf("apply %d: %v", i, err)
+				return
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for e := r; e < len(cold); e += readers {
+				ix := cold[e].Index()
+				for _, term := range vocab {
+					l, err := ix.List(term)
+					if err != nil {
+						t.Errorf("lazy load of %q beside Apply: %v", term, err)
+						return
+					}
+					if got, want := l.Len(), first.ListLen(term); got != want {
+						t.Errorf("list %q loaded with %d postings, index promises %d", term, got, want)
+						return
+					}
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+	close(stop)
+	<-done
+	if eng.Epoch() == 0 {
+		t.Fatal("no batch committed while the lists loaded; the overlap was never exercised")
 	}
 }

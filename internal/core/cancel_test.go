@@ -8,6 +8,7 @@ import (
 
 	"xrefine/internal/datagen"
 	"xrefine/internal/kvstore"
+	"xrefine/internal/storage"
 	"xrefine/internal/testutil"
 )
 
@@ -32,7 +33,7 @@ func TestCancelPromptAtEveryStage(t *testing.T) {
 		t.Fatal(err)
 	}
 	builder := NewFromDocument(doc, nil)
-	faults := &kvstore.Faults{}
+	faults := &storage.Faults{}
 	store := kvstore.NewMemWithFaults(faults)
 	defer store.Close()
 	if err := builder.SaveIndex(store); err != nil {

@@ -188,13 +188,14 @@ func (e *Engine) snapshot() *epoch { return e.ep.Load() }
 // a store resume at the store's committed epoch.
 func (e *Engine) Epoch() uint64 { return e.snapshot().gen }
 
-// StoreStats reports the backing store's storage-engine snapshot. ok is
-// false for purely in-memory engines, which have no store to report on.
-func (e *Engine) StoreStats() (storage.Stats, bool) {
+// Health reports the backing store's storage-engine snapshot, the one
+// health extra a single engine has; purely in-memory engines have none.
+func (e *Engine) Health() HealthExtras {
 	if e.store == nil {
-		return storage.Stats{}, false
+		return HealthExtras{}
 	}
-	return e.store.StorageStats(), true
+	st := e.store.StorageStats()
+	return HealthExtras{Storage: &st}
 }
 
 // EngineStats is a snapshot of the engine's serving counters.

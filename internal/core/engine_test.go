@@ -1,11 +1,13 @@
 package core
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"xrefine/internal/kvstore"
 	"xrefine/internal/slca"
+	"xrefine/internal/storage"
 	"xrefine/internal/xmltree"
 )
 
@@ -277,6 +279,54 @@ func TestEngineFromSavedIndex(t *testing.T) {
 		if len(r1.Queries[i].Results) != len(r2.Queries[i].Results) {
 			t.Errorf("query %d result counts differ", i)
 		}
+	}
+}
+
+// TestRetiredStoreFormatsRefused: a store written before the block codec
+// (one delta-coded posting per cell — every list chunk opens with 0x00) or
+// carrying a document stream without the version marker must fail to open
+// with the typed storage.ErrUnsupportedFormat, not be decoded by a
+// compatibility path and not surface as a parse error mid-query.
+func TestRetiredStoreFormatsRefused(t *testing.T) {
+	e, _ := newEngine(t, nil)
+	retire := map[string]func(t *testing.T, s *kvstore.Store){
+		"pre-codec posting chunks": func(t *testing.T, s *kvstore.Store) {
+			var first []byte
+			if err := s.Range([]byte("L\x00"), []byte("L\x01"), func(k, _ []byte) bool {
+				first = append(first, k...)
+				return false
+			}); err != nil || first == nil {
+				t.Fatalf("no list chunk to rewrite: %v", err)
+			}
+			// shared=0 extra=1 component=0 type=0: the old one-posting cell.
+			if err := s.Put(first, []byte{0, 1, 0, 0}); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"v1 document stream": func(t *testing.T, s *kvstore.Store) {
+			if ok, err := s.Delete([]byte("D\x00v")); err != nil || !ok {
+				t.Fatalf("no doc version marker to drop: %v %v", ok, err)
+			}
+		},
+	}
+	for name, damage := range retire {
+		t.Run(name, func(t *testing.T) {
+			store := kvstore.NewMem()
+			defer store.Close()
+			if err := e.SaveIndexWithDocument(store); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Open(store, nil); err != nil {
+				t.Fatalf("current-format store: %v", err)
+			}
+			damage(t, store)
+			if err := store.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Open(store, nil); !errors.Is(err, storage.ErrUnsupportedFormat) {
+				t.Fatalf("Open = %v, want storage.ErrUnsupportedFormat", err)
+			}
+		})
 	}
 }
 

@@ -8,12 +8,13 @@ import (
 	"xrefine/internal/datagen"
 	"xrefine/internal/kvstore"
 	"xrefine/internal/refine"
+	"xrefine/internal/storage"
 )
 
 // TestFaultMatrix crosses storage failpoints with queries and budgets and
 // requires every combination to land in exactly one of the allowed
 // outcomes: a complete response, a correctly-flagged degraded response
-// (budget configured), or a typed error rooted in kvstore.ErrInjected.
+// (budget configured), or a typed error rooted in storage.ErrInjected.
 // Panics, hangs, and silently-wrong answers are the failures this matrix
 // exists to catch. Each trial opens a fresh engine over dropped caches so
 // the armed failpoint genuinely sits under the lazy index loads.
@@ -23,7 +24,7 @@ func TestFaultMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	builder := NewFromDocument(doc, nil)
-	faults := &kvstore.Faults{}
+	faults := &storage.Faults{}
 	store := kvstore.NewMemWithFaults(faults)
 	defer store.Close()
 	if err := builder.SaveIndex(store); err != nil {
@@ -87,7 +88,7 @@ func TestFaultMatrix(t *testing.T) {
 					if err != nil {
 						// The failpoint hit during engine open: must be
 						// the typed injection error, cleanly wrapped.
-						if !errors.Is(err, kvstore.ErrInjected) {
+						if !errors.Is(err, storage.ErrInjected) {
 							t.Fatalf("open error not typed: %v", err)
 						}
 						sawInjected++
@@ -95,7 +96,7 @@ func TestFaultMatrix(t *testing.T) {
 					}
 					resp, err := eng.QueryTerms(q, StrategyPartition, 3)
 					if err != nil {
-						if !errors.Is(err, kvstore.ErrInjected) {
+						if !errors.Is(err, storage.ErrInjected) {
 							t.Fatalf("query error not typed: %v", err)
 						}
 						sawInjected++

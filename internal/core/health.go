@@ -1,5 +1,7 @@
 package core
 
+import "xrefine/internal/storage"
+
 // Replica health states, as surfaced on /healthz. They live in core (the
 // package every serving layer already depends on) so the HTTP server can
 // type its replica table without importing the shard router.
@@ -28,4 +30,18 @@ type ReplicaStatus struct {
 	EWMAMillis        float64 `json:"ewma_ms"`
 	ConsecutiveErrors int     `json:"consecutive_errors"`
 	BreakerTrips      uint64  `json:"breaker_trips"`
+}
+
+// HealthExtras is the part of /healthz only some deployments have; each
+// backend fills in what it has and leaves the rest nil.
+type HealthExtras struct {
+	// ShardEpochs is every shard's current epoch, in shard order; nil on a
+	// single engine.
+	ShardEpochs []uint64
+	// Replicas is one health row per replica, in shard then replica order;
+	// nil on a single engine.
+	Replicas []ReplicaStatus
+	// Storage is the backing store's storage-engine snapshot; nil for a
+	// purely in-memory engine.
+	Storage *storage.Stats
 }

@@ -55,12 +55,6 @@ type listCore struct {
 	skip  []blockRef
 	n     int
 	types []*xmltree.Type // type ordinal -> interned node type
-
-	// pinned, when set, holds the fully-materialized postings. It exists
-	// for the xbench compress experiment's "legacy" mode (measure the
-	// pre-codec representation) and for tests; production lists never
-	// pin.
-	pinned atomic.Pointer[[]Posting]
 }
 
 // decodedBlock is one lazily-decoded block published through a view's
@@ -318,64 +312,6 @@ func (c *listCore) memoryBytes() int {
 	return n
 }
 
-// legacyBytes estimates what the pre-codec representation of the same
-// list costs resident: a []Posting backing array (32 bytes per entry:
-// 24-byte ID slice header + 8-byte type pointer) plus one size-class
-// rounded heap allocation per Dewey ID. It is the "before" column of the
-// xbench compress experiment and the xstat -blocks report.
-func (c *listCore) legacyBytes() int {
-	if c == nil {
-		return 0
-	}
-	total := 32 * c.n
-	for b := range c.skip {
-		ref := c.skip[b]
-		buf := c.enc[ref.off:]
-		_, sz := binary.Uvarint(buf)
-		buf = buf[sz:]
-		_, sz = binary.Uvarint(buf)
-		buf = buf[sz:]
-		prevLen := 0
-		for i := 0; i < int(ref.n); i++ {
-			shared, extra, rest, err := readPostingHeader(buf)
-			if err != nil {
-				return total
-			}
-			buf = rest
-			for j := 0; j < extra; j++ {
-				_, sz := binary.Uvarint(buf)
-				buf = buf[sz:]
-			}
-			_, sz := binary.Uvarint(buf) // type ordinal
-			buf = buf[sz:]
-			prevLen = shared + extra
-			total += mallocSize(4 * prevLen)
-		}
-	}
-	return total
-}
-
-// mallocSize rounds a byte count up to the Go allocator's size class —
-// close enough for the small allocations Dewey IDs make.
-func mallocSize(n int) int {
-	switch {
-	case n == 0:
-		return 0
-	case n <= 8:
-		return 8
-	case n <= 16:
-		return 16
-	case n <= 32:
-		return ((n + 7) / 8) * 8
-	case n <= 128:
-		return ((n + 15) / 16) * 16
-	case n <= 512:
-		return ((n + 63) / 64) * 64
-	default:
-		return ((n + 511) / 512) * 512
-	}
-}
-
 // parseCore rebuilds a listCore from an encoded byte stream and its type
 // table — the kvstore load path. It walks the block headers to rebuild
 // the skip table, validating framing (counts, lengths, self-contained and
@@ -510,9 +446,6 @@ func (c *Cursor) Seek(i int) { c.g = c.l.winLo() + i }
 // the cursor's scratch if needed. See the sharing contract on Cursor.
 func (c *Cursor) Posting() Posting {
 	core := c.l.core
-	if p := core.pinned.Load(); p != nil {
-		return (*p)[c.g]
-	}
 	if c.g < c.bStart || c.g >= c.bEnd {
 		c.decode(core.findBlock(c.g))
 	}
@@ -545,13 +478,6 @@ func (c *Cursor) SeekGE(d dewey.ID) int {
 		return c.Pos()
 	}
 	hi := c.l.winHi()
-	if p := core.pinned.Load(); p != nil {
-		s := *p
-		c.g += sort.Search(hi-c.g, func(i int) bool {
-			return dewey.Compare(s[c.g+i].ID, d) >= 0
-		})
-		return c.Pos()
-	}
 	// Fast path: the target lies inside the already-decoded block.
 	if c.g >= c.bStart && c.g < c.bEnd {
 		posts := c.scratch.posts

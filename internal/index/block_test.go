@@ -148,10 +148,6 @@ func TestBlockCodecRoundTripProperty(t *testing.T) {
 					t.Fatalf("parseCore: %v", err)
 				}
 				verifyList(t, newListFromCore("prop", core), want)
-				// Pinned reads must agree with decoded reads.
-				l.Pin()
-				verifyList(t, l, want)
-				l.Unpin()
 			}
 		})
 	}

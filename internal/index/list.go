@@ -154,9 +154,6 @@ func (l *List) block(b int) *decodedBlock {
 // block that the GC keeps alive as long as the ID is referenced).
 func (l *List) At(i int) Posting {
 	g := l.lo + i
-	if p := l.core.pinned.Load(); p != nil {
-		return (*p)[g]
-	}
 	for s := range l.cache.slots {
 		if db := l.cache.slots[s].Load(); db != nil && g >= db.start && g < db.end {
 			return db.posts[g-db.start]
@@ -181,21 +178,13 @@ func (l *List) seek(d dewey.ID, strict bool) int {
 		}
 		return c >= 0
 	}
-	var g int
-	if p := core.pinned.Load(); p != nil {
-		s := *p
-		g = sort.Search(core.n, func(i int) bool { return sat(s[i].ID) })
-	} else {
-		// First block whose first posting satisfies; the answer lives in
-		// the block before it (or is that block's first posting).
-		j := sort.Search(len(core.skip), func(b int) bool { return sat(core.skip[b].first) })
-		if j == 0 {
-			g = 0
-		} else {
-			db := l.block(j - 1)
-			k := sort.Search(len(db.posts), func(i int) bool { return sat(db.posts[i].ID) })
-			g = db.start + k
-		}
+	// First block whose first posting satisfies; the answer lives in the
+	// block before it (or is that block's first posting).
+	g := 0
+	if j := sort.Search(len(core.skip), func(b int) bool { return sat(core.skip[b].first) }); j > 0 {
+		db := l.block(j - 1)
+		k := sort.Search(len(db.posts), func(i int) bool { return sat(db.posts[i].ID) })
+		g = db.start + k
 	}
 	if g < l.lo {
 		return 0
@@ -238,9 +227,6 @@ func (l *List) Slice(start, end int) []Posting {
 	if l == nil || l.core == nil || start >= end {
 		return nil
 	}
-	if p := l.core.pinned.Load(); p != nil {
-		return (*p)[l.lo+start : l.lo+end]
-	}
 	out := make([]Posting, 0, end-start)
 	c := l.NewCursor()
 	defer c.Close()
@@ -276,32 +262,6 @@ func (l *List) RM(d dewey.ID) (Posting, bool) {
 	return l.At(i), true
 }
 
-// Pin fully materializes the core's postings and keeps them resident,
-// making every read bypass block decode. This restores the pre-codec
-// representation — the xbench compress experiment uses it as the "legacy"
-// baseline, and byte-identity tests use it to diff the two read paths.
-// Production code never pins. Pinning is core-wide: all windows over the
-// same core see it.
-func (l *List) Pin() {
-	if l == nil || l.core == nil || l.core.pinned.Load() != nil {
-		return
-	}
-	core := l.core
-	posts := make([]Posting, 0, core.n)
-	for b := range core.skip {
-		db := core.decodeBlock(b)
-		posts = append(posts, db.posts...)
-	}
-	core.pinned.Store(&posts)
-}
-
-// Unpin drops the pinned materialization, returning reads to block decode.
-func (l *List) Unpin() {
-	if l != nil && l.core != nil {
-		l.core.pinned.Store(nil)
-	}
-}
-
 // MemoryBytes reports the resident cost of the list's encoded core:
 // compressed payload, skip table, and type table. Windows share one core;
 // the figure is for the whole core, not the window.
@@ -310,15 +270,6 @@ func (l *List) MemoryBytes() int {
 		return 0
 	}
 	return l.core.memoryBytes()
-}
-
-// LegacyBytes estimates what the same core cost resident before the block
-// codec: a materialized []Posting plus one heap allocation per Dewey ID.
-func (l *List) LegacyBytes() int {
-	if l == nil {
-		return 0
-	}
-	return l.core.legacyBytes()
 }
 
 // BlockCount returns the number of encoded blocks in the core.

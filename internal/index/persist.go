@@ -29,16 +29,13 @@ import (
 //
 // Stores written before the block codec used one delta-encoded posting
 // per cell with each chunk self-contained, so their first payload byte is
-// always 0x00 (first cell's shared-prefix length). The new stream starts
-// with the type count, a uvarint >= 1 for any non-empty list, so the
-// first byte distinguishes the formats per term: legacy terms load via
-// the decode-and-re-encode fallback and upgrade in place the next time a
-// mutation batch rewrites them (SaveDelta always writes the new format).
-// FormatVersion names the current on-disk posting format: "2" is the
-// block-encoded stream described above; stores written before the block
-// codec (one delta-encoded posting per cell) are format "1" and are read
-// through the per-term fallback. Exported so the serving layer can label
-// xrefine_build_info with the format it writes.
+// always 0x00 (first cell's shared-prefix length) where this stream has its
+// type count, a uvarint >= 1 for any non-empty list. Such a store is
+// refused at Load with storage.ErrUnsupportedFormat.
+
+// FormatVersion names the on-disk posting format, the block-encoded stream
+// described above. Exported so the serving layer can label
+// xrefine_build_info with the format it reads and writes.
 const FormatVersion = "2"
 
 const (
@@ -46,7 +43,7 @@ const (
 	metaDocKey   = "M\x00doc"
 	// metaDocExtPrefix keys continuation chunks of the doc metadata when
 	// it outgrows a single cell (many types, or a fragmented partition
-	// set after live updates). Legacy stores have no continuation keys.
+	// set after live updates).
 	metaDocExtPrefix = "M\x00doc\x00"
 	freqPrefix       = "F\x00"
 	listPrefix       = "L\x00"
@@ -173,13 +170,6 @@ func decodeDocMeta(ix *Index, b []byte, idMap []*xmltree.Type) error {
 	nParts, err := binary.ReadUvarint(r)
 	if err != nil {
 		return err
-	}
-	if r.Len() == 0 {
-		// Legacy stream: no explicit ordinals, partitions are 0.0..0.(F-1).
-		for i := uint64(0); i < nParts; i++ {
-			ix.partRoot = append(ix.partRoot, dewey.Root().Child(uint32(i)))
-		}
-		return nil
 	}
 	nRuns, err := binary.ReadUvarint(r)
 	if err != nil {
@@ -336,41 +326,20 @@ func saveChunks(s storage.Backend, term string, l *List) error {
 }
 
 // loadChunks reads and concatenates every chunk of a term's posting list
-// into the resident encoded core (or, for a legacy-format term, decodes
-// the old per-cell stream and re-encodes). resolve maps the store's
-// persisted type IDs to interned types — the registry's own ByID for
-// plain loads, an idMap lookup for shared-registry loads.
+// into the resident encoded core. resolve maps the store's persisted type
+// IDs to interned types — the registry's own ByID for plain loads, an idMap
+// lookup for shared-registry loads.
 func loadChunks(s storage.Backend, resolve func(int) (*xmltree.Type, bool), term string) (*List, error) {
 	prefix := append([]byte(listPrefix), term...)
 	prefix = append(prefix, 0)
 	end := append(append([]byte(nil), prefix...), 0xFF, 0xFF, 0xFF, 0xFF, 0xFF)
 	var stream []byte
-	legacy := false
-	var legacyPostings []Posting
-	var decodeErr error
-	first := true
 	err := s.Range(prefix, end, func(k, v []byte) bool {
-		if first {
-			first = false
-			// Legacy chunks open with a self-contained cell (shared == 0);
-			// the block stream opens with its type count (>= 1).
-			legacy = len(v) > 0 && v[0] == 0
-		}
-		if legacy {
-			legacyPostings, decodeErr = decodeLegacyChunk(v, term, resolve, legacyPostings)
-			return decodeErr == nil
-		}
 		stream = append(stream, v...)
 		return true
 	})
 	if err != nil {
 		return nil, err
-	}
-	if decodeErr != nil {
-		return nil, decodeErr
-	}
-	if legacy {
-		return NewList(term, legacyPostings), nil
 	}
 	if len(stream) == 0 {
 		return &List{Term: term}, nil
@@ -397,49 +366,6 @@ func loadChunks(s storage.Backend, resolve func(int) (*xmltree.Type, bool), term
 		return nil, fmt.Errorf("index: chunks of %q: %w", term, err)
 	}
 	return newListFromCore(term, core), nil
-}
-
-// decodeLegacyChunk decodes one pre-codec chunk (one delta-coded posting
-// per cell, chunk self-contained) and appends its postings.
-func decodeLegacyChunk(v []byte, term string, resolve func(int) (*xmltree.Type, bool), postings []Posting) ([]Posting, error) {
-	var prev dewey.ID
-	r := bytes.NewReader(v)
-	for r.Len() > 0 {
-		shared, err := binary.ReadUvarint(r)
-		if err != nil {
-			return postings, err
-		}
-		extra, err := binary.ReadUvarint(r)
-		if err != nil {
-			return postings, err
-		}
-		if int(shared) > len(prev) {
-			return postings, fmt.Errorf("index: chunk of %q: shared %d > prev %d", term, shared, len(prev))
-		}
-		id := make(dewey.ID, 0, int(shared)+int(extra))
-		id = append(id, prev[:shared]...)
-		for i := 0; i < int(extra); i++ {
-			c, err := binary.ReadUvarint(r)
-			if err != nil {
-				return postings, err
-			}
-			id = append(id, uint32(c))
-		}
-		tid, err := binary.ReadUvarint(r)
-		if err != nil {
-			return postings, err
-		}
-		t, ok := resolve(int(tid))
-		if !ok {
-			return postings, fmt.Errorf("index: chunk of %q names unknown type %d", term, tid)
-		}
-		if len(postings) > 0 && dewey.Compare(postings[len(postings)-1].ID, id) >= 0 {
-			return postings, fmt.Errorf("index: chunk of %q out of document order", term)
-		}
-		postings = append(postings, Posting{ID: id, Type: t})
-		prev = id
-	}
-	return postings, nil
 }
 
 // Load opens an index previously written with Save. Statistics load
@@ -544,6 +470,19 @@ func load(s storage.Backend, reg *xmltree.Registry) (*Index, error) {
 			}
 			return idMap[id], true
 		}
+	}
+	// The first list chunk tells the posting format apart (see the layout
+	// comment): refuse a pre-block-codec store here, at open, rather than
+	// with a parse error on some later query.
+	retired := false
+	if err := s.Range([]byte(listPrefix), []byte{listPrefix[0], 1}, func(k, v []byte) bool {
+		retired = len(v) > 0 && v[0] == 0
+		return false
+	}); err != nil {
+		return nil, err
+	}
+	if retired {
+		return nil, fmt.Errorf("index: posting lists predate format %s: %w", FormatVersion, storage.ErrUnsupportedFormat)
 	}
 	ix.loader = func(term string) (*List, error) { return loadChunks(s, resolve, term) }
 	return ix, nil

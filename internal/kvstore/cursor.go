@@ -11,6 +11,10 @@ type Cursor struct {
 	stack []cursorFrame
 	err   error
 	valid bool
+	// held marks a cursor whose owner holds s.mu for its whole lifetime
+	// (Range), so its steps must not take the lock again: a second RLock
+	// behind a waiting writer would deadlock.
+	held bool
 }
 
 type cursorFrame struct {
@@ -51,13 +55,10 @@ func (c *Cursor) fail(err error) {
 func (c *Cursor) First() {
 	c.stack = c.stack[:0]
 	c.valid = false
-	c.s.mu.RLock()
-	root := c.s.rootID
-	c.s.mu.RUnlock()
-	if root == 0 {
+	id := c.root()
+	if id == 0 {
 		return
 	}
-	id := root
 	for {
 		n, err := c.load(id)
 		if err != nil {
@@ -80,13 +81,10 @@ func (c *Cursor) First() {
 func (c *Cursor) Seek(key []byte) {
 	c.stack = c.stack[:0]
 	c.valid = false
-	c.s.mu.RLock()
-	root := c.s.rootID
-	c.s.mu.RUnlock()
-	if root == 0 {
+	id := c.root()
+	if id == 0 {
 		return
 	}
-	id := root
 	for {
 		n, err := c.load(id)
 		if err != nil {
@@ -158,9 +156,19 @@ func (c *Cursor) Next() {
 	c.valid = false
 }
 
+func (c *Cursor) root() uint32 {
+	if !c.held {
+		c.s.mu.RLock()
+		defer c.s.mu.RUnlock()
+	}
+	return c.s.rootID
+}
+
 func (c *Cursor) load(id uint32) (*node, error) {
-	c.s.mu.RLock()
-	defer c.s.mu.RUnlock()
+	if !c.held {
+		c.s.mu.RLock()
+		defer c.s.mu.RUnlock()
+	}
 	if c.s.closed {
 		return nil, ErrClosed
 	}
@@ -170,8 +178,16 @@ func (c *Cursor) load(id uint32) (*node, error) {
 // Range calls fn for every key in [lo, hi) in order; a nil hi means "to the
 // end". Iteration stops early when fn returns false. It returns the first
 // cursor error.
+//
+// Unlike a bare Cursor, Range may run concurrently with writes: it holds
+// the read lock for the whole scan. A cursor that released it between steps
+// would keep *node pointers that Put and Delete mutate in place while a
+// batch is open, and hand fn torn cells. fn must therefore not call back
+// into the store; every caller only copies the bytes out.
 func (s *Store) Range(lo, hi []byte, fn func(k, v []byte) bool) error {
-	c := s.Cursor()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	c := &Cursor{s: s, held: true}
 	if lo == nil {
 		c.First()
 	} else {

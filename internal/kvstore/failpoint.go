@@ -6,23 +6,12 @@ import (
 	"xrefine/internal/storage"
 )
 
-// ErrInjected is the root of every error produced by an armed failpoint.
-// The harness itself lives in internal/storage so the same fault matrices
-// drive every backend; this alias (and the Faults one below) keeps the
-// original kvstore spelling working everywhere.
-var ErrInjected = storage.ErrInjected
-
-// Faults is the storage fault-injection harness; see storage.Faults. It is
-// an alias, not a wrapper, so a *kvstore.Faults and a *storage.Faults are
-// the same type and the same armed value can be handed to either engine.
-type Faults = storage.Faults
-
 // faultPager applies an armed Faults to every operation of the wrapped
 // pager: reads and writes go through the harness hooks, which add latency,
 // count the operation, and decide whether to fail or tear it.
 type faultPager struct {
 	inner pager
-	f     *Faults
+	f     *storage.Faults
 }
 
 func (p *faultPager) read(id uint32) ([]byte, error) {

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"xrefine/internal/storage"
 )
 
 // fillStore populates a store with a deterministic key set.
@@ -26,7 +28,7 @@ func fillStore(t *testing.T, s *Store, n int) {
 }
 
 func TestFaultsReadError(t *testing.T) {
-	f := &Faults{}
+	f := &storage.Faults{}
 	s := NewMemWithFaults(f)
 	defer s.Close()
 	fillStore(t, s, 500)
@@ -37,8 +39,8 @@ func TestFaultsReadError(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		_, _, err := s.Get([]byte(fmt.Sprintf("key-%05d", i)))
 		if err != nil {
-			if !errors.Is(err, ErrInjected) {
-				t.Fatalf("want ErrInjected, got %v", err)
+			if !errors.Is(err, storage.ErrInjected) {
+				t.Fatalf("want storage.ErrInjected, got %v", err)
 			}
 			sawErr = true
 			break
@@ -59,7 +61,7 @@ func TestFaultsReadError(t *testing.T) {
 func TestFaultsWriteErrorKeepsCommittedState(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "store.kv")
-	f := &Faults{}
+	f := &storage.Faults{}
 	s, err := Open(path, &Options{Faults: f})
 	if err != nil {
 		t.Fatal(err)
@@ -73,8 +75,8 @@ func TestFaultsWriteErrorKeepsCommittedState(t *testing.T) {
 	if err := s.Put([]byte("key-00007"), []byte("overwritten")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Commit(); !errors.Is(err, ErrInjected) {
-		t.Fatalf("Commit = %v, want ErrInjected", err)
+	if err := s.Commit(); !errors.Is(err, storage.ErrInjected) {
+		t.Fatalf("Commit = %v, want storage.ErrInjected", err)
 	}
 	// The failpoint stays armed through Close so its implicit Commit
 	// retry cannot publish the mutation either.
@@ -99,7 +101,7 @@ func TestFaultsWriteErrorKeepsCommittedState(t *testing.T) {
 func TestFaultsTornWriteRecoversPreviousCommit(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "store.kv")
-	f := &Faults{}
+	f := &storage.Faults{}
 	s, err := Open(path, &Options{Faults: f})
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +143,7 @@ func TestFaultsTornWriteRecoversPreviousCommit(t *testing.T) {
 }
 
 func TestFaultsLatencyAndCounters(t *testing.T) {
-	f := &Faults{ReadLatency: 2 * time.Millisecond}
+	f := &storage.Faults{ReadLatency: 2 * time.Millisecond}
 	s := NewMemWithFaults(f)
 	defer s.Close()
 	fillStore(t, s, 50)
@@ -227,7 +229,7 @@ func TestCorruptionFlips(t *testing.T) {
 // mid-range rate: p=0 never fires, p=1 always fires, p=0.5 fires roughly
 // half the time under the fixed default seed.
 func TestFaultsErrorRate(t *testing.T) {
-	f := &Faults{}
+	f := &storage.Faults{}
 	s := NewMemWithFaults(f)
 	defer s.Close()
 	fillStore(t, s, 200)
@@ -243,8 +245,8 @@ func TestFaultsErrorRate(t *testing.T) {
 	// p=1: the first pager read fails, typed.
 	f.SetErrorRate(1)
 	s.DropCaches()
-	if _, _, err := s.Get([]byte("key-00000")); !errors.Is(err, ErrInjected) {
-		t.Fatalf("p=1 read error = %v, want ErrInjected", err)
+	if _, _, err := s.Get([]byte("key-00000")); !errors.Is(err, storage.ErrInjected) {
+		t.Fatalf("p=1 read error = %v, want storage.ErrInjected", err)
 	}
 
 	// p=0.5: out of many pager reads, both outcomes occur, and the
@@ -256,8 +258,8 @@ func TestFaultsErrorRate(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		s.DropCaches()
 		if _, _, err := s.Get([]byte(fmt.Sprintf("key-%05d", i))); err != nil {
-			if !errors.Is(err, ErrInjected) {
-				t.Fatalf("want ErrInjected, got %v", err)
+			if !errors.Is(err, storage.ErrInjected) {
+				t.Fatalf("want storage.ErrInjected, got %v", err)
 			}
 			failed++
 		} else {
@@ -277,7 +279,7 @@ func TestFaultsErrorRate(t *testing.T) {
 // TestFaultsJitter checks the latency-jitter failpoint: a read through an
 // armed range takes at least the minimum, and Clear disarms it.
 func TestFaultsJitter(t *testing.T) {
-	f := &Faults{}
+	f := &storage.Faults{}
 	s := NewMemWithFaults(f)
 	defer s.Close()
 	fillStore(t, s, 50)
@@ -308,7 +310,7 @@ func TestFaultsJitter(t *testing.T) {
 // pattern over the same operation sequence.
 func TestFaultsSeedReproducible(t *testing.T) {
 	pattern := func(seed uint64) []bool {
-		f := &Faults{}
+		f := &storage.Faults{}
 		f.SetErrorRate(0.3)
 		f.Seed(seed)
 		out := make([]bool, 64)

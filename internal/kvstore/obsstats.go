@@ -3,6 +3,8 @@ package kvstore
 import (
 	"errors"
 	"sync/atomic"
+
+	"xrefine/internal/storage"
 )
 
 // OpStats is a snapshot of a store's page-IO counters. The store counts
@@ -55,7 +57,7 @@ func (s *Store) OpStats() OpStats {
 func (s *Store) pagerRead(id uint32) ([]byte, error) {
 	s.ops.pageReads.Add(1)
 	raw, err := s.pager.read(id)
-	if err != nil && errors.Is(err, ErrInjected) {
+	if err != nil && errors.Is(err, storage.ErrInjected) {
 		s.ops.injected.Add(1)
 	}
 	return raw, err
@@ -65,7 +67,7 @@ func (s *Store) pagerRead(id uint32) ([]byte, error) {
 func (s *Store) pagerWrite(id uint32, data []byte) error {
 	s.ops.pageWrites.Add(1)
 	err := s.pager.write(id, data)
-	if err != nil && errors.Is(err, ErrInjected) {
+	if err != nil && errors.Is(err, storage.ErrInjected) {
 		s.ops.injected.Add(1)
 	}
 	return err

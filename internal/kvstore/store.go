@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+
+	"xrefine/internal/storage"
 )
 
 // Options configure Open.
@@ -24,7 +26,7 @@ type Options struct {
 	// down, or tear according to the armed failpoints. Production code
 	// leaves it nil; robustness tests arm it to prove every storage
 	// fault surfaces as a typed error.
-	Faults *Faults
+	Faults *storage.Faults
 }
 
 // ErrReadOnly is returned by mutating operations on a read-only store.
@@ -88,7 +90,7 @@ func NewMem() *Store { return NewMemWithFaults(nil) }
 // NewMemWithFaults is NewMem with a fault-injection wrapper armed between
 // the store and its in-memory pager. The decoded-page cache is kept small
 // so repeated reads actually hit the (faulty) pager instead of memory.
-func NewMemWithFaults(f *Faults) *Store {
+func NewMemWithFaults(f *storage.Faults) *Store {
 	var p pager = newMemPager(DefaultPageSize)
 	cacheMax := 1 << 30 // memory store keeps everything decoded
 	if f != nil {

@@ -593,3 +593,70 @@ func TestPropertyLargeValuesAgainstMap(t *testing.T) {
 	}
 	compareWithModel(t, s, model)
 }
+
+// TestRangeBesideSplittingWriter scans keys no writer touches while a
+// writer keeps an uncommitted batch open that lands between them, forcing
+// in-place edits and splits of the very leaves the scan is reading. Every
+// untouched key must come back with its own value, in order — and under
+// -race the scan must not be caught reading nodes the writer mutates,
+// which is how a cursor that drops the lock between steps tears cells.
+func TestRangeBesideSplittingWriter(t *testing.T) {
+	s := NewMem()
+	defer s.Close()
+	const n = 400
+	for i := 0; i < n; i++ {
+		if err := s.Put([]byte(fmt.Sprintf("k%04d", i)), []byte(fmt.Sprintf("v%04d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		pad := bytes.Repeat([]byte("w"), 64) // fat cells split leaves quickly
+		for round := 0; round < 4; round++ {
+			for i := 0; i < n; i++ {
+				if err := s.Put([]byte(fmt.Sprintf("k%04d.w%02d", i, round)), pad); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			if err := s.Commit(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for scans := 0; ; scans++ {
+		next := 0
+		err := s.Range(nil, nil, func(k, v []byte) bool {
+			if bytes.Contains(k, []byte(".w")) {
+				return true // the writer's own keys
+			}
+			if want := fmt.Sprintf("k%04d", next); string(k) != want || string(v) != "v"+want[1:] {
+				t.Errorf("scan %d: untouched key %d came back as %q=%q", scans, next, k, v)
+				return false
+			}
+			next++
+			return true
+		})
+		if err != nil {
+			t.Fatalf("scan %d: %v", scans, err)
+		}
+		if next != n && !t.Failed() {
+			t.Fatalf("scan %d saw %d of %d untouched keys", scans, next, n)
+		}
+		select {
+		case <-done:
+			return
+		default:
+		}
+		if t.Failed() {
+			<-done
+			return
+		}
+	}
+}

@@ -48,13 +48,15 @@ type mergeRef struct {
 	new kdEntry
 }
 
-// maybeCompactLocked starts a background merge when the sealed segments
-// hold more reclaimable bytes than half the live data (holding on-disk
-// amplification under ~1.5x live + one active segment) and at least
-// minCompactDead to be worth the churn.
-func (s *Store) maybeCompactLocked() {
+// compactDueLocked reports whether the sealed segments hold more
+// reclaimable bytes than half the live data (holding on-disk amplification
+// under ~1.5x live + one active segment) and enough of them to be worth the
+// churn: minCompactDead, or one segment's worth on a store whose segments
+// are smaller than that — there the fixed floor would let dead bytes pile
+// up to many times the live data before the first pass.
+func (s *Store) compactDueLocked() bool {
 	if s.noAuto || s.readOnly || len(s.segs) < 2 {
-		return
+		return false
 	}
 	var sealedDead, live int64
 	for i, seg := range s.segs {
@@ -63,18 +65,40 @@ func (s *Store) maybeCompactLocked() {
 			sealedDead += seg.size - seg.live
 		}
 	}
-	if sealedDead < minCompactDead || sealedDead*2 < live {
-		return
+	floor := s.segTarget
+	if floor > minCompactDead {
+		floor = minCompactDead
 	}
-	if !s.compacting.CompareAndSwap(false, true) {
+	return sealedDead >= floor && sealedDead*2 >= live
+}
+
+// maybeCompactLocked starts a background merge when one is due and none is
+// in flight. A commit that finds a pass in flight leaves its trigger with
+// that pass: the goroutine re-evaluates the threshold, under the same lock
+// commits evaluate it under, before it gives up the in-flight flag — so
+// dead bytes the last commits of a burst sealed are reclaimed without
+// waiting for a commit that may never come.
+func (s *Store) maybeCompactLocked() {
+	if !s.compactDueLocked() || !s.compacting.CompareAndSwap(false, true) {
 		return
 	}
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
-		defer s.compacting.Store(false)
-		if err := s.Compact(); err != nil {
-			s.compactErrors.Add(1)
+		for {
+			err := s.Compact()
+			if err != nil {
+				s.compactErrors.Add(1) // the next commit retries
+			}
+			s.mu.Lock()
+			again := err == nil && !s.closed && s.compactDueLocked()
+			if !again {
+				s.compacting.Store(false)
+			}
+			s.mu.Unlock()
+			if !again {
+				return
+			}
 		}
 	}()
 }

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"xrefine/internal/storage"
 )
@@ -302,6 +303,44 @@ func TestAutoCompactionBoundsAmplification(t *testing.T) {
 	mustGet(t, s, "key-00000", "round-19-"+string(bytes.Repeat([]byte{'y'}, 200)))
 }
 
+// TestCompactionTriggerSurvivesInFlightPass pins the hand-over the flaky
+// amplification bound above depended on: commits that land while a
+// background pass is in flight find the trigger taken, so the pass itself
+// must re-evaluate the threshold when it ends — otherwise the segments
+// those commits sealed stay dead on disk until some later commit, which a
+// burst's last commits never get. Slow merge reads keep the first pass in
+// flight across the rest of the burst.
+func TestCompactionTriggerSurvivesInFlightPass(t *testing.T) {
+	s := openTest(t, t.TempDir(), &Options{
+		SegmentTarget: 64 << 10, // one 80 KB round per segment, dead bytes over the floor at once
+		Faults:        &storage.Faults{ReadLatency: 5 * time.Millisecond},
+	})
+	defer s.Close()
+	val := string(bytes.Repeat([]byte{'z'}, 2000))
+	const rounds = 6
+	for round := 0; round < rounds; round++ {
+		for i := 0; i < 40; i++ {
+			mustPut(t, s, fmt.Sprintf("key-%05d", i), fmt.Sprintf("%02d-%s", round, val))
+		}
+		if err := s.Commit(); err != nil {
+			t.Fatalf("Commit round %d: %v", round, err)
+		}
+	}
+	overlapped := s.StorageStats().Compactions == 0 && s.compacting.Load()
+	s.wg.Wait()
+	if !overlapped {
+		t.Skip("the first pass finished before the burst did; nothing was handed over")
+	}
+	st := s.StorageStats()
+	if st.Compactions < 2 {
+		t.Errorf("compactions = %d: the pass in flight never picked up the triggers it shadowed", st.Compactions)
+	}
+	if amp := st.Amplification(); amp >= 2 {
+		t.Errorf("amplification after the burst settled = %.2f (disk %d, live %d), want < 2", amp, st.DiskBytes, st.LiveBytes)
+	}
+	mustGet(t, s, "key-00039", fmt.Sprintf("%02d-%s", rounds-1, val))
+}
+
 func TestCheckpointEnablesHintOnlyColdStart(t *testing.T) {
 	dir := t.TempDir()
 	s := openTest(t, dir, &Options{SegmentTarget: 8 << 10, NoAutoCompact: true})
@@ -312,6 +351,10 @@ func TestCheckpointEnablesHintOnlyColdStart(t *testing.T) {
 	st := s.StorageStats()
 	if st.Segments != 2 {
 		t.Fatalf("segments after checkpoint = %d, want 2 (merged + empty active)", st.Segments)
+	}
+	// A settled store must not carry more than 2x its live bytes on disk.
+	if amp := st.Amplification(); amp >= 2 {
+		t.Fatalf("amplification after checkpoint = %.2f (disk %d, live %d), want < 2", amp, st.DiskBytes, st.LiveBytes)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)

@@ -62,7 +62,7 @@ func TestSearchByteIdenticalAcrossBackends(t *testing.T) {
 		}
 		t.Cleanup(func() { eng.Close() })
 		engines[kind] = eng
-		servers[kind] = New(eng)
+		servers[kind] = New(eng, Config{})
 	}
 
 	queries := []string{

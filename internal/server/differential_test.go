@@ -27,8 +27,8 @@ func TestSearchByteIdenticalAcrossConfigs(t *testing.T) {
 	}
 	// Separate engines per server so caches and counters cannot leak
 	// state across the comparison.
-	bare := New(core.NewFromDocument(doc, nil))
-	hardened := NewWithConfig(
+	bare := New(core.NewFromDocument(doc, nil), Config{})
+	hardened := New(
 		core.NewFromDocument(doc, &core.Config{
 			Timeout:       time.Hour,
 			PostingBudget: 1 << 40,
@@ -37,7 +37,7 @@ func TestSearchByteIdenticalAcrossConfigs(t *testing.T) {
 	)
 	// A slowlog threshold arms a trace on every query: the span plumbing
 	// through refine/slca/index must not perturb the response bytes.
-	traced := NewWithConfig(core.NewFromDocument(doc, nil),
+	traced := New(core.NewFromDocument(doc, nil),
 		Config{SlowLogThreshold: time.Nanosecond})
 
 	queries := []string{
@@ -89,7 +89,7 @@ func TestSearchByteIdenticalAcrossConfigs(t *testing.T) {
 			t.Fatal(err)
 		}
 		incEng := core.NewFromDocument(updDoc, nil)
-		incremental := New(incEng)
+		incremental := New(incEng, Config{})
 		batches, err := datagen.Updates(updDoc, datagen.UpdatesConfig{Batches: 6, Ops: 4, Seed: 11})
 		if err != nil {
 			t.Fatal(err)
@@ -109,7 +109,7 @@ func TestSearchByteIdenticalAcrossConfigs(t *testing.T) {
 		if got, want := incEng.Epoch(), uint64(len(batches)); got != want {
 			t.Fatalf("epoch after %d batches = %d", want, got)
 		}
-		rebuilt := New(core.NewFromDocument(incEng.Document(), nil))
+		rebuilt := New(core.NewFromDocument(incEng.Document(), nil), Config{})
 
 		// Queries mix original corpus vocabulary, inserted-fragment
 		// vocabulary, and misspellings that force refinement through the

@@ -32,7 +32,7 @@ func flightServer(t *testing.T, cfg Config) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewWithConfig(core.NewFromDocument(doc, nil), cfg)
+	return New(core.NewFromDocument(doc, nil), cfg)
 }
 
 // TestDebugEventsLifecycle: one query must leave an admit → query →
@@ -252,28 +252,15 @@ func TestHealthzSLOAndBuildInfo(t *testing.T) {
 // availability budget.
 func TestSLOBurnCountsFailures(t *testing.T) {
 	s := flightServer(t, Config{MaxInFlight: 1})
-	// Occupy the only gate slot with a handler that blocks until released
-	// (bypassing observed(), so it does not itself feed the SLO), then
-	// shed a real /search through the full route stack.
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	blocked := s.guard(func(w http.ResponseWriter, r *http.Request) {
-		close(entered)
-		<-release
-		w.WriteHeader(http.StatusOK)
-	})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		blocked(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/search?q=databse", nil))
-	}()
-	<-entered
-	defer func() { close(release); <-done }()
+	// Occupy the only gate slot directly (so the holder does not itself
+	// feed the SLO), then shed a real /search through the full route stack.
+	s.pipe.gate <- struct{}{}
+	defer func() { <-s.pipe.gate }()
 	rec, _ := get(t, s, "/search?q=databse")
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("expected shed, got %d", rec.Code)
 	}
-	rep := s.slo.Report(time.Now())
+	rep := s.pipe.slo.Report(time.Now())
 	if rep.Windows[0].BadAvailability < 1 {
 		t.Errorf("shed request did not burn availability: %+v", rep.Windows[0])
 	}
@@ -317,7 +304,7 @@ func TestEventsDisabledWithoutMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewWithConfig(core.NewFromDocument(doc, &core.Config{DisableMetrics: true}), Config{})
+	s := New(core.NewFromDocument(doc, &core.Config{DisableMetrics: true}), Config{})
 	req := httptest.NewRequest(http.MethodGet, "/debug/events", nil)
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, req)

@@ -4,7 +4,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -68,7 +67,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // TestMetricsNotFoundWhenDisabled: an engine built with DisableMetrics
 // leaves the server without a registry; /metrics must 404, not panic.
 func TestMetricsNotFoundWhenDisabled(t *testing.T) {
-	s := New(testEngine(t, &core.Config{DisableMetrics: true}))
+	s := New(testEngine(t, &core.Config{DisableMetrics: true}), Config{})
 	req := httptest.NewRequest(http.MethodGet, "/metrics", nil)
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, req)
@@ -92,7 +91,7 @@ func explainTree(t *testing.T, body map[string]any) map[string]any {
 // sequential engine the stages are disjoint, so child durations must sum
 // to no more than the root duration.
 func TestExplainSpanTree(t *testing.T) {
-	s := New(testEngine(t, &core.Config{Parallelism: 1}))
+	s := New(testEngine(t, &core.Config{Parallelism: 1}), Config{})
 	rec, body := get(t, s, "/search?q=databse&explain=1")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("search = %d", rec.Code)
@@ -138,31 +137,16 @@ func TestExplainSpanTree(t *testing.T) {
 }
 
 // TestOpsSurfacesBypassStuckQuery: with MaxInFlight=1 and the only slot
-// held by a request parked inside the handler, the ops surfaces must
-// still answer — they sit outside both the admission gate and the
-// timeout middleware.
+// held as a stuck request would hold it, the ops surfaces must still
+// answer — they sit outside the pipeline, gate and deadline both.
 func TestOpsSurfacesBypassStuckQuery(t *testing.T) {
-	s := NewWithConfig(testEngine(t, nil), Config{
+	s := New(testEngine(t, nil), Config{
 		MaxInFlight:      1,
 		Timeout:          50 * time.Millisecond,
 		SlowLogThreshold: time.Hour, // slowlog route enabled, ring stays empty
 	})
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	blocked := s.guard(func(w http.ResponseWriter, r *http.Request) {
-		close(entered)
-		<-release
-		w.WriteHeader(http.StatusOK)
-	})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		rec := httptest.NewRecorder()
-		blocked(rec, httptest.NewRequest(http.MethodGet, "/search?q=database", nil))
-	}()
-	<-entered
-	defer func() { close(release); wg.Wait() }()
+	s.pipe.gate <- struct{}{}
+	defer func() { <-s.pipe.gate }()
 
 	// Poll /healthz until well past the request timeout, asserting on
 	// every probe: the bypass must be structural — holding for the whole
@@ -195,7 +179,7 @@ func TestOpsSurfacesBypassStuckQuery(t *testing.T) {
 // TestSlowlogRing: with a zero-ish threshold every query lands in the
 // ring, newest first, each entry carrying its span tree.
 func TestSlowlogRing(t *testing.T) {
-	s := NewWithConfig(testEngine(t, nil), Config{SlowLogThreshold: time.Nanosecond})
+	s := New(testEngine(t, nil), Config{SlowLogThreshold: time.Nanosecond})
 	for _, q := range []string{"database", "keyword"} {
 		if rec, _ := get(t, s, "/search?q="+q); rec.Code != http.StatusOK {
 			t.Fatalf("search %s = %d", q, rec.Code)
@@ -259,7 +243,7 @@ func TestPprofGated(t *testing.T) {
 		t.Errorf("pprof without -pprof = %d, want 404", rec.Code)
 	}
 
-	on := NewWithConfig(testEngine(t, nil), Config{EnablePprof: true})
+	on := New(testEngine(t, nil), Config{EnablePprof: true})
 	rec = httptest.NewRecorder()
 	on.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/pprof/cmdline", nil))
 	if rec.Code != http.StatusOK {

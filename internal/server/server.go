@@ -1,6 +1,6 @@
-// Package server exposes an XRefine engine over HTTP as a small JSON API —
-// the deployment surface a sponsored-search or digital-library integration
-// would talk to. Handlers are plain net/http so the server embeds anywhere.
+// Package server holds the one request Pipeline every serving surface runs
+// on (pipeline.go) and its HTTP codec, a small JSON API. Handlers are plain
+// net/http so the server embeds anywhere.
 //
 //	GET /search?q=online+databse&k=3&strategy=partition&parallel=4&explain=1
 //	GET /narrow?q=database&max=50&k=3
@@ -17,15 +17,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"runtime"
 	"strconv"
 	"strings"
 	"time"
-
-	"math/rand"
 
 	"xrefine/internal/core"
 	"xrefine/internal/index"
@@ -33,27 +31,27 @@ import (
 	"xrefine/internal/narrow"
 	"xrefine/internal/obs"
 	"xrefine/internal/refine"
-	"xrefine/internal/storage"
-	"xrefine/internal/tokenize"
 )
 
-// Config tunes the server's protective edges. The zero value disables all
-// of them, which matches the pre-hardening behavior.
+// Config tunes the pipeline's protective edges and the observability
+// around it. The zero value disables every edge, which matches the
+// pre-hardening behavior.
 type Config struct {
 	// Timeout bounds each request's handling when positive: the request
 	// context gets this deadline, so a query that overruns returns its
 	// partial results flagged degraded (the engine's deadline semantics)
 	// instead of holding the connection.
 	Timeout time.Duration
-	// MaxInFlight caps concurrently-handled query requests when positive.
-	// Requests beyond the cap are shed immediately with 503 and a
-	// Retry-After hint rather than queueing without bound. /healthz,
-	// /metrics, and /debug/slowlog are exempt — probes and scrapes must
-	// keep working under saturation, when they matter most.
+	// MaxInFlight caps concurrently-handled requests, over every surface
+	// together, when positive. Requests beyond the cap are shed
+	// immediately (HTTP 503 + Retry-After, wire StatusRetry) rather than
+	// queueing without bound. /healthz, /metrics, and the /debug surfaces
+	// are exempt — probes and scrapes must keep working under saturation,
+	// when they matter most.
 	MaxInFlight int
 	// SlowLogThreshold arms the slow-query ring log when positive: every
-	// /search query is traced, and those whose wall time meets the
-	// threshold deposit their span tree at GET /debug/slowlog.
+	// query is traced, and those whose wall time meets the threshold
+	// deposit their span tree at GET /debug/slowlog.
 	SlowLogThreshold time.Duration
 	// SlowLogCapacity bounds the ring; 0 means 128 entries.
 	SlowLogCapacity int
@@ -61,11 +59,11 @@ type Config struct {
 	// the server's own mux (never the default mux), bypassing the
 	// admission gate and timeout like the other debug surfaces.
 	EnablePprof bool
-	// TraceSampleEvery retains every n-th /search query's span tree in the
-	// trace store (resolvable at GET /debug/trace/<id>) and links it from
-	// the latency histograms as an OpenMetrics exemplar. 0 means the
-	// default (64); negative disables sampling — explain=1 and slow
-	// queries still retain their traces.
+	// TraceSampleEvery retains every n-th query's span tree in the trace
+	// store (resolvable at GET /debug/trace/<id>) and links it from the
+	// latency histograms as an OpenMetrics exemplar. 0 means the default
+	// (64); negative disables sampling — explain=1 and slow queries still
+	// retain their traces.
 	TraceSampleEvery int
 	// TraceStoreCapacity bounds the retained-trace ring; 0 means 512.
 	TraceStoreCapacity int
@@ -74,19 +72,10 @@ type Config struct {
 	SLO obs.SLOOptions
 }
 
-// defaultTraceSampleEvery is the 1-in-N span-tree retention rate when
-// Config.TraceSampleEvery is 0.
-const defaultTraceSampleEvery = 64
-
-// statusClientClosedRequest is the de-facto code (nginx's 499) for
-// "client went away before we could answer"; the response is unseen, the
-// code only keeps access logs honest.
-const statusClientClosedRequest = 499
-
-// Backend is what the server serves: the query, update and introspection
-// surface of one corpus. *core.Engine implements it directly; the shard
-// router implements it scatter-gather across several engines. Every
-// method must be safe for concurrent use.
+// Backend is what the pipeline serves: the query, update and
+// introspection surface of one corpus. *core.Engine implements it
+// directly; the shard router implements it scatter-gather across several
+// engines. Every method must be safe for concurrent use.
 type Backend interface {
 	QueryTermsCtx(ctx context.Context, terms []string, strategy core.Strategy, k, parallelism int) (*core.Response, error)
 	Narrow(q string, opts *narrow.Options) (*narrow.Outcome, error)
@@ -94,6 +83,9 @@ type Backend interface {
 	Apply(b *mutate.Batch) (*core.ApplyResult, error)
 	Stats() core.EngineStats
 	UpdateStats() core.UpdateStats
+	// Health reports what only some deployments have — shard epochs, the
+	// replica table, the storage-engine snapshot — for /healthz.
+	Health() core.HealthExtras
 	Index() *index.Index
 	// Snippet renders a match preview; ok is false when no source
 	// document is available and the snippet field should be omitted.
@@ -101,128 +93,58 @@ type Backend interface {
 	Metrics() *obs.Registry
 }
 
-// ShardedBackend is the optional extension a multi-shard backend
-// implements; /healthz surfaces the per-shard epochs when present.
-type ShardedBackend interface {
-	Backend
-	ShardEpochs() []uint64
-}
-
-// ReplicatedBackend is the optional extension a replicated backend
-// implements; /healthz surfaces the replica health table when present.
-type ReplicatedBackend interface {
-	Backend
-	ReplicaTable() []core.ReplicaStatus
-}
-
-// StorageBackend is the optional extension a store-backed engine
-// implements; /healthz surfaces the storage-engine snapshot when present.
-// ok is false for purely in-memory engines.
-type StorageBackend interface {
-	Backend
-	StoreStats() (storage.Stats, bool)
-}
-
-// Server wraps a backend with HTTP handlers. The backend is safe for
-// concurrent queries; the server adds the protective edges — a
-// per-request deadline, a bounded-concurrency admission gate, and panic
-// containment — so one bad query cannot take the process down.
+// Server is the HTTP codec over a Pipeline: handlers turn a URL or a JSON
+// body into a request, the pipeline answers it, and the Outcome goes back
+// out as JSON. The operational surfaces (/healthz, /metrics, /debug/*)
+// read the pipeline's state without entering it.
 type Server struct {
 	eng  Backend
 	mux  *http.ServeMux
-	cfg  Config
-	gate chan struct{} // admission semaphore; nil when unbounded
-
-	// All serving counters live on the engine's metrics registry — the
-	// server registers its own families there so /metrics exposes one
-	// coherent catalog. Handles are nil (and no-op) when the engine was
-	// built with DisableMetrics.
-	reg       *obs.Registry
-	slowlog   *obs.SlowLog // nil unless SlowLogThreshold > 0
-	mShed     *obs.Counter
-	mPanics   *obs.Counter
-	mReqs     *obs.CounterVec // labels: route, code
-	mSeconds  *obs.Histogram
-	mInflight *obs.Gauge
-
-	// The flight-recorder surface: the registry's shared event ring (the
-	// same ring the engine and shard router record into), the 1-in-N
-	// span-tree sampler, the retained-trace store behind /debug/trace/,
-	// and the SLO burn-rate engine fed by every finished request.
-	flight  *obs.FlightRecorder
-	sampler *obs.Sampler
-	traces  *obs.TraceStore
-	slo     *obs.SLO
-	start   time.Time
+	pipe *Pipeline
+	sf   *Surface
 }
 
-// New builds a server around an engine with no edge protection.
-func New(eng *core.Engine) *Server { return NewWithConfig(eng, Config{}) }
-
-// NewWithConfig builds a server around an engine with the given edge
-// configuration.
-func NewWithConfig(eng *core.Engine, cfg Config) *Server { return NewFromBackend(eng, cfg) }
-
-// NewFromBackend builds a server around any Backend — a single engine or
-// a shard router — with the given edge configuration.
-func NewFromBackend(eng Backend, cfg Config) *Server {
-	s := &Server{eng: eng, mux: http.NewServeMux(), cfg: cfg, reg: eng.Metrics(), start: time.Now()}
-	if cfg.MaxInFlight > 0 {
-		s.gate = make(chan struct{}, cfg.MaxInFlight)
+// New builds the process's request pipeline around a backend — a single
+// engine or a shard router — and the HTTP server over it. Further
+// surfaces (wire.NewServer) are built over Pipeline().
+func New(eng Backend, cfg Config) *Server {
+	s := &Server{eng: eng, mux: http.NewServeMux(), pipe: newPipeline(eng, cfg)}
+	s.sf = s.pipe.Surface("http", "route")
+	route := func(method, path string, h func(context.Context, *http.Request) (Outcome, any)) {
+		rt := s.sf.Route(path, path)
+		s.mux.HandleFunc(path, s.recovered(func(w http.ResponseWriter, r *http.Request) {
+			// Only /update reads a body; bounding it here keeps the
+			// handlers free of the ResponseWriter.
+			r.Body = http.MaxBytesReader(w, r.Body, maxUpdateBody)
+			var body any
+			out := s.pipe.do(r.Context(), rt, 0, func(ctx context.Context) (out Outcome) {
+				if r.Method != method {
+					return fail(http.StatusMethodNotAllowed, errors.New(method+" only"))
+				}
+				out, body = h(ctx, r)
+				return out
+			})
+			if out.Code != http.StatusOK {
+				if out.RetryAfter > 0 {
+					w.Header().Set("Retry-After", strconv.Itoa(out.RetryAfter))
+				}
+				httpError(w, out.Code, out.Err)
+				return
+			}
+			writeJSON(w, body)
+		}))
 	}
-	if cfg.SlowLogThreshold > 0 {
-		s.slowlog = obs.NewSlowLog(cfg.SlowLogThreshold, cfg.SlowLogCapacity)
-	}
-	s.flight = s.reg.Flight()
-	sampleEvery := cfg.TraceSampleEvery
-	if sampleEvery == 0 {
-		sampleEvery = defaultTraceSampleEvery
-	}
-	s.sampler = obs.NewSampler(sampleEvery) // nil (never samples) when negative
-	s.traces = obs.NewTraceStore(cfg.TraceStoreCapacity)
-	s.slo = obs.NewSLO(cfg.SLO)
-	s.mShed = s.reg.Counter("xrefine_http_shed_total",
-		"Requests rejected by the admission gate.")
-	s.mPanics = s.reg.Counter("xrefine_http_panics_total",
-		"Handler panics contained.")
-	s.mReqs = s.reg.CounterVec("xrefine_http_requests_total",
-		"HTTP requests served, by route and status code.", "route", "code")
-	s.mSeconds = s.reg.Histogram("xrefine_http_request_seconds",
-		"HTTP request latency in seconds (query routes only).", obs.DefBuckets)
-	s.mInflight = s.reg.Gauge("xrefine_http_inflight",
-		"Query requests currently being handled.")
-	s.reg.GaugeVec("xrefine_build_info",
-		"Build identity; value is always 1, the labels carry the information.",
-		"go_version", "index_format").With(runtime.Version(), index.FormatVersion).Set(1)
-	s.reg.GaugeFunc("xrefine_uptime_seconds",
-		"Seconds since this server was constructed.",
-		func() float64 { return time.Since(s.start).Seconds() })
-	// Burn rates as gauges, one family per window×objective (func-backed
-	// families are unlabeled): how fast the error budget is being spent,
-	// normalized so 1.0 consumes it exactly at the sustainable rate.
-	s.reg.GaugeFunc("xrefine_slo_availability_burn_5m",
-		"Availability error-budget burn rate over the trailing 5 minutes.",
-		func() float64 { return s.slo.BurnRate("5m", "availability") })
-	s.reg.GaugeFunc("xrefine_slo_availability_burn_1h",
-		"Availability error-budget burn rate over the trailing hour.",
-		func() float64 { return s.slo.BurnRate("1h", "availability") })
-	s.reg.GaugeFunc("xrefine_slo_latency_burn_5m",
-		"Latency error-budget burn rate over the trailing 5 minutes.",
-		func() float64 { return s.slo.BurnRate("5m", "latency") })
-	s.reg.GaugeFunc("xrefine_slo_latency_burn_1h",
-		"Latency error-budget burn rate over the trailing hour.",
-		func() float64 { return s.slo.BurnRate("1h", "latency") })
-	s.mux.HandleFunc("/search", s.observed("/search", s.guard(s.handleSearch)))
-	s.mux.HandleFunc("/narrow", s.observed("/narrow", s.guard(s.handleNarrow)))
-	s.mux.HandleFunc("/complete", s.observed("/complete", s.guard(s.handleComplete)))
+	route(http.MethodGet, "/search", s.handleSearch)
+	route(http.MethodGet, "/narrow", s.handleNarrow)
+	route(http.MethodGet, "/complete", s.handleComplete)
 	// Updates share the query routes' edge protection: the admission gate
 	// bounds writers and readers together (a write burst must not starve
 	// probes), and the deadline caps a runaway batch. Writers additionally
 	// serialize on the engine's own apply lock.
-	s.mux.HandleFunc("/update", s.observed("/update", s.guard(s.handleUpdate)))
-	// The operational surfaces below bypass the gate and the timeout on
-	// purpose: probes and scrapes must answer while the query path is
-	// saturated or wedged.
+	route(http.MethodPost, "/update", s.handleUpdate)
+	// The operational surfaces below bypass the pipeline on purpose:
+	// probes and scrapes must answer while the query path is saturated or
+	// wedged.
 	s.mux.HandleFunc("/healthz", s.recovered(s.handleHealth))
 	s.mux.HandleFunc("/metrics", s.recovered(s.handleMetrics))
 	s.mux.HandleFunc("/debug/slowlog", s.recovered(s.handleSlowlog))
@@ -241,104 +163,25 @@ func NewFromBackend(eng Backend, cfg Config) *Server {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// Shed returns the number of requests rejected by the admission gate.
-func (s *Server) Shed() uint64 { return s.mShed.Value() }
+// Pipeline returns the request pipeline this server was built over — what
+// every other serving surface of the process must share.
+func (s *Server) Pipeline() *Pipeline { return s.pipe }
 
-// Panics returns the number of handler panics contained so far.
-func (s *Server) Panics() uint64 { return s.mPanics.Value() }
-
-// statusWriter captures the status code a handler wrote so the request
-// counter can label it.
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.code = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// observed wraps a query route with request accounting: in-flight gauge,
-// latency histogram, and a per-route/per-code request counter. It is also
-// the flight-recorder admission point: every request gets a trace ID here,
-// carried by a ReqInfo on the context through the engine or the shard
-// fan-out, and is bracketed by admit/finish events in the event ring. The
-// finished request feeds the SLO engine (bad availability = 5xx, which
-// includes shed; a client that hung up is not the server's fault), and a
-// request whose trace was retained pins its latency onto the histogram as
-// an exemplar so the bucket links back to /debug/trace/<id>.
-func (s *Server) observed(route string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		ri := obs.NewReqInfo()
-		r = r.WithContext(obs.WithReqInfo(r.Context(), ri))
-		s.flight.Record(obs.Event{Trace: ri.Trace, Kind: obs.EvAdmit,
-			Shard: -1, Replica: -1, Note: route})
-		s.mInflight.Add(1)
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		h(sw, r)
-		s.mInflight.Add(-1)
-		dur := time.Since(start)
-		s.flight.Record(obs.Event{Trace: ri.Trace, Kind: obs.EvFinish,
-			Shard: -1, Replica: -1, DurNS: int64(dur), N: int64(sw.code), Note: route})
-		s.slo.Record(time.Now(), sw.code < http.StatusInternalServerError, dur)
-		if ri.Retained() {
-			s.mSeconds.ObserveExemplar(dur.Seconds(), ri.Trace, time.Now())
-		} else {
-			s.mSeconds.Observe(dur.Seconds())
-		}
-		if s.mReqs != nil {
-			s.mReqs.With(route, strconv.Itoa(sw.code)).Inc()
-		}
-	}
-}
-
-// recovered wraps a handler with panic containment: a panicking request
-// becomes a 500 for that request alone instead of killing the process.
+// recovered wraps a handler with panic containment for what runs outside
+// the pipeline — the ops surfaces and response encoding: a panicking
+// request becomes a 500 for that request alone.
 func (s *Server) recovered(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		defer func() {
 			if v := recover(); v != nil {
-				s.mPanics.Inc()
-				log.Printf("server: panic in %s %s: %v", r.Method, r.URL.Path, v)
+				s.sf.Recovered(r.Method+" "+r.URL.Path, v)
 				// Headers may already be out; WriteHeader then is a
 				// no-op warning, which is the best we can do.
-				httpError(w, http.StatusInternalServerError, fmt.Errorf("internal error"))
+				httpError(w, http.StatusInternalServerError, errInternal)
 			}
 		}()
 		h(w, r)
 	}
-}
-
-// guard layers the full edge protection onto a query handler: panic
-// containment, load shedding, and the per-request deadline.
-func (s *Server) guard(h http.HandlerFunc) http.HandlerFunc {
-	return s.recovered(func(w http.ResponseWriter, r *http.Request) {
-		if s.gate != nil {
-			select {
-			case s.gate <- struct{}{}:
-				defer func() { <-s.gate }()
-			default:
-				// Shed immediately: under overload a bounded, fast "no"
-				// beats an unbounded queue of slow yeses. The Retry-After
-				// hint is randomized (1–3s) so a fleet of shed clients does
-				// not retry in lockstep and re-saturate the gate on the
-				// same tick — the jitter half of retry-with-jitter, served
-				// by the party that can see the thundering herd forming.
-				s.mShed.Inc()
-				w.Header().Set("Retry-After", strconv.Itoa(1+rand.Intn(3)))
-				httpError(w, http.StatusServiceUnavailable, errors.New("server at capacity"))
-				return
-			}
-		}
-		if s.cfg.Timeout > 0 {
-			ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
-			defer cancel()
-			r = r.WithContext(ctx)
-		}
-		h(w, r)
-	})
 }
 
 // ResultJSON is one match in API form.
@@ -422,126 +265,24 @@ func EncodeBody(w io.Writer, v any) error {
 	return enc.Encode(v)
 }
 
-func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, errors.New("GET only"))
-		return
+func (s *Server) handleSearch(ctx context.Context, r *http.Request) (Outcome, any) {
+	qv := r.URL.Query()
+	req := SearchRequest{Q: qv.Get("q"), Explain: qv.Get("explain") == "1"}
+	var err error
+	if req.K, err = intParam(qv, "k", DefaultK); err != nil {
+		return fail(http.StatusBadRequest, err), nil
 	}
-	q := r.URL.Query().Get("q")
-	explain := r.URL.Query().Get("explain") == "1"
-	// A trace is armed when the caller asked for an explanation, the
-	// slow-query log is on (it needs the span tree of any query that
-	// turns out slow), or the sampler elected this query for retention.
-	// Untraced queries pay one context lookup per stage.
-	ctx := r.Context()
-	ri := obs.ReqInfoFromContext(ctx)
-	sampled := explain || s.slowlog != nil || s.sampler.Sample()
-	if ri != nil {
-		// Mark before the query runs so the shard fan-out pins attempt
-		// exemplars only for queries whose trace will be resolvable.
-		ri.Sampled = sampled
+	if req.Strategy, err = strategyParam(qv); err != nil {
+		return fail(http.StatusBadRequest, err), nil
 	}
-	var root *obs.Span
-	if sampled {
-		ctx, root = obs.NewTrace(ctx, "query")
-		defer root.Release()
-		root.SetStr("q", q)
+	if req.Parallel, err = intParam(qv, "parallel", 0); err != nil {
+		return fail(http.StatusBadRequest, err), nil
 	}
-	tsp := root.StartChild("tokenize")
-	terms := tokenize.Query(q)
-	if tsp != nil {
-		tsp.SetInt("terms", int64(len(terms)))
-		tsp.End()
+	out := s.pipe.search(ctx, &req)
+	if out.Code != http.StatusOK {
+		return out, nil
 	}
-	if len(terms) == 0 {
-		httpError(w, http.StatusBadRequest, errors.New("missing or empty q parameter"))
-		return
-	}
-	k, err := intParam(r, "k", 3)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	strategy, err := strategyParam(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	// parallel overrides the engine's worker count for this query only;
-	// 0 (the default) keeps the engine configuration, 1 forces the
-	// sequential walk. Responses are identical either way.
-	parallel, err := intParam(r, "parallel", 0)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	start := time.Now()
-	resp, err := s.eng.QueryTermsCtx(ctx, terms, strategy, k, parallel)
-	if err != nil {
-		// Retain an errored sampled query too: its attempt exemplars are
-		// already pinned, and a failing query is the one an operator most
-		// wants the trace of.
-		if root != nil {
-			root.End()
-			s.retainTrace(ri, q, time.Since(start), root.Data(), false, "")
-		}
-		if errors.Is(err, context.Canceled) {
-			httpError(w, statusClientClosedRequest, err)
-			return
-		}
-		httpError(w, http.StatusInternalServerError, err)
-		return
-	}
-	var trace *obs.SpanData
-	if root != nil {
-		root.End()
-		trace = root.Data()
-		dur := time.Since(start)
-		shard, replica, hedged, _ := ri.Serving()
-		s.slowlog.Record(obs.SlowEntry{
-			Time:           time.Now(),
-			Query:          q,
-			DurationNS:     int64(dur),
-			Degraded:       resp.Degraded,
-			DegradedReason: resp.DegradedReason,
-			TraceID:        ri.TraceID(),
-			Shard:          shard,
-			Replica:        replica,
-			Hedged:         hedged,
-			Trace:          trace,
-		})
-		s.retainTrace(ri, q, dur, trace, resp.Degraded, resp.DegradedReason)
-	}
-	var explainTrace *obs.SpanData
-	if explain {
-		explainTrace = trace
-	}
-	writeJSON(w, SearchBody(s.eng, resp, explainTrace))
-}
-
-// retainTrace deposits one sampled query's span tree (with its envelope:
-// query, outcome, serving attribution) in the trace store and marks the
-// request retained, which licenses the latency histograms to pin its trace
-// ID as an exemplar — an exemplar therefore always resolves at
-// /debug/trace/<id> while the retention window holds it.
-func (s *Server) retainTrace(ri *obs.ReqInfo, q string, dur time.Duration, trace *obs.SpanData, degraded bool, reason string) {
-	if ri == nil {
-		return
-	}
-	shard, replica, hedged, _ := ri.Serving()
-	s.traces.Put(obs.RetainedTrace{
-		ID:             ri.Trace,
-		Time:           time.Now(),
-		Query:          q,
-		DurationNS:     int64(dur),
-		Degraded:       degraded,
-		DegradedReason: reason,
-		Shard:          shard,
-		Replica:        replica,
-		Hedged:         hedged,
-		Trace:          trace,
-	})
-	ri.MarkRetained()
+	return out, SearchBody(s.eng, out.Resp, out.Explain)
 }
 
 // narrowJSON is the /narrow response body.
@@ -557,34 +298,26 @@ type suggestion struct {
 	Results  int      `json:"results"`
 }
 
-func (s *Server) handleNarrow(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, errors.New("GET only"))
-		return
-	}
-	q := r.URL.Query().Get("q")
+func (s *Server) handleNarrow(_ context.Context, r *http.Request) (Outcome, any) {
+	qv := r.URL.Query()
+	q := qv.Get("q")
 	if strings.TrimSpace(q) == "" {
-		httpError(w, http.StatusBadRequest, errors.New("missing q parameter"))
-		return
+		return fail(http.StatusBadRequest, errors.New("missing q parameter")), nil
 	}
-	max, err := intParam(r, "max", 0)
+	max, err := intParam(qv, "max", 0)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
+		return fail(http.StatusBadRequest, err), nil
 	}
-	k, err := intParam(r, "k", 0)
+	k, err := intParam(qv, "k", 0)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
+		return fail(http.StatusBadRequest, err), nil
 	}
 	out, err := s.eng.Narrow(q, &narrow.Options{MaxResults: max, TopK: k})
 	if errors.Is(err, narrow.ErrNeedsDocument) {
-		httpError(w, http.StatusNotImplemented, err)
-		return
+		return fail(http.StatusNotImplemented, err), nil
 	}
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
-		return
+		return fail(http.StatusInternalServerError, err), nil
 	}
 	body := narrowJSON{TooBroad: out.TooBroad, OriginalResults: out.OriginalResults}
 	for _, sg := range out.Suggestions {
@@ -592,29 +325,24 @@ func (s *Server) handleNarrow(w http.ResponseWriter, r *http.Request) {
 			Keywords: sg.Keywords, Added: sg.Added, Results: len(sg.Results),
 		})
 	}
-	writeJSON(w, body)
+	return Outcome{Code: http.StatusOK}, body
 }
 
-func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, errors.New("GET only"))
-		return
-	}
-	q := r.URL.Query().Get("q")
+func (s *Server) handleComplete(_ context.Context, r *http.Request) (Outcome, any) {
+	qv := r.URL.Query()
+	q := qv.Get("q")
 	if strings.TrimSpace(q) == "" {
-		httpError(w, http.StatusBadRequest, errors.New("missing q parameter"))
-		return
+		return fail(http.StatusBadRequest, errors.New("missing q parameter")), nil
 	}
-	k, err := intParam(r, "k", 8)
+	k, err := intParam(qv, "k", 8)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
+		return fail(http.StatusBadRequest, err), nil
 	}
 	terms := s.eng.Complete(q, k)
 	if terms == nil {
 		terms = []string{}
 	}
-	writeJSON(w, map[string]any{"completions": terms})
+	return Outcome{Code: http.StatusOK}, map[string]any{"completions": terms}
 }
 
 // updateJSON is the /update response body.
@@ -631,21 +359,15 @@ type updateJSON struct {
 // should arrive as several batches (each is one epoch commit anyway).
 const maxUpdateBody = 16 << 20
 
-func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, errors.New("POST only"))
-		return
-	}
+func (s *Server) handleUpdate(_ context.Context, r *http.Request) (Outcome, any) {
 	var batch mutate.Batch
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxUpdateBody))
+	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&batch); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad update body: %w", err))
-		return
+		return fail(http.StatusBadRequest, fmt.Errorf("bad update body: %w", err)), nil
 	}
 	if len(batch.Ops) == 0 {
-		httpError(w, http.StatusBadRequest, errors.New("update batch has no ops"))
-		return
+		return fail(http.StatusBadRequest, errors.New("update batch has no ops")), nil
 	}
 	res, err := s.eng.Apply(&batch)
 	if err != nil {
@@ -656,20 +378,20 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, core.ErrReadOnly) {
 			code = http.StatusConflict
 		}
-		httpError(w, code, err)
-		return
+		return fail(code, err), nil
 	}
-	writeJSON(w, updateJSON{
+	return Outcome{Code: http.StatusOK}, updateJSON{
 		Epoch:     res.Epoch,
 		InsertOps: res.InsertOps,
 		DeleteOps: res.DeleteOps,
 		Inserted:  res.Inserted,
 		Deleted:   res.Deleted,
 		WALBytes:  res.WALBytes,
-	})
+	}
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
+	p := s.pipe
 	st := s.eng.Stats()
 	us := s.eng.UpdateStats()
 	body := map[string]any{
@@ -689,15 +411,15 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		"parallel_queries": st.ParallelQueries,
 		"worker_runs":      st.WorkerRuns,
 		"degraded":         st.Degraded,
-		"shed":             s.mShed.Value(),
-		"panics":           s.mPanics.Value(),
-		"max_inflight":     s.cfg.MaxInFlight,
-		"timeout_ms":       s.cfg.Timeout.Milliseconds(),
-		"uptime_seconds":   time.Since(s.start).Seconds(),
+		"shed":             s.sf.mShed.Value(),
+		"panics":           s.sf.mPanics.Value(),
+		"max_inflight":     p.cfg.MaxInFlight,
+		"timeout_ms":       p.cfg.Timeout.Milliseconds(),
+		"uptime_seconds":   time.Since(p.start).Seconds(),
 	}
 	// The SLO burn-rate report rides under its own key; `xrefine slo` and
 	// `xstat -slo` decode exactly this object.
-	body["slo"] = s.slo.Report(time.Now())
+	body["slo"] = p.slo.Report(time.Now())
 	// Memory pressure observables: resident bytes of loaded posting-list
 	// cores (the block-compressed index payload) next to the Go heap, so
 	// an operator can see both what the index costs and what the process
@@ -707,41 +429,38 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	body["index_resident_bytes"] = s.eng.Index().ResidentBytes()
 	body["go_heap_alloc_bytes"] = ms.HeapAlloc
 	body["go_heap_sys_bytes"] = ms.HeapSys
+	hx := s.eng.Health()
 	// Sharded backends surface their per-shard epochs next to the summed
 	// one; single-engine servers omit the keys entirely.
-	if sb, ok := s.eng.(ShardedBackend); ok {
-		epochs := sb.ShardEpochs()
-		body["shards"] = len(epochs)
-		body["shard_epochs"] = epochs
+	if hx.ShardEpochs != nil {
+		body["shards"] = len(hx.ShardEpochs)
+		body["shard_epochs"] = hx.ShardEpochs
 	}
-	// Replicated backends additionally surface one health row per replica
-	// — state, epoch lag, EWMA latency, breaker state — so an operator can
-	// see a quarantined or breaker-open replica at a glance.
-	if rb, ok := s.eng.(ReplicatedBackend); ok {
-		table := rb.ReplicaTable()
-		body["replicas"] = table
+	// They additionally surface one health row per replica — state, epoch
+	// lag, EWMA latency, breaker state — so an operator can see a
+	// quarantined or breaker-open replica at a glance.
+	if hx.Replicas != nil {
+		body["replicas"] = hx.Replicas
 		healthy := 0
-		for _, row := range table {
+		for _, row := range hx.Replicas {
 			if row.State == core.ReplicaHealthy {
 				healthy++
 			}
 		}
 		body["replicas_healthy"] = healthy
-		body["replicas_total"] = len(table)
+		body["replicas_total"] = len(hx.Replicas)
 	}
 	// Store-backed engines surface their storage-engine snapshot — kind,
 	// disk footprint, and on the log engine the segment/keydir/compaction
 	// state — so amplification is watchable without xstat -storage.
-	if sb, ok := s.eng.(StorageBackend); ok {
-		if st, ok := sb.StoreStats(); ok {
-			body["storage"] = st
-			body["storage_amplification"] = st.Amplification()
-		}
+	if hx.Storage != nil {
+		body["storage"] = *hx.Storage
+		body["storage_amplification"] = hx.Storage.Amplification()
 	}
 	// The full registry snapshot rides along under its own key so the
 	// established top-level fields stay stable for existing probes.
-	if s.reg != nil {
-		body["metrics"] = s.reg.Snapshot()
+	if reg := s.eng.Metrics(); reg != nil {
+		body["metrics"] = reg.Snapshot()
 	}
 	writeJSON(w, body)
 }
@@ -754,18 +473,19 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 // the histogram buckets; the default exposition stays byte-identical to
 // the pre-exemplar format.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if s.reg == nil {
+	reg := s.eng.Metrics()
+	if reg == nil {
 		httpError(w, http.StatusNotFound, errors.New("metrics disabled"))
 		return
 	}
 	if r.URL.Query().Get("format") == "openmetrics" ||
 		strings.Contains(r.Header.Get("Accept"), "application/openmetrics-text") {
 		w.Header().Set("Content-Type", "application/openmetrics-text; version=1.0.0; charset=utf-8")
-		_ = s.reg.WriteOpenMetrics(w)
+		_ = reg.WriteOpenMetrics(w)
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = s.reg.WritePrometheus(w)
+	_ = reg.WritePrometheus(w)
 }
 
 // handleEvents dumps the flight recorder, newest first: every request's
@@ -773,7 +493,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // quarantine transitions, WAL commits. Filters: ?trace_id=<16-hex>,
 // ?shard=<n>, ?kind=<name>, ?limit=<n>.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	if s.flight == nil {
+	flight := s.pipe.flight
+	if flight == nil {
 		httpError(w, http.StatusNotFound, errors.New("flight recorder disabled (metrics off)"))
 		return
 	}
@@ -805,18 +526,18 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		filter.HasShard = true
 	}
 	var err error
-	if filter.Limit, err = intParam(r, "limit", 0); err != nil {
+	if filter.Limit, err = intParam(qv, "limit", 0); err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	evs := s.flight.Events(filter)
+	evs := flight.Events(filter)
 	views := make([]obs.EventView, 0, len(evs))
 	for _, e := range evs {
 		views = append(views, e.View())
 	}
 	writeJSON(w, map[string]any{
-		"capacity": s.flight.Capacity(),
-		"dropped":  s.flight.Dropped(),
+		"capacity": flight.Capacity(),
+		"dropped":  flight.Dropped(),
 		"events":   views,
 	})
 }
@@ -835,9 +556,9 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("bad trace id: %w", err))
 		return
 	}
-	rt, ok := s.traces.Get(id)
+	rt, ok := s.pipe.traces.Get(id)
 	if !ok {
-		httpError(w, http.StatusNotFound, fmt.Errorf("trace %s not retained (sampled traces only, last %d kept)", id, s.traces.Capacity()))
+		httpError(w, http.StatusNotFound, fmt.Errorf("trace %s not retained (sampled traces only, last %d kept)", id, s.pipe.traces.Capacity()))
 		return
 	}
 	writeJSON(w, rt)
@@ -845,17 +566,18 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 
 // handleSlowlog dumps the slow-query ring buffer, newest first.
 func (s *Server) handleSlowlog(w http.ResponseWriter, r *http.Request) {
-	if s.slowlog == nil {
+	slowlog := s.pipe.slowlog
+	if slowlog == nil {
 		httpError(w, http.StatusNotFound, errors.New("slow-query log disabled; start with a slowlog threshold"))
 		return
 	}
-	entries := s.slowlog.Entries()
+	entries := slowlog.Entries()
 	if entries == nil {
 		entries = []obs.SlowEntry{}
 	}
 	writeJSON(w, map[string]any{
-		"threshold_ms": s.slowlog.Threshold().Milliseconds(),
-		"dropped":      s.slowlog.Dropped(),
+		"threshold_ms": slowlog.Threshold().Milliseconds(),
+		"dropped":      slowlog.Dropped(),
 		"entries":      entries,
 	})
 }
@@ -877,8 +599,8 @@ func resultsJSON(eng Backend, ms []refine.Match) []ResultJSON {
 	return out
 }
 
-func intParam(r *http.Request, name string, def int) (int, error) {
-	v := r.URL.Query().Get(name)
+func intParam(qv url.Values, name string, def int) (int, error) {
+	v := qv.Get(name)
 	if v == "" {
 		return def, nil
 	}
@@ -889,8 +611,8 @@ func intParam(r *http.Request, name string, def int) (int, error) {
 	return n, nil
 }
 
-func strategyParam(r *http.Request) (core.Strategy, error) {
-	switch v := r.URL.Query().Get("strategy"); v {
+func strategyParam(qv url.Values) (core.Strategy, error) {
+	switch v := qv.Get("strategy"); v {
 	case "", "partition":
 		return core.StrategyPartition, nil
 	case "sle":
@@ -904,9 +626,7 @@ func strategyParam(r *http.Request) (core.Strategy, error) {
 
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = EncodeBody(w, v)
 }
 
 func httpError(w http.ResponseWriter, code int, err error) {

@@ -28,7 +28,7 @@ func testServer(t *testing.T) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return New(core.NewFromDocument(doc, nil))
+	return New(core.NewFromDocument(doc, nil), Config{})
 }
 
 func get(t *testing.T, s *Server, path string) (*httptest.ResponseRecorder, map[string]any) {
@@ -158,7 +158,7 @@ func TestNarrowWithoutDocument(t *testing.T) {
 	// Engine loaded from a bare index: /narrow must answer 501.
 	s := testServer(t)
 	ix := s.eng.Index()
-	bare := New(core.NewFromIndex(ix, nil))
+	bare := New(core.NewFromIndex(ix, nil), Config{})
 	rec, _ := get(t, bare, "/narrow?q=database")
 	if rec.Code != http.StatusNotImplemented {
 		t.Errorf("document-less narrow = %d", rec.Code)

@@ -137,7 +137,7 @@ func TestUpdateEndpointLivePersists(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(live)
+	s := New(live, Config{})
 	rec, out := postUpdate(t, s, `{"ops":[
 		{"op":"insert","parent":"0","xml":"<author><publications><paper><title>durable sentinel</title></paper></publications></author>"}
 	]}`)
@@ -167,7 +167,7 @@ func TestUpdateEndpointLivePersists(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reopened.Close()
-	s2 := New(reopened)
+	s2 := New(reopened, Config{})
 	rec, body := get(t, s2, "/search?q=durable+sentinel")
 	if rec.Code != http.StatusOK || body["need_refine"].(bool) {
 		t.Fatalf("reopened server lost the update: %d %v", rec.Code, body)
@@ -181,10 +181,10 @@ func TestUpdateEndpointLivePersists(t *testing.T) {
 // gate with queries: a full gate sheds POST /update with 503 rather than
 // queueing writers behind it.
 func TestUpdateEndpointShedsUnderGate(t *testing.T) {
-	s := NewFromBackend(testServer(t).eng, Config{MaxInFlight: 1})
+	s := New(testServer(t).eng, Config{MaxInFlight: 1})
 	// Occupy the single slot directly; the next request must shed.
-	s.gate <- struct{}{}
-	defer func() { <-s.gate }()
+	s.pipe.gate <- struct{}{}
+	defer func() { <-s.pipe.gate }()
 	rec, _ := postUpdate(t, s, `{"ops":[{"op":"delete","target":"0.1"}]}`)
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("gated /update = %d, want 503", rec.Code)

@@ -13,7 +13,6 @@ import (
 
 	"xrefine/internal/core"
 	"xrefine/internal/datagen"
-	"xrefine/internal/kvstore"
 	"xrefine/internal/mutate"
 	"xrefine/internal/refine"
 	"xrefine/internal/server"
@@ -40,7 +39,7 @@ func corpusDoc(t *testing.T, authors int, seed int64) *xmltree.Document {
 // memRouter splits doc across n in-memory shard stores and routers them.
 // faults, when non-nil, must have one entry per shard; each store is
 // built with that shard's fault injector (disarmed until the test arms it).
-func memRouter(t *testing.T, doc *xmltree.Document, n int, mode string, cfg *core.Config, faults []*kvstore.Faults) *Router {
+func memRouter(t *testing.T, doc *xmltree.Document, n int, mode string, cfg *core.Config, faults []*storage.Faults) *Router {
 	t.Helper()
 	subs, err := SplitDocument(doc, n, mode)
 	if err != nil {
@@ -48,7 +47,7 @@ func memRouter(t *testing.T, doc *xmltree.Document, n int, mode string, cfg *cor
 	}
 	stores := make([]storage.Backend, n)
 	for i, sub := range subs {
-		var f *kvstore.Faults
+		var f *storage.Faults
 		if faults != nil {
 			f = faults[i]
 		}
@@ -98,11 +97,11 @@ var diffQueries = []string{
 // mode, strategy and fan-out, including the 1-shard degenerate router.
 func TestShardByteIdentity(t *testing.T) {
 	doc := corpusDoc(t, 48, 7)
-	mono := server.New(core.NewFromDocument(doc, nil))
+	mono := server.New(core.NewFromDocument(doc, nil), server.Config{})
 	for _, mode := range []string{ModeRange, ModeHash} {
 		for _, n := range []int{1, 2, 4, 8} {
 			r := memRouter(t, doc, n, mode, nil, nil)
-			srv := server.NewFromBackend(r, server.Config{})
+			srv := server.New(r, server.Config{})
 			for _, strategy := range []string{"partition", "sle", "stack"} {
 				for _, q := range diffQueries {
 					want := fetchSearch(t, mono, q, strategy, 1, 3)
@@ -139,10 +138,10 @@ func TestShardLiveUpdates(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	srv := server.NewFromBackend(r, server.Config{})
+	srv := server.New(r, server.Config{})
 
 	mono := core.NewFromDocument(doc, nil)
-	monoSrv := server.New(mono)
+	monoSrv := server.New(mono, server.Config{})
 
 	opsApplied := 0
 	for bi, b := range batches {
@@ -203,7 +202,7 @@ func TestShardLiveUpdates(t *testing.T) {
 // answer.
 func TestShardPartialDegrade(t *testing.T) {
 	doc := corpusDoc(t, 32, 5)
-	faults := []*kvstore.Faults{nil, {}}
+	faults := []*storage.Faults{nil, {}}
 	subs, err := SplitDocument(doc, 2, ModeRange)
 	if err != nil {
 		t.Fatal(err)
@@ -289,7 +288,7 @@ func TestShardBudgetDegrade(t *testing.T) {
 func TestShardExplainSpans(t *testing.T) {
 	doc := corpusDoc(t, 24, 3)
 	r := memRouter(t, doc, 2, ModeRange, nil, nil)
-	srv := server.NewFromBackend(r, server.Config{})
+	srv := server.New(r, server.Config{})
 	req := httptest.NewRequest(http.MethodGet, "/search?q=database+query&explain=1", nil)
 	rec := httptest.NewRecorder()
 	srv.ServeHTTP(rec, req)

@@ -6,8 +6,8 @@ import (
 	"time"
 
 	"xrefine/internal/core"
-	"xrefine/internal/kvstore"
 	"xrefine/internal/obs"
+	"xrefine/internal/storage"
 )
 
 // collectShardSpans walks a span tree and returns every span whose name
@@ -34,7 +34,7 @@ func collectShardSpans(d *obs.SpanData, depth int, out *[]*obs.SpanData, depths 
 // asynchronously after the query returns, so the test polls the event
 // ring for its terminal event before snapshotting the span tree.
 func TestHedgedLoserTracePropagation(t *testing.T) {
-	faults := [][]*kvstore.Faults{{{}, nil}}
+	faults := [][]*storage.Faults{{{}, nil}}
 	r := memReplicatedRouter(t, 32, 5, 1, 2, &Options{HedgeAfter: 50 * time.Microsecond}, faults)
 	// Arm after construction so only query-time reads pay the latency.
 	faults[0][0].ReadLatency = 3 * time.Millisecond

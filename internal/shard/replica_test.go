@@ -28,7 +28,7 @@ import (
 // in-memory replica stores each and routers them. faults, when non-nil, is
 // indexed faults[shard][replica]; nil entries leave that store unfaulted.
 // With opts.Live each replica gets its own WAL file under a test temp dir.
-func memReplicatedRouter(t *testing.T, authors int, seed int64, n, rs int, opts *Options, faults [][]*kvstore.Faults) *Router {
+func memReplicatedRouter(t *testing.T, authors int, seed int64, n, rs int, opts *Options, faults [][]*storage.Faults) *Router {
 	t.Helper()
 	doc := corpusDoc(t, authors, seed)
 	subs, err := SplitDocument(doc, n, ModeRange)
@@ -47,7 +47,7 @@ func memReplicatedRouter(t *testing.T, authors int, seed int64, n, rs int, opts 
 	for i, sub := range subs {
 		eng := core.NewFromDocument(sub, &core.Config{DisableMetrics: true})
 		for j := 0; j < rs; j++ {
-			var f *kvstore.Faults
+			var f *storage.Faults
 			if faults != nil && faults[i] != nil {
 				f = faults[i][j]
 			}
@@ -82,11 +82,11 @@ func memReplicatedRouter(t *testing.T, authors int, seed int64, n, rs int, opts 
 // serves the same bytes.
 func TestReplicaByteIdentity(t *testing.T) {
 	doc := corpusDoc(t, 32, 11)
-	mono := server.New(core.NewFromDocument(doc, nil))
+	mono := server.New(core.NewFromDocument(doc, nil), server.Config{})
 	for _, rs := range []int{1, 2, 3} {
 		for _, hedge := range []time.Duration{0, 50 * time.Microsecond} {
 			r := memReplicatedRouter(t, 32, 11, 2, rs, &Options{HedgeAfter: hedge}, nil)
-			srv := server.NewFromBackend(r, server.Config{})
+			srv := server.New(r, server.Config{})
 			for _, q := range diffQueries {
 				want := fetchSearch(t, mono, q, "partition", 1, 3)
 				for _, parallel := range []int{1, 2} {
@@ -107,13 +107,13 @@ func TestReplicaByteIdentity(t *testing.T) {
 // shard (degraded shard-partial, never a lie).
 func TestReplicaFaultMatrix(t *testing.T) {
 	doc := corpusDoc(t, 32, 5)
-	mono := server.New(core.NewFromDocument(doc, nil))
+	mono := server.New(core.NewFromDocument(doc, nil), server.Config{})
 	want := fetchSearch(t, mono, "database query", "partition", 1, 3)
 
 	t.Run("slow-replica-hedged", func(t *testing.T) {
-		faults := [][]*kvstore.Faults{{{}, nil}, {nil, nil}}
+		faults := [][]*storage.Faults{{{}, nil}, {nil, nil}}
 		r := memReplicatedRouter(t, 32, 5, 2, 2, &Options{HedgeAfter: 100 * time.Microsecond}, faults)
-		srv := server.NewFromBackend(r, server.Config{})
+		srv := server.New(r, server.Config{})
 		// Arm after construction so only query-time reads pay the latency.
 		faults[0][0].ReadLatency = 2 * time.Millisecond
 		r.groups[0].reps[0].store.DropCaches()
@@ -131,9 +131,9 @@ func TestReplicaFaultMatrix(t *testing.T) {
 	})
 
 	t.Run("flaky-replica-retried", func(t *testing.T) {
-		faults := [][]*kvstore.Faults{{{}, nil}, {nil, nil}}
+		faults := [][]*storage.Faults{{{}, nil}, {nil, nil}}
 		r := memReplicatedRouter(t, 32, 5, 2, 2, nil, faults)
-		srv := server.NewFromBackend(r, server.Config{})
+		srv := server.New(r, server.Config{})
 		faults[0][0].Seed(99)
 		faults[0][0].SetErrorRate(0.3)
 		r.groups[0].reps[0].store.DropCaches()
@@ -148,9 +148,9 @@ func TestReplicaFaultMatrix(t *testing.T) {
 	})
 
 	t.Run("dead-replica-failover", func(t *testing.T) {
-		faults := [][]*kvstore.Faults{{{}, nil}, {nil, nil}}
+		faults := [][]*storage.Faults{{{}, nil}, {nil, nil}}
 		r := memReplicatedRouter(t, 32, 5, 2, 2, nil, faults)
-		srv := server.NewFromBackend(r, server.Config{})
+		srv := server.New(r, server.Config{})
 		faults[0][0].FailReads(1)
 		r.groups[0].reps[0].store.DropCaches()
 		for i := 0; i < 5; i++ {
@@ -181,7 +181,7 @@ func TestReplicaFaultMatrix(t *testing.T) {
 	})
 
 	t.Run("all-replicas-dead", func(t *testing.T) {
-		faults := [][]*kvstore.Faults{{{}, {}}, {nil, nil}}
+		faults := [][]*storage.Faults{{{}, {}}, {nil, nil}}
 		r := memReplicatedRouter(t, 32, 5, 2, 2, nil, faults)
 		for j, rp := range r.groups[0].reps {
 			rp.store.DropCaches()
@@ -220,11 +220,11 @@ func TestReplicaFaultMatrix(t *testing.T) {
 // by WAL-batch replay and rejoins it.
 func TestReplicaEpochReconcile(t *testing.T) {
 	doc := corpusDoc(t, 24, 9)
-	faults := [][]*kvstore.Faults{{nil, {}}, {nil, nil}}
+	faults := [][]*storage.Faults{{nil, {}}, {nil, nil}}
 	r := memReplicatedRouter(t, 24, 9, 2, 2, &Options{Live: true}, faults)
-	srv := server.NewFromBackend(r, server.Config{})
+	srv := server.New(r, server.Config{})
 	mono := core.NewFromDocument(doc, nil)
-	monoSrv := server.New(mono)
+	monoSrv := server.New(mono, server.Config{})
 
 	parts := doc.Partitions()
 	frag := "<paper><title>replica reconcile probe</title></paper>"
@@ -322,11 +322,11 @@ func TestReplicaWriteRejectionNoQuarantine(t *testing.T) {
 // every response must match the monolith.
 func TestReplicaHedgeCancelPromptness(t *testing.T) {
 	doc := corpusDoc(t, 24, 3)
-	mono := server.New(core.NewFromDocument(doc, nil))
+	mono := server.New(core.NewFromDocument(doc, nil), server.Config{})
 	want := fetchSearch(t, mono, "database query", "partition", 1, 3)
-	faults := [][]*kvstore.Faults{{{}, nil}, {{}, nil}}
+	faults := [][]*storage.Faults{{{}, nil}, {{}, nil}}
 	r := memReplicatedRouter(t, 24, 3, 2, 2, &Options{HedgeAfter: 50 * time.Microsecond}, faults)
-	srv := server.NewFromBackend(r, server.Config{})
+	srv := server.New(r, server.Config{})
 	for i := range faults {
 		faults[i][0].ReadLatency = time.Millisecond
 		r.groups[i].reps[0].store.DropCaches()
@@ -465,7 +465,7 @@ func TestParseChaos(t *testing.T) {
 
 func TestChaosArm(t *testing.T) {
 	c := &Chaos{Rate: 1} // every page IO fails
-	f := &kvstore.Faults{}
+	f := &storage.Faults{}
 	c.arm(f, 0, 1)
 	s := kvstore.NewMemWithFaults(f)
 	defer s.Close()

@@ -482,22 +482,6 @@ func (r *Router) ShardEpochs() []uint64 {
 	return out
 }
 
-// ResetReplicaHealth forgets every replica's learned health — EWMA
-// latency, error streaks, breaker state — so read selection starts cold,
-// the state right after a restart or deploy. Quarantine flags are kept:
-// they record an epoch fact, not a latency estimate. Benchmarks use this
-// to measure hedging against a selector that has not yet learned which
-// replica is slow — exactly the queries hedging exists to protect.
-func (r *Router) ResetReplicaHealth() {
-	for _, g := range r.groups {
-		for _, rp := range g.reps {
-			rp.ewmaNS.Store(0)
-			rp.consecErrs.Store(0)
-			rp.breakerUntil.Store(0)
-		}
-	}
-}
-
 // ReplicaTable returns one health row per replica, in shard then replica
 // order — the /healthz replica table.
 func (r *Router) ReplicaTable() []ReplicaStatus {
@@ -506,6 +490,11 @@ func (r *Router) ReplicaTable() []ReplicaStatus {
 		out = append(out, g.statuses()...)
 	}
 	return out
+}
+
+// Health reports the per-shard epochs and the replica table for /healthz.
+func (r *Router) Health() core.HealthExtras {
+	return core.HealthExtras{ShardEpochs: r.ShardEpochs(), Replicas: r.ReplicaTable()}
 }
 
 // rebuild merges the primary shard indexes into a fresh meta state and

@@ -12,7 +12,16 @@
 // imports both engines.
 package storage
 
-import "os"
+import (
+	"errors"
+	"os"
+)
+
+// ErrUnsupportedFormat is the root of the error a store written in a
+// retired on-disk format fails to open with: posting lists from before the
+// block codec, document streams without child ordinals. Such a store is
+// rebuilt from its source XML, not upgraded in place.
+var ErrUnsupportedFormat = errors.New("storage: unsupported store format")
 
 // Kind names a storage engine.
 type Kind string

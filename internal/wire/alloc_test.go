@@ -6,6 +6,7 @@ import (
 
 	"xrefine/internal/core"
 	"xrefine/internal/datagen"
+	"xrefine/internal/server"
 )
 
 // TestWireAllocOverhead extends the PR-3 instrumentation ratchet to the
@@ -30,7 +31,9 @@ func TestWireAllocOverhead(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := core.NewFromIndex(core.NewFromDocument(doc, nil).Index(), &core.Config{CacheSize: 8})
-	_, addr := startServer(t, eng, Options{})
+	// Sampling off: the ratchet is on the unsampled path, where a retained
+	// span tree (1 request in 64 by default) would only add noise.
+	_, addr := serveWire(t, server.New(eng, server.Config{TraceSampleEvery: -1}).Pipeline(), Options{})
 	c := dial(t, addr)
 
 	terms := []string{"database", "query"}

@@ -27,17 +27,11 @@ func Dial(addr string, timeout time.Duration) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	return NewClient(nc), nil
-}
-
-// NewClient wraps an established connection (tests pair it with
-// net.Pipe).
-func NewClient(nc net.Conn) *Client {
 	return &Client{
 		nc:   nc,
 		wbuf: make([]byte, 0, 4096),
 		rbuf: make([]byte, 0, 4096),
-	}
+	}, nil
 }
 
 // Close closes the connection. In-flight requests are abandoned; the

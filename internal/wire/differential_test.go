@@ -120,7 +120,7 @@ func comparePair(t *testing.T, h http.Handler, c *Client, queries []string, ks, 
 // parallelism.
 func TestWireHTTPDifferential(t *testing.T) {
 	doc := diffDoc(t, 120, 3)
-	httpH := server.New(core.NewFromDocument(doc, nil))
+	httpH := server.New(core.NewFromDocument(doc, nil), server.Config{})
 	_, addr := startServer(t, core.NewFromDocument(doc, nil), Options{})
 	c := dial(t, addr)
 	comparePair(t, httpH, c, diffQueries, []int{-1, 1, 10}, []int{0, 2, 4})
@@ -132,7 +132,7 @@ func TestWireHTTPDifferential(t *testing.T) {
 func TestWireHTTPDifferentialDegraded(t *testing.T) {
 	doc := diffDoc(t, 80, 3)
 	cfg := &core.Config{PostingBudget: 1}
-	httpH := server.New(core.NewFromDocument(doc, cfg))
+	httpH := server.New(core.NewFromDocument(doc, cfg), server.Config{})
 	_, addr := startServer(t, core.NewFromDocument(doc, cfg), Options{})
 	c := dial(t, addr)
 
@@ -159,7 +159,7 @@ func TestWireHTTPDifferentialLiveUpdates(t *testing.T) {
 	doc := diffDoc(t, 60, 11)
 	httpEng := core.NewFromDocument(doc, nil)
 	wireEng := core.NewFromDocument(doc, nil)
-	httpH := server.New(httpEng)
+	httpH := server.New(httpEng, server.Config{})
 	_, addr := startServer(t, wireEng, Options{})
 	c := dial(t, addr)
 
@@ -210,7 +210,7 @@ func replicatedRouter(t *testing.T, doc *xmltree.Document, shards, replicas int,
 // surface from the same on-disk layout.
 func TestWireHTTPDifferentialSharded(t *testing.T) {
 	doc := diffDoc(t, 90, 5)
-	httpH := server.NewFromBackend(replicatedRouter(t, doc, 3, 2, shard.Options{}), server.Config{})
+	httpH := server.New(replicatedRouter(t, doc, 3, 2, shard.Options{}), server.Config{})
 	_, addr := startServer(t, replicatedRouter(t, doc, 3, 2, shard.Options{}), Options{})
 	c := dial(t, addr)
 	comparePair(t, httpH, c, diffQueries, []int{3}, []int{0, 2})
@@ -229,7 +229,7 @@ func TestWireHTTPDifferentialChaos(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := shard.Options{Chaos: chaos, Retries: 2}
-	httpH := server.NewFromBackend(replicatedRouter(t, doc, 2, 2, opts), server.Config{})
+	httpH := server.New(replicatedRouter(t, doc, 2, 2, opts), server.Config{})
 	_, addr := startServer(t, replicatedRouter(t, doc, 2, 2, opts), Options{})
 	c := dial(t, addr)
 
@@ -265,7 +265,7 @@ func TestWireHTTPDifferentialChaos(t *testing.T) {
 // CodeBadRequest, on a connection that stays usable.
 func TestWireHTTPDifferentialErrors(t *testing.T) {
 	doc := diffDoc(t, 40, 3)
-	httpH := server.New(core.NewFromDocument(doc, nil))
+	httpH := server.New(core.NewFromDocument(doc, nil), server.Config{})
 	_, addr := startServer(t, core.NewFromDocument(doc, nil), Options{})
 	c := dial(t, addr)
 

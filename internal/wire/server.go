@@ -3,8 +3,6 @@ package wire
 import (
 	"context"
 	"errors"
-	"log"
-	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -18,20 +16,9 @@ import (
 // ErrServerClosed is returned by Serve after Shutdown.
 var ErrServerClosed = errors.New("wire: server closed")
 
-// Options tunes the wire server's protective edges, mirroring the HTTP
-// server's Config: the same per-request deadline and bounded-concurrency
-// admission gate, applied at the frame boundary instead of the request
-// line.
+// Options tunes the wire codec. The protective edges — deadline, admission
+// gate — are the pipeline's, shared with every other surface.
 type Options struct {
-	// Timeout bounds each query's handling when positive, with the
-	// engine's deadline semantics: an overrunning query returns partial
-	// results flagged degraded rather than holding the connection.
-	Timeout time.Duration
-	// MaxInFlight caps concurrently-executing queries across all
-	// connections when positive. Excess requests are answered immediately
-	// with StatusRetry and a jittered backoff hint — the binary
-	// equivalent of HTTP 503 + Retry-After.
-	MaxInFlight int
 	// PipelineDepth bounds how many decoded requests may queue behind an
 	// executing one per connection; beyond it the reader stops pulling
 	// frames and TCP backpressure reaches the client. 0 means 32.
@@ -40,38 +27,27 @@ type Options struct {
 
 const defaultPipelineDepth = 32
 
-// defaultK mirrors the HTTP handler's k default so a request that leaves
-// K zero gets the same answer from both surfaces.
-const defaultK = 3
-
 // helloBody is the feature document OpHello answers with.
 var helloBody = []byte(`{"version":1,"features":["pipelining","trace-id","retry-hint"]}` + "\n")
 
-// Server serves the binary protocol over persistent connections. Each
-// connection runs two goroutines: a reader that frames and decodes
-// requests, and a worker that executes them in order — so a pipeline of
-// requests overlaps decode with query execution while responses still
-// come back in request order. All per-request state (frame buffers,
-// decode scratch, the response encode buffer, the term intern table) is
-// per-connection and reused, which is what keeps the steady-state path
-// within the engine's ≤2-allocs-per-request envelope.
+// Server is the binary codec over a server.Pipeline, serving persistent
+// connections. Each connection runs two goroutines: a reader that frames
+// and decodes requests, and a worker that hands them to the pipeline in
+// order — so a pipeline of requests overlaps decode with query execution
+// while responses still come back in request order. All per-request state
+// (frame buffers, decode scratch, the response encode buffer, the term
+// intern table) is per-connection and reused, which is what keeps the
+// steady-state path within the engine's ≤2-allocs-per-request envelope.
 type Server struct {
-	eng  server.Backend
-	opts Options
-	gate chan struct{} // admission semaphore; nil when unbounded
+	pipe  *server.Pipeline
+	sf    *server.Surface
+	query *server.Route
+	depth int
 
-	flight *obs.FlightRecorder
-
-	mConns    *obs.Counter
-	mOpen     *obs.Gauge
-	mInflight *obs.Gauge
-	mShed     *obs.Counter
-	mPanics   *obs.Counter
-	mSeconds  *obs.Histogram
-	// Request counters pre-bound per (op, code): CounterVec.With is
-	// variadic and would cost an allocation per call on the hot path.
-	mQueryOK, mQueryBad, mQueryCancel, mQueryErr, mQueryShed *obs.Counter
-	mPing, mHello, mFrameErr                                 *obs.Counter
+	mConns *obs.Counter
+	mOpen  *obs.Gauge
+	// Counters of the requests answered without entering the pipeline.
+	mPing, mHello, mFrameErr *obs.Counter
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -83,44 +59,31 @@ type Server struct {
 	conns     map[*conn]struct{}
 }
 
-// NewServer builds a wire server around the same Backend the HTTP server
-// serves. Metrics land in the backend's registry under the
-// xrefine_wire_* namespace; a metrics-disabled backend serves untracked.
-func NewServer(eng server.Backend, opts Options) *Server {
+// NewServer builds a wire server over the process's request pipeline (the
+// one server.New built), so its queries share the admission gate, the
+// deadline and the tracing with HTTP. Metrics land in the backend's
+// registry under the xrefine_wire_* namespace; a metrics-disabled backend
+// serves untracked.
+func NewServer(pipe *server.Pipeline, opts Options) *Server {
 	if opts.PipelineDepth <= 0 {
 		opts.PipelineDepth = defaultPipelineDepth
 	}
+	sf := pipe.Surface("wire", "op")
 	s := &Server{
-		eng:       eng,
-		opts:      opts,
+		pipe:      pipe,
+		sf:        sf,
+		query:     sf.Route("query", "wire:query"),
+		depth:     opts.PipelineDepth,
 		listeners: make(map[net.Listener]struct{}),
 		conns:     make(map[*conn]struct{}),
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
-	if opts.MaxInFlight > 0 {
-		s.gate = make(chan struct{}, opts.MaxInFlight)
-	}
-	reg := eng.Metrics()
-	s.flight = reg.Flight()
+	reg := pipe.Backend().Metrics()
 	s.mConns = reg.Counter("xrefine_wire_connections_total",
 		"Wire connections accepted.")
 	s.mOpen = reg.Gauge("xrefine_wire_connections_open",
 		"Wire connections currently open.")
-	s.mInflight = reg.Gauge("xrefine_wire_inflight",
-		"Wire queries currently executing.")
-	s.mShed = reg.Counter("xrefine_wire_shed_total",
-		"Wire requests rejected by the admission gate.")
-	s.mPanics = reg.Counter("xrefine_wire_panics_total",
-		"Wire request panics contained.")
-	s.mSeconds = reg.Histogram("xrefine_wire_request_seconds",
-		"Wire request latency in seconds (query frames only).", obs.DefBuckets)
-	reqs := reg.CounterVec("xrefine_wire_requests_total",
-		"Wire requests served, by op and status code.", "op", "code")
-	s.mQueryOK = reqs.With("query", "200")
-	s.mQueryBad = reqs.With("query", "400")
-	s.mQueryCancel = reqs.With("query", "499")
-	s.mQueryErr = reqs.With("query", "500")
-	s.mQueryShed = reqs.With("query", "503")
+	reqs := sf.Requests()
 	s.mPing = reqs.With("ping", "200")
 	s.mHello = reqs.With("hello", "200")
 	s.mFrameErr = reqs.With("frame", "400")
@@ -157,13 +120,6 @@ func (s *Server) Serve(l net.Listener) error {
 		s.wg.Add(1)
 		go s.serveConn(nc)
 	}
-}
-
-// ServeConn serves one pre-established connection (tests drive net.Pipe
-// and TCP loopback through this) and blocks until it is done.
-func (s *Server) ServeConn(nc net.Conn) {
-	s.wg.Add(1)
-	s.serveConn(nc)
 }
 
 // Shutdown drains: it stops accepting, lets queued and in-flight
@@ -223,8 +179,9 @@ type conn struct {
 	nc     net.Conn
 	ctx    context.Context
 	cancel context.CancelFunc
-	reqCtx context.Context // carries ri; reused across requests
-	ri     *obs.ReqInfo
+	// reqCtx carries one ReqInfo the pipeline re-arms per request: the
+	// worker serves strictly one request at a time.
+	reqCtx context.Context
 
 	pending chan *pendingReq
 	free    chan *pendingReq
@@ -271,16 +228,15 @@ func (s *Server) serveConn(nc net.Conn) {
 	c := &conn{
 		srv:     s,
 		nc:      nc,
-		pending: make(chan *pendingReq, s.opts.PipelineDepth),
-		free:    make(chan *pendingReq, s.opts.PipelineDepth+1),
+		pending: make(chan *pendingReq, s.depth),
+		free:    make(chan *pendingReq, s.depth+1),
 		rbuf:    make([]byte, 0, 4096),
 		wbuf:    make([]byte, 0, 4096),
 		wout:    &connWriter{nc: nc, buf: make([]byte, 0, 4096)},
 		intern:  make(map[string]string),
-		ri:      obs.NewReqInfo(),
 	}
 	c.ctx, c.cancel = context.WithCancel(s.baseCtx)
-	c.reqCtx = obs.WithReqInfo(c.ctx, c.ri)
+	c.reqCtx = obs.WithReqInfo(c.ctx, obs.NewReqInfo())
 	s.mu.Lock()
 	if s.inShutdown.Load() {
 		s.mu.Unlock()
@@ -391,13 +347,12 @@ func (c *conn) workLoop() {
 }
 
 // handle answers one request and reports whether the connection must
-// close afterwards. Panics are contained to the request, as on the HTTP
-// surface.
+// close afterwards. The pipeline contains panics below it; the recover
+// here covers the codec's own decode and encode steps.
 func (c *conn) handle(pr *pendingReq) (closeConn bool) {
 	defer func() {
 		if v := recover(); v != nil {
-			c.srv.mPanics.Inc()
-			log.Printf("wire: panic serving request: %v", v)
+			c.srv.sf.Recovered("wire frame", v)
 			c.wbuf = AppendError(c.wbuf[:0], pr.req.Trace, CodeInternal, "internal error")
 			c.wout.Write(c.wbuf)
 		}
@@ -413,102 +368,52 @@ func (c *conn) handle(pr *pendingReq) (closeConn bool) {
 		c.srv.mPing.Inc()
 		c.wbuf, _ = appendRespHeader(c.wbuf[:0], StatusOK, pr.req.Trace)
 		c.wbuf = patchFrameLen(c.wbuf, 0)
-		c.wout.Write(c.wbuf)
-		return false
 	case OpHello:
 		c.srv.mHello.Inc()
 		c.wbuf, _ = appendRespHeader(c.wbuf[:0], StatusOK, pr.req.Trace)
 		c.wbuf = append(c.wbuf, helloBody...)
 		c.wbuf = patchFrameLen(c.wbuf, 0)
-		c.wout.Write(c.wbuf)
-		return false
 	default:
-		return c.handleQuery(pr)
+		c.handleQuery(&pr.req)
 	}
-}
-
-// handleQuery is the binary hot path: admission, trace bookkeeping, the
-// engine call, and the zero-copy encode. Its per-request allocations are
-// the terms slice the engine retains (responses and the query cache keep
-// it, so it cannot be pooled) and whatever the engine itself does — the
-// TestWireAllocOverhead ratchet holds the full round-trip to within two
-// allocations of a direct engine call.
-func (c *conn) handleQuery(pr *pendingReq) (closeConn bool) {
-	s := c.srv
-	start := time.Now()
-	ri := c.ri
-	ri.Reset()
-	if pr.req.Trace != 0 {
-		ri.Trace = pr.req.Trace
-	}
-	s.flight.Record(obs.Event{Trace: ri.Trace, Kind: obs.EvAdmit,
-		Shard: -1, Replica: -1, Note: "wire:query"})
-	code := 200
-	defer func() {
-		dur := time.Since(start)
-		s.flight.Record(obs.Event{Trace: ri.Trace, Kind: obs.EvFinish,
-			Shard: -1, Replica: -1, DurNS: int64(dur), N: int64(code), Note: "wire:query"})
-		s.mSeconds.Observe(dur.Seconds())
-	}()
-	if s.gate != nil {
-		select {
-		case s.gate <- struct{}{}:
-			defer func() { <-s.gate }()
-		default:
-			// Shed with the same jittered hint HTTP sends in Retry-After,
-			// so a fleet of shed clients does not retry in lockstep.
-			code = 503
-			s.mShed.Inc()
-			s.mQueryShed.Inc()
-			c.wbuf = AppendRetry(c.wbuf[:0], ri.Trace, 1+rand.Intn(3), "server at capacity")
-			c.wout.Write(c.wbuf)
-			return false
-		}
-	}
-	s.mInflight.Add(1)
-	defer s.mInflight.Add(-1)
-
-	// The engine retains the terms slice in its response and query cache,
-	// so it gets a fresh slice; the term strings themselves come from the
-	// per-connection intern table, so a repeated vocabulary costs one
-	// small allocation per request, not one per term.
-	terms := make([]string, 0, len(pr.req.Terms))
-	for _, tb := range pr.req.Terms {
-		terms = append(terms, c.internTerm(tb))
-	}
-	k := pr.req.K
-	if k <= 0 {
-		k = defaultK
-	}
-	ctx := c.reqCtx
-	if s.opts.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.opts.Timeout)
-		defer cancel()
-	}
-	resp, err := s.eng.QueryTermsCtx(ctx, terms, core.Strategy(pr.req.Strategy), k, pr.req.Parallel)
-	if err != nil {
-		if errors.Is(err, context.Canceled) {
-			code = 499
-			s.mQueryCancel.Inc()
-			c.wbuf = AppendError(c.wbuf[:0], ri.Trace, CodeCancelled, "client closed request")
-			c.wout.Write(c.wbuf)
-			// The client is normally gone; the write surfaces that and
-			// closes the connection via workLoop's error check.
-			return false
-		}
-		code = 500
-		s.mQueryErr.Inc()
-		c.wbuf = AppendError(c.wbuf[:0], ri.Trace, CodeInternal, err.Error())
-		c.wout.Write(c.wbuf)
-		return false
-	}
-	s.mQueryOK.Inc()
-	c.wbuf, _ = appendRespHeader(c.wbuf[:0], StatusOK, ri.Trace)
-	c.wbuf = AppendSearchBody(c.wbuf, resp, c.srv.eng)
-	c.wbuf = patchFrameLen(c.wbuf, 0)
 	c.wout.Write(c.wbuf)
 	return false
+}
+
+// handleQuery is the binary hot path: frame → request, the pipeline, and
+// the zero-copy encode of its Outcome into c.wbuf. Its per-request
+// allocations are the terms slice the engine retains (responses and the
+// query cache keep it, so it cannot be pooled) and whatever the pipeline
+// and engine themselves do — the TestWireAllocOverhead ratchet holds the
+// full round-trip to within two allocations of a direct engine call.
+func (c *conn) handleQuery(req *Request) {
+	// The term strings come from the per-connection intern table, so a
+	// repeated vocabulary costs one small allocation per request, not one
+	// per term.
+	terms := make([]string, 0, len(req.Terms))
+	for _, tb := range req.Terms {
+		terms = append(terms, c.internTerm(tb))
+	}
+	k := req.K
+	if k <= 0 {
+		k = server.DefaultK
+	}
+	out := c.srv.pipe.Search(c.reqCtx, c.srv.query, &server.SearchRequest{Terms: terms,
+		Strategy: core.Strategy(req.Strategy), K: k, Parallel: req.Parallel, Trace: req.Trace})
+	switch out.Code {
+	case 200:
+		c.wbuf, _ = appendRespHeader(c.wbuf[:0], StatusOK, out.Trace)
+		c.wbuf = AppendSearchBody(c.wbuf, out.Resp, c.srv.pipe.Backend())
+		c.wbuf = patchFrameLen(c.wbuf, 0)
+	case 503:
+		c.wbuf = AppendRetry(c.wbuf[:0], out.Trace, out.RetryAfter, out.Err.Error())
+	case CodeCancelled:
+		// The client is normally gone; the write surfaces that and closes
+		// the connection via workLoop's error check.
+		c.wbuf = AppendError(c.wbuf[:0], out.Trace, CodeCancelled, "client closed request")
+	default:
+		c.wbuf = AppendError(c.wbuf[:0], out.Trace, uint16(out.Code), out.Err.Error())
+	}
 }
 
 // internMaxEntries bounds the per-connection intern table so an

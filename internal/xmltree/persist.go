@@ -18,15 +18,16 @@ import (
 // varint tag length, tag, varint child count, varint text length, text),
 // chunked under sequential keys to respect the store's cell bound:
 //
-//	D\x00v                version marker (absent on legacy v1 streams)
+//	D\x00v                version marker
 //	D\x00c\x00<seq BE32>  chunk of the serialized tree
 //
 // Chunk keys sort by sequence number, so a Range reads the stream back in
 // order. Reconstruction is a single recursive decode. The explicit child
-// ordinal (added in v2) is what lets a mutated tree round-trip: after a
-// subtree deletion the surviving siblings keep their original ordinals, so
-// positions in the child list no longer determine Dewey labels. Legacy v1
-// streams (no version key, no ordinal field) decode positionally.
+// ordinal is what lets a mutated tree round-trip: after a subtree deletion
+// the surviving siblings keep their original ordinals, so positions in the
+// child list no longer determine Dewey labels. A stream of any other
+// version — v1 had no marker and no ordinals — is refused with
+// storage.ErrUnsupportedFormat.
 const (
 	docChunkPrefix  = "D\x00c\x00"
 	docVersionKey   = "D\x00v"
@@ -116,14 +117,12 @@ func LoadDocumentInto(s storage.Backend, reg *Registry) (*Document, bool, error)
 	if len(buf) == 0 {
 		return nil, false, nil
 	}
-	withOrds := false
-	if ver, ok, err := s.Get([]byte(docVersionKey)); err != nil {
+	ver, _, err := s.Get([]byte(docVersionKey))
+	if err != nil {
 		return nil, false, err
-	} else if ok {
-		if len(ver) != 1 || ver[0] != docVersionValue {
-			return nil, false, fmt.Errorf("xmltree: unsupported doc stream version %v", ver)
-		}
-		withOrds = true
+	}
+	if len(ver) != 1 || ver[0] != docVersionValue {
+		return nil, false, fmt.Errorf("xmltree: doc stream version %v, want [%d]: %w", ver, docVersionValue, storage.ErrUnsupportedFormat)
 	}
 	if reg == nil {
 		reg = NewRegistry()
@@ -131,14 +130,11 @@ func LoadDocumentInto(s storage.Backend, reg *Registry) (*Document, bool, error)
 	doc := &Document{Types: reg}
 	r := bytes.NewReader(buf)
 	pos := func() int { return len(buf) - r.Len() }
-	var decode func(parent *Node, ord uint32) (*Node, error)
-	decode = func(parent *Node, ord uint32) (*Node, error) {
-		if withOrds {
-			o, err := binary.ReadUvarint(r)
-			if err != nil {
-				return nil, fmt.Errorf("xmltree: doc stream at %d: %w", pos(), err)
-			}
-			ord = uint32(o)
+	var decode func(parent *Node) (*Node, error)
+	decode = func(parent *Node) (*Node, error) {
+		ord, err := binary.ReadUvarint(r)
+		if err != nil {
+			return nil, fmt.Errorf("xmltree: doc stream at %d: %w", pos(), err)
 		}
 		tagLen, err := binary.ReadUvarint(r)
 		if err != nil {
@@ -172,14 +168,14 @@ func LoadDocumentInto(s storage.Backend, reg *Registry) (*Document, bool, error)
 			n.ID = []uint32{0}
 		} else {
 			n.Type = reg.Intern(parent.Type, n.Tag)
-			n.ID = parent.ID.Child(ord)
+			n.ID = parent.ID.Child(uint32(ord))
 		}
 		doc.NodeCount++
 		if childCount > uint64(r.Len()) {
 			return nil, fmt.Errorf("xmltree: implausible child count %d at %d", childCount, pos())
 		}
 		for i := uint64(0); i < childCount; i++ {
-			c, err := decode(n, uint32(i))
+			c, err := decode(n)
 			if err != nil {
 				return nil, err
 			}
@@ -187,7 +183,7 @@ func LoadDocumentInto(s storage.Backend, reg *Registry) (*Document, bool, error)
 		}
 		return n, nil
 	}
-	root, err := decode(nil, 0)
+	root, err := decode(nil)
 	if err != nil {
 		return nil, false, err
 	}
