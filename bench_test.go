@@ -15,8 +15,11 @@ import (
 	"xrefine/internal/eval"
 	"xrefine/internal/experiments"
 	"xrefine/internal/index"
+	"xrefine/internal/lexicon"
 	"xrefine/internal/rank"
 	"xrefine/internal/refine"
+	"xrefine/internal/rules"
+	"xrefine/internal/searchfor"
 	"xrefine/internal/slca"
 )
 
@@ -314,10 +317,10 @@ func BenchmarkParallelQueries(b *testing.B) {
 	})
 }
 
-// BenchmarkPartitionTopKParallel measures the parallel partition pipeline
-// against the sequential baseline (workers=1) on the batch Top-K workload.
-// Inputs are prepared outside the timed loop so the measurement isolates
-// the partition walk itself.
+// BenchmarkPartitionTopKParallel measures the partition walk split into
+// ranges on the pool against the one-range walk (workers=1) on the batch
+// Top-K workload. Inputs are prepared outside the timed loop, as a default
+// engine prepares them, so the measurement isolates the walk itself.
 func BenchmarkPartitionTopKParallel(b *testing.B) {
 	c := benchCorpus(b)
 	batch, err := c.Workload(datagen.WorkloadConfig{Seed: 555, Queries: 10})
@@ -326,11 +329,13 @@ func BenchmarkPartitionTopKParallel(b *testing.B) {
 	}
 	ins := make([]refine.Input, 0, len(batch))
 	for _, cs := range batch {
-		in, _, err := c.Engine.Prepare(cs.Corrupted)
+		rs, err := rules.Generator{Lexicon: lexicon.Builtin()}.Generate(c.Index, cs.Corrupted)
 		if err != nil {
 			b.Fatal(err)
 		}
-		ins = append(ins, in)
+		infer := append(append([]string(nil), cs.Corrupted...), rs.NewKeywords(cs.Corrupted)...)
+		judge := searchfor.NewJudge(searchfor.Infer(c.Index, infer, nil))
+		ins = append(ins, refine.Input{Index: c.Index, Query: cs.Corrupted, Rules: rs, Judge: judge})
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {

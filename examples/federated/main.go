@@ -52,7 +52,7 @@ func main() {
 
 	// 2. Serve it. (core.NewFromDocument keeps the document, so the API
 	// returns snippets and supports /narrow.)
-	eng := core.NewFromDocument(col, &core.Config{TopK: 2, CacheSize: 128})
+	eng := core.NewFromDocument(col, &core.Config{TopK: 2})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)

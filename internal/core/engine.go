@@ -80,17 +80,14 @@ type Config struct {
 	Strategy Strategy
 	// TopK bounds the number of refined queries returned; 0 means 3.
 	TopK int
-	// CacheSize enables an LRU over complete responses when positive.
-	// Cached responses are shared and must be treated as read-only.
-	CacheSize int
 	// ExpandResults lifts every match to its closest search-for-typed
 	// ancestor (the entity), merging duplicates — XSeek-style display
 	// granularity instead of raw SLCA nodes.
 	ExpandResults bool
-	// Parallelism bounds the worker goroutines the partition strategy
-	// fans the document walk out to. 0 means runtime.GOMAXPROCS(0); 1
-	// forces the exact sequential path. The parallel path returns
-	// responses identical to the sequential one, so the value is a pure
+	// Parallelism bounds the goroutines the partition strategy's walk
+	// runs its scans on (ranges of the document, or a router's shards).
+	// 0 means runtime.GOMAXPROCS(0); 1 walks on the query's goroutine.
+	// Responses are identical at every value, so it is a pure
 	// performance knob.
 	Parallelism int
 	// Timeout bounds each query's wall-clock execution when positive.
@@ -99,9 +96,12 @@ type Config struct {
 	// flagged Degraded with reason "deadline". Zero means no deadline.
 	Timeout time.Duration
 	// PostingBudget caps the postings one query's exploration may consume
-	// when positive — a deterministic work bound, unlike Timeout. Expiry
-	// degrades the response the same way with reason "posting-budget".
-	// Zero means unlimited.
+	// when positive — a deterministic work bound, unlike Timeout: under a
+	// posting budget the partition walk runs its scans one at a time, in
+	// document order (range-split shards too), so the budget stops it at
+	// the same partition at every Parallelism. Expiry degrades the
+	// response the same way with reason "posting-budget". Zero means
+	// unlimited.
 	PostingBudget int
 	// Metrics is the registry the engine registers its counters and
 	// histograms on. Nil means the engine creates a private registry,
@@ -150,9 +150,12 @@ type epoch struct {
 
 // Engine is an XRefine instance bound to one indexed document.
 type Engine struct {
-	ep    atomic.Pointer[epoch]
-	cfg   Config
-	cache *queryCache // nil when caching is disabled
+	ep  atomic.Pointer[epoch]
+	cfg Config
+	// explore is the partition strategy's exploration of a prepared
+	// input: refine.PartitionTopK over the epoch's index, or the shard
+	// router's walk over its shards (NewWithExplorer).
+	explore func(in refine.Input, k int) (*refine.TopKOutcome, error)
 
 	// applyMu serializes writers (Apply and WAL replay). Readers never
 	// take it — they pin an epoch snapshot instead.
@@ -200,12 +203,10 @@ func (e *Engine) Health() HealthExtras {
 
 // EngineStats is a snapshot of the engine's serving counters.
 type EngineStats struct {
-	// Queries counts QueryTerms invocations (including cache hits).
+	// Queries counts QueryTerms invocations.
 	Queries uint64
 	// Refined counts responses that needed refinement.
 	Refined uint64
-	// CacheHits counts responses served from the LRU cache.
-	CacheHits uint64
 	// ParallelQueries counts queries whose partition walk actually ran on
 	// the parallel pipeline (more than one worker goroutine).
 	ParallelQueries uint64
@@ -225,7 +226,6 @@ func (e *Engine) Stats() EngineStats {
 	return EngineStats{
 		Queries:         e.m.queries.Value(),
 		Refined:         e.m.refined.Value(),
-		CacheHits:       e.m.cacheHits.Value(),
 		ParallelQueries: e.m.parallel.Value(),
 		WorkerRuns:      e.m.workerRuns.Value(),
 		Degraded:        e.m.degraded.Sum(),
@@ -256,6 +256,17 @@ func (e *Engine) noteOutcome(out *refine.TopKOutcome) {
 // NewFromIndex wraps an existing index. Engines built this way have no
 // source document, so Narrow is unavailable.
 func NewFromIndex(ix *index.Index, cfg *Config) *Engine {
+	return NewWithExplorer(ix, cfg, refine.PartitionTopK)
+}
+
+// NewWithExplorer is NewFromIndex with the partition strategy's
+// exploration replaced by explore — how the shard router's meta engine
+// walks its shards instead of ix's lists. explore receives the input the
+// engine prepared against ix (budget, deadline and the refine:partition
+// span included); everything around it — tokenizing, preparing,
+// accounting, ranking, expansion, counters and flight events — is the
+// engine's own, so a router query is answered exactly like a local one.
+func NewWithExplorer(ix *index.Index, cfg *Config, explore func(in refine.Input, k int) (*refine.TopKOutcome, error)) *Engine {
 	c := cfg.withDefaults()
 	reg := c.Metrics
 	if c.DisableMetrics {
@@ -263,7 +274,7 @@ func NewFromIndex(ix *index.Index, cfg *Config) *Engine {
 	} else if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	e := &Engine{cfg: c, cache: newQueryCache(c.CacheSize), reg: reg, m: newEngineMetrics(reg), flight: reg.Flight()}
+	e := &Engine{cfg: c, explore: explore, reg: reg, m: newEngineMetrics(reg), flight: reg.Flight()}
 	e.ep.Store(&epoch{ix: ix})
 	e.registerEpochMetrics(reg)
 	return e
@@ -353,8 +364,8 @@ func openStore(store storage.Backend, reg *xmltree.Registry, cfg *Config) (*Engi
 	if ok {
 		ep.doc = doc
 	}
-	// Resume at the store's committed epoch so cache keys and WAL replay
-	// line up across restarts.
+	// Resume at the store's committed epoch so WAL replay lines up across
+	// restarts.
 	ep.gen = store.Epoch()
 	e.ep.Store(&ep)
 	e.frozen = true
@@ -457,10 +468,11 @@ type Response struct {
 	// Degraded reports that a deadline or posting budget expired before
 	// the exploration finished: every result present is genuine, but the
 	// walk covered only part of the document, so candidates (or better
-	// refinements) may be missing. Degraded responses are never cached.
+	// refinements) may be missing.
 	Degraded bool
-	// DegradedReason names the cause when Degraded: "deadline" or
-	// "posting-budget" (the refine.Degraded* constants).
+	// DegradedReason names the cause when Degraded: "deadline",
+	// "posting-budget" or, on a shard router, "shard-partial" (the
+	// refine.Degraded* constants).
 	DegradedReason string
 }
 
@@ -487,16 +499,11 @@ func (e *Engine) QueryCtx(ctx context.Context, q string) (*Response, error) {
 	return e.QueryTermsCtx(ctx, terms, e.cfg.Strategy, e.cfg.TopK, 0)
 }
 
-// Prepare derives the per-query machinery — rule set, search-for
-// candidates and refinement input — without running any algorithm. It is
-// the shared front half of QueryTerms and Explore.
-func (e *Engine) Prepare(terms []string) (refine.Input, []searchfor.Candidate, error) {
-	return e.prepare(e.snapshot(), terms)
-}
-
-// prepare is Prepare pinned to one epoch, so a query whose front half
-// races an Apply still reads rules, inference and lists from one
-// consistent snapshot.
+// prepare derives the per-query machinery — rule set, search-for
+// candidates and refinement input — without running any algorithm: the
+// shared front half of QueryTermsCtx, Explore and Narrow. It is pinned to
+// one epoch, so a query whose front half races an Apply still reads rules,
+// inference and lists from one consistent snapshot.
 func (e *Engine) prepare(ep *epoch, terms []string) (refine.Input, []searchfor.Candidate, error) {
 	rs, err := e.cfg.Rules.Generate(ep.ix, terms)
 	if err != nil {
@@ -530,7 +537,7 @@ func (e *Engine) Explore(terms []string, k int) (*refine.TopKOutcome, []searchfo
 	if err != nil {
 		return nil, nil, err
 	}
-	out, err := refine.PartitionTopK(in, k)
+	out, err := e.explore(in, k)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -541,26 +548,16 @@ func (e *Engine) Explore(terms []string, k int) (*refine.TopKOutcome, []searchfo
 // QueryTerms answers a pre-tokenized query with an explicit strategy and K
 // — the entry point the experiment harness uses.
 func (e *Engine) QueryTerms(terms []string, strategy Strategy, k int) (*Response, error) {
-	return e.QueryTermsParallel(terms, strategy, k, 0)
-}
-
-// QueryTermsParallel is QueryTerms with a per-query parallelism override
-// for the partition strategy: 0 uses the engine's configured value, 1
-// forces the sequential path, N fans the walk out to at most N workers.
-// Responses are identical at every parallelism, so cached responses are
-// shared across overrides.
-func (e *Engine) QueryTermsParallel(terms []string, strategy Strategy, k, parallelism int) (*Response, error) {
-	return e.QueryTermsCtx(context.Background(), terms, strategy, k, parallelism)
+	return e.QueryTermsCtx(context.Background(), terms, strategy, k, 0)
 }
 
 // QueryTermsCtx is the fully-general entry point: pre-tokenized query,
-// explicit strategy, K and parallelism override, under a caller context.
+// explicit strategy, K and parallelism override (0 uses the configured
+// value; responses are identical at every value), under a caller context.
 // Config.Timeout (when set) is layered onto ctx here, so the effective
 // deadline is the earlier of the two. An expired deadline or exhausted
 // posting budget returns a partial response with Degraded set; an outright
-// cancellation returns ctx.Err(). Degraded responses never enter the
-// cache, so a later unconstrained query cannot be served a truncated
-// answer as if it were complete.
+// cancellation returns ctx.Err().
 func (e *Engine) QueryTermsCtx(ctx context.Context, terms []string, strategy Strategy, k, parallelism int) (*Response, error) {
 	if len(terms) == 0 {
 		return nil, errors.New("core: query has no keywords")
@@ -573,28 +570,12 @@ func (e *Engine) QueryTermsCtx(ctx context.Context, terms []string, strategy Str
 	}
 	e.m.queries.Inc()
 	start := time.Now()
-	// Pin one epoch for the whole query: the cache key, rule generation,
-	// exploration and ranking all read this snapshot, so a concurrent
-	// Apply cannot mix generations within one response or serve a
-	// pre-update response to a post-update query.
+	// Pin one epoch for the whole query: rule generation, exploration and
+	// ranking all read this snapshot, so a concurrent Apply cannot mix
+	// generations within one response.
 	ep := e.snapshot()
 	e.m.pinnedQueries.Add(1)
 	defer e.m.pinnedQueries.Add(-1)
-	key := cacheKey(ep.gen, terms, strategy, k)
-	if resp, ok := e.cache.get(key); ok {
-		e.m.cacheHits.Inc()
-		if resp.NeedRefine {
-			e.m.refined.Inc()
-		}
-		if sp := obs.SpanFromContext(ctx); sp != nil {
-			sp.SetInt("cache_hit", 1)
-		}
-		d := time.Since(start)
-		e.flight.Record(obs.Event{Trace: obs.TraceIDFromContext(ctx), Kind: obs.EvQuery,
-			Shard: -1, Replica: -1, DurNS: int64(d), N: int64(len(terms)), Note: "cache-hit"})
-		e.m.querySeconds.Observe(d.Seconds())
-		return resp, nil
-	}
 	if e.cfg.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, e.cfg.Timeout)
@@ -614,10 +595,6 @@ func (e *Engine) QueryTermsCtx(ctx context.Context, terms []string, strategy Str
 		e.m.degraded.With(resp.DegradedReason).Inc()
 		e.flight.Record(obs.Event{Trace: obs.TraceIDFromContext(ctx), Kind: obs.EvBudgetExpiry,
 			Shard: -1, Replica: -1, Note: resp.DegradedReason})
-	} else {
-		// Only complete responses are cacheable: a degraded partial
-		// answer must never satisfy a later query as if it were full.
-		e.cache.put(key, resp)
 	}
 	d := time.Since(start)
 	e.flight.Record(obs.Event{Trace: obs.TraceIDFromContext(ctx), Kind: obs.EvQuery,
@@ -696,7 +673,7 @@ func (e *Engine) queryUncached(ctx context.Context, ep *epoch, terms []string, s
 		if strategy == StrategySLE {
 			out, err = refine.ShortListEager(in, k)
 		} else {
-			out, err = refine.PartitionTopK(in, k)
+			out, err = e.explore(in, k)
 		}
 		annotateRefineSpan(ssp, out)
 		if err != nil {
@@ -774,31 +751,6 @@ func (e *Engine) finishTopK(trace *obs.Span, ep *epoch, resp *Response, terms []
 	})
 	if len(resp.Queries) > k {
 		resp.Queries = resp.Queries[:k]
-	}
-	return resp, nil
-}
-
-// NoteOutcome feeds one exploration outcome into the engine's metric
-// counters — the hook the shard router uses so scatter-gather queries
-// account on the meta engine exactly like local ones.
-func (e *Engine) NoteOutcome(out *refine.TopKOutcome) { e.noteOutcome(out) }
-
-// FinishTopK ranks an exploration outcome into resp against the engine's
-// current snapshot — Formula 10, the original-query short-circuit and the
-// cut to K, plus result expansion when configured — under a "rank" span of
-// ctx's trace. It is the back half of queryUncached, exported for the
-// shard router, whose exploration ran scatter-gather instead of through
-// this engine.
-func (e *Engine) FinishTopK(ctx context.Context, resp *Response, terms []string, out *refine.TopKOutcome, k int) (*Response, error) {
-	if k <= 0 {
-		k = e.cfg.TopK
-	}
-	resp, err := e.finishTopK(obs.SpanFromContext(ctx), e.snapshot(), resp, terms, out, k)
-	if err != nil {
-		return nil, err
-	}
-	if e.cfg.ExpandResults {
-		expandResponse(resp)
 	}
 	return resp, nil
 }

@@ -20,7 +20,6 @@ import (
 type engineMetrics struct {
 	queries      *obs.Counter
 	refined      *obs.Counter
-	cacheHits    *obs.Counter
 	parallel     *obs.Counter
 	workerRuns   *obs.Counter
 	degraded     *obs.CounterVec // label: reason
@@ -49,8 +48,6 @@ func newEngineMetrics(r *obs.Registry) engineMetrics {
 			"Keyword queries answered, including cache hits."),
 		refined: r.Counter("xrefine_engine_refined_total",
 			"Responses that needed refinement (Definition 3.4)."),
-		cacheHits: r.Counter("xrefine_engine_cache_hits_total",
-			"Responses served from the query cache."),
 		parallel: r.Counter("xrefine_engine_parallel_queries_total",
 			"Queries whose partition walk ran on more than one worker."),
 		workerRuns: r.Counter("xrefine_engine_worker_runs_total",

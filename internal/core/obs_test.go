@@ -13,6 +13,7 @@ import (
 
 	"xrefine/internal/kvstore"
 	"xrefine/internal/obs"
+	"xrefine/internal/xmltree"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
@@ -73,6 +74,34 @@ func TestEngineStatsFromRegistry(t *testing.T) {
 	}
 	if e.Metrics() == nil {
 		t.Error("Metrics() = nil on a default engine")
+	}
+}
+
+// TestEngineStats: Stats counts every query and the refined ones among
+// them — a repeated query counts again.
+func TestEngineStats(t *testing.T) {
+	doc, err := xmltree.ParseString(`
+<bib>
+  <author><publications>
+    <paper><title>database systems</title><year>2003</year></paper>
+    <paper><title>keyword search</title><year>2005</year></paper>
+  </publications></author>
+</bib>`, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewFromDocument(doc, nil)
+	for _, q := range []string{"databse", "databse", "database"} {
+		if _, err := e.Query(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := e.Stats()
+	if st.Queries != 3 {
+		t.Errorf("Queries = %d", st.Queries)
+	}
+	if st.Refined != 2 { // the two databse lookups
+		t.Errorf("Refined = %d", st.Refined)
 	}
 }
 
@@ -164,7 +193,7 @@ func outlineSpans(d *obs.SpanData, depth int, b *strings.Builder) {
 	}
 }
 
-var workerSpan = regexp.MustCompile(`^(\s*)worker-\d+$`)
+var rangeSpan = regexp.MustCompile(`^(\s*)range-\d+$`)
 
 // TestTraceSpanTreeGolden pins the span taxonomy of a sequential traced
 // query and checks the timing invariant: children are disjoint stages on
@@ -222,9 +251,10 @@ query
 	}
 }
 
-// TestParallelTraceSpans: a traced parallel query emits one worker span
-// per engaged worker under the refine span. Worker spans overlap in time,
-// so only their count and naming are asserted.
+// TestParallelTraceSpans: a traced query whose walk splits into ranges
+// emits one range span per range under the refine span, plus one merge
+// span. Range spans overlap in time, so only their count and naming are
+// asserted.
 func TestParallelTraceSpans(t *testing.T) {
 	e, _ := newEngine(t, &Config{Parallelism: 2})
 	ctx, root := obs.NewTrace(context.Background(), "query")
@@ -244,19 +274,19 @@ func TestParallelTraceSpans(t *testing.T) {
 	if refineSpan == nil {
 		t.Fatalf("no refine span in %v", d)
 	}
-	workers, merges := 0, 0
+	ranges, merges := 0, 0
 	for _, c := range refineSpan.Children {
 		switch {
-		case workerSpan.MatchString(c.Name):
-			workers++
+		case rangeSpan.MatchString(c.Name):
+			ranges++
 		case c.Name == "merge":
 			merges++
 		}
 	}
-	// A tiny corpus may not engage >1 worker; when it does, the merge
-	// span must be present too.
-	if workers > 0 && merges != 1 {
-		t.Errorf("refine span has %d worker spans but %d merge spans", workers, merges)
+	// A tiny corpus may not split the walk; when it does, the merge span
+	// must be present too.
+	if ranges > 0 && merges != 1 {
+		t.Errorf("refine span has %d range spans but %d merge spans", ranges, merges)
 	}
 }
 
@@ -351,9 +381,9 @@ func TestStoreBackedKvstoreMetrics(t *testing.T) {
 }
 
 // TestQuerySecondsHistogram: the latency histogram must record every
-// query exactly once, including cache hits.
+// query exactly once.
 func TestQuerySecondsHistogram(t *testing.T) {
-	e, _ := newEngine(t, &Config{CacheSize: 8})
+	e, _ := newEngine(t, nil)
 	for i := 0; i < 3; i++ {
 		if _, err := e.Query("online databse"); err != nil {
 			t.Fatal(err)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -10,12 +11,11 @@ import (
 )
 
 // TestConcurrentQueriesRace drives one engine from many goroutines with a
-// mixed workload — cache hits and misses, sequential and parallel
-// partition walks, lazily loaded posting lists — and checks every response
-// against a single-threaded reference. Run under -race this covers the
-// index singleflight (concurrent first touches of the same and different
-// terms over the kvstore), the shared pruning bound, and the response
-// cache.
+// mixed workload — one-range and ranged partition walks, lazily loaded
+// posting lists — and checks every response against a single-threaded
+// reference. Run under -race this covers the index singleflight
+// (concurrent first touches of the same and different terms over the
+// kvstore) and the shared pruning bound.
 func TestConcurrentQueriesRace(t *testing.T) {
 	ref, _ := newEngine(t, &Config{Parallelism: 1})
 	store := kvstore.NewMem()
@@ -23,13 +23,9 @@ func TestConcurrentQueriesRace(t *testing.T) {
 	if err := ref.SaveIndex(store); err != nil {
 		t.Fatal(err)
 	}
-	// The engine under test loads lists lazily from the store, caches
-	// responses, and fans partition walks out to 4 workers. The cache
-	// holds the whole workload so revisits are guaranteed hits while
-	// every first touch is a miss — the mix is deterministic under any
-	// interleaving (an LRU smaller than a cyclic working set can miss
-	// forever).
-	eng, err := Open(store, &Config{Parallelism: 4, CacheSize: 16})
+	// The engine under test loads lists lazily from the store and fans
+	// partition walks out to 4 workers.
+	eng, err := Open(store, &Config{Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +70,7 @@ func TestConcurrentQueriesRace(t *testing.T) {
 				if r%3 == 0 {
 					parallelism = 1
 				}
-				resp, err := eng.QueryTermsParallel(queries[i], StrategyPartition, 3, parallelism)
+				resp, err := eng.QueryTermsCtx(context.Background(), queries[i], StrategyPartition, 3, parallelism)
 				if err != nil {
 					if want[i].err != err.Error() {
 						errs <- fmt.Sprintf("query %v: error %q, want %q", queries[i], err, want[i].err)
@@ -97,9 +93,6 @@ func TestConcurrentQueriesRace(t *testing.T) {
 	st := eng.Stats()
 	if st.Queries != goroutines*rounds {
 		t.Errorf("Queries = %d, want %d", st.Queries, goroutines*rounds)
-	}
-	if st.CacheHits == 0 {
-		t.Error("workload produced no cache hits; stress lost its hit/miss mix")
 	}
 }
 

@@ -51,6 +51,12 @@ type Index struct {
 	coCache  map[coKey]int
 	partRoot []dewey.ID // document partition roots in order
 
+	// vocabOnce/vocab hold the one vocabulary-derived structure a higher
+	// layer attaches (see VocabDerived). Owned here, it is freed with the
+	// epoch that built it.
+	vocabOnce sync.Once
+	vocab     any
+
 	// stat holds the list-access counters, snapshot by OpStats. The struct
 	// is shared by pointer across epoch derivations (NewMutator), so
 	// metrics keep accumulating across live updates instead of resetting
@@ -99,6 +105,16 @@ func (ix *Index) ResidentBytes() int {
 		}
 	}
 	return total
+}
+
+// VocabDerived returns the structure build derives from this index's
+// vocabulary, building it on the first call — the rules package's spelling
+// BK-tree and stem map. An index's vocabulary never changes, so one build
+// serves the index's lifetime; a live update's new epoch builds its own, and
+// the old one is collected with its index.
+func (ix *Index) VocabDerived(build func() any) any {
+	ix.vocabOnce.Do(func() { ix.vocab = build() })
+	return ix.vocab
 }
 
 type coKey struct {

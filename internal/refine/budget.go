@@ -25,8 +25,10 @@ const (
 // Budget bounds one query execution cooperatively: a context (carrying a
 // caller deadline and cancellation) plus an optional posting budget — a cap
 // on how many postings the exploration may consume before it must stop and
-// return what it has. One Budget is shared by every goroutine of a parallel
-// partition walk; all state is atomic.
+// return what it has. One Budget is shared by every scan of a partition
+// walk; all state is atomic. A posting limit makes the walk run its scans
+// one at a time, in order, so the limit stops the walk at the same
+// partition every run.
 //
 // The two stop causes have different semantics, mirroring what the caller
 // wants: an expired deadline or exhausted posting budget means "best effort
@@ -104,6 +106,10 @@ func (b *Budget) Charge(n int) bool {
 	}
 	return true
 }
+
+// postingLimited reports whether b caps postings — the walk's pool then
+// runs its scans one at a time (see PoolSize).
+func (b *Budget) postingLimited() bool { return b != nil && b.s.limit > 0 }
 
 // Ok reports whether execution may continue without consuming postings —
 // the check loops use between partitions and before expensive stages.

@@ -145,11 +145,11 @@ func TestOracleConformance(t *testing.T) {
 		terms := testutil.GenTerms(r)
 		eng := core.NewFromDocument(doc, &core.Config{DisableMetrics: true})
 
-		in, _, err := eng.Prepare(terms)
+		_, cands, err := eng.Explore(terms, 3)
 		if err != nil {
 			t.Fatalf("seed %d: prepare: %v", seed, err)
 		}
-		judge := in.Judge
+		judge := searchfor.NewJudge(cands)
 
 		// Definition 3.4 verdict, shared by every strategy: refinement is
 		// needed exactly when the original query has no meaningful SLCA.

@@ -1,10 +1,12 @@
 package refine
 
 import (
+	"strconv"
 	"time"
 
 	"xrefine/internal/dewey"
 	"xrefine/internal/index"
+	"xrefine/internal/obs"
 	"xrefine/internal/slca"
 )
 
@@ -20,17 +22,14 @@ type TopKOutcome struct {
 	// Partitions counts document partitions actually visited, an
 	// efficiency observable for the experiments.
 	Partitions int
-	// SLCACalls counts delegated SLCA computations. The parallel
-	// execution path may count more calls than the sequential one: each
-	// worker prunes against a bound that converges on the sequential
-	// bound but can transiently admit extra candidates.
+	// SLCACalls counts delegated SLCA computations. A walk split into
+	// several scans may count more calls than one scan: each scan prunes
+	// against a bound that converges on the one-scan bound but can
+	// transiently admit extra candidates.
 	SLCACalls int
-	// Workers is the number of goroutines that executed the partition
-	// walk: 1 for the sequential path.
+	// Workers is the number of goroutines the walk's scans ran on: 1 for
+	// a one-scan walk.
 	Workers int
-	// Ranges is the number of contiguous partition ranges the document
-	// was pre-split into (0 for the sequential path).
-	Ranges int
 	// Degraded reports that the exploration stopped early — deadline or
 	// posting budget — and Candidates holds the best refined queries
 	// found up to that point rather than the complete answer.
@@ -46,27 +45,13 @@ type TopKOutcome struct {
 	// dissimilarity bound skipped — the paper's key optimization made
 	// observable.
 	RQPruned int
-	// BoundUpdates counts tightenings of the shared pruning bound on
-	// the parallel walk (the sequential walk's bound lives implicitly
-	// in its sorted list and reports 0).
+	// BoundUpdates counts tightenings of the pruning bound shared by the
+	// scans of a split walk (a one-scan walk's bound lives implicitly in
+	// its sorted list and reports 0).
 	BoundUpdates int
 	// SLCAPostings totals the postings handed to delegated SLCA
 	// computations — the work the SLCA layer actually received.
 	SLCAPostings int64
-	// WorkerShares describes each parallel worker's share of the walk;
-	// nil for the sequential path.
-	WorkerShares []WorkerShare
-}
-
-// WorkerShare is one parallel worker's slice of the partition walk.
-type WorkerShare struct {
-	// Ranges is how many contiguous partition ranges the worker drew
-	// from the job queue.
-	Ranges int
-	// Partitions is how many partitions the worker fully processed.
-	Partitions int
-	// SLCACalls counts the SLCA computations the worker ran.
-	SLCACalls int
 }
 
 // markDegraded records a budget-induced early stop on the outcome.
@@ -85,13 +70,12 @@ func (o *TopKOutcome) markDegraded(b *Budget) {
 // the partition's sublists. Each list is traversed exactly once
 // (Theorem 2).
 //
-// When in.Parallelism > 1 the walk executes on the parallel
-// partition-pipeline (see PartitionTopKParallel); the output is identical
-// either way.
+// It is the one walk of walk.go over ranges of one index: load the lists,
+// split the document into contiguous partition ranges (a single range when
+// in.Parallelism <= 1, under a posting limit, or when the lists are below
+// the per-range posting floor), scan the ranges on the pool and merge them
+// in document order. The output is identical for every split.
 func PartitionTopK(in Input, k int) (*TopKOutcome, error) {
-	if in.Parallelism > 1 {
-		return PartitionTopKParallel(in, k, in.Parallelism)
-	}
 	if k < 1 {
 		k = 1
 	}
@@ -103,7 +87,53 @@ func PartitionTopK(in Input, k int) (*TopKOutcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	return partitionTopKSeq(in, k, ks, lists)
+	total := 0
+	for _, l := range lists {
+		total += l.Len()
+	}
+	workers := PoolSize(in.Budget, in.Parallelism, total/minPostingsPerRange)
+	var pivots []dewey.ID
+	if workers > 1 {
+		pivots = splitPivots(lists, workers*rangeOversplit)
+	}
+	jobs := make([]ScanJob, len(pivots)+1)
+	for r := range jobs {
+		lo, hi := rangeBounds(pivots, r)
+		jobs[r] = func(bound *PruneBound) (*Scan, error) {
+			if len(jobs) == 1 {
+				return scanRange(in, k, ks, lists, lo, hi, bound)
+			}
+			// One span per range; ranges overlap in time, so their
+			// durations are not additive with the sequential stage spans.
+			rin := in
+			rin.Trace = in.Trace.StartChild("range-" + strconv.Itoa(r))
+			defer rin.Trace.End()
+			s, err := scanRange(rin, k, ks, lists, lo, hi, bound)
+			if s != nil {
+				rin.Trace.SetInt("partitions", int64(s.Partitions()))
+				rin.Trace.SetInt("slca_calls", int64(s.slcaCalls))
+			}
+			return s, err
+		}
+	}
+	workers = PoolSize(in.Budget, workers, len(jobs))
+	scans, errs := RunScans(in.Budget, workers, jobs)
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	var ms *obs.Span
+	if len(scans) > 1 {
+		ms = in.Trace.StartChild("merge")
+	}
+	out, err := MergeScans(in, k, scans)
+	ms.End()
+	if err != nil {
+		return nil, err
+	}
+	out.Workers = workers
+	return out, nil
 }
 
 // scanLists fetches the inverted list of every scan keyword. Loads go
@@ -137,62 +167,6 @@ func scanLists(in Input, ks []string) ([]*index.List, error) {
 		sp.End()
 	}
 	return lists, nil
-}
-
-// partitionTopKSeq is the sequential partition walk over the full lists.
-// The budget is checked at partition granularity: a partition is either
-// fully processed or not visited at all, so a degraded outcome is a clean
-// prefix-in-document-order of the complete one.
-func partitionTopKSeq(in Input, k int, ks []string, lists []*index.List) (*TopKOutcome, error) {
-	out := &TopKOutcome{Workers: 1}
-	sorted := NewSortedList(2 * k)
-	w := newPartitionWalker(ks, lists, nil, nil)
-	defer w.close()
-	for {
-		pid, ok := w.next()
-		if !ok {
-			break
-		}
-		if !in.Budget.Charge(w.spanPostings()) {
-			if err := in.Budget.Err(); err != nil {
-				return nil, err
-			}
-			out.markDegraded(in.Budget)
-			break
-		}
-		out.Partitions++
-		// Top-2K refined queries expressible in this partition (line 10).
-		rqs := TopRQs(in.Query, w.avail, in.Rules, 2*k)
-		out.RQGenerated += len(rqs)
-		for _, rq := range rqs {
-			item := sorted.Has(rq)
-			if item == nil && !sorted.Qualifies(rq.DSim) {
-				// Worse than the current 2K-th candidate: skip the
-				// SLCA computation entirely (the paper's advantage
-				// (2)).
-				out.RQPruned++
-				continue
-			}
-			res, postings, err := partitionSLCA(in, rq, ks, lists, w.spans, pid)
-			if err != nil {
-				return nil, err
-			}
-			out.SLCACalls++
-			out.SLCAPostings += int64(postings)
-			if len(res) == 0 {
-				continue // no meaningful result in this partition
-			}
-			if item != nil {
-				item.Results = append(item.Results, res...)
-			} else {
-				sorted.Insert(rq, res)
-			}
-		}
-	}
-	for _, it := range sorted.Items() {
-		out.Candidates = append(out.Candidates, it)
-	}
-	return out, nil
 }
 
 // span is a half-open index interval into a keyword list.

@@ -72,6 +72,7 @@ type Match struct {
 type Item struct {
 	RQ      RQ
 	Results []Match
+	key     string // RQ.Key(), kept for eviction
 }
 
 // SortedList is the RQSortedList of Section VI-B: a capacity-bounded list
@@ -119,22 +120,29 @@ func (l *SortedList) Has(rq RQ) *Item { return l.byKey[rq.Key()] }
 // returns the stored item, or nil when the candidate did not qualify.
 // Inserting an already-present RQ returns the existing item unchanged.
 func (l *SortedList) Insert(rq RQ, results []Match) *Item {
-	if it := l.byKey[rq.Key()]; it != nil {
+	return l.insert(rq, rq.Key(), results)
+}
+
+// insert is Insert with rq's identity key already computed — the walk
+// computes it once per candidate and reuses it for the scan's list and the
+// merge's replay.
+func (l *SortedList) insert(rq RQ, key string, results []Match) *Item {
+	if it := l.byKey[key]; it != nil {
 		return it
 	}
 	if !l.Qualifies(rq.DSim) {
 		return nil
 	}
-	it := &Item{RQ: rq, Results: results}
+	it := &Item{RQ: rq, Results: results, key: key}
 	pos := sort.Search(len(l.items), func(i int) bool { return l.items[i].RQ.DSim > rq.DSim })
 	l.items = append(l.items, nil)
 	copy(l.items[pos+1:], l.items[pos:])
 	l.items[pos] = it
-	l.byKey[rq.Key()] = it
+	l.byKey[key] = it
 	if len(l.items) > l.cap {
 		ev := l.items[len(l.items)-1]
 		l.items = l.items[:len(l.items)-1]
-		delete(l.byKey, ev.RQ.Key())
+		delete(l.byKey, ev.key)
 		if ev == it {
 			return nil
 		}
@@ -160,9 +168,9 @@ type Input struct {
 	// SLCA selects the SLCA computation the partition-based and
 	// short-list eager algorithms delegate to (Lemma 3 orthogonality).
 	SLCA slca.Algorithm
-	// Parallelism bounds the worker goroutines PartitionTopK fans the
-	// partition walk out to. 0 and 1 run the exact sequential path; the
-	// parallel path returns identical output (see partition_parallel.go).
+	// Parallelism bounds the goroutines the walk's pool runs its scans on
+	// (see walk.go). 0 and 1 walk the whole document as one scan on the
+	// caller's goroutine; every value returns identical output.
 	Parallelism int
 	// Budget, when non-nil, bounds the execution: cancellation aborts
 	// with the context error, while deadline expiry or posting-budget
@@ -171,7 +179,7 @@ type Input struct {
 	// anything and the output is byte-identical to pre-budget behavior.
 	Budget *Budget
 	// Trace, when non-nil, is the span the algorithm hangs its stage
-	// spans off (list loads, per-worker shares) and accumulates SLCA
+	// spans off (list loads, per-scan shares) and accumulates SLCA
 	// time into. A nil Trace costs one nil check per instrumentation
 	// point and never changes the computed results.
 	Trace *obs.Span

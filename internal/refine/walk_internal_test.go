@@ -145,11 +145,11 @@ func outcomeSig(out *TopKOutcome) string {
 	return b.String()
 }
 
-// TestParallelWorkerPoolUnderRace runs the full worker pool — range
-// splitter, per-worker walkers, shared pruning bound, merge — from several
-// goroutines at once over one shared index, so `go test -race` inspects
-// the pipeline's own synchronization, and every outcome is checked against
-// the sequential run.
+// TestParallelWorkerPoolUnderRace runs the whole walk split into ranges —
+// range splitter, per-range scans on the pool, shared pruning bound, merge
+// — from several goroutines at once over one shared index, so `go test
+// -race` inspects the walk's own synchronization, and every outcome is
+// checked against the one-range walk.
 func TestParallelWorkerPoolUnderRace(t *testing.T) {
 	in := largeInput(t)
 	seq, err := PartitionTopK(in, 3)
@@ -170,13 +170,15 @@ func TestParallelWorkerPoolUnderRace(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			out, err := PartitionTopKParallel(in, 3, 2+g%4)
+			in := in
+			in.Parallelism = 2 + g%4
+			out, err := PartitionTopK(in, 3)
 			if err != nil {
 				errs <- err.Error()
 				return
 			}
 			if out.Workers <= 1 {
-				errs <- "parallel path did not engage on the large corpus"
+				errs <- "the walk did not split on the large corpus"
 				return
 			}
 			if got := outcomeSig(out); got != want {
@@ -192,17 +194,20 @@ func TestParallelWorkerPoolUnderRace(t *testing.T) {
 }
 
 // TestParallelFallsBackOnTinyDocuments: below the per-range posting floor
-// the parallel entry point must take the exact sequential path.
+// the walk must stay one range on the caller's goroutine, whatever the
+// requested parallelism.
 func TestParallelFallsBackOnTinyDocuments(t *testing.T) {
 	f := newFixture(t, fig1, []string{"online", "keyword"})
 	in := f.input(t, []string{"online", "keyword"}, nil)
-	out, err := PartitionTopKParallel(in, 3, 8)
+	in.Parallelism = 8
+	out, err := PartitionTopK(in, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Workers != 1 || out.Ranges != 0 {
-		t.Fatalf("tiny document ran %d workers over %d ranges, want sequential", out.Workers, out.Ranges)
+	if out.Workers != 1 {
+		t.Fatalf("tiny document ran %d workers, want one range", out.Workers)
 	}
+	in.Parallelism = 1
 	seq, err := PartitionTopK(in, 3)
 	if err != nil {
 		t.Fatal(err)

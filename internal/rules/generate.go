@@ -2,7 +2,6 @@ package rules
 
 import (
 	"sort"
-	"sync"
 
 	"xrefine/internal/index"
 	"xrefine/internal/lexicon"
@@ -10,31 +9,25 @@ import (
 	"xrefine/internal/strdist"
 )
 
-// derived caches per-index vocabulary structures shared by every Generate
-// call: a BK-tree for spelling neighbourhoods and the Porter-stem inverse
-// map. Both depend only on the (immutable) vocabulary, so one instance per
-// index is built on first use and reused for the index's lifetime.
+// derived holds the per-index vocabulary structures shared by every
+// Generate call: a BK-tree for spelling neighbourhoods and the Porter-stem
+// inverse map. Both depend only on the (immutable) vocabulary, so the index
+// owns one instance, built on first use and freed with the index.
 type derived struct {
-	once   sync.Once
 	tree   *strdist.BKTree
 	byStem map[string][]string
 }
 
-var derivedCache sync.Map // *index.Index -> *derived
-
 func derivedFor(ix *index.Index) *derived {
-	v, _ := derivedCache.LoadOrStore(ix, &derived{})
-	d := v.(*derived)
-	d.once.Do(func() {
+	return ix.VocabDerived(func() any {
 		vocab := ix.Vocabulary()
-		d.tree = strdist.NewBKTree(vocab)
-		d.byStem = make(map[string][]string)
+		d := &derived{tree: strdist.NewBKTree(vocab), byStem: make(map[string][]string)}
 		for _, w := range vocab {
 			s := stem.Stem(w)
 			d.byStem[s] = append(d.byStem[s], w)
 		}
-	})
-	return d
+		return d
+	}).(*derived)
 }
 
 // Generator derives the rule set relevant to one query from the indexed

@@ -406,7 +406,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		"terms":            len(s.eng.Index().Vocabulary()),
 		"queries":          st.Queries,
 		"refined":          st.Refined,
-		"cache_hits":       st.CacheHits,
 		"parallelism":      st.Parallelism,
 		"parallel_queries": st.ParallelQueries,
 		"worker_runs":      st.WorkerRuns,

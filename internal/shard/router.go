@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -108,13 +107,16 @@ type routerMetrics struct {
 
 // Router hosts one corpus across independent engine shards — each shard an
 // R-way replica set with its own store, WAL and epoch per replica — and
-// serves the whole core.Engine query surface scatter-gather.
-// Partition-strategy queries fan a per-shard scan out under one shared
-// budget and pruning bound and merge the records back in global document
-// order, so responses are byte-identical to a monolithic engine over the
-// concatenated corpus no matter which replica serves each scan. The other
-// strategies (and ranking, completion, statistics) run on a meta engine
-// built over the merged index.
+// serves the whole core.Engine query surface through a meta engine built
+// over the merged index. The meta engine answers every query itself
+// (prepare, deadline, budget, ranking, accounting); only its
+// partition-strategy exploration is the router's: the one partition walk
+// of package refine with each shard as a source, per-shard scans sharing
+// one budget and pruning bound and merged back in global document order,
+// so responses are byte-identical to a monolithic engine over the
+// concatenated corpus no matter which replica serves each scan. SLE and
+// stack-refine walk the merged lists directly — their admission logic is
+// not partitioned, so a per-shard split cannot reproduce it.
 //
 // Each shard scan picks the healthiest replica (EWMA latency, circuit
 // breaker state); with HedgeAfter set, a scan still outstanding past the
@@ -125,13 +127,11 @@ type routerMetrics struct {
 // by epoch mismatch, quarantined from reads, and caught up by replaying
 // the missed WAL batches before it rejoins.
 type Router struct {
-	cfg         core.Config // as passed, before engine defaulting
-	topK        int
-	parallelism int
-	reg         *xmltree.Registry
-	mreg        *obs.Registry
-	groups      []*replicaGroup
-	ownsStores  bool
+	cfg        core.Config // as passed, before engine defaulting
+	reg        *xmltree.Registry
+	mreg       *obs.Registry
+	groups     []*replicaGroup
+	ownsStores bool
 
 	hedgeAfter       time.Duration
 	retries          int
@@ -150,10 +150,6 @@ type Router struct {
 	// fan-out lifecycle (fanout, per-replica attempts, hedges, retries,
 	// breaker trips, quarantine/reconcile, WAL commits) for every request.
 	flight *obs.FlightRecorder
-	// Scatter-path response counters Stats folds into the meta engine's
-	// (whose own counters only see delegated SLE/stack queries).
-	refined  atomic.Uint64
-	degraded atomic.Uint64
 }
 
 // Open opens the shard directory written by WriteStores /
@@ -267,19 +263,11 @@ func NewReplicated(stores [][]storage.Backend, walPaths [][]string, opts *Option
 	}
 	r := &Router{
 		cfg:              cfg,
-		topK:             cfg.TopK,
-		parallelism:      cfg.Parallelism,
 		hedgeAfter:       opts.HedgeAfter,
 		retries:          opts.Retries,
 		retryBackoff:     opts.RetryBackoff,
 		breakerThreshold: opts.BreakerThreshold,
 		breakerCooldown:  opts.BreakerCooldown,
-	}
-	if r.topK <= 0 {
-		r.topK = 3
-	}
-	if r.parallelism <= 0 {
-		r.parallelism = runtime.GOMAXPROCS(0)
 	}
 	switch {
 	case r.retries == 0:
@@ -310,7 +298,6 @@ func NewReplicated(stores [][]storage.Backend, walPaths [][]string, opts *Option
 	shardCfg.Metrics = nil
 	shardCfg.DisableMetrics = true
 	shardCfg.Parallelism = 1
-	shardCfg.CacheSize = 0
 	for i, grp := range stores {
 		if len(grp) == 0 {
 			r.closeShards()
@@ -513,13 +500,9 @@ func (r *Router) rebuild() error {
 	}
 	metaCfg := r.cfg
 	metaCfg.Metrics = r.mreg
-	// Rebuilds replace the whole engine but its generation restarts at 0,
-	// so a response cache would serve pre-update answers under reused
-	// keys. The scatter path never consults it anyway.
-	metaCfg.CacheSize = 0
 	ms := &metaState{
 		merged: merged,
-		eng:    core.NewFromIndex(merged, &metaCfg),
+		eng:    core.NewWithExplorer(merged, &metaCfg, r.explore),
 		owners: make(map[uint32]int),
 	}
 	var maxOrd uint32
@@ -541,101 +524,29 @@ func (r *Router) rebuild() error {
 func (r *Router) state() *metaState { return r.meta.Load() }
 
 // QueryTermsCtx answers a pre-tokenized query — the router half of the
-// core.Engine entry point of the same name. The partition strategy runs
-// scatter-gather: one budget and one pruning bound shared across per-shard
-// scans on a bounded worker pool, records merged in global document order,
-// ranking on the meta engine. SLE and stack-refine walk the merged lists
-// directly on the meta engine — their admission logic is not partitioned,
-// so a per-shard split cannot reproduce it.
+// core.Engine entry point of the same name — on the current meta engine,
+// whose partition-strategy exploration is explore.
+func (r *Router) QueryTermsCtx(ctx context.Context, terms []string, strategy core.Strategy, k, parallelism int) (*core.Response, error) {
+	return r.state().eng.QueryTermsCtx(ctx, terms, strategy, k, parallelism)
+}
+
+// explore is the meta engine's partition-strategy exploration: the one
+// partition walk (refine.RunScans → refine.MergeScans) with each shard as a
+// source, every shard's scan resolved against its replica set (hedging,
+// failover, retry). in is the merged-corpus input the meta engine
+// prepared; under tracing each attempt hangs a "shard-i" span and the
+// merge a "merge" span off its refine:partition span.
 //
-// A shard whose every replica attempt failed degrades the response to the
+// A shard whose every replica attempt failed degrades the outcome to the
 // surviving shards' results, tagged shard-partial, instead of failing the
 // query; hard cancellation still aborts, and when every shard fails the
 // first error is returned.
-func (r *Router) QueryTermsCtx(ctx context.Context, terms []string, strategy core.Strategy, k, parallelism int) (*core.Response, error) {
-	ms := r.state()
-	if strategy != core.StrategyPartition {
-		return ms.eng.QueryTermsCtx(ctx, terms, strategy, k, parallelism)
-	}
-	if len(terms) == 0 {
-		return nil, errors.New("core: query has no keywords")
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if k <= 0 {
-		k = r.topK
-	}
+func (r *Router) explore(in refine.Input, k int) (*refine.TopKOutcome, error) {
 	r.m.queries.Inc()
-	if r.cfg.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, r.cfg.Timeout)
-		defer cancel()
-	}
-	root := obs.SpanFromContext(ctx)
-	psp := root.StartChild("prepare")
-	in, cands, err := ms.eng.Prepare(terms)
-	psp.End()
-	if err != nil {
-		return nil, err
-	}
-	in.Budget = refine.NewBudget(ctx, r.cfg.PostingBudget)
-	fan := parallelism
-	if fan <= 0 {
-		fan = r.parallelism
-	}
-	if fan > len(r.groups) {
-		fan = len(r.groups)
-	}
-	if fan < 1 {
-		fan = 1
-	}
+	fan := refine.PoolSize(in.Budget, in.Parallelism, len(r.groups))
 	r.m.fanout.Set(int64(fan))
-	r.flight.Record(obs.Event{Trace: obs.TraceIDFromContext(ctx), Kind: obs.EvFanout,
+	r.flight.Record(obs.Event{Trace: obs.TraceIDFromContext(in.Budget.Context()), Kind: obs.EvFanout,
 		Shard: -1, Replica: -1, N: int64(fan)})
-	var ssp *obs.Span
-	if root != nil {
-		ssp = root.StartChild("refine:partition")
-		in.Trace = ssp
-	}
-	resp := &core.Response{Terms: terms, SearchFor: cands, Rules: in.Rules.Rules()}
-	out, err := r.scatterGather(in, k, fan, ssp)
-	if ssp != nil {
-		if out != nil {
-			ssp.SetInt("partitions", int64(out.Partitions))
-			ssp.SetInt("slca_calls", int64(out.SLCACalls))
-			ssp.SetInt("workers", int64(out.Workers))
-			if out.Degraded {
-				ssp.SetStr("degraded", out.DegradedReason)
-			}
-		}
-		ssp.End()
-	}
-	if err != nil {
-		return nil, err
-	}
-	ms.eng.NoteOutcome(out)
-	resp, err = ms.eng.FinishTopK(ctx, resp, terms, out, k)
-	if err != nil {
-		return nil, err
-	}
-	if resp.NeedRefine {
-		r.refined.Add(1)
-	}
-	if resp.Degraded {
-		r.degraded.Add(1)
-		r.flight.Record(obs.Event{Trace: obs.TraceIDFromContext(ctx), Kind: obs.EvBudgetExpiry,
-			Shard: -1, Replica: -1, Note: resp.DegradedReason})
-	}
-	return resp, nil
-}
-
-// scatterGather runs the shard scans on a bounded worker pool and merges
-// them. in is the merged-corpus input; each shard job resolves against its
-// replica set (hedging, failover, retry) before contributing a scan. ssp,
-// when non-nil, collects one "shard-i" child span per attempt and a
-// "merge" child.
-func (r *Router) scatterGather(in refine.Input, k, fan int, ssp *obs.Span) (*refine.TopKOutcome, error) {
 	// The scan keyword set is fixed here, against the merged index, so
 	// every shard walks identical keyword columns even when a term is
 	// absent from its slice of the corpus.
@@ -643,29 +554,18 @@ func (r *Router) scatterGather(in refine.Input, k, fan int, ssp *obs.Span) (*ref
 	if len(ks) == 0 {
 		return &refine.TopKOutcome{Workers: 1}, nil
 	}
-	bound := refine.NewPruneBound()
-	scans := make([]*refine.ShardScan, len(r.groups))
-	errs := make([]error, len(r.groups))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < fan; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				scans[i], errs[i] = r.scanShardReplicated(in, k, ks, bound, i, ssp)
-				r.m.scans.With(strconv.Itoa(i)).Inc()
-				if errs[i] != nil {
-					r.m.scanErrors.With(strconv.Itoa(i)).Inc()
-				}
+	jobs := make([]refine.ScanJob, len(r.groups))
+	for i := range jobs {
+		jobs[i] = func(bound *refine.PruneBound) (*refine.Scan, error) {
+			scan, err := r.scanShardReplicated(in, k, ks, bound, i)
+			r.m.scans.With(strconv.Itoa(i)).Inc()
+			if err != nil {
+				r.m.scanErrors.With(strconv.Itoa(i)).Inc()
 			}
-		}()
+			return scan, err
+		}
 	}
-	for i := range r.groups {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+	scans, errs := refine.RunScans(in.Budget, fan, jobs)
 	// Classify failures: a hard cancellation aborts the query; a shard
 	// whose every replica attempt failed (storage fault) is dropped and
 	// the response degrades to the surviving shards, unless none survived.
@@ -689,9 +589,9 @@ func (r *Router) scatterGather(in refine.Input, k, fan int, ssp *obs.Span) (*ref
 	if ok == 0 {
 		return nil, firstErr
 	}
-	msp := ssp.StartChild("merge")
+	msp := in.Trace.StartChild("merge")
 	start := time.Now()
-	out, err := refine.MergeShardScans(in, k, scans)
+	out, err := refine.MergeScans(in, k, scans)
 	r.m.mergeSecs.Observe(time.Since(start).Seconds())
 	msp.End()
 	if err != nil {
@@ -709,7 +609,7 @@ func (r *Router) scatterGather(in refine.Input, k, fan int, ssp *obs.Span) (*ref
 // attemptResult is one replica scan attempt's outcome.
 type attemptResult struct {
 	rp    *replica
-	scan  *refine.ShardScan
+	scan  *refine.Scan
 	err   error
 	dur   time.Duration
 	hedge bool
@@ -723,7 +623,7 @@ type attemptResult struct {
 // attempt fails over to the next replica with doubling backoff, up to one
 // attempt per readable replica plus the configured retries, before the
 // shard is declared failed.
-func (r *Router) scanShardReplicated(in refine.Input, k int, ks []string, bound *refine.PruneBound, si int, ssp *obs.Span) (*refine.ShardScan, error) {
+func (r *Router) scanShardReplicated(in refine.Input, k int, ks []string, bound *refine.PruneBound, si int) (*refine.Scan, error) {
 	g := r.groups[si]
 	order := g.readOrder()
 	if len(order) == 0 {
@@ -764,8 +664,8 @@ func (r *Router) scanShardReplicated(in refine.Input, k int, ks []string, bound 
 			sin.Parallelism = 1
 			sin.Budget = in.Budget.WithContext(actx)
 			var sp *obs.Span
-			if ssp != nil {
-				sp = ssp.StartChild("shard-" + strconv.Itoa(si))
+			if in.Trace != nil {
+				sp = in.Trace.StartChild("shard-" + strconv.Itoa(si))
 				sp.SetInt("replica", int64(rp.id))
 				if hedge {
 					sp.SetInt("hedge", 1)
@@ -904,17 +804,9 @@ func (r *Router) Snippet(m refine.Match, max int) (string, bool) {
 	return r.groups[i].primary().eng.Snippet(m, max)
 }
 
-// Stats merges the meta engine's counters (which see delegated SLE and
-// stack queries) with the router's scatter-path counters into one
-// core.EngineStats snapshot.
-func (r *Router) Stats() core.EngineStats {
-	st := r.state().eng.Stats()
-	st.Queries += r.m.queries.Value()
-	st.Refined += r.refined.Load()
-	st.Degraded += r.degraded.Load()
-	st.Parallelism = r.parallelism
-	return st
-}
+// Stats reports the meta engine's counters, which every query — of every
+// strategy — passes through.
+func (r *Router) Stats() core.EngineStats { return r.state().eng.Stats() }
 
 // UpdateStats sums the shards' live-update state over the primary
 // replicas: Epoch is the epoch sum (one commit anywhere advances it by

@@ -15,9 +15,8 @@ import (
 // so with a zero-alloc client (pre-sized buffers, reused Response) the
 // measurement is the whole server path. The ratchet: a warm wire round
 // trip may allocate at most 2 more times per request than calling
-// Engine.QueryTermsCtx directly — one for the fresh terms slice the
-// engine retains in its cache, one of slack for the runtime's
-// network-poll bookkeeping.
+// Engine.QueryTermsCtx directly — slack for the decoded terms slice and
+// the runtime's network-poll bookkeeping.
 //
 // The engine is index-only (no document), so Snippet reports ok=false
 // and the encoder path is exercised without the per-snippet string
@@ -30,7 +29,7 @@ func TestWireAllocOverhead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := core.NewFromIndex(core.NewFromDocument(doc, nil).Index(), &core.Config{CacheSize: 8})
+	eng := core.NewFromIndex(core.NewFromDocument(doc, nil).Index(), nil)
 	// Sampling off: the ratchet is on the unsampled path, where a retained
 	// span tree (1 request in 64 by default) would only add noise.
 	_, addr := serveWire(t, server.New(eng, server.Config{TraceSampleEvery: -1}).Pipeline(), Options{})
@@ -40,8 +39,8 @@ func TestWireAllocOverhead(t *testing.T) {
 	const strat = byte(core.StrategyPartition)
 
 	// Warm everything that legitimately allocates once per connection:
-	// engine LRU (the measured query must be a cache hit on both paths),
-	// the per-conn intern table, frame buffers, and the client's buffers.
+	// the lazily loaded lists, the per-conn intern table, frame buffers,
+	// and the client's buffers.
 	for i := 0; i < 50; i++ {
 		resp, err := c.Query(7, strat, 3, 0, terms)
 		if err != nil {
