@@ -5,7 +5,7 @@
 //
 //	xrefine index  -xml dblp.xml -index dblp.kv -with-doc
 //	xrefine search -xml dblp.xml "online databse"
-//	xrefine search -index dblp.kv -k 5 -strategy sle "efficient key word search"
+//	xrefine search -index dblp.kv -k 5 "efficient key word search"
 //	xrefine search -shards dblp-shards "online databse"
 //	xrefine search -wire localhost:7070 "online databse"
 //	xrefine apply  -index dblp.kv -batch updates.txt
@@ -59,7 +59,7 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   xrefine index  -xml <file> -index <file> [-backend btree|log] [-with-doc]   build a persistent index
-  xrefine search [-xml <file> | -index <file> | -shards <dir> [-replicas N] [-hedge-after D]] [-k N] [-strategy partition|sle|stack] [-parallel N] [-explain] <query>
+  xrefine search [-xml <file> | -index <file> | -shards <dir> [-replicas N] [-hedge-after D]] [-k N] [-parallel N] [-explain] <query>
   xrefine batch  [-xml <file> | -index <file>] [-k N] [-parallel N] -queries <file>   one query per line, TSV out
   xrefine apply  -index <file> [-wal <file>] -batch <file>   apply an update batch as a new epoch
   xrefine explain [-xml <file> | -index <file>] <query>   full decision trace
@@ -187,19 +187,6 @@ func engineConfig(fs *flag.FlagSet) *xrefine.Config {
 	return &xrefine.Config{Parallelism: n}
 }
 
-func parseStrategy(s string) xrefine.Strategy {
-	switch s {
-	case "partition":
-		return xrefine.StrategyPartition
-	case "sle":
-		return xrefine.StrategySLE
-	case "stack":
-		return xrefine.StrategyStack
-	}
-	fatal(fmt.Errorf("unknown strategy %q", s))
-	return 0
-}
-
 func cmdSearch(args []string) {
 	fs := flag.NewFlagSet("search", flag.ExitOnError)
 	fs.String("xml", "", "XML document")
@@ -208,7 +195,6 @@ func cmdSearch(args []string) {
 	fs.Int("replicas", 0, "replicas per shard to attach from the manifest (0 = all)")
 	fs.Duration("hedge-after", 0, "hedge a slow shard scan onto the next replica after this delay (0 = off)")
 	k := fs.Int("k", 3, "number of refined queries")
-	strategy := fs.String("strategy", "partition", "partition | sle | stack")
 	parallel := fs.Int("parallel", 0, "partition-walk workers (0 = all cores, 1 = sequential)")
 	explainTrace := fs.Bool("explain", false, "print the query's stage trace (spans with durations) after the answer")
 	wireAddr := fs.String("wire", "", "query a running xserve -wire server at this address and print the raw JSON payload")
@@ -218,19 +204,19 @@ func cmdSearch(args []string) {
 	}
 	query := strings.Join(fs.Args(), " ")
 	if *wireAddr != "" {
-		wireSearch(*wireAddr, query, parseStrategy(*strategy), *k, *parallel)
+		wireSearch(*wireAddr, query, *k, *parallel)
 		return
 	}
 	eng, doc, closeFn := loadBackend(fs)
 	defer closeFn()
-	answer(os.Stdout, eng, doc, query, parseStrategy(*strategy), *k, *explainTrace)
+	answer(os.Stdout, eng, doc, query, *k, *explainTrace)
 }
 
 // wireSearch answers one query over the binary protocol and prints the
 // payload, which is byte-identical to the HTTP /search body for the same
 // server state — scripts/wire_diff.sh diffs the two surfaces through
 // this path.
-func wireSearch(addr, query string, strategy xrefine.Strategy, k, parallel int) {
+func wireSearch(addr, query string, k, parallel int) {
 	c, err := wire.Dial(addr, 5*time.Second)
 	if err != nil {
 		fatal(err)
@@ -240,7 +226,7 @@ func wireSearch(addr, query string, strategy xrefine.Strategy, k, parallel int) 
 	if len(terms) == 0 {
 		fatal(fmt.Errorf("empty query after tokenization"))
 	}
-	resp, err := c.Query(0, byte(strategy), k, parallel, terms)
+	resp, err := c.Query(0, byte(xrefine.StrategyPartition), k, parallel, terms)
 	if err != nil {
 		fatal(err)
 	}
@@ -259,7 +245,6 @@ func cmdBatch(args []string) {
 	fs.String("xml", "", "XML document")
 	fs.String("index", "", "index file")
 	k := fs.Int("k", 3, "number of refined queries")
-	strategy := fs.String("strategy", "partition", "partition | sle | stack")
 	fs.Int("parallel", 0, "partition-walk workers (0 = all cores, 1 = sequential)")
 	queriesPath := fs.String("queries", "", "file with one keyword query per line")
 	fs.Parse(args)
@@ -273,14 +258,14 @@ func cmdBatch(args []string) {
 		fatal(err)
 	}
 	defer qf.Close()
-	if err := runBatch(os.Stdout, eng, qf, parseStrategy(*strategy), *k); err != nil {
+	if err := runBatch(os.Stdout, eng, qf, *k); err != nil {
 		fatal(err)
 	}
 }
 
 // runBatch answers one query per input line, emitting TSV:
 // query, need_refine, best keywords, dSim, result count.
-func runBatch(w io.Writer, eng *xrefine.Engine, queries io.Reader, strategy xrefine.Strategy, k int) error {
+func runBatch(w io.Writer, eng *xrefine.Engine, queries io.Reader, k int) error {
 	sc := bufio.NewScanner(queries)
 	for sc.Scan() {
 		q := strings.TrimSpace(sc.Text())
@@ -292,7 +277,7 @@ func runBatch(w io.Writer, eng *xrefine.Engine, queries io.Reader, strategy xref
 			fmt.Fprintf(w, "%s\terror\tempty query\t\t\n", q)
 			continue
 		}
-		resp, err := eng.QueryTerms(terms, strategy, k)
+		resp, err := eng.QueryTermsCtx(context.Background(), terms, xrefine.StrategyPartition, k, 0)
 		if err != nil {
 			fmt.Fprintf(w, "%s\terror\t%s\t\t\n", q, err)
 			continue
@@ -380,7 +365,7 @@ func cmdExplain(args []string) {
 // queries with provenance and scores.
 func explain(w io.Writer, eng *xrefine.Engine, query string, k int) error {
 	terms := tokenizeArg(query)
-	resp, err := eng.QueryTerms(terms, xrefine.StrategyPartition, k)
+	resp, err := eng.QueryTermsCtx(context.Background(), terms, xrefine.StrategyPartition, k, 0)
 	if err != nil {
 		return err
 	}
@@ -455,7 +440,6 @@ func cmdREPL(args []string) {
 	fs.Int("replicas", 0, "replicas per shard to attach from the manifest (0 = all)")
 	fs.Duration("hedge-after", 0, "hedge a slow shard scan onto the next replica after this delay (0 = off)")
 	k := fs.Int("k", 3, "number of refined queries")
-	strategy := fs.String("strategy", "partition", "partition | sle | stack")
 	fs.Int("parallel", 0, "partition-walk workers (0 = all cores, 1 = sequential)")
 	fs.Parse(args)
 	eng, doc, closeFn := loadBackend(fs)
@@ -467,12 +451,12 @@ func cmdREPL(args []string) {
 		if q == "" || q == "quit" || q == "exit" {
 			break
 		}
-		answer(os.Stdout, eng, doc, q, parseStrategy(*strategy), *k, false)
+		answer(os.Stdout, eng, doc, q, *k, false)
 		fmt.Print("xrefine> ")
 	}
 }
 
-func answer(w io.Writer, eng queryBackend, doc *xrefine.Document, query string, strategy xrefine.Strategy, k int, explainTrace bool) {
+func answer(w io.Writer, eng queryBackend, doc *xrefine.Document, query string, k int, explainTrace bool) {
 	ctx := context.Background()
 	var root *xrefine.Span
 	if explainTrace {
@@ -481,7 +465,7 @@ func answer(w io.Writer, eng queryBackend, doc *xrefine.Document, query string, 
 	tsp := root.StartChild("tokenize")
 	terms := tokenizeArg(query)
 	tsp.End()
-	resp, err := eng.QueryTermsCtx(ctx, terms, strategy, k, 0)
+	resp, err := eng.QueryTermsCtx(ctx, terms, xrefine.StrategyPartition, k, 0)
 	if err != nil {
 		fmt.Fprintln(w, "error:", err)
 		return

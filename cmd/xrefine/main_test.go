@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -30,7 +31,7 @@ func testEngine(t *testing.T) (*xrefine.Engine, *xrefine.Document) {
 func TestAnswerDirectMatch(t *testing.T) {
 	eng, doc := testEngine(t)
 	var b strings.Builder
-	answer(&b, eng, doc, "online database", xrefine.StrategyPartition, 3, false)
+	answer(&b, eng, doc, "online database", 3, false)
 	out := b.String()
 	if !strings.Contains(out, "matches directly") {
 		t.Errorf("output = %q", out)
@@ -43,7 +44,7 @@ func TestAnswerDirectMatch(t *testing.T) {
 func TestAnswerRefinement(t *testing.T) {
 	eng, doc := testEngine(t)
 	var b strings.Builder
-	answer(&b, eng, doc, "online databse", xrefine.StrategyPartition, 3, false)
+	answer(&b, eng, doc, "online databse", 3, false)
 	out := b.String()
 	if !strings.Contains(out, "no meaningful result") {
 		t.Errorf("output = %q", out)
@@ -59,7 +60,7 @@ func TestAnswerRefinement(t *testing.T) {
 func TestAnswerHopeless(t *testing.T) {
 	eng, doc := testEngine(t)
 	var b strings.Builder
-	answer(&b, eng, doc, "zzz qqq", xrefine.StrategyPartition, 3, false)
+	answer(&b, eng, doc, "zzz qqq", 3, false)
 	if !strings.Contains(b.String(), "(none found)") {
 		t.Errorf("output = %q", b.String())
 	}
@@ -68,7 +69,7 @@ func TestAnswerHopeless(t *testing.T) {
 func TestAnswerError(t *testing.T) {
 	eng, doc := testEngine(t)
 	var b strings.Builder
-	answer(&b, eng, doc, "   ", xrefine.StrategyPartition, 3, false)
+	answer(&b, eng, doc, "   ", 3, false)
 	if !strings.Contains(b.String(), "error:") {
 		t.Errorf("output = %q", b.String())
 	}
@@ -77,7 +78,7 @@ func TestAnswerError(t *testing.T) {
 func TestAnswerExplainTrace(t *testing.T) {
 	eng, doc := testEngine(t)
 	var b strings.Builder
-	answer(&b, eng, doc, "online databse", xrefine.StrategyPartition, 3, true)
+	answer(&b, eng, doc, "online databse", 3, true)
 	out := b.String()
 	if !strings.Contains(out, "trace:") {
 		t.Errorf("-explain output missing trace header: %q", out)
@@ -86,14 +87,6 @@ func TestAnswerExplainTrace(t *testing.T) {
 		if !strings.Contains(out, span) {
 			t.Errorf("trace missing %q span:\n%s", span, out)
 		}
-	}
-}
-
-func TestParseStrategy(t *testing.T) {
-	if parseStrategy("partition") != xrefine.StrategyPartition ||
-		parseStrategy("sle") != xrefine.StrategySLE ||
-		parseStrategy("stack") != xrefine.StrategyStack {
-		t.Error("strategy parsing broken")
 	}
 }
 
@@ -114,7 +107,7 @@ zzz qqq
 
 `)
 	var out strings.Builder
-	if err := runBatch(&out, eng, in, xrefine.StrategyPartition, 3); err != nil {
+	if err := runBatch(&out, eng, in, 3); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
@@ -196,7 +189,7 @@ func TestApplyBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := eng2.Query("applied sentinel")
+	resp, err := eng2.QueryTermsCtx(context.Background(), xrefine.Tokenize("applied sentinel"), xrefine.StrategyPartition, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@
 //
 // Endpoints:
 //
-//	GET /search?q=online+databse&k=3&strategy=partition|sle|stack&parallel=N&explain=1
+//	GET /search?q=online+databse&k=3&parallel=N&explain=1
 //	GET /narrow?q=database&max=50&k=3    (requires -xml)
 //	POST /update                          (requires -live or -xml; see README)
 //	GET /healthz

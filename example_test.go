@@ -1,6 +1,7 @@
 package xrefine_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -20,12 +21,12 @@ const exampleDoc = `
 </bib>`
 
 // The engine answers a clean query directly.
-func ExampleEngine_Query() {
+func ExampleEngine_QueryTermsCtx() {
 	eng, err := xrefine.NewFromXML(strings.NewReader(exampleDoc), nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	resp, err := eng.Query("online database")
+	resp, err := eng.QueryTermsCtx(context.Background(), xrefine.Tokenize("online database"), xrefine.StrategyPartition, 0, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -38,12 +39,12 @@ func ExampleEngine_Query() {
 
 // A misspelled query is refined automatically: the engine returns the
 // corrected query together with its matches.
-func ExampleEngine_Query_refinement() {
+func ExampleEngine_QueryTermsCtx_refinement() {
 	eng, err := xrefine.NewFromXML(strings.NewReader(exampleDoc), nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	resp, err := eng.Query("online databse")
+	resp, err := eng.QueryTermsCtx(context.Background(), xrefine.Tokenize("online databse"), xrefine.StrategyPartition, 0, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

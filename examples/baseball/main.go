@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -34,7 +35,7 @@ func main() {
 	}
 	for _, q := range queries {
 		fmt.Printf("> %s\n", q)
-		resp, err := eng.Query(q)
+		resp, err := eng.QueryTermsCtx(context.Background(), xrefine.Tokenize(q), xrefine.StrategyPartition, 0, 0)
 		if err != nil {
 			log.Fatal(err)
 		}

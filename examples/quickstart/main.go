@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -59,7 +60,7 @@ func main() {
 		"xml john swimming 2003",    // over-restrictive
 	} {
 		fmt.Printf("\n> %s\n", query)
-		resp, err := eng.Query(query)
+		resp, err := eng.QueryTermsCtx(context.Background(), xrefine.Tokenize(query), xrefine.StrategyPartition, 0, 0)
 		if err != nil {
 			log.Fatal(err)
 		}

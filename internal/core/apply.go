@@ -4,9 +4,9 @@ import (
 	"errors"
 	"fmt"
 
-	"xrefine/internal/storage"
 	"xrefine/internal/mutate"
 	"xrefine/internal/obs"
+	"xrefine/internal/storage"
 	"xrefine/internal/xmltree"
 )
 

@@ -36,7 +36,7 @@ func applySigs(t *testing.T, e *Engine, queries [][]string) []string {
 	t.Helper()
 	out := make([]string, len(queries))
 	for i, q := range queries {
-		resp, err := e.QueryTerms(q, StrategyPartition, 3)
+		resp, err := queryTerms(e, q, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +108,7 @@ func TestApplyRejectsBadBatchAtomically(t *testing.T) {
 func TestQueryCacheDropsPreUpdateResults(t *testing.T) {
 	e := applyTestEngine(t, nil)
 	q := []string{"stale", "sentinel"}
-	r1, err := e.QueryTerms(q, StrategyPartition, 3)
+	r1, err := queryTerms(e, q, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,14 +121,14 @@ func TestQueryCacheDropsPreUpdateResults(t *testing.T) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	r3, err := e.QueryTerms(q, StrategyPartition, 3)
+	r3, err := queryTerms(e, q, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if responseSig(r3) == responseSig(r1) {
 		t.Fatal("post-update response identical to pre-update response")
 	}
-	want, err := NewFromDocument(e.Document(), nil).QueryTerms(q, StrategyPartition, 3)
+	want, err := queryTerms(NewFromDocument(e.Document(), nil), q, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +445,7 @@ func TestQueriesPinEpochDuringApply(t *testing.T) {
 					return
 				default:
 				}
-				resp, err := eng.QueryTerms(q, StrategyPartition, 3)
+				resp, err := queryTerms(eng, q, 3)
 				if err != nil {
 					select {
 					case errs <- fmt.Sprintf("query error: %v", err):

@@ -8,6 +8,7 @@ import (
 
 	"xrefine/internal/datagen"
 	"xrefine/internal/kvstore"
+	"xrefine/internal/refine"
 	"xrefine/internal/storage"
 	"xrefine/internal/testutil"
 )
@@ -15,8 +16,9 @@ import (
 // TestCancelPromptAtEveryStage cancels a slow query mid-flight and
 // requires a prompt return at every pipeline stage: the lazy index loads
 // (made slow by injected read latency), the sequential partition walk, the
-// parallel worker pool, the SLE exploration, the stack merge, and the
-// SLCA computations they delegate to. Run under -race this also proves the
+// parallel worker pool, and the SLCA computations they delegate to — and,
+// through NewWithExplorer, the reference algorithms' SLE exploration and
+// stack merge. Run under -race this also proves the
 // cooperative aborts do not race with the worker pool or the index
 // singleflight.
 //
@@ -44,22 +46,26 @@ func TestCancelPromptAtEveryStage(t *testing.T) {
 	faults.ReadLatency = 500 * time.Microsecond
 
 	terms := []string{"database", "query", "xml"}
+	type explorer = func(refine.Input, int) (*refine.TopKOutcome, error)
+	stack := func(in refine.Input, _ int) (*refine.TopKOutcome, error) {
+		_, err := refine.Stack(in)
+		return &refine.TopKOutcome{}, err
+	}
 	stages := []struct {
-		name     string
-		cfg      *Config
-		strategy Strategy
-		k        int
-		warm     bool
+		name    string
+		cfg     *Config
+		explore explorer // nil serves the default partition walk
+		k       int
+		warm    bool
 	}{
-		{"load-partition-seq", &Config{Parallelism: 1}, StrategyPartition, 3, false},
-		{"load-partition-parallel", &Config{Parallelism: 4}, StrategyPartition, 3, false},
-		{"load-sle", &Config{Parallelism: 1}, StrategySLE, 3, false},
-		{"load-stack", &Config{Parallelism: 1}, StrategyStack, 1, false},
-		{"walk-partition-seq", &Config{Parallelism: 1}, StrategyPartition, 3, true},
-		{"walk-partition-parallel", &Config{Parallelism: 4}, StrategyPartition, 3, true},
-		{"walk-sle", &Config{Parallelism: 1}, StrategySLE, 3, true},
-		{"walk-stack", &Config{Parallelism: 1}, StrategyStack, 1, true},
-		{"walk-stack-topk", &Config{Parallelism: 1}, StrategyStack, 3, true},
+		{"load-partition-seq", &Config{Parallelism: 1}, nil, 3, false},
+		{"load-partition-parallel", &Config{Parallelism: 4}, nil, 3, false},
+		{"load-sle", &Config{Parallelism: 1}, refine.ShortListEager, 3, false},
+		{"load-stack", &Config{Parallelism: 1}, stack, 1, false},
+		{"walk-partition-seq", &Config{Parallelism: 1}, nil, 3, true},
+		{"walk-partition-parallel", &Config{Parallelism: 4}, nil, 3, true},
+		{"walk-sle", &Config{Parallelism: 1}, refine.ShortListEager, 3, true},
+		{"walk-stack", &Config{Parallelism: 1}, stack, 1, true},
 	}
 	for _, st := range stages {
 		t.Run(st.name, func(t *testing.T) {
@@ -68,8 +74,11 @@ func TestCancelPromptAtEveryStage(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if st.explore != nil {
+				eng = NewWithExplorer(eng.Index(), st.cfg, st.explore)
+			}
 			if st.warm {
-				if _, err := eng.QueryTerms(terms, st.strategy, st.k); err != nil {
+				if _, err := queryTerms(eng, terms, st.k); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -81,7 +90,7 @@ func TestCancelPromptAtEveryStage(t *testing.T) {
 			// before the query began and asserting nothing.
 			base := eng.Stats().Queries
 			go func() {
-				_, err := eng.QueryTermsCtx(ctx, terms, st.strategy, st.k, 0)
+				_, err := eng.QueryTermsCtx(ctx, terms, StrategyPartition, st.k, 0)
 				done <- err
 			}()
 			testutil.Eventually(t, 5*time.Second, func() bool {

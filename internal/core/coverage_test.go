@@ -1,8 +1,11 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
+
+	"xrefine/internal/refine"
 )
 
 // Targeted tests for entry points the broader suites reach only through
@@ -24,60 +27,73 @@ func TestNewFromXMLAndErrors(t *testing.T) {
 	}
 }
 
+// capturingEngine serves e's index through an explorer that records the
+// prepared input and the raw top-2K outcome of the last query — the hook
+// the experiments re-rank candidates through.
+func capturingEngine(e *Engine) (*Engine, *refine.Input, **refine.TopKOutcome) {
+	in, out := new(refine.Input), new(*refine.TopKOutcome)
+	eng := NewWithExplorer(e.Index(), nil, func(i refine.Input, k int) (*refine.TopKOutcome, error) {
+		*in = i
+		o, err := refine.PartitionTopK(i, k)
+		*out = o
+		return o, err
+	})
+	return eng, in, out
+}
+
 func TestExploreDirect(t *testing.T) {
 	e, _ := newEngine(t, nil)
-	out, cands, err := e.Explore([]string{"online", "databse"}, 3)
+	eng, _, out := capturingEngine(e)
+	resp, err := queryTerms(eng, []string{"online", "databse"}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out.Candidates) == 0 {
-		t.Fatal("no candidates from Explore")
+	if *out == nil || len((*out).Candidates) == 0 {
+		t.Fatal("no candidates captured from the exploration")
 	}
-	if len(cands) == 0 {
+	if len((*out).Candidates) < len(resp.Queries) {
+		t.Errorf("raw top-2K holds %d candidates, response ranks %d", len((*out).Candidates), len(resp.Queries))
+	}
+	if len(resp.SearchFor) == 0 {
 		t.Error("no search-for candidates")
 	}
-	if _, _, err := e.Explore(nil, 3); err == nil {
+	if _, err := queryTerms(eng, nil, 3); err == nil {
 		t.Error("empty terms accepted")
 	}
 }
 
-func TestStackTopKThroughEngine(t *testing.T) {
-	e, _ := newEngine(t, nil)
-	resp, err := e.QueryTerms([]string{"online", "databse"}, StrategyStack, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resp.NeedRefine || len(resp.Queries) == 0 {
-		t.Fatalf("stack top-K path: %+v", resp)
-	}
-	// k>1 must be able to return more than one refinement here.
-	if len(resp.Queries) < 2 {
-		t.Errorf("stack top-K returned %d queries", len(resp.Queries))
-	}
-	// And the satisfiable path at k>1:
-	resp2, err := e.QueryTerms([]string{"online", "database"}, StrategyStack, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp2.NeedRefine || !resp2.Queries[0].IsOriginal {
-		t.Fatalf("stack top-K satisfiable path: %+v", resp2)
-	}
-}
-
+// TestUnknownStrategyRejected: only StrategyPartition is served; any other
+// strategy value is an error, not a silent fallback.
 func TestUnknownStrategyRejected(t *testing.T) {
 	e, _ := newEngine(t, nil)
-	if _, err := e.QueryTerms([]string{"online"}, Strategy(99), 1); err == nil {
-		t.Error("unknown strategy accepted")
+	for _, s := range []Strategy{1, 2, 99} {
+		if _, err := e.QueryTermsCtx(context.Background(), []string{"online"}, s, 1, 0); err == nil {
+			t.Errorf("strategy %d accepted", s)
+		}
+	}
+	if st := e.Stats(); st.Queries != 0 {
+		t.Errorf("refused queries counted: %d", st.Queries)
 	}
 }
 
+// TestStackStrategyNoRefinementFound: on a hopeless query stack-refine, run
+// over the input the engine prepared, finds no refinement, and neither
+// does the served walk.
 func TestStackStrategyNoRefinementFound(t *testing.T) {
 	e, _ := newEngine(t, nil)
-	resp, err := e.QueryTerms([]string{"zzzz", "qqqq"}, StrategyStack, 1)
+	eng, in, _ := capturingEngine(e)
+	resp, err := queryTerms(eng, []string{"zzzz", "qqqq"}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !resp.NeedRefine || len(resp.Queries) != 0 {
-		t.Fatalf("hopeless stack query: %+v", resp)
+		t.Fatalf("hopeless query: %+v", resp)
+	}
+	st, err := refine.Stack(*in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.NeedRefine || st.Found {
+		t.Fatalf("hopeless stack query: %+v", st)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"xrefine/internal/narrow"
+	"xrefine/internal/refine"
 	"xrefine/internal/tokenize"
 	"xrefine/internal/xmltree"
 )
@@ -22,12 +23,20 @@ func engineFor(t *testing.T, src string) *Engine {
 	return NewFromDocument(doc, nil)
 }
 
+// queryAll runs q through the served walk and both reference algorithms:
+// short-list eager as an explorer, stack-refine over the prepared input.
 func queryAll(t *testing.T, e *Engine, q string) {
 	t.Helper()
-	for _, strat := range []Strategy{StrategyPartition, StrategySLE, StrategyStack} {
-		if _, err := e.QueryTerms(tokenize.Query(q), strat, 3); err != nil {
-			t.Errorf("%v on %q: %v", strat, q, err)
-		}
+	eng, in, _ := capturingEngine(e)
+	terms := tokenize.Query(q)
+	if _, err := queryTerms(eng, terms, 3); err != nil {
+		t.Fatalf("partition on %q: %v", q, err)
+	}
+	if _, err := queryTerms(NewWithExplorer(e.Index(), nil, refine.ShortListEager), terms, 3); err != nil {
+		t.Errorf("sle on %q: %v", q, err)
+	}
+	if _, err := refine.Stack(*in); err != nil {
+		t.Errorf("stack on %q: %v", q, err)
 	}
 }
 
@@ -36,7 +45,7 @@ func TestSingleNodeDocument(t *testing.T) {
 	queryAll(t, e, "word")
 	queryAll(t, e, "wrd")
 	queryAll(t, e, "missing")
-	resp, err := e.Query("word")
+	resp, err := query(e, "word")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +86,7 @@ func TestDeepChainDocument(t *testing.T) {
 func TestSinglePartitionDocument(t *testing.T) {
 	e := engineFor(t, `<r><only><a>alpha beta</a><b>gamma</b></only></r>`)
 	queryAll(t, e, "alpha gamma")
-	resp, err := e.Query("alpha gamma")
+	resp, err := query(e, "alpha gamma")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +113,7 @@ func TestRepeatedTermEverywhere(t *testing.T) {
 	}
 	b.WriteString("</r>")
 	e := engineFor(t, b.String())
-	resp, err := e.QueryTerms([]string{"same", "asme"}, StrategyPartition, 3)
+	resp, err := queryTerms(e, []string{"same", "asme"}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +144,7 @@ func TestUnicodeContent(t *testing.T) {
   <книга><название>базы данных</название><год>2003</год></книга>
   <книга><название>поиск ключевых слов</название><год>2005</год></книга>
 </библиотека>`)
-	resp, err := e.Query("базы данных")
+	resp, err := query(e, "базы данных")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +152,7 @@ func TestUnicodeContent(t *testing.T) {
 		t.Errorf("unicode query failed: %+v", resp)
 	}
 	// Deletion-based refinement still works for over-restriction.
-	resp2, err := e.Query("базы данных поиск")
+	resp2, err := query(e, "базы данных поиск")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +163,7 @@ func TestUnicodeContent(t *testing.T) {
 
 func TestMixedScriptQuery(t *testing.T) {
 	e := engineFor(t, `<r><doc><t>xml データベース search</t></doc><doc><t>other words</t></doc></r>`)
-	resp, err := e.Query("xml データベース")
+	resp, err := query(e, "xml データベース")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ import (
 // reason — not an error, not a silently-complete answer.
 func TestPostingBudgetDegrades(t *testing.T) {
 	e, _ := newEngine(t, &Config{PostingBudget: 1})
-	resp, err := e.Query("databse")
+	resp, err := query(e, "databse")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,9 +55,9 @@ func TestCanceledContextErrors(t *testing.T) {
 	e, _ := newEngine(t, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, strat := range []Strategy{StrategyPartition, StrategySLE} {
-		if _, err := e.QueryTermsCtx(ctx, []string{"databse"}, strat, 3, 0); !errors.Is(err, context.Canceled) {
-			t.Errorf("%v: err = %v, want context.Canceled", strat, err)
+	for name, eng := range map[string]*Engine{"partition": e, "sle": NewWithExplorer(e.Index(), nil, refine.ShortListEager)} {
+		if _, err := eng.QueryTermsCtx(ctx, []string{"databse"}, StrategyPartition, 3, 0); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: err = %v, want context.Canceled", name, err)
 		}
 	}
 }
@@ -66,13 +66,13 @@ func TestCanceledContextErrors(t *testing.T) {
 // must behave exactly as before — complete responses, no degraded flag.
 func TestZeroConfigNotDegraded(t *testing.T) {
 	e, _ := newEngine(t, nil)
-	for _, strat := range []Strategy{StrategyPartition, StrategySLE, StrategyStack} {
-		resp, err := e.QueryTermsCtx(context.Background(), []string{"databse"}, strat, 3, 0)
+	for name, eng := range map[string]*Engine{"partition": e, "sle": NewWithExplorer(e.Index(), nil, refine.ShortListEager)} {
+		resp, err := queryTerms(eng, []string{"databse"}, 3)
 		if err != nil {
-			t.Fatalf("%v: %v", strat, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		if resp.Degraded || resp.DegradedReason != "" {
-			t.Errorf("%v: unconstrained query flagged degraded", strat)
+			t.Errorf("%s: unconstrained query flagged degraded", name)
 		}
 	}
 }

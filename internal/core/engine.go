@@ -1,11 +1,13 @@
 // Package core assembles the XRefine engine — the paper's prototype system
 // of the same name. An Engine owns a document index and answers keyword
 // queries end-to-end: tokenize, derive the relevant refinement rules, infer
-// the search-for node candidates, run one of the three refinement
-// algorithms of Section VI (which simultaneously decide whether the query
-// needs refinement, explore refined-query candidates, and produce their
+// the search-for node candidates, run the partition-based refinement of
+// Section VI (Algorithm 2, which simultaneously decides whether the query
+// needs refinement, explores refined-query candidates, and produces their
 // matching results in a single scan of the inverted lists), and finally
-// rank refined queries with the model of Section IV.
+// rank refined queries with the model of Section IV. The paper's other two
+// algorithms, stack-refine and short-list eager, stay in package refine as
+// references; NewWithExplorer runs them under this same pipeline.
 package core
 
 import (
@@ -20,7 +22,6 @@ import (
 	"time"
 
 	"xrefine/internal/index"
-	"xrefine/internal/storage"
 	"xrefine/internal/lexicon"
 	"xrefine/internal/narrow"
 	"xrefine/internal/obs"
@@ -29,40 +30,28 @@ import (
 	"xrefine/internal/rules"
 	"xrefine/internal/searchfor"
 	"xrefine/internal/slca"
+	"xrefine/internal/storage"
 	"xrefine/internal/tokenize"
 	"xrefine/internal/xmltree"
 )
 
-// Strategy selects the refinement algorithm.
+// Strategy names the refinement algorithm a query asks for. The engine
+// serves one, StrategyPartition; QueryTermsCtx refuses every other value.
 type Strategy int
 
-const (
-	// StrategyPartition is Algorithm 2, the paper's best performer and
-	// the default.
-	StrategyPartition Strategy = iota
-	// StrategySLE is Algorithm 3, short-list eager.
-	StrategySLE
-	// StrategyStack is Algorithm 1; it yields only the single optimal
-	// refined query rather than a top-K list.
-	StrategyStack
-)
+// StrategyPartition is Algorithm 2, partition-based top-K refinement.
+const StrategyPartition Strategy = 0
 
 // String names the strategy as in the paper's figures.
 func (s Strategy) String() string {
-	switch s {
-	case StrategyPartition:
+	if s == StrategyPartition {
 		return "partition"
-	case StrategySLE:
-		return "sle"
-	case StrategyStack:
-		return "stack-refine"
 	}
 	return "unknown"
 }
 
 // Config tunes an Engine. The zero value works: builtin lexicon, default
-// generator, default ranking model, scan-eager SLCA, partition strategy,
-// top-3 refinements.
+// generator, default ranking model, top-3 refinements.
 type Config struct {
 	// Lexicon used for synonym/acronym rules; nil means lexicon.Builtin().
 	Lexicon *lexicon.Lexicon
@@ -74,18 +63,14 @@ type Config struct {
 	Rank rank.Model
 	// SearchFor tunes search-for node inference.
 	SearchFor searchfor.Options
-	// SLCA picks the delegated SLCA algorithm.
-	SLCA slca.Algorithm
-	// Strategy picks the refinement algorithm.
-	Strategy Strategy
 	// TopK bounds the number of refined queries returned; 0 means 3.
 	TopK int
 	// ExpandResults lifts every match to its closest search-for-typed
 	// ancestor (the entity), merging duplicates — XSeek-style display
 	// granularity instead of raw SLCA nodes.
 	ExpandResults bool
-	// Parallelism bounds the goroutines the partition strategy's walk
-	// runs its scans on (ranges of the document, or a router's shards).
+	// Parallelism bounds the goroutines the partition walk runs its scans
+	// on (ranges of the document, or a router's shards).
 	// 0 means runtime.GOMAXPROCS(0); 1 walks on the query's goroutine.
 	// Responses are identical at every value, so it is a pure
 	// performance knob.
@@ -152,9 +137,9 @@ type epoch struct {
 type Engine struct {
 	ep  atomic.Pointer[epoch]
 	cfg Config
-	// explore is the partition strategy's exploration of a prepared
-	// input: refine.PartitionTopK over the epoch's index, or the shard
-	// router's walk over its shards (NewWithExplorer).
+	// explore is the engine's exploration of a prepared input:
+	// refine.PartitionTopK over the epoch's index, or whatever
+	// NewWithExplorer was given (the shard router's walk over its shards).
 	explore func(in refine.Input, k int) (*refine.TopKOutcome, error)
 
 	// applyMu serializes writers (Apply and WAL replay). Readers never
@@ -203,7 +188,7 @@ func (e *Engine) Health() HealthExtras {
 
 // EngineStats is a snapshot of the engine's serving counters.
 type EngineStats struct {
-	// Queries counts QueryTerms invocations.
+	// Queries counts QueryTermsCtx calls.
 	Queries uint64
 	// Refined counts responses that needed refinement.
 	Refined uint64
@@ -259,11 +244,12 @@ func NewFromIndex(ix *index.Index, cfg *Config) *Engine {
 	return NewWithExplorer(ix, cfg, refine.PartitionTopK)
 }
 
-// NewWithExplorer is NewFromIndex with the partition strategy's
-// exploration replaced by explore — how the shard router's meta engine
-// walks its shards instead of ix's lists. explore receives the input the
-// engine prepared against ix (budget, deadline and the refine:partition
-// span included); everything around it — tokenizing, preparing,
+// NewWithExplorer is NewFromIndex with the exploration replaced by explore
+// — how the shard router's meta engine walks its shards instead of ix's
+// lists, and how the experiments run the paper's reference algorithms
+// (refine.ShortListEager, stack-refine) under the served pipeline. explore
+// receives the input the engine prepared against ix (budget, deadline and
+// the refine:partition span included); everything around it — preparing,
 // accounting, ranking, expansion, counters and flight events — is the
 // engine's own, so a router query is answered exactly like a local one.
 func NewWithExplorer(ix *index.Index, cfg *Config, explore func(in refine.Input, k int) (*refine.TopKOutcome, error)) *Engine {
@@ -424,7 +410,7 @@ func (e *Engine) Narrow(q string, opts *narrow.Options) (*narrow.Outcome, error)
 	if err != nil {
 		return nil, err
 	}
-	return narrow.Narrow(ep.doc, ep.ix, terms, in.Judge, e.cfg.SLCA, opts)
+	return narrow.Narrow(ep.doc, ep.ix, terms, in.Judge, slca.AlgoScanEager, opts)
 }
 
 // RankedQuery is one entry of a response: a query (the original or a
@@ -476,32 +462,9 @@ type Response struct {
 	DegradedReason string
 }
 
-// Query tokenizes and answers a raw keyword query with the configured
-// strategy and K.
-func (e *Engine) Query(q string) (*Response, error) {
-	return e.QueryCtx(context.Background(), q)
-}
-
-// QueryCtx is Query under a caller context: cancellation aborts the
-// pipeline at its next cooperative checkpoint and returns the context
-// error, while a deadline (from ctx or Config.Timeout, whichever fires
-// first) degrades the response to the partial results found so far.
-func (e *Engine) QueryCtx(ctx context.Context, q string) (*Response, error) {
-	tsp := obs.SpanFromContext(ctx).StartChild("tokenize")
-	terms := tokenize.Query(q)
-	if tsp != nil {
-		tsp.SetInt("terms", int64(len(terms)))
-		tsp.End()
-	}
-	if len(terms) == 0 {
-		return nil, errors.New("core: query has no keywords")
-	}
-	return e.QueryTermsCtx(ctx, terms, e.cfg.Strategy, e.cfg.TopK, 0)
-}
-
 // prepare derives the per-query machinery — rule set, search-for
 // candidates and refinement input — without running any algorithm: the
-// shared front half of QueryTermsCtx, Explore and Narrow. It is pinned to
+// shared front half of QueryTermsCtx and Narrow. It is pinned to
 // one epoch, so a query whose front half races an Apply still reads rules,
 // inference and lists from one consistent snapshot.
 func (e *Engine) prepare(ep *epoch, terms []string) (refine.Input, []searchfor.Candidate, error) {
@@ -519,48 +482,24 @@ func (e *Engine) prepare(ep *epoch, terms []string) (refine.Input, []searchfor.C
 		Query:       terms,
 		Rules:       rs,
 		Judge:       searchfor.NewJudge(cands),
-		SLCA:        e.cfg.SLCA,
 		Parallelism: e.cfg.Parallelism,
 	}
 	return in, cands, nil
 }
 
-// Explore runs the partition-based exploration and returns the raw top-2K
-// candidate list before ranking — the hook the experiment harness uses to
-// re-rank one exploration under several ranking-model variants (Tables IX
-// and X).
-func (e *Engine) Explore(terms []string, k int) (*refine.TopKOutcome, []searchfor.Candidate, error) {
-	if len(terms) == 0 {
-		return nil, nil, errors.New("core: query has no keywords")
-	}
-	in, cands, err := e.prepare(e.snapshot(), terms)
-	if err != nil {
-		return nil, nil, err
-	}
-	out, err := e.explore(in, k)
-	if err != nil {
-		return nil, nil, err
-	}
-	e.noteOutcome(out)
-	return out, cands, nil
-}
-
-// QueryTerms answers a pre-tokenized query with an explicit strategy and K
-// — the entry point the experiment harness uses.
-func (e *Engine) QueryTerms(terms []string, strategy Strategy, k int) (*Response, error) {
-	return e.QueryTermsCtx(context.Background(), terms, strategy, k, 0)
-}
-
-// QueryTermsCtx is the fully-general entry point: pre-tokenized query,
-// explicit strategy, K and parallelism override (0 uses the configured
-// value; responses are identical at every value), under a caller context.
-// Config.Timeout (when set) is layered onto ctx here, so the effective
-// deadline is the earlier of the two. An expired deadline or exhausted
-// posting budget returns a partial response with Degraded set; an outright
-// cancellation returns ctx.Err().
+// QueryTermsCtx answers a pre-tokenized query under a caller context — the
+// engine's one query entry point. strategy must be StrategyPartition; k <= 0
+// uses Config.TopK; parallelism > 0 overrides Config.Parallelism for this
+// query (responses are identical at every value). Config.Timeout (when set)
+// is layered onto ctx here, so the effective deadline is the earlier of the
+// two. An expired deadline or exhausted posting budget returns a partial
+// response with Degraded set; an outright cancellation returns ctx.Err().
 func (e *Engine) QueryTermsCtx(ctx context.Context, terms []string, strategy Strategy, k, parallelism int) (*Response, error) {
 	if len(terms) == 0 {
 		return nil, errors.New("core: query has no keywords")
+	}
+	if strategy != StrategyPartition {
+		return nil, fmt.Errorf("core: strategy %d is not served (only %v is)", int(strategy), StrategyPartition)
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -581,7 +520,7 @@ func (e *Engine) QueryTermsCtx(ctx context.Context, terms []string, strategy Str
 		ctx, cancel = context.WithTimeout(ctx, e.cfg.Timeout)
 		defer cancel()
 	}
-	resp, err := e.queryUncached(ctx, ep, terms, strategy, k, parallelism)
+	resp, err := e.answer(ctx, ep, terms, k, parallelism)
 	if err != nil {
 		return nil, err
 	}
@@ -603,10 +542,10 @@ func (e *Engine) QueryTermsCtx(ctx context.Context, terms []string, strategy Str
 	return resp, nil
 }
 
-// queryUncached runs the full pipeline against one pinned epoch.
-// parallelism > 0 overrides the engine's configured partition-walk
+// answer runs the pipeline against one pinned epoch: prepare, explore,
+// rank. parallelism > 0 overrides the engine's configured partition-walk
 // fan-out for this query.
-func (e *Engine) queryUncached(ctx context.Context, ep *epoch, terms []string, strategy Strategy, k, parallelism int) (*Response, error) {
+func (e *Engine) answer(ctx context.Context, ep *epoch, terms []string, k, parallelism int) (*Response, error) {
 	root := obs.SpanFromContext(ctx)
 	psp := root.StartChild("prepare")
 	in, cands, err := e.prepare(ep, terms)
@@ -620,72 +559,20 @@ func (e *Engine) queryUncached(ctx context.Context, ep *epoch, terms []string, s
 	}
 	var ssp *obs.Span
 	if root != nil {
-		ssp = root.StartChild("refine:" + strategy.String())
+		ssp = root.StartChild("refine:partition")
 		in.Trace = ssp
 	}
-	rs := in.Rules
-	resp := &Response{Terms: terms, SearchFor: cands, Rules: rs.Rules()}
-	switch strategy {
-	case StrategyStack:
-		if k > 1 {
-			// Top-K via the stack walk is an extension beyond the
-			// paper's optimal-only Algorithm 1; see refine.StackTopK.
-			out, err := refine.StackTopK(in, k)
-			annotateRefineSpan(ssp, out)
-			if err != nil {
-				return nil, err
-			}
-			e.noteOutcome(out)
-			return e.finishTopK(root, ep, resp, terms, out, k)
-		}
-		out, err := refine.Stack(in)
-		ssp.End()
-		if err != nil {
-			return nil, err
-		}
-		resp.NeedRefine = out.NeedRefine
-		resp.Degraded = out.Degraded
-		resp.DegradedReason = out.DegradedReason
-		if !out.NeedRefine {
-			resp.Queries = []RankedQuery{{
-				Keywords:   refine.NewRQ(terms, 0).Keywords,
-				IsOriginal: true,
-				Results:    out.Original,
-			}}
-			return resp, nil
-		}
-		if out.Found {
-			score, err := e.cfg.Rank.Rank(ep.ix, cands, terms, out.Best.Keywords, out.Best.DSim)
-			if err != nil {
-				return nil, err
-			}
-			resp.Queries = []RankedQuery{{
-				Keywords: out.Best.Keywords,
-				DSim:     out.Best.DSim,
-				Score:    score,
-				Steps:    out.Best.Steps,
-				Results:  out.BestResults,
-			}}
-		}
-		return resp, nil
-	case StrategySLE, StrategyPartition:
-		var out *refine.TopKOutcome
-		if strategy == StrategySLE {
-			out, err = refine.ShortListEager(in, k)
-		} else {
-			out, err = e.explore(in, k)
-		}
-		annotateRefineSpan(ssp, out)
-		if err != nil {
-			return nil, err
-		}
-		e.noteOutcome(out)
-		return e.finishTopK(root, ep, resp, terms, out, k)
+	resp := &Response{Terms: terms, SearchFor: cands, Rules: in.Rules.Rules()}
+	out, err := e.explore(in, k)
+	annotateRefineSpan(ssp, out)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("core: unknown strategy %d", strategy)
+	e.noteOutcome(out)
+	return e.finishTopK(root, ep, resp, terms, out, k)
 }
 
-// annotateRefineSpan stamps a strategy span with the exploration's
+// annotateRefineSpan stamps the refine span with the exploration's
 // observables and ends it. Nil-safe on both arguments.
 func annotateRefineSpan(sp *obs.Span, out *refine.TopKOutcome) {
 	if sp != nil && out != nil {

@@ -1,13 +1,17 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
 
 	"xrefine/internal/kvstore"
+	"xrefine/internal/obs"
+	"xrefine/internal/refine"
 	"xrefine/internal/slca"
 	"xrefine/internal/storage"
+	"xrefine/internal/tokenize"
 	"xrefine/internal/xmltree"
 )
 
@@ -54,31 +58,48 @@ func newEngine(t testing.TB, cfg *Config) (*Engine, *xmltree.Document) {
 	return NewFromDocument(doc, cfg), doc
 }
 
+// queryCtx answers a raw query string the way the serving pipeline does:
+// tokenized under a "tokenize" span of ctx's trace, then QueryTermsCtx at
+// the engine's configured K.
+func queryCtx(ctx context.Context, e *Engine, q string) (*Response, error) {
+	tsp := obs.SpanFromContext(ctx).StartChild("tokenize")
+	terms := tokenize.Query(q)
+	if tsp != nil {
+		tsp.SetInt("terms", int64(len(terms)))
+		tsp.End()
+	}
+	return e.QueryTermsCtx(ctx, terms, StrategyPartition, 0, 0)
+}
+
+func query(e *Engine, q string) (*Response, error) { return queryCtx(context.Background(), e, q) }
+
+func queryTerms(e *Engine, terms []string, k int) (*Response, error) {
+	return e.QueryTermsCtx(context.Background(), terms, StrategyPartition, k, 0)
+}
+
 func TestSatisfiableQueryNeedsNoRefinement(t *testing.T) {
-	for _, strat := range []Strategy{StrategyPartition, StrategySLE, StrategyStack} {
-		e, _ := newEngine(t, &Config{Strategy: strat})
-		resp, err := e.Query("online database")
-		if err != nil {
-			t.Fatalf("%v: %v", strat, err)
-		}
-		if resp.NeedRefine {
-			t.Fatalf("%v: satisfiable query flagged for refinement", strat)
-		}
-		if len(resp.Queries) != 1 || !resp.Queries[0].IsOriginal {
-			t.Fatalf("%v: queries = %+v", strat, resp.Queries)
-		}
-		if len(resp.Queries[0].Results) == 0 {
-			t.Fatalf("%v: no results for original query", strat)
-		}
-		if got := resp.Queries[0].Results[0].ID.String(); got != "0.0.1.0.0" {
-			t.Errorf("%v: result = %s, want 0.0.1.0.0 (the title holding both terms)", strat, got)
-		}
+	e, _ := newEngine(t, nil)
+	resp, err := query(e, "online database")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.NeedRefine {
+		t.Fatal("satisfiable query flagged for refinement")
+	}
+	if len(resp.Queries) != 1 || !resp.Queries[0].IsOriginal {
+		t.Fatalf("queries = %+v", resp.Queries)
+	}
+	if len(resp.Queries[0].Results) == 0 {
+		t.Fatal("no results for original query")
+	}
+	if got := resp.Queries[0].Results[0].ID.String(); got != "0.0.1.0.0" {
+		t.Errorf("result = %s, want 0.0.1.0.0 (the title holding both terms)", got)
 	}
 }
 
 func TestSpellingRefinement(t *testing.T) {
 	e, _ := newEngine(t, nil)
-	resp, err := e.Query("online databse")
+	resp, err := query(e, "online databse")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +125,7 @@ func TestSynonymRefinementPaperExample1(t *testing.T) {
 	// The paper's Example 1: {database, publication} where the data uses
 	// inproceedings/article instead of "publication".
 	e, _ := newEngine(t, nil)
-	resp, err := e.Query("database publication")
+	resp, err := query(e, "database publication")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +149,7 @@ func TestSynonymRefinementPaperExample1(t *testing.T) {
 
 func TestMergeRefinement(t *testing.T) {
 	e, _ := newEngine(t, nil)
-	resp, err := e.Query("efficient key word search")
+	resp, err := query(e, "efficient key word search")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +167,7 @@ func TestMergeRefinement(t *testing.T) {
 
 func TestStemmingRefinement(t *testing.T) {
 	e, _ := newEngine(t, nil)
-	resp, err := e.Query("match twig patterns")
+	resp, err := query(e, "match twig patterns")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,6 +192,10 @@ func contains(xs []string, want string) bool {
 	return false
 }
 
+// TestStrategiesAgreeOnBestDissimilarity checks Theorems 1–2 on the
+// engine: the served Partition walk, short-list eager run through
+// NewWithExplorer, and stack-refine (Algorithm 1) over the very input the
+// engine prepared all reach the same minimum dissimilarity.
 func TestStrategiesAgreeOnBestDissimilarity(t *testing.T) {
 	queries := []string{
 		"online databse",
@@ -178,34 +203,49 @@ func TestStrategiesAgreeOnBestDissimilarity(t *testing.T) {
 		"database publication",
 		"skylinecomputation",
 	}
-	for _, q := range queries {
-		var dsims []float64
-		for _, strat := range []Strategy{StrategyPartition, StrategySLE, StrategyStack} {
-			e, _ := newEngine(t, &Config{Strategy: strat})
-			resp, err := e.Query(q)
-			if err != nil {
-				t.Fatalf("%s/%v: %v", q, strat, err)
-			}
-			if !resp.NeedRefine || len(resp.Queries) == 0 {
-				t.Fatalf("%s/%v: unexpected outcome %+v", q, strat, resp)
-			}
-			min := resp.Queries[0].DSim
-			for _, rq := range resp.Queries {
-				if rq.DSim < min {
-					min = rq.DSim
-				}
-			}
-			dsims = append(dsims, min)
+	minDSim := func(q string, resp *Response) float64 {
+		if !resp.NeedRefine || len(resp.Queries) == 0 {
+			t.Fatalf("%s: unexpected outcome %+v", q, resp)
 		}
-		if dsims[0] != dsims[1] || dsims[1] != dsims[2] {
-			t.Errorf("%s: best dSim disagrees across strategies: %v", q, dsims)
+		min := resp.Queries[0].DSim
+		for _, rq := range resp.Queries {
+			if rq.DSim < min {
+				min = rq.DSim
+			}
+		}
+		return min
+	}
+	for _, q := range queries {
+		var in refine.Input
+		e, _ := newEngine(t, nil)
+		e = NewWithExplorer(e.Index(), nil, func(i refine.Input, k int) (*refine.TopKOutcome, error) {
+			in = i
+			return refine.PartitionTopK(i, k)
+		})
+		resp, err := query(e, q)
+		if err != nil {
+			t.Fatalf("%s/partition: %v", q, err)
+		}
+		sle, err := query(NewWithExplorer(e.Index(), nil, refine.ShortListEager), q)
+		if err != nil {
+			t.Fatalf("%s/sle: %v", q, err)
+		}
+		st, err := refine.Stack(in)
+		if err != nil {
+			t.Fatalf("%s/stack: %v", q, err)
+		}
+		if !st.NeedRefine || !st.Found {
+			t.Fatalf("%s/stack: unexpected outcome %+v", q, st)
+		}
+		if p, s := minDSim(q, resp), minDSim(q, sle); p != s || s != st.Best.DSim {
+			t.Errorf("%s: best dSim disagrees: partition %v, sle %v, stack %v", q, p, s, st.Best.DSim)
 		}
 	}
 }
 
 func TestTopKLimit(t *testing.T) {
 	e, _ := newEngine(t, &Config{TopK: 1})
-	resp, err := e.Query("database publication")
+	resp, err := query(e, "database publication")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +256,7 @@ func TestTopKLimit(t *testing.T) {
 
 func TestRankingOrdersQueries(t *testing.T) {
 	e, _ := newEngine(t, &Config{TopK: 5})
-	resp, err := e.Query("database publication")
+	resp, err := query(e, "database publication")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,17 +270,17 @@ func TestRankingOrdersQueries(t *testing.T) {
 
 func TestEmptyQueryRejected(t *testing.T) {
 	e, _ := newEngine(t, nil)
-	if _, err := e.Query("   ,, "); err == nil {
+	if _, err := query(e, "   ,, "); err == nil {
 		t.Error("empty query accepted")
 	}
-	if _, err := e.QueryTerms(nil, StrategyPartition, 3); err == nil {
+	if _, err := queryTerms(e, nil, 3); err == nil {
 		t.Error("nil terms accepted")
 	}
 }
 
 func TestHopelessQuery(t *testing.T) {
 	e, _ := newEngine(t, nil)
-	resp, err := e.Query("zzzz qqqq xxxx")
+	resp, err := query(e, "zzzz qqqq xxxx")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,11 +301,11 @@ func TestEngineFromSavedIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := e.Query("online databse")
+	r1, err := query(e, "online databse")
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := e2.Query("online databse")
+	r2, err := query(e2, "online databse")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,22 +370,43 @@ func TestRetiredStoreFormatsRefused(t *testing.T) {
 	}
 }
 
+// TestSLCAConfigRespected: Lemma 3 — any SLCA algorithm can sit under the
+// walk. An explorer that picks the algorithm answers with the same results.
 func TestSLCAConfigRespected(t *testing.T) {
+	e, _ := newEngine(t, nil)
+	want, err := query(e, "online databse")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, algo := range []slca.Algorithm{slca.AlgoScanEager, slca.AlgoIndexedLookupEager, slca.AlgoStack, slca.AlgoMultiway} {
-		e, _ := newEngine(t, &Config{SLCA: algo})
-		resp, err := e.Query("online databse")
+		eng := NewWithExplorer(e.Index(), nil, func(in refine.Input, k int) (*refine.TopKOutcome, error) {
+			in.SLCA = algo
+			return refine.PartitionTopK(in, k)
+		})
+		resp, err := query(eng, "online databse")
 		if err != nil {
 			t.Fatalf("%v: %v", algo, err)
 		}
 		if len(resp.Queries) == 0 || len(resp.Queries[0].Results) == 0 {
 			t.Fatalf("%v: no results", algo)
 		}
+		if len(resp.Queries) != len(want.Queries) || matchIDs(resp.Queries[0].Results) != matchIDs(want.Queries[0].Results) {
+			t.Errorf("%v: answer differs from scan-eager", algo)
+		}
 	}
+}
+
+func matchIDs(ms []refine.Match) string {
+	var b strings.Builder
+	for _, m := range ms {
+		b.WriteString(m.ID.String() + " ")
+	}
+	return b.String()
 }
 
 func TestSnippet(t *testing.T) {
 	e, doc := newEngine(t, nil)
-	resp, err := e.Query("online database")
+	resp, err := query(e, "online database")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,8 +422,7 @@ func TestSnippet(t *testing.T) {
 }
 
 func TestStrategyString(t *testing.T) {
-	if StrategyPartition.String() != "partition" || StrategySLE.String() != "sle" ||
-		StrategyStack.String() != "stack-refine" || Strategy(9).String() != "unknown" {
+	if StrategyPartition.String() != "partition" || Strategy(1).String() != "unknown" {
 		t.Error("Strategy.String broken")
 	}
 }
@@ -377,11 +437,11 @@ func TestStreamEngineMatchesTreeEngine(t *testing.T) {
 		t.Error("stream engine should have no document")
 	}
 	for _, q := range []string{"online databse", "efficient key word search", "database publication"} {
-		r1, err := tree.Query(q)
+		r1, err := query(tree, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r2, err := streamed.Query(q)
+		r2, err := query(streamed, q)
 		if err != nil {
 			t.Fatal(err)
 		}

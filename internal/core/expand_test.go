@@ -10,7 +10,7 @@ func TestExpandResultsToEntity(t *testing.T) {
 	// SLCA is the paper already, but a title-only match (single field)
 	// is a title node — expansion lifts it to the paper entity.
 	e, _ := newEngine(t, &Config{ExpandResults: true})
-	resp, err := e.Query("online database")
+	resp, err := query(e, "online database")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,11 +56,11 @@ func TestExpandResultsDeduplicates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rp, err := plain.Query("alpha beta")
+	rp, err := query(plain, "alpha beta")
 	if err != nil {
 		t.Fatal(err)
 	}
-	re, err := expanded.Query("alpha beta")
+	re, err := query(expanded, "alpha beta")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,7 @@ func TestFaultMatrix(t *testing.T) {
 	}
 	want := make([]string, len(queries))
 	for i, q := range queries {
-		resp, err := clean.QueryTerms(q, StrategyPartition, 3)
+		resp, err := queryTerms(clean, q, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +94,7 @@ func TestFaultMatrix(t *testing.T) {
 						sawInjected++
 						return
 					}
-					resp, err := eng.QueryTerms(q, StrategyPartition, 3)
+					resp, err := queryTerms(eng, q, 3)
 					if err != nil {
 						if !errors.Is(err, storage.ErrInjected) {
 							t.Fatalf("query error not typed: %v", err)

@@ -41,19 +41,17 @@ func FuzzQueryPipeline(f *testing.F) {
 		if len(terms) > 8 {
 			terms = terms[:8] // keyword queries; cap the DP width
 		}
-		for _, strat := range []Strategy{StrategyPartition, StrategyStack} {
-			resp, err := eng.QueryTerms(terms, strat, 2)
-			if err != nil {
-				t.Fatalf("%v(%q): %v", strat, terms, err)
-			}
-			if !resp.NeedRefine && (len(resp.Queries) == 0 || len(resp.Queries[0].Results) == 0) {
-				t.Fatalf("%v(%q): satisfied without results", strat, terms)
-			}
-			for _, rq := range resp.Queries {
-				for _, m := range rq.Results {
-					if len(m.ID) < 2 {
-						t.Fatalf("%v(%q): root returned as result", strat, terms)
-					}
+		resp, err := queryTerms(eng, terms, 2)
+		if err != nil {
+			t.Fatalf("%q: %v", terms, err)
+		}
+		if !resp.NeedRefine && (len(resp.Queries) == 0 || len(resp.Queries[0].Results) == 0) {
+			t.Fatalf("%q: satisfied without results", terms)
+		}
+		for _, rq := range resp.Queries {
+			for _, m := range rq.Results {
+				if len(m.ID) < 2 {
+					t.Fatalf("%q: root returned as result", terms)
 				}
 			}
 		}

@@ -40,7 +40,7 @@ func TestAppliedEpochsAreCollected(t *testing.T) {
 			t.Fatalf("batch %d: %v", i, err)
 		}
 		// A misspelling, so rule generation derives the epoch's BK-tree.
-		if _, err := e.Query("online databse"); err != nil {
+		if _, err := query(e, "online databse"); err != nil {
 			t.Fatal(err)
 		}
 		if i+1 == 50 {

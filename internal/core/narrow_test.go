@@ -98,7 +98,7 @@ func TestSaveIndexWithDocumentRestoresNarrow(t *testing.T) {
 		t.Fatalf("narrow on restored engine: %+v", out)
 	}
 	// Snippets work too.
-	resp, err := loaded.Query("database indexing")
+	resp, err := query(loaded, "database indexing")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,11 +24,11 @@ func queryAllocs(t *testing.T, e *Engine, ctx context.Context) float64 {
 	t.Helper()
 	// Warm the lazy list loads so both engines measure the serving path,
 	// not the first-touch index path.
-	if _, err := e.QueryCtx(ctx, "online databse"); err != nil {
+	if _, err := queryCtx(ctx, e, "online databse"); err != nil {
 		t.Fatal(err)
 	}
 	return testing.AllocsPerRun(50, func() {
-		if _, err := e.QueryCtx(ctx, "online databse"); err != nil {
+		if _, err := queryCtx(ctx, e, "online databse"); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -65,7 +65,7 @@ func TestMetricsAllocOverhead(t *testing.T) {
 // atomics.
 func TestEngineStatsFromRegistry(t *testing.T) {
 	e, _ := newEngine(t, nil)
-	if _, err := e.Query("online databse"); err != nil {
+	if _, err := query(e, "online databse"); err != nil {
 		t.Fatal(err)
 	}
 	st := e.Stats()
@@ -92,7 +92,7 @@ func TestEngineStats(t *testing.T) {
 	}
 	e := NewFromDocument(doc, nil)
 	for _, q := range []string{"databse", "databse", "database"} {
-		if _, err := e.Query(q); err != nil {
+		if _, err := query(e, q); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -109,7 +109,7 @@ func TestEngineStats(t *testing.T) {
 // engine whose registry accessor reports nil and whose Stats are zero.
 func TestDisabledMetricsEngine(t *testing.T) {
 	e, _ := newEngine(t, &Config{DisableMetrics: true})
-	resp, err := e.Query("online databse")
+	resp, err := query(e, "online databse")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestPrometheusExpositionGolden(t *testing.T) {
 	// One refined query plus one degraded query so the labeled
 	// degraded_total vec has a child and every engine counter is live.
 	e, _ := newEngine(t, &Config{PostingBudget: 1})
-	if _, err := e.Query("online databse"); err != nil {
+	if _, err := query(e, "online databse"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -202,7 +202,7 @@ var rangeSpan = regexp.MustCompile(`^(\s*)range-\d+$`)
 func TestTraceSpanTreeGolden(t *testing.T) {
 	e, _ := newEngine(t, &Config{Parallelism: 1})
 	ctx, root := obs.NewTrace(context.Background(), "query")
-	if _, err := e.QueryCtx(ctx, "online databse"); err != nil {
+	if _, err := queryCtx(ctx, e, "online databse"); err != nil {
 		t.Fatal(err)
 	}
 	root.End()
@@ -258,7 +258,7 @@ query
 func TestParallelTraceSpans(t *testing.T) {
 	e, _ := newEngine(t, &Config{Parallelism: 2})
 	ctx, root := obs.NewTrace(context.Background(), "query")
-	if _, err := e.QueryCtx(ctx, "online databse"); err != nil {
+	if _, err := queryCtx(ctx, e, "online databse"); err != nil {
 		t.Fatal(err)
 	}
 	root.End()
@@ -303,7 +303,7 @@ func TestTracedQueriesRace(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
 				ctx, root := obs.NewTrace(context.Background(), "query")
-				if _, err := e.QueryCtx(ctx, queries[(g+i)%len(queries)]); err != nil {
+				if _, err := queryCtx(ctx, e, queries[(g+i)%len(queries)]); err != nil {
 					t.Error(err)
 				}
 				root.End()
@@ -344,7 +344,7 @@ func TestStoreBackedKvstoreMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e2.Query("online databse"); err != nil {
+	if _, err := query(e2, "online databse"); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -385,7 +385,7 @@ func TestStoreBackedKvstoreMetrics(t *testing.T) {
 func TestQuerySecondsHistogram(t *testing.T) {
 	e, _ := newEngine(t, nil)
 	for i := 0; i < 3; i++ {
-		if _, err := e.Query("online databse"); err != nil {
+		if _, err := query(e, "online databse"); err != nil {
 			t.Fatal(err)
 		}
 	}

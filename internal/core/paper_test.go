@@ -55,7 +55,7 @@ func fig1Engine(t *testing.T) *Engine {
 // synonym and return matching publications.
 func TestPaperExample1(t *testing.T) {
 	e := fig1Engine(t)
-	resp, err := e.Query("database publication")
+	resp, err := query(e, "database publication")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestPaperQ0RootOnlySLCA(t *testing.T) {
 	e := fig1Engine(t)
 	// "john" is under author 0.0, "swimming" under author 0.1: the only
 	// common ancestor is the root.
-	resp, err := e.Query("john swimming")
+	resp, err := query(e, "john swimming")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestPaperQ0RootOnlySLCA(t *testing.T) {
 // root; refinement by deletion must produce meaningful sub-queries.
 func TestPaperQ4OverRestrictive(t *testing.T) {
 	e := fig1Engine(t)
-	resp, err := e.Query("john xml 2003 swimming")
+	resp, err := query(e, "john xml 2003 swimming")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestPaperQ4OverRestrictive(t *testing.T) {
 // root-level candidates the paper shows being rejected.
 func TestPaperExample4Merges(t *testing.T) {
 	e := fig1Engine(t)
-	resp, err := e.Query("on line data base")
+	resp, err := query(e, "on line data base")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestCollectionEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := NewFromDocument(col, nil)
-	resp, err := e.Query("runing shoes") // typo
+	resp, err := query(e, "runing shoes") // typo
 	if err != nil {
 		t.Fatal(err)
 	}

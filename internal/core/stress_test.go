@@ -46,7 +46,7 @@ func TestConcurrentQueriesRace(t *testing.T) {
 	}
 	want := make([]expectation, len(queries))
 	for i, q := range queries {
-		resp, err := ref.QueryTerms(q, StrategyPartition, 3)
+		resp, err := queryTerms(ref, q, 3)
 		if err != nil {
 			want[i] = expectation{err: err.Error()}
 			continue

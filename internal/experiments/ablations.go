@@ -8,6 +8,7 @@ import (
 	"xrefine/internal/datagen"
 	"xrefine/internal/eval"
 	"xrefine/internal/rank"
+	"xrefine/internal/refine"
 	"xrefine/internal/searchfor"
 	"xrefine/internal/slca"
 )
@@ -61,7 +62,7 @@ func AblationSearchFor(c *Corpus, numQueries int) ([]SearchForRow, error) {
 			if used >= numQueries {
 				break
 			}
-			resp, err := eng.QueryTerms(cs.Corrupted, core.StrategyPartition, 4)
+			resp, err := query(eng, cs.Corrupted, 4)
 			if err != nil {
 				return nil, err
 			}
@@ -108,8 +109,9 @@ type SLCARow struct {
 }
 
 // AblationSLCA times the partition-based Top-3 refinement with each
-// pluggable SLCA algorithm over the same batch. Lemma 3 says the results
-// are identical (a property test asserts it); this reports the price.
+// pluggable SLCA algorithm over the same batch, the algorithm set by the
+// engine's explorer. Lemma 3 says the results are identical (a property
+// test asserts it); this reports the price.
 func AblationSLCA(c *Corpus, batchSize, reps int) ([]SLCARow, error) {
 	batch, err := c.Workload(datagen.WorkloadConfig{Seed: 909, Queries: batchSize})
 	if err != nil {
@@ -119,15 +121,11 @@ func AblationSLCA(c *Corpus, batchSize, reps int) ([]SLCARow, error) {
 	for _, algo := range []slca.Algorithm{
 		slca.AlgoScanEager, slca.AlgoIndexedLookupEager, slca.AlgoStack, slca.AlgoMultiway,
 	} {
-		eng := core.NewFromIndex(c.Index, &core.Config{SLCA: algo})
-		d, err := timeIt(reps, func() error {
-			for _, cs := range batch {
-				if _, err := eng.QueryTerms(cs.Corrupted, core.StrategyPartition, 3); err != nil {
-					return err
-				}
-			}
-			return nil
+		eng := core.NewWithExplorer(c.Index, nil, func(in refine.Input, k int) (*refine.TopKOutcome, error) {
+			in.SLCA = algo
+			return refine.PartitionTopK(in, k)
 		})
+		d, err := timeBatch(eng, batch, 3, reps)
 		if err != nil {
 			return nil, err
 		}

@@ -6,6 +6,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
@@ -84,6 +85,11 @@ func newCorpus(name string, doc *xmltree.Document) *Corpus {
 		Index:  ix,
 		Engine: core.NewFromIndex(ix, nil),
 	}
+}
+
+// query answers a pre-tokenized query on eng at K=k.
+func query(eng *core.Engine, terms []string, k int) (*core.Response, error) {
+	return eng.QueryTermsCtx(context.Background(), terms, core.StrategyPartition, k, 0)
 }
 
 // Workload samples a corruption workload over the corpus.

@@ -69,29 +69,30 @@ type evalQuery struct {
 // effectivenessPool selects workload queries that (a) need refinement and
 // (b) have at least minCandidates refined-query candidates — the paper's
 // "50 queries that have no meaningful results ... and have at least 4
-// possible RQ candidates".
+// possible RQ candidates". Each query's raw top-2K, before ranking, is
+// captured by the engine's explorer so the tables can re-rank it under
+// every model variant.
 func effectivenessPool(c *Corpus, want, minCandidates int) ([]evalQuery, error) {
 	cases, err := c.Workload(datagen.WorkloadConfig{Seed: 4321, Queries: want * 4})
 	if err != nil {
 		return nil, err
 	}
+	var out *refine.TopKOutcome
+	eng := core.NewWithExplorer(c.Index, nil, func(in refine.Input, k int) (*refine.TopKOutcome, error) {
+		var err error
+		out, err = refine.PartitionTopK(in, k)
+		return out, err
+	})
 	var pool []evalQuery
 	for _, cs := range cases {
 		if len(pool) >= want {
 			break
 		}
-		out, cands, err := c.Engine.Explore(cs.Corrupted, 4)
+		resp, err := query(eng, cs.Corrupted, 4)
 		if err != nil {
 			return nil, err
 		}
-		refinable := true
-		for _, it := range out.Candidates {
-			if it.RQ.DSim == 0 && it.RQ.SameKeywords(cs.Corrupted) {
-				refinable = false // the engine would not refine this query
-				break
-			}
-		}
-		if !refinable || len(out.Candidates) < minCandidates {
+		if !resp.NeedRefine || len(out.Candidates) < minCandidates {
 			continue
 		}
 		intended, err := intendedResults(c, cs.Intended)
@@ -101,7 +102,7 @@ func effectivenessPool(c *Corpus, want, minCandidates int) ([]evalQuery, error) 
 		if len(intended) == 0 {
 			continue
 		}
-		pool = append(pool, evalQuery{cs: cs, outcome: out, cands: cands, intended: intended})
+		pool = append(pool, evalQuery{cs: cs, outcome: out, cands: resp.SearchFor, intended: intended})
 	}
 	if len(pool) == 0 {
 		return nil, fmt.Errorf("experiments: no refinable queries with >= %d candidates", minCandidates)
@@ -112,7 +113,7 @@ func effectivenessPool(c *Corpus, want, minCandidates int) ([]evalQuery, error) 
 // intendedResults runs the intended (clean) query and returns its result
 // identity set — the ground truth the simulated judges score against.
 func intendedResults(c *Corpus, terms []string) (map[string]bool, error) {
-	resp, err := c.Engine.QueryTerms(terms, core.StrategyPartition, 1)
+	resp, err := query(c.Engine, terms, 1)
 	if err != nil {
 		return nil, err
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"xrefine/internal/core"
 	"xrefine/internal/datagen"
 	"xrefine/internal/eval"
 )
@@ -37,7 +36,7 @@ var opPlans = []struct {
 // for the query — the selection criterion the paper applies to its query
 // log (219 of 1000 logged queries had empty results and formed the pool).
 func needsRefinement(c *Corpus, terms []string) (bool, error) {
-	resp, err := c.Engine.QueryTerms(terms, core.StrategyPartition, 1)
+	resp, err := query(c.Engine, terms, 1)
 	if err != nil {
 		return false, err
 	}
@@ -136,7 +135,7 @@ func Tables3to6(c *Corpus, perOp int) (map[string][]TableRow, error) {
 			return nil, err
 		}
 		for i, cs := range cases {
-			resp, err := c.Engine.QueryTerms(cs.Corrupted, core.StrategyPartition, 1)
+			resp, err := query(c.Engine, cs.Corrupted, 1)
 			if err != nil {
 				return nil, err
 			}
@@ -186,7 +185,7 @@ func Table7(c *Corpus) ([]Table7Row, error) {
 	judges := eval.NewJudges(6, 99, 0.15)
 	var rows []Table7Row
 	for _, s := range samples {
-		resp, err := c.Engine.QueryTerms(s.Terms, core.StrategyPartition, 4)
+		resp, err := query(c.Engine, s.Terms, 4)
 		if err != nil {
 			return nil, err
 		}
@@ -243,7 +242,7 @@ func BuildTable8(c *Corpus, poolSize int) (*Table8, []datagen.Case, error) {
 		for _, op := range cs.Applied {
 			t.ByCorruption[op.String()]++
 		}
-		resp, err := c.Engine.QueryTerms(cs.Corrupted, core.StrategyPartition, 4)
+		resp, err := query(c.Engine, cs.Corrupted, 4)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -29,8 +29,9 @@ import (
 // the duplicate root postings from its list length and root-type tf.
 //
 // Posting lists materialize lazily as k-way merges of the shard lists with
-// the replicated root posting deduplicated, so CoDF and the whole-list
-// strategies (SLE, stack) see exactly the monolithic lists.
+// the replicated root posting deduplicated, so CoDF sees exactly the
+// monolithic lists. CoDF is their only reader: the router's partition walk
+// scans the shard lists themselves.
 func Merge(parts []*Index) (*Index, error) {
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("index: merge of zero shards")

@@ -127,13 +127,13 @@ type Store struct {
 	nextID     uint32
 	keyBytes   int64
 
-	txid     uint64
-	epoch    uint64
+	txid      uint64
+	epoch     uint64
 	committed bool
-	txnStart int64  // active-segment size at batch start
-	txnEpoch uint64 // committed epoch, restored on Rollback
-	pending  uint64 // staged records in the open batch
-	undo     []undoEntry
+	txnStart  int64  // active-segment size at batch start
+	txnEpoch  uint64 // committed epoch, restored on Rollback
+	pending   uint64 // staged records in the open batch
+	undo      []undoEntry
 
 	hintLoads int
 	scanLoads int

@@ -77,7 +77,7 @@ const (
 	// EvAdmit / EvFinish bracket one HTTP request on a query route.
 	EvAdmit
 	EvFinish
-	// EvQuery is one engine query completing (cache hit or full pipeline).
+	// EvQuery is one engine query completing.
 	EvQuery
 	// EvFanout is a scatter-gather query fanning out; N is the worker count.
 	EvFanout

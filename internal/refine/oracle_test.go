@@ -7,11 +7,12 @@ package refine_test
 // search-for node type). The oracle recomputes both by O(n²) subtree
 // walks with none of the engine's machinery — no inverted lists, no
 // partitions, no Dewey arithmetic beyond ancestor tests — and the
-// property-based test below requires the engine to agree with it on
-// hundreds of random document/query pairs, for every strategy, with all
-// strategies reporting the same verdict and top-k score profile.
+// property-based test below requires the served engine (Partition) to agree
+// with it on hundreds of random document/query pairs, and the paper's two
+// reference algorithms to agree with Partition (Theorems 1–2).
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -20,6 +21,7 @@ import (
 
 	"xrefine/internal/core"
 	"xrefine/internal/dewey"
+	"xrefine/internal/index"
 	"xrefine/internal/refine"
 	"xrefine/internal/searchfor"
 	"xrefine/internal/testutil"
@@ -113,12 +115,12 @@ func matchesSig(ms []refine.Match) string {
 }
 
 // scoreSig flattens the refine-or-not verdict and the (dSim, score)
-// profile of the reported queries for cross-strategy comparison. The
-// three strategies are exact top-k algorithms over the same refinement
-// space, so their score profiles must agree — but distinct keyword sets
-// can tie exactly, and which one a strategy keeps at a tie is an
-// exploration-order artifact, so the keywords themselves are compared
-// per strategy against the oracle instead.
+// profile of the reported queries for cross-algorithm comparison.
+// Partition and short-list eager are exact top-k algorithms over the same
+// refinement space, so their score profiles must agree — but distinct
+// keyword sets can tie exactly, and which one an algorithm keeps at a tie
+// is an exploration-order artifact, so the keywords themselves are compared
+// against the oracle instead.
 func scoreSig(resp *core.Response) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "refine=%v degraded=%v/%s\n", resp.NeedRefine, resp.Degraded, resp.DegradedReason)
@@ -129,12 +131,16 @@ func scoreSig(resp *core.Response) string {
 }
 
 // TestOracleConformance is the differential property test: across 250
-// seeded random document/query pairs, every strategy's top-k output must
+// seeded random document/query pairs, the served engine's top-k output must
 // match the brute-force oracle — the refine-or-not verdict, and the exact
-// meaningful-SLCA result set of every reported query — and the three
-// strategies must agree on the verdict and the top-k score profile.
+// meaningful-SLCA result set of every reported query. On every seed the
+// reference algorithms must agree with it too: short-list eager (Algorithm
+// 3, run through core.NewWithExplorer) on the verdict and the top-k score
+// profile, and stack-refine (Algorithm 1, run over the input the engine
+// prepared) on the verdict and the minimum dissimilarity (Theorems 1–2).
 func TestOracleConformance(t *testing.T) {
 	const seeds = 250
+	cfg := &core.Config{DisableMetrics: true}
 	divergences := 0
 	for seed := int64(0); seed < seeds; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -143,50 +149,71 @@ func TestOracleConformance(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		terms := testutil.GenTerms(r)
-		eng := core.NewFromDocument(doc, &core.Config{DisableMetrics: true})
-
-		_, cands, err := eng.Explore(terms, 3)
+		ix := index.Build(doc)
+		var in refine.Input
+		var walk *refine.TopKOutcome
+		eng := core.NewWithExplorer(ix, cfg, func(i refine.Input, k int) (*refine.TopKOutcome, error) {
+			in = i
+			out, err := refine.PartitionTopK(i, k)
+			walk = out
+			return out, err
+		})
+		resp, err := eng.QueryTermsCtx(context.Background(), terms, core.StrategyPartition, 3, 0)
 		if err != nil {
-			t.Fatalf("seed %d: prepare: %v", seed, err)
+			t.Fatalf("seed %d: query %v: %v", seed, terms, err)
 		}
-		judge := searchfor.NewJudge(cands)
+		judge := searchfor.NewJudge(resp.SearchFor)
 
-		// Definition 3.4 verdict, shared by every strategy: refinement is
-		// needed exactly when the original query has no meaningful SLCA.
+		// Definition 3.4 verdict: refinement is needed exactly when the
+		// original query has no meaningful SLCA.
 		origOracle := naiveMeaningful(doc, refine.NewRQ(terms, 0).Keywords, judge)
-
-		var ref string
-		for _, st := range []core.Strategy{core.StrategyPartition, core.StrategySLE, core.StrategyStack} {
-			resp, err := eng.QueryTerms(terms, st, 3)
-			if err != nil {
-				t.Fatalf("seed %d: query %v strategy %v: %v", seed, terms, st, err)
-			}
-			if resp.NeedRefine != (len(origOracle) == 0) {
+		if resp.NeedRefine != (len(origOracle) == 0) {
+			divergences++
+			t.Errorf("seed %d: query %v: NeedRefine=%v but oracle found %d meaningful SLCAs",
+				seed, terms, resp.NeedRefine, len(origOracle))
+		}
+		// Every reported query — the original or a refinement — must
+		// carry exactly the oracle's meaningful SLCAs for its keywords.
+		for qi, q := range resp.Queries {
+			want := nodesSig(naiveMeaningful(doc, q.Keywords, judge))
+			if got := matchesSig(q.Results); got != want {
 				divergences++
-				t.Errorf("seed %d: query %v strategy %v: NeedRefine=%v but oracle found %d meaningful SLCAs",
-					seed, terms, st, resp.NeedRefine, len(origOracle))
+				t.Errorf("seed %d: query %v result %d (%v):\n got  %s\n want %s",
+					seed, terms, qi, q.Keywords, got, want)
 			}
+		}
 
-			// Every reported query — the original or a refinement — must
-			// carry exactly the oracle's meaningful SLCAs for its keywords.
-			for qi, q := range resp.Queries {
-				want := nodesSig(naiveMeaningful(doc, q.Keywords, judge))
-				if got := matchesSig(q.Results); got != want {
-					divergences++
-					t.Errorf("seed %d: query %v strategy %v result %d (%v):\n got  %s\n want %s",
-						seed, terms, st, qi, q.Keywords, got, want)
+		// Short-list eager at the same k: the same verdict and top-k score
+		// profile.
+		sle, err := core.NewWithExplorer(ix, cfg, refine.ShortListEager).
+			QueryTermsCtx(context.Background(), terms, core.StrategyPartition, 3, 0)
+		if err != nil {
+			t.Fatalf("seed %d: query %v sle: %v", seed, terms, err)
+		}
+		if got, want := scoreSig(sle), scoreSig(resp); got != want {
+			divergences++
+			t.Errorf("seed %d: query %v: sle score profile diverged:\n got  %s\n want %s",
+				seed, terms, got, want)
+		}
+
+		// Stack-refine: the same verdict, and its optimum is Partition's
+		// minimum dissimilarity over the raw top-2K.
+		st, err := refine.Stack(refine.Input{Index: ix, Query: in.Query, Rules: in.Rules, Judge: judge})
+		if err != nil {
+			t.Fatalf("seed %d: query %v stack: %v", seed, terms, err)
+		}
+		minDSim, found := -1.0, false
+		if resp.NeedRefine {
+			for _, it := range walk.Candidates {
+				if !found || it.RQ.DSim < minDSim {
+					minDSim, found = it.RQ.DSim, true
 				}
 			}
-
-			// Strategy independence at the same k: all three must report
-			// the same verdict and the same top-k score profile.
-			if sig := scoreSig(resp); ref == "" {
-				ref = sig
-			} else if sig != ref {
-				divergences++
-				t.Errorf("seed %d: query %v: strategy %v score profile diverged:\n got  %s\n want %s",
-					seed, terms, st, sig, ref)
-			}
+		}
+		if st.NeedRefine != resp.NeedRefine || st.Found != found || (found && st.Best.DSim != minDSim) {
+			divergences++
+			t.Errorf("seed %d: query %v: stack (refine=%v found=%v dsim=%v) disagrees with partition (refine=%v found=%v dsim=%v)",
+				seed, terms, st.NeedRefine, st.Found, st.Best.DSim, resp.NeedRefine, found, minDSim)
 		}
 		if divergences > 10 {
 			t.Fatalf("stopping after %d divergences", divergences)

@@ -167,6 +167,7 @@ type Input struct {
 	Judge *searchfor.Judge
 	// SLCA selects the SLCA computation the partition-based and
 	// short-list eager algorithms delegate to (Lemma 3 orthogonality).
+	// The zero value, scan-eager, is the one the engine serves.
 	SLCA slca.Algorithm
 	// Parallelism bounds the goroutines the walk's pool runs its scans on
 	// (see walk.go). 0 and 1 walk the whole document as one scan on the

@@ -19,7 +19,7 @@ import (
 // TestSearchByteIdenticalAcrossBackends is the storage-engine analogue of
 // the config differential: the same corpus persisted through the B+tree
 // engine and the Bitcask-style log engine must answer every /search
-// byte-for-byte identically — at every strategy and parallelism, and
+// byte-for-byte identically — at every parallelism, and
 // again after both absorb the same update batches through POST /update.
 // The storage layer sits below the index encoding, so nothing about
 // segment layout, keydir ordering, or compaction may leak into results.
@@ -71,9 +71,9 @@ func TestSearchByteIdenticalAcrossBackends(t *testing.T) {
 		"keyword serch xml",
 		"twig matching pattern",
 	}
-	fetch := func(t *testing.T, s *Server, q, strategy string, parallel int) string {
+	fetch := func(t *testing.T, s *Server, q string, parallel int) string {
 		t.Helper()
-		v := url.Values{"q": {q}, "strategy": {strategy}}
+		v := url.Values{"q": {q}}
 		if parallel > 0 {
 			v.Set("parallel", fmt.Sprint(parallel))
 		}
@@ -81,20 +81,18 @@ func TestSearchByteIdenticalAcrossBackends(t *testing.T) {
 		rec := httptest.NewRecorder()
 		s.ServeHTTP(rec, req)
 		if rec.Code != http.StatusOK {
-			t.Fatalf("%s strategy=%s parallel=%d: %d %s", q, strategy, parallel, rec.Code, rec.Body.String())
+			t.Fatalf("%s parallel=%d: %d %s", q, parallel, rec.Code, rec.Body.String())
 		}
 		return rec.Body.String()
 	}
 	compare := func(t *testing.T, phase string) {
 		t.Helper()
-		for _, strategy := range []string{"partition", "sle", "stack"} {
-			for _, q := range queries {
-				ref := fetch(t, servers[storage.KindBTree], q, strategy, 1)
-				for _, parallel := range []int{0, 2, 4} {
-					if got := fetch(t, servers[storage.KindLog], q, strategy, parallel); got != ref {
-						t.Errorf("%s: log backend: %q strategy=%s parallel=%d diverged from btree\nlog:   %s\nbtree: %s",
-							phase, q, strategy, parallel, got, ref)
-					}
+		for _, q := range queries {
+			ref := fetch(t, servers[storage.KindBTree], q, 1)
+			for _, parallel := range []int{0, 2, 4} {
+				if got := fetch(t, servers[storage.KindLog], q, parallel); got != ref {
+					t.Errorf("%s: log backend: %q parallel=%d diverged from btree\nlog:   %s\nbtree: %s",
+						phase, q, parallel, got, ref)
 				}
 			}
 		}

@@ -17,7 +17,7 @@ import (
 // TestSearchByteIdenticalAcrossConfigs is the differential guarantee of
 // the hardening work: with no deadline, budget, or fault configured, the
 // /search body must be byte-for-byte what the unhardened server returns —
-// for every strategy, at every parallelism, and on a server whose limits
+// at every parallelism, and on a server whose limits
 // exist but are too generous to fire. The degraded fields, the context
 // plumbing, and the admission gate must be invisible until they trigger.
 func TestSearchByteIdenticalAcrossConfigs(t *testing.T) {
@@ -46,9 +46,9 @@ func TestSearchByteIdenticalAcrossConfigs(t *testing.T) {
 		"keyword serch xml", // partial mismatch
 		"twig matching pattern",
 	}
-	fetch := func(t *testing.T, s *Server, q, strategy string, parallel int) string {
+	fetch := func(t *testing.T, s *Server, q string, parallel int) string {
 		t.Helper()
-		v := url.Values{"q": {q}, "strategy": {strategy}}
+		v := url.Values{"q": {q}}
 		if parallel > 0 {
 			v.Set("parallel", fmt.Sprint(parallel))
 		}
@@ -56,23 +56,21 @@ func TestSearchByteIdenticalAcrossConfigs(t *testing.T) {
 		rec := httptest.NewRecorder()
 		s.ServeHTTP(rec, req)
 		if rec.Code != http.StatusOK {
-			t.Fatalf("%s strategy=%s parallel=%d: %d %s", q, strategy, parallel, rec.Code, rec.Body.String())
+			t.Fatalf("%s parallel=%d: %d %s", q, parallel, rec.Code, rec.Body.String())
 		}
 		return rec.Body.String()
 	}
-	for _, strategy := range []string{"partition", "sle", "stack"} {
-		for _, q := range queries {
-			ref := fetch(t, bare, q, strategy, 1)
-			for _, parallel := range []int{0, 2, 4} {
-				if got := fetch(t, bare, q, strategy, parallel); got != ref {
-					t.Errorf("bare server: %q strategy=%s parallel=%d diverged from sequential", q, strategy, parallel)
-				}
-				if got := fetch(t, hardened, q, strategy, parallel); got != ref {
-					t.Errorf("hardened server: %q strategy=%s parallel=%d diverged from bare sequential", q, strategy, parallel)
-				}
-				if got := fetch(t, traced, q, strategy, parallel); got != ref {
-					t.Errorf("traced server: %q strategy=%s parallel=%d diverged from bare sequential", q, strategy, parallel)
-				}
+	for _, q := range queries {
+		ref := fetch(t, bare, q, 1)
+		for _, parallel := range []int{0, 2, 4} {
+			if got := fetch(t, bare, q, parallel); got != ref {
+				t.Errorf("bare server: %q parallel=%d diverged from sequential", q, parallel)
+			}
+			if got := fetch(t, hardened, q, parallel); got != ref {
+				t.Errorf("hardened server: %q parallel=%d diverged from bare sequential", q, parallel)
+			}
+			if got := fetch(t, traced, q, parallel); got != ref {
+				t.Errorf("traced server: %q parallel=%d diverged from bare sequential", q, parallel)
 			}
 		}
 	}
@@ -80,8 +78,7 @@ func TestSearchByteIdenticalAcrossConfigs(t *testing.T) {
 	// Rebuild equivalence (the live-update guarantee): a server that
 	// absorbed K random update batches through POST /update must answer
 	// every query byte-for-byte like a server whose index was rebuilt from
-	// scratch on the final document — for every strategy, at every
-	// parallelism. Incremental list deltas, stat-table maintenance, epoch
+	// scratch on the final document — at every parallelism. Incremental list deltas, stat-table maintenance, epoch
 	// swaps and the generation-keyed cache must leave no fingerprint.
 	t.Run("rebuild-equivalence", func(t *testing.T) {
 		updDoc, err := datagen.DBLPDocument(datagen.DBLPConfig{Authors: 60, Seed: 11})
@@ -115,17 +112,15 @@ func TestSearchByteIdenticalAcrossConfigs(t *testing.T) {
 		// vocabulary, and misspellings that force refinement through the
 		// maintained frequency and co-occurrence tables.
 		updQueries := append(queries, "refinement suggestion", "keyword databse onlin")
-		for _, strategy := range []string{"partition", "sle", "stack"} {
-			for _, q := range updQueries {
-				ref := fetch(t, rebuilt, q, strategy, 1)
-				for _, parallel := range []int{0, 2, 4} {
-					if got := fetch(t, incremental, q, strategy, parallel); got != ref {
-						t.Errorf("incremental server: %q strategy=%s parallel=%d diverged from rebuilt index\nincremental: %s\nrebuilt:     %s",
-							q, strategy, parallel, got, ref)
-					}
-					if got := fetch(t, rebuilt, q, strategy, parallel); got != ref {
-						t.Errorf("rebuilt server: %q strategy=%s parallel=%d nondeterministic", q, strategy, parallel)
-					}
+		for _, q := range updQueries {
+			ref := fetch(t, rebuilt, q, 1)
+			for _, parallel := range []int{0, 2, 4} {
+				if got := fetch(t, incremental, q, parallel); got != ref {
+					t.Errorf("incremental server: %q parallel=%d diverged from rebuilt index\nincremental: %s\nrebuilt:     %s",
+						q, parallel, got, ref)
+				}
+				if got := fetch(t, rebuilt, q, parallel); got != ref {
+					t.Errorf("rebuilt server: %q parallel=%d nondeterministic", q, parallel)
 				}
 			}
 		}

@@ -22,6 +22,13 @@ import (
 // the same answer from each.
 const DefaultK = 3
 
+// MaxK and MaxParallel bound a query's k and parallel on every surface: the
+// HTTP codec answers 400 above them and the wire decoder refuses the frame.
+const (
+	MaxK        = 1 << 20
+	MaxParallel = 1 << 16
+)
+
 // defaultTraceSampleEvery is the 1-in-N span-tree retention rate when
 // Config.TraceSampleEvery is 0.
 const defaultTraceSampleEvery = 64
@@ -277,7 +284,6 @@ type SearchRequest struct {
 	Q     string
 	Terms []string
 
-	Strategy core.Strategy
 	// K is the number of refined queries wanted; 0 means the backend's
 	// configured value.
 	K int
@@ -327,7 +333,7 @@ func (p *Pipeline) search(ctx context.Context, req *SearchRequest) Outcome {
 		q = strings.Join(terms, " ")
 	}
 	start := time.Now()
-	resp, err := p.eng.QueryTermsCtx(ctx, terms, req.Strategy, req.K, req.Parallel)
+	resp, err := p.eng.QueryTermsCtx(ctx, terms, core.StrategyPartition, req.K, req.Parallel)
 	out := Outcome{Code: http.StatusOK, Resp: resp}
 	if errors.Is(err, context.Canceled) {
 		out = fail(statusClientClosedRequest, err)

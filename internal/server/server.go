@@ -2,7 +2,7 @@
 // on (pipeline.go) and its HTTP codec, a small JSON API. Handlers are plain
 // net/http so the server embeds anywhere.
 //
-//	GET /search?q=online+databse&k=3&strategy=partition&parallel=4&explain=1
+//	GET /search?q=online+databse&k=3&parallel=4&explain=1
 //	GET /narrow?q=database&max=50&k=3
 //	POST /update   {"ops":[{"op":"insert","parent":"0","xml":"<paper>...</paper>"}]}
 //	GET /healthz
@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"net/url"
@@ -269,13 +270,15 @@ func (s *Server) handleSearch(ctx context.Context, r *http.Request) (Outcome, an
 	qv := r.URL.Query()
 	req := SearchRequest{Q: qv.Get("q"), Explain: qv.Get("explain") == "1"}
 	var err error
-	if req.K, err = intParam(qv, "k", DefaultK); err != nil {
+	if req.K, err = intParam(qv, "k", DefaultK, MaxK); err != nil {
 		return fail(http.StatusBadRequest, err), nil
 	}
-	if req.Strategy, err = strategyParam(qv); err != nil {
-		return fail(http.StatusBadRequest, err), nil
+	// Partition is the one strategy served; the parameter is still
+	// accepted under that name.
+	if v := qv.Get("strategy"); v != "" && v != core.StrategyPartition.String() {
+		return fail(http.StatusBadRequest, fmt.Errorf("unsupported strategy %q", v)), nil
 	}
-	if req.Parallel, err = intParam(qv, "parallel", 0); err != nil {
+	if req.Parallel, err = intParam(qv, "parallel", 0, MaxParallel); err != nil {
 		return fail(http.StatusBadRequest, err), nil
 	}
 	out := s.pipe.search(ctx, &req)
@@ -304,11 +307,11 @@ func (s *Server) handleNarrow(_ context.Context, r *http.Request) (Outcome, any)
 	if strings.TrimSpace(q) == "" {
 		return fail(http.StatusBadRequest, errors.New("missing q parameter")), nil
 	}
-	max, err := intParam(qv, "max", 0)
+	max, err := intParam(qv, "max", 0, math.MaxInt)
 	if err != nil {
 		return fail(http.StatusBadRequest, err), nil
 	}
-	k, err := intParam(qv, "k", 0)
+	k, err := intParam(qv, "k", 0, MaxK)
 	if err != nil {
 		return fail(http.StatusBadRequest, err), nil
 	}
@@ -334,7 +337,7 @@ func (s *Server) handleComplete(_ context.Context, r *http.Request) (Outcome, an
 	if strings.TrimSpace(q) == "" {
 		return fail(http.StatusBadRequest, errors.New("missing q parameter")), nil
 	}
-	k, err := intParam(qv, "k", 8)
+	k, err := intParam(qv, "k", 8, MaxK)
 	if err != nil {
 		return fail(http.StatusBadRequest, err), nil
 	}
@@ -525,7 +528,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		filter.HasShard = true
 	}
 	var err error
-	if filter.Limit, err = intParam(qv, "limit", 0); err != nil {
+	if filter.Limit, err = intParam(qv, "limit", 0, math.MaxInt); err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -598,29 +601,18 @@ func resultsJSON(eng Backend, ms []refine.Match) []ResultJSON {
 	return out
 }
 
-func intParam(qv url.Values, name string, def int) (int, error) {
+// intParam reads a non-negative integer parameter no larger than max; an
+// absent one is def.
+func intParam(qv url.Values, name string, def, max int) (int, error) {
 	v := qv.Get(name)
 	if v == "" {
 		return def, nil
 	}
 	n, err := strconv.Atoi(v)
-	if err != nil || n < 0 {
+	if err != nil || n < 0 || n > max {
 		return 0, fmt.Errorf("bad %s parameter %q", name, v)
 	}
 	return n, nil
-}
-
-func strategyParam(qv url.Values) (core.Strategy, error) {
-	switch v := qv.Get("strategy"); v {
-	case "", "partition":
-		return core.StrategyPartition, nil
-	case "sle":
-		return core.StrategySLE, nil
-	case "stack":
-		return core.StrategyStack, nil
-	default:
-		return 0, fmt.Errorf("unknown strategy %q", v)
-	}
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -102,12 +102,37 @@ func TestSearchRefines(t *testing.T) {
 	}
 }
 
+// TestSearchStrategies: partition is the one strategy served — named or
+// left out it answers; the retired sle and stack get 400.
 func TestSearchStrategies(t *testing.T) {
 	s := testServer(t)
-	for _, strat := range []string{"partition", "sle", "stack"} {
+	for strat, want := range map[string]int{
+		"":          http.StatusOK,
+		"partition": http.StatusOK,
+		"sle":       http.StatusBadRequest,
+		"stack":     http.StatusBadRequest,
+	} {
 		rec, _ := get(t, s, "/search?q=databse&strategy="+strat)
-		if rec.Code != http.StatusOK {
-			t.Errorf("strategy %s: code %d", strat, rec.Code)
+		if rec.Code != want {
+			t.Errorf("strategy %q: code %d, want %d", strat, rec.Code, want)
+		}
+	}
+}
+
+// TestSearchBounds: k and parallel are refused above the bounds the wire
+// decoder enforces, and accepted at them.
+func TestSearchBounds(t *testing.T) {
+	s := testServer(t)
+	for path, want := range map[string]int{
+		"/search?q=databse&k=2000000":                               http.StatusBadRequest,
+		"/search?q=databse&parallel=100000":                         http.StatusBadRequest,
+		fmt.Sprintf("/search?q=databse&k=%d", MaxK+1):               http.StatusBadRequest,
+		fmt.Sprintf("/search?q=databse&parallel=%d", MaxParallel+1): http.StatusBadRequest,
+		fmt.Sprintf("/search?q=databse&k=%d", MaxK):                 http.StatusOK,
+		fmt.Sprintf("/search?q=databse&parallel=%d", MaxParallel):   http.StatusOK,
+	} {
+		if rec, body := get(t, s, path); rec.Code != want {
+			t.Errorf("%s: code = %d, want %d (%v)", path, rec.Code, want, body)
 		}
 	}
 }

@@ -22,7 +22,7 @@ import (
 
 // The tests here are differential: a router over N shards must answer
 // every query byte-for-byte like one monolithic engine over the
-// concatenated corpus — across shard counts, split modes, strategies and
+// concatenated corpus — across shard counts, split modes and
 // parallelism — and must degrade (never lie) when a shard fails or a
 // budget expires. Comparison happens on the serving layer's JSON bodies,
 // so snippets, search-for candidates, scores and ordering are all covered.
@@ -70,9 +70,9 @@ func memRouter(t *testing.T, doc *xmltree.Document, n int, mode string, cfg *cor
 	return r
 }
 
-func fetchSearch(t *testing.T, h http.Handler, q, strategy string, parallel, k int) string {
+func fetchSearch(t *testing.T, h http.Handler, q string, parallel, k int) string {
 	t.Helper()
-	v := url.Values{"q": {q}, "strategy": {strategy}, "k": {fmt.Sprint(k)}}
+	v := url.Values{"q": {q}, "k": {fmt.Sprint(k)}}
 	if parallel > 0 {
 		v.Set("parallel", fmt.Sprint(parallel))
 	}
@@ -80,7 +80,7 @@ func fetchSearch(t *testing.T, h http.Handler, q, strategy string, parallel, k i
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
 	if rec.Code != http.StatusOK {
-		t.Fatalf("%s strategy=%s parallel=%d: %d %s", q, strategy, parallel, rec.Code, rec.Body.String())
+		t.Fatalf("%s parallel=%d: %d %s", q, parallel, rec.Code, rec.Body.String())
 	}
 	return rec.Body.String()
 }
@@ -94,7 +94,7 @@ var diffQueries = []string{
 
 // TestShardByteIdentity is the core conformance claim: scatter-gather
 // output is byte-identical to the monolith for every shard count, split
-// mode, strategy and fan-out, including the 1-shard degenerate router.
+// mode and fan-out, including the 1-shard degenerate router.
 func TestShardByteIdentity(t *testing.T) {
 	doc := corpusDoc(t, 48, 7)
 	mono := server.New(core.NewFromDocument(doc, nil), server.Config{})
@@ -102,15 +102,13 @@ func TestShardByteIdentity(t *testing.T) {
 		for _, n := range []int{1, 2, 4, 8} {
 			r := memRouter(t, doc, n, mode, nil, nil)
 			srv := server.New(r, server.Config{})
-			for _, strategy := range []string{"partition", "sle", "stack"} {
-				for _, q := range diffQueries {
-					want := fetchSearch(t, mono, q, strategy, 1, 3)
-					for _, parallel := range []int{0, 1, 3} {
-						got := fetchSearch(t, srv, q, strategy, parallel, 3)
-						if got != want {
-							t.Errorf("mode=%s shards=%d strategy=%s parallel=%d q=%q diverged:\n got: %s\nwant: %s",
-								mode, n, strategy, parallel, q, got, want)
-						}
+			for _, q := range diffQueries {
+				want := fetchSearch(t, mono, q, 1, 3)
+				for _, parallel := range []int{0, 1, 3} {
+					got := fetchSearch(t, srv, q, parallel, 3)
+					if got != want {
+						t.Errorf("mode=%s shards=%d parallel=%d q=%q diverged:\n got: %s\nwant: %s",
+							mode, n, parallel, q, got, want)
 					}
 				}
 			}
@@ -158,8 +156,8 @@ func TestShardLiveUpdates(t *testing.T) {
 			opsApplied++
 		}
 		for _, q := range diffQueries[:2] {
-			want := fetchSearch(t, monoSrv, q, "partition", 1, 3)
-			if got := fetchSearch(t, srv, q, "partition", 2, 3); got != want {
+			want := fetchSearch(t, monoSrv, q, 1, 3)
+			if got := fetchSearch(t, srv, q, 2, 3); got != want {
 				t.Fatalf("after batch %d: q=%q diverged:\n got: %s\nwant: %s", bi, q, got, want)
 			}
 		}

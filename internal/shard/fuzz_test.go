@@ -38,7 +38,7 @@ func FuzzShardMerge(f *testing.F) {
 			t.Fatal(err)
 		}
 		mono := core.NewFromDocument(doc, &core.Config{DisableMetrics: true})
-		resp, err := mono.QueryTerms(terms, core.StrategyPartition, 3)
+		resp, err := mono.QueryTermsCtx(context.Background(), terms, core.StrategyPartition, 3, 0)
 		if err != nil {
 			t.Fatalf("monolith %v: %v", terms, err)
 		}

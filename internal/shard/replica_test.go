@@ -88,9 +88,9 @@ func TestReplicaByteIdentity(t *testing.T) {
 			r := memReplicatedRouter(t, 32, 11, 2, rs, &Options{HedgeAfter: hedge}, nil)
 			srv := server.New(r, server.Config{})
 			for _, q := range diffQueries {
-				want := fetchSearch(t, mono, q, "partition", 1, 3)
+				want := fetchSearch(t, mono, q, 1, 3)
 				for _, parallel := range []int{1, 2} {
-					got := fetchSearch(t, srv, q, "partition", parallel, 3)
+					got := fetchSearch(t, srv, q, parallel, 3)
 					if got != want {
 						t.Errorf("replicas=%d hedge=%v parallel=%d q=%q diverged:\n got: %s\nwant: %s",
 							rs, hedge, parallel, q, got, want)
@@ -108,7 +108,7 @@ func TestReplicaByteIdentity(t *testing.T) {
 func TestReplicaFaultMatrix(t *testing.T) {
 	doc := corpusDoc(t, 32, 5)
 	mono := server.New(core.NewFromDocument(doc, nil), server.Config{})
-	want := fetchSearch(t, mono, "database query", "partition", 1, 3)
+	want := fetchSearch(t, mono, "database query", 1, 3)
 
 	t.Run("slow-replica-hedged", func(t *testing.T) {
 		faults := [][]*storage.Faults{{{}, nil}, {nil, nil}}
@@ -118,7 +118,7 @@ func TestReplicaFaultMatrix(t *testing.T) {
 		faults[0][0].ReadLatency = 2 * time.Millisecond
 		r.groups[0].reps[0].store.DropCaches()
 		for i := 0; i < 3; i++ {
-			if got := fetchSearch(t, srv, "database query", "partition", 2, 3); got != want {
+			if got := fetchSearch(t, srv, "database query", 2, 3); got != want {
 				t.Fatalf("slow-replica query %d diverged:\n got: %s\nwant: %s", i, got, want)
 			}
 		}
@@ -138,7 +138,7 @@ func TestReplicaFaultMatrix(t *testing.T) {
 		faults[0][0].SetErrorRate(0.3)
 		r.groups[0].reps[0].store.DropCaches()
 		for i := 0; i < 8; i++ {
-			if got := fetchSearch(t, srv, "database query", "partition", 2, 3); got != want {
+			if got := fetchSearch(t, srv, "database query", 2, 3); got != want {
 				t.Fatalf("flaky-replica query %d diverged:\n got: %s\nwant: %s", i, got, want)
 			}
 		}
@@ -154,7 +154,7 @@ func TestReplicaFaultMatrix(t *testing.T) {
 		faults[0][0].FailReads(1)
 		r.groups[0].reps[0].store.DropCaches()
 		for i := 0; i < 5; i++ {
-			if got := fetchSearch(t, srv, "database query", "partition", 2, 3); got != want {
+			if got := fetchSearch(t, srv, "database query", 2, 3); got != want {
 				t.Fatalf("dead-replica query %d diverged:\n got: %s\nwant: %s", i, got, want)
 			}
 		}
@@ -262,8 +262,8 @@ func TestReplicaEpochReconcile(t *testing.T) {
 	// Reads while quarantined: byte-identical to the post-update monolith —
 	// the lagged replica serves nothing.
 	for _, q := range diffQueries[:2] {
-		want := fetchSearch(t, monoSrv, q, "partition", 1, 3)
-		if got := fetchSearch(t, srv, q, "partition", 2, 3); got != want {
+		want := fetchSearch(t, monoSrv, q, 1, 3)
+		if got := fetchSearch(t, srv, q, 2, 3); got != want {
 			t.Fatalf("query %q diverged while a replica lagged:\n got: %s\nwant: %s", q, got, want)
 		}
 	}
@@ -290,8 +290,8 @@ func TestReplicaEpochReconcile(t *testing.T) {
 		}
 	}
 	for _, q := range diffQueries[:2] {
-		want := fetchSearch(t, monoSrv, q, "partition", 1, 3)
-		if got := fetchSearch(t, srv, q, "partition", 2, 3); got != want {
+		want := fetchSearch(t, monoSrv, q, 1, 3)
+		if got := fetchSearch(t, srv, q, 2, 3); got != want {
 			t.Fatalf("query %q diverged after rejoin:\n got: %s\nwant: %s", q, got, want)
 		}
 	}
@@ -323,7 +323,7 @@ func TestReplicaWriteRejectionNoQuarantine(t *testing.T) {
 func TestReplicaHedgeCancelPromptness(t *testing.T) {
 	doc := corpusDoc(t, 24, 3)
 	mono := server.New(core.NewFromDocument(doc, nil), server.Config{})
-	want := fetchSearch(t, mono, "database query", "partition", 1, 3)
+	want := fetchSearch(t, mono, "database query", 1, 3)
 	faults := [][]*storage.Faults{{{}, nil}, {{}, nil}}
 	r := memReplicatedRouter(t, 24, 3, 2, 2, &Options{HedgeAfter: 50 * time.Microsecond}, faults)
 	srv := server.New(r, server.Config{})
@@ -424,7 +424,7 @@ func TestReplicatedStoreLayout(t *testing.T) {
 // inside stress goroutines (t.Fatal must not be called off the test
 // goroutine); a non-200 body diverges from `want` and fails the compare.
 func fetchSearchQuiet(h http.Handler, q string, parallel, k int) string {
-	v := url.Values{"q": {q}, "strategy": {"partition"}, "k": {fmt.Sprint(k)}, "parallel": {fmt.Sprint(parallel)}}
+	v := url.Values{"q": {q}, "k": {fmt.Sprint(k)}, "parallel": {fmt.Sprint(parallel)}}
 	req := httptest.NewRequest(http.MethodGet, "/search?"+v.Encode(), nil)
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)

@@ -27,7 +27,7 @@ type Options struct {
 	// Apply. Read-only routers refuse updates like a frozen engine.
 	Live bool
 	// Config is the engine configuration shared by the shards and the
-	// meta engine (strategy, K, budgets, metrics registry). Nil works.
+	// meta engine (K, budgets, metrics registry). Nil works.
 	Config *core.Config
 
 	// Replicas bounds how many replicas per shard Open attaches from the
@@ -109,14 +109,12 @@ type routerMetrics struct {
 // R-way replica set with its own store, WAL and epoch per replica — and
 // serves the whole core.Engine query surface through a meta engine built
 // over the merged index. The meta engine answers every query itself
-// (prepare, deadline, budget, ranking, accounting); only its
-// partition-strategy exploration is the router's: the one partition walk
-// of package refine with each shard as a source, per-shard scans sharing
-// one budget and pruning bound and merged back in global document order,
-// so responses are byte-identical to a monolithic engine over the
-// concatenated corpus no matter which replica serves each scan. SLE and
-// stack-refine walk the merged lists directly — their admission logic is
-// not partitioned, so a per-shard split cannot reproduce it.
+// (prepare, deadline, budget, ranking, accounting); only its exploration
+// is the router's: the one partition walk of package refine with each
+// shard as a source, per-shard scans sharing one budget and pruning bound
+// and merged back in global document order, so responses are
+// byte-identical to a monolithic engine over the concatenated corpus no
+// matter which replica serves each scan.
 //
 // Each shard scan picks the healthiest replica (EWMA latency, circuit
 // breaker state); with HedgeAfter set, a scan still outstanding past the
@@ -525,12 +523,12 @@ func (r *Router) state() *metaState { return r.meta.Load() }
 
 // QueryTermsCtx answers a pre-tokenized query — the router half of the
 // core.Engine entry point of the same name — on the current meta engine,
-// whose partition-strategy exploration is explore.
+// whose exploration is explore.
 func (r *Router) QueryTermsCtx(ctx context.Context, terms []string, strategy core.Strategy, k, parallelism int) (*core.Response, error) {
 	return r.state().eng.QueryTermsCtx(ctx, terms, strategy, k, parallelism)
 }
 
-// explore is the meta engine's partition-strategy exploration: the one
+// explore is the meta engine's exploration: the one
 // partition walk (refine.RunScans → refine.MergeScans) with each shard as a
 // source, every shard's scan resolved against its replica set (hedging,
 // failover, retry). in is the merged-corpus input the meta engine
@@ -804,8 +802,8 @@ func (r *Router) Snippet(m refine.Match, max int) (string, bool) {
 	return r.groups[i].primary().eng.Snippet(m, max)
 }
 
-// Stats reports the meta engine's counters, which every query — of every
-// strategy — passes through.
+// Stats reports the meta engine's counters, which every query passes
+// through.
 func (r *Router) Stats() core.EngineStats { return r.state().eng.Stats() }
 
 // UpdateStats sums the shards' live-update state over the primary

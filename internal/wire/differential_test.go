@@ -20,22 +20,13 @@ import (
 
 // The HTTP-differential conformance suite: the binary surface must be a
 // transport, not a dialect. For the same engine state and the same query
-// mix — every strategy, k, parallelism, sharded and replicated backends,
+// mix — every k, parallelism, sharded and replicated backends,
 // live updates, degradation — the payload inside a wire OK frame must be
 // byte-identical to the HTTP /search response body, including degraded
 // markers and reasons. Each surface gets its own engine built from the
 // same document so caches and counters cannot leak across the
 // comparison; byte equality is then evidence about the code paths, not
 // shared state.
-
-var diffStrategies = []struct {
-	name string
-	s    core.Strategy
-}{
-	{"partition", core.StrategyPartition},
-	{"sle", core.StrategySLE},
-	{"stack", core.StrategyStack},
-}
 
 var diffQueries = []string{
 	"database query",
@@ -46,9 +37,9 @@ var diffQueries = []string{
 
 // httpSearch fetches the /search body from an HTTP server. k < 0 omits
 // the parameter to exercise the handler's default.
-func httpSearch(t *testing.T, h http.Handler, q, strategy string, k, parallel int) (int, string) {
+func httpSearch(t *testing.T, h http.Handler, q string, k, parallel int) (int, string) {
 	t.Helper()
-	v := url.Values{"q": {q}, "strategy": {strategy}}
+	v := url.Values{"q": {q}}
 	if k >= 0 {
 		v.Set("k", fmt.Sprint(k))
 	}
@@ -64,9 +55,9 @@ func httpSearch(t *testing.T, h http.Handler, q, strategy string, k, parallel in
 // wireSearch round-trips the same query over the binary surface. The
 // returned payload is copied out of the client's reused buffer so
 // callers may hold several at once.
-func wireSearch(t *testing.T, c *Client, q string, strategy byte, k, parallel int) *Response {
+func wireSearch(t *testing.T, c *Client, q string, k, parallel int) *Response {
 	t.Helper()
-	resp, err := c.Query(0, strategy, k, parallel, tokenize.Query(q))
+	resp, err := c.Query(0, byte(core.StrategyPartition), k, parallel, tokenize.Query(q))
 	if err != nil {
 		t.Fatalf("wire query %q: %v", q, err)
 	}
@@ -89,26 +80,24 @@ func diffDoc(t *testing.T, authors int, seed int64) *xmltree.Document {
 // (HTTP k omitted, wire k=0) to pin default-k parity.
 func comparePair(t *testing.T, h http.Handler, c *Client, queries []string, ks, parallels []int) {
 	t.Helper()
-	for _, strat := range diffStrategies {
-		for _, q := range queries {
-			for _, k := range ks {
-				wireK := k
-				if k < 0 {
-					wireK = 0
+	for _, q := range queries {
+		for _, k := range ks {
+			wireK := k
+			if k < 0 {
+				wireK = 0
+			}
+			for _, parallel := range parallels {
+				code, want := httpSearch(t, h, q, k, parallel)
+				if code != http.StatusOK {
+					t.Fatalf("http %q k=%d: %d %s", q, k, code, want)
 				}
-				for _, parallel := range parallels {
-					code, want := httpSearch(t, h, q, strat.name, k, parallel)
-					if code != http.StatusOK {
-						t.Fatalf("http %q strategy=%s k=%d: %d %s", q, strat.name, k, code, want)
-					}
-					resp := wireSearch(t, c, q, byte(strat.s), wireK, parallel)
-					if resp.Status != StatusOK {
-						t.Fatalf("wire %q strategy=%s k=%d: status %d: %s", q, strat.name, k, resp.Status, resp.Payload)
-					}
-					if !bytes.Equal(resp.Payload, []byte(want)) {
-						t.Errorf("%q strategy=%s k=%d parallel=%d: wire payload diverges from HTTP body\nwire: %s\nhttp: %s",
-							q, strat.name, k, parallel, resp.Payload, want)
-					}
+				resp := wireSearch(t, c, q, wireK, parallel)
+				if resp.Status != StatusOK {
+					t.Fatalf("wire %q k=%d: status %d: %s", q, k, resp.Status, resp.Payload)
+				}
+				if !bytes.Equal(resp.Payload, []byte(want)) {
+					t.Errorf("%q k=%d parallel=%d: wire payload diverges from HTTP body\nwire: %s\nhttp: %s",
+						q, k, parallel, resp.Payload, want)
 				}
 			}
 		}
@@ -116,8 +105,7 @@ func comparePair(t *testing.T, h http.Handler, c *Client, queries []string, ks, 
 }
 
 // TestWireHTTPDifferential is the headline conformance run on plain
-// engines: strategies × k (including each surface's default) ×
-// parallelism.
+// engines: k (including each surface's default) × parallelism.
 func TestWireHTTPDifferential(t *testing.T) {
 	doc := diffDoc(t, 120, 3)
 	httpH := server.New(core.NewFromDocument(doc, nil), server.Config{})
@@ -138,8 +126,8 @@ func TestWireHTTPDifferentialDegraded(t *testing.T) {
 
 	sawReason := false
 	for _, q := range diffQueries {
-		_, want := httpSearch(t, httpH, q, "partition", 3, 0)
-		resp := wireSearch(t, c, q, byte(core.StrategyPartition), 3, 0)
+		_, want := httpSearch(t, httpH, q, 3, 0)
+		resp := wireSearch(t, c, q, 3, 0)
 		if !bytes.Equal(resp.Payload, []byte(want)) {
 			t.Errorf("%q: degraded payload diverges\nwire: %s\nhttp: %s", q, resp.Payload, want)
 		}
@@ -236,11 +224,11 @@ func TestWireHTTPDifferentialChaos(t *testing.T) {
 	compared, skipped := 0, 0
 	for round := 0; round < 5; round++ {
 		for _, q := range diffQueries {
-			code, want := httpSearch(t, httpH, q, "partition", 3, 0)
+			code, want := httpSearch(t, httpH, q, 3, 0)
 			if code != http.StatusOK {
 				t.Fatalf("http %q under chaos: %d %s", q, code, want)
 			}
-			resp := wireSearch(t, c, q, byte(core.StrategyPartition), 3, 0)
+			resp := wireSearch(t, c, q, 3, 0)
 			if resp.Status != StatusOK {
 				t.Fatalf("wire %q under chaos: status %d: %s", q, resp.Status, resp.Payload)
 			}
@@ -271,7 +259,7 @@ func TestWireHTTPDifferentialErrors(t *testing.T) {
 
 	// Empty query: HTTP rejects missing q; the wire codec rejects a
 	// zero-term request at decode time.
-	if code, _ := httpSearch(t, httpH, "", "partition", 3, 0); code != http.StatusBadRequest {
+	if code, _ := httpSearch(t, httpH, "", 3, 0); code != http.StatusBadRequest {
 		t.Errorf("http empty q = %d, want 400", code)
 	}
 	if _, err := c.nc.Write(AppendRequest(nil, 0, 0, 3, 0, nil)); err != nil {
@@ -286,24 +274,31 @@ func TestWireHTTPDifferentialErrors(t *testing.T) {
 		t.Errorf("wire empty query: status=%d code=%d, want error 400", resp.Status, resp.Code)
 	}
 
-	// Unknown strategy: HTTP 400; the wire codec rejects strategy bytes
-	// outside the enum the same way.
-	if code, _ := httpSearch(t, httpH, "database", "bogus", 3, 0); code != http.StatusBadRequest {
-		t.Errorf("http bogus strategy = %d, want 400", code)
+	// Strategies other than partition: HTTP 400 for the retired names and
+	// any other; the wire codec rejects every nonzero strategy byte the
+	// same way.
+	for _, strat := range []string{"sle", "stack", "bogus"} {
+		rec := httptest.NewRecorder()
+		httpH.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/search?q=database&strategy="+strat, nil))
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("http strategy=%s = %d, want 400", strat, rec.Code)
+		}
 	}
-	if _, err := c.nc.Write(AppendRequest(nil, 0, 9, 3, 0, []string{"database"})); err != nil {
-		t.Fatal(err)
-	}
-	c.inflight++
-	if resp, err = c.Recv(); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Status != StatusError || resp.Code != CodeBadRequest {
-		t.Errorf("wire bogus strategy: status=%d code=%d, want error 400", resp.Status, resp.Code)
+	for _, strat := range []byte{1, 2, 9} {
+		if _, err := c.nc.Write(AppendRequest(nil, 0, strat, 3, 0, []string{"database"})); err != nil {
+			t.Fatal(err)
+		}
+		c.inflight++
+		if resp, err = c.Recv(); err != nil {
+			t.Fatal(err)
+		}
+		if resp.Status != StatusError || resp.Code != CodeBadRequest {
+			t.Errorf("wire strategy byte %d: status=%d code=%d, want error 400", strat, resp.Status, resp.Code)
+		}
 	}
 
 	// Both surfaces remain healthy afterwards.
-	if code, _ := httpSearch(t, httpH, "database", "partition", 3, 0); code != http.StatusOK {
+	if code, _ := httpSearch(t, httpH, "database", 3, 0); code != http.StatusOK {
 		t.Errorf("http unhealthy after rejects: %d", code)
 	}
 	if err := c.Ping(); err != nil {

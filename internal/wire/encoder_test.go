@@ -165,13 +165,11 @@ func TestEncoderMatchesJSONOnEngineOutput(t *testing.T) {
 	}
 	for _, e := range []*core.Engine{eng, budgeted} {
 		for _, q := range queries {
-			for strat := core.Strategy(0); strat <= 2; strat++ {
-				resp, err := e.QueryTermsCtx(t.Context(), tokenize.Query(q), strat, 3, 0)
-				if err != nil {
-					t.Fatalf("%q strategy=%d: %v", q, strat, err)
-				}
-				checkBody(t, q, e, resp)
+			resp, err := e.QueryTermsCtx(t.Context(), tokenize.Query(q), core.StrategyPartition, 3, 0)
+			if err != nil {
+				t.Fatalf("%q: %v", q, err)
 			}
+			checkBody(t, q, e, resp)
 		}
 	}
 }

@@ -115,7 +115,7 @@ func TestGateSharedAcrossSurfaces(t *testing.T) {
 			t.Fatal(err)
 		}
 		<-entered
-		if code, body := httpSearch(t, h, "database", "partition", 3, 0); code != http.StatusServiceUnavailable {
+		if code, body := httpSearch(t, h, "database", 3, 0); code != http.StatusServiceUnavailable {
 			t.Errorf("HTTP /search beside a stuck wire query = %d %s, want 503", code, body)
 		}
 		close(release)
@@ -333,7 +333,7 @@ func TestPipelineEdges(t *testing.T) {
 				// The edge fired for this request alone: the slot is back and
 				// the next query on either surface is served.
 				if !tc.held && tc.cfg.Timeout == 0 {
-					if code, body := httpSearch(t, h, "database", "partition", 3, 0); code != http.StatusOK {
+					if code, body := httpSearch(t, h, "database", 3, 0); code != http.StatusOK {
 						t.Errorf("HTTP query after %s = %d %s", tc.name, code, body)
 					}
 					if resp, err := dial(t, addr).Query(0, byte(core.StrategyPartition), 3, 0, []string{"database"}); err != nil || resp.Status != StatusOK {

@@ -1,7 +1,7 @@
 // Package wire implements XRefine's binary serving protocol: a
 // length-prefixed, RESP-style framed protocol over persistent TCP
 // connections with pipelining, designed so the serving hot path —
-// read frame → decode → Engine.QueryCtx → encode → write — stays within
+// read frame → decode → Engine.QueryTermsCtx → encode → write — stays within
 // the same ≤2-allocs-per-request envelope the engine's instrumentation
 // guard already enforces.
 //
@@ -38,7 +38,8 @@
 //
 // OpQuery carries pre-tokenized terms (clients normalize with
 // tokenize.Query, exactly what the HTTP handler does to ?q=), a strategy
-// byte, K and a parallelism override. The success body is the /search
+// byte, K and a parallelism override. The strategy byte is reserved: only
+// the partition strategy (0) is served, and any other value is refused. The success body is the /search
 // JSON document, byte-for-byte: the two surfaces answer identically
 // inside their envelopes, which is what the differential conformance
 // suite asserts. StatusRetry is the binary equivalent of HTTP 503 +
@@ -52,6 +53,7 @@ import (
 	"io"
 
 	"xrefine/internal/obs"
+	"xrefine/internal/server"
 )
 
 // Version is the protocol version this package speaks. Frames carrying
@@ -135,15 +137,15 @@ type Request struct {
 	Op       byte
 	Flags    uint16
 	Trace    obs.TraceID
-	Strategy byte
 	K        int
 	Parallel int
 	Terms    [][]byte
 }
 
 // AppendRequest encodes a query request onto dst and returns the extended
-// slice, frame prefix included. Strategy is the core.Strategy value; k
-// and parallel follow the HTTP defaults (k<=0 means "server default",
+// slice, frame prefix included. strategy is the core.Strategy value, which
+// servers refuse unless it is core.StrategyPartition (0); k and parallel
+// follow the HTTP defaults (k<=0 means "server default",
 // parallel<=0 means "engine configuration").
 func AppendRequest(dst []byte, trace obs.TraceID, strategy byte, k, parallel int, terms []string) []byte {
 	start := len(dst)
@@ -195,7 +197,7 @@ func (r *Request) Decode(payload []byte) error {
 	r.Op = payload[1]
 	r.Flags = binary.BigEndian.Uint16(payload[2:4])
 	r.Trace = obs.TraceID(binary.BigEndian.Uint64(payload[4:12]))
-	r.Strategy, r.K, r.Parallel = 0, 0, 0
+	r.K, r.Parallel = 0, 0
 	r.Terms = r.Terms[:0]
 	body := payload[reqHeaderLen:]
 	switch r.Op {
@@ -211,18 +213,17 @@ func (r *Request) Decode(payload []byte) error {
 	if len(body) < 1 {
 		return fmt.Errorf("%w: query body missing strategy", ErrTruncated)
 	}
-	r.Strategy = body[0]
-	if r.Strategy > 2 {
-		return fmt.Errorf("%w: unknown strategy %d", ErrBadFrame, r.Strategy)
+	if body[0] != 0 {
+		return fmt.Errorf("%w: unknown strategy %d", ErrBadFrame, body[0])
 	}
 	body = body[1:]
 	k, n := binary.Uvarint(body)
-	if n <= 0 || k > 1<<20 {
+	if n <= 0 || k > server.MaxK {
 		return fmt.Errorf("%w: bad k", ErrBadFrame)
 	}
 	body = body[n:]
 	par, n := binary.Uvarint(body)
-	if n <= 0 || par > 1<<16 {
+	if n <= 0 || par > server.MaxParallel {
 		return fmt.Errorf("%w: bad parallelism", ErrBadFrame)
 	}
 	body = body[n:]

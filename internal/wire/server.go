@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"xrefine/internal/core"
 	"xrefine/internal/obs"
 	"xrefine/internal/server"
 )
@@ -399,7 +398,7 @@ func (c *conn) handleQuery(req *Request) {
 		k = server.DefaultK
 	}
 	out := c.srv.pipe.Search(c.reqCtx, c.srv.query, &server.SearchRequest{Terms: terms,
-		Strategy: core.Strategy(req.Strategy), K: k, Parallel: req.Parallel, Trace: req.Trace})
+		K: k, Parallel: req.Parallel, Trace: req.Trace})
 	switch out.Code {
 	case 200:
 		c.wbuf, _ = appendRespHeader(c.wbuf[:0], StatusOK, out.Trace)

@@ -212,7 +212,7 @@ func TestWireBadFramesAnswered(t *testing.T) {
 		AppendControl(nil, 0x7f, 0),                   // unknown opcode
 		AppendControl(nil, OpPing, 0),                 // valid; keeps order honest
 		{0, 0, 0, 3, Version, OpQuery, 0},             // truncated header
-		AppendRequest(nil, 0, 9, 3, 0, []string{"a"}), // bad strategy
+		AppendRequest(nil, 0, 1, 3, 0, []string{"a"}), // strategy not served
 	}
 	for _, f := range bad {
 		if _, err := c.nc.Write(f); err != nil {
@@ -354,6 +354,9 @@ func TestWireRequestDecodeRejects(t *testing.T) {
 			return p
 		}(), ErrBadFrame},
 		{"trailing-bytes", append(AppendRequest(nil, 0, 0, 1, 0, []string{"a"})[4:], 0), ErrBadFrame},
+		{"strategy-not-served", AppendRequest(nil, 0, 1, 1, 0, []string{"a"})[4:], ErrBadFrame},
+		{"k-over-max", AppendRequest(nil, 0, 0, server.MaxK+1, 0, []string{"a"})[4:], ErrBadFrame},
+		{"parallel-over-max", AppendRequest(nil, 0, 0, 1, server.MaxParallel+1, []string{"a"})[4:], ErrBadFrame},
 		{"empty-term", func() []byte {
 			p := AppendRequest(nil, 0, 0, 1, 0, []string{"a"})[4:]
 			p[len(p)-2] = 0 // zero the term length, leaving a trailing byte
@@ -370,7 +373,7 @@ func TestWireRequestDecodeRejects(t *testing.T) {
 
 // TestWireRequestRoundTrip pins the request codec to itself.
 func TestWireRequestRoundTrip(t *testing.T) {
-	frame := AppendRequest(nil, 42, byte(core.StrategyStack), 7, 4, []string{"alpha", "beta", "gamma"})
+	frame := AppendRequest(nil, 42, byte(core.StrategyPartition), 7, 4, []string{"alpha", "beta", "gamma"})
 	if got := binary.BigEndian.Uint32(frame); int(got) != len(frame)-4 {
 		t.Fatalf("length prefix %d, frame body %d", got, len(frame)-4)
 	}
@@ -378,7 +381,7 @@ func TestWireRequestRoundTrip(t *testing.T) {
 	if err := r.Decode(frame[4:]); err != nil {
 		t.Fatal(err)
 	}
-	if r.Op != OpQuery || r.Trace != 42 || r.Strategy != byte(core.StrategyStack) || r.K != 7 || r.Parallel != 4 {
+	if r.Op != OpQuery || r.Trace != 42 || r.K != 7 || r.Parallel != 4 {
 		t.Fatalf("decoded %+v", r)
 	}
 	if len(r.Terms) != 3 || string(r.Terms[0]) != "alpha" || string(r.Terms[2]) != "gamma" {

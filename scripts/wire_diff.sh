@@ -6,7 +6,8 @@
 # request is answered once over HTTP GET /search and once over the wire
 # protocol (xrefine search -wire), and the two payloads must be
 # byte-identical. Three phases:
-#   1. Plain engine (-xml): strategies x k x parallelism.
+#   1. Plain engine (-xml): k x parallelism; the retired strategy=sle is
+#      refused with 400.
 #   2. Replicated shards with probabilistic store chaos armed (-chaos):
 #      non-degraded responses must still match request-by-request; a
 #      degraded response may differ (it says so) but never silently.
@@ -50,7 +51,6 @@ echo "wire-diff: generating corpus and replicated shard directory"
     -shard-dir "$WORK/shards"
 
 QUERIES=("online databse" "database query" "keyword serch xml" "twig matching pattern" "refinement" "system index data")
-STRATEGIES=(partition sle stack)
 TOTAL=0
 DEGRADED=0
 
@@ -73,14 +73,14 @@ stop_server() {
     return 0
 }
 
-# diff_one <phase> <query> <strategy> <k> <parallel> [skip-degraded]
+# diff_one <phase> <query> <k> <parallel> [skip-degraded]
 diff_one() {
-    local phase="$1" q="$2" strategy="$3" k="$4" parallel="$5" skip="${6:-}"
+    local phase="$1" q="$2" k="$3" parallel="$4" skip="${5:-}"
     local enc="${q// /+}"
-    local url="$HTTP/search?q=$enc&strategy=$strategy&k=$k"
+    local url="$HTTP/search?q=$enc&k=$k"
     [ "$parallel" -gt 0 ] && url="$url&parallel=$parallel"
     curl -fsS --max-time 15 "$url" >"$WORK/http.json" || fail "$phase: http query '$q' failed"
-    "$WORK/xrefine" search -wire "$ADDR_WIRE" -strategy "$strategy" -k "$k" -parallel "$parallel" \
+    "$WORK/xrefine" search -wire "$ADDR_WIRE" -k "$k" -parallel "$parallel" \
         $q >"$WORK/wire.json" || fail "$phase: wire query '$q' failed"
     TOTAL=$((TOTAL + 1))
     if [ -n "$skip" ] && grep -q '"degraded"' "$WORK/http.json" "$WORK/wire.json"; then
@@ -91,18 +91,18 @@ diff_one() {
     fi
     cmp -s "$WORK/http.json" "$WORK/wire.json" || {
         diff "$WORK/http.json" "$WORK/wire.json" | head -20 >&2
-        fail "$phase: wire payload diverged from HTTP body (q='$q' strategy=$strategy k=$k parallel=$parallel)"
+        fail "$phase: wire payload diverged from HTTP body (q='$q' k=$k parallel=$parallel)"
     }
 }
 
-echo "wire-diff: phase 1: plain engine, strategies x k x parallelism"
+echo "wire-diff: phase 1: plain engine, k x parallelism"
 start_server -xml "$WORK/dblp.xml"
-for strategy in "${STRATEGIES[@]}"; do
-    for q in "${QUERIES[@]}"; do
-        for k in 1 3 10; do
-            for parallel in 0 2; do
-                diff_one plain "$q" "$strategy" "$k" "$parallel"
-            done
+code="$(curl -s -o /dev/null -w '%{http_code}' "$HTTP/search?q=database&strategy=sle")"
+[ "$code" = 400 ] || fail "plain: strategy=sle answered $code, want 400"
+for q in "${QUERIES[@]}"; do
+    for k in 1 3 10; do
+        for parallel in 0 2; do
+            diff_one plain "$q" "$k" "$parallel"
         done
     done
 done
@@ -114,7 +114,7 @@ start_server -shards "$WORK/shards" -replicas 2 -hedge-after 2ms \
 r=0
 while [ "$r" -lt "$ROUNDS" ]; do
     for q in "${QUERIES[@]}"; do
-        diff_one chaos "$q" partition 3 0 skip-degraded
+        diff_one chaos "$q" 3 0 skip-degraded
     done
     r=$((r + 1))
 done
@@ -124,7 +124,7 @@ echo "wire-diff: phase 3: log-structured storage backend"
 "$WORK/xrefine" index -xml "$WORK/dblp.xml" -index "$WORK/dblp.logdb" -backend log -with-doc
 start_server -index "$WORK/dblp.logdb" -backend log
 for q in "${QUERIES[@]}"; do
-    diff_one log "$q" partition 3 0
+    diff_one log "$q" 3 0
 done
 
 echo "wire-diff: drain check (SIGTERM with both surfaces up)"
@@ -134,5 +134,6 @@ SRV_PID=""
 grep -q 'drained cleanly' "$WORK/srv.log" || fail "server did not drain cleanly"
 grep -q 'WARNING: DATA RACE' "$WORK/srv.log" && fail "race detected in server"
 
-[ "$TOTAL" -ge 100 ] || fail "only $TOTAL requests diffed; want >= 100"
+WANT=$(( ${#QUERIES[@]} * (3 * 2 + ROUNDS + 1) ))
+[ "$TOTAL" -eq "$WANT" ] || fail "$TOTAL requests diffed; want $WANT"
 echo "wire-diff: PASS ($TOTAL requests diffed, $DEGRADED skipped as degraded under chaos)"

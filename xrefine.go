@@ -15,7 +15,8 @@
 //
 //	eng, err := xrefine.NewFromXML(file, nil)
 //	if err != nil { ... }
-//	resp, err := eng.Query("online databse") // note the typo
+//	resp, err := eng.QueryTermsCtx(ctx, xrefine.Tokenize("online databse"), // note the typo
+//	    xrefine.StrategyPartition, 0, 0)
 //	if resp.NeedRefine {
 //	    for _, rq := range resp.Queries {
 //	        fmt.Println(rq.Keywords, rq.DSim, len(rq.Results))
@@ -44,7 +45,6 @@ import (
 	"xrefine/internal/rules"
 	"xrefine/internal/searchfor"
 	"xrefine/internal/shard"
-	"xrefine/internal/slca"
 	"xrefine/internal/storage"
 	"xrefine/internal/storage/backends"
 	"xrefine/internal/tokenize"
@@ -69,26 +69,13 @@ type Match = refine.Match
 // Step is one refinement operation in a suggestion's provenance.
 type Step = refine.Step
 
-// Strategy selects a refinement algorithm.
+// Strategy names the refinement algorithm a query asks for; the engine
+// serves one, StrategyPartition.
 type Strategy = core.Strategy
 
-// Refinement algorithm strategies (Section VI of the paper).
-const (
-	StrategyPartition = core.StrategyPartition
-	StrategySLE       = core.StrategySLE
-	StrategyStack     = core.StrategyStack
-)
-
-// SLCAAlgorithm selects the delegated SLCA computation.
-type SLCAAlgorithm = slca.Algorithm
-
-// SLCA algorithm choices.
-const (
-	ScanEager          = slca.AlgoScanEager
-	IndexedLookupEager = slca.AlgoIndexedLookupEager
-	StackSLCA          = slca.AlgoStack
-	MultiwaySLCA       = slca.AlgoMultiway
-)
+// StrategyPartition is the partition-based refinement of Section VI
+// (Algorithm 2), the one strategy Engine.QueryTermsCtx serves.
+const StrategyPartition = core.StrategyPartition
 
 // Document is a parsed XML document tree.
 type Document = xmltree.Document
@@ -238,8 +225,8 @@ func WriteUpdateBatch(w io.Writer, b *UpdateBatch) error {
 	return mutate.WriteBatchFile(w, b)
 }
 
-// Tokenize normalizes a raw keyword query string into query terms, exactly
-// as Engine.Query does internally.
+// Tokenize normalizes a raw keyword query string into the query terms
+// Engine.QueryTermsCtx takes, exactly as the serving surfaces do.
 func Tokenize(q string) []string { return tokenize.Query(q) }
 
 // EngineStats is a snapshot of the engine's serving counters.
@@ -258,7 +245,7 @@ type Span = obs.Span
 type SpanData = obs.SpanData
 
 // NewTrace arms per-query tracing on a context: pass the returned context
-// to Engine.QueryCtx or Engine.QueryTermsCtx and every pipeline stage
+// to Engine.QueryTermsCtx and every pipeline stage
 // records a span under the returned root. End the root after the query
 // and snapshot it with Data; Release returns the tree to the span pool.
 func NewTrace(ctx context.Context, name string) (context.Context, *Span) {

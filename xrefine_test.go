@@ -1,6 +1,7 @@
 package xrefine_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -23,7 +24,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := eng.Query("online databse")
+	resp, err := eng.QueryTermsCtx(context.Background(), xrefine.Tokenize("online databse"), xrefine.StrategyPartition, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestFacadePersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := eng2.Query("efficient keyword")
+	resp, err := eng2.QueryTermsCtx(context.Background(), xrefine.Tokenize("efficient keyword"), xrefine.StrategyPartition, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,12 +76,10 @@ func TestFacadeSnippet(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := xrefine.NewFromDocument(doc, &xrefine.Config{
-		Lexicon:  xrefine.BuiltinLexicon(),
-		Rank:     xrefine.DefaultRankModel(),
-		SLCA:     xrefine.ScanEager,
-		Strategy: xrefine.StrategyPartition,
+		Lexicon: xrefine.BuiltinLexicon(),
+		Rank:    xrefine.DefaultRankModel(),
 	})
-	resp, err := eng.Query("online database")
+	resp, err := eng.QueryTermsCtx(context.Background(), xrefine.Tokenize("online database"), xrefine.StrategyPartition, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
