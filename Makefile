@@ -84,11 +84,7 @@ wirediff:
 	./scripts/wire_diff.sh
 
 examples:
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/sponsored
-	$(GO) run ./examples/baseball
-	$(GO) run ./examples/narrowing
-	$(GO) run ./examples/bibliography
+	$(GO) test -run '^Example' -v .
 
 clean:
 	$(GO) clean ./...

@@ -203,6 +203,21 @@ func TestSlowlogRing(t *testing.T) {
 	}
 }
 
+// TestSlowlogKeepsSampling: an armed slowlog traces every query but
+// retains only the slow ones, so fast queries do not evict the sampled
+// trace history.
+func TestSlowlogKeepsSampling(t *testing.T) {
+	s := New(testEngine(t, nil), Config{SlowLogThreshold: time.Hour, TraceSampleEvery: -1})
+	for i := 0; i < 5; i++ {
+		if rec, _ := get(t, s, "/search?q=databse"); rec.Code != http.StatusOK {
+			t.Fatalf("search = %d", rec.Code)
+		}
+	}
+	if n := s.pipe.traces.Len(); n != 0 {
+		t.Errorf("trace store holds %d fast unsampled queries, want 0", n)
+	}
+}
+
 // TestSlowlogNotFoundWhenDisabled: without a threshold the route 404s.
 func TestSlowlogNotFoundWhenDisabled(t *testing.T) {
 	s := testServer(t)

@@ -305,15 +305,16 @@ func (p *Pipeline) Search(ctx context.Context, rt *Route, req *SearchRequest) Ou
 // search is the query stage proper, run inside do. A trace is armed when
 // the caller asked for an explanation, the slow-query log is on (it needs
 // the span tree of any query that turns out slow), or the sampler elected
-// this query for retention. Untraced queries pay one context lookup per
-// stage.
+// this query for retention. Only explained, sampled and slow queries are
+// retained, so an armed slowlog does not flood the trace store. Untraced
+// queries pay one context lookup per stage.
 func (p *Pipeline) search(ctx context.Context, req *SearchRequest) Outcome {
 	ri := obs.ReqInfoFromContext(ctx)
 	// Mark before the query runs so the shard fan-out pins attempt
 	// exemplars only for queries whose trace will be resolvable.
-	ri.Sampled = req.Explain || p.slowlog != nil || p.sampler.Sample()
+	ri.Sampled = req.Explain || p.sampler.Sample()
 	var root *obs.Span
-	if ri.Sampled {
+	if ri.Sampled || p.slowlog != nil {
 		ctx, root = obs.NewTrace(ctx, "query")
 		defer root.Release()
 	}
@@ -349,8 +350,11 @@ func (p *Pipeline) search(ctx context.Context, req *SearchRequest) Outcome {
 		if err == nil {
 			e.Degraded, e.DegradedReason = resp.Degraded, resp.DegradedReason
 		}
-		e = p.retain(ri, e)
-		if err == nil {
+		slow := err == nil && p.slowlog != nil && time.Duration(e.DurationNS) >= p.slowlog.Threshold()
+		if ri.Sampled || slow {
+			e = p.retain(ri, e)
+		}
+		if slow {
 			p.slowlog.Record(e)
 		}
 		if req.Explain {

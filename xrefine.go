@@ -27,8 +27,9 @@
 // back unrefined with its matches; a broken query comes back with top-K
 // refinement suggestions and their matches.
 //
-// See the runnable programs under examples/ and the experiment harness in
-// cmd/xbench for larger scenarios.
+// The package's Example functions are the paper's scenarios as runnable,
+// output-checked programs (go test -run Example -v .); cmd/xbench carries
+// its experiments.
 package xrefine
 
 import (
@@ -36,14 +37,10 @@ import (
 	"io"
 
 	"xrefine/internal/core"
-	"xrefine/internal/lexicon"
 	"xrefine/internal/mutate"
 	"xrefine/internal/narrow"
 	"xrefine/internal/obs"
-	"xrefine/internal/rank"
 	"xrefine/internal/refine"
-	"xrefine/internal/rules"
-	"xrefine/internal/searchfor"
 	"xrefine/internal/shard"
 	"xrefine/internal/storage"
 	"xrefine/internal/storage/backends"
@@ -66,9 +63,6 @@ type RankedQuery = core.RankedQuery
 // Match is one meaningful SLCA result node.
 type Match = refine.Match
 
-// Step is one refinement operation in a suggestion's provenance.
-type Step = refine.Step
-
 // Strategy names the refinement algorithm a query asks for; the engine
 // serves one, StrategyPartition.
 type Strategy = core.Strategy
@@ -80,44 +74,11 @@ const StrategyPartition = core.StrategyPartition
 // Document is a parsed XML document tree.
 type Document = xmltree.Document
 
-// Lexicon supplies synonym and acronym knowledge for substitution rules.
-type Lexicon = lexicon.Lexicon
-
-// RuleGenerator configures automatic refinement-rule derivation.
-type RuleGenerator = rules.Generator
-
-// RankModel holds the ranking-model weights (Formula 10).
-type RankModel = rank.Model
-
-// SearchForOptions tunes search-for node inference (Formula 1).
-type SearchForOptions = searchfor.Options
-
 // Store is the storage backend indexes persist into. Two engines
 // implement it: the page-based B+tree (one file, the default) and the
 // Bitcask-style log-structured engine (a segment directory with hint-file
-// cold starts); see StorageBTree and StorageLog.
+// cold starts); OpenStoreKind picks one by name.
 type Store = storage.Backend
-
-// StorageKind names a storage engine for OpenStoreKind.
-type StorageKind = storage.Kind
-
-// The storage engines.
-const (
-	// StorageBTree is the page-based copy-on-write B+tree — one file,
-	// CRC-trailed pages, ordered keys native.
-	StorageBTree = storage.KindBTree
-	// StorageLog is the Bitcask-style log-structured engine — append-only
-	// CRC-framed segments, an in-memory keydir, background compaction and
-	// hint files for millisecond cold starts.
-	StorageLog = storage.KindLog
-)
-
-// ParseStorageKind validates a -backend flag value; the empty string
-// means the default engine (btree).
-func ParseStorageKind(s string) (StorageKind, error) { return storage.ParseKind(s) }
-
-// StorageStats describes the physical state of a Store.
-type StorageStats = storage.Stats
 
 // NewFromXML parses and indexes an XML document from r.
 func NewFromXML(r io.Reader, cfg *Config) (*Engine, error) {
@@ -127,13 +88,6 @@ func NewFromXML(r io.Reader, cfg *Config) (*Engine, error) {
 // NewFromDocument indexes an already-parsed document.
 func NewFromDocument(doc *Document, cfg *Config) *Engine {
 	return core.NewFromDocument(doc, cfg)
-}
-
-// NewFromXMLStream indexes XML without materializing the document tree;
-// memory stays proportional to the index. Snippets and narrowing are
-// unavailable on the resulting engine.
-func NewFromXMLStream(r io.Reader, cfg *Config) (*Engine, error) {
-	return core.NewFromXMLStream(r, cfg)
 }
 
 // ParseXML parses an XML document into a tree.
@@ -187,21 +141,6 @@ func OpenIndex(store Store, cfg *Config) (*Engine, error) {
 // of it does.
 type UpdateBatch = mutate.Batch
 
-// UpdateOp is one operation inside an UpdateBatch.
-type UpdateOp = mutate.Op
-
-// Update operation kinds.
-const (
-	UpdateInsert = mutate.OpInsert
-	UpdateDelete = mutate.OpDelete
-)
-
-// ApplyResult reports one committed update batch.
-type ApplyResult = core.ApplyResult
-
-// UpdateStats is a snapshot of an engine's live-update state.
-type UpdateStats = core.UpdateStats
-
 // OpenLiveIndex is OpenIndex plus live-update support: Engine.Apply
 // persists batches into the store, write-ahead logged at walPath, and any
 // batch the log holds beyond the store's committed epoch is replayed (the
@@ -220,22 +159,9 @@ func ReadUpdateBatch(r io.Reader) (*UpdateBatch, error) {
 	return mutate.ReadBatchFile(r)
 }
 
-// WriteUpdateBatch writes a batch in the one-op-per-line wire form.
-func WriteUpdateBatch(w io.Writer, b *UpdateBatch) error {
-	return mutate.WriteBatchFile(w, b)
-}
-
 // Tokenize normalizes a raw keyword query string into the query terms
 // Engine.QueryTermsCtx takes, exactly as the serving surfaces do.
 func Tokenize(q string) []string { return tokenize.Query(q) }
-
-// EngineStats is a snapshot of the engine's serving counters.
-type EngineStats = core.EngineStats
-
-// MetricsRegistry collects the engine's counters, gauges and histograms;
-// retrieve an engine's with Engine.Metrics and expose it with its
-// WritePrometheus method or via the HTTP server's /metrics route.
-type MetricsRegistry = obs.Registry
 
 // Span is one timed stage of a traced query; SpanData is its rendered
 // snapshot as served by explain=1 and the slow-query log.
@@ -265,18 +191,7 @@ type ShardRouter = shard.Router
 // ShardOptions configures OpenShards.
 type ShardOptions = shard.Options
 
-// WriteShards splits a corpus document into n shard stores plus a manifest
-// under dir (the layout xgen -shards emits); mode is "range" or "hash".
-func WriteShards(doc *Document, dir string, n int, mode string) error {
-	m, err := shard.ParseMode(mode)
-	if err != nil {
-		return err
-	}
-	_, err = shard.WriteStores(doc, dir, n, m)
-	return err
-}
-
-// OpenShards opens a shard directory written by WriteShards / xgen -shards.
+// OpenShards opens a shard directory written by xgen -shards.
 func OpenShards(dir string, opts *ShardOptions) (*ShardRouter, error) {
 	return shard.Open(dir, opts)
 }
@@ -284,35 +199,7 @@ func OpenShards(dir string, opts *ShardOptions) (*ShardRouter, error) {
 // NarrowOptions tune Engine.Narrow, the too-many-results extension.
 type NarrowOptions = narrow.Options
 
-// NarrowOutcome reports a narrowing run.
-type NarrowOutcome = narrow.Outcome
-
-// NarrowSuggestion is one narrowing proposal.
-type NarrowSuggestion = narrow.Suggestion
-
-// ErrNeedsDocument is returned by Engine.Narrow on engines loaded from an
-// index store (narrowing mines candidate terms from the source document).
-var ErrNeedsDocument = narrow.ErrNeedsDocument
-
-// BuiltinLexicon returns the embedded synonym/acronym dictionary.
-func BuiltinLexicon() *Lexicon { return lexicon.Builtin() }
-
-// DefaultRankModel returns the paper's default ranking weights
-// (α = β = 1, decay 0.8).
-func DefaultRankModel() RankModel { return rank.Default() }
-
 // Snippet renders a short preview of a match against its document.
 func Snippet(doc *Document, m Match, maxRunes int) string {
-	return core.Snippet(doc, m, maxRunes)
-}
-
-// SnippetHighlight renders a preview with the given query terms wrapped in
-// [brackets]. Falls back to the bare label when the document is nil.
-func SnippetHighlight(doc *Document, m Match, maxRunes int, terms []string) string {
-	if doc != nil {
-		if n, ok := doc.NodeByID(m.ID); ok {
-			return n.SnippetHighlight(maxRunes, terms)
-		}
-	}
 	return core.Snippet(doc, m, maxRunes)
 }
