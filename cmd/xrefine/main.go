@@ -331,9 +331,8 @@ func applyBatch(w io.Writer, indexPath, walPath, batchPath string) error {
 		return err
 	}
 	defer eng.Close()
-	if st := eng.UpdateStats(); st.ReplayedBatches > 0 {
-		fmt.Fprintf(w, "recovered %d batch(es) from the write-ahead log (epoch %d)\n",
-			st.ReplayedBatches, st.Epoch)
+	if n := obs.SnapshotTotal(eng.Metrics().Snapshot(), "xrefine_mutate_replayed_batches_total"); n > 0 {
+		fmt.Fprintf(w, "recovered %d batch(es) from the write-ahead log (epoch %d)\n", n, eng.Epoch())
 	}
 	res, err := eng.Apply(batch)
 	if err != nil {

@@ -15,10 +15,13 @@
 //
 //	GET /search?q=online+databse&k=3&parallel=N&explain=1
 //	GET /narrow?q=database&max=50&k=3    (requires -xml)
+//	GET /complete?q=datab&k=8            (search-as-you-type)
 //	POST /update                          (requires -live or -xml; see README)
 //	GET /healthz
-//	GET /metrics                          (Prometheus text format)
+//	GET /metrics                          (Prometheus text; ?format=openmetrics adds exemplars)
 //	GET /debug/slowlog                    (requires -slowlog)
+//	GET /debug/events                     (flight recorder; ?trace_id= &shard= &kind= &limit=)
+//	GET /debug/trace/<trace-id>           (retained sampled and slow traces)
 //	GET /debug/pprof/                     (requires -pprof)
 //
 // With -timeout or -budget set, a query that overruns returns the partial
@@ -33,8 +36,9 @@
 // but in memory only — they vanish on restart.
 //
 // With -slowlog set, every query is traced and those at or over the
-// threshold keep their span tree in a ring buffer served at
-// /debug/slowlog. /healthz, /metrics, and the debug surfaces bypass the
+// threshold are retained in the trace store marked slow; /debug/slowlog
+// lists them. The store keeps the last 512 retained traces, sampled and
+// slow alike. /healthz, /metrics, and the debug surfaces bypass the
 // admission gate and the per-request timeout, so they answer even while
 // the query path is saturated.
 //
@@ -100,7 +104,6 @@ func main() {
 		maxInflight = flag.Int("max-inflight", 0, "max concurrently-handled query requests; excess is shed with 503 (0 = unbounded)")
 		drain       = flag.Duration("drain", 15*time.Second, "max time to drain in-flight requests on SIGINT/SIGTERM")
 		slowlog     = flag.Duration("slowlog", 0, "slow-query threshold; queries at or over it are kept at /debug/slowlog (0 = off)")
-		slowlogCap  = flag.Int("slowlog-cap", 0, "slow-query ring capacity (0 = 128)")
 		pprofOn     = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 		live        = flag.Bool("live", false, "open -index read-write and accept POST /update (WAL-backed epoch commits)")
 		walPath     = flag.String("wal", "", "write-ahead log file for -live (default <index>.wal)")
@@ -110,7 +113,6 @@ func main() {
 		hedgeAfter  = flag.Duration("hedge-after", 0, "hedge a slow shard scan onto the next replica after this delay (0 = off)")
 		chaosSpec   = flag.String("chaos", "", "arm probabilistic store faults on every replica, e.g. rate=0.01,jitter=1ms-5ms,seed=7")
 		traceSample = flag.Int("trace-sample", 0, "retain every n-th query's trace at /debug/trace/<id> with histogram exemplars (0 = every 64th, negative = off)")
-		traceCap    = flag.Int("trace-cap", 0, "retained-trace ring capacity (0 = 512)")
 		sloAvail    = flag.Float64("slo-availability", 0, "availability objective as a fraction, e.g. 0.999 (0 = default 0.999)")
 		sloLatObj   = flag.Float64("slo-latency", 0, "latency objective as a fraction, e.g. 0.99 (0 = default 0.99)")
 		sloTarget   = flag.Duration("slo-target", 0, "latency objective threshold (0 = default 250ms)")
@@ -147,13 +149,8 @@ func main() {
 		}
 		defer r.Close()
 		backend = r
-		epochs := r.ShardEpochs()
-		var sum uint64
-		for _, e := range epochs {
-			sum += e
-		}
 		log.Printf("opened %d shard(s) x %d replica(s) from %s at epoch %d (live=%v hedge=%v)",
-			r.Shards(), r.Replicas(), *shardDir, sum, *live, *hedgeAfter)
+			r.Shards(), r.Replicas(), *shardDir, r.UpdateStats().Epoch, *live, *hedgeAfter)
 	case *xmlPath != "":
 		f, err := os.Open(*xmlPath)
 		if err != nil {
@@ -182,11 +179,10 @@ func main() {
 				log.Fatal(err)
 			}
 			defer eng.Close()
-			st := eng.UpdateStats()
-			if st.ReplayedBatches > 0 {
-				log.Printf("replayed %d update batch(es) from %s", st.ReplayedBatches, wal)
+			if n := obs.SnapshotTotal(eng.Metrics().Snapshot(), "xrefine_mutate_replayed_batches_total"); n > 0 {
+				log.Printf("replayed %d update batch(es) from %s", n, wal)
 			}
-			log.Printf("opened live index %s at epoch %d (wal %s)", *indexPath, st.Epoch, wal)
+			log.Printf("opened live index %s at epoch %d (wal %s)", *indexPath, eng.Epoch(), wal)
 		} else {
 			eng, err = core.Open(store, cfg)
 			if err != nil {
@@ -203,13 +199,11 @@ func main() {
 	}
 
 	h := server.New(backend, server.Config{
-		Timeout:            *timeout,
-		MaxInFlight:        *maxInflight,
-		SlowLogThreshold:   *slowlog,
-		SlowLogCapacity:    *slowlogCap,
-		EnablePprof:        *pprofOn,
-		TraceSampleEvery:   *traceSample,
-		TraceStoreCapacity: *traceCap,
+		Timeout:          *timeout,
+		MaxInFlight:      *maxInflight,
+		SlowLogThreshold: *slowlog,
+		EnablePprof:      *pprofOn,
+		TraceSampleEvery: *traceSample,
 		SLO: obs.SLOOptions{
 			AvailabilityObjective: *sloAvail,
 			LatencyObjective:      *sloLatObj,
@@ -241,7 +235,7 @@ func main() {
 	var wsrv *wire.Server
 	wireErrCh := make(chan error, 1)
 	if *wireAddr != "" {
-		wsrv = wire.NewServer(h.Pipeline(), wire.Options{})
+		wsrv = wire.NewServer(h.Pipeline())
 		wl, err := net.Listen("tcp", *wireAddr)
 		if err != nil {
 			log.Fatal(err)

@@ -26,20 +26,16 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"text/tabwriter"
-	"time"
 
 	"xrefine/internal/index"
-	"xrefine/internal/obs"
 	"xrefine/internal/shard"
 	"xrefine/internal/storage"
 	"xrefine/internal/storage/backends"
@@ -62,17 +58,9 @@ func run(args []string, w io.Writer) error {
 		blocks    = fs.Bool("blocks", false, "report block-compressed posting storage instead")
 		storageOn = fs.Bool("storage", false, "report the index store's storage-engine state instead")
 		backend   = fs.String("backend", "", "storage engine of -index: btree | log (default: detect from the layout)")
-		slo       = fs.Bool("slo", false, "report a running server's SLO burn rates instead (needs -url)")
-		url       = fs.String("url", "", "base URL of a running xserve, e.g. http://localhost:8080")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *slo {
-		if *url == "" {
-			return fmt.Errorf("-slo needs -url pointing at a running server")
-		}
-		return reportSLO(w, *url)
 	}
 	if *shardDir != "" {
 		return reportShards(w, *shardDir)
@@ -378,29 +366,4 @@ func reportStorage(w io.Writer, path string, store storage.Backend) error {
 	}
 	fmt.Fprintf(tw, "total\t%d\t\n", total)
 	return tw.Flush()
-}
-
-// reportSLO fetches a running server's /healthz and renders the burn-rate
-// report under its "slo" key — the remote half of `xrefine slo`.
-func reportSLO(w io.Writer, base string) error {
-	client := &http.Client{Timeout: 10 * time.Second}
-	resp, err := client.Get(strings.TrimRight(base, "/") + "/healthz")
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET /healthz: %s", resp.Status)
-	}
-	var body struct {
-		SLO *obs.SLOReport `json:"slo"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		return fmt.Errorf("decode /healthz: %w", err)
-	}
-	if body.SLO == nil {
-		return fmt.Errorf("server reports no SLO data (older build?)")
-	}
-	obs.WriteSLOReport(w, *body.SLO)
-	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"xrefine/internal/index"
 	"xrefine/internal/mutate"
 	"xrefine/internal/obs"
 	"xrefine/internal/storage"
@@ -114,13 +115,33 @@ func (e *Engine) applyLocked(b *mutate.Batch, replay bool) (*ApplyResult, error)
 		// replay skips sequence numbers the store has already reached.
 		_ = e.live.wal.Reset()
 	}
-	e.m.appliedBatches.Inc()
-	e.m.appliedOps.With("insert").Add(int64(staged.InsertOps))
-	e.m.appliedOps.With("delete").Add(int64(staged.DeleteOps))
+	e.countApplied(res)
 	if e.live != nil {
 		e.flight.Record(obs.Event{Kind: obs.EvWALCommit, Shard: -1, Replica: -1, N: int64(next)})
 	}
 	return res, nil
+}
+
+// countApplied counts one committed batch on the engine's registry.
+func (e *Engine) countApplied(res *ApplyResult) {
+	e.m.appliedBatches.Inc()
+	e.m.appliedOps.With("insert").Add(int64(res.InsertOps))
+	e.m.appliedOps.With("delete").Add(int64(res.DeleteOps))
+}
+
+// Publish makes ix the engine's current epoch under generation gen, for
+// data that changed outside the engine, and counts res (when non-nil) as
+// one committed batch on the engine's own handles. It is how a shard
+// router's meta engine takes on the commit of the shard that applied a
+// batch: the meta engine's epoch and applied-batch counters are then the
+// router's, once, on the router's registry.
+func (e *Engine) Publish(ix *index.Index, gen uint64, res *ApplyResult) {
+	e.applyMu.Lock()
+	defer e.applyMu.Unlock()
+	e.ep.Store(&epoch{ix: ix, gen: gen})
+	if res != nil {
+		e.countApplied(res)
+	}
 }
 
 // commitEpoch persists one staged epoch inside a single store commit: the
@@ -263,7 +284,9 @@ func (e *Engine) Close() error {
 	return err
 }
 
-// UpdateStats is a snapshot of the engine's live-update state.
+// UpdateStats is a snapshot of the engine's live-update state. The
+// update counters (applied and replayed batches, applied ops) are kept on
+// the metrics registry only.
 type UpdateStats struct {
 	// Live reports whether the engine persists updates (OpenLive).
 	Live bool
@@ -272,25 +295,11 @@ type UpdateStats struct {
 	// WALSizeBytes is the current write-ahead log size (0 when idle:
 	// the log is truncated after every commit).
 	WALSizeBytes int64
-	// AppliedBatches and AppliedOps count committed work since open.
-	AppliedBatches uint64
-	AppliedOps     uint64
-	// ReplayedBatches counts WAL batches re-applied during recovery.
-	ReplayedBatches uint64
-	// PinnedQueries is the number of queries currently holding an epoch
-	// snapshot.
-	PinnedQueries int64
 }
 
 // UpdateStats returns the current live-update snapshot.
 func (e *Engine) UpdateStats() UpdateStats {
-	u := UpdateStats{
-		Epoch:           e.Epoch(),
-		AppliedBatches:  e.m.appliedBatches.Value(),
-		AppliedOps:      e.m.appliedOps.Sum(),
-		ReplayedBatches: e.m.replayedBatches.Value(),
-		PinnedQueries:   e.m.pinnedQueries.Value(),
-	}
+	u := UpdateStats{Epoch: e.Epoch()}
 	e.applyMu.Lock()
 	if e.live != nil {
 		u.Live = true

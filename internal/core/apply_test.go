@@ -217,7 +217,7 @@ func TestOpenLiveApplyPersistsAcrossReopen(t *testing.T) {
 	if re.Epoch() != 2 {
 		t.Fatalf("reopened at epoch %d, want 2", re.Epoch())
 	}
-	if n := re.UpdateStats().ReplayedBatches; n != 0 {
+	if n := counter(re, "xrefine_mutate_replayed_batches_total"); n != 0 {
 		t.Fatalf("clean reopen replayed %d batches", n)
 	}
 	got := applySigs(t, re, applyQueries)
@@ -266,7 +266,7 @@ func TestOpenLiveReplaysPendingWAL(t *testing.T) {
 	if eng.Epoch() != 1 {
 		t.Fatalf("epoch %d after replay, want 1", eng.Epoch())
 	}
-	if n := eng.UpdateStats().ReplayedBatches; n != 1 {
+	if n := counter(eng, "xrefine_mutate_replayed_batches_total"); n != 1 {
 		t.Fatalf("replayed %d batches, want 1", n)
 	}
 	if store.Epoch() != 1 {

@@ -88,13 +88,13 @@ func TestCancelPromptAtEveryStage(t *testing.T) {
 			// query counter bumps at QueryTermsCtx entry): a fixed sleep
 			// here raced the goroutine on loaded machines, cancelling
 			// before the query began and asserting nothing.
-			base := eng.Stats().Queries
+			base := counter(eng, "xrefine_engine_queries_total")
 			go func() {
 				_, err := eng.QueryTermsCtx(ctx, terms, StrategyPartition, st.k, 0)
 				done <- err
 			}()
 			testutil.Eventually(t, 5*time.Second, func() bool {
-				return eng.Stats().Queries > base
+				return counter(eng, "xrefine_engine_queries_total") > base
 			}, "query goroutine never started")
 			cancel()
 			select {

@@ -115,7 +115,7 @@ func TestCheckpointTruncatesWALAndBoundsReopen(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer re.Close()
-			if n := re.UpdateStats().ReplayedBatches; n != 0 {
+			if n := counter(re, "xrefine_mutate_replayed_batches_total"); n != 0 {
 				t.Fatalf("reopen replayed %d WAL batches after checkpoint", n)
 			}
 			if re.Epoch() != epochs {

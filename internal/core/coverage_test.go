@@ -71,8 +71,8 @@ func TestUnknownStrategyRejected(t *testing.T) {
 			t.Errorf("strategy %d accepted", s)
 		}
 	}
-	if st := e.Stats(); st.Queries != 0 {
-		t.Errorf("refused queries counted: %d", st.Queries)
+	if n := counter(e, "xrefine_engine_queries_total"); n != 0 {
+		t.Errorf("refused queries counted: %d", n)
 	}
 }
 

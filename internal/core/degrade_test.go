@@ -24,9 +24,8 @@ func TestPostingBudgetDegrades(t *testing.T) {
 	if resp.DegradedReason != refine.DegradedPostings {
 		t.Errorf("DegradedReason = %q, want %q", resp.DegradedReason, refine.DegradedPostings)
 	}
-	st := e.Stats()
-	if st.Degraded != 1 {
-		t.Errorf("stats Degraded = %d, want 1", st.Degraded)
+	if n := counter(e, "xrefine_engine_degraded_total"); n != 1 {
+		t.Errorf("xrefine_engine_degraded_total = %d, want 1", n)
 	}
 }
 

@@ -75,18 +75,13 @@ type Config struct {
 	// Responses are identical at every value, so it is a pure
 	// performance knob.
 	Parallelism int
-	// Timeout bounds each query's wall-clock execution when positive.
-	// Expiry does not fail the query: the exploration stops at the next
-	// cooperative checkpoint and the response carries whatever was found,
-	// flagged Degraded with reason "deadline". Zero means no deadline.
-	Timeout time.Duration
 	// PostingBudget caps the postings one query's exploration may consume
-	// when positive — a deterministic work bound, unlike Timeout: under a
-	// posting budget the partition walk runs its scans one at a time, in
-	// document order (range-split shards too), so the budget stops it at
-	// the same partition at every Parallelism. Expiry degrades the
-	// response the same way with reason "posting-budget". Zero means
-	// unlimited.
+	// when positive — a deterministic work bound, unlike the deadline of
+	// the query's context: under a posting budget the partition walk runs
+	// its scans one at a time, in document order (range-split shards
+	// too), so the budget stops it at the same partition at every
+	// Parallelism. Either expiry degrades the response rather than failing
+	// it, with reason "posting-budget" or "deadline". Zero means unlimited.
 	PostingBudget int
 	// Metrics is the registry the engine registers its counters and
 	// histograms on. Nil means the engine creates a private registry,
@@ -96,8 +91,9 @@ type Config struct {
 	Metrics *obs.Registry
 	// DisableMetrics runs the engine with no registry at all: every
 	// metric handle is nil and each instrumentation point collapses to
-	// a nil check. Engine.Stats then reports zeros. Intended for
-	// benchmark baselines and the allocation-overhead guard.
+	// a nil check. Intended for benchmark baselines, the
+	// allocation-overhead guard and the shards of a router, which count
+	// on the router's registry instead.
 	DisableMetrics bool
 }
 
@@ -157,8 +153,8 @@ type Engine struct {
 	store storage.Backend
 
 	// reg is the metrics registry (nil when disabled); m holds the
-	// registered handles. The registry is the single counter
-	// implementation — EngineStats is a read-through snapshot of it.
+	// registered handles. The registry is the engine's one counter book:
+	// /healthz reads its counters back out of a registry snapshot.
 	reg *obs.Registry
 	m   engineMetrics
 	// flight is the registry's always-on event ring (nil when metrics are
@@ -176,46 +172,15 @@ func (e *Engine) snapshot() *epoch { return e.ep.Load() }
 // a store resume at the store's committed epoch.
 func (e *Engine) Epoch() uint64 { return e.snapshot().gen }
 
-// Health reports the backing store's storage-engine snapshot, the one
-// health extra a single engine has; purely in-memory engines have none.
+// Health reports the configured worker bound and, for a store-backed
+// engine, the backing store's storage-engine snapshot.
 func (e *Engine) Health() HealthExtras {
-	if e.store == nil {
-		return HealthExtras{}
+	hx := HealthExtras{Parallelism: e.cfg.Parallelism}
+	if e.store != nil {
+		st := e.store.StorageStats()
+		hx.Storage = &st
 	}
-	st := e.store.StorageStats()
-	return HealthExtras{Storage: &st}
-}
-
-// EngineStats is a snapshot of the engine's serving counters.
-type EngineStats struct {
-	// Queries counts QueryTermsCtx calls.
-	Queries uint64
-	// Refined counts responses that needed refinement.
-	Refined uint64
-	// ParallelQueries counts queries whose partition walk actually ran on
-	// the parallel pipeline (more than one worker goroutine).
-	ParallelQueries uint64
-	// WorkerRuns accumulates worker goroutines across parallel queries;
-	// WorkerRuns/ParallelQueries is the average fan-out achieved.
-	WorkerRuns uint64
-	// Degraded counts responses returned partial because a deadline or
-	// posting budget expired mid-query.
-	Degraded uint64
-	// Parallelism is the engine's configured worker bound.
-	Parallelism int
-}
-
-// Stats returns the current counter snapshot, read from the metrics
-// registry. Engines with DisableMetrics report zeros.
-func (e *Engine) Stats() EngineStats {
-	return EngineStats{
-		Queries:         e.m.queries.Value(),
-		Refined:         e.m.refined.Value(),
-		ParallelQueries: e.m.parallel.Value(),
-		WorkerRuns:      e.m.workerRuns.Value(),
-		Degraded:        e.m.degraded.Sum(),
-		Parallelism:     e.cfg.Parallelism,
-	}
+	return hx
 }
 
 // Metrics returns the engine's registry — what /metrics exposes and the
@@ -490,9 +455,8 @@ func (e *Engine) prepare(ep *epoch, terms []string) (refine.Input, []searchfor.C
 // QueryTermsCtx answers a pre-tokenized query under a caller context — the
 // engine's one query entry point. strategy must be StrategyPartition; k <= 0
 // uses Config.TopK; parallelism > 0 overrides Config.Parallelism for this
-// query (responses are identical at every value). Config.Timeout (when set)
-// is layered onto ctx here, so the effective deadline is the earlier of the
-// two. An expired deadline or exhausted posting budget returns a partial
+// query (responses are identical at every value). The query's deadline is
+// ctx's. An expired deadline or exhausted posting budget returns a partial
 // response with Degraded set; an outright cancellation returns ctx.Err().
 func (e *Engine) QueryTermsCtx(ctx context.Context, terms []string, strategy Strategy, k, parallelism int) (*Response, error) {
 	if len(terms) == 0 {
@@ -515,11 +479,6 @@ func (e *Engine) QueryTermsCtx(ctx context.Context, terms []string, strategy Str
 	ep := e.snapshot()
 	e.m.pinnedQueries.Add(1)
 	defer e.m.pinnedQueries.Add(-1)
-	if e.cfg.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, e.cfg.Timeout)
-		defer cancel()
-	}
 	resp, err := e.answer(ctx, ep, terms, k, parallelism)
 	if err != nil {
 		return nil, err

@@ -60,25 +60,30 @@ func TestMetricsAllocOverhead(t *testing.T) {
 	}
 }
 
-// TestEngineStatsFromRegistry: the legacy Stats() snapshot must keep
-// working now that it reads the shared registry instead of private
-// atomics.
+// counter reads counter family name back out of e's registry snapshot,
+// summed over its label series — the way /healthz reads its counters.
+func counter(e *Engine, name string) uint64 {
+	return obs.SnapshotTotal(e.Metrics().Snapshot(), name)
+}
+
+// TestEngineStatsFromRegistry: the registry is the engine's one counter
+// book, and its snapshot carries the serving counters.
 func TestEngineStatsFromRegistry(t *testing.T) {
 	e, _ := newEngine(t, nil)
 	if _, err := query(e, "online databse"); err != nil {
 		t.Fatal(err)
 	}
-	st := e.Stats()
-	if st.Queries != 1 || st.Refined != 1 {
-		t.Errorf("Stats() = %+v, want Queries=1 Refined=1", st)
+	q, r := counter(e, "xrefine_engine_queries_total"), counter(e, "xrefine_engine_refined_total")
+	if q != 1 || r != 1 {
+		t.Errorf("queries=%d refined=%d, want 1 and 1", q, r)
 	}
 	if e.Metrics() == nil {
 		t.Error("Metrics() = nil on a default engine")
 	}
 }
 
-// TestEngineStats: Stats counts every query and the refined ones among
-// them — a repeated query counts again.
+// TestEngineStats: the registry counts every query and the refined ones
+// among them — a repeated query counts again.
 func TestEngineStats(t *testing.T) {
 	doc, err := xmltree.ParseString(`
 <bib>
@@ -96,17 +101,16 @@ func TestEngineStats(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := e.Stats()
-	if st.Queries != 3 {
-		t.Errorf("Queries = %d", st.Queries)
+	if n := counter(e, "xrefine_engine_queries_total"); n != 3 {
+		t.Errorf("queries = %d", n)
 	}
-	if st.Refined != 2 { // the two databse lookups
-		t.Errorf("Refined = %d", st.Refined)
+	if n := counter(e, "xrefine_engine_refined_total"); n != 2 { // the two databse lookups
+		t.Errorf("refined = %d", n)
 	}
 }
 
 // TestDisabledMetricsEngine: DisableMetrics must produce a fully working
-// engine whose registry accessor reports nil and whose Stats are zero.
+// engine whose registry accessor reports nil and whose counters read zero.
 func TestDisabledMetricsEngine(t *testing.T) {
 	e, _ := newEngine(t, &Config{DisableMetrics: true})
 	resp, err := query(e, "online databse")
@@ -119,8 +123,8 @@ func TestDisabledMetricsEngine(t *testing.T) {
 	if e.Metrics() != nil {
 		t.Error("Metrics() should be nil with DisableMetrics")
 	}
-	if st := e.Stats(); st.Queries != 0 {
-		t.Errorf("disabled engine Stats().Queries = %d, want 0", st.Queries)
+	if n := counter(e, "xrefine_engine_queries_total"); n != 0 {
+		t.Errorf("disabled engine queries = %d, want 0", n)
 	}
 }
 
@@ -322,8 +326,8 @@ func TestTracedQueriesRace(t *testing.T) {
 	if _, err := obs.ParsePrometheus(&buf); err != nil {
 		t.Fatalf("post-race exposition malformed: %v", err)
 	}
-	if st := e.Stats(); st.Queries != 40 {
-		t.Errorf("Stats().Queries = %d, want 40", st.Queries)
+	if n := counter(e, "xrefine_engine_queries_total"); n != 40 {
+		t.Errorf("queries = %d, want 40", n)
 	}
 }
 

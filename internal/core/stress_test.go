@@ -90,9 +90,8 @@ func TestConcurrentQueriesRace(t *testing.T) {
 	for e := range errs {
 		t.Error(e)
 	}
-	st := eng.Stats()
-	if st.Queries != goroutines*rounds {
-		t.Errorf("Queries = %d, want %d", st.Queries, goroutines*rounds)
+	if n := counter(eng, "xrefine_engine_queries_total"); n != goroutines*rounds {
+		t.Errorf("queries = %d, want %d", n, goroutines*rounds)
 	}
 }
 

@@ -196,24 +196,18 @@ func (e Event) View() EventView {
 // FlightRecorder is the always-on structured event ring. All methods are
 // nil-safe; Record never allocates after construction.
 type FlightRecorder struct {
-	mu      sync.Mutex
-	ring    []Event
-	next    int
-	filled  bool
-	seq     uint64
-	dropped uint64
+	mu   sync.Mutex
+	ring ring[Event]
+	seq  uint64
 }
 
-// DefaultFlightCapacity is the ring size Registry.Flight uses.
-const DefaultFlightCapacity = 4096
+// flightCapacity is the ring size Registry.Flight uses.
+const flightCapacity = 4096
 
-// NewFlightRecorder builds a recorder holding the last capacity events.
-// capacity <= 0 defaults to DefaultFlightCapacity.
+// NewFlightRecorder builds a recorder holding the last capacity (> 0)
+// events.
 func NewFlightRecorder(capacity int) *FlightRecorder {
-	if capacity <= 0 {
-		capacity = DefaultFlightCapacity
-	}
-	return &FlightRecorder{ring: make([]Event, capacity)}
+	return &FlightRecorder{ring: newRing[Event](capacity)}
 }
 
 // Record deposits one event, stamping its sequence number and time.
@@ -226,15 +220,7 @@ func (f *FlightRecorder) Record(e Event) {
 	f.seq++
 	e.Seq = f.seq
 	e.TimeNS = now
-	if f.filled {
-		f.dropped++
-	}
-	f.ring[f.next] = e
-	f.next++
-	if f.next == len(f.ring) {
-		f.next = 0
-		f.filled = true
-	}
+	f.ring.put(e)
 	f.mu.Unlock()
 }
 
@@ -255,27 +241,15 @@ func (f *FlightRecorder) Events(filter EventFilter) []Event {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	n := f.next
-	if f.filled {
-		n = len(f.ring)
-	}
 	var out []Event
-	for i := 1; i <= n; i++ {
-		e := f.ring[(f.next-i+len(f.ring))%len(f.ring)]
-		if filter.Trace != 0 && e.Trace != filter.Trace {
-			continue
+	f.ring.newestFirst(func(e *Event) bool {
+		if (filter.Trace == 0 || e.Trace == filter.Trace) &&
+			(filter.Kind == KindAny || e.Kind == filter.Kind) &&
+			(!filter.HasShard || e.Shard == filter.Shard) {
+			out = append(out, *e)
 		}
-		if filter.Kind != KindAny && e.Kind != filter.Kind {
-			continue
-		}
-		if filter.HasShard && e.Shard != filter.Shard {
-			continue
-		}
-		out = append(out, e)
-		if filter.Limit > 0 && len(out) >= filter.Limit {
-			break
-		}
-	}
+		return filter.Limit <= 0 || len(out) < filter.Limit
+	})
 	return out
 }
 
@@ -286,10 +260,7 @@ func (f *FlightRecorder) Len() int {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.filled {
-		return len(f.ring)
-	}
-	return f.next
+	return f.ring.len()
 }
 
 // Dropped returns how many events were overwritten after the ring filled.
@@ -299,7 +270,7 @@ func (f *FlightRecorder) Dropped() uint64 {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.dropped
+	return f.ring.dropped
 }
 
 // Capacity returns the ring size (0 for a nil recorder).
@@ -307,7 +278,7 @@ func (f *FlightRecorder) Capacity() int {
 	if f == nil {
 		return 0
 	}
-	return len(f.ring)
+	return len(f.ring.buf)
 }
 
 // Flight returns the registry's flight recorder, creating it on first
@@ -321,7 +292,7 @@ func (r *Registry) Flight() *FlightRecorder {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.flight == nil {
-		r.flight = NewFlightRecorder(0)
+		r.flight = NewFlightRecorder(flightCapacity)
 	}
 	return r.flight
 }
@@ -330,9 +301,9 @@ func (r *Registry) Flight() *FlightRecorder {
 // through the context: the trace ID every span, event and exemplar of the
 // request stamps, the sampling decision, and the serving attempt the
 // response was ultimately built from (filled in by the replica fan-out,
-// read back by the slowlog). One ReqInfo is allocated per request at HTTP
-// admission; queries entered below that layer see a nil ReqInfo and every
-// method no-ops.
+// read back when the trace is retained). One ReqInfo is allocated per
+// request at HTTP admission; queries entered below that layer see a nil
+// ReqInfo and every method no-ops.
 type ReqInfo struct {
 	Trace TraceID
 	// Sampled marks requests whose span tree is being retained; the
@@ -409,7 +380,7 @@ func (ri *ReqInfo) IsSampled() bool { return ri != nil && ri.Sampled }
 
 // NoteServe records one winning scan attempt. Across a scatter-gather
 // query the slowest shard's winner is kept — the attempt that set the
-// request's critical path is the one worth naming in the slowlog.
+// request's critical path is the one worth naming in its retained trace.
 func (ri *ReqInfo) NoteServe(shard, replica int, hedged bool, d time.Duration) {
 	if ri == nil {
 		return

@@ -168,6 +168,47 @@ func TestTraceStoreEviction(t *testing.T) {
 	if ts.Len() != 2 || ts.Capacity() != 2 {
 		t.Errorf("Len=%d Cap=%d, want 2, 2", ts.Len(), ts.Capacity())
 	}
+	// Re-retaining an ID maps it to the newer record; evicting the older
+	// copy must leave it resolvable.
+	ts.Put(RetainedTrace{ID: c, Query: "c2"}) // evicts b
+	ts.Put(RetainedTrace{ID: a, Query: "a"})  // evicts the first c
+	if rt, ok := ts.Get(c); !ok || rt.Query != "c2" {
+		t.Errorf("Get(c) after its older copy was evicted = %+v, %v", rt, ok)
+	}
+}
+
+// TestTraceStoreSlowView: the slow-query view lists only the traces
+// marked slow, newest first, and counts the slow ones the ring evicted.
+func TestTraceStoreSlowView(t *testing.T) {
+	ts := NewTraceStore(3)
+	if es, dropped := ts.Slow(); es == nil || len(es) != 0 || dropped != 0 {
+		t.Errorf("empty store Slow() = %v, %d; want an empty non-nil list", es, dropped)
+	}
+	ts.Put(RetainedTrace{ID: NewTraceID(), Query: "sampled"})
+	for _, q := range []string{"a", "b", "c", "d"} {
+		ts.Put(RetainedTrace{ID: NewTraceID(), Query: q, Slow: true})
+	}
+	es, dropped := ts.Slow()
+	if len(es) != 3 {
+		t.Fatalf("len = %d, want 3 (ring capacity)", len(es))
+	}
+	// Newest first; the sampled trace and "a" were overwritten.
+	if es[0].Query != "d" || es[1].Query != "c" || es[2].Query != "b" {
+		t.Errorf("order = %q, %q, %q", es[0].Query, es[1].Query, es[2].Query)
+	}
+	if dropped != 1 {
+		t.Errorf("dropped = %d, want 1 (the sampled trace does not count)", dropped)
+	}
+	for _, e := range es {
+		if rt, ok := ts.Get(e.ID); !ok || rt.Query != e.Query {
+			t.Errorf("slow trace %q does not resolve by ID", e.Query)
+		}
+	}
+	var nilStore *TraceStore
+	nilStore.Put(RetainedTrace{Slow: true})
+	if es, _ := nilStore.Slow(); len(es) != 0 || nilStore.Len() != 0 {
+		t.Error("nil trace store misbehaved")
+	}
 }
 
 func TestSLOBurnMath(t *testing.T) {

@@ -1,7 +1,8 @@
 // Package obs is XRefine's observability layer: a dependency-free metrics
 // registry (counters, gauges, fixed-bucket histograms, with optional label
-// dimensions) plus a lightweight per-query span tracer and a slow-query
-// ring buffer. Everything is stdlib-only and safe for concurrent use.
+// dimensions) plus a lightweight per-query span tracer, the flight
+// recorder's event ring and the trace store that retains sampled and slow
+// queries. Everything is stdlib-only and safe for concurrent use.
 //
 // The registry follows the Prometheus data model — metric families with a
 // name, HELP text, a TYPE, and zero or more label dimensions — and renders
@@ -418,21 +419,6 @@ func (v *CounterVec) With(vals ...string) *Counter {
 	return v.f.childFor(vals).counter
 }
 
-// Sum returns the total across every series of the family — the
-// "ignore the labels" read used by backward-compatible snapshots.
-func (v *CounterVec) Sum() uint64 {
-	if v == nil {
-		return 0
-	}
-	v.f.mu.Lock()
-	defer v.f.mu.Unlock()
-	var n uint64
-	for _, c := range v.f.children {
-		n += c.counter.Value()
-	}
-	return n
-}
-
 // GaugeVec is a gauge family with label dimensions. All methods are
 // nil-safe.
 type GaugeVec struct{ f *family }
@@ -544,4 +530,23 @@ func (r *Registry) Snapshot() map[string]any {
 		out[f.name] = series
 	}
 	return out
+}
+
+// SnapshotTotal reads counter family name out of a Snapshot: its value,
+// or the sum over its label series; 0 when the family is absent. Counters
+// a component keeps on the registry are read back this way rather than
+// through a second, private book.
+func SnapshotTotal(snap map[string]any, name string) uint64 {
+	switch v := snap[name].(type) {
+	case uint64:
+		return v
+	case map[string]any:
+		var n uint64
+		for _, s := range v {
+			c, _ := s.(uint64)
+			n += c
+		}
+		return n
+	}
+	return 0
 }

@@ -73,8 +73,8 @@ func TestCounterVec(t *testing.T) {
 	v.With("/search", "200").Add(3)
 	v.With("/search", "500").Inc()
 	v.With("/narrow", "200").Inc()
-	if got := v.Sum(); got != 5 {
-		t.Errorf("Sum = %d, want 5", got)
+	if got := SnapshotTotal(r.Snapshot(), "test_requests_total"); got != 5 {
+		t.Errorf("SnapshotTotal = %d, want 5", got)
 	}
 	if got := v.With("/search", "200").Value(); got != 3 {
 		t.Errorf("series = %d, want 3", got)
@@ -180,6 +180,13 @@ func TestSnapshotJSONShapes(t *testing.T) {
 	if !ok || hist["count"] != uint64(1) {
 		t.Errorf("h_seconds = %v", snap["h_seconds"])
 	}
+	r.CounterVec("v_total", "", "reason").With("budget").Add(5)
+	snap = r.Snapshot()
+	for name, want := range map[string]uint64{"c_total": 3, "v_total": 7, "absent_total": 0} {
+		if got := SnapshotTotal(snap, name); got != want {
+			t.Errorf("SnapshotTotal(%s) = %d, want %d", name, got, want)
+		}
+	}
 }
 
 // TestRegistryConcurrency hammers one registry from many goroutines —
@@ -214,7 +221,7 @@ func TestRegistryConcurrency(t *testing.T) {
 	if got := r.Counter("conc_total", "").Value(); got != workers*iters {
 		t.Errorf("conc_total = %d, want %d", got, workers*iters)
 	}
-	if got := r.CounterVec("conc_vec_total", "", "w").Sum(); got != workers*iters {
+	if got := SnapshotTotal(r.Snapshot(), "conc_vec_total"); got != workers*iters {
 		t.Errorf("vec sum = %d, want %d", got, workers*iters)
 	}
 	if got := r.Histogram("conc_seconds", "", nil).Count(); got != workers*iters {

@@ -138,7 +138,7 @@ type SLOWindow struct {
 }
 
 // SLOReport is the full burn-rate snapshot, as served on /healthz under
-// "slo" and rendered by `xrefine slo` / `xstat -slo`.
+// "slo" and rendered by `xrefine slo`.
 type SLOReport struct {
 	AvailabilityObjective float64     `json:"availability_objective"`
 	LatencyObjective      float64     `json:"latency_objective"`
@@ -197,8 +197,8 @@ func (s *SLO) BurnRate(window, objective string) float64 {
 	return 0
 }
 
-// WriteSLOReport pretty-prints a report for terminals — the shared
-// renderer behind `xrefine slo` and `xstat -slo`.
+// WriteSLOReport pretty-prints a report for terminals — the renderer
+// behind `xrefine slo`.
 func WriteSLOReport(w io.Writer, r SLOReport) {
 	fmt.Fprintf(w, "objectives: availability %.4g, latency %.4g within %gms\n",
 		r.AvailabilityObjective, r.LatencyObjective, r.LatencyTargetMS)

@@ -160,7 +160,7 @@ func (s *Span) SetStr(key, v string) {
 }
 
 // SpanData is the immutable snapshot of a span tree — what the explain
-// JSON, the pretty-printer, and the slow-query log consume. Durations are
+// JSON, the pretty-printer, and the trace store consume. Durations are
 // nanoseconds.
 type SpanData struct {
 	Name       string         `json:"name"`

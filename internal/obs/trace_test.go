@@ -135,37 +135,3 @@ func TestSpanConcurrency(t *testing.T) {
 	}
 	root.Release()
 }
-
-func TestSlowLog(t *testing.T) {
-	l := NewSlowLog(10*time.Millisecond, 3)
-	if l.Record(SlowEntry{Query: "fast", DurationNS: int64(time.Millisecond)}) {
-		t.Error("recorded an entry under the threshold")
-	}
-	for i, q := range []string{"a", "b", "c", "d"} {
-		kept := l.Record(SlowEntry{
-			Time: time.Now(), Query: q,
-			DurationNS: int64(10*time.Millisecond) + int64(i),
-		})
-		if !kept {
-			t.Errorf("entry %q not kept", q)
-		}
-	}
-	es := l.Entries()
-	if len(es) != 3 {
-		t.Fatalf("len = %d, want 3 (ring capacity)", len(es))
-	}
-	// Newest first; "a" was overwritten.
-	if es[0].Query != "d" || es[1].Query != "c" || es[2].Query != "b" {
-		t.Errorf("order = %q, %q, %q", es[0].Query, es[1].Query, es[2].Query)
-	}
-	if l.Dropped() != 1 {
-		t.Errorf("dropped = %d, want 1", l.Dropped())
-	}
-	if l.Len() != 3 {
-		t.Errorf("len = %d", l.Len())
-	}
-	var nilLog *SlowLog
-	if nilLog.Record(SlowEntry{}) || nilLog.Len() != 0 || nilLog.Entries() != nil {
-		t.Error("nil slowlog misbehaved")
-	}
-}

@@ -32,11 +32,11 @@ func (s *Sampler) Sample() bool {
 	return s.n.Add(1)%s.every == 0
 }
 
-// RetainedTrace is one sampled request's full evidence: the span tree
+// RetainedTrace is one retained request's full evidence: the span tree
 // plus the envelope (query, outcome, serving attribution) a debugging
 // operator needs without cross-referencing. GET /debug/trace/<id>
-// resolves a trace ID — scraped off an exemplar or an event dump — to
-// this record.
+// resolves a trace ID — scraped off an exemplar, an event dump or the
+// slow-query view — to this record.
 type RetainedTrace struct {
 	ID             TraceID   `json:"trace_id"`
 	Time           time.Time `json:"time"`
@@ -46,32 +46,32 @@ type RetainedTrace struct {
 	DegradedReason string    `json:"degraded_reason,omitempty"`
 	// Shard/Replica/Hedged name the serving attempt on the request's
 	// critical path; -1/-1/false on a single-engine backend.
-	Shard   int       `json:"shard"`
-	Replica int       `json:"replica"`
-	Hedged  bool      `json:"hedged"`
-	Trace   *SpanData `json:"trace,omitempty"`
+	Shard   int  `json:"shard"`
+	Replica int  `json:"replica"`
+	Hedged  bool `json:"hedged"`
+	// Slow marks a query whose wall time met the slow-query threshold;
+	// GET /debug/slowlog lists exactly these.
+	Slow  bool      `json:"slow,omitempty"`
+	Trace *SpanData `json:"trace,omitempty"`
 }
 
-// TraceStore retains the last capacity sampled traces, resolvable by
-// trace ID. A ring bounds memory; the index map follows evictions.
+// TraceStore is the one retention store: the last capacity retained
+// traces — sampled, explained or slow — resolvable by trace ID, with the
+// slow ones also listed by Slow. A ring bounds memory; the index map
+// follows evictions.
 type TraceStore struct {
-	mu     sync.Mutex
-	ring   []RetainedTrace
-	byID   map[TraceID]int
-	next   int
-	filled bool
+	mu          sync.Mutex
+	ring        ring[RetainedTrace]
+	byID        map[TraceID]int
+	slowDropped uint64 // slow traces evicted
 }
 
-// DefaultTraceCapacity is the retention window NewTraceStore(0) uses.
-const DefaultTraceCapacity = 512
+// TraceCapacity is the retention window of a serving process's store.
+const TraceCapacity = 512
 
-// NewTraceStore builds a store retaining the last capacity traces.
-// capacity <= 0 defaults to DefaultTraceCapacity.
+// NewTraceStore builds a store retaining the last capacity (> 0) traces.
 func NewTraceStore(capacity int) *TraceStore {
-	if capacity <= 0 {
-		capacity = DefaultTraceCapacity
-	}
-	return &TraceStore{ring: make([]RetainedTrace, capacity), byID: make(map[TraceID]int, capacity)}
+	return &TraceStore{ring: newRing[RetainedTrace](capacity), byID: make(map[TraceID]int, capacity)}
 }
 
 // Put retains one trace, evicting the oldest when full. Nil-safe.
@@ -80,17 +80,35 @@ func (ts *TraceStore) Put(rt RetainedTrace) {
 		return
 	}
 	ts.mu.Lock()
-	if old := ts.ring[ts.next]; old.ID != 0 {
+	slot, old := ts.ring.put(rt)
+	// A trace ID retained twice resolves to its newest record; evicting
+	// the older one must not unmap it.
+	if i, ok := ts.byID[old.ID]; ok && i == slot {
 		delete(ts.byID, old.ID)
 	}
-	ts.ring[ts.next] = rt
-	ts.byID[rt.ID] = ts.next
-	ts.next++
-	if ts.next == len(ts.ring) {
-		ts.next = 0
-		ts.filled = true
+	if old.Slow {
+		ts.slowDropped++
 	}
+	ts.byID[rt.ID] = slot
 	ts.mu.Unlock()
+}
+
+// Slow returns the retained traces marked slow, newest first, and how
+// many slow traces the ring has evicted.
+func (ts *TraceStore) Slow() (entries []RetainedTrace, dropped uint64) {
+	entries = []RetainedTrace{}
+	if ts == nil {
+		return entries, 0
+	}
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	ts.ring.newestFirst(func(rt *RetainedTrace) bool {
+		if rt.Slow {
+			entries = append(entries, *rt)
+		}
+		return true
+	})
+	return entries, ts.slowDropped
 }
 
 // Get resolves a trace ID to its retained record.
@@ -104,7 +122,7 @@ func (ts *TraceStore) Get(id TraceID) (RetainedTrace, bool) {
 	if !ok {
 		return RetainedTrace{}, false
 	}
-	return ts.ring[i], true
+	return ts.ring.buf[i], true
 }
 
 // Len returns the number of traces currently retained.
@@ -114,10 +132,7 @@ func (ts *TraceStore) Len() int {
 	}
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	if ts.filled {
-		return len(ts.ring)
-	}
-	return ts.next
+	return ts.ring.len()
 }
 
 // Capacity returns the retention window size.
@@ -125,5 +140,5 @@ func (ts *TraceStore) Capacity() int {
 	if ts == nil {
 		return 0
 	}
-	return len(ts.ring)
+	return len(ts.ring.buf)
 }

@@ -30,7 +30,6 @@ func TestSearchByteIdenticalAcrossConfigs(t *testing.T) {
 	bare := New(core.NewFromDocument(doc, nil), Config{})
 	hardened := New(
 		core.NewFromDocument(doc, &core.Config{
-			Timeout:       time.Hour,
 			PostingBudget: 1 << 40,
 		}),
 		Config{Timeout: time.Hour, MaxInFlight: 128},

@@ -49,8 +49,8 @@ var (
 // hand it over, and turn the Outcome back into bytes. What the pipeline
 // owns exists once per process — the admission gate, the per-request
 // deadline, panic containment, trace-ID stamping, the admit/finish flight
-// events, and the sampler → slowlog → trace store → SLO accounting — so a
-// limit or a signal cannot apply to one surface and not another.
+// events, and the sampler → trace store → SLO accounting — so a limit or a
+// signal cannot apply to one surface and not another.
 type Pipeline struct {
 	eng  Backend
 	cfg  Config
@@ -58,8 +58,7 @@ type Pipeline struct {
 
 	flight  *obs.FlightRecorder // the registry's shared event ring
 	sampler *obs.Sampler        // 1-in-N span-tree retention
-	slowlog *obs.SlowLog        // nil unless SlowLogThreshold > 0
-	traces  *obs.TraceStore     // behind /debug/trace/<id>
+	traces  *obs.TraceStore     // behind /debug/trace/<id> and /debug/slowlog
 	slo     *obs.SLO            // fed by every finished request
 	start   time.Time
 }
@@ -70,15 +69,12 @@ func newPipeline(eng Backend, cfg Config) *Pipeline {
 	if cfg.MaxInFlight > 0 {
 		p.gate = make(chan struct{}, cfg.MaxInFlight)
 	}
-	if cfg.SlowLogThreshold > 0 {
-		p.slowlog = obs.NewSlowLog(cfg.SlowLogThreshold, cfg.SlowLogCapacity)
-	}
 	sampleEvery := cfg.TraceSampleEvery
 	if sampleEvery == 0 {
 		sampleEvery = defaultTraceSampleEvery
 	}
 	p.sampler = obs.NewSampler(sampleEvery) // nil (never samples) when negative
-	p.traces = obs.NewTraceStore(cfg.TraceStoreCapacity)
+	p.traces = obs.NewTraceStore(obs.TraceCapacity)
 	p.slo = obs.NewSLO(cfg.SLO)
 	reg.GaugeVec("xrefine_build_info",
 		"Build identity; value is always 1, the labels carry the information.",
@@ -303,18 +299,19 @@ func (p *Pipeline) Search(ctx context.Context, rt *Route, req *SearchRequest) Ou
 }
 
 // search is the query stage proper, run inside do. A trace is armed when
-// the caller asked for an explanation, the slow-query log is on (it needs
-// the span tree of any query that turns out slow), or the sampler elected
-// this query for retention. Only explained, sampled and slow queries are
-// retained, so an armed slowlog does not flood the trace store. Untraced
-// queries pay one context lookup per stage.
+// the caller asked for an explanation, a slow-query threshold is set (it
+// needs the span tree of any query that turns out slow), or the sampler
+// elected this query for retention. Only explained, sampled and slow
+// queries are retained, so a threshold does not flood the trace store.
+// Untraced queries pay one context lookup per stage.
 func (p *Pipeline) search(ctx context.Context, req *SearchRequest) Outcome {
 	ri := obs.ReqInfoFromContext(ctx)
 	// Mark before the query runs so the shard fan-out pins attempt
 	// exemplars only for queries whose trace will be resolvable.
 	ri.Sampled = req.Explain || p.sampler.Sample()
 	var root *obs.Span
-	if ri.Sampled || p.slowlog != nil {
+	slowAt := p.cfg.SlowLogThreshold
+	if ri.Sampled || slowAt > 0 {
 		ctx, root = obs.NewTrace(ctx, "query")
 		defer root.Release()
 	}
@@ -343,48 +340,26 @@ func (p *Pipeline) search(ctx context.Context, req *SearchRequest) Outcome {
 	}
 	if root != nil {
 		root.End()
-		e := obs.SlowEntry{Time: time.Now(), Query: q, DurationNS: int64(time.Since(start)), Trace: root.Data()}
+		rt := obs.RetainedTrace{ID: ri.Trace, Time: time.Now(), Query: q,
+			DurationNS: int64(time.Since(start)), Trace: root.Data()}
 		// An errored sampled query is retained too — its attempt exemplars
 		// are already pinned, and a failing query is the one an operator
 		// most wants the trace of — but only answered ones are slow queries.
 		if err == nil {
-			e.Degraded, e.DegradedReason = resp.Degraded, resp.DegradedReason
+			rt.Degraded, rt.DegradedReason = resp.Degraded, resp.DegradedReason
+			rt.Slow = slowAt > 0 && time.Duration(rt.DurationNS) >= slowAt
 		}
-		slow := err == nil && p.slowlog != nil && time.Duration(e.DurationNS) >= p.slowlog.Threshold()
-		if ri.Sampled || slow {
-			e = p.retain(ri, e)
-		}
-		if slow {
-			p.slowlog.Record(e)
+		// A retained request may pin its trace ID on the latency
+		// histograms as an exemplar, which therefore always resolves at
+		// /debug/trace/<id> while the retention window holds it.
+		if ri.Sampled || rt.Slow {
+			rt.Shard, rt.Replica, rt.Hedged, _ = ri.Serving()
+			p.traces.Put(rt)
+			ri.MarkRetained()
 		}
 		if req.Explain {
-			out.Explain = e.Trace
+			out.Explain = rt.Trace
 		}
 	}
 	return out
-}
-
-// retain deposits one sampled query's span tree, with its envelope (query,
-// outcome, serving attribution), in the trace store and marks the request
-// retained, which licenses the latency histograms to pin its trace ID as
-// an exemplar — an exemplar therefore always resolves at /debug/trace/<id>
-// while the retention window holds it. It returns e with the attribution
-// filled in, which is the slowlog's entry for the same query.
-func (p *Pipeline) retain(ri *obs.ReqInfo, e obs.SlowEntry) obs.SlowEntry {
-	e.TraceID = ri.TraceID()
-	e.Shard, e.Replica, e.Hedged, _ = ri.Serving()
-	p.traces.Put(obs.RetainedTrace{
-		ID:             ri.Trace,
-		Time:           e.Time,
-		Query:          e.Query,
-		DurationNS:     e.DurationNS,
-		Degraded:       e.Degraded,
-		DegradedReason: e.DegradedReason,
-		Shard:          e.Shard,
-		Replica:        e.Replica,
-		Hedged:         e.Hedged,
-		Trace:          e.Trace,
-	})
-	ri.MarkRetained()
-	return e
 }

@@ -4,10 +4,13 @@
 //
 //	GET /search?q=online+databse&k=3&parallel=4&explain=1
 //	GET /narrow?q=database&max=50&k=3
+//	GET /complete?q=datab&k=8
 //	POST /update   {"ops":[{"op":"insert","parent":"0","xml":"<paper>...</paper>"}]}
 //	GET /healthz
-//	GET /metrics
-//	GET /debug/slowlog
+//	GET /metrics   (?format=openmetrics adds exemplars)
+//	GET /debug/slowlog   (when Config.SlowLogThreshold > 0)
+//	GET /debug/events?trace_id=&shard=&kind=&limit=
+//	GET /debug/trace/<trace-id>
 //	GET /debug/pprof/   (when Config.EnablePprof)
 package server
 
@@ -50,24 +53,20 @@ type Config struct {
 	// are exempt — probes and scrapes must keep working under saturation,
 	// when they matter most.
 	MaxInFlight int
-	// SlowLogThreshold arms the slow-query ring log when positive: every
-	// query is traced, and those whose wall time meets the threshold
-	// deposit their span tree at GET /debug/slowlog.
+	// SlowLogThreshold arms the slow-query view when positive: every
+	// query is traced, and those whose wall time meets the threshold are
+	// retained in the trace store marked slow, listed at GET /debug/slowlog.
 	SlowLogThreshold time.Duration
-	// SlowLogCapacity bounds the ring; 0 means 128 entries.
-	SlowLogCapacity int
 	// EnablePprof mounts net/http/pprof handlers under /debug/pprof/ on
 	// the server's own mux (never the default mux), bypassing the
 	// admission gate and timeout like the other debug surfaces.
 	EnablePprof bool
 	// TraceSampleEvery retains every n-th query's span tree in the trace
-	// store (resolvable at GET /debug/trace/<id>) and links it from the
-	// latency histograms as an OpenMetrics exemplar. 0 means the default
-	// (64); negative disables sampling — explain=1 and slow queries still
-	// retain their traces.
+	// store (the last obs.TraceCapacity retained traces resolve at GET
+	// /debug/trace/<id>) and links it from the latency histograms as an
+	// OpenMetrics exemplar. 0 means the default (64); negative disables
+	// sampling — explain=1 and slow queries still retain their traces.
 	TraceSampleEvery int
-	// TraceStoreCapacity bounds the retained-trace ring; 0 means 512.
-	TraceStoreCapacity int
 	// SLO configures the burn-rate engine's objectives; the zero value
 	// takes the defaults (99.9% availability, 99% under 250ms).
 	SLO obs.SLOOptions
@@ -82,16 +81,31 @@ type Backend interface {
 	Narrow(q string, opts *narrow.Options) (*narrow.Outcome, error)
 	Complete(partial string, k int) []string
 	Apply(b *mutate.Batch) (*core.ApplyResult, error)
-	Stats() core.EngineStats
 	UpdateStats() core.UpdateStats
-	// Health reports what only some deployments have — shard epochs, the
-	// replica table, the storage-engine snapshot — for /healthz.
+	// Health reports the worker bound and what only some deployments
+	// have — shard epochs, the replica table, the storage-engine
+	// snapshot — for /healthz.
 	Health() core.HealthExtras
 	Index() *index.Index
 	// Snippet renders a match preview; ok is false when no source
 	// document is available and the snippet field should be omitted.
 	Snippet(m refine.Match, max int) (string, bool)
+	// Metrics is the backend's one counter book: /metrics exposes it and
+	// /healthz reads its counters from a snapshot of it.
 	Metrics() *obs.Registry
+}
+
+// healthCounters maps each counter key of /healthz to the registry family
+// it reads, summed over the family's label series.
+var healthCounters = [...]struct{ key, family string }{
+	{"queries", "xrefine_engine_queries_total"},
+	{"refined", "xrefine_engine_refined_total"},
+	{"parallel_queries", "xrefine_engine_parallel_queries_total"},
+	{"worker_runs", "xrefine_engine_worker_runs_total"},
+	{"degraded", "xrefine_engine_degraded_total"},
+	{"applied_batches", "xrefine_mutate_applied_batches_total"},
+	{"applied_ops", "xrefine_mutate_applied_ops_total"},
+	{"replayed_batches", "xrefine_mutate_replayed_batches_total"},
 }
 
 // Server is the HTTP codec over a Pipeline: handlers turn a URL or a JSON
@@ -395,32 +409,34 @@ func (s *Server) handleUpdate(_ context.Context, r *http.Request) (Outcome, any)
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	p := s.pipe
-	st := s.eng.Stats()
 	us := s.eng.UpdateStats()
+	hx := s.eng.Health()
 	body := map[string]any{
-		"status":           "ok",
-		"epoch":            us.Epoch,
-		"live_updates":     us.Live,
-		"applied_batches":  us.AppliedBatches,
-		"applied_ops":      us.AppliedOps,
-		"replayed_batches": us.ReplayedBatches,
-		"wal_bytes":        us.WALSizeBytes,
-		"nodes":            s.eng.Index().NodeCount,
-		"terms":            len(s.eng.Index().Vocabulary()),
-		"queries":          st.Queries,
-		"refined":          st.Refined,
-		"parallelism":      st.Parallelism,
-		"parallel_queries": st.ParallelQueries,
-		"worker_runs":      st.WorkerRuns,
-		"degraded":         st.Degraded,
-		"shed":             s.sf.mShed.Value(),
-		"panics":           s.sf.mPanics.Value(),
-		"max_inflight":     p.cfg.MaxInFlight,
-		"timeout_ms":       p.cfg.Timeout.Milliseconds(),
-		"uptime_seconds":   time.Since(p.start).Seconds(),
+		"status":         "ok",
+		"epoch":          us.Epoch,
+		"live_updates":   us.Live,
+		"wal_bytes":      us.WALSizeBytes,
+		"nodes":          s.eng.Index().NodeCount,
+		"terms":          len(s.eng.Index().Vocabulary()),
+		"parallelism":    hx.Parallelism,
+		"shed":           s.sf.mShed.Value(),
+		"panics":         s.sf.mPanics.Value(),
+		"max_inflight":   p.cfg.MaxInFlight,
+		"timeout_ms":     p.cfg.Timeout.Milliseconds(),
+		"uptime_seconds": time.Since(p.start).Seconds(),
 	}
-	// The SLO burn-rate report rides under its own key; `xrefine slo` and
-	// `xstat -slo` decode exactly this object.
+	// The counters are the registry's own, read out of the snapshot that
+	// rides along under "metrics", so the two cannot disagree.
+	reg := s.eng.Metrics()
+	snap := reg.Snapshot()
+	for _, c := range healthCounters {
+		body[c.key] = obs.SnapshotTotal(snap, c.family)
+	}
+	if reg != nil {
+		body["metrics"] = snap
+	}
+	// The SLO burn-rate report rides under its own key; `xrefine slo`
+	// decodes exactly this object.
 	body["slo"] = p.slo.Report(time.Now())
 	// Memory pressure observables: resident bytes of loaded posting-list
 	// cores (the block-compressed index payload) next to the Go heap, so
@@ -431,7 +447,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	body["index_resident_bytes"] = s.eng.Index().ResidentBytes()
 	body["go_heap_alloc_bytes"] = ms.HeapAlloc
 	body["go_heap_sys_bytes"] = ms.HeapSys
-	hx := s.eng.Health()
 	// Sharded backends surface their per-shard epochs next to the summed
 	// one; single-engine servers omit the keys entirely.
 	if hx.ShardEpochs != nil {
@@ -458,11 +473,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if hx.Storage != nil {
 		body["storage"] = *hx.Storage
 		body["storage_amplification"] = hx.Storage.Amplification()
-	}
-	// The full registry snapshot rides along under its own key so the
-	// established top-level fields stay stable for existing probes.
-	if reg := s.eng.Metrics(); reg != nil {
-		body["metrics"] = reg.Snapshot()
 	}
 	writeJSON(w, body)
 }
@@ -545,8 +555,8 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleTrace resolves one retained trace ID — scraped off an exemplar, a
-// slowlog entry, or an event dump — to its full record: the span tree plus
-// the query, outcome and serving attribution.
+// slow-query entry, or an event dump — to its full record: the span tree
+// plus the query, outcome and serving attribution.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	idStr := strings.TrimPrefix(r.URL.Path, "/debug/trace/")
 	if idStr == "" || strings.Contains(idStr, "/") {
@@ -560,26 +570,24 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	rt, ok := s.pipe.traces.Get(id)
 	if !ok {
-		httpError(w, http.StatusNotFound, fmt.Errorf("trace %s not retained (sampled traces only, last %d kept)", id, s.pipe.traces.Capacity()))
+		httpError(w, http.StatusNotFound, fmt.Errorf("trace %s not retained (sampled and slow traces only, last %d kept)", id, s.pipe.traces.Capacity()))
 		return
 	}
 	writeJSON(w, rt)
 }
 
-// handleSlowlog dumps the slow-query ring buffer, newest first.
+// handleSlowlog is the trace store's slow-query view: the retained traces
+// marked slow, newest first, and how many of them the store has evicted.
 func (s *Server) handleSlowlog(w http.ResponseWriter, r *http.Request) {
-	slowlog := s.pipe.slowlog
-	if slowlog == nil {
+	threshold := s.pipe.cfg.SlowLogThreshold
+	if threshold <= 0 {
 		httpError(w, http.StatusNotFound, errors.New("slow-query log disabled; start with a slowlog threshold"))
 		return
 	}
-	entries := slowlog.Entries()
-	if entries == nil {
-		entries = []obs.SlowEntry{}
-	}
+	entries, dropped := s.pipe.traces.Slow()
 	writeJSON(w, map[string]any{
-		"threshold_ms": slowlog.Threshold().Milliseconds(),
-		"dropped":      slowlog.Dropped(),
+		"threshold_ms": threshold.Milliseconds(),
+		"dropped":      dropped,
 		"entries":      entries,
 	})
 }

@@ -172,8 +172,9 @@ func TestUpdateEndpointLivePersists(t *testing.T) {
 	if rec.Code != http.StatusOK || body["need_refine"].(bool) {
 		t.Fatalf("reopened server lost the update: %d %v", rec.Code, body)
 	}
-	if st := reopened.UpdateStats(); st.Epoch != 1 || st.ReplayedBatches != 0 {
-		t.Fatalf("reopened stats = %+v, want epoch 1 with no replay", st)
+	if _, health := get(t, s2, "/healthz"); health["epoch"].(float64) != 1 || health["replayed_batches"].(float64) != 0 {
+		t.Fatalf("reopened healthz epoch=%v replayed_batches=%v, want epoch 1 with no replay",
+			health["epoch"], health["replayed_batches"])
 	}
 }
 

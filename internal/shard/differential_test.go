@@ -9,11 +9,11 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"xrefine/internal/core"
 	"xrefine/internal/datagen"
 	"xrefine/internal/mutate"
+	"xrefine/internal/obs"
 	"xrefine/internal/refine"
 	"xrefine/internal/server"
 	"xrefine/internal/storage"
@@ -238,7 +238,7 @@ func TestShardPartialDegrade(t *testing.T) {
 	if got := r.m.partial.Value(); got != 1 {
 		t.Errorf("xrefine_shard_partial_total = %d, want 1", got)
 	}
-	if got := r.m.scanErrors.Sum(); got != 1 {
+	if got := obs.SnapshotTotal(r.mreg.Snapshot(), "xrefine_shard_scan_errors_total"); got != 1 {
 		t.Errorf("xrefine_shard_scan_errors_total = %d, want 1", got)
 	}
 
@@ -270,7 +270,7 @@ func TestShardBudgetDegrade(t *testing.T) {
 		}
 	})
 	t.Run("no-budget-clean", func(t *testing.T) {
-		r := memRouter(t, doc, 4, ModeRange, &core.Config{Timeout: time.Hour, PostingBudget: 1 << 40}, nil)
+		r := memRouter(t, doc, 4, ModeRange, &core.Config{PostingBudget: 1 << 40}, nil)
 		resp, err := r.QueryTermsCtx(nil, []string{"databse", "quary"}, core.StrategyPartition, 3, 4)
 		if err != nil {
 			t.Fatal(err)

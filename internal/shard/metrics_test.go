@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"xrefine/internal/core"
+	"xrefine/internal/mutate"
 	"xrefine/internal/obs"
 	"xrefine/internal/refine"
 	"xrefine/internal/server"
@@ -17,7 +18,7 @@ import (
 )
 
 // engineSamples scrapes the router's registry and returns each sample's
-// value keyed by name plus its label set.
+// value keyed by name plus its reason label, summed over any other labels.
 func engineSamples(t *testing.T, r *Router) map[string]float64 {
 	t.Helper()
 	var buf bytes.Buffer
@@ -34,32 +35,39 @@ func engineSamples(t *testing.T, r *Router) map[string]float64 {
 		if reason, ok := s.Labels["reason"]; ok {
 			key += fmt.Sprintf("{reason=%q}", reason)
 		}
-		out[key] = s.Value
+		out[key] += s.Value
 	}
 	return out
 }
 
-// healthCounters reads the query counters /healthz serves for r.
-func healthCounters(t *testing.T, r *Router) (queries, refined, degraded uint64) {
+// healthCounters are the counters and the epoch /healthz serves.
+type healthCounters struct {
+	Queries        uint64 `json:"queries"`
+	Refined        uint64 `json:"refined"`
+	Degraded       uint64 `json:"degraded"`
+	AppliedBatches uint64 `json:"applied_batches"`
+	AppliedOps     uint64 `json:"applied_ops"`
+	Epoch          uint64 `json:"epoch"`
+}
+
+// healthz reads the counters /healthz serves for r.
+func healthz(t *testing.T, r *Router) healthCounters {
 	t.Helper()
 	rec := httptest.NewRecorder()
 	server.New(r, server.Config{}).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
-	var h struct {
-		Queries  uint64 `json:"queries"`
-		Refined  uint64 `json:"refined"`
-		Degraded uint64 `json:"degraded"`
-	}
+	var h healthCounters
 	if err := json.Unmarshal(rec.Body.Bytes(), &h); err != nil {
 		t.Fatal(err)
 	}
-	return h.Queries, h.Refined, h.Degraded
+	return h
 }
 
 // TestRouterMetricsMatchHealthz: a router answers every query through its
 // meta engine, so the engine families on /metrics count router queries
-// exactly as /healthz (Router.Stats) does, every query leaves one query
-// flight event, and a shard-partial degradation lands in the engine's
-// degraded family.
+// exactly as /healthz does, every query leaves one query flight event, and
+// a shard-partial degradation lands in the engine's degraded family. A
+// live router counts each committed batch once, and its epoch family is
+// the /healthz epoch.
 func TestRouterMetricsMatchHealthz(t *testing.T) {
 	doc := corpusDoc(t, 32, 5)
 	terms := []string{"databse", "quary"}
@@ -87,11 +95,8 @@ func TestRouterMetricsMatchHealthz(t *testing.T) {
 					t.Errorf("%s = %v, want %d", name, m[name], n)
 				}
 			}
-			if st := r.Stats(); st.Queries != n || st.Refined != n {
-				t.Errorf("Router.Stats() queries=%d refined=%d, want %d", st.Queries, st.Refined, n)
-			}
-			if q, ref, _ := healthCounters(t, r); q != n || ref != n {
-				t.Errorf("/healthz queries=%d refined=%d, want %d", q, ref, n)
+			if h := healthz(t, r); h.Queries != n || h.Refined != n {
+				t.Errorf("/healthz queries=%d refined=%d, want %d", h.Queries, h.Refined, n)
 			}
 
 			// A fresh router whose shard 1 faults on its first list load
@@ -110,9 +115,71 @@ func TestRouterMetricsMatchHealthz(t *testing.T) {
 			if got := engineSamples(t, fr)[`xrefine_engine_degraded_total{reason="shard-partial"}`]; got != 1 {
 				t.Errorf(`xrefine_engine_degraded_total{reason="shard-partial"} = %v, want 1`, got)
 			}
-			if _, _, deg := healthCounters(t, fr); deg != 1 {
-				t.Errorf("/healthz degraded = %d, want 1", deg)
+			if h := healthz(t, fr); h.Degraded != 1 {
+				t.Errorf("/healthz degraded = %d, want 1", h.Degraded)
 			}
 		})
 	}
+
+	t.Run("live", func(t *testing.T) {
+		dir := t.TempDir()
+		if _, err := WriteStores(doc, dir, 3, ModeRange); err != nil {
+			t.Fatal(err)
+		}
+		r, err := Open(dir, &Options{Live: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		// A reader races the commits: every republished meta epoch it sees
+		// is complete, and the router's epoch never moves backwards.
+		stop, readerDone := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(readerDone)
+			var last uint64
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := r.QueryTermsCtx(context.Background(), terms, core.StrategyPartition, 3, 2); err != nil {
+					t.Error(err)
+					return
+				}
+				e := r.UpdateStats().Epoch
+				if e < last {
+					t.Errorf("router epoch went back from %d to %d", last, e)
+				}
+				last = e
+			}
+		}()
+		// N single-op batches spread over every shard.
+		const batches = 6
+		parts := doc.Partitions()
+		for i := 0; i < batches; i++ {
+			op := mutate.Op{Kind: mutate.OpInsert, Parent: parts[i*len(parts)/batches].ID,
+				XML: "<paper><title>counted once</title></paper>"}
+			if _, err := r.Apply(&mutate.Batch{Ops: []mutate.Op{op}}); err != nil {
+				t.Errorf("batch %d: %v", i, err)
+				break
+			}
+		}
+		close(stop)
+		<-readerDone
+		h, m := healthz(t, r), engineSamples(t, r)
+		for _, c := range []struct {
+			key, family string
+			health      uint64
+		}{
+			{"applied_batches", "xrefine_mutate_applied_batches_total", h.AppliedBatches},
+			{"applied_ops", "xrefine_mutate_applied_ops_total", h.AppliedOps},
+			{"epoch", "xrefine_mutate_epoch", h.Epoch},
+		} {
+			if c.health != batches || m[c.family] != batches {
+				t.Errorf("/healthz %s = %d, /metrics %s = %v, want both %d",
+					c.key, c.health, c.family, m[c.family], batches)
+			}
+		}
+	})
 }

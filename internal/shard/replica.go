@@ -86,14 +86,15 @@ func (rp *replica) noteSuccess(d time.Duration) {
 	rp.breakerUntil.Store(0)
 }
 
-// noteError records a failed scan; threshold consecutive errors open the
-// breaker for cooldown. Reports whether this call tripped it.
-func (rp *replica) noteError(threshold int, cooldown time.Duration) bool {
+// noteError records a failed scan; breakerThreshold consecutive errors
+// open the breaker for breakerCooldown. Reports whether this call tripped
+// it.
+func (rp *replica) noteError() bool {
 	n := rp.consecErrs.Add(1)
-	if int(n) < threshold {
+	if int(n) < breakerThreshold {
 		return false
 	}
-	until := time.Now().Add(cooldown).UnixNano()
+	until := time.Now().Add(breakerCooldown).UnixNano()
 	if rp.breakerUntil.Swap(until) == 0 {
 		rp.trips.Add(1)
 		return true

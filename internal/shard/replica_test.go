@@ -13,6 +13,7 @@ import (
 	"xrefine/internal/core"
 	"xrefine/internal/kvstore"
 	"xrefine/internal/mutate"
+	"xrefine/internal/obs"
 	"xrefine/internal/refine"
 	"xrefine/internal/server"
 	"xrefine/internal/storage"
@@ -161,7 +162,7 @@ func TestReplicaFaultMatrix(t *testing.T) {
 		if got := r.m.partial.Value(); got != 0 {
 			t.Errorf("dead replica with a live sibling degraded %d responses, want 0", got)
 		}
-		if r.m.replicaErrors.Sum() == 0 {
+		if obs.SnapshotTotal(r.mreg.Snapshot(), "xrefine_replica_errors_total") == 0 {
 			t.Error("dead replica recorded no attempt errors; the failpoint never fired")
 		}
 		// Dead long enough for the error streak: the breaker opens and the
@@ -197,7 +198,7 @@ func TestReplicaFaultMatrix(t *testing.T) {
 		if got := r.m.partial.Value(); got != 1 {
 			t.Errorf("xrefine_shard_partial_total = %d, want 1", got)
 		}
-		if got := r.m.scanErrors.Sum(); got != 1 {
+		if got := obs.SnapshotTotal(r.mreg.Snapshot(), "xrefine_shard_scan_errors_total"); got != 1 {
 			t.Errorf("xrefine_shard_scan_errors_total = %d, want 1 (job-granular)", got)
 		}
 		// Healing every replica heals the shard.

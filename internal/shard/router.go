@@ -42,17 +42,8 @@ type Options struct {
 	// Retries is the number of extra scan attempts a shard gets beyond
 	// one per readable replica before the scan fails and the response
 	// degrades shard-partial. 0 means the default (1); negative disables
-	// retries entirely.
+	// retries entirely. Retry rounds back off from retryBackoff, doubling.
 	Retries int
-	// RetryBackoff is the base delay between sequential retry rounds,
-	// doubling per round. 0 means the default (2ms).
-	RetryBackoff time.Duration
-	// BreakerThreshold is how many consecutive scan errors open a
-	// replica's circuit breaker. 0 means the default (3).
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker holds the replica out
-	// of primary read selection. 0 means the default (3s).
-	BreakerCooldown time.Duration
 	// Chaos, when non-nil, arms a seeded probabilistic fault injector
 	// (error rate and/or latency jitter) on every replica store Open
 	// opens — the xserve -chaos soak mode. Ignored by the NewFromStores
@@ -60,22 +51,22 @@ type Options struct {
 	Chaos *Chaos
 }
 
-// Defaults for the zero-valued Options knobs.
 const (
-	defaultRetries          = 1
-	defaultRetryBackoff     = 2 * time.Millisecond
-	defaultBreakerThreshold = 3
-	defaultBreakerCooldown  = 3 * time.Second
+	// defaultRetries is the Options.Retries of the zero value.
+	defaultRetries = 1
+	// retryBackoff is the delay before the first sequential retry round;
+	// each further round doubles it.
+	retryBackoff = 2 * time.Millisecond
+	// breakerThreshold consecutive scan errors open a replica's circuit
+	// breaker, which then holds the replica out of primary read selection
+	// for breakerCooldown.
+	breakerThreshold = 3
+	breakerCooldown  = 3 * time.Second
 )
 
-// metaState is the router's query-time view, rebuilt whole after every
-// committed update and swapped in with one pointer store: the merged
-// corpus index, the meta engine ranking against it, and the partition
-// ownership map. Queries load the pointer once and run entirely against
-// that snapshot.
+// metaState is the router's partition ownership map, rebuilt whole after
+// every committed update and swapped in with one pointer store.
 type metaState struct {
-	merged *index.Index
-	eng    *core.Engine
 	// owners maps a partition ordinal (the second Dewey component) to the
 	// shard holding it; rootOwner is the shard owning the highest ordinal
 	// — the one whose local root mints the same next-child ordinal the
@@ -107,14 +98,15 @@ type routerMetrics struct {
 
 // Router hosts one corpus across independent engine shards — each shard an
 // R-way replica set with its own store, WAL and epoch per replica — and
-// serves the whole core.Engine query surface through a meta engine built
-// over the merged index. The meta engine answers every query itself
-// (prepare, deadline, budget, ranking, accounting); only its exploration
-// is the router's: the one partition walk of package refine with each
-// shard as a source, per-shard scans sharing one budget and pruning bound
-// and merged back in global document order, so responses are
-// byte-identical to a monolithic engine over the concatenated corpus no
-// matter which replica serves each scan.
+// serves the whole core.Engine query surface through a meta engine over
+// the merged index. The meta engine answers every query itself (prepare,
+// deadline, budget, ranking, accounting) and keeps the router's epoch and
+// counters on the shared registry; only its exploration is the router's:
+// the one partition walk of package refine with each shard as a source,
+// per-shard scans sharing one budget and pruning bound and merged back in
+// global document order, so responses are byte-identical to a monolithic
+// engine over the concatenated corpus no matter which replica serves each
+// scan.
 //
 // Each shard scan picks the healthiest replica (EWMA latency, circuit
 // breaker state); with HedgeAfter set, a scan still outstanding past the
@@ -125,18 +117,17 @@ type routerMetrics struct {
 // by epoch mismatch, quarantined from reads, and caught up by replaying
 // the missed WAL batches before it rejoins.
 type Router struct {
-	cfg        core.Config // as passed, before engine defaulting
 	reg        *xmltree.Registry
 	mreg       *obs.Registry
 	groups     []*replicaGroup
 	ownsStores bool
 
-	hedgeAfter       time.Duration
-	retries          int
-	retryBackoff     time.Duration
-	breakerThreshold int
-	breakerCooldown  time.Duration
+	hedgeAfter time.Duration
+	retries    int
 
+	// eng is the meta engine: its epoch is the merged index at the sum of
+	// the shard epochs, republished after every commit.
+	eng *core.Engine
 	// applyMu serializes writers; the meta state swap is the publish. The
 	// per-shard catch-up logs are guarded by it too.
 	applyMu sync.Mutex
@@ -259,28 +250,12 @@ func NewReplicated(stores [][]storage.Backend, walPaths [][]string, opts *Option
 	if opts.Config != nil {
 		cfg = *opts.Config
 	}
-	r := &Router{
-		cfg:              cfg,
-		hedgeAfter:       opts.HedgeAfter,
-		retries:          opts.Retries,
-		retryBackoff:     opts.RetryBackoff,
-		breakerThreshold: opts.BreakerThreshold,
-		breakerCooldown:  opts.BreakerCooldown,
-	}
+	r := &Router{hedgeAfter: opts.HedgeAfter, retries: opts.Retries}
 	switch {
 	case r.retries == 0:
 		r.retries = defaultRetries
 	case r.retries < 0:
 		r.retries = 0
-	}
-	if r.retryBackoff <= 0 {
-		r.retryBackoff = defaultRetryBackoff
-	}
-	if r.breakerThreshold <= 0 {
-		r.breakerThreshold = defaultBreakerThreshold
-	}
-	if r.breakerCooldown <= 0 {
-		r.breakerCooldown = defaultBreakerCooldown
 	}
 	r.mreg = cfg.Metrics
 	if cfg.DisableMetrics {
@@ -289,8 +264,8 @@ func NewReplicated(stores [][]storage.Backend, walPaths [][]string, opts *Option
 		r.mreg = obs.NewRegistry()
 	}
 	r.reg = xmltree.NewRegistry()
-	// Replica engines keep private registries (their metric families would
-	// collide name-for-name on a shared one) and walk sequentially —
+	// Replica engines run without metrics — the meta engine counts every
+	// query and commit once on the shared registry — and walk sequentially:
 	// parallelism lives in the cross-shard fan-out, not inside one shard.
 	shardCfg := cfg
 	shardCfg.Metrics = nil
@@ -355,15 +330,6 @@ func NewReplicated(stores [][]storage.Backend, walPaths [][]string, opts *Option
 		reconciles: r.mreg.Counter("xrefine_replica_reconciles_total",
 			"Quarantined replicas caught up by WAL-batch replay and rejoined."),
 	}
-	r.mreg.GaugeFunc("xrefine_shard_epoch_sum",
-		"Sum of the shard epochs — advances by one per committed batch.",
-		func() float64 {
-			var sum uint64
-			for _, e := range r.ShardEpochs() {
-				sum += e
-			}
-			return float64(sum)
-		})
 	r.mreg.GaugeFunc("xrefine_replica_quarantined",
 		"Replicas currently quarantined from reads (epoch-lagged).",
 		func() float64 {
@@ -406,10 +372,15 @@ func NewReplicated(stores [][]storage.Backend, walPaths [][]string, opts *Option
 			return float64(max)
 		})
 	r.flight = r.mreg.Flight()
-	if err := r.rebuild(); err != nil {
+	merged, err := r.merge()
+	if err != nil {
 		r.closeShards()
 		return nil, err
 	}
+	metaCfg := cfg
+	metaCfg.Metrics = r.mreg
+	r.eng = core.NewWithExplorer(merged, &metaCfg, r.explore)
+	r.publish(merged, nil)
 	return r, nil
 }
 
@@ -477,36 +448,39 @@ func (r *Router) ReplicaTable() []ReplicaStatus {
 	return out
 }
 
-// Health reports the per-shard epochs and the replica table for /healthz.
+// Health reports the meta engine's worker bound, the per-shard epochs and
+// the replica table for /healthz.
 func (r *Router) Health() core.HealthExtras {
-	return core.HealthExtras{ShardEpochs: r.ShardEpochs(), Replicas: r.ReplicaTable()}
+	hx := r.eng.Health()
+	hx.ShardEpochs, hx.Replicas = r.ShardEpochs(), r.ReplicaTable()
+	return hx
 }
 
-// rebuild merges the primary shard indexes into a fresh meta state and
-// publishes it. Called at construction and, under applyMu, after every
-// commit. Replicas of one shard hold identical content at equal epochs, so
-// any non-quarantined replica's index is a valid merge input; the primary
-// is used for determinism.
-func (r *Router) rebuild() error {
+// merge merges the primary shard indexes. Replicas of one shard hold
+// identical content at equal epochs, so any non-quarantined replica's
+// index is a valid merge input; the primary is used for determinism.
+func (r *Router) merge() (*index.Index, error) {
 	parts := make([]*index.Index, len(r.groups))
 	for i, g := range r.groups {
 		parts[i] = g.primary().eng.Index()
 	}
-	merged, err := index.Merge(parts)
-	if err != nil {
-		return err
-	}
-	metaCfg := r.cfg
-	metaCfg.Metrics = r.mreg
-	ms := &metaState{
-		merged: merged,
-		eng:    core.NewWithExplorer(merged, &metaCfg, r.explore),
-		owners: make(map[uint32]int),
-	}
+	return index.Merge(parts)
+}
+
+// publish makes merged the meta engine's epoch at the sum of the shard
+// epochs — one per batch committed anywhere — counting res, the commit
+// that produced it (nil at construction), and swaps in the ownership map
+// of the shards merged came from. Called at construction and, under
+// applyMu, after every commit.
+func (r *Router) publish(merged *index.Index, res *core.ApplyResult) {
+	ms := &metaState{owners: make(map[uint32]int)}
 	var maxOrd uint32
 	seen := false
-	for i, p := range parts {
-		for _, pid := range p.PartitionRoots() {
+	var epoch uint64
+	for i, g := range r.groups {
+		p := g.primary().eng
+		epoch += p.Epoch()
+		for _, pid := range p.Index().PartitionRoots() {
 			ord := pid[1]
 			ms.owners[ord] = i
 			if !seen || ord > maxOrd {
@@ -514,8 +488,8 @@ func (r *Router) rebuild() error {
 			}
 		}
 	}
+	r.eng.Publish(merged, epoch, res)
 	r.meta.Store(ms)
-	return nil
 }
 
 // state loads the current meta snapshot.
@@ -525,7 +499,7 @@ func (r *Router) state() *metaState { return r.meta.Load() }
 // core.Engine entry point of the same name — on the current meta engine,
 // whose exploration is explore.
 func (r *Router) QueryTermsCtx(ctx context.Context, terms []string, strategy core.Strategy, k, parallelism int) (*core.Response, error) {
-	return r.state().eng.QueryTermsCtx(ctx, terms, strategy, k, parallelism)
+	return r.eng.QueryTermsCtx(ctx, terms, strategy, k, parallelism)
 }
 
 // explore is the meta engine's exploration: the one
@@ -709,7 +683,7 @@ func (r *Router) scanShardReplicated(in refine.Input, k int, ks []string, bound 
 		defer t.Stop()
 		hedgeC = t.C
 	}
-	backoff := r.retryBackoff
+	backoff := retryBackoff
 	var firstErr error
 	for {
 		select {
@@ -726,7 +700,7 @@ func (r *Router) scanShardReplicated(in refine.Input, k int, ks []string, bound 
 				return res.scan, nil
 			}
 			r.m.replicaErrors.With(strconv.Itoa(si), strconv.Itoa(res.rp.id)).Inc()
-			if res.rp.noteError(r.breakerThreshold, r.breakerCooldown) {
+			if res.rp.noteError() {
 				r.m.breakerTrips.Inc()
 				r.flight.Record(obs.Event{Trace: tid, Kind: obs.EvBreakerOpen,
 					Shard: si, Replica: res.rp.id})
@@ -774,7 +748,7 @@ func (r *Router) scanShardReplicated(in refine.Input, k int, ks []string, bound 
 
 // Complete delegates search-as-you-type to the merged vocabulary.
 func (r *Router) Complete(partial string, k int) []string {
-	return r.state().eng.Complete(partial, k)
+	return r.eng.Complete(partial, k)
 }
 
 // Narrow is unavailable on a router: narrowing verifies suggestions
@@ -784,7 +758,7 @@ func (r *Router) Narrow(q string, opts *narrow.Options) (*narrow.Outcome, error)
 }
 
 // Index returns the merged corpus index of the current snapshot.
-func (r *Router) Index() *index.Index { return r.state().merged }
+func (r *Router) Index() *index.Index { return r.eng.Index() }
 
 // Metrics returns the shared registry: meta engine, scatter-gather and
 // (through the serving layer) HTTP families in one catalog.
@@ -802,25 +776,15 @@ func (r *Router) Snippet(m refine.Match, max int) (string, bool) {
 	return r.groups[i].primary().eng.Snippet(m, max)
 }
 
-// Stats reports the meta engine's counters, which every query passes
-// through.
-func (r *Router) Stats() core.EngineStats { return r.state().eng.Stats() }
-
-// UpdateStats sums the shards' live-update state over the primary
-// replicas: Epoch is the epoch sum (one commit anywhere advances it by
-// one), sizes and counts accumulate, Live reports whether any shard
-// accepts updates.
+// UpdateStats reports the router's live-update state: Epoch is the meta
+// engine's (the shard epoch sum), WALSizeBytes sums the primary replicas'
+// logs, and Live reports whether any shard accepts updates.
 func (r *Router) UpdateStats() core.UpdateStats {
-	var out core.UpdateStats
+	out := core.UpdateStats{Epoch: r.eng.Epoch()}
 	for _, g := range r.groups {
 		u := g.primary().eng.UpdateStats()
 		out.Live = out.Live || u.Live
-		out.Epoch += u.Epoch
 		out.WALSizeBytes += u.WALSizeBytes
-		out.AppliedBatches += u.AppliedBatches
-		out.AppliedOps += u.AppliedOps
-		out.ReplayedBatches += u.ReplayedBatches
-		out.PinnedQueries += u.PinnedQueries
 	}
 	return out
 }
@@ -888,8 +852,8 @@ func (r *Router) SplitBatch(b *mutate.Batch) (map[int]*mutate.Batch, error) {
 // missed batches from the shard's catch-up log (each replay is a WAL-backed
 // epoch commit on the replica) before it rejoins. A batch that fails on
 // every replica commits nowhere, advances no epoch, and is returned as the
-// caller's error. The returned Epoch is the shard epoch sum, the
-// router-wide generation /healthz and callers observe.
+// caller's error. The returned Epoch is the meta engine's — the shard epoch
+// sum, the router-wide generation /healthz and callers observe.
 func (r *Router) Apply(b *mutate.Batch) (*core.ApplyResult, error) {
 	if b == nil || len(b.Ops) == 0 {
 		return nil, errors.New("shard: empty batch")
@@ -954,14 +918,12 @@ func (r *Router) Apply(b *mutate.Batch) (*core.ApplyResult, error) {
 	// A transient write fault may already have passed: try to catch the
 	// straggler up immediately so a one-shot fault costs no read capacity.
 	r.reconcileLocked(owner)
-	if err := r.rebuild(); err != nil {
+	merged, err := r.merge()
+	if err != nil {
 		return nil, fmt.Errorf("shard: update committed on shard %d but meta rebuild failed: %w", owner, err)
 	}
-	var sum uint64
-	for _, gg := range r.groups {
-		sum += gg.primary().eng.Epoch()
-	}
-	res.Epoch = sum
+	r.publish(merged, res)
+	res.Epoch = r.eng.Epoch()
 	return res, nil
 }
 

@@ -32,7 +32,7 @@ func TestWireAllocOverhead(t *testing.T) {
 	eng := core.NewFromIndex(core.NewFromDocument(doc, nil).Index(), nil)
 	// Sampling off: the ratchet is on the unsampled path, where a retained
 	// span tree (1 request in 64 by default) would only add noise.
-	_, addr := serveWire(t, server.New(eng, server.Config{TraceSampleEvery: -1}).Pipeline(), Options{})
+	_, addr := serveWire(t, server.New(eng, server.Config{TraceSampleEvery: -1}).Pipeline())
 	c := dial(t, addr)
 
 	terms := []string{"database", "query"}

@@ -109,7 +109,7 @@ func comparePair(t *testing.T, h http.Handler, c *Client, queries []string, ks, 
 func TestWireHTTPDifferential(t *testing.T) {
 	doc := diffDoc(t, 120, 3)
 	httpH := server.New(core.NewFromDocument(doc, nil), server.Config{})
-	_, addr := startServer(t, core.NewFromDocument(doc, nil), Options{})
+	_, addr := startServer(t, core.NewFromDocument(doc, nil))
 	c := dial(t, addr)
 	comparePair(t, httpH, c, diffQueries, []int{-1, 1, 10}, []int{0, 2, 4})
 }
@@ -121,7 +121,7 @@ func TestWireHTTPDifferentialDegraded(t *testing.T) {
 	doc := diffDoc(t, 80, 3)
 	cfg := &core.Config{PostingBudget: 1}
 	httpH := server.New(core.NewFromDocument(doc, cfg), server.Config{})
-	_, addr := startServer(t, core.NewFromDocument(doc, cfg), Options{})
+	_, addr := startServer(t, core.NewFromDocument(doc, cfg))
 	c := dial(t, addr)
 
 	sawReason := false
@@ -148,7 +148,7 @@ func TestWireHTTPDifferentialLiveUpdates(t *testing.T) {
 	httpEng := core.NewFromDocument(doc, nil)
 	wireEng := core.NewFromDocument(doc, nil)
 	httpH := server.New(httpEng, server.Config{})
-	_, addr := startServer(t, wireEng, Options{})
+	_, addr := startServer(t, wireEng)
 	c := dial(t, addr)
 
 	batches, err := datagen.Updates(doc, datagen.UpdatesConfig{Batches: 6, Ops: 4, Seed: 11})
@@ -199,7 +199,7 @@ func replicatedRouter(t *testing.T, doc *xmltree.Document, shards, replicas int,
 func TestWireHTTPDifferentialSharded(t *testing.T) {
 	doc := diffDoc(t, 90, 5)
 	httpH := server.New(replicatedRouter(t, doc, 3, 2, shard.Options{}), server.Config{})
-	_, addr := startServer(t, replicatedRouter(t, doc, 3, 2, shard.Options{}), Options{})
+	_, addr := startServer(t, replicatedRouter(t, doc, 3, 2, shard.Options{}))
 	c := dial(t, addr)
 	comparePair(t, httpH, c, diffQueries, []int{3}, []int{0, 2})
 }
@@ -218,7 +218,7 @@ func TestWireHTTPDifferentialChaos(t *testing.T) {
 	}
 	opts := shard.Options{Chaos: chaos, Retries: 2}
 	httpH := server.New(replicatedRouter(t, doc, 2, 2, opts), server.Config{})
-	_, addr := startServer(t, replicatedRouter(t, doc, 2, 2, opts), Options{})
+	_, addr := startServer(t, replicatedRouter(t, doc, 2, 2, opts))
 	c := dial(t, addr)
 
 	compared, skipped := 0, 0
@@ -254,7 +254,7 @@ func TestWireHTTPDifferentialChaos(t *testing.T) {
 func TestWireHTTPDifferentialErrors(t *testing.T) {
 	doc := diffDoc(t, 40, 3)
 	httpH := server.New(core.NewFromDocument(doc, nil), server.Config{})
-	_, addr := startServer(t, core.NewFromDocument(doc, nil), Options{})
+	_, addr := startServer(t, core.NewFromDocument(doc, nil))
 	c := dial(t, addr)
 
 	// Empty query: HTTP rejects missing q; the wire codec rejects a

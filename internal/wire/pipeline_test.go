@@ -43,7 +43,7 @@ func bothSurfaces(t *testing.T, cfg server.Config, hook func(context.Context, []
 	t.Helper()
 	be := &hookBackend{Engine: testEngine(t), hook: hook}
 	h := server.New(be, cfg)
-	_, addr := serveWire(t, h.Pipeline(), Options{})
+	_, addr := serveWire(t, h.Pipeline())
 	return be, h, addr
 }
 

@@ -15,16 +15,11 @@ import (
 // ErrServerClosed is returned by Serve after Shutdown.
 var ErrServerClosed = errors.New("wire: server closed")
 
-// Options tunes the wire codec. The protective edges — deadline, admission
-// gate — are the pipeline's, shared with every other surface.
-type Options struct {
-	// PipelineDepth bounds how many decoded requests may queue behind an
-	// executing one per connection; beyond it the reader stops pulling
-	// frames and TCP backpressure reaches the client. 0 means 32.
-	PipelineDepth int
-}
-
-const defaultPipelineDepth = 32
+// pipelineDepth bounds how many decoded requests may queue behind an
+// executing one per connection; beyond it the reader stops pulling frames
+// and TCP backpressure reaches the client. The protective edges — deadline,
+// admission gate — are the pipeline's, shared with every other surface.
+const pipelineDepth = 32
 
 // helloBody is the feature document OpHello answers with.
 var helloBody = []byte(`{"version":1,"features":["pipelining","trace-id","retry-hint"]}` + "\n")
@@ -41,7 +36,6 @@ type Server struct {
 	pipe  *server.Pipeline
 	sf    *server.Surface
 	query *server.Route
-	depth int
 
 	mConns *obs.Counter
 	mOpen  *obs.Gauge
@@ -63,16 +57,12 @@ type Server struct {
 // deadline and the tracing with HTTP. Metrics land in the backend's
 // registry under the xrefine_wire_* namespace; a metrics-disabled backend
 // serves untracked.
-func NewServer(pipe *server.Pipeline, opts Options) *Server {
-	if opts.PipelineDepth <= 0 {
-		opts.PipelineDepth = defaultPipelineDepth
-	}
+func NewServer(pipe *server.Pipeline) *Server {
 	sf := pipe.Surface("wire", "op")
 	s := &Server{
 		pipe:      pipe,
 		sf:        sf,
 		query:     sf.Route("query", "wire:query"),
-		depth:     opts.PipelineDepth,
 		listeners: make(map[net.Listener]struct{}),
 		conns:     make(map[*conn]struct{}),
 	}
@@ -227,8 +217,8 @@ func (s *Server) serveConn(nc net.Conn) {
 	c := &conn{
 		srv:     s,
 		nc:      nc,
-		pending: make(chan *pendingReq, s.depth),
-		free:    make(chan *pendingReq, s.depth+1),
+		pending: make(chan *pendingReq, pipelineDepth),
+		free:    make(chan *pendingReq, pipelineDepth+1),
 		rbuf:    make([]byte, 0, 4096),
 		wbuf:    make([]byte, 0, 4096),
 		wout:    &connWriter{nc: nc, buf: make([]byte, 0, 4096)},

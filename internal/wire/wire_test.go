@@ -22,16 +22,16 @@ import (
 
 // startServer serves a wire server over a pipeline with no edges on a
 // loopback listener and returns its address.
-func startServer(t *testing.T, eng server.Backend, opts Options) (*Server, string) {
+func startServer(t *testing.T, eng server.Backend) (*Server, string) {
 	t.Helper()
-	return serveWire(t, server.New(eng, server.Config{}).Pipeline(), opts)
+	return serveWire(t, server.New(eng, server.Config{}).Pipeline())
 }
 
 // serveWire is startServer over a pipeline the caller built (and may share
 // with an HTTP handler). Serve's exit error is checked at cleanup.
-func serveWire(t *testing.T, pipe *server.Pipeline, opts Options) (*Server, string) {
+func serveWire(t *testing.T, pipe *server.Pipeline) (*Server, string) {
 	t.Helper()
-	srv := NewServer(pipe, opts)
+	srv := NewServer(pipe)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +72,7 @@ func testEngine(t *testing.T) *core.Engine {
 // the payload to the HTTP body for the same engine response.
 func TestWireQueryRoundTrip(t *testing.T) {
 	eng := testEngine(t)
-	_, addr := startServer(t, eng, Options{})
+	_, addr := startServer(t, eng)
 	c := dial(t, addr)
 
 	if _, err := c.Hello(); err != nil {
@@ -109,7 +109,7 @@ func TestWireQueryRoundTrip(t *testing.T) {
 // and shows up in the flight recorder's admit/finish bracket.
 func TestWireTraceEcho(t *testing.T) {
 	eng := testEngine(t)
-	_, addr := startServer(t, eng, Options{})
+	_, addr := startServer(t, eng)
 	c := dial(t, addr)
 	const trace = obs.TraceID(0xdeadbeefcafe)
 	resp, err := c.Query(trace, byte(core.StrategyPartition), 3, 0, []string{"database"})
@@ -137,7 +137,7 @@ func TestWireTraceEcho(t *testing.T) {
 // reader/worker handoff.
 func TestWirePipelinedInOrder(t *testing.T) {
 	eng := testEngine(t)
-	_, addr := startServer(t, eng, Options{})
+	_, addr := startServer(t, eng)
 	c := dial(t, addr)
 
 	vocab := [][]string{
@@ -176,7 +176,7 @@ func TestWirePipelinedInOrder(t *testing.T) {
 // connection still usable, so a client can negotiate down.
 func TestWireVersionMismatchKeepsConnection(t *testing.T) {
 	eng := testEngine(t)
-	_, addr := startServer(t, eng, Options{})
+	_, addr := startServer(t, eng)
 	c := dial(t, addr)
 
 	frame := AppendControl(nil, OpPing, 0)
@@ -205,7 +205,7 @@ func TestWireVersionMismatchKeepsConnection(t *testing.T) {
 // a 400 in pipeline order and leaves the connection usable.
 func TestWireBadFramesAnswered(t *testing.T) {
 	eng := testEngine(t)
-	_, addr := startServer(t, eng, Options{})
+	_, addr := startServer(t, eng)
 	c := dial(t, addr)
 
 	bad := [][]byte{
@@ -243,7 +243,7 @@ func TestWireBadFramesAnswered(t *testing.T) {
 // close — never an allocation-driven OOM or a hang.
 func TestWireOversizedFrameCloses(t *testing.T) {
 	eng := testEngine(t)
-	_, addr := startServer(t, eng, Options{})
+	_, addr := startServer(t, eng)
 	c := dial(t, addr)
 
 	var hdr [4]byte
@@ -293,16 +293,19 @@ func slowEngine(t *testing.T, latency time.Duration) *core.Engine {
 // the wire surface's equivalent of http.Server.Shutdown draining.
 func TestWireDrainCompletesInFlight(t *testing.T) {
 	eng := slowEngine(t, time.Millisecond)
-	srv, addr := startServer(t, eng, Options{})
+	srv, addr := startServer(t, eng)
 	c := dial(t, addr)
 
-	before := eng.Stats().Queries // read before sending: the query may start at once
+	queries := func() uint64 {
+		return obs.SnapshotTotal(eng.Metrics().Snapshot(), "xrefine_engine_queries_total")
+	}
+	before := queries() // read before sending: the query may start at once
 	c.Send(0, byte(core.StrategyPartition), 3, 0, []string{"database", "query"})
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	testutil.Eventually(t, 10*time.Second, func() bool {
-		return eng.Stats().Queries > before
+		return queries() > before
 	}, "query never started")
 
 	shutdownErr := make(chan error, 1)
