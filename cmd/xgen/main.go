@@ -21,11 +21,11 @@
 // (shard-<i>.kv plus a manifest.json) in -shard-dir, partition-granular,
 // by contiguous range (-shard-mode range, the default) or by ordinal hash
 // (-shard-mode hash). With -replicas R every shard is written as R
-// identical stores (shard-<i>.kv plus shard-<i>.r<j>.kv), each with its
-// own WAL, so the router can serve each shard from an R-way replica set
-// with hedged reads and failover. The directory is served scatter-gather
-// by xserve -shards and queried by xrefine -shards, with output
-// byte-identical to a monolithic index over the unsplit corpus.
+// identical stores (shard-<i>.kv plus shard-<i>.r<j>.kv), so the router
+// can serve each shard from an R-way replica set with hedged reads and
+// failover. The directory is served scatter-gather by xserve -shards and
+// queried by xrefine -shards, with output byte-identical to a monolithic
+// index over the unsplit corpus.
 package main
 
 import (
@@ -67,7 +67,7 @@ func run(args []string, defaultOut io.Writer) error {
 		shards    = fs.Int("shards", 0, "split the corpus into N shard stores (with -kind shards, or alongside a generated corpus)")
 		shardDir  = fs.String("shard-dir", "", "directory for the shard stores and manifest (required with -shards)")
 		shardMode = fs.String("shard-mode", "range", "partition placement: range | hash")
-		replicas  = fs.Int("replicas", 1, "replicas per shard: each shard is written as R identical stores with their own WALs")
+		replicas  = fs.Int("replicas", 1, "replicas per shard: each shard is written as R identical stores")
 		backend   = fs.String("backend", "", "storage engine for shard stores: btree (default) | log")
 	)
 	if err := fs.Parse(args); err != nil {

@@ -61,7 +61,7 @@ func usage() {
   xrefine index  -xml <file> -index <file> [-backend btree|log] [-with-doc]   build a persistent index
   xrefine search [-xml <file> | -index <file> | -shards <dir> [-replicas N] [-hedge-after D]] [-k N] [-parallel N] [-explain] <query>
   xrefine batch  [-xml <file> | -index <file>] [-k N] [-parallel N] -queries <file>   one query per line, TSV out
-  xrefine apply  -index <file> [-wal <file>] -batch <file>   apply an update batch as a new epoch
+  xrefine apply  -index <file> -batch <file>   apply an update batch as a new epoch
   xrefine explain [-xml <file> | -index <file>] <query>   full decision trace
   xrefine narrow [-xml <file>] [-max N] [-k N] <query>    too-many-results suggestions
   xrefine slo    -url <http://host:port>        burn-rate report from a running xserve
@@ -296,22 +296,18 @@ func runBatch(w io.Writer, eng *xrefine.Engine, queries io.Reader, k int) error 
 func cmdApply(args []string) {
 	fs := flag.NewFlagSet("apply", flag.ExitOnError)
 	indexPath := fs.String("index", "", "index file (built with index -with-doc)")
-	walPath := fs.String("wal", "", "write-ahead log file (default <index>.wal)")
 	batchPath := fs.String("batch", "", "update batch file, one op per line (see xgen -updates)")
 	fs.Parse(args)
 	if *indexPath == "" || *batchPath == "" {
 		fatal(fmt.Errorf("apply needs -index and -batch"))
 	}
-	if *walPath == "" {
-		*walPath = *indexPath + ".wal"
-	}
-	if err := applyBatch(os.Stdout, *indexPath, *walPath, *batchPath); err != nil {
+	if err := applyBatch(os.Stdout, *indexPath, *batchPath); err != nil {
 		fatal(err)
 	}
 }
 
 // applyBatch commits one batch file against a live index as a new epoch.
-func applyBatch(w io.Writer, indexPath, walPath, batchPath string) error {
+func applyBatch(w io.Writer, indexPath, batchPath string) error {
 	bf, err := os.Open(batchPath)
 	if err != nil {
 		return err
@@ -326,20 +322,16 @@ func applyBatch(w io.Writer, indexPath, walPath, batchPath string) error {
 		return err
 	}
 	defer store.Close()
-	eng, err := xrefine.OpenLiveIndex(store, walPath, nil)
+	eng, err := xrefine.OpenLiveIndex(store, nil)
 	if err != nil {
 		return err
-	}
-	defer eng.Close()
-	if n := obs.SnapshotTotal(eng.Metrics().Snapshot(), "xrefine_mutate_replayed_batches_total"); n > 0 {
-		fmt.Fprintf(w, "recovered %d batch(es) from the write-ahead log (epoch %d)\n", n, eng.Epoch())
 	}
 	res, err := eng.Apply(batch)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "epoch %d: %d insert op(s), %d delete op(s); %d node(s) added, %d removed (%d WAL bytes)\n",
-		res.Epoch, res.InsertOps, res.DeleteOps, res.Inserted, res.Deleted, res.WALBytes)
+	fmt.Fprintf(w, "epoch %d: %d insert op(s), %d delete op(s); %d node(s) added, %d removed\n",
+		res.Epoch, res.InsertOps, res.DeleteOps, res.Inserted, res.Deleted)
 	return nil
 }
 

@@ -149,7 +149,6 @@ func TestExplain(t *testing.T) {
 func TestApplyBatch(t *testing.T) {
 	dir := t.TempDir()
 	kv := filepath.Join(dir, "d.kv")
-	wal := kv + ".wal"
 	batch := filepath.Join(dir, "updates.txt")
 
 	eng, doc := testEngine(t)
@@ -172,7 +171,7 @@ func TestApplyBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out strings.Builder
-	if err := applyBatch(&out, kv, wal, batch); err != nil {
+	if err := applyBatch(&out, kv, batch); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "epoch 1: 1 insert op(s), 1 delete op(s)") {

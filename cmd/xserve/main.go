@@ -29,10 +29,10 @@
 // -max-inflight set, excess concurrent requests are shed with 503 and a
 // Retry-After header. SIGINT/SIGTERM drain in-flight requests before exit.
 //
-// With -live set, the index is opened read-write with a write-ahead log
-// (default <index>.wal) and POST /update applies insert/delete batches as
-// durable epoch commits; without it an -index server serves a frozen
-// snapshot and /update is rejected. An -xml server accepts updates too,
+// With -live set, the index is opened read-write and POST /update applies
+// insert/delete batches as epoch commits, each durable in the store once
+// acknowledged; without it an -index server serves a frozen snapshot and
+// /update is rejected. An -xml server accepts updates too,
 // but in memory only — they vanish on restart.
 //
 // With -slowlog set, every query is traced and those at or over the
@@ -105,8 +105,7 @@ func main() {
 		drain       = flag.Duration("drain", 15*time.Second, "max time to drain in-flight requests on SIGINT/SIGTERM")
 		slowlog     = flag.Duration("slowlog", 0, "slow-query threshold; queries at or over it are kept at /debug/slowlog (0 = off)")
 		pprofOn     = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-		live        = flag.Bool("live", false, "open -index read-write and accept POST /update (WAL-backed epoch commits)")
-		walPath     = flag.String("wal", "", "write-ahead log file for -live (default <index>.wal)")
+		live        = flag.Bool("live", false, "open -index read-write and accept POST /update (durable epoch commits)")
 		storeKind   = flag.String("backend", "", "storage engine of -index: btree | log (default: detect from the store layout)")
 		shardDir    = flag.String("shards", "", "shard directory (xgen -shards) to serve scatter-gather")
 		replicas    = flag.Int("replicas", 0, "replicas per shard to attach from the manifest (0 = all available)")
@@ -170,19 +169,11 @@ func main() {
 		}
 		defer store.Close()
 		if *live {
-			wal := *walPath
-			if wal == "" {
-				wal = *indexPath + ".wal"
-			}
-			eng, err = core.OpenLive(store, wal, cfg)
+			eng, err = xrefine.OpenLiveIndex(store, cfg)
 			if err != nil {
 				log.Fatal(err)
 			}
-			defer eng.Close()
-			if n := obs.SnapshotTotal(eng.Metrics().Snapshot(), "xrefine_mutate_replayed_batches_total"); n > 0 {
-				log.Printf("replayed %d update batch(es) from %s", n, wal)
-			}
-			log.Printf("opened live index %s at epoch %d (wal %s)", *indexPath, eng.Epoch(), wal)
+			log.Printf("opened live index %s at epoch %d", *indexPath, eng.Epoch())
 		} else {
 			eng, err = core.Open(store, cfg)
 			if err != nil {

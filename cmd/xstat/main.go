@@ -13,7 +13,7 @@
 //
 // With -shards, the per-shard layout of a directory written by
 // xgen -shards is tabulated instead: each shard's node and partition
-// counts, committed epoch, store size and WAL state, with totals.
+// counts, committed epoch and store size, with totals.
 //
 // With -storage, the physical storage-engine report is rendered instead:
 // the backend kind, the on-disk file inventory (pages for the B+tree,
@@ -68,7 +68,6 @@ func run(args []string, w io.Writer) error {
 	var ix *index.Index
 	var storeStats *storage.Stats
 	var epoch uint64
-	var walBytes int64 = -1
 	switch {
 	case *xmlPath != "":
 		f, err := os.Open(*xmlPath)
@@ -96,12 +95,6 @@ func run(args []string, w io.Writer) error {
 		st := store.StorageStats()
 		storeStats = &st
 		epoch = store.Epoch()
-		// A write-ahead log beside the index means the store takes live
-		// updates; a non-empty one means the last writer died mid-commit
-		// and the next OpenLive will replay it.
-		if fi, err := os.Stat(*indexPath + ".wal"); err == nil {
-			walBytes = fi.Size()
-		}
 	default:
 		return fmt.Errorf("need -xml, -index, or -shards")
 	}
@@ -111,7 +104,7 @@ func run(args []string, w io.Writer) error {
 	if *blocks {
 		return reportBlocks(w, ix, *top)
 	}
-	return report(w, ix, storeStats, epoch, walBytes, *top)
+	return report(w, ix, storeStats, epoch, *top)
 }
 
 // reportBlocks tabulates the physical shape of the block-compressed
@@ -186,7 +179,7 @@ func reportShards(w io.Writer, dir string) error {
 	}
 	fmt.Fprintf(w, "shards:      %d (mode %s)\n", len(man.Shards), man.Mode)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "\nshard\tnodes\tpartitions\tepoch\tbytes\twal")
+	fmt.Fprintln(tw, "\nshard\tnodes\tpartitions\tepoch\tbytes")
 	var nodes, parts int
 	var epochs uint64
 	var bytes int64
@@ -209,27 +202,18 @@ func reportShards(w io.Writer, dir string) error {
 		if err := store.Close(); err != nil {
 			return err
 		}
-		wal := "none"
-		if fi, err := os.Stat(filepath.Join(dir, e.WAL)); err == nil {
-			switch {
-			case fi.Size() == 0:
-				wal = "empty"
-			default:
-				wal = fmt.Sprintf("%d bytes pending", fi.Size())
-			}
-		}
-		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\t%s\n",
-			e.Store, ix.NodeCount, len(ix.PartitionRoots()), epoch, st.DiskBytes, wal)
+		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\n",
+			e.Store, ix.NodeCount, len(ix.PartitionRoots()), epoch, st.DiskBytes)
 		nodes += ix.NodeCount
 		parts += len(ix.PartitionRoots())
 		epochs += epoch
 		bytes += st.DiskBytes
 	}
-	fmt.Fprintf(tw, "total\t%d\t%d\t%d\t%d\t\n", nodes, parts, epochs, bytes)
+	fmt.Fprintf(tw, "total\t%d\t%d\t%d\t%d\n", nodes, parts, epochs, bytes)
 	return tw.Flush()
 }
 
-func report(w io.Writer, ix *index.Index, store *storage.Stats, epoch uint64, walBytes int64, top int) error {
+func report(w io.Writer, ix *index.Index, store *storage.Stats, epoch uint64, top int) error {
 	vocab := ix.Vocabulary()
 	fmt.Fprintf(w, "nodes:       %d\n", ix.NodeCount)
 	fmt.Fprintf(w, "node types:  %d\n", ix.Types.Len())
@@ -245,14 +229,6 @@ func report(w io.Writer, ix *index.Index, store *storage.Stats, epoch uint64, wa
 				store.Kind, store.Keys, store.Pages, store.FreePages, store.DiskBytes)
 		}
 		fmt.Fprintf(w, "epoch:       %d\n", epoch)
-		switch {
-		case walBytes < 0:
-			fmt.Fprintf(w, "wal:         none\n")
-		case walBytes == 0:
-			fmt.Fprintf(w, "wal:         empty (all batches committed)\n")
-		default:
-			fmt.Fprintf(w, "wal:         %d bytes pending replay\n", walBytes)
-		}
 	}
 
 	type tf struct {

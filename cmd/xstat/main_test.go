@@ -56,22 +56,10 @@ func TestRunOnIndex(t *testing.T) {
 	if err := run([]string{"-index", kv}, &b); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"store:", "epoch:       0", "wal:         none"} {
+	for _, want := range []string{"store:", "epoch:       0"} {
 		if !strings.Contains(b.String(), want) {
 			t.Errorf("missing %q in:\n%s", want, b.String())
 		}
-	}
-
-	// A leftover WAL beside the index is surfaced as pending replay work.
-	if err := os.WriteFile(kv+".wal", []byte("xxxx"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	b.Reset()
-	if err := run([]string{"-index", kv}, &b); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), "wal:         4 bytes pending replay") {
-		t.Errorf("pending wal not reported:\n%s", b.String())
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"xrefine/internal/kvstore"
 	"xrefine/internal/mutate"
 	"xrefine/internal/storage"
+	"xrefine/internal/storage/backends"
 	"xrefine/internal/xmltree"
 )
 
@@ -21,13 +22,18 @@ const applyBaseXML = `<root>
   <paper><title>stale cache sentinel</title><author>lee</author></paper>
 </root>`
 
-func applyTestEngine(t *testing.T, cfg *Config) *Engine {
+func applyBaseDoc(t *testing.T) *xmltree.Document {
 	t.Helper()
 	doc, err := xmltree.ParseString(applyBaseXML, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewFromDocument(doc, cfg)
+	return doc
+}
+
+func applyTestEngine(t *testing.T, cfg *Config) *Engine {
+	t.Helper()
+	return NewFromDocument(applyBaseDoc(t), cfg)
 }
 
 // applySigs answers every query on e and returns the flattened responses —
@@ -137,41 +143,36 @@ func TestQueryCacheDropsPreUpdateResults(t *testing.T) {
 	}
 }
 
-// seedLiveStore builds a store file carrying index + document and returns
-// its path plus the WAL path beside it.
-func seedLiveStore(t *testing.T, xml string) (string, string) {
+// seedLiveStore writes doc's index and document into a new store of the
+// given engine — a .kv page file for the B+tree, a segment directory for
+// the log engine — and returns its path.
+func seedLiveStore(t *testing.T, doc *xmltree.Document, kind storage.Kind) string {
 	t.Helper()
-	dir := t.TempDir()
-	path := filepath.Join(dir, "ix.kv")
-	wal := filepath.Join(dir, "ix.wal")
-	doc, err := xmltree.ParseString(xml, nil)
+	name := "ix.kv"
+	if kind == storage.KindLog {
+		name = "ix.logdb"
+	}
+	path := filepath.Join(t.TempDir(), name)
+	store, err := backends.Open(kind, path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := kvstore.Open(path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := NewFromDocument(doc, nil)
-	if err := e.SaveIndexWithDocument(store); err != nil {
-		t.Fatal(err)
-	}
-	if err := store.Commit(); err != nil {
+	if err := NewFromDocument(doc, nil).SaveIndexWithDocument(store); err != nil {
 		t.Fatal(err)
 	}
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return path, wal
+	return path
 }
 
 func TestOpenLiveApplyPersistsAcrossReopen(t *testing.T) {
-	path, wal := seedLiveStore(t, applyBaseXML)
+	path := seedLiveStore(t, applyBaseDoc(t), storage.KindBTree)
 	store, err := kvstore.Open(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := OpenLive(store, wal, nil)
+	eng, err := OpenLive(store, "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,17 +190,8 @@ func TestOpenLiveApplyPersistsAcrossReopen(t *testing.T) {
 		if res.Epoch != uint64(i+1) {
 			t.Fatalf("batch %d produced epoch %d", i, res.Epoch)
 		}
-		if res.WALBytes == 0 {
-			t.Fatalf("batch %d logged no WAL bytes", i)
-		}
 	}
 	want := applySigs(t, eng, applyQueries)
-	if eng.UpdateStats().WALSizeBytes != 0 {
-		t.Fatalf("WAL not truncated after commit: %d bytes", eng.UpdateStats().WALSizeBytes)
-	}
-	if err := eng.Close(); err != nil {
-		t.Fatal(err)
-	}
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -209,16 +201,12 @@ func TestOpenLiveApplyPersistsAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store2.Close()
-	re, err := OpenLive(store2, wal, nil)
+	re, err := OpenLive(store2, "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer re.Close()
 	if re.Epoch() != 2 {
 		t.Fatalf("reopened at epoch %d, want 2", re.Epoch())
-	}
-	if n := counter(re, "xrefine_mutate_replayed_batches_total"); n != 0 {
-		t.Fatalf("clean reopen replayed %d batches", n)
 	}
 	got := applySigs(t, re, applyQueries)
 	for i := range want {
@@ -235,64 +223,13 @@ func TestOpenLiveApplyPersistsAcrossReopen(t *testing.T) {
 	}
 }
 
-// TestOpenLiveReplaysPendingWAL simulates a crash between WAL append and
-// store commit: the logged batch must be re-applied on open.
-func TestOpenLiveReplaysPendingWAL(t *testing.T) {
-	path, wal := seedLiveStore(t, applyBaseXML)
-	b := &mutate.Batch{Ops: []mutate.Op{
-		{Kind: mutate.OpInsert, Parent: dewey.Root(), XML: `<paper><title>freshly minted keyword</title></paper>`},
-	}}
-	w, err := mutate.OpenWAL(wal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Append(1, b.Encode()); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	store, err := kvstore.Open(path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-	eng, err := OpenLive(store, wal, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	if eng.Epoch() != 1 {
-		t.Fatalf("epoch %d after replay, want 1", eng.Epoch())
-	}
-	if n := counter(eng, "xrefine_mutate_replayed_batches_total"); n != 1 {
-		t.Fatalf("replayed %d batches, want 1", n)
-	}
-	if store.Epoch() != 1 {
-		t.Fatalf("store epoch %d after replay, want 1", store.Epoch())
-	}
-	if eng.UpdateStats().WALSizeBytes != 0 {
-		t.Fatal("WAL not reset after replay")
-	}
-	// The replayed engine equals an in-memory engine that applied the batch.
-	shadow := applyTestEngine(t, nil)
-	if _, err := shadow.Apply(b); err != nil {
-		t.Fatal(err)
-	}
-	got := applySigs(t, eng, applyQueries)
-	want := applySigs(t, shadow, applyQueries)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("query %v: replay diverged from direct apply\ngot  %s\nwant %s", applyQueries[i], got[i], want[i])
-		}
-	}
-}
-
-// TestApplyCrashRecoveryMatrix arms storage failpoints during Apply and
-// requires the store to reopen at the last committed epoch every time,
-// answering queries exactly as a clean engine at that epoch would. A
-// fault may cost the in-flight batch, never durability or correctness.
+// TestApplyCrashRecoveryMatrix arms storage failpoints during Apply, on
+// both storage engines, crashes, and requires the store to reopen at the
+// epoch the last Apply acknowledged, answering queries exactly as a clean
+// engine at that epoch would. An Apply that returns an error leaves no
+// trace on disk, even when the client retries the refused batch. Only a
+// torn write, which the engine cannot see and so acknowledges, may cost
+// the acknowledged batch: it reopens at epoch 1 or 2, never half-applied.
 func TestApplyCrashRecoveryMatrix(t *testing.T) {
 	doc, err := datagen.DBLPDocument(datagen.DBLPConfig{Authors: 60, Seed: 7})
 	if err != nil {
@@ -318,82 +255,82 @@ func TestApplyCrashRecoveryMatrix(t *testing.T) {
 	sigs[2] = applySigs(t, shadow, queries)
 
 	arms := []struct {
-		name string
-		arm  func(f *storage.Faults)
+		name  string
+		arm   func(f *storage.Faults)
+		tries int  // Apply(batch2) calls; a refused batch is retried
+		torn  bool // the disk may lie: an acknowledged batch can be lost
 	}{
-		{"write-fail-1", func(f *storage.Faults) { f.FailWrites(1) }},
-		{"write-fail-2", func(f *storage.Faults) { f.FailWrites(2) }},
-		{"write-fail-5", func(f *storage.Faults) { f.FailWrites(5) }},
-		{"write-fail-20", func(f *storage.Faults) { f.FailWrites(20) }},
-		{"torn-write-1", func(f *storage.Faults) { f.TornWrite(1) }},
-		{"torn-write-3", func(f *storage.Faults) { f.TornWrite(3) }},
-		{"torn-write-8", func(f *storage.Faults) { f.TornWrite(8) }},
+		{"write-fail-1", func(f *storage.Faults) { f.FailWrites(1) }, 1, false},
+		{"write-fail-2", func(f *storage.Faults) { f.FailWrites(2) }, 1, false},
+		{"write-fail-5", func(f *storage.Faults) { f.FailWrites(5) }, 1, false},
+		{"write-fail-20", func(f *storage.Faults) { f.FailWrites(20) }, 1, false},
+		{"write-fail-1-refused-twice", func(f *storage.Faults) { f.FailWrites(1) }, 2, false},
+		{"torn-write-1", func(f *storage.Faults) { f.TornWrite(1) }, 1, true},
+		{"torn-write-3", func(f *storage.Faults) { f.TornWrite(3) }, 1, true},
+		{"torn-write-8", func(f *storage.Faults) { f.TornWrite(8) }, 1, true},
 	}
 	var sawFail, sawSilent int
 	for _, arm := range arms {
 		t.Run(arm.name, func(t *testing.T) {
-			dir := t.TempDir()
-			path := filepath.Join(dir, "ix.kv")
-			wal := filepath.Join(dir, "ix.wal")
-			store, err := kvstore.Open(path, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			seedEng := NewFromDocument(doc.Clone(), nil)
-			if err := seedEng.SaveIndexWithDocument(store); err != nil {
-				t.Fatal(err)
-			}
-			if err := store.Commit(); err != nil {
-				t.Fatal(err)
-			}
-			if err := store.Close(); err != nil {
-				t.Fatal(err)
-			}
+			for _, kind := range []storage.Kind{storage.KindBTree, storage.KindLog} {
+				t.Run(string(kind), func(t *testing.T) {
+					path := seedLiveStore(t, doc.Clone(), kind)
+					faults := &storage.Faults{}
+					store, err := backends.Open(kind, path, &storage.Options{Faults: faults})
+					if err != nil {
+						t.Fatal(err)
+					}
+					eng, err := OpenLive(store, "", nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := eng.Apply(batch1); err != nil {
+						t.Fatalf("clean batch: %v", err)
+					}
+					arm.arm(faults)
+					_, applyErr := eng.Apply(batch2)
+					for i := 1; i < arm.tries && applyErr != nil; i++ {
+						_, applyErr = eng.Apply(batch2)
+					}
+					lo, hi := uint64(2), uint64(2) // acknowledged over an honest disk
+					switch {
+					case applyErr != nil:
+						sawFail++
+						lo, hi = 1, 1
+					case arm.tries > 1:
+						t.Fatal("precondition: the batch was to be refused on every try")
+					default:
+						sawSilent++
+						if arm.torn {
+							lo = 1
+						}
+					}
+					faults.Clear()
+					// Crash: drop the process state without any graceful flush.
+					store.Close()
 
-			faults := &storage.Faults{}
-			store, err = kvstore.Open(path, &kvstore.Options{Faults: faults})
-			if err != nil {
-				t.Fatal(err)
-			}
-			eng, err := OpenLive(store, wal, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := eng.Apply(batch1); err != nil {
-				t.Fatalf("clean batch: %v", err)
-			}
-			arm.arm(faults)
-			if _, err := eng.Apply(batch2); err != nil {
-				sawFail++
-			} else {
-				sawSilent++ // torn write: commit reported success
-			}
-			faults.Clear()
-			// Crash: drop the process state without any graceful flush.
-			eng.Close()
-			store.Close()
-
-			store2, err := kvstore.Open(path, nil)
-			if err != nil {
-				t.Fatalf("reopen: %v", err)
-			}
-			defer store2.Close()
-			re, err := OpenLive(store2, wal, nil)
-			if err != nil {
-				t.Fatalf("reopen live: %v", err)
-			}
-			defer re.Close()
-			ep := re.Epoch()
-			want, ok := sigs[ep]
-			if !ok {
-				t.Fatalf("reopened at epoch %d, want 1 or 2", ep)
-			}
-			got := applySigs(t, re, queries)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Errorf("epoch %d query %v diverged from clean engine\ngot  %s\nwant %s",
-						ep, queries[i], got[i], want[i])
-				}
+					store2, err := backends.Open(kind, path, nil)
+					if err != nil {
+						t.Fatalf("reopen: %v", err)
+					}
+					defer store2.Close()
+					re, err := OpenLive(store2, "", nil)
+					if err != nil {
+						t.Fatalf("reopen live: %v", err)
+					}
+					ep := re.Epoch()
+					if ep < lo || ep > hi {
+						t.Fatalf("reopened at epoch %d, want %d..%d (Apply error: %v)", ep, lo, hi, applyErr)
+					}
+					want := sigs[ep]
+					got := applySigs(t, re, queries)
+					for i := range want {
+						if got[i] != want[i] {
+							t.Errorf("epoch %d query %v diverged from clean engine\ngot  %s\nwant %s",
+								ep, queries[i], got[i], want[i])
+						}
+					}
+				})
 			}
 		})
 	}
@@ -504,11 +441,10 @@ func TestLazyListLoadsBesideApply(t *testing.T) {
 	if err := store.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	eng, err := OpenLive(store, filepath.Join(dir, "ix.wal"), nil)
+	eng, err := OpenLive(store, "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer eng.Close()
 	// Each reader pages every list in through an index of its own, opened
 	// over the same store before the first write: enough cold loads to keep
 	// the store busy for as long as the writer runs.

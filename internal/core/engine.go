@@ -138,13 +138,14 @@ type Engine struct {
 	// NewWithExplorer was given (the shard router's walk over its shards).
 	explore func(in refine.Input, k int) (*refine.TopKOutcome, error)
 
-	// applyMu serializes writers (Apply and WAL replay). Readers never
-	// take it — they pin an epoch snapshot instead.
+	// applyMu serializes writers (Apply, Publish, Checkpoint). Readers
+	// never take it — they pin an epoch snapshot instead.
 	applyMu sync.Mutex
-	// live is the durable-update state (store + WAL); nil for in-memory
-	// engines, whose epochs advance without persistence. frozen marks a
-	// store-backed engine opened without live support: Apply is refused
-	// so the served state can never silently diverge from the store.
+	// live is the durable-update state (the store Apply commits to); nil
+	// for in-memory engines, whose epochs advance without persistence.
+	// frozen marks a store-backed engine opened without live support:
+	// Apply is refused so the served state can never silently diverge
+	// from the store.
 	live   *liveState
 	frozen bool
 	// store is the backing store for store-opened engines (read-only or
@@ -159,7 +160,7 @@ type Engine struct {
 	m   engineMetrics
 	// flight is the registry's always-on event ring (nil when metrics are
 	// disabled): one query event per completed query, plus budget-expiry
-	// and WAL-commit events, all stamped with the request's trace ID.
+	// and commit events, all stamped with the request's trace ID.
 	flight *obs.FlightRecorder
 }
 
@@ -315,7 +316,7 @@ func openStore(store storage.Backend, reg *xmltree.Registry, cfg *Config) (*Engi
 	if ok {
 		ep.doc = doc
 	}
-	// Resume at the store's committed epoch so WAL replay lines up across
+	// Resume at the store's committed epoch so epochs continue across
 	// restarts.
 	ep.gen = store.Epoch()
 	e.ep.Store(&ep)

@@ -15,7 +15,8 @@ const (
 	ReplicaBreakerOpen = "breaker-open"
 	// ReplicaQuarantined: the replica's epoch lags its group (a routed
 	// write failed on it). It serves no reads until epoch reconciliation
-	// replays the missed WAL batches and it rejoins.
+	// replays the missed batches from the router's catch-up log and it
+	// rejoins.
 	ReplicaQuarantined = "quarantined"
 )
 

@@ -34,12 +34,10 @@ type engineMetrics struct {
 	slcaPostings *obs.Counter
 
 	// Live-update instrumentation (internal/mutate surfaced through the
-	// engine's Apply/OpenLive).
-	appliedBatches  *obs.Counter
-	appliedOps      *obs.CounterVec // label: kind (insert|delete)
-	walBytes        *obs.Counter
-	replayedBatches *obs.Counter
-	pinnedQueries   *obs.Gauge
+	// engine's Apply).
+	appliedBatches *obs.Counter
+	appliedOps     *obs.CounterVec // label: kind (insert|delete)
+	pinnedQueries  *obs.Gauge
 }
 
 func newEngineMetrics(r *obs.Registry) engineMetrics {
@@ -72,10 +70,6 @@ func newEngineMetrics(r *obs.Registry) engineMetrics {
 			"Update batches committed as new epochs."),
 		appliedOps: r.CounterVec("xrefine_mutate_applied_ops_total",
 			"Update operations committed, by kind.", "kind"),
-		walBytes: r.Counter("xrefine_mutate_wal_bytes_total",
-			"Bytes appended to the write-ahead log."),
-		replayedBatches: r.Counter("xrefine_mutate_replayed_batches_total",
-			"WAL batches re-applied during crash recovery."),
 		pinnedQueries: r.Gauge("xrefine_mutate_pinned_queries",
 			"Queries currently executing against a pinned epoch snapshot."),
 	}

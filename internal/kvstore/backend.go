@@ -12,18 +12,6 @@ var _ storage.Backend = (*Store)(nil)
 // Kind names the engine: "btree".
 func (s *Store) Kind() storage.Kind { return storage.KindBTree }
 
-// Sync forces buffered page writes to stable storage without publishing a
-// new commit. Commit already syncs; this is for callers that wrote raw
-// state and want durability before the next commit point.
-func (s *Store) Sync() error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return ErrClosed
-	}
-	return s.pager.sync()
-}
-
 // Checkpoint commits pending changes. The copy-on-write design reuses
 // freed pages on the next commit, so there is no separate fold step; the
 // offline CompactTo rewrite exists for reclaiming file size, but a

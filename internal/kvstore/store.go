@@ -700,9 +700,8 @@ func (s *Store) Epoch() uint64 {
 
 // SetEpoch stages a new application epoch; the next Commit publishes it
 // atomically with the root. The epoch is an opaque uint64 the embedding
-// layer (the live-update engine) uses to tie a committed tree to its WAL
-// position: replay after a crash resumes from the epoch the store actually
-// reached.
+// layer (the live-update engine) stamps on each committed tree: after a
+// crash the engine resumes at the epoch the store actually reached.
 func (s *Store) SetEpoch(e uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

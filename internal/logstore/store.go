@@ -752,8 +752,7 @@ func (s *Store) Rollback() error {
 // seal the active segment (writing its hint), and merge every sealed
 // segment into one hinted file. After a checkpoint, reopening loads the
 // whole keydir from hint files plus a scan of one empty active segment —
-// the cold-start fast path — and the caller may discard any replayed WAL
-// prefix, because the log itself now carries the committed state.
+// the cold-start fast path.
 func (s *Store) Checkpoint() error {
 	if err := s.Commit(); err != nil {
 		return err
@@ -768,19 +767,6 @@ func (s *Store) Checkpoint() error {
 		return err
 	}
 	return s.Compact()
-}
-
-// Sync forces buffered writes of the active segment to stable storage.
-func (s *Store) Sync() error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return ErrClosed
-	}
-	if s.readOnly {
-		return nil
-	}
-	return s.activeLocked().f.Sync()
 }
 
 // Epoch returns the application epoch of the last commit (or staged by

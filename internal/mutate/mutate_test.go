@@ -3,8 +3,6 @@ package mutate
 import (
 	"bytes"
 	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -19,24 +17,6 @@ func sampleBatch() *Batch {
 		{Kind: OpDelete, Target: dewey.ID{0, 1}},
 		{Kind: OpInsert, Parent: dewey.ID{0, 0}, XML: `<note>addendum</note>`},
 	}}
-}
-
-func TestBatchBinaryRoundtrip(t *testing.T) {
-	b := sampleBatch()
-	enc := b.Encode()
-	dec, err := DecodeBatch(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(b, dec) {
-		t.Fatalf("roundtrip mismatch:\n got %+v\nwant %+v", dec, b)
-	}
-	// Corrupt payloads must error, not panic or silently misparse.
-	for cut := 1; cut < len(enc); cut++ {
-		if _, err := DecodeBatch(enc[:cut]); err == nil {
-			t.Fatalf("truncation at %d decoded without error", cut)
-		}
-	}
 }
 
 func TestBatchFileRoundtrip(t *testing.T) {
@@ -67,96 +47,6 @@ func TestOpJSONValidation(t *testing.T) {
 		if err := op.UnmarshalJSON([]byte(bad)); err == nil {
 			t.Errorf("accepted %s", bad)
 		}
-	}
-}
-
-func TestWALAppendReplayReset(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "test.wal")
-	w, err := OpenWAL(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.Size() != 0 {
-		t.Fatalf("fresh wal size %d", w.Size())
-	}
-	payloads := map[uint64][]byte{1: []byte("one"), 2: []byte("two"), 3: []byte("three")}
-	for seq := uint64(1); seq <= 3; seq++ {
-		if _, err := w.Append(seq, payloads[seq]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	w.Close()
-
-	w, err = OpenWAL(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	var got []uint64
-	err = w.Replay(1, func(seq uint64, p []byte) error {
-		got = append(got, seq)
-		if !bytes.Equal(p, payloads[seq]) {
-			t.Errorf("seq %d payload %q", seq, p)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, []uint64{2, 3}) {
-		t.Fatalf("replayed %v, want [2 3]", got)
-	}
-	if err := w.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	if w.Size() != 0 {
-		t.Fatalf("size %d after reset", w.Size())
-	}
-	if err := w.Replay(0, func(uint64, []byte) error {
-		t.Fatal("record after reset")
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestWALTornTailTruncated(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "torn.wal")
-	w, err := OpenWAL(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Append(1, []byte("committed")); err != nil {
-		t.Fatal(err)
-	}
-	goodSize := w.Size()
-	// Simulate a crash mid-append: a partial second record.
-	if _, err := w.Append(2, []byte("torn-batch-payload")); err != nil {
-		t.Fatal(err)
-	}
-	w.Close()
-	for _, tear := range []int64{1, 5, walHeaderSize, walHeaderSize + 4} {
-		if err := os.Truncate(path, goodSize+tear); err != nil {
-			t.Fatal(err)
-		}
-		w, err := OpenWAL(path)
-		if err != nil {
-			t.Fatalf("open with %d torn bytes: %v", tear, err)
-		}
-		if w.Size() != goodSize {
-			t.Fatalf("tear %d: size %d, want %d", tear, w.Size(), goodSize)
-		}
-		var seqs []uint64
-		if err := w.Replay(0, func(seq uint64, p []byte) error {
-			seqs = append(seqs, seq)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(seqs, []uint64{1}) {
-			t.Fatalf("tear %d: replayed %v, want [1]", tear, seqs)
-		}
-		w.Close()
 	}
 }
 

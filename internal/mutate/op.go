@@ -1,14 +1,13 @@
-// Package mutate implements live index maintenance: a write-ahead log of
-// subtree insert/delete batches, staging of a batch against the current
-// epoch's document and index (via xmltree.Clone/Graft/Detach and
-// index.Mutator), and replay of the log after a crash. The engine layer
-// composes these into atomic epoch commits; this package knows nothing
-// about epochs beyond the WAL sequence numbers it is handed.
+// Package mutate implements live index maintenance: subtree insert/delete
+// batches, their JSON wire and batch-file forms, and staging of a batch
+// against the current epoch's document and index (via
+// xmltree.Clone/Graft/Detach and index.Mutator). The engine layer commits
+// a staged batch to its store as one atomic epoch; this package knows
+// nothing about epochs or persistence.
 package mutate
 
 import (
 	"bufio"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -53,107 +52,6 @@ type Batch struct {
 	Ops []Op `json:"ops"`
 }
 
-// Encode serializes the batch into the WAL payload format: a varint op
-// count, then per op a kind byte, the varint-length-prefixed Dewey label
-// (parent or target), and the varint-length-prefixed fragment XML.
-func (b *Batch) Encode() []byte {
-	out := binary.AppendUvarint(nil, uint64(len(b.Ops)))
-	for _, op := range b.Ops {
-		out = append(out, byte(op.Kind))
-		label := op.Parent
-		if op.Kind == OpDelete {
-			label = op.Target
-		}
-		lb := label.Bytes()
-		out = binary.AppendUvarint(out, uint64(len(lb)))
-		out = append(out, lb...)
-		out = binary.AppendUvarint(out, uint64(len(op.XML)))
-		out = append(out, op.XML...)
-	}
-	return out
-}
-
-// DecodeBatch parses a WAL payload written by Encode.
-func DecodeBatch(p []byte) (*Batch, error) {
-	r := newByteReader(p)
-	n, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, fmt.Errorf("mutate: batch header: %w", err)
-	}
-	if n > uint64(len(p)) {
-		return nil, fmt.Errorf("mutate: implausible op count %d", n)
-	}
-	b := &Batch{Ops: make([]Op, 0, n)}
-	for i := uint64(0); i < n; i++ {
-		kind, err := r.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("mutate: op %d kind: %w", i, err)
-		}
-		labelLen, err := binary.ReadUvarint(r)
-		if err != nil {
-			return nil, err
-		}
-		lb, err := r.take(int(labelLen))
-		if err != nil {
-			return nil, fmt.Errorf("mutate: op %d label: %w", i, err)
-		}
-		label, _, err := dewey.FromBytes(lb)
-		if err != nil {
-			return nil, fmt.Errorf("mutate: op %d label: %w", i, err)
-		}
-		xmlLen, err := binary.ReadUvarint(r)
-		if err != nil {
-			return nil, err
-		}
-		xb, err := r.take(int(xmlLen))
-		if err != nil {
-			return nil, fmt.Errorf("mutate: op %d xml: %w", i, err)
-		}
-		op := Op{Kind: OpKind(kind), XML: string(xb)}
-		switch op.Kind {
-		case OpInsert:
-			op.Parent = label
-		case OpDelete:
-			op.Target = label
-		default:
-			return nil, fmt.Errorf("mutate: op %d has unknown kind %d", i, kind)
-		}
-		b.Ops = append(b.Ops, op)
-	}
-	if r.len() != 0 {
-		return nil, fmt.Errorf("mutate: %d trailing bytes in batch", r.len())
-	}
-	return b, nil
-}
-
-// byteReader is a positioned reader over a byte slice with bulk take.
-type byteReader struct {
-	p   []byte
-	pos int
-}
-
-func newByteReader(p []byte) *byteReader { return &byteReader{p: p} }
-
-func (r *byteReader) ReadByte() (byte, error) {
-	if r.pos >= len(r.p) {
-		return 0, io.ErrUnexpectedEOF
-	}
-	b := r.p[r.pos]
-	r.pos++
-	return b, nil
-}
-
-func (r *byteReader) take(n int) ([]byte, error) {
-	if n < 0 || r.pos+n > len(r.p) {
-		return nil, io.ErrUnexpectedEOF
-	}
-	b := r.p[r.pos : r.pos+n]
-	r.pos += n
-	return b, nil
-}
-
-func (r *byteReader) len() int { return len(r.p) - r.pos }
-
 // opJSON is the wire form of Op:
 //
 //	{"op":"insert","parent":"0.1","xml":"<paper>...</paper>"}
@@ -189,8 +87,8 @@ func (o *Op) UnmarshalJSON(b []byte) error {
 			return fmt.Errorf("mutate: insert op needs parent and xml")
 		}
 		// AppendParse pre-sizes from a component count, skipping Parse's
-		// per-call strings.Split garbage — this runs once per WAL record
-		// on update replay.
+		// per-call strings.Split garbage — this runs once per insert op of
+		// every /update body and batch-file line.
 		parent, err := dewey.AppendParse(nil, w.Parent)
 		if err != nil {
 			return fmt.Errorf("mutate: insert parent: %w", err)

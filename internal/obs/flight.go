@@ -12,7 +12,7 @@ import (
 // The flight recorder is the always-on half of the tracing story. Span
 // trees are sampled — they allocate — but every request is stamped with a
 // TraceID at admission and every hop it takes (shard fan-out, replica
-// attempts, hedges, breaker trips, WAL commits, budget expiry) deposits a
+// attempts, hedges, breaker trips, update commits, budget expiry) deposits a
 // fixed-shape Event into a preallocated ring. Recording is a mutex
 // acquisition and a struct store: zero allocations, so it can sit on the
 // non-sampled hot path under the same ≤2-allocs/query guard as the
@@ -98,8 +98,9 @@ const (
 	// out of reads on an epoch mismatch, and one caught up and rejoined.
 	EvQuarantine
 	EvReconcile
-	// EvWALCommit is one update batch durably committed; N is the epoch.
-	EvWALCommit
+	// EvCommit is one update batch durably committed by its store commit;
+	// N is the epoch.
+	EvCommit
 	// EvBudgetExpiry is a query degrading on a deadline or posting budget;
 	// Note carries the degradation reason.
 	EvBudgetExpiry
@@ -120,7 +121,7 @@ var kindNames = [...]string{
 	EvBreakerOpen:   "breaker-open",
 	EvQuarantine:    "quarantine",
 	EvReconcile:     "reconcile",
-	EvWALCommit:     "wal-commit",
+	EvCommit:        "commit",
 	EvBudgetExpiry:  "budget-expiry",
 }
 

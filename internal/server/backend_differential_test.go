@@ -56,11 +56,10 @@ func TestSearchByteIdenticalAcrossBackends(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { st.Close() })
-		eng, err := core.OpenLive(st, path+".wal", nil)
+		eng, err := core.OpenLive(st, "", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { eng.Close() })
 		engines[kind] = eng
 		servers[kind] = New(eng, Config{})
 	}

@@ -105,7 +105,6 @@ var healthCounters = [...]struct{ key, family string }{
 	{"degraded", "xrefine_engine_degraded_total"},
 	{"applied_batches", "xrefine_mutate_applied_batches_total"},
 	{"applied_ops", "xrefine_mutate_applied_ops_total"},
-	{"replayed_batches", "xrefine_mutate_replayed_batches_total"},
 }
 
 // Server is the HTTP codec over a Pipeline: handlers turn a URL or a JSON
@@ -369,7 +368,6 @@ type updateJSON struct {
 	DeleteOps int    `json:"delete_ops"`
 	Inserted  int    `json:"nodes_inserted"`
 	Deleted   int    `json:"nodes_deleted"`
-	WALBytes  int64  `json:"wal_bytes,omitempty"`
 }
 
 // maxUpdateBody bounds an /update request body; a batch larger than this
@@ -403,7 +401,6 @@ func (s *Server) handleUpdate(_ context.Context, r *http.Request) (Outcome, any)
 		DeleteOps: res.DeleteOps,
 		Inserted:  res.Inserted,
 		Deleted:   res.Deleted,
-		WALBytes:  res.WALBytes,
 	}
 }
 
@@ -415,7 +412,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		"status":         "ok",
 		"epoch":          us.Epoch,
 		"live_updates":   us.Live,
-		"wal_bytes":      us.WALSizeBytes,
 		"nodes":          s.eng.Index().NodeCount,
 		"terms":          len(s.eng.Index().Vocabulary()),
 		"parallelism":    hx.Parallelism,
@@ -502,7 +498,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // handleEvents dumps the flight recorder, newest first: every request's
 // admission, fan-out, replica attempts, hedges, retries, breaker and
-// quarantine transitions, WAL commits. Filters: ?trace_id=<16-hex>,
+// quarantine transitions, update commits. Filters: ?trace_id=<16-hex>,
 // ?shard=<n>, ?kind=<name>, ?limit=<n>.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	flight := s.pipe.flight

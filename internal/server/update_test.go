@@ -108,7 +108,6 @@ func TestUpdateEndpointRejections(t *testing.T) {
 func TestUpdateEndpointLivePersists(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ix.kv")
-	wal := filepath.Join(dir, "ix.wal")
 	doc, err := xmltree.ParseString(
 		"<bib><author><publications><paper><title>database query refinement</title></paper></publications></author></bib>", nil)
 	if err != nil {
@@ -133,7 +132,7 @@ func TestUpdateEndpointLivePersists(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	live, err := core.OpenLive(store, wal, nil)
+	live, err := core.OpenLive(store, "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,14 +143,11 @@ func TestUpdateEndpointLivePersists(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("/update = %d %s", rec.Code, rec.Body.String())
 	}
-	if out["wal_bytes"].(float64) <= 0 {
-		t.Fatalf("live update reported no WAL write: %v", out)
+	if out["epoch"].(float64) != 1 {
+		t.Fatalf("live update reply = %v, want epoch 1", out)
 	}
 	if _, health := get(t, s, "/healthz"); health["live_updates"] != true {
 		t.Fatalf("live server healthz = %v", health)
-	}
-	if err := live.Close(); err != nil {
-		t.Fatal(err)
 	}
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
@@ -162,19 +158,17 @@ func TestUpdateEndpointLivePersists(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store2.Close()
-	reopened, err := core.OpenLive(store2, wal, nil)
+	reopened, err := core.OpenLive(store2, "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer reopened.Close()
 	s2 := New(reopened, Config{})
 	rec, body := get(t, s2, "/search?q=durable+sentinel")
 	if rec.Code != http.StatusOK || body["need_refine"].(bool) {
 		t.Fatalf("reopened server lost the update: %d %v", rec.Code, body)
 	}
-	if _, health := get(t, s2, "/healthz"); health["epoch"].(float64) != 1 || health["replayed_batches"].(float64) != 0 {
-		t.Fatalf("reopened healthz epoch=%v replayed_batches=%v, want epoch 1 with no replay",
-			health["epoch"], health["replayed_batches"])
+	if _, health := get(t, s2, "/healthz"); health["epoch"].(float64) != 1 {
+		t.Fatalf("reopened healthz epoch=%v, want 1", health["epoch"])
 	}
 }
 

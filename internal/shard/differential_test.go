@@ -57,7 +57,7 @@ func memRouter(t *testing.T, doc *xmltree.Document, n int, mode string, cfg *cor
 			t.Fatal(err)
 		}
 	}
-	r, err := NewFromStores(stores, nil, &Options{Config: cfg})
+	r, err := NewFromStores(stores, &Options{Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestShardPartialDegrade(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r, err := NewFromStores(stores, nil, nil)
+	r, err := NewFromStores(stores, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

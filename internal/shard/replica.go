@@ -28,14 +28,14 @@ const (
 	// StateQuarantined: the replica's epoch lags its group (a routed write
 	// failed on it). It serves no reads — a stale epoch would break the
 	// byte-identity guarantee — until epoch reconciliation replays the
-	// missed WAL batches and it rejoins.
+	// missed batches from the catch-up log and it rejoins.
 	StateQuarantined = core.ReplicaQuarantined
 )
 
 // ReplicaStatus is one row of the /healthz replica table.
 type ReplicaStatus = core.ReplicaStatus
 
-// replica is one copy of a shard: its own engine, store, WAL and epoch,
+// replica is one copy of a shard: its own engine, store and epoch,
 // plus the health state read selection consults.
 type replica struct {
 	shard, id int

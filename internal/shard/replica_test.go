@@ -1,10 +1,12 @@
 package shard
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
@@ -28,7 +30,6 @@ import (
 // memReplicatedRouter splits a generated corpus across n shards of rs
 // in-memory replica stores each and routers them. faults, when non-nil, is
 // indexed faults[shard][replica]; nil entries leave that store unfaulted.
-// With opts.Live each replica gets its own WAL file under a test temp dir.
 func memReplicatedRouter(t *testing.T, authors int, seed int64, n, rs int, opts *Options, faults [][]*storage.Faults) *Router {
 	t.Helper()
 	doc := corpusDoc(t, authors, seed)
@@ -40,11 +41,6 @@ func memReplicatedRouter(t *testing.T, authors int, seed int64, n, rs int, opts 
 		opts = &Options{}
 	}
 	stores := make([][]storage.Backend, n)
-	var walPaths [][]string
-	if opts.Live {
-		walPaths = make([][]string, n)
-	}
-	walDir := t.TempDir()
 	for i, sub := range subs {
 		eng := core.NewFromDocument(sub, &core.Config{DisableMetrics: true})
 		for j := 0; j < rs; j++ {
@@ -57,12 +53,9 @@ func memReplicatedRouter(t *testing.T, authors int, seed int64, n, rs int, opts 
 				t.Fatal(err)
 			}
 			stores[i] = append(stores[i], s)
-			if opts.Live {
-				walPaths[i] = append(walPaths[i], filepath.Join(walDir, fmt.Sprintf("s%d-r%d.wal", i, j)))
-			}
 		}
 	}
-	r, err := NewReplicated(stores, walPaths, opts)
+	r, err := NewReplicated(stores, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +211,7 @@ func TestReplicaFaultMatrix(t *testing.T) {
 // replica leaves it epoch-lagged; the router quarantines it from reads
 // (answers stay byte-identical to the monolith), keeps accepting writes on
 // the surviving replica, and once the store heals catches the straggler up
-// by WAL-batch replay and rejoins it.
+// by catch-up-log replay and rejoins it.
 func TestReplicaEpochReconcile(t *testing.T) {
 	doc := corpusDoc(t, 24, 9)
 	faults := [][]*storage.Faults{{nil, {}}, {nil, nil}}
@@ -270,7 +263,7 @@ func TestReplicaEpochReconcile(t *testing.T) {
 	}
 
 	// Heal the store; reconciliation replays the two missed batches through
-	// the replica's own WAL-logged Apply and rejoins it.
+	// the replica's own Apply and rejoins it.
 	faults[0][1].Clear()
 	if n := r.Reconcile(); n != 1 {
 		t.Fatalf("Reconcile rejoined %d replicas, want 1", n)
@@ -366,57 +359,99 @@ func TestReplicaHedgeCancelPromptness(t *testing.T) {
 }
 
 // TestReplicatedStoreLayout checks the on-disk replicated format round
-// trip: WriteReplicatedStores emits R stores and WAL names per shard, Open
-// honors the Replicas bound, and a live replicated directory serves and
-// accepts writes.
+// trip: WriteReplicatedStores emits R stores per shard, Open honors the
+// Replicas bound, and a live replicated directory serves and accepts
+// writes. An older manifest, whose replicas also name a write-ahead log
+// file, opens and applies the same way and gains no .wal file.
 func TestReplicatedStoreLayout(t *testing.T) {
-	doc := corpusDoc(t, 24, 7)
-	dir := t.TempDir()
-	man, err := WriteReplicatedStores(doc, dir, 2, ModeRange, 3)
+	for _, walKeys := range []bool{false, true} {
+		t.Run(fmt.Sprintf("wal-keys=%v", walKeys), func(t *testing.T) {
+			doc := corpusDoc(t, 24, 7)
+			dir := t.TempDir()
+			man, err := WriteReplicatedStores(doc, dir, 2, ModeRange, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(man.Shards) != 2 {
+				t.Fatalf("manifest shards = %d, want 2", len(man.Shards))
+			}
+			for i, ent := range man.Shards {
+				if len(ent.Replicas) != 2 {
+					t.Fatalf("shard %d extra replicas = %d, want 2", i, len(ent.Replicas))
+				}
+			}
+			if walKeys {
+				addWALKeys(t, dir)
+			}
+
+			full, err := Open(dir, &Options{Live: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := full.Replicas(); got != 3 {
+				t.Errorf("Open attached %d replicas, want 3", got)
+			}
+			if rows := full.ReplicaTable(); len(rows) != 6 {
+				t.Errorf("replica table rows = %d, want 6", len(rows))
+			}
+			parts := doc.Partitions()
+			b := &mutate.Batch{Ops: []mutate.Op{{Kind: mutate.OpInsert, Parent: parts[0].ID,
+				XML: "<paper><title>layout probe</title></paper>"}}}
+			if _, err := full.Apply(b); err != nil {
+				t.Fatal(err)
+			}
+			full.Close()
+			if wals, _ := filepath.Glob(filepath.Join(dir, "*.wal")); len(wals) != 0 {
+				t.Errorf("live apply wrote log files %v; the store commit is the only durable write", wals)
+			}
+
+			// Reopened bounded to the primary only, the directory still serves
+			// and the committed epoch is visible.
+			one, err := Open(dir, &Options{Replicas: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer one.Close()
+			if got := one.Replicas(); got != 1 {
+				t.Errorf("Open -replicas 1 attached %d replicas, want 1", got)
+			}
+			if got := one.ShardEpochs()[0]; got != 1 {
+				t.Errorf("reopened shard 0 epoch = %d, want 1", got)
+			}
+			if _, err := one.QueryTermsCtx(nil, []string{"layout", "probe"}, core.StrategyPartition, 3, 2); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// addWALKeys rewrites dir's manifest the way older releases wrote it, with
+// a "wal" file name beside every replica's store.
+func addWALKeys(t *testing.T, dir string) {
+	t.Helper()
+	path := filepath.Join(dir, ManifestName)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(man.Shards) != 2 {
-		t.Fatalf("manifest shards = %d, want 2", len(man.Shards))
+	var m struct {
+		Version int              `json:"version"`
+		Mode    string           `json:"mode"`
+		Shards  []map[string]any `json:"shards"`
 	}
-	for i, ent := range man.Shards {
-		if len(ent.Replicas) != 2 {
-			t.Fatalf("shard %d extra replicas = %d, want 2", i, len(ent.Replicas))
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	for i, ent := range m.Shards {
+		ent["wal"] = fmt.Sprintf("shard-%d.wal", i)
+		for j, rf := range ent["replicas"].([]any) {
+			rf.(map[string]any)["wal"] = fmt.Sprintf("shard-%d.r%d.wal", i, j+1)
 		}
 	}
-
-	full, err := Open(dir, &Options{Live: true})
-	if err != nil {
+	if raw, err = json.Marshal(m); err != nil {
 		t.Fatal(err)
 	}
-	if got := full.Replicas(); got != 3 {
-		t.Errorf("Open attached %d replicas, want 3", got)
-	}
-	if rows := full.ReplicaTable(); len(rows) != 6 {
-		t.Errorf("replica table rows = %d, want 6", len(rows))
-	}
-	parts := doc.Partitions()
-	b := &mutate.Batch{Ops: []mutate.Op{{Kind: mutate.OpInsert, Parent: parts[0].ID,
-		XML: "<paper><title>layout probe</title></paper>"}}}
-	if _, err := full.Apply(b); err != nil {
-		t.Fatal(err)
-	}
-	full.Close()
-
-	// Reopened bounded to the primary only, the directory still serves and
-	// the committed epoch is visible.
-	one, err := Open(dir, &Options{Replicas: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer one.Close()
-	if got := one.Replicas(); got != 1 {
-		t.Errorf("Open -replicas 1 attached %d replicas, want 1", got)
-	}
-	if got := one.ShardEpochs()[0]; got != 1 {
-		t.Errorf("reopened shard 0 epoch = %d, want 1", got)
-	}
-	if _, err := one.QueryTermsCtx(nil, []string{"layout", "probe"}, core.StrategyPartition, 3, 2); err != nil {
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -23,8 +23,8 @@ import (
 
 // Options tunes a Router.
 type Options struct {
-	// Live opens every replica with its write-ahead log attached, enabling
-	// Apply. Read-only routers refuse updates like a frozen engine.
+	// Live opens every replica's store read-write, enabling Apply.
+	// Read-only routers refuse updates like a frozen engine.
 	Live bool
 	// Config is the engine configuration shared by the shards and the
 	// meta engine (K, budgets, metrics registry). Nil works.
@@ -97,7 +97,7 @@ type routerMetrics struct {
 }
 
 // Router hosts one corpus across independent engine shards — each shard an
-// R-way replica set with its own store, WAL and epoch per replica — and
+// R-way replica set with its own store and epoch per replica — and
 // serves the whole core.Engine query surface through a meta engine over
 // the merged index. The meta engine answers every query itself (prepare,
 // deadline, budget, ranking, accounting) and keeps the router's epoch and
@@ -115,7 +115,7 @@ type routerMetrics struct {
 // replica set before the shard is declared failed. Writes route to every
 // replica of the owning shard; a replica that misses a commit is detected
 // by epoch mismatch, quarantined from reads, and caught up by replaying
-// the missed WAL batches before it rejoins.
+// the missed batches from the shard's catch-up log before it rejoins.
 type Router struct {
 	reg        *xmltree.Registry
 	mreg       *obs.Registry
@@ -137,15 +137,14 @@ type Router struct {
 	m routerMetrics
 	// flight is the shared registry's event ring: the router records the
 	// fan-out lifecycle (fanout, per-replica attempts, hedges, retries,
-	// breaker trips, quarantine/reconcile, WAL commits) for every request.
+	// breaker trips, quarantine/reconcile, commits) for every request.
 	flight *obs.FlightRecorder
 }
 
 // Open opens the shard directory written by WriteStores /
-// WriteReplicatedStores and builds a router over it. Live routers attach
-// each replica's WAL (replaying any crash leftovers) and accept updates;
-// read-only routers open the stores read-only. The router owns the stores;
-// Close releases everything.
+// WriteReplicatedStores and builds a router over it. Live routers open the
+// stores read-write and accept updates; read-only routers open them
+// read-only. The router owns the stores; Close releases them.
 func Open(dir string, opts *Options) (*Router, error) {
 	if opts == nil {
 		opts = &Options{}
@@ -155,7 +154,6 @@ func Open(dir string, opts *Options) (*Router, error) {
 		return nil, err
 	}
 	var stores [][]storage.Backend
-	var walPaths [][]string
 	var faults [][]*storage.Faults
 	closeAll := func() {
 		for _, grp := range stores {
@@ -165,13 +163,12 @@ func Open(dir string, opts *Options) (*Router, error) {
 		}
 	}
 	for _, ent := range man.Shards {
-		files := []ReplicaFiles{{Store: ent.Store, WAL: ent.WAL, Backend: ent.Backend}}
+		files := []ReplicaFiles{{Store: ent.Store, Backend: ent.Backend}}
 		files = append(files, ent.Replicas...)
 		if opts.Replicas > 0 && len(files) > opts.Replicas {
 			files = files[:opts.Replicas]
 		}
 		var grp []storage.Backend
-		var wals []string
 		var fs []*storage.Faults
 		for _, rf := range files {
 			kind, err := storage.ParseKind(rf.Backend)
@@ -189,14 +186,12 @@ func Open(dir string, opts *Options) (*Router, error) {
 				return nil, err
 			}
 			grp = append(grp, s)
-			wals = append(wals, filepath.Join(dir, rf.WAL))
 			fs = append(fs, f)
 		}
 		stores = append(stores, grp)
-		walPaths = append(walPaths, wals)
 		faults = append(faults, fs)
 	}
-	r, err := NewReplicated(stores, walPaths, opts)
+	r, err := NewReplicated(stores, opts)
 	if err != nil {
 		closeAll()
 		return nil, err
@@ -213,38 +208,26 @@ func Open(dir string, opts *Options) (*Router, error) {
 
 // NewFromStores builds a single-replica router over already-open shard
 // stores (written with WriteStores semantics: disjoint partition subsets
-// of one corpus, global Dewey labels, a shared bare container root). With
-// opts.Live the i-th shard attaches the i-th WAL path. The caller owns the
-// stores unless the router was built through Open.
-func NewFromStores(stores []storage.Backend, walPaths []string, opts *Options) (*Router, error) {
+// of one corpus, global Dewey labels, a shared bare container root). The
+// caller owns the stores unless the router was built through Open.
+func NewFromStores(stores []storage.Backend, opts *Options) (*Router, error) {
 	grp := make([][]storage.Backend, len(stores))
 	for i, s := range stores {
 		grp[i] = []storage.Backend{s}
 	}
-	var wals [][]string
-	if walPaths != nil {
-		wals = make([][]string, len(walPaths))
-		for i, w := range walPaths {
-			wals[i] = []string{w}
-		}
-	}
-	return NewReplicated(grp, wals, opts)
+	return NewReplicated(grp, opts)
 }
 
 // NewReplicated builds a router over already-open replica store groups:
 // stores[i][j] is replica j of shard i, every replica of a shard holding
-// an identical copy of that shard's subset. With opts.Live, walPaths must
-// mirror the store layout. The caller owns the stores unless the router
-// was built through Open.
-func NewReplicated(stores [][]storage.Backend, walPaths [][]string, opts *Options) (*Router, error) {
+// an identical copy of that shard's subset. The caller owns the stores
+// unless the router was built through Open.
+func NewReplicated(stores [][]storage.Backend, opts *Options) (*Router, error) {
 	if opts == nil {
 		opts = &Options{}
 	}
 	if len(stores) == 0 {
 		return nil, errors.New("shard: no shard stores")
-	}
-	if opts.Live && len(walPaths) != len(stores) {
-		return nil, fmt.Errorf("shard: %d store groups but %d wal groups", len(stores), len(walPaths))
 	}
 	cfg := core.Config{}
 	if opts.Config != nil {
@@ -273,24 +256,18 @@ func NewReplicated(stores [][]storage.Backend, walPaths [][]string, opts *Option
 	shardCfg.Parallelism = 1
 	for i, grp := range stores {
 		if len(grp) == 0 {
-			r.closeShards()
 			return nil, fmt.Errorf("shard: shard %d has no replica stores", i)
-		}
-		if opts.Live && len(walPaths[i]) != len(grp) {
-			r.closeShards()
-			return nil, fmt.Errorf("shard: shard %d has %d stores but %d wal paths", i, len(grp), len(walPaths[i]))
 		}
 		g := &replicaGroup{shard: i}
 		for j, s := range grp {
 			var eng *core.Engine
 			var err error
 			if opts.Live {
-				eng, err = core.OpenLiveShared(s, walPaths[i][j], r.reg, &shardCfg)
+				eng, err = core.OpenLiveShared(s, r.reg, &shardCfg)
 			} else {
 				eng, err = core.OpenShared(s, r.reg, &shardCfg)
 			}
 			if err != nil {
-				r.closeShards()
 				return nil, fmt.Errorf("shard: open shard %d replica %d: %w", i, j, err)
 			}
 			g.reps = append(g.reps, &replica{shard: i, id: j, eng: eng, store: s})
@@ -328,7 +305,7 @@ func NewReplicated(stores [][]storage.Backend, walPaths [][]string, opts *Option
 		quarantines: r.mreg.Counter("xrefine_replica_quarantines_total",
 			"Replicas quarantined from reads on an epoch mismatch."),
 		reconciles: r.mreg.Counter("xrefine_replica_reconciles_total",
-			"Quarantined replicas caught up by WAL-batch replay and rejoined."),
+			"Quarantined replicas caught up by catch-up-log replay and rejoined."),
 	}
 	r.mreg.GaugeFunc("xrefine_replica_quarantined",
 		"Replicas currently quarantined from reads (epoch-lagged).",
@@ -374,7 +351,6 @@ func NewReplicated(stores [][]storage.Backend, walPaths [][]string, opts *Option
 	r.flight = r.mreg.Flight()
 	merged, err := r.merge()
 	if err != nil {
-		r.closeShards()
 		return nil, err
 	}
 	metaCfg := cfg
@@ -384,30 +360,17 @@ func NewReplicated(stores [][]storage.Backend, walPaths [][]string, opts *Option
 	return r, nil
 }
 
-func (r *Router) closeShards() {
-	for _, g := range r.groups {
-		for _, rp := range g.reps {
-			rp.eng.Close()
-			if r.ownsStores {
-				rp.store.Close()
-			}
-		}
-	}
-}
-
-// Close releases every replica's WAL and, when the router opened the shard
-// directory itself, the stores.
+// Close releases the stores when the router opened the shard directory
+// itself; a router built over the caller's stores holds nothing to release.
 func (r *Router) Close() error {
+	if !r.ownsStores {
+		return nil
+	}
 	var first error
 	for _, g := range r.groups {
 		for _, rp := range g.reps {
-			if err := rp.eng.Close(); err != nil && first == nil {
+			if err := rp.store.Close(); err != nil && first == nil {
 				first = err
-			}
-			if r.ownsStores {
-				if err := rp.store.Close(); err != nil && first == nil {
-					first = err
-				}
 			}
 		}
 	}
@@ -777,14 +740,12 @@ func (r *Router) Snippet(m refine.Match, max int) (string, bool) {
 }
 
 // UpdateStats reports the router's live-update state: Epoch is the meta
-// engine's (the shard epoch sum), WALSizeBytes sums the primary replicas'
-// logs, and Live reports whether any shard accepts updates.
+// engine's (the shard epoch sum), and Live reports whether any shard
+// accepts updates.
 func (r *Router) UpdateStats() core.UpdateStats {
 	out := core.UpdateStats{Epoch: r.eng.Epoch()}
 	for _, g := range r.groups {
-		u := g.primary().eng.UpdateStats()
-		out.Live = out.Live || u.Live
-		out.WALSizeBytes += u.WALSizeBytes
+		out.Live = out.Live || g.primary().eng.UpdateStats().Live
 	}
 	return out
 }
@@ -849,7 +810,7 @@ func (r *Router) SplitBatch(b *mutate.Batch) (map[int]*mutate.Batch, error) {
 // Replica divergence is handled by epoch reconciliation: a replica whose
 // commit failed while a sibling's succeeded is left epoch-lagged, detected
 // by the mismatch, quarantined from reads, and caught up by replaying the
-// missed batches from the shard's catch-up log (each replay is a WAL-backed
+// missed batches from the shard's catch-up log (each replay is an ordinary
 // epoch commit on the replica) before it rejoins. A batch that fails on
 // every replica commits nowhere, advances no epoch, and is returned as the
 // caller's error. The returned Epoch is the meta engine's — the shard epoch
@@ -902,7 +863,7 @@ func (r *Router) Apply(b *mutate.Batch) (*core.ApplyResult, error) {
 		return nil, firstErr
 	}
 	r.catchup[owner].add(res.Epoch, b)
-	r.flight.Record(obs.Event{Kind: obs.EvWALCommit, Shard: owner, Replica: -1, N: int64(res.Epoch)})
+	r.flight.Record(obs.Event{Kind: obs.EvCommit, Shard: owner, Replica: -1, N: int64(res.Epoch)})
 	// Epoch reconciliation, detection half: any replica now behind the
 	// group missed this commit. Quarantine it from reads until replay
 	// catches it up.
@@ -927,7 +888,7 @@ func (r *Router) Apply(b *mutate.Batch) (*core.ApplyResult, error) {
 	return res, nil
 }
 
-// Reconcile attempts to catch up every quarantined replica by WAL-batch
+// Reconcile attempts to catch up every quarantined replica by catch-up-log
 // replay and reports how many rejoined. The serving layer may call it on a
 // health probe; Apply calls it automatically around each commit.
 func (r *Router) Reconcile() int {

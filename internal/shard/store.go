@@ -1,5 +1,5 @@
 // Package shard hosts a corpus across N independent engine shards — one
-// store, WAL and epoch world each — and serves queries scatter-gather with
+// store and epoch world each — and serves queries scatter-gather with
 // results byte-identical to a monolithic engine over the concatenated
 // corpus. The corpus is one collection document; its partitions (root
 // children) are split across shard sub-documents that keep their global
@@ -45,7 +45,7 @@ func ParseMode(s string) (string, error) {
 const ManifestName = "manifest.json"
 
 // Manifest describes a shard directory: the split mode it was created
-// with and the store/WAL file of every shard, in shard order.
+// with and the store of every shard, in shard order.
 type Manifest struct {
 	Version int             `json:"version"`
 	Mode    string          `json:"mode"`
@@ -53,25 +53,24 @@ type Manifest struct {
 }
 
 // ManifestEntry names one shard's files, relative to the directory. Store
-// and WAL are the primary replica; Replicas lists the additional copies a
+// is the primary replica; Replicas lists the additional copies a
 // replicated directory carries (absent for R=1 directories, which keeps
 // version-1 manifests readable both ways). Backend names the primary
 // replica's storage engine; absent means btree, so pre-backend manifests
-// keep opening unchanged.
+// keep opening unchanged. Older manifests also carry a "wal" key per
+// replica; it is ignored.
 type ManifestEntry struct {
 	Store    string         `json:"store"`
-	WAL      string         `json:"wal"`
 	Backend  string         `json:"backend,omitempty"`
 	Replicas []ReplicaFiles `json:"replicas,omitempty"`
 }
 
-// ReplicaFiles names one additional replica's store and WAL, relative to
-// the directory. Backend follows the same absent-means-btree rule as
+// ReplicaFiles names one additional replica's store, relative to the
+// directory. Backend follows the same absent-means-btree rule as
 // ManifestEntry — replicas of one shard may in principle mix engines,
-// since every replica is its own store/WAL/epoch world.
+// since every replica is its own store/epoch world.
 type ReplicaFiles struct {
 	Store   string `json:"store"`
-	WAL     string `json:"wal"`
 	Backend string `json:"backend,omitempty"`
 }
 
@@ -146,9 +145,8 @@ func WriteStores(doc *xmltree.Document, dir string, n int, mode string) (*Manife
 
 // WriteReplicatedStores is WriteStores with R copies of every shard: each
 // shard's sub-document is saved into replicas identical stores
-// (shard-<i>.kv plus shard-<i>.r<j>.kv), each with its own WAL path, so a
-// router can open an R-way replica set where every replica holds its own
-// store, WAL and epoch world.
+// (shard-<i>.kv plus shard-<i>.r<j>.kv), so a router can open an R-way
+// replica set where every replica holds its own store and epoch world.
 func WriteReplicatedStores(doc *xmltree.Document, dir string, n int, mode string, replicas int) (*Manifest, error) {
 	return WriteReplicatedStoresBackend(doc, dir, n, mode, replicas, storage.DefaultKind())
 }
@@ -183,17 +181,9 @@ func WriteReplicatedStoresBackend(doc *xmltree.Document, dir string, n int, mode
 	man := &Manifest{Version: 1, Mode: mode}
 	for i, sub := range docs {
 		eng := core.NewFromDocument(sub, &core.Config{DisableMetrics: true})
-		ent := ManifestEntry{
-			Store:   storeName(i, 0, kind),
-			WAL:     fmt.Sprintf("shard-%d.wal", i),
-			Backend: string(kind),
-		}
+		ent := ManifestEntry{Store: storeName(i, 0, kind), Backend: string(kind)}
 		for j := 1; j < replicas; j++ {
-			ent.Replicas = append(ent.Replicas, ReplicaFiles{
-				Store:   storeName(i, j, kind),
-				WAL:     fmt.Sprintf("shard-%d.r%d.wal", i, j),
-				Backend: string(kind),
-			})
+			ent.Replicas = append(ent.Replicas, ReplicaFiles{Store: storeName(i, j, kind), Backend: string(kind)})
 		}
 		names := append([]string{ent.Store}, make([]string, 0, len(ent.Replicas))...)
 		for _, rf := range ent.Replicas {

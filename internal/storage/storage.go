@@ -84,8 +84,8 @@ func (e *UnknownKindError) Error() string {
 //   - Range iterates keys in ascending byte order over [lo, hi); nil hi
 //     means "to the end". The callback must not mutate the store.
 //   - SetEpoch stages an application epoch published atomically with the
-//     next Commit — the hook the live-update engine uses to tie a
-//     committed state to its WAL position.
+//     next Commit — the hook the live-update engine uses to make each
+//     update batch's commit carry the epoch it produces.
 //
 // Implementations must support concurrent readers (Get/Range) with writes
 // serialized by the caller or internally.
@@ -106,15 +106,12 @@ type Backend interface {
 	Commit() error
 	// Rollback discards the staged batch, restoring the committed state.
 	Rollback() error
-	// Sync forces buffered writes to stable storage without publishing a
-	// new commit.
-	Sync() error
 	// Checkpoint compacts the store's durable state: the log engine seals
 	// the active segment, merges dead records away and writes hint files;
 	// the B+tree engine commits (its copy-on-write design reuses freed
 	// pages, so there is nothing further to fold). After a successful
-	// checkpoint a reopen pays only the compacted state, which is what
-	// lets the embedding layer truncate any replayed WAL prefix.
+	// checkpoint a reopen pays only the compacted state, however many
+	// commits preceded it.
 	Checkpoint() error
 	// Epoch returns the application epoch of the last commit (or staged
 	// by SetEpoch since).

@@ -142,13 +142,12 @@ func OpenIndex(store Store, cfg *Config) (*Engine, error) {
 type UpdateBatch = mutate.Batch
 
 // OpenLiveIndex is OpenIndex plus live-update support: Engine.Apply
-// persists batches into the store, write-ahead logged at walPath, and any
-// batch the log holds beyond the store's committed epoch is replayed (the
-// crash-recovery path). The store must have been opened read-write and
-// saved with Engine.SaveIndexWithDocument. The caller still owns closing
-// the store; Engine.Close releases the log.
-func OpenLiveIndex(store Store, walPath string, cfg *Config) (*Engine, error) {
-	return core.OpenLive(store, walPath, cfg)
+// commits each batch to the store as the next epoch, durable once Apply
+// returns, and a batch Apply refuses leaves the store untouched. The store
+// must have been opened read-write and saved with
+// Engine.SaveIndexWithDocument. The caller still owns closing the store.
+func OpenLiveIndex(store Store, cfg *Config) (*Engine, error) {
+	return core.OpenLive(store, "", cfg)
 }
 
 // ReadUpdateBatch parses a batch file: one operation per line in the JSON
@@ -181,8 +180,8 @@ func NewTrace(ctx context.Context, name string) (context.Context, *Span) {
 // WriteTrace pretty-prints a span tree for terminals.
 func WriteTrace(w io.Writer, d *SpanData) { obs.WriteTree(w, d) }
 
-// ShardRouter hosts the shards of a split corpus — one independent engine,
-// store and WAL per shard — behind one scatter-gather query surface whose
+// ShardRouter hosts the shards of a split corpus — one independent engine
+// and store per shard — behind one scatter-gather query surface whose
 // responses are byte-identical to a monolithic engine over the unsplit
 // corpus. It satisfies the HTTP server's Backend, so xserve -shards mounts
 // it directly.
