@@ -189,8 +189,8 @@ func (e *Engine) Health() HealthExtras {
 func (e *Engine) Metrics() *obs.Registry { return e.reg }
 
 // noteOutcome records one exploration's observables: parallel fan-out,
-// partitions visited, candidate generation and pruning, and the SLCA work
-// delegated.
+// partitions visited, dynamic-program runs, candidate generation and
+// pruning, and the SLCA work delegated.
 func (e *Engine) noteOutcome(out *refine.TopKOutcome) {
 	if out.Workers > 1 {
 		e.m.parallel.Inc()
@@ -198,6 +198,7 @@ func (e *Engine) noteOutcome(out *refine.TopKOutcome) {
 	}
 	e.m.refinePartitions.Add(int64(out.Partitions))
 	e.m.rqGenerated.Add(int64(out.RQGenerated))
+	e.m.dpRuns.Add(int64(out.DPRuns))
 	e.m.rqPruned.Add(int64(out.RQPruned))
 	e.m.boundUpdates.Add(int64(out.BoundUpdates))
 	e.m.slcaCalls.Add(int64(out.SLCACalls))
@@ -540,6 +541,7 @@ func annotateRefineSpan(sp *obs.Span, out *refine.TopKOutcome) {
 		sp.SetInt("slca_calls", int64(out.SLCACalls))
 		sp.SetInt("slca_postings", out.SLCAPostings)
 		sp.SetInt("rq_generated", int64(out.RQGenerated))
+		sp.SetInt("dp_runs", int64(out.DPRuns))
 		sp.SetInt("rq_pruned", int64(out.RQPruned))
 		sp.SetInt("workers", int64(out.Workers))
 		if out.Degraded {

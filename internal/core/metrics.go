@@ -27,6 +27,7 @@ type engineMetrics struct {
 
 	refinePartitions *obs.Counter
 	rqGenerated      *obs.Counter
+	dpRuns           *obs.Counter
 	rqPruned         *obs.Counter
 	boundUpdates     *obs.Counter
 
@@ -58,6 +59,8 @@ func newEngineMetrics(r *obs.Registry) engineMetrics {
 			"Document partitions visited by the refinement algorithms."),
 		rqGenerated: r.Counter("xrefine_refine_rq_candidates_total",
 			"Refined-query candidates generated by the dynamic program."),
+		dpRuns: r.Counter("xrefine_refine_dp_runs_total",
+			"Runs of the top-2K dynamic program (one per distinct keyword mask per walk)."),
 		rqPruned: r.Counter("xrefine_refine_rq_pruned_total",
 			"Candidates whose SLCA computation the top-2K bound skipped."),
 		boundUpdates: r.Counter("xrefine_refine_bound_updates_total",

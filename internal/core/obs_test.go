@@ -248,7 +248,7 @@ query
 	if refineSpan == nil {
 		t.Fatal("no refine span")
 	}
-	for _, attr := range []string{"partitions", "slca_calls", "rq_generated"} {
+	for _, attr := range []string{"partitions", "slca_calls", "rq_generated", "dp_runs"} {
 		if _, ok := refineSpan.Attrs[attr]; !ok {
 			t.Errorf("refine span missing %q attr: %v", attr, refineSpan.Attrs)
 		}

@@ -41,6 +41,10 @@ type TopKOutcome struct {
 	// produced across visited partitions (before dedup or pruning) —
 	// the exploration's raw breadth.
 	RQGenerated int
+	// DPRuns counts the partition walk's runs of the top-2K dynamic
+	// program: one per distinct available-keyword mask, shared by all the
+	// walk's scans, rather than one per partition.
+	DPRuns int
 	// RQPruned counts candidates whose SLCA computation the top-2K
 	// dissimilarity bound skipped — the paper's key optimization made
 	// observable.
@@ -74,7 +78,8 @@ func (o *TopKOutcome) markDegraded(b *Budget) {
 // split the document into contiguous partition ranges (a single range when
 // in.Parallelism <= 1, under a posting limit, or when the lists are below
 // the per-range posting floor), scan the ranges on the pool and merge them
-// in document order. The output is identical for every split.
+// in document order. The output is identical for every split, and the
+// ranges share one dynamic-program memo.
 func PartitionTopK(in Input, k int) (*TopKOutcome, error) {
 	if k < 1 {
 		k = 1
@@ -99,16 +104,16 @@ func PartitionTopK(in Input, k int) (*TopKOutcome, error) {
 	jobs := make([]ScanJob, len(pivots)+1)
 	for r := range jobs {
 		lo, hi := rangeBounds(pivots, r)
-		jobs[r] = func(bound *PruneBound) (*Scan, error) {
+		jobs[r] = func(walk *Walk) (*Scan, error) {
 			if len(jobs) == 1 {
-				return scanRange(in, k, ks, lists, lo, hi, bound)
+				return scanRange(in, k, ks, lists, lo, hi, walk)
 			}
 			// One span per range; ranges overlap in time, so their
 			// durations are not additive with the sequential stage spans.
 			rin := in
 			rin.Trace = in.Trace.StartChild("range-" + strconv.Itoa(r))
 			defer rin.Trace.End()
-			s, err := scanRange(rin, k, ks, lists, lo, hi, bound)
+			s, err := scanRange(rin, k, ks, lists, lo, hi, walk)
 			if s != nil {
 				rin.Trace.SetInt("partitions", int64(s.Partitions()))
 				rin.Trace.SetInt("slca_calls", int64(s.slcaCalls))
@@ -178,30 +183,32 @@ type span struct{ start, end int }
 // list is read through a pooled block cursor, so the walk decodes each
 // compressed block at most once per list and produces no per-posting
 // garbage; close() must run when the walk ends to recycle the decode
-// buffers. Its spans slice and avail map are likewise reused across
+// buffers. Its spans, mask and label buffers are likewise reused across
 // partitions so the hot loop does not allocate per partition visited.
 type partitionWalker struct {
-	ks     []string
 	lists  []*index.List
 	curs   []*index.Cursor
 	limits []int
 	spans  []span
-	avail  map[string]bool
+	// mask is the partition's available-keyword set T as a bitset over
+	// the scan keywords: bit i is set when lists[i] has a posting in it.
+	mask   []byte
 	v      dewey.ID // owned copy of the current minimum head (reused)
+	pid    dewey.ID // the current partition's root label (reused)
+	pidEnd dewey.ID // pid.Next(), the partition's exclusive bound (reused)
 }
 
 // newPartitionWalker positions cursors at the first posting >= lo (or the
 // list start when lo is nil) and bounds the walk at the first posting >= hi
 // (or the list end when hi is nil). lo and hi must be partition roots so no
 // partition straddles two walkers.
-func newPartitionWalker(ks []string, lists []*index.List, lo, hi dewey.ID) *partitionWalker {
+func newPartitionWalker(lists []*index.List, lo, hi dewey.ID) *partitionWalker {
 	w := &partitionWalker{
-		ks:     ks,
 		lists:  lists,
 		curs:   make([]*index.Cursor, len(lists)),
 		limits: make([]int, len(lists)),
 		spans:  make([]span, len(lists)),
-		avail:  make(map[string]bool, len(lists)),
+		mask:   make([]byte, (len(lists)+7)/8),
 	}
 	for i, l := range lists {
 		c := l.NewCursor()
@@ -220,6 +227,9 @@ func newPartitionWalker(ks []string, lists []*index.List, lo, hi dewey.ID) *part
 	}
 	return w
 }
+
+// maskHas reports whether bit i of a keyword mask is set.
+func maskHas(mask []byte, i int) bool { return mask[i/8]&(1<<(i%8)) != 0 }
 
 // close recycles the walker's cursor decode buffers; the walker (and any
 // ID it handed out by alias) must not be used afterwards.
@@ -240,10 +250,11 @@ func (w *partitionWalker) spanPostings() int {
 }
 
 // next advances to the next non-empty partition, filling w.spans and
-// w.avail with the partition's sublists, and returns its root label. It
-// returns false when every cursor reached its limit. Postings at the
-// document root belong to no partition and are skipped (the root is never a
-// meaningful result).
+// w.mask with the partition's sublists, and returns its root label. The
+// label is w's own buffer, valid until the next call. It returns false
+// when every cursor reached its limit. Postings at the document root
+// belong to no partition and are skipped (the root is never a meaningful
+// result).
 func (w *partitionWalker) next() (dewey.ID, bool) {
 	for {
 		// Smallest unconsumed node across lists (paper line 5). The IDs a
@@ -264,8 +275,7 @@ func (w *partitionWalker) next() (dewey.ID, bool) {
 			return nil, false
 		}
 		v := w.v
-		pid, ok := v.Partition()
-		if !ok {
+		if len(v) < 2 {
 			for i, c := range w.curs {
 				if c.Pos() < w.limits[i] && dewey.Equal(c.ID(), v) {
 					c.Next()
@@ -273,11 +283,14 @@ func (w *partitionWalker) next() (dewey.ID, bool) {
 			}
 			continue
 		}
-		pidEnd := pid.Next()
-		clear(w.avail)
+		// v.Partition() and its Next(), without the two clones.
+		w.pid = append(w.pid[:0], v[:2]...)
+		w.pidEnd = append(w.pidEnd[:0], w.pid...)
+		w.pidEnd[1]++
+		clear(w.mask)
 		for i, c := range w.curs {
 			start := c.Pos()
-			end := c.SeekGE(pidEnd)
+			end := c.SeekGE(w.pidEnd)
 			if end > w.limits[i] {
 				// The cursor overshot this walker's range bound; the list
 				// is exhausted for this walk, so it is never read again.
@@ -285,42 +298,28 @@ func (w *partitionWalker) next() (dewey.ID, bool) {
 			}
 			w.spans[i] = span{start: start, end: end}
 			if end > start {
-				w.avail[w.ks[i]] = true
+				w.mask[i/8] |= 1 << (i % 8)
 			}
 		}
-		return pid, true
+		return w.pid, true
 	}
 }
 
-// partitionSLCA computes the meaningful SLCAs of rq inside one document
-// partition by delegating to the configured SLCA algorithm over the
-// partition-restricted sublists. The second return is the posting mass the
-// SLCA computation consumed (0 when a keyword was absent and the
-// computation was skipped). Under tracing, the time spent in the SLCA
-// layer accumulates onto the trace span's slca_ns attribute — safe from
-// concurrent workers.
-func partitionSLCA(in Input, rq RQ, ks []string, lists []*index.List, spans []span, pid dewey.ID) ([]Match, int, error) {
-	sub := make([]*index.List, 0, len(rq.Keywords))
-	var witness *index.List
-	for _, kw := range rq.Keywords {
-		found := false
-		for i, name := range ks {
-			if name != kw {
-				continue
-			}
-			s := spans[i]
-			if s.end <= s.start {
-				return nil, 0, nil // keyword absent from partition
-			}
-			l := lists[i].Sub(s.start, s.end)
-			sub = append(sub, l)
-			witness = l
-			found = true
-			break
+// partitionSLCA computes the meaningful SLCAs of c's refined query inside
+// one document partition by delegating to the configured SLCA algorithm
+// over the partition-restricted sublists, read straight from c's keyword
+// columns. The second return is the posting mass the SLCA computation
+// consumed (0 when a keyword was absent and the computation was skipped).
+// Under tracing, the time spent in the SLCA layer accumulates onto the
+// trace span's slca_ns attribute — safe from concurrent workers.
+func partitionSLCA(in Input, c *dpCand, lists []*index.List, spans []span) ([]Match, int, error) {
+	sub := make([]*index.List, 0, len(c.cols))
+	for _, col := range c.cols {
+		s := spans[col]
+		if s.end <= s.start {
+			return nil, 0, nil // keyword absent from partition
 		}
-		if !found {
-			return nil, 0, nil
-		}
+		sub = append(sub, lists[col].Sub(s.start, s.end))
 	}
 	var t0 time.Time
 	if in.Trace != nil {
@@ -330,5 +329,5 @@ func partitionSLCA(in Input, rq RQ, ks []string, lists []*index.List, spans []sp
 	if in.Trace != nil {
 		in.Trace.AddInt("slca_ns", int64(time.Since(t0)))
 	}
-	return meaningfulMatches(ids, witness, in.Judge), slca.Cost(sub), nil
+	return meaningfulMatches(ids, sub[len(sub)-1], in.Judge), slca.Cost(sub), nil
 }

@@ -2,6 +2,7 @@ package refine
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -16,8 +17,10 @@ import (
 //     of one index's keyword lists and records, per partition, the refined
 //     queries the dynamic program surfaced and the SLCA results it
 //     computed. It prunes against its own top-2K list and a PruneBound
-//     shared with the sibling scans of the same walk.
-//   - Pool: RunScans runs N scans on a bounded set of goroutines.
+//     shared with the sibling scans of the same walk, and takes the
+//     dynamic program's output from a memo the sibling scans share too.
+//   - Pool: RunScans runs N scans on a bounded set of goroutines, handing
+//     each the walk's shared state (Walk).
 //   - Merge: MergeScans replays every scan's records in global document
 //     order — partitions interleave across scans under a k-way merge on
 //     their labels — through one fresh SortedList, the exact one-scan
@@ -31,7 +34,9 @@ import (
 // (ScanShard, which the shard router resolves against a replica set). The
 // outcome is identical for every split: the same partitions, in the same
 // order, through the same SortedList. The shared bound is only a
-// work-avoidance hint, so sharing it across any split preserves exactness.
+// work-avoidance hint, so sharing it across any split preserves exactness;
+// the memo returns exactly what the dynamic program would, so sharing it
+// does too.
 
 // minPostingsPerRange keeps tiny documents on one range: below this much
 // posting mass per would-be range, goroutine and merge overhead dominates
@@ -136,13 +141,89 @@ func (b *PruneBound) lower(v float64) bool {
 	}
 }
 
-// rqRecord is one refined query surfaced in one partition: the RQ (a
-// pointer into the partition's dynamic-program output), its identity key
-// and the partition's meaningful SLCA results — nil when the scan skipped
-// the computation and the merge must recompute it on demand.
+// Walk is the state every scan of one walk shares: the pruning bound and
+// the dynamic-program memo. RunScans makes one per walk and hands it to
+// each job; the jobs must scan the same keywords ks for the same query,
+// rules and K, or the memo would mix their outputs.
+type Walk struct {
+	bound *PruneBound // nil for a walk of one scan
+	memo  dpMemo
+}
+
+// dpMemo memoises the top-2K dynamic program (line 10) for one walk. Its
+// output depends only on Q, the rules, K and the partition's available
+// keyword set T; all but T are fixed for the walk, so the memo is keyed by
+// T's bitset over the scan keywords, which every scan of a walk shares.
+// Each mask is computed once, by the first scan that meets it; a sibling
+// scan meeting it meanwhile waits on the entry.
+type dpMemo struct {
+	mu     sync.Mutex
+	byMask map[string]*dpEntry
+}
+
+type dpEntry struct {
+	once  sync.Once
+	cands []dpCand
+}
+
+// dpCand is one refined query of a memoised dynamic-program run, with what
+// each partition surfacing it would otherwise recompute: its identity key
+// and the columns of its keywords among the scan keywords.
+type dpCand struct {
+	rq   RQ
+	key  string
+	cols []int
+}
+
+// get returns the dynamic program's output for the partitions whose
+// available scan keywords are mask, running it on the first request.
+func (m *dpMemo) get(in Input, k int, ks []string, mask []byte) []dpCand {
+	m.mu.Lock()
+	e := m.byMask[string(mask)]
+	if e == nil {
+		e = &dpEntry{}
+		m.byMask[string(mask)] = e
+	}
+	m.mu.Unlock()
+	e.once.Do(func() { e.cands = runDP(in, k, ks, mask) })
+	return e.cands
+}
+
+// runs reports how many masks the memo has run the dynamic program for:
+// each entry is created by a caller that runs it at once.
+func (m *dpMemo) runs() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.byMask)
+}
+
+// runDP runs the top-2K dynamic program (TopRQs) over the scan keywords
+// in mask.
+func runDP(in Input, k int, ks []string, mask []byte) []dpCand {
+	avail := make(map[string]bool, len(ks))
+	for i, kw := range ks {
+		if maskHas(mask, i) {
+			avail[kw] = true
+		}
+	}
+	rqs := TopRQs(in.Query, avail, in.Rules, 2*k)
+	cands := make([]dpCand, len(rqs))
+	for j, rq := range rqs {
+		cols := make([]int, len(rq.Keywords))
+		for c, kw := range rq.Keywords {
+			cols[c] = slices.Index(ks, kw)
+		}
+		cands[j] = dpCand{rq: rq, key: rq.Key(), cols: cols}
+	}
+	return cands
+}
+
+// rqRecord is one refined query surfaced in one partition: a pointer into
+// the walk's memoised dynamic-program output and the partition's
+// meaningful SLCA results — nil when the scan skipped the computation and
+// the merge must recompute it on demand.
 type rqRecord struct {
-	rq      *RQ
-	key     string
+	c       *dpCand
 	results []Match
 }
 
@@ -153,14 +234,13 @@ type partitionRecord struct {
 	first, end int
 }
 
-// Scan is the record of one scan, ready to merge. The input, keyword set
-// and lists are retained because bound-skipped SLCA recomputations during
-// the merge must run against the lists of the scan that owns the
-// partition.
+// Scan is the record of one scan, ready to merge. The input and lists are
+// retained because bound-skipped SLCA recomputations during the merge must
+// run against the lists of the scan that owns the partition.
 type Scan struct {
 	in    Input
-	ks    []string
 	lists []*index.List
+	walk  *Walk
 	recs  []partitionRecord
 	rqs   []rqRecord
 
@@ -177,19 +257,19 @@ type Scan struct {
 // Partitions reports how many partitions the scan fully processed.
 func (s *Scan) Partitions() int { return s.partitions }
 
-// ScanJob produces one scan of a walk. bound is the pruning bound the pool
-// shares across the walk's scans (nil when there is only one).
-type ScanJob func(bound *PruneBound) (*Scan, error)
+// ScanJob produces one scan of a walk. walk is the state the pool shares
+// across the walk's scans.
+type ScanJob func(walk *Walk) (*Scan, error)
 
 // ScanShard is the scan of a shard source: every partition of in.Index,
 // which holds a disjoint partition subset of the corpus under global Dewey
 // labels. in is the corpus-wide query input with Index swapped for the
 // shard's own; ks is the scan keyword set computed once against the
 // corpus-wide index (Input.ScanKeywords), so every shard scans the same
-// keyword columns. Degradable budget expiry truncates the record (only
-// fully-processed partitions contribute); a hard cancellation or storage
-// fault returns the error.
-func ScanShard(in Input, k int, ks []string, bound *PruneBound) (*Scan, error) {
+// keyword columns and can share the walk's memo. Degradable budget expiry
+// truncates the record (only fully-processed partitions contribute); a
+// hard cancellation or storage fault returns the error.
+func ScanShard(in Input, k int, ks []string, walk *Walk) (*Scan, error) {
 	if k < 1 {
 		k = 1
 	}
@@ -197,12 +277,13 @@ func ScanShard(in Input, k int, ks []string, bound *PruneBound) (*Scan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return scanRange(in, k, ks, lists, nil, nil, bound)
+	return scanRange(in, k, ks, lists, nil, nil, walk)
 }
 
 // scanRange is the walk's one partition loop, over the partitions inside
 // [lo, hi) (nil bounds are open). For each partition it charges the
-// budget, runs the top-2K dynamic program (line 10), and computes SLCA
+// budget, takes the top-2K dynamic program's output (line 10) for the
+// partition's keyword mask from the walk's memo, and computes SLCA
 // results for every refined query that might still enter the global
 // top-2K, judged against the scan's own list and the shared bound; the
 // rest are skipped — the paper's advantage (2). The budget is checked at
@@ -214,10 +295,11 @@ func ScanShard(in Input, k int, ks []string, bound *PruneBound) (*Scan, error) {
 // the merge may have to recompute. A candidate computed empty changes
 // nothing on replay, and a lone scan's replay repeats its own admission
 // decisions exactly, so it never recomputes what the scan skipped.
-func scanRange(in Input, k int, ks []string, lists []*index.List, lo, hi dewey.ID, bound *PruneBound) (*Scan, error) {
-	s := &Scan{in: in, ks: ks, lists: lists}
+func scanRange(in Input, k int, ks []string, lists []*index.List, lo, hi dewey.ID, walk *Walk) (*Scan, error) {
+	s := &Scan{in: in, lists: lists, walk: walk}
+	bound := walk.bound
 	local := NewSortedList(2 * k)
-	w := newPartitionWalker(ks, lists, lo, hi)
+	w := newPartitionWalker(lists, lo, hi)
 	defer w.close()
 	for {
 		pid, ok := w.next()
@@ -232,21 +314,20 @@ func scanRange(in Input, k int, ks []string, lists []*index.List, lo, hi dewey.I
 			}
 			return s, nil
 		}
-		rqs := TopRQs(in.Query, w.avail, in.Rules, 2*k)
-		s.rqGenerated += len(rqs)
+		cands := walk.memo.get(in, k, ks, w.mask)
+		s.rqGenerated += len(cands)
 		first := len(s.rqs)
-		for j := range rqs {
-			rq := &rqs[j]
-			key := rq.Key()
-			item := local.byKey[key]
-			if item == nil && !(rq.DSim < bound.get() && local.Qualifies(rq.DSim)) {
+		for j := range cands {
+			c := &cands[j]
+			item := local.byKey[c.key]
+			if item == nil && !(c.rq.DSim < bound.get() && local.Qualifies(c.rq.DSim)) {
 				s.rqPruned++
 				if bound != nil {
-					s.rqs = append(s.rqs, rqRecord{rq: rq, key: key})
+					s.rqs = append(s.rqs, rqRecord{c: c})
 				}
 				continue
 			}
-			matches, postings, err := partitionSLCA(in, *rq, ks, lists, w.spans, pid)
+			matches, postings, err := partitionSLCA(in, c, lists, w.spans)
 			if err != nil {
 				return nil, err
 			}
@@ -255,17 +336,17 @@ func scanRange(in Input, k int, ks []string, lists []*index.List, lo, hi dewey.I
 			if len(matches) == 0 {
 				continue
 			}
-			s.rqs = append(s.rqs, rqRecord{rq: rq, key: key, results: matches})
+			s.rqs = append(s.rqs, rqRecord{c: c, results: matches})
 			if item != nil {
 				continue
 			}
-			if local.insert(*rq, key, nil) != nil && local.Full() && bound.lower(local.Worst()) {
+			if local.insert(c.rq, c.key, nil) != nil && local.Full() && bound.lower(local.Worst()) {
 				s.boundUpdates++
 			}
 		}
 		s.partitions++
 		if len(s.rqs) > first {
-			s.recs = append(s.recs, partitionRecord{pid: pid, first: first, end: len(s.rqs)})
+			s.recs = append(s.recs, partitionRecord{pid: pid.Clone(), first: first, end: len(s.rqs)})
 		}
 	}
 }
@@ -288,20 +369,21 @@ func PoolSize(b *Budget, workers, jobs int) int {
 }
 
 // RunScans is the walk's one pool: it runs jobs on PoolSize(b, workers,
-// len(jobs)) goroutines, taking them in order, with one PruneBound shared
-// across them, and returns each job's scan and error by index. A pool of
-// one runs the jobs on the caller's goroutine.
+// len(jobs)) goroutines, taking them in order, with one Walk — pruning
+// bound and dynamic-program memo — shared across them, and returns each
+// job's scan and error by index. A pool of one runs the jobs on the
+// caller's goroutine.
 func RunScans(b *Budget, workers int, jobs []ScanJob) ([]*Scan, []error) {
 	scans := make([]*Scan, len(jobs))
 	errs := make([]error, len(jobs))
-	var bound *PruneBound
+	walk := &Walk{memo: dpMemo{byMask: make(map[string]*dpEntry)}}
 	if len(jobs) > 1 {
-		bound = NewPruneBound()
+		walk.bound = NewPruneBound()
 	}
 	workers = PoolSize(b, workers, len(jobs))
 	if workers == 1 {
 		for i, job := range jobs {
-			scans[i], errs[i] = job(bound)
+			scans[i], errs[i] = job(walk)
 		}
 		return scans, errs
 	}
@@ -312,7 +394,7 @@ func RunScans(b *Budget, workers int, jobs []ScanJob) ([]*Scan, []error) {
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				scans[i], errs[i] = jobs[i](bound)
+				scans[i], errs[i] = jobs[i](walk)
 			}
 		}()
 	}
@@ -327,9 +409,10 @@ func RunScans(b *Budget, workers int, jobs []ScanJob) ([]*Scan, []error) {
 // MergeScans is the walk's one merge: it replays the scans' partition
 // records in global document order through a fresh SortedList — the exact
 // one-scan admission logic — and returns the walk's outcome. The order in
-// which scans are passed does not matter. in is the walk-wide input (its
-// Budget supplies the degradation reason). Nil scans — failed shards —
-// contribute nothing; the caller tags the outcome.
+// which scans are passed does not matter; they must all come from one
+// RunScans. in is the walk-wide input (its Budget supplies the degradation
+// reason). Nil scans — failed shards — contribute nothing; the caller tags
+// the outcome.
 func MergeScans(in Input, k int, scans []*Scan) (*TopKOutcome, error) {
 	if k < 1 {
 		k = 1
@@ -345,6 +428,7 @@ func MergeScans(in Input, k int, scans []*Scan) (*TopKOutcome, error) {
 		if s == nil {
 			continue
 		}
+		out.DPRuns = s.walk.memo.runs()
 		out.Partitions += s.partitions
 		out.SLCACalls += s.slcaCalls
 		out.SLCAPostings += s.slcaPostings
@@ -390,8 +474,9 @@ func MergeScans(in Input, k int, scans []*Scan) (*TopKOutcome, error) {
 func (s *Scan) replay(rec partitionRecord, sorted *SortedList, out *TopKOutcome) error {
 	spansReady := false
 	for _, rr := range s.rqs[rec.first:rec.end] {
-		item := sorted.byKey[rr.key]
-		if item == nil && !sorted.Qualifies(rr.rq.DSim) {
+		c := rr.c
+		item := sorted.byKey[c.key]
+		if item == nil && !sorted.Qualifies(c.rq.DSim) {
 			continue
 		}
 		res := rr.results
@@ -405,7 +490,7 @@ func (s *Scan) replay(rec partitionRecord, sorted *SortedList, out *TopKOutcome)
 			}
 			var err error
 			var postings int
-			res, postings, err = partitionSLCA(s.in, *rr.rq, s.ks, s.lists, s.spans, rec.pid)
+			res, postings, err = partitionSLCA(s.in, c, s.lists, s.spans)
 			if err != nil {
 				return err
 			}
@@ -418,7 +503,7 @@ func (s *Scan) replay(rec partitionRecord, sorted *SortedList, out *TopKOutcome)
 		if item != nil {
 			item.Results = append(item.Results, res...)
 		} else {
-			sorted.insert(*rr.rq, rr.key, res)
+			sorted.insert(c.rq, c.key, res)
 		}
 	}
 	return nil

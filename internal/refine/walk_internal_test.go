@@ -98,15 +98,15 @@ func TestWalkerRangesCoverFullWalk(t *testing.T) {
 				return out
 			}
 			avail := ""
-			for _, k := range ks {
-				if w.avail[k] {
+			for i, k := range ks {
+				if maskHas(w.mask, i) {
 					avail += k + ","
 				}
 			}
 			out = append(out, visit{pid: pid.String(), spans: fmt.Sprint(w.spans), avail: avail})
 		}
 	}
-	full := record(newPartitionWalker(ks, lists, nil, nil))
+	full := record(newPartitionWalker(lists, nil, nil))
 	if len(full) == 0 {
 		t.Fatal("full walk visited no partitions")
 	}
@@ -114,7 +114,7 @@ func TestWalkerRangesCoverFullWalk(t *testing.T) {
 	var split []visit
 	for r := 0; r <= len(pivots); r++ {
 		lo, hi := rangeBounds(pivots, r)
-		split = append(split, record(newPartitionWalker(ks, lists, lo, hi))...)
+		split = append(split, record(newPartitionWalker(lists, lo, hi))...)
 	}
 	if fmt.Sprint(full) != fmt.Sprint(split) {
 		t.Fatalf("split walk diverged:\nfull:  %v\nsplit: %v", full, split)

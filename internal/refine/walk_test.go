@@ -66,10 +66,10 @@ func shardWalk(t testing.TB, in refine.Input, k int, ixs []*index.Index, rotate 
 	ks := in.ScanKeywords()
 	jobs := make([]refine.ScanJob, len(ixs))
 	for i, ix := range ixs {
-		jobs[i] = func(bound *refine.PruneBound) (*refine.Scan, error) {
+		jobs[i] = func(walk *refine.Walk) (*refine.Scan, error) {
 			sin := in
 			sin.Index = ix
-			return refine.ScanShard(sin, k, ks, bound)
+			return refine.ScanShard(sin, k, ks, walk)
 		}
 	}
 	scans, errs := refine.RunScans(in.Budget, len(jobs), jobs)

@@ -103,10 +103,10 @@ type routerMetrics struct {
 // deadline, budget, ranking, accounting) and keeps the router's epoch and
 // counters on the shared registry; only its exploration is the router's:
 // the one partition walk of package refine with each shard as a source,
-// per-shard scans sharing one budget and pruning bound and merged back in
-// global document order, so responses are byte-identical to a monolithic
-// engine over the concatenated corpus no matter which replica serves each
-// scan.
+// per-shard scans sharing one budget, pruning bound and dynamic-program
+// memo and merged back in global document order, so responses are
+// byte-identical to a monolithic engine over the concatenated corpus no
+// matter which replica serves each scan.
 //
 // Each shard scan picks the healthiest replica (EWMA latency, circuit
 // breaker state); with HedgeAfter set, a scan still outstanding past the
@@ -491,8 +491,8 @@ func (r *Router) explore(in refine.Input, k int) (*refine.TopKOutcome, error) {
 	}
 	jobs := make([]refine.ScanJob, len(r.groups))
 	for i := range jobs {
-		jobs[i] = func(bound *refine.PruneBound) (*refine.Scan, error) {
-			scan, err := r.scanShardReplicated(in, k, ks, bound, i)
+		jobs[i] = func(walk *refine.Walk) (*refine.Scan, error) {
+			scan, err := r.scanShardReplicated(in, k, ks, walk, i)
 			r.m.scans.With(strconv.Itoa(i)).Inc()
 			if err != nil {
 				r.m.scanErrors.With(strconv.Itoa(i)).Inc()
@@ -558,7 +558,7 @@ type attemptResult struct {
 // attempt fails over to the next replica with doubling backoff, up to one
 // attempt per readable replica plus the configured retries, before the
 // shard is declared failed.
-func (r *Router) scanShardReplicated(in refine.Input, k int, ks []string, bound *refine.PruneBound, si int) (*refine.Scan, error) {
+func (r *Router) scanShardReplicated(in refine.Input, k int, ks []string, walk *refine.Walk, si int) (*refine.Scan, error) {
 	g := r.groups[si]
 	order := g.readOrder()
 	if len(order) == 0 {
@@ -607,7 +607,7 @@ func (r *Router) scanShardReplicated(in refine.Input, k int, ks []string, bound 
 				}
 				sin.Trace = sp
 			}
-			scan, err := refine.ScanShard(sin, k, ks, bound)
+			scan, err := refine.ScanShard(sin, k, ks, walk)
 			if sp != nil {
 				if scan != nil {
 					sp.SetInt("partitions", int64(scan.Partitions()))
