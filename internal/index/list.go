@@ -101,10 +101,20 @@ func newListFromCore(term string, core *listCore) *List {
 // needs no re-validation: a contiguous window of a document-ordered list
 // is document-ordered.
 func (l *List) Sub(start, end int) *List {
+	w := new(List)
+	l.SubInto(w, start, end)
+	return w
+}
+
+// SubInto sets *w to the window Sub(start, end) would return, without
+// allocating: a caller cutting many short-lived windows keeps them in its
+// own reused List values.
+func (l *List) SubInto(w *List, start, end int) {
 	if l == nil || l.core == nil {
-		return &List{Term: l.term()}
+		*w = List{Term: l.term()}
+		return
 	}
-	return &List{Term: l.Term, core: l.core, lo: l.lo + start, hi: l.lo + end, cache: l.cache}
+	*w = List{Term: l.Term, core: l.core, lo: l.lo + start, hi: l.lo + end, cache: l.cache}
 }
 
 // View returns a same-window copy of l with a private block cache. Wrap

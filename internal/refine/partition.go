@@ -305,6 +305,21 @@ func (w *partitionWalker) next() (dewey.ID, bool) {
 	}
 }
 
+// slcaScratch is one scan's working memory for its SLCA calls: the
+// current call's sub-windows, the SLCA computation's buffers, and the slab
+// the calls' results are cut from. A scan runs on one goroutine, and so
+// does the merge's replay of it, so each scan owns one scratch and no
+// scratch is shared across goroutines.
+type slcaScratch struct {
+	wins []index.List
+	sub  []*index.List
+	slca slca.Scratch
+	slab []Match
+}
+
+// minSlab is the length of a scan's first result slab.
+const minSlab = 64
+
 // partitionSLCA computes the meaningful SLCAs of c's refined query inside
 // one document partition by delegating to the configured SLCA algorithm
 // over the partition-restricted sublists, read straight from c's keyword
@@ -312,22 +327,47 @@ func (w *partitionWalker) next() (dewey.ID, bool) {
 // consumed (0 when a keyword was absent and the computation was skipped).
 // Under tracing, the time spent in the SLCA layer accumulates onto the
 // trace span's slca_ns attribute — safe from concurrent workers.
-func partitionSLCA(in Input, c *dpCand, lists []*index.List, spans []span) ([]Match, int, error) {
-	sub := make([]*index.List, 0, len(c.cols))
-	for _, col := range c.cols {
+//
+// The results are a capacity-capped slice of x's slab, so appending to
+// them copies and never writes into another call's results. Once x's
+// buffers have grown, the call allocates nothing else but the blocks the
+// lists decode on a cache miss.
+func (x *slcaScratch) partitionSLCA(in Input, c *dpCand, lists []*index.List, spans []span) ([]Match, int) {
+	n := len(c.cols)
+	if cap(x.wins) < n {
+		x.wins = make([]index.List, n)
+		x.sub = make([]*index.List, n)
+	}
+	sub := x.sub[:n]
+	for i, col := range c.cols {
 		s := spans[col]
 		if s.end <= s.start {
-			return nil, 0, nil // keyword absent from partition
+			return nil, 0 // keyword absent from partition
 		}
-		sub = append(sub, lists[col].Sub(s.start, s.end))
+		lists[col].SubInto(&x.wins[i], s.start, s.end)
+		sub[i] = &x.wins[i]
 	}
 	var t0 time.Time
 	if in.Trace != nil {
 		t0 = time.Now()
 	}
-	ids := slca.Compute(in.SLCA, sub)
+	ids := x.slca.Compute(in.SLCA, sub)
 	if in.Trace != nil {
 		in.Trace.AddInt("slca_ns", int64(time.Since(t0)))
 	}
-	return meaningfulMatches(ids, sub[len(sub)-1], in.Judge), slca.Cost(sub), nil
+	cost := slca.Cost(sub)
+	if len(ids) == 0 {
+		return nil, cost
+	}
+	// A fresh slab chunk when the tail cannot hold every ID as a match;
+	// earlier results keep the old chunk alive.
+	if cap(x.slab)-len(x.slab) < len(ids) {
+		x.slab = make([]Match, 0, max(2*cap(x.slab), len(ids), minSlab))
+	}
+	a := len(x.slab)
+	x.slab = appendMeaningful(x.slab, ids, sub[n-1], in.Judge)
+	if len(x.slab) == a {
+		return nil, cost
+	}
+	return x.slab[a:len(x.slab):len(x.slab)], cost
 }

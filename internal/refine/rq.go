@@ -233,15 +233,14 @@ func typedMatch(id dewey.ID, witness *index.List) (Match, bool) {
 	return Match{ID: id, Type: t}, true
 }
 
-// meaningfulMatches converts raw SLCA IDs into typed matches and keeps the
-// meaningful ones (Definition 3.3).
-func meaningfulMatches(ids []dewey.ID, witness *index.List, judge *searchfor.Judge) []Match {
-	var out []Match
+// appendMeaningful converts raw SLCA IDs into typed matches and appends
+// the meaningful ones (Definition 3.3) to dst.
+func appendMeaningful(dst []Match, ids []dewey.ID, witness *index.List, judge *searchfor.Judge) []Match {
 	for _, id := range ids {
 		m, ok := typedMatch(id, witness)
 		if ok && judge.Meaningful(m.Type) {
-			out = append(out, m)
+			dst = append(dst, m)
 		}
 	}
-	return out
+	return dst
 }

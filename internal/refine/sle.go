@@ -174,7 +174,7 @@ func ShortListEager(in Input, k int) (*TopKOutcome, error) {
 			break
 		}
 		out.SLCACalls++
-		res := meaningfulMatches(ids, sub[0], in.Judge)
+		res := appendMeaningful(nil, ids, sub[0], in.Judge)
 		if len(res) == 0 {
 			continue
 		}
@@ -233,5 +233,5 @@ func Original(in Input) ([]Match, error) {
 	if err != nil {
 		return nil, err
 	}
-	return meaningfulMatches(ids, sub[0], in.Judge), nil
+	return appendMeaningful(nil, ids, sub[0], in.Judge), nil
 }

@@ -251,7 +251,8 @@ type Scan struct {
 	rqPruned     int
 	boundUpdates int
 
-	spans []span // merge-time scratch for recomputations
+	slca  slcaScratch // the SLCA calls of the scan and of its replay
+	spans []span      // merge-time scratch for recomputations
 }
 
 // Partitions reports how many partitions the scan fully processed.
@@ -327,10 +328,7 @@ func scanRange(in Input, k int, ks []string, lists []*index.List, lo, hi dewey.I
 				}
 				continue
 			}
-			matches, postings, err := partitionSLCA(in, c, lists, w.spans)
-			if err != nil {
-				return nil, err
-			}
+			matches, postings := s.slca.partitionSLCA(in, c, lists, w.spans)
 			s.slcaCalls++
 			s.slcaPostings += int64(postings)
 			if len(matches) == 0 {
@@ -453,9 +451,7 @@ func MergeScans(in Input, k int, scans []*Scan) (*TopKOutcome, error) {
 			}
 		}
 		c := &cur[best]
-		if err := c.s.replay(c.s.recs[c.i], sorted, out); err != nil {
-			return nil, err
-		}
+		c.s.replay(c.s.recs[c.i], sorted, out)
 		c.i++
 		if c.i == len(c.s.recs) {
 			cur = append(cur[:best], cur[best+1:]...)
@@ -471,7 +467,7 @@ func MergeScans(in Input, k int, scans []*Scan) (*TopKOutcome, error) {
 // judged against the replay list, and SLCA results the scan skipped (its
 // bound was a lower envelope of the replay's) are recomputed here from the
 // same partition sublists.
-func (s *Scan) replay(rec partitionRecord, sorted *SortedList, out *TopKOutcome) error {
+func (s *Scan) replay(rec partitionRecord, sorted *SortedList, out *TopKOutcome) {
 	spansReady := false
 	for _, rr := range s.rqs[rec.first:rec.end] {
 		c := rr.c
@@ -488,12 +484,8 @@ func (s *Scan) replay(rec partitionRecord, sorted *SortedList, out *TopKOutcome)
 				partitionSpans(s.lists, rec.pid, s.spans)
 				spansReady = true
 			}
-			var err error
 			var postings int
-			res, postings, err = partitionSLCA(s.in, c, s.lists, s.spans)
-			if err != nil {
-				return err
-			}
+			res, postings = s.slca.partitionSLCA(s.in, c, s.lists, s.spans)
 			out.SLCACalls++
 			out.SLCAPostings += int64(postings)
 		}
@@ -506,7 +498,6 @@ func (s *Scan) replay(rec partitionRecord, sorted *SortedList, out *TopKOutcome)
 			sorted.insert(c.rq, c.key, res)
 		}
 	}
-	return nil
 }
 
 // partitionSpans reconstructs the sublist spans of a partition. Inside the

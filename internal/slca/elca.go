@@ -1,7 +1,7 @@
 package slca
 
 import (
-	"sort"
+	"slices"
 
 	"xrefine/internal/dewey"
 	"xrefine/internal/index"
@@ -77,7 +77,7 @@ func ELCA(lists []*index.List) []dewey.ID {
 	for len(stack) > 0 {
 		pop()
 	}
-	sort.Slice(out, func(i, j int) bool { return dewey.Compare(out[i], out[j]) < 0 })
+	slices.SortFunc(out, dewey.Compare)
 	return out
 }
 
@@ -144,6 +144,6 @@ func NaiveELCA(lists []*index.List) []dewey.ID {
 			out = append(out, v)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return dewey.Compare(out[i], out[j]) < 0 })
+	slices.SortFunc(out, dewey.Compare)
 	return out
 }

@@ -1,0 +1,113 @@
+package slca
+
+import (
+	"fmt"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"xrefine/internal/dewey"
+	"xrefine/internal/index"
+)
+
+// contractCorpora yields the list sets the contract tests run on: queries
+// over fig1, then the random documents and queries of the property tests.
+func contractCorpora(t *testing.T, yield func(name string, ls []*index.List)) {
+	t.Helper()
+	ix := buildIx(t, fig1)
+	for _, q := range [][]string{
+		{"xml", "2003"}, {"online", "database"}, {"john", "swimming"},
+		{"xml"}, {"xml", "online"}, {"xml", "online", "2003"}, {"xml", "nosuch"},
+	} {
+		yield("fig1/"+strings.Join(q, "+"), lists(t, ix, q...))
+	}
+	for _, seed := range []int64{77, 123} {
+		r := rand.New(rand.NewSource(seed))
+		for trial := 0; trial < 100; trial++ {
+			ix := buildIx(t, randomDoc(r))
+			terms := make([]string, 1+r.Intn(3))
+			for i := range terms {
+				terms[i] = fmt.Sprintf("t%d", r.Intn(4))
+			}
+			yield(fmt.Sprintf("seed%d/%d/%s", seed, trial, strings.Join(terms, "+")), lists(t, ix, terms...))
+		}
+	}
+}
+
+// postingsString renders every posting ID of ls as At returns it.
+func postingsString(ls []*index.List) string {
+	var b strings.Builder
+	for _, l := range ls {
+		for i := 0; i < l.Len(); i++ {
+			b.WriteString(l.At(i).ID.String())
+			b.WriteByte(' ')
+		}
+		b.WriteByte('|')
+	}
+	return b.String()
+}
+
+// TestResultIDsCapped: every returned ID has cap == len, so a caller
+// appending to a result reallocates instead of writing into the posting
+// (or neighbouring posting) the result is a prefix of. After appending to
+// every result, the lists and a second computation are unchanged.
+func TestResultIDsCapped(t *testing.T) {
+	algos := map[string]func([]*index.List) []dewey.ID{"naive": Naive}
+	for _, a := range allAlgos {
+		algos[a.String()] = func(ls []*index.List) []dewey.ID { return Compute(a, ls) }
+	}
+	contractCorpora(t, func(name string, ls []*index.List) {
+		postings := postingsString(ls)
+		for an, compute := range algos {
+			ids := compute(ls)
+			want := idsString(ids)
+			for i, id := range ids {
+				if cap(id) != len(id) {
+					t.Fatalf("%s %s: result %s has len %d, cap %d", name, an, id, len(id), cap(id))
+				}
+				ids[i] = append(id, 1<<31)
+			}
+			if got := idsString(compute(ls)); got != want {
+				t.Fatalf("%s %s: second computation %q, first %q", name, an, got, want)
+			}
+			if got := postingsString(ls); got != postings {
+				t.Fatalf("%s %s: appending to results changed the lists:\n%s\nwant\n%s", name, an, got, postings)
+			}
+		}
+	})
+}
+
+// TestScratchReuse: one Scratch reused over a sequence of different list
+// sets — more and fewer lists, longer and shorter, sub-windows, sets with
+// an empty list — answers every call as a fresh Compute does, so no
+// cursor, ordering or candidate state leaks from one call to the next.
+func TestScratchReuse(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for _, algo := range allAlgos {
+		var s Scratch
+		calls := 0
+		contractCorpora(t, func(name string, ls []*index.List) {
+			sets := [][]*index.List{ls}
+			// A window of every list and the lists reversed: same
+			// keywords, other lengths and order.
+			win := make([]*index.List, len(ls))
+			rev := make([]*index.List, len(ls))
+			for i, l := range ls {
+				lo := 0
+				if l.Len() > 0 {
+					lo = r.Intn(l.Len())
+				}
+				win[i] = l.Sub(lo, l.Len())
+				rev[len(ls)-1-i] = l
+			}
+			sets = append(sets, win, rev)
+			for _, set := range sets {
+				want := idsString(Compute(algo, set))
+				if got := idsString(s.Compute(algo, set)); got != want {
+					t.Fatalf("%s %s call %d: reused scratch %q, fresh %q", name, algo, calls, got, want)
+				}
+				calls++
+			}
+		})
+	}
+}

@@ -20,16 +20,25 @@
 // differ only in cost model, which is the point of the paper's Figure 4.
 //
 // Every algorithm is pure over its input lists: it reads postings through
-// the immutable List API, keeps all intermediate state in locals, and
-// returns freshly allocated IDs. Callers may therefore run any number of
-// computations concurrently over shared lists — the property the parallel
-// partition pipeline in internal/refine relies on. purity_test.go asserts
-// it under the race detector.
+// the immutable List API and writes nothing but its own working memory.
+// A returned ID is an immutable, capacity-capped prefix of a posting ID
+// read through List.At (Stack, ELCA and Naive return fresh copies, under the
+// same cap): appending to it reallocates, and writing into it is not allowed.
+// Callers may therefore run any number of computations concurrently over
+// shared lists — the property the parallel partition pipeline in
+// internal/refine relies on. purity_test.go asserts it under the race
+// detector.
+//
+// The working memory — the lists in shortest-first order, cursors and
+// candidates — lives in a Scratch. Compute and the per-algorithm functions
+// use a fresh one per call; a caller making many calls passes its own to
+// Scratch.Compute, so they allocate nothing once its buffers have grown.
+// A Scratch belongs to one goroutine.
 package slca
 
 import (
 	"context"
-	"sort"
+	"slices"
 
 	"xrefine/internal/dewey"
 	"xrefine/internal/index"
@@ -79,26 +88,47 @@ func Compute(algo Algorithm, lists []*index.List) []dewey.ID {
 // output is identical to Compute.
 func ComputeCtx(ctx context.Context, algo Algorithm, lists []*index.List) ([]dewey.ID, error) {
 	c := newCanceler(ctx)
+	ids := new(Scratch).compute(c, algo, lists)
+	if err := c.err(); err != nil {
+		return nil, err
+	}
+	return ids, nil
+}
+
+// Scratch is the working memory of SLCA computations: the lists in
+// shortest-first order, the scan's cursors and the candidate buffer.
+// Reused over calls, it lets a computation allocate nothing once its
+// buffers have grown. The zero value is ready; a Scratch belongs to one
+// goroutine.
+type Scratch struct {
+	ordered []*index.List
+	cursors []int
+	cands   []dewey.ID
+}
+
+// Compute runs the selected algorithm as the package-level Compute does,
+// in s's buffers. The returned slice may alias s and is valid until the
+// next call on s; the IDs in it stay valid indefinitely.
+func (s *Scratch) Compute(algo Algorithm, lists []*index.List) []dewey.ID {
+	return s.compute(nil, algo, lists)
+}
+
+func (s *Scratch) compute(c *canceler, algo Algorithm, lists []*index.List) []dewey.ID {
 	// Lists arrive with whatever block cache the caller's window carries:
 	// the refinement paths hand in Sub-windows of per-query views, so
 	// successive SLCA calls over one query reuse each other's decoded
 	// blocks. Callers fanning a shared resident list across goroutines
 	// should View-wrap once per goroutine, not per call.
-	var ids []dewey.ID
 	switch algo {
 	case AlgoIndexedLookupEager:
-		ids = indexedLookupEager(c, lists)
+		return s.indexedLookupEager(c, lists)
 	case AlgoStack:
-		ids = stack(c, lists)
+		return stack(c, lists)
 	case AlgoMultiway:
-		ids = multiway(c, lists)
+		return s.multiway(c, lists)
 	default:
-		ids = scanEager(c, lists)
+		return s.scanEager(c, lists)
 	}
-	if err := c.err(); err != nil {
-		return nil, err
-	}
-	return ids, nil
 }
 
 // canceler samples a context's cancellation state once every checkStride
@@ -168,32 +198,43 @@ func nonEmpty(lists []*index.List) bool {
 	return true
 }
 
-// shortestFirst returns the lists reordered so the shortest is first; the
-// anchor-driven algorithms iterate over it.
-func shortestFirst(lists []*index.List) []*index.List {
-	out := append([]*index.List(nil), lists...)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Len() < out[j].Len() })
+// shortestFirst returns the lists reordered so the shortest is first, ties
+// in input order; the anchor-driven algorithms iterate over it. A stable
+// insertion sort into s's buffer: query lists number a handful.
+func (s *Scratch) shortestFirst(lists []*index.List) []*index.List {
+	out := append(s.ordered[:0], lists...)
+	for i := 1; i < len(out); i++ {
+		for j := i; j > 0 && out[j].Len() < out[j-1].Len(); j-- {
+			out[j], out[j-1] = out[j-1], out[j]
+		}
+	}
+	s.ordered = out
 	return out
 }
 
-// filterSLCA reduces LCA candidates to SLCAs: sort into document order,
-// dedup, then drop every candidate with a candidate descendant. In document
-// order an ancestor immediately precedes a contiguous run of its subtree,
-// so one linear pass suffices.
+// zeroCursors returns n cursors at position 0 in s's buffer.
+func (s *Scratch) zeroCursors(n int) []int {
+	if cap(s.cursors) < n {
+		s.cursors = make([]int, n)
+	}
+	s.cursors = s.cursors[:n]
+	clear(s.cursors)
+	return s.cursors
+}
+
+// filterSLCA reduces LCA candidates to SLCAs in place: sort into document
+// order, dedup, then drop every candidate with a candidate descendant. In
+// document order an ancestor immediately precedes a contiguous run of its
+// subtree, so one linear pass suffices.
 func filterSLCA(cands []dewey.ID) []dewey.ID {
 	if len(cands) == 0 {
 		return nil
 	}
-	sort.Slice(cands, func(i, j int) bool { return dewey.Compare(cands[i], cands[j]) < 0 })
-	uniq := cands[:1]
-	for _, c := range cands[1:] {
-		if !dewey.Equal(uniq[len(uniq)-1], c) {
-			uniq = append(uniq, c)
-		}
-	}
-	var out []dewey.ID
-	for i, c := range uniq {
-		if i+1 < len(uniq) && dewey.IsAncestor(c, uniq[i+1]) {
+	slices.SortFunc(cands, dewey.Compare)
+	cands = slices.CompactFunc(cands, dewey.Equal)
+	out := cands[:0]
+	for i, c := range cands {
+		if i+1 < len(cands) && dewey.IsAncestor(c, cands[i+1]) {
 			continue
 		}
 		out = append(out, c)
@@ -201,49 +242,50 @@ func filterSLCA(cands []dewey.ID) []dewey.ID {
 	return out
 }
 
-// anchorCandidate computes the smallest node containing anchor v and at
-// least one match from every other list — XKSearch's slca(v) construction:
-// fold over the other lists, each step picking whichever of the left match
+// anchorLen computes the smallest node containing anchor v and at least
+// one match from every list of others — XKSearch's slca(v) construction:
+// fold over the lists, each step keeping whichever of the left match
 // lm(x, S) and right match rm(x, S) yields the deeper LCA with the current
-// subtree root x.
-func anchorCandidate(v dewey.ID, others []*index.List) dewey.ID {
-	x := v
+// subtree root x. Every x is a prefix of v, so the fold tracks only its
+// length and the node is v[:anchorLen(v, others)].
+func anchorLen(v dewey.ID, others []*index.List) int {
+	n := len(v)
 	for _, s := range others {
-		var best dewey.ID
+		x, best := v[:n], 0
 		if l, ok := s.LM(x); ok {
-			best = dewey.LCA(x, l.ID)
+			best = dewey.LCALen(x, l.ID)
 		}
 		if r, ok := s.RM(x); ok {
-			cand := dewey.LCA(x, r.ID)
-			if best == nil || len(cand) > len(best) {
-				best = cand
-			}
+			best = max(best, dewey.LCALen(x, r.ID))
 		}
-		x = best // never nil: nonEmpty guarantees a match on some side
+		n = best // nonEmpty guarantees a match on some side
 	}
-	return x
+	return n
 }
 
 // IndexedLookupEager implements XKSearch's Indexed Lookup Eager: iterate
 // anchors from the shortest list and probe the other lists with binary
 // searches. Cost O(|S1| * m * d * log|S|max).
 func IndexedLookupEager(lists []*index.List) []dewey.ID {
-	return indexedLookupEager(nil, lists)
+	return new(Scratch).indexedLookupEager(nil, lists)
 }
 
-func indexedLookupEager(c *canceler, lists []*index.List) []dewey.ID {
+func (s *Scratch) indexedLookupEager(c *canceler, lists []*index.List) []dewey.ID {
 	if !nonEmpty(lists) {
 		return nil
 	}
-	ordered := shortestFirst(lists)
+	ordered := s.shortestFirst(lists)
 	anchors, others := ordered[0], ordered[1:]
-	cands := make([]dewey.ID, 0, anchors.Len())
+	cands := s.cands[:0]
 	for i := 0; i < anchors.Len(); i++ {
 		if c.stop() {
 			return nil
 		}
-		cands = append(cands, anchorCandidate(anchors.At(i).ID, others))
+		v := anchors.At(i).ID
+		n := anchorLen(v, others)
+		cands = append(cands, v[:n:n])
 	}
+	s.cands = cands
 	return filterSLCA(cands)
 }
 
@@ -253,15 +295,15 @@ func indexedLookupEager(c *canceler, lists []*index.List) []dewey.ID {
 // every cursor past the anchor. One candidate LCA computation can thereby
 // consume many postings from each list.
 func Multiway(lists []*index.List) []dewey.ID {
-	return multiway(nil, lists)
+	return new(Scratch).multiway(nil, lists)
 }
 
-func multiway(c *canceler, lists []*index.List) []dewey.ID {
+func (s *Scratch) multiway(c *canceler, lists []*index.List) []dewey.ID {
 	if !nonEmpty(lists) {
 		return nil
 	}
-	cursors := make([]int, len(lists))
-	var cands []dewey.ID
+	cursors := s.zeroCursors(len(lists))
+	cands := s.cands[:0]
 	for {
 		if c.stop() {
 			return nil
@@ -272,30 +314,18 @@ func multiway(c *canceler, lists []*index.List) []dewey.ID {
 		var u dewey.ID
 		for i, l := range lists {
 			if cursors[i] >= l.Len() {
+				s.cands = cands
 				return filterSLCA(cands)
 			}
 			if head := l.At(cursors[i]).ID; u == nil || dewey.Compare(head, u) > 0 {
 				u = head
 			}
 		}
-		// Candidate anchored at u, matched against every other list.
-		// Probes use the full lists (binary search), so matches before
-		// consumed cursors stay visible.
-		x := u
-		for _, s := range lists {
-			var best dewey.ID
-			if l, ok := s.LM(x); ok {
-				best = dewey.LCA(x, l.ID)
-			}
-			if r, ok := s.RM(x); ok {
-				cand := dewey.LCA(x, r.ID)
-				if best == nil || len(cand) > len(best) {
-					best = cand
-				}
-			}
-			x = best
-		}
-		cands = append(cands, x)
+		// Candidate anchored at u, matched against every list. Probes
+		// use the full lists (binary search), so matches before consumed
+		// cursors stay visible.
+		n := anchorLen(u, lists)
+		cands = append(cands, u[:n:n])
 		// Skip: every posting <= u in every list is covered.
 		for i, l := range lists {
 			cursors[i] = l.SeekGT(u)
@@ -309,49 +339,50 @@ func multiway(c *canceler, lists []*index.List) []dewey.ID {
 // so each cursor only ever moves forward — the whole computation is a
 // single coordinated scan.
 func ScanEager(lists []*index.List) []dewey.ID {
-	return scanEager(nil, lists)
+	return new(Scratch).scanEager(nil, lists)
 }
 
-func scanEager(c *canceler, lists []*index.List) []dewey.ID {
+func (s *Scratch) scanEager(c *canceler, lists []*index.List) []dewey.ID {
 	if !nonEmpty(lists) {
 		return nil
 	}
-	ordered := shortestFirst(lists)
+	ordered := s.shortestFirst(lists)
 	anchors, others := ordered[0], ordered[1:]
-	cursors := make([]int, len(others))
-	cands := make([]dewey.ID, 0, anchors.Len())
+	cursors := s.zeroCursors(len(others))
+	cands := s.cands[:0]
 	for i := 0; i < anchors.Len(); i++ {
 		if c.stop() {
 			return nil
 		}
-		x := anchors.At(i).ID
-		for j, s := range others {
+		// The folded x is always a prefix of anchor v: track its length.
+		v := anchors.At(i).ID
+		n := len(v)
+		for j, l := range others {
+			x := v[:n]
 			// Position the cursor so that postings[cursor-1] <= x <
 			// postings[cursor]: the two sides are exactly lm(x) and
 			// rm(x). Anchors increase monotonically, but the folded x
 			// can jump back toward the root (an ancestor sorts before
 			// its descendants), so the cursor may also need to step
 			// back; the forward scan dominates the cost in practice.
-			for cursors[j] < s.Len() && dewey.Compare(s.At(cursors[j]).ID, x) <= 0 {
+			for cursors[j] < l.Len() && dewey.Compare(l.At(cursors[j]).ID, x) <= 0 {
 				cursors[j]++
 			}
-			for cursors[j] > 0 && dewey.Compare(s.At(cursors[j]-1).ID, x) > 0 {
+			for cursors[j] > 0 && dewey.Compare(l.At(cursors[j]-1).ID, x) > 0 {
 				cursors[j]--
 			}
-			var best dewey.ID
+			best := 0
 			if cursors[j] > 0 {
-				best = dewey.LCA(x, s.At(cursors[j]-1).ID)
+				best = dewey.LCALen(x, l.At(cursors[j]-1).ID)
 			}
-			if cursors[j] < s.Len() {
-				cand := dewey.LCA(x, s.At(cursors[j]).ID)
-				if best == nil || len(cand) > len(best) {
-					best = cand
-				}
+			if cursors[j] < l.Len() {
+				best = max(best, dewey.LCALen(x, l.At(cursors[j]).ID))
 			}
-			x = best
+			n = best
 		}
-		cands = append(cands, x)
+		cands = append(cands, v[:n:n])
 	}
+	s.cands = cands
 	return filterSLCA(cands)
 }
 
@@ -422,7 +453,7 @@ func stack(c *canceler, lists []*index.List) []dewey.ID {
 	}
 	// The stream is document-ordered but pops emit an ancestor after all
 	// its descendants yet possibly between siblings, so order the output.
-	sort.Slice(out, func(i, j int) bool { return dewey.Compare(out[i], out[j]) < 0 })
+	slices.SortFunc(out, dewey.Compare)
 	return out
 }
 
