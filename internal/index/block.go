@@ -101,7 +101,7 @@ func BlockStats() BlockOpStats {
 
 // blockWriter encodes postings appended in document order into a
 // listCore. It is the single encoder behind NewList, the lazy chunk
-// loader, the shard k-way merge and the mutator's copy-on-write clones.
+// loader and the mutator's copy-on-write clones.
 type blockWriter struct {
 	term       string
 	checkOrder bool

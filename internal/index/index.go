@@ -50,6 +50,7 @@ type Index struct {
 	gt       []uint32                         // G_T per type ID
 	coCache  map[coKey]int
 	partRoot []dewey.ID // document partition roots in order
+	shards   [][]*Index // Merge results only: each shard's pinned replicas
 
 	// vocabOnce/vocab hold the one vocabulary-derived structure a higher
 	// layer attaches (see VocabDerived). Owned here, it is freed with the
@@ -333,7 +334,9 @@ func (ix *Index) PartitionRoots() []dewey.ID { return ix.partRoot }
 // nodes whose subtree contains both keywords. The paper materializes an
 // O(K^2 * T) table at parse time; this implementation computes entries on
 // demand from the two inverted lists (a sorted merge over subtree roots)
-// and memoizes them, which is the same table realized lazily.
+// and memoizes them, which is the same table realized lazily. A merged
+// index (see Merge) holds no lists: it sums the shards' counts instead,
+// each read from the first of that shard's pinned replicas that answers.
 func (ix *Index) CoDF(a, b string, t *xmltree.Type) (int, error) {
 	if a > b {
 		a, b = b, a
@@ -345,6 +348,22 @@ func (ix *Index) CoDF(a, b string, t *xmltree.Type) (int, error) {
 		return v, nil
 	}
 	ix.mu.Unlock()
+	count := ix.listCoDF
+	if ix.shards != nil {
+		count = ix.shardCoDF
+	}
+	v, err := count(a, b, t)
+	if err != nil {
+		return 0, err
+	}
+	ix.mu.Lock()
+	ix.coCache[key] = v
+	ix.mu.Unlock()
+	return v, nil
+}
+
+// listCoDF is CoDF from the two inverted lists, without the memo.
+func (ix *Index) listCoDF(a, b string, t *xmltree.Type) (int, error) {
 	la, err := ix.List(a)
 	if err != nil {
 		return 0, err
@@ -353,11 +372,7 @@ func (ix *Index) CoDF(a, b string, t *xmltree.Type) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	v := coOccurringRoots(la, lb, t)
-	ix.mu.Lock()
-	ix.coCache[key] = v
-	ix.mu.Unlock()
-	return v, nil
+	return coOccurringRoots(la, lb, t), nil
 }
 
 // coOccurringRoots counts distinct T-typed subtree roots containing

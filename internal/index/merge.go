@@ -11,33 +11,36 @@ import (
 
 // Merge combines the indexes of shard sub-documents into one logical
 // corpus index whose every statistic — df/tf rows, N_T, G_T, list lengths,
-// partition roots, CoDF (computed lazily from the merged lists) — is
-// exactly what Build would produce over the concatenated corpus. The
-// sharded query path depends on that exactness: rule generation, search-for
-// inference and Formula-10 ranking all run against this index, so any
-// deviation would silently change scores relative to a monolithic engine.
+// partition roots, CoDF — is exactly what Build would produce over the
+// concatenated corpus. The sharded query path depends on that exactness:
+// rule generation, search-for inference and Formula-10 ranking all run
+// against this index, so any deviation would silently change scores
+// relative to a monolithic engine.
 //
-// The contract (guaranteed by xmltree.Document.Subset and enforced by
-// shard.WriteStores): every part is a sub-document of one corpus, holding a
-// copy of the same bare container root (its tag token is its only term)
+// shards[i] holds shard i's replica indexes pinned at one epoch, primary
+// first; the rows are built from each shard's first index. The contract
+// (guaranteed by xmltree.Document.Subset and enforced by
+// shard.WriteStores): every shard is a sub-document of one corpus, holding
+// a copy of the same bare container root (its tag token is its only term)
 // plus a disjoint set of partitions that keep their global Dewey labels,
-// and all parts share one type registry. Disjointness makes every per-type
-// and per-term statistic additive; the replicated root is the single node
-// counted once per shard, so its contributions are collapsed back to one:
-// the root type's N_T clamps to 1, every term's df at the root type clamps
-// to 1 (one corpus root subtree contains it), and the root tag term sheds
-// the duplicate root postings from its list length and root-type tf.
+// and all shards share one type registry. Disjointness makes every
+// per-type and per-term statistic additive; the replicated root is the
+// single node counted once per shard, so its contributions are collapsed
+// back to one: the root type's N_T clamps to 1, every term's df at the
+// root type clamps to 1 (one corpus root subtree contains it), and the
+// root tag term sheds the duplicate root postings from its list length and
+// root-type tf.
 //
-// Posting lists materialize lazily as k-way merges of the shard lists with
-// the replicated root posting deduplicated, so CoDF sees exactly the
-// monolithic lists. CoDF is their only reader: the router's partition walk
-// scans the shard lists themselves.
-func Merge(parts []*Index) (*Index, error) {
-	if len(parts) == 0 {
+// The merged index holds statistics only, never posting lists: List on it
+// fails, and CoDF sums the shards' own counts (see Index.CoDF). The
+// router's partition walk scans the shard lists themselves.
+func Merge(shards [][]*Index) (*Index, error) {
+	if len(shards) == 0 {
 		return nil, fmt.Errorf("index: merge of zero shards")
 	}
-	if len(parts) == 1 {
-		return parts[0], nil
+	parts := make([]*Index, len(shards))
+	for i, reps := range shards {
+		parts[i] = reps[0]
 	}
 	reg := parts[0].Types
 	for _, p := range parts[1:] {
@@ -128,69 +131,38 @@ func Merge(parts []*Index) (*Index, error) {
 		return dewey.Compare(ix.partRoot[i], ix.partRoot[j]) < 0
 	})
 
-	ix.loader = func(term string) (*List, error) { return mergeLists(term, parts) }
+	ix.shards = shards
 	return ix, nil
 }
 
-// mergeLists builds the corpus-wide posting list of term as a k-way merge
-// of the shard lists, streamed through cursors straight into a block
-// encoder — the merged list is never materialized as []Posting. Shard
-// partitions are disjoint, so the only IDs appearing in more than one
-// list are the replicated root postings of the root tag term; equal IDs
-// deduplicate to one (the encoder's strict-order input comes from
-// skipping them, plus the shards' own document order).
-func mergeLists(term string, parts []*Index) (*List, error) {
-	var lists []*List
-	for _, p := range parts {
-		if !p.HasTerm(term) {
-			continue
+// shardCoDF is CoDF on a merged index. Below the root type partitions are
+// disjoint, so it sums the shards' counts, each from the first of the
+// shard's pinned replicas that answers; only the merged index memoizes. At the root type it is 1 when both
+// terms occur anywhere, as the merged df rows record. A per-shard sum
+// counts the replicated root once per shard, and clamping it to 1 misses
+// two terms that occur in different shards only.
+func (ix *Index) shardCoDF(a, b string, t *xmltree.Type) (int, error) {
+	if t.Depth == 0 {
+		if ix.DF(a, t) > 0 && ix.DF(b, t) > 0 {
+			return 1, nil
 		}
-		l, err := p.List(term)
-		if err != nil {
-			return nil, err
-		}
-		if l.Len() > 0 {
-			lists = append(lists, l)
-		}
+		return 0, nil
 	}
-	curs := make([]*Cursor, len(lists))
-	for i, l := range lists {
-		curs[i] = l.NewCursor()
-	}
-	defer func() {
-		for _, c := range curs {
-			c.Close()
-		}
-	}()
-	w := newBlockWriter(term, false)
-	var last dewey.ID // owned copy of the last appended ID, for dedup
-	haveLast := false
-	for {
-		best := -1
-		var bestID dewey.ID
-		for i, c := range curs {
-			if !c.Valid() {
-				continue
+	sum := 0
+shards:
+	for _, reps := range ix.shards {
+		var first error
+		for _, rep := range reps {
+			v, err := rep.listCoDF(a, b, t)
+			if err == nil {
+				sum += v
+				continue shards
 			}
-			// id aliases cursor i's scratch; it is only read before any
-			// cursor advances, so no decode can recycle it underneath us.
-			id := c.ID()
-			if best < 0 || dewey.Compare(id, bestID) < 0 {
-				best, bestID = i, id
+			if first == nil {
+				first = err
 			}
 		}
-		if best < 0 {
-			break
-		}
-		if !haveLast || !dewey.Equal(last, bestID) {
-			p := curs[best].Posting()
-			if err := w.Append(p.ID, p.Type); err != nil {
-				return nil, err
-			}
-			last = append(last[:0], bestID...)
-			haveLast = true
-		}
-		curs[best].Next()
+		return 0, first
 	}
-	return newListFromCore(term, w.Finish()), nil
+	return sum, nil
 }

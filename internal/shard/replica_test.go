@@ -19,6 +19,7 @@ import (
 	"xrefine/internal/refine"
 	"xrefine/internal/server"
 	"xrefine/internal/storage"
+	"xrefine/internal/storage/backends"
 )
 
 // The tests here extend the differential suite to replicated serving: a
@@ -147,9 +148,14 @@ func TestReplicaFaultMatrix(t *testing.T) {
 		srv := server.New(r, server.Config{})
 		faults[0][0].FailReads(1)
 		r.groups[0].reps[0].store.DropCaches()
-		for i := 0; i < 5; i++ {
-			if got := fetchSearch(t, srv, "database query", 2, 3); got != want {
-				t.Fatalf("dead-replica query %d diverged:\n got: %s\nwant: %s", i, got, want)
+		// Every query, the refining ones included: ranking's co-occurrence
+		// counts must fail over to the live sibling just as the scans do.
+		for _, q := range diffQueries {
+			want := fetchSearch(t, mono, q, 1, 3)
+			for i := 0; i < 5; i++ {
+				if got := fetchSearch(t, srv, q, 2, 3); got != want {
+					t.Fatalf("dead-replica q=%q round %d diverged:\n got: %s\nwant: %s", q, i, got, want)
+				}
 			}
 		}
 		if got := r.m.partial.Value(); got != 0 {
@@ -288,6 +294,107 @@ func TestReplicaEpochReconcile(t *testing.T) {
 		if got := fetchSearch(t, srv, q, 2, 3); got != want {
 			t.Fatalf("query %q diverged after rejoin:\n got: %s\nwant: %s", q, got, want)
 		}
+	}
+}
+
+// TestReplicaLagQuarantinedAtOpen is the restart half of epoch
+// reconciliation: a replica that refused two commits is still behind when
+// a new router opens over the same stores, whose catch-up log is empty.
+// The new router must find the lag from the store epochs, keep the replica
+// out of reads, and answer every query like the monolith, including
+// queries for the term the refused commits inserted.
+func TestReplicaLagQuarantinedAtOpen(t *testing.T) {
+	for _, kind := range []storage.Kind{storage.KindBTree, storage.KindLog} {
+		t.Run(string(kind), func(t *testing.T) {
+			doc := corpusDoc(t, 24, 9)
+			dir := t.TempDir()
+			man, err := WriteReplicatedStoresBackend(doc, dir, 2, ModeRange, 2, kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			open := func(faults [][]*storage.Faults) [][]storage.Backend {
+				t.Helper()
+				stores := make([][]storage.Backend, len(man.Shards))
+				for i, ent := range man.Shards {
+					files := append([]ReplicaFiles{{Store: ent.Store}}, ent.Replicas...)
+					for j, rf := range files {
+						var f *storage.Faults
+						if faults != nil {
+							f = faults[i][j]
+						}
+						s, err := backends.Open(kind, filepath.Join(dir, rf.Store), &storage.Options{Faults: f})
+						if err != nil {
+							t.Fatal(err)
+						}
+						stores[i] = append(stores[i], s)
+					}
+				}
+				return stores
+			}
+			closeAll := func(stores [][]storage.Backend) {
+				for _, grp := range stores {
+					for _, s := range grp {
+						s.Close()
+					}
+				}
+			}
+
+			mono := core.NewFromDocument(doc, nil)
+			monoSrv := server.New(mono, server.Config{})
+			faults := [][]*storage.Faults{{nil, {}}, {nil, nil}}
+			stores := open(faults)
+			before, err := NewReplicated(stores, &Options{Live: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			faults[0][1].FailWrites(1)
+			parts := doc.Partitions()
+			for i := 0; i < 2; i++ {
+				b := &mutate.Batch{Ops: []mutate.Op{{Kind: mutate.OpInsert, Parent: parts[0].ID,
+					XML: "<paper><title>restart lag probe</title></paper>"}}}
+				if _, err := mono.Apply(b); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := before.Apply(b); err != nil {
+					t.Fatalf("routed apply %d: %v", i, err)
+				}
+			}
+			closeAll(stores)
+
+			stores = open(nil)
+			defer closeAll(stores)
+			r, err := NewReplicated(stores, &Options{Live: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, row := range r.ReplicaTable() {
+				lagged := row.Shard == 0 && row.Replica == 1
+				if lagged && (row.State != StateQuarantined || row.EpochLag != 2) {
+					t.Errorf("reopened lagged replica = %+v, want quarantined at epoch lag 2", row)
+				}
+				if !lagged && row.State != StateHealthy {
+					t.Errorf("reopened replica %+v, want healthy", row)
+				}
+			}
+			if got := r.m.quarantines.Value(); got != 1 {
+				t.Errorf("xrefine_replica_quarantines_total = %d, want 1", got)
+			}
+			evs := r.flight.Events(obs.EventFilter{Kind: obs.EvQuarantine})
+			if len(evs) != 1 || evs[0].Shard != 0 || evs[0].Replica != 1 || evs[0].N != 2 || evs[0].Note != "epoch-lag" {
+				t.Errorf("quarantine events = %+v, want one epoch-lag event for shard 0 replica 1 at lag 2", evs)
+			}
+			srv := server.New(r, server.Config{})
+			// Several rounds, so read selection tries every replica it
+			// would serve from.
+			for _, q := range append([]string{"restart lag probe", "restart"}, diffQueries...) {
+				want := fetchSearch(t, monoSrv, q, 1, 3)
+				for i := 0; i < 4; i++ {
+					if got := fetchSearch(t, srv, q, 2, 3); got != want {
+						t.Fatalf("q=%q round %d diverged after restart:\n got: %s\nwant: %s", q, i, got, want)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -220,8 +220,10 @@ func NewFromStores(stores []storage.Backend, opts *Options) (*Router, error) {
 
 // NewReplicated builds a router over already-open replica store groups:
 // stores[i][j] is replica j of shard i, every replica of a shard holding
-// an identical copy of that shard's subset. The caller owns the stores
-// unless the router was built through Open.
+// an identical copy of that shard's subset. A replica whose store epoch
+// is below its group's highest missed commits before this open; it starts
+// quarantined and stays so, as the new catch-up log is empty. The caller
+// owns the stores unless the router was built through Open.
 func NewReplicated(stores [][]storage.Backend, opts *Options) (*Router, error) {
 	if opts == nil {
 		opts = &Options{}
@@ -349,6 +351,9 @@ func NewReplicated(stores [][]storage.Backend, opts *Options) (*Router, error) {
 			return float64(max)
 		})
 	r.flight = r.mreg.Flight()
+	for _, g := range r.groups {
+		r.quarantineLagging(g)
+	}
 	merged, err := r.merge()
 	if err != nil {
 		return nil, err
@@ -419,15 +424,22 @@ func (r *Router) Health() core.HealthExtras {
 	return hx
 }
 
-// merge merges the primary shard indexes. Replicas of one shard hold
-// identical content at equal epochs, so any non-quarantined replica's
-// index is a valid merge input; the primary is used for determinism.
+// merge builds the meta index over each shard's replica indexes pinned
+// now: the primary's, whose rows it takes, then every other
+// non-quarantined replica's at the primary's epoch, which hold the same
+// content and serve co-occurrence when the primary's store fails.
 func (r *Router) merge() (*index.Index, error) {
-	parts := make([]*index.Index, len(r.groups))
+	shards := make([][]*index.Index, len(r.groups))
 	for i, g := range r.groups {
-		parts[i] = g.primary().eng.Index()
+		p := g.primary()
+		shards[i] = []*index.Index{p.eng.Index()}
+		for _, rp := range g.reps {
+			if rp != p && !rp.quarantined.Load() && rp.eng.Epoch() == p.eng.Epoch() {
+				shards[i] = append(shards[i], rp.eng.Index())
+			}
+		}
 	}
-	return index.Merge(parts)
+	return index.Merge(shards)
 }
 
 // publish makes merged the meta engine's epoch at the sum of the shard
@@ -867,15 +879,7 @@ func (r *Router) Apply(b *mutate.Batch) (*core.ApplyResult, error) {
 	// Epoch reconciliation, detection half: any replica now behind the
 	// group missed this commit. Quarantine it from reads until replay
 	// catches it up.
-	max := g.maxEpoch()
-	for _, rp := range g.reps {
-		if rp.eng.Epoch() < max && !rp.quarantined.Load() {
-			rp.quarantined.Store(true)
-			r.m.quarantines.Inc()
-			r.flight.Record(obs.Event{Kind: obs.EvQuarantine, Shard: owner, Replica: rp.id,
-				N: int64(max - rp.eng.Epoch()), Note: "epoch-lag"})
-		}
-	}
+	r.quarantineLagging(g)
 	// A transient write fault may already have passed: try to catch the
 	// straggler up immediately so a one-shot fault costs no read capacity.
 	r.reconcileLocked(owner)
@@ -886,6 +890,21 @@ func (r *Router) Apply(b *mutate.Batch) (*core.ApplyResult, error) {
 	r.publish(merged, res)
 	res.Epoch = r.eng.Epoch()
 	return res, nil
+}
+
+// quarantineLagging quarantines every replica of g below the group's
+// highest epoch — it missed a commit — and counts each one newly
+// quarantined.
+func (r *Router) quarantineLagging(g *replicaGroup) {
+	max := g.maxEpoch()
+	for _, rp := range g.reps {
+		if rp.eng.Epoch() < max && !rp.quarantined.Load() {
+			rp.quarantined.Store(true)
+			r.m.quarantines.Inc()
+			r.flight.Record(obs.Event{Kind: obs.EvQuarantine, Shard: g.shard, Replica: rp.id,
+				N: int64(max - rp.eng.Epoch()), Note: "epoch-lag"})
+		}
+	}
 }
 
 // Reconcile attempts to catch up every quarantined replica by catch-up-log
@@ -913,23 +932,15 @@ func (r *Router) reconcileLocked(si int) {
 		if !rp.quarantined.Load() {
 			continue
 		}
-		e := rp.eng.Epoch()
-		if e > target {
-			continue // ahead of the group? leave it out — should not happen
-		}
-		if e < target {
-			entries := r.catchup[si].from(e, target)
-			if entries == nil {
-				continue // log no longer reaches back far enough
-			}
-			ok := true
-			for _, ent := range entries {
+		if e := rp.eng.Epoch(); e < target {
+			// A log that no longer reaches back to e, or a failed replay,
+			// leaves the replica behind and quarantined.
+			for _, ent := range r.catchup[si].from(e, target) {
 				if _, err := rp.eng.Apply(ent.batch); err != nil {
-					ok = false
 					break
 				}
 			}
-			if !ok || rp.eng.Epoch() != target {
+			if rp.eng.Epoch() != target {
 				continue
 			}
 		}
