@@ -15,8 +15,8 @@ const (
 	ReplicaBreakerOpen = "breaker-open"
 	// ReplicaQuarantined: the replica's epoch lags its group (a routed
 	// write failed on it). It serves no reads until epoch reconciliation
-	// replays the missed batches from the router's catch-up log and it
-	// rejoins.
+	// copies a caught-up sibling's committed store into its own and it
+	// rejoins; on a read-only router it stays quarantined.
 	ReplicaQuarantined = "quarantined"
 )
 

@@ -173,7 +173,7 @@ func shardOnlyTerms(r *Router) []string {
 	for _, term := range r.Index().Vocabulary() {
 		owner, in := -1, 0
 		for i, g := range r.groups {
-			if g.primary().eng.Index().HasTerm(term) {
+			if g.primary().eng.Load().Index().HasTerm(term) {
 				owner, in = i, in+1
 			}
 		}

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"xrefine/internal/core"
-	"xrefine/internal/mutate"
 	"xrefine/internal/storage"
 )
 
@@ -26,9 +25,11 @@ const (
 	// availability device, not a consistency one.
 	StateBreakerOpen = core.ReplicaBreakerOpen
 	// StateQuarantined: the replica's epoch lags its group (a routed write
-	// failed on it). It serves no reads — a stale epoch would break the
-	// byte-identity guarantee — until epoch reconciliation replays the
-	// missed batches from the catch-up log and it rejoins.
+	// failed on it, or it was behind when the router opened). It serves no
+	// reads — a stale epoch would break the byte-identity guarantee — until
+	// epoch reconciliation copies a caught-up sibling's committed store into
+	// its own and it rejoins. On a read-only router its store cannot be
+	// written, so it stays quarantined.
 	StateQuarantined = core.ReplicaQuarantined
 )
 
@@ -36,10 +37,11 @@ const (
 type ReplicaStatus = core.ReplicaStatus
 
 // replica is one copy of a shard: its own engine, store and epoch,
-// plus the health state read selection consults.
+// plus the health state read selection consults. Readers load eng without
+// a lock; reconciliation swaps in an engine reopened over the copied store.
 type replica struct {
 	shard, id int
-	eng       *core.Engine
+	eng       atomic.Pointer[core.Engine]
 	store     storage.Backend
 	faults    *storage.Faults // non-nil when chaos is armed on this store
 
@@ -127,7 +129,7 @@ func (g *replicaGroup) primary() *replica {
 func (g *replicaGroup) maxEpoch() uint64 {
 	var max uint64
 	for _, rp := range g.reps {
-		if e := rp.eng.Epoch(); e > max {
+		if e := rp.eng.Load().Epoch(); e > max {
 			max = e
 		}
 	}
@@ -167,7 +169,7 @@ func (g *replicaGroup) statuses() []ReplicaStatus {
 	max := g.maxEpoch()
 	out := make([]ReplicaStatus, 0, len(g.reps))
 	for _, rp := range g.reps {
-		e := rp.eng.Epoch()
+		e := rp.eng.Load().Epoch()
 		var lag uint64
 		if e < max {
 			lag = max - e
@@ -184,54 +186,6 @@ func (g *replicaGroup) statuses() []ReplicaStatus {
 		})
 	}
 	return out
-}
-
-// catchupLog retains the most recent committed batches of one shard so a
-// quarantined replica can be caught up by replaying exactly the epochs it
-// missed. Entries are (epoch, batch) in commit order; the ring is bounded,
-// so a replica lagging further than the retention window stays quarantined
-// until rebuilt out of band.
-type catchupLog struct {
-	entries []catchupEntry
-}
-
-type catchupEntry struct {
-	epoch uint64
-	batch *mutate.Batch
-}
-
-// catchupLogCap bounds the per-shard batch retention window.
-const catchupLogCap = 128
-
-// add appends one committed batch.
-func (l *catchupLog) add(epoch uint64, b *mutate.Batch) {
-	l.entries = append(l.entries, catchupEntry{epoch: epoch, batch: b})
-	if len(l.entries) > catchupLogCap {
-		l.entries = l.entries[len(l.entries)-catchupLogCap:]
-	}
-}
-
-// from returns the contiguous run of batches covering epochs (after, to],
-// or nil when the log no longer reaches back that far.
-func (l *catchupLog) from(after, to uint64) []catchupEntry {
-	if after >= to {
-		return nil
-	}
-	start := -1
-	for i, e := range l.entries {
-		if e.epoch == after+1 {
-			start = i
-			break
-		}
-	}
-	if start < 0 {
-		return nil
-	}
-	want := int(to - after)
-	if start+want > len(l.entries) {
-		return nil
-	}
-	return l.entries[start : start+want]
 }
 
 // Chaos is the probabilistic fault profile -chaos arms on every replica

@@ -1,8 +1,10 @@
 package shard
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -216,8 +218,8 @@ func TestReplicaFaultMatrix(t *testing.T) {
 // TestReplicaEpochReconcile is the routed-write half: a write fault on one
 // replica leaves it epoch-lagged; the router quarantines it from reads
 // (answers stay byte-identical to the monolith), keeps accepting writes on
-// the surviving replica, and once the store heals catches the straggler up
-// by catch-up-log replay and rejoins it.
+// the surviving replica, and once the store heals the next commit copies
+// the sibling's store into the straggler's and rejoins it.
 func TestReplicaEpochReconcile(t *testing.T) {
 	doc := corpusDoc(t, 24, 9)
 	faults := [][]*storage.Faults{{nil, {}}, {nil, nil}}
@@ -268,25 +270,17 @@ func TestReplicaEpochReconcile(t *testing.T) {
 		}
 	}
 
-	// Heal the store; reconciliation replays the two missed batches through
-	// the replica's own Apply and rejoins it.
+	// Heal the store; the next commit lands on replica 0, and
+	// reconciliation right after it copies replica 0's store into replica
+	// 1's and rejoins it at the same epoch.
 	faults[0][1].Clear()
-	if n := r.Reconcile(); n != 1 {
-		t.Fatalf("Reconcile rejoined %d replicas, want 1", n)
+	apply(3)
+	if got := r.m.reconciles.Value(); got != 1 {
+		t.Errorf("xrefine_replica_reconciles_total = %d, want 1", got)
 	}
 	for _, row := range r.ReplicaTable() {
-		if row.Shard == 0 && row.Replica == 1 {
-			if row.State != StateHealthy || row.EpochLag != 0 {
-				t.Fatalf("rejoined replica = %+v, want healthy at lag 0", row)
-			}
-		}
-	}
-
-	// The next write lands on both replicas again and epochs stay equal.
-	apply(3)
-	for _, rp := range r.groups[0].reps {
-		if e := rp.eng.Epoch(); e != 3 {
-			t.Errorf("shard 0 replica %d epoch = %d, want 3", rp.id, e)
+		if row.Shard == 0 && (row.State != StateHealthy || row.Epoch != 3) {
+			t.Errorf("shard 0 replica = %+v, want healthy at epoch 3", row)
 		}
 	}
 	for _, q := range diffQueries[:2] {
@@ -297,12 +291,57 @@ func TestReplicaEpochReconcile(t *testing.T) {
 	}
 }
 
+// openReplicaStores opens every replica store of the directory man
+// describes, with faults[shard][replica] attached when faults is non-nil.
+func openReplicaStores(t *testing.T, dir string, man *Manifest, kind storage.Kind, faults [][]*storage.Faults) [][]storage.Backend {
+	t.Helper()
+	stores := make([][]storage.Backend, len(man.Shards))
+	for i, ent := range man.Shards {
+		files := append([]ReplicaFiles{{Store: ent.Store}}, ent.Replicas...)
+		for j, rf := range files {
+			var f *storage.Faults
+			if faults != nil {
+				f = faults[i][j]
+			}
+			s, err := backends.Open(kind, filepath.Join(dir, rf.Store), &storage.Options{Faults: f})
+			if err != nil {
+				t.Fatal(err)
+			}
+			stores[i] = append(stores[i], s)
+		}
+	}
+	return stores
+}
+
+func closeStores(stores [][]storage.Backend) {
+	for _, grp := range stores {
+		for _, s := range grp {
+			s.Close()
+		}
+	}
+}
+
+// keySpace returns s's whole key space, key to value.
+func keySpace(t *testing.T, s storage.Backend) map[string]string {
+	t.Helper()
+	kv := make(map[string]string)
+	if err := s.Range(nil, nil, func(k, v []byte) bool {
+		kv[string(k)] = string(v)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return kv
+}
+
 // TestReplicaLagQuarantinedAtOpen is the restart half of epoch
 // reconciliation: a replica that refused two commits is still behind when
-// a new router opens over the same stores, whose catch-up log is empty.
-// The new router must find the lag from the store epochs, keep the replica
-// out of reads, and answer every query like the monolith, including
-// queries for the term the refused commits inserted.
+// a new router opens over the same stores. The new router must find the
+// lag from the store epochs, quarantine the replica, and catch it up from
+// its sibling's store before serving: afterwards both stores hold the same
+// keys at the same epoch, a third open finds nothing to quarantine, and
+// every query answers like the monolith, including queries for the term
+// the refused commits inserted.
 func TestReplicaLagQuarantinedAtOpen(t *testing.T) {
 	for _, kind := range []storage.Kind{storage.KindBTree, storage.KindLog} {
 		t.Run(string(kind), func(t *testing.T) {
@@ -312,37 +351,10 @@ func TestReplicaLagQuarantinedAtOpen(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			open := func(faults [][]*storage.Faults) [][]storage.Backend {
-				t.Helper()
-				stores := make([][]storage.Backend, len(man.Shards))
-				for i, ent := range man.Shards {
-					files := append([]ReplicaFiles{{Store: ent.Store}}, ent.Replicas...)
-					for j, rf := range files {
-						var f *storage.Faults
-						if faults != nil {
-							f = faults[i][j]
-						}
-						s, err := backends.Open(kind, filepath.Join(dir, rf.Store), &storage.Options{Faults: f})
-						if err != nil {
-							t.Fatal(err)
-						}
-						stores[i] = append(stores[i], s)
-					}
-				}
-				return stores
-			}
-			closeAll := func(stores [][]storage.Backend) {
-				for _, grp := range stores {
-					for _, s := range grp {
-						s.Close()
-					}
-				}
-			}
-
 			mono := core.NewFromDocument(doc, nil)
 			monoSrv := server.New(mono, server.Config{})
 			faults := [][]*storage.Faults{{nil, {}}, {nil, nil}}
-			stores := open(faults)
+			stores := openReplicaStores(t, dir, man, kind, faults)
 			before, err := NewReplicated(stores, &Options{Live: true})
 			if err != nil {
 				t.Fatal(err)
@@ -359,21 +371,31 @@ func TestReplicaLagQuarantinedAtOpen(t *testing.T) {
 					t.Fatalf("routed apply %d: %v", i, err)
 				}
 			}
-			closeAll(stores)
+			closeStores(stores)
 
-			stores = open(nil)
-			defer closeAll(stores)
+			// answersMatch checks every query, over several rounds so read
+			// selection tries every replica it would serve from.
+			answersMatch := func(r *Router, when string) {
+				t.Helper()
+				srv := server.New(r, server.Config{})
+				for _, q := range append([]string{"restart lag probe", "restart"}, diffQueries...) {
+					want := fetchSearch(t, monoSrv, q, 1, 3)
+					for i := 0; i < 4; i++ {
+						if got := fetchSearch(t, srv, q, 2, 3); got != want {
+							t.Fatalf("q=%q round %d diverged %s:\n got: %s\nwant: %s", q, i, when, got, want)
+						}
+					}
+				}
+			}
+
+			stores = openReplicaStores(t, dir, man, kind, nil)
 			r, err := NewReplicated(stores, &Options{Live: true})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, row := range r.ReplicaTable() {
-				lagged := row.Shard == 0 && row.Replica == 1
-				if lagged && (row.State != StateQuarantined || row.EpochLag != 2) {
-					t.Errorf("reopened lagged replica = %+v, want quarantined at epoch lag 2", row)
-				}
-				if !lagged && row.State != StateHealthy {
-					t.Errorf("reopened replica %+v, want healthy", row)
+				if row.State != StateHealthy || row.EpochLag != 0 {
+					t.Errorf("reopened replica %+v, want healthy at epoch lag 0", row)
 				}
 			}
 			if got := r.m.quarantines.Value(); got != 1 {
@@ -383,16 +405,182 @@ func TestReplicaLagQuarantinedAtOpen(t *testing.T) {
 			if len(evs) != 1 || evs[0].Shard != 0 || evs[0].Replica != 1 || evs[0].N != 2 || evs[0].Note != "epoch-lag" {
 				t.Errorf("quarantine events = %+v, want one epoch-lag event for shard 0 replica 1 at lag 2", evs)
 			}
-			srv := server.New(r, server.Config{})
-			// Several rounds, so read selection tries every replica it
-			// would serve from.
-			for _, q := range append([]string{"restart lag probe", "restart"}, diffQueries...) {
-				want := fetchSearch(t, monoSrv, q, 1, 3)
-				for i := 0; i < 4; i++ {
-					if got := fetchSearch(t, srv, q, 2, 3); got != want {
-						t.Fatalf("q=%q round %d diverged after restart:\n got: %s\nwant: %s", q, i, got, want)
-					}
-				}
+			if got := r.m.reconciles.Value(); got != 1 {
+				t.Errorf("xrefine_replica_reconciles_total = %d, want 1", got)
+			}
+			evs = r.flight.Events(obs.EventFilter{Kind: obs.EvReconcile})
+			if len(evs) != 1 || evs[0].Shard != 0 || evs[0].Replica != 1 || evs[0].N != 2 {
+				t.Errorf("reconcile events = %+v, want one for shard 0 replica 1 at epoch 2", evs)
+			}
+			lagged, sibling := stores[0][1], stores[0][0]
+			if !maps.Equal(keySpace(t, lagged), keySpace(t, sibling)) {
+				t.Error("caught-up store's key space differs from its sibling's")
+			}
+			if lagged.Epoch() != sibling.Epoch() {
+				t.Errorf("caught-up store epoch = %d, sibling's = %d", lagged.Epoch(), sibling.Epoch())
+			}
+			answersMatch(r, "after restart")
+			closeStores(stores)
+
+			stores = openReplicaStores(t, dir, man, kind, nil)
+			defer closeStores(stores)
+			third, err := NewReplicated(stores, &Options{Live: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := third.m.quarantines.Value(); got != 0 {
+				t.Errorf("third open quarantined %d replicas, want 0", got)
+			}
+			answersMatch(third, "after a second restart")
+		})
+	}
+}
+
+// insertUnder returns a one-op batch inserting frag under parent.
+func insertUnder(parent []uint32, frag string) *mutate.Batch {
+	return &mutate.Batch{Ops: []mutate.Op{{Kind: mutate.OpInsert, Parent: parent, XML: frag}}}
+}
+
+// TestReplicaCatchUpBeyondOldWindow: a replica that refused more commits
+// than a bounded in-memory batch log would keep still rejoins once its
+// store heals. The copy from its sibling costs the same however far it
+// lags.
+func TestReplicaCatchUpBeyondOldWindow(t *testing.T) {
+	doc := corpusDoc(t, 24, 9)
+	faults := [][]*storage.Faults{{nil, {}}, {nil, nil}}
+	r := memReplicatedRouter(t, 24, 9, 2, 2, &Options{Live: true}, faults)
+	mono := core.NewFromDocument(doc, nil)
+	parts := doc.Partitions()
+	apply := func(i int) {
+		t.Helper()
+		b := insertUnder(parts[0].ID, "<paper><title>window probe</title></paper>")
+		if _, err := mono.Apply(b); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Apply(b); err != nil {
+			t.Fatalf("routed apply %d: %v", i, err)
+		}
+	}
+	const missed = 130
+	faults[0][1].FailWrites(1)
+	for i := 0; i < missed; i++ {
+		apply(i)
+	}
+	lagging := r.groups[0].reps[1]
+	if !lagging.quarantined.Load() || lagging.eng.Load().Epoch() != 0 {
+		t.Fatalf("replica refusing writes: quarantined=%v epoch=%d, want quarantined at 0",
+			lagging.quarantined.Load(), lagging.eng.Load().Epoch())
+	}
+	faults[0][1].Clear()
+	apply(missed)
+	for _, row := range r.ReplicaTable() {
+		if row.Shard == 0 && (row.State != StateHealthy || row.Epoch != missed+1) {
+			t.Errorf("shard 0 replica = %+v, want healthy at epoch %d", row, missed+1)
+		}
+	}
+	srv, monoSrv := server.New(r, server.Config{}), server.New(mono, server.Config{})
+	for _, q := range append([]string{"window probe"}, diffQueries...) {
+		want := fetchSearch(t, monoSrv, q, 1, 3)
+		for i := 0; i < 2; i++ {
+			if got := fetchSearch(t, srv, q, 2, 3); got != want {
+				t.Fatalf("q=%q round %d diverged after rejoin:\n got: %s\nwant: %s", q, i, got, want)
+			}
+		}
+	}
+}
+
+// TestReplicaCatchUpSafety covers the two ways copying a store into a
+// lagging replica could go wrong: a reader pinned to the replica's old
+// index paging in a list of another epoch from the rewritten store, and a
+// failed copy leaving the store half-written.
+func TestReplicaCatchUpSafety(t *testing.T) {
+	doc := corpusDoc(t, 24, 9)
+	parts := doc.Partitions()
+
+	t.Run("pinned-reader", func(t *testing.T) {
+		faults := [][]*storage.Faults{{nil, {}}, {nil, nil}}
+		r := memReplicatedRouter(t, 24, 9, 2, 2, &Options{Live: true}, faults)
+		lagging := r.groups[0].reps[1]
+		// Replica 1 fails every read and write: it refuses the first
+		// commit, and each catch-up attempt aborts at its first list load,
+		// so no list the second commit changes is paged in.
+		faults[0][1].FailReads(1)
+		faults[0][1].FailWrites(1)
+		lagging.store.DropCaches()
+		const term = "database"
+		for i, frag := range []string{
+			"<paper><title>pinned probe</title></paper>",
+			"<paper><title>" + term + "</title></paper>",
+		} {
+			if _, err := r.Apply(insertUnder(parts[0].ID, frag)); err != nil {
+				t.Fatalf("routed apply %d: %v", i, err)
+			}
+		}
+		old := lagging.eng.Load().Index()
+		cancelled, cancel := context.WithCancel(context.Background())
+		cancel()
+		if _, _, err := old.ListCtxInfo(cancelled, term); err == nil {
+			t.Fatalf("list %q already resident; the test needs it unloaded", term)
+		}
+		faults[0][1].Clear()
+		if _, err := r.Apply(insertUnder(parts[0].ID, "<paper><title>pinned probe</title></paper>")); err != nil {
+			t.Fatal(err)
+		}
+		if lagging.quarantined.Load() {
+			t.Fatal("healed replica did not rejoin")
+		}
+		l, err := old.List(term)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if l.Len() != old.ListLen(term) {
+			t.Errorf("pinned index loaded %d postings of %q after the copy, its own epoch has %d",
+				l.Len(), term, old.ListLen(term))
+		}
+	})
+
+	for _, kind := range []storage.Kind{storage.KindBTree, storage.KindLog} {
+		t.Run("failed-copy/"+string(kind), func(t *testing.T) {
+			dir := t.TempDir()
+			man, err := WriteReplicatedStoresBackend(doc, dir, 2, ModeRange, 2, kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			faults := [][]*storage.Faults{{nil, {}}, {nil, nil}}
+			stores := openReplicaStores(t, dir, man, kind, faults)
+			defer closeStores(stores)
+			r, err := NewReplicated(stores, &Options{Live: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			faults[0][1].FailWrites(1)
+			if _, err := r.Apply(insertUnder(parts[0].ID, "<paper><title>failed copy</title></paper>")); err != nil {
+				t.Fatal(err)
+			}
+			// One more attempt, explicitly, and it must reach the store.
+			injected := faults[0][1].Injected()
+			r.applyMu.Lock()
+			r.reconcileLocked(0)
+			r.applyMu.Unlock()
+			if faults[0][1].Injected() == injected {
+				t.Fatal("catch-up attempt never wrote to the faulted store")
+			}
+			lagging := r.groups[0].reps[1]
+			if !lagging.quarantined.Load() || r.m.reconciles.Value() != 0 {
+				t.Errorf("failed copy: quarantined=%v reconciles=%d, want quarantined and 0",
+					lagging.quarantined.Load(), r.m.reconciles.Value())
+			}
+			if e := lagging.store.Epoch(); e != 0 {
+				t.Errorf("failed copy moved the store epoch to %d, want 0", e)
+			}
+			closeStores(stores)
+			s, err := backends.Open(kind, filepath.Join(dir, man.Shards[0].Replicas[0].Store), nil)
+			if err != nil {
+				t.Fatalf("store unopenable after a failed copy: %v", err)
+			}
+			defer s.Close()
+			if e := s.Epoch(); e != 0 {
+				t.Errorf("reopened store epoch = %d, want 0", e)
 			}
 		})
 	}

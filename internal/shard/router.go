@@ -114,8 +114,8 @@ type routerMetrics struct {
 // the context plumbing. Transient faults retry with backoff across the
 // replica set before the shard is declared failed. Writes route to every
 // replica of the owning shard; a replica that misses a commit is detected
-// by epoch mismatch, quarantined from reads, and caught up by replaying
-// the missed batches from the shard's catch-up log before it rejoins.
+// by epoch mismatch, quarantined from reads, and caught up by copying a
+// caught-up sibling's committed store into its own before it rejoins.
 type Router struct {
 	reg        *xmltree.Registry
 	mreg       *obs.Registry
@@ -128,11 +128,13 @@ type Router struct {
 	// eng is the meta engine: its epoch is the merged index at the sum of
 	// the shard epochs, republished after every commit.
 	eng *core.Engine
-	// applyMu serializes writers; the meta state swap is the publish. The
-	// per-shard catch-up logs are guarded by it too.
+	// applyMu serializes writers and reconciliation; the meta state swap
+	// is the publish.
 	applyMu sync.Mutex
 	meta    atomic.Pointer[metaState]
-	catchup []*catchupLog
+	// shardCfg configures the replica engines, reopened with it after
+	// reconciliation rewrites a replica's store.
+	shardCfg core.Config
 
 	m routerMetrics
 	// flight is the shared registry's event ring: the router records the
@@ -222,8 +224,10 @@ func NewFromStores(stores []storage.Backend, opts *Options) (*Router, error) {
 // stores[i][j] is replica j of shard i, every replica of a shard holding
 // an identical copy of that shard's subset. A replica whose store epoch
 // is below its group's highest missed commits before this open; it starts
-// quarantined and stays so, as the new catch-up log is empty. The caller
-// owns the stores unless the router was built through Open.
+// quarantined and, on a live router, is caught up from a sibling's store
+// before the router serves (a read-only router cannot write its store, so
+// it stays quarantined). The caller owns the stores unless the router was
+// built through Open.
 func NewReplicated(stores [][]storage.Backend, opts *Options) (*Router, error) {
 	if opts == nil {
 		opts = &Options{}
@@ -252,10 +256,10 @@ func NewReplicated(stores [][]storage.Backend, opts *Options) (*Router, error) {
 	// Replica engines run without metrics — the meta engine counts every
 	// query and commit once on the shared registry — and walk sequentially:
 	// parallelism lives in the cross-shard fan-out, not inside one shard.
-	shardCfg := cfg
-	shardCfg.Metrics = nil
-	shardCfg.DisableMetrics = true
-	shardCfg.Parallelism = 1
+	r.shardCfg = cfg
+	r.shardCfg.Metrics = nil
+	r.shardCfg.DisableMetrics = true
+	r.shardCfg.Parallelism = 1
 	for i, grp := range stores {
 		if len(grp) == 0 {
 			return nil, fmt.Errorf("shard: shard %d has no replica stores", i)
@@ -265,17 +269,18 @@ func NewReplicated(stores [][]storage.Backend, opts *Options) (*Router, error) {
 			var eng *core.Engine
 			var err error
 			if opts.Live {
-				eng, err = core.OpenLiveShared(s, r.reg, &shardCfg)
+				eng, err = core.OpenLiveShared(s, r.reg, &r.shardCfg)
 			} else {
-				eng, err = core.OpenShared(s, r.reg, &shardCfg)
+				eng, err = core.OpenShared(s, r.reg, &r.shardCfg)
 			}
 			if err != nil {
 				return nil, fmt.Errorf("shard: open shard %d replica %d: %w", i, j, err)
 			}
-			g.reps = append(g.reps, &replica{shard: i, id: j, eng: eng, store: s})
+			rp := &replica{shard: i, id: j, store: s}
+			rp.eng.Store(eng)
+			g.reps = append(g.reps, rp)
 		}
 		r.groups = append(r.groups, g)
-		r.catchup = append(r.catchup, &catchupLog{})
 	}
 	r.m = routerMetrics{
 		fanout: r.mreg.Gauge("xrefine_shard_fanout",
@@ -307,7 +312,7 @@ func NewReplicated(stores [][]storage.Backend, opts *Options) (*Router, error) {
 		quarantines: r.mreg.Counter("xrefine_replica_quarantines_total",
 			"Replicas quarantined from reads on an epoch mismatch."),
 		reconciles: r.mreg.Counter("xrefine_replica_reconciles_total",
-			"Quarantined replicas caught up by catch-up-log replay and rejoined."),
+			"Quarantined replicas caught up by copying a sibling's committed store and rejoined."),
 	}
 	r.mreg.GaugeFunc("xrefine_replica_quarantined",
 		"Replicas currently quarantined from reads (epoch-lagged).",
@@ -343,7 +348,7 @@ func NewReplicated(stores [][]storage.Backend, opts *Options) (*Router, error) {
 			for _, g := range r.groups {
 				top := g.maxEpoch()
 				for _, rp := range g.reps {
-					if e := rp.eng.Epoch(); top-e > max {
+					if e := rp.eng.Load().Epoch(); top-e > max {
 						max = top - e
 					}
 				}
@@ -351,8 +356,9 @@ func NewReplicated(stores [][]storage.Backend, opts *Options) (*Router, error) {
 			return float64(max)
 		})
 	r.flight = r.mreg.Flight()
-	for _, g := range r.groups {
+	for i, g := range r.groups {
 		r.quarantineLagging(g)
+		r.reconcileLocked(i)
 	}
 	merged, err := r.merge()
 	if err != nil {
@@ -401,7 +407,7 @@ func (r *Router) Replicas() int {
 func (r *Router) ShardEpochs() []uint64 {
 	out := make([]uint64, len(r.groups))
 	for i, g := range r.groups {
-		out[i] = g.primary().eng.Epoch()
+		out[i] = g.primary().eng.Load().Epoch()
 	}
 	return out
 }
@@ -432,10 +438,10 @@ func (r *Router) merge() (*index.Index, error) {
 	shards := make([][]*index.Index, len(r.groups))
 	for i, g := range r.groups {
 		p := g.primary()
-		shards[i] = []*index.Index{p.eng.Index()}
+		shards[i] = []*index.Index{p.eng.Load().Index()}
 		for _, rp := range g.reps {
-			if rp != p && !rp.quarantined.Load() && rp.eng.Epoch() == p.eng.Epoch() {
-				shards[i] = append(shards[i], rp.eng.Index())
+			if rp != p && !rp.quarantined.Load() && rp.eng.Load().Epoch() == p.eng.Load().Epoch() {
+				shards[i] = append(shards[i], rp.eng.Load().Index())
 			}
 		}
 	}
@@ -453,7 +459,7 @@ func (r *Router) publish(merged *index.Index, res *core.ApplyResult) {
 	seen := false
 	var epoch uint64
 	for i, g := range r.groups {
-		p := g.primary().eng
+		p := g.primary().eng.Load()
 		epoch += p.Epoch()
 		for _, pid := range p.Index().PartitionRoots() {
 			ord := pid[1]
@@ -607,7 +613,7 @@ func (r *Router) scanShardReplicated(in refine.Input, k int, ks []string, walk *
 			Shard: si, Replica: rp.id, Hedge: hedge})
 		go func() {
 			sin := in
-			sin.Index = rp.eng.Index()
+			sin.Index = rp.eng.Load().Index()
 			sin.Parallelism = 1
 			sin.Budget = in.Budget.WithContext(actx)
 			var sp *obs.Span
@@ -748,7 +754,7 @@ func (r *Router) Snippet(m refine.Match, max int) (string, bool) {
 	if !ok {
 		return "", false
 	}
-	return r.groups[i].primary().eng.Snippet(m, max)
+	return r.groups[i].primary().eng.Load().Snippet(m, max)
 }
 
 // UpdateStats reports the router's live-update state: Epoch is the meta
@@ -757,7 +763,7 @@ func (r *Router) Snippet(m refine.Match, max int) (string, bool) {
 func (r *Router) UpdateStats() core.UpdateStats {
 	out := core.UpdateStats{Epoch: r.eng.Epoch()}
 	for _, g := range r.groups {
-		out.Live = out.Live || g.primary().eng.UpdateStats().Live
+		out.Live = out.Live || g.primary().eng.Load().UpdateStats().Live
 	}
 	return out
 }
@@ -821,12 +827,13 @@ func (r *Router) SplitBatch(b *mutate.Batch) (map[int]*mutate.Batch, error) {
 //
 // Replica divergence is handled by epoch reconciliation: a replica whose
 // commit failed while a sibling's succeeded is left epoch-lagged, detected
-// by the mismatch, quarantined from reads, and caught up by replaying the
-// missed batches from the shard's catch-up log (each replay is an ordinary
-// epoch commit on the replica) before it rejoins. A batch that fails on
-// every replica commits nowhere, advances no epoch, and is returned as the
-// caller's error. The returned Epoch is the meta engine's — the shard epoch
-// sum, the router-wide generation /healthz and callers observe.
+// by the mismatch and quarantined from reads. Right after each commit,
+// every quarantined replica of the shard is caught up by copying a
+// caught-up sibling's committed store into its own, and rejoins. A batch
+// that fails on every replica commits nowhere, advances no epoch, and is
+// returned as the caller's error. The returned Epoch is the meta
+// engine's — the shard epoch sum, the router-wide generation /healthz and
+// callers observe.
 func (r *Router) Apply(b *mutate.Batch) (*core.ApplyResult, error) {
 	if b == nil || len(b.Ops) == 0 {
 		return nil, errors.New("shard: empty batch")
@@ -847,17 +854,13 @@ func (r *Router) Apply(b *mutate.Batch) (*core.ApplyResult, error) {
 		}
 	}
 	g := r.groups[owner]
-	// Give previously-quarantined replicas a chance to rejoin first, so a
-	// healed store takes this batch on the normal path instead of lagging
-	// one epoch further behind.
-	r.reconcileLocked(owner)
 	var res *core.ApplyResult
 	var firstErr error
 	for _, rp := range g.reps {
 		if rp.quarantined.Load() {
-			continue // still lagging; the catch-up log covers this batch
+			continue // still lagging; reconciliation below copies this batch in
 		}
-		rres, err := rp.eng.Apply(b)
+		rres, err := rp.eng.Load().Apply(b)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
@@ -874,14 +877,11 @@ func (r *Router) Apply(b *mutate.Batch) (*core.ApplyResult, error) {
 		// moved, so the group is still consistent and nothing quarantines.
 		return nil, firstErr
 	}
-	r.catchup[owner].add(res.Epoch, b)
 	r.flight.Record(obs.Event{Kind: obs.EvCommit, Shard: owner, Replica: -1, N: int64(res.Epoch)})
-	// Epoch reconciliation, detection half: any replica now behind the
-	// group missed this commit. Quarantine it from reads until replay
-	// catches it up.
+	// Epoch reconciliation: any replica now behind the group missed this
+	// commit and is quarantined from reads; every quarantined replica then
+	// tries to catch up, so a healed store rejoins at this epoch.
 	r.quarantineLagging(g)
-	// A transient write fault may already have passed: try to catch the
-	// straggler up immediately so a one-shot fault costs no read capacity.
 	r.reconcileLocked(owner)
 	merged, err := r.merge()
 	if err != nil {
@@ -898,51 +898,36 @@ func (r *Router) Apply(b *mutate.Batch) (*core.ApplyResult, error) {
 func (r *Router) quarantineLagging(g *replicaGroup) {
 	max := g.maxEpoch()
 	for _, rp := range g.reps {
-		if rp.eng.Epoch() < max && !rp.quarantined.Load() {
+		if e := rp.eng.Load().Epoch(); e < max && !rp.quarantined.Load() {
 			rp.quarantined.Store(true)
 			r.m.quarantines.Inc()
 			r.flight.Record(obs.Event{Kind: obs.EvQuarantine, Shard: g.shard, Replica: rp.id,
-				N: int64(max - rp.eng.Epoch()), Note: "epoch-lag"})
+				N: int64(max - e), Note: "epoch-lag"})
 		}
 	}
 }
 
-// Reconcile attempts to catch up every quarantined replica by catch-up-log
-// replay and reports how many rejoined. The serving layer may call it on a
-// health probe; Apply calls it automatically around each commit.
-func (r *Router) Reconcile() int {
-	r.applyMu.Lock()
-	defer r.applyMu.Unlock()
-	before := r.m.reconciles.Value()
-	for i := range r.groups {
-		r.reconcileLocked(i)
-	}
-	return int(r.m.reconciles.Value() - before)
-}
-
-// reconcileLocked replays missed batches into shard si's quarantined
-// replicas. A replica rejoins when the catch-up log covers every epoch it
-// missed and each replay commits; one that lags beyond the log's retention
-// window, or whose store still faults, stays quarantined. Caller holds
-// applyMu.
+// reconcileLocked catches shard si's quarantined replicas up to the group
+// epoch and rejoins them. The source is the group's primary: the first
+// non-quarantined replica, which quarantineLagging leaves only at the
+// group's highest epoch. One copy of its committed store costs a pass over
+// the shard however many commits the replica missed, and needs nothing a
+// restart loses. A replica whose store is read-only, or whose copy or
+// reopen fails, stays quarantined until the next attempt. Caller holds
+// applyMu, or is constructing the router.
 func (r *Router) reconcileLocked(si int) {
 	g := r.groups[si]
-	target := g.maxEpoch()
+	src := g.primary()
+	if src.quarantined.Load() {
+		return // every replica lags: no caught-up copy to take
+	}
+	target := src.eng.Load().Epoch()
 	for _, rp := range g.reps {
-		if !rp.quarantined.Load() {
+		if !rp.quarantined.Load() || !rp.eng.Load().UpdateStats().Live {
 			continue
 		}
-		if e := rp.eng.Epoch(); e < target {
-			// A log that no longer reaches back to e, or a failed replay,
-			// leaves the replica behind and quarantined.
-			for _, ent := range r.catchup[si].from(e, target) {
-				if _, err := rp.eng.Apply(ent.batch); err != nil {
-					break
-				}
-			}
-			if rp.eng.Epoch() != target {
-				continue
-			}
+		if err := r.copyStore(rp, src.store, target); err != nil {
+			continue
 		}
 		rp.quarantined.Store(false)
 		rp.consecErrs.Store(0)
@@ -950,4 +935,52 @@ func (r *Router) reconcileLocked(si int) {
 		r.m.reconciles.Inc()
 		r.flight.Record(obs.Event{Kind: obs.EvReconcile, Shard: si, Replica: rp.id, N: int64(target)})
 	}
+}
+
+// copyStore rewrites rp's store as src's committed key space at epoch
+// target, in one store commit, and swaps in an engine reopened over it.
+// It first forces every posting list of rp's current index resident: a
+// reader still pinned to that index (an in-flight scan, or a published
+// meta index's co-occurrence fallback) must never lazily load a list of
+// another epoch from the rewritten store. On error the store is rolled
+// back to its last commit and rp keeps its engine.
+func (r *Router) copyStore(rp *replica, src storage.Backend, target uint64) error {
+	ix := rp.eng.Load().Index()
+	for _, t := range ix.Vocabulary() {
+		if _, err := ix.List(t); err != nil {
+			return err
+		}
+	}
+	dst := rp.store
+	err := func() error {
+		if _, err := dst.DeleteRange(nil, nil); err != nil {
+			return err
+		}
+		var putErr error
+		if err := src.Range(nil, nil, func(k, v []byte) bool {
+			putErr = dst.Put(k, v)
+			return putErr == nil
+		}); err != nil {
+			return err
+		}
+		if putErr != nil {
+			return putErr
+		}
+		if err := dst.SetEpoch(target); err != nil {
+			return err
+		}
+		return dst.Commit()
+	}()
+	if err != nil {
+		// A failed rollback leaves staged writes behind; the next attempt's
+		// DeleteRange discards them with everything else.
+		dst.Rollback()
+		return err
+	}
+	eng, err := core.OpenLiveShared(dst, r.reg, &r.shardCfg)
+	if err != nil {
+		return err
+	}
+	rp.eng.Store(eng)
+	return nil
 }

@@ -5,7 +5,9 @@
 # Two phases, both under the race detector:
 #   1. The in-tree replica suites: byte-identity across replica counts and
 #      hedging modes, the slow/flaky/dead/epoch-lagged fault matrix, epoch
-#      reconciliation, and the hedge-cancel promptness stress.
+#      reconciliation by store copy (after a restart and at any lag, with
+#      its pinned-reader and failed-copy cases), and the hedge-cancel
+#      promptness stress.
 #   2. A live race-built xserve over a 2-shard x 2-replica directory with
 #      probabilistic store chaos armed (-chaos), compared request-by-request
 #      against a monolithic xserve over the unsplit corpus: every
@@ -43,7 +45,7 @@ cd "$(dirname "$0")/.."
 
 echo "replica-soak: phase 1: replica suites (-race)"
 go test -race -timeout 10m \
-    -run 'TestReplicaByteIdentity|TestReplicaFaultMatrix|TestReplicaEpochReconcile|TestReplicaWriteRejectionNoQuarantine|TestReplicaHedgeCancelPromptness|TestReplicatedStoreLayout' \
+    -run 'TestReplicaByteIdentity|TestReplicaFaultMatrix|TestReplicaEpochReconcile|TestReplicaLagQuarantinedAtOpen|TestReplicaCatchUpBeyondOldWindow|TestReplicaCatchUpSafety|TestReplicaWriteRejectionNoQuarantine|TestReplicaHedgeCancelPromptness|TestReplicatedStoreLayout' \
     ./internal/shard/ || fail "replica race suites failed"
 
 echo "replica-soak: phase 2: building binaries (xserve race-instrumented)"
