@@ -43,8 +43,6 @@ fuzz:
 	$(GO) test ./internal/xmltree -fuzz FuzzParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/kvstore -fuzz FuzzDecodeNode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/kvstore -fuzz FuzzDecodeMeta -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/logstore -fuzz FuzzLogRecord -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/logstore -fuzz FuzzHintFile -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -fuzz FuzzQueryPipeline -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/shard -fuzz FuzzShardMerge -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/index -fuzz FuzzBlockCodec -fuzztime $(FUZZTIME)
@@ -77,9 +75,9 @@ replicas:
 
 # Wire-protocol conformance soak: a race-built xserve serving HTTP and
 # the binary protocol from the same backend, diffed request-by-request
-# (plain engine, chaos-armed replicas, log storage backend) — every
-# non-degraded wire payload must be byte-identical to the HTTP body —
-# ending in a both-surfaces drain check.
+# (plain engine, chaos-armed replicas) — every non-degraded wire payload
+# must be byte-identical to the HTTP body — ending in a both-surfaces
+# drain check.
 wirediff:
 	./scripts/wire_diff.sh
 

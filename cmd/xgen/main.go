@@ -38,7 +38,6 @@ import (
 	"xrefine/internal/datagen"
 	"xrefine/internal/mutate"
 	"xrefine/internal/shard"
-	"xrefine/internal/storage"
 	"xrefine/internal/xmltree"
 )
 
@@ -68,7 +67,6 @@ func run(args []string, defaultOut io.Writer) error {
 		shardDir  = fs.String("shard-dir", "", "directory for the shard stores and manifest (required with -shards)")
 		shardMode = fs.String("shard-mode", "range", "partition placement: range | hash")
 		replicas  = fs.Int("replicas", 1, "replicas per shard: each shard is written as R identical stores")
-		backend   = fs.String("backend", "", "storage engine for shard stores: btree (default) | log")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -122,7 +120,7 @@ func run(args []string, defaultOut io.Writer) error {
 			}
 		}
 		if *shards > 0 {
-			return writeShards(doc, *shards, *shardMode, *shardDir, *replicas, *backend)
+			return writeShards(doc, *shards, *shardMode, *shardDir, *replicas)
 		}
 		return nil
 	case "shards":
@@ -138,7 +136,7 @@ func run(args []string, defaultOut io.Writer) error {
 		if err != nil {
 			return err
 		}
-		return writeShards(doc, *shards, *shardMode, *shardDir, *replicas, *backend)
+		return writeShards(doc, *shards, *shardMode, *shardDir, *replicas)
 	case "updates":
 		if *xmlPath == "" {
 			return fmt.Errorf("updates needs -xml")
@@ -193,7 +191,7 @@ func run(args []string, defaultOut io.Writer) error {
 
 // writeShards splits doc into n shard stores (R replica copies each) plus
 // a manifest under dir.
-func writeShards(doc *xmltree.Document, n int, mode, dir string, replicas int, backend string) error {
+func writeShards(doc *xmltree.Document, n int, mode, dir string, replicas int) error {
 	if n <= 0 {
 		return fmt.Errorf("shards needs -shards N")
 	}
@@ -207,13 +205,7 @@ func writeShards(doc *xmltree.Document, n int, mode, dir string, replicas int, b
 	if err != nil {
 		return err
 	}
-	kind := storage.DefaultKind()
-	if backend != "" {
-		if kind, err = storage.ParseKind(backend); err != nil {
-			return err
-		}
-	}
-	_, err = shard.WriteReplicatedStoresBackend(doc, dir, n, m, replicas, kind)
+	_, err = shard.WriteReplicatedStores(doc, dir, n, m, replicas)
 	return err
 }
 

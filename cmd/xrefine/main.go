@@ -58,7 +58,7 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  xrefine index  -xml <file> -index <file> [-backend btree|log] [-with-doc]   build a persistent index
+  xrefine index  -xml <file> -index <file> [-with-doc]   build a persistent index
   xrefine search [-xml <file> | -index <file> | -shards <dir> [-replicas N] [-hedge-after D]] [-k N] [-parallel N] [-explain] <query>
   xrefine batch  [-xml <file> | -index <file>] [-k N] [-parallel N] -queries <file>   one query per line, TSV out
   xrefine apply  -index <file> -batch <file>   apply an update batch as a new epoch
@@ -74,7 +74,6 @@ func cmdIndex(args []string) {
 	xmlPath := fs.String("xml", "", "XML document to index")
 	indexPath := fs.String("index", "", "output index file")
 	withDoc := fs.Bool("with-doc", false, "also store the document (keeps snippets and narrowing)")
-	backend := fs.String("backend", "", "storage engine: btree (default) | log")
 	fs.Parse(args)
 	if *xmlPath == "" || *indexPath == "" {
 		fatal(fmt.Errorf("index needs -xml and -index"))
@@ -88,7 +87,7 @@ func cmdIndex(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	store, err := xrefine.OpenStoreKind(*backend, *indexPath, false)
+	store, err := xrefine.OpenStore(*indexPath, false)
 	if err != nil {
 		fatal(err)
 	}

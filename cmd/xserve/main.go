@@ -106,7 +106,6 @@ func main() {
 		slowlog     = flag.Duration("slowlog", 0, "slow-query threshold; queries at or over it are kept at /debug/slowlog (0 = off)")
 		pprofOn     = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 		live        = flag.Bool("live", false, "open -index read-write and accept POST /update (durable epoch commits)")
-		storeKind   = flag.String("backend", "", "storage engine of -index: btree | log (default: detect from the store layout)")
 		shardDir    = flag.String("shards", "", "shard directory (xgen -shards) to serve scatter-gather")
 		replicas    = flag.Int("replicas", 0, "replicas per shard to attach from the manifest (0 = all available)")
 		hedgeAfter  = flag.Duration("hedge-after", 0, "hedge a slow shard scan onto the next replica after this delay (0 = off)")
@@ -163,7 +162,7 @@ func main() {
 		eng = core.NewFromDocument(doc, cfg)
 		log.Printf("indexed %s: %d nodes", *xmlPath, doc.NodeCount)
 	case *indexPath != "":
-		store, err := xrefine.OpenStoreKind(*storeKind, *indexPath, !*live)
+		store, err := xrefine.OpenStore(*indexPath, !*live)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -8,17 +8,15 @@
 //	xstat -xml dblp.xml [-top 15]
 //	xstat -index dblp.kv [-top 15]
 //	xstat -index dblp.kv -blocks
-//	xstat -index dblp.logdb -storage
+//	xstat -index dblp.kv -storage
 //	xstat -shards dblp-shards
 //
 // With -shards, the per-shard layout of a directory written by
 // xgen -shards is tabulated instead: each shard's node and partition
 // counts, committed epoch and store size, with totals.
 //
-// With -storage, the physical storage-engine report is rendered instead:
-// the backend kind, the on-disk file inventory (pages for the B+tree,
-// segment and hint files for the log engine), live/dead byte ratios,
-// keydir footprint and cold-start load paths.
+// With -storage, the physical storage report is rendered instead: the
+// backend kind, key and page counts, and the page file's size.
 //
 // With -blocks, the physical shape of the block-compressed posting
 // storage is reported: per-term block counts and encoded bytes, and the
@@ -32,7 +30,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"text/tabwriter"
 
 	"xrefine/internal/index"
@@ -57,7 +54,6 @@ func run(args []string, w io.Writer) error {
 		top       = fs.Int("top", 15, "how many top keywords to list")
 		blocks    = fs.Bool("blocks", false, "report block-compressed posting storage instead")
 		storageOn = fs.Bool("storage", false, "report the index store's storage-engine state instead")
-		backend   = fs.String("backend", "", "storage engine of -index: btree | log (default: detect from the layout)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -80,7 +76,7 @@ func run(args []string, w io.Writer) error {
 			return err
 		}
 	case *indexPath != "":
-		store, err := openStore(*indexPath, *backend)
+		store, err := openStore(*indexPath)
 		if err != nil {
 			return err
 		}
@@ -184,11 +180,7 @@ func reportShards(w io.Writer, dir string) error {
 	var epochs uint64
 	var bytes int64
 	for _, e := range man.Shards {
-		kind, err := storage.ParseKind(e.Backend)
-		if err != nil {
-			return err
-		}
-		store, err := backends.Open(kind, filepath.Join(dir, e.Store), &storage.Options{ReadOnly: true})
+		store, err := openStore(filepath.Join(dir, e.Store))
 		if err != nil {
 			return err
 		}
@@ -220,14 +212,8 @@ func report(w io.Writer, ix *index.Index, store *storage.Stats, epoch uint64, to
 	fmt.Fprintf(w, "partitions:  %d\n", len(ix.PartitionRoots()))
 	fmt.Fprintf(w, "vocabulary:  %d terms\n", len(vocab))
 	if store != nil {
-		switch store.Kind {
-		case storage.KindLog:
-			fmt.Fprintf(w, "store:       %s, %d keys, %d segments, %d bytes\n",
-				store.Kind, store.Keys, store.Segments, store.DiskBytes)
-		default:
-			fmt.Fprintf(w, "store:       %s, %d keys, %d pages (%d free), %d bytes\n",
-				store.Kind, store.Keys, store.Pages, store.FreePages, store.DiskBytes)
-		}
+		fmt.Fprintf(w, "store:       %s, %d keys, %d pages (%d free), %d bytes\n",
+			store.Kind, store.Keys, store.Pages, store.FreePages, store.DiskBytes)
 		fmt.Fprintf(w, "epoch:       %d\n", epoch)
 	}
 
@@ -264,26 +250,14 @@ func report(w io.Writer, ix *index.Index, store *storage.Stats, epoch uint64, to
 	return tw.Flush()
 }
 
-// openStore opens an index store read-only on the named engine, or on the
-// engine its on-disk layout implies (file = btree, directory = log).
-func openStore(path, backend string) (storage.Backend, error) {
-	var kind storage.Kind
-	var err error
-	if backend != "" {
-		kind, err = storage.ParseKind(backend)
-	} else {
-		kind, err = backends.Detect(path)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return backends.Open(kind, path, &storage.Options{ReadOnly: true})
+// openStore opens an index store read-only.
+func openStore(path string) (storage.Backend, error) {
+	return backends.Open(storage.KindBTree, path, &storage.Options{ReadOnly: true})
 }
 
-// reportStorage renders the -storage report: the engine kind, the on-disk
-// file inventory, live/dead ratios and the engine's resident footprint —
-// the physical numbers one checks before trusting a compaction policy or
-// a cold-start claim.
+// reportStorage renders the -storage report: the engine kind, its
+// physical statistics and the page file — the numbers one checks before
+// trusting a disk-footprint claim.
 func reportStorage(w io.Writer, path string, store storage.Backend) error {
 	st := store.StorageStats()
 	fmt.Fprintf(w, "backend:     %s\n", st.Kind)
@@ -291,55 +265,14 @@ func reportStorage(w io.Writer, path string, store storage.Backend) error {
 	fmt.Fprintf(w, "disk:        %d bytes\n", st.DiskBytes)
 	fmt.Fprintf(w, "txid:        %d\n", st.Txid)
 	fmt.Fprintf(w, "epoch:       %d\n", st.Epoch)
-	switch st.Kind {
-	case storage.KindLog:
-		fmt.Fprintf(w, "segments:    %d\n", st.Segments)
-		fmt.Fprintf(w, "live:        %d records, %d bytes\n", st.LiveRecords, st.LiveBytes)
-		fmt.Fprintf(w, "dead:        %d records, %d bytes\n", st.DeadRecords, st.DeadBytes)
-		if amp := st.Amplification(); amp > 0 {
-			fmt.Fprintf(w, "amplification: %.2fx (disk over live)\n", amp)
-		}
-		fmt.Fprintf(w, "keydir:      %d entries, %d resident bytes\n", st.KeydirEntries, st.KeydirBytes)
-		fmt.Fprintf(w, "compactions: %d since open\n", st.Compactions)
-		fmt.Fprintf(w, "cold start:  %d segment(s) via hint files, %d via full scan\n", st.HintLoads, st.ScanLoads)
-	default:
-		fmt.Fprintf(w, "pages:       %d (%d free), %d bytes each\n", st.Pages, st.FreePages, st.PageSize)
-	}
+	fmt.Fprintf(w, "pages:       %d (%d free), %d bytes each\n", st.Pages, st.FreePages, st.PageSize)
 
-	// File inventory: the single page file for the B+tree, the segment /
-	// hint / manifest listing for the log engine.
 	fi, err := os.Stat(path)
 	if err != nil {
 		return err
 	}
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "\nfile\tbytes\trole")
-	if !fi.IsDir() {
-		fmt.Fprintf(tw, "%s\t%d\tpage file\n", filepath.Base(path), fi.Size())
-		return tw.Flush()
-	}
-	ents, err := os.ReadDir(path)
-	if err != nil {
-		return err
-	}
-	var total int64
-	for _, ent := range ents {
-		info, err := ent.Info()
-		if err != nil {
-			continue
-		}
-		role := "other"
-		switch {
-		case strings.HasSuffix(ent.Name(), ".data"):
-			role = "segment data"
-		case strings.HasSuffix(ent.Name(), ".hint"):
-			role = "cold-start hint"
-		case ent.Name() == "MANIFEST":
-			role = "segment manifest"
-		}
-		fmt.Fprintf(tw, "%s\t%d\t%s\n", ent.Name(), info.Size(), role)
-		total += info.Size()
-	}
-	fmt.Fprintf(tw, "total\t%d\t\n", total)
+	fmt.Fprintf(tw, "%s\t%d\tpage file\n", filepath.Base(path), fi.Size())
 	return tw.Flush()
 }

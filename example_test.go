@@ -495,10 +495,8 @@ func ExampleOpenIndex() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// The B+tree engine is named so the byte count below does not follow
-	// the default-engine override.
 	indexPath := filepath.Join(dir, "dblp.kv")
-	store, err := xrefine.OpenStoreKind("btree", indexPath, false)
+	store, err := xrefine.OpenStore(indexPath, false)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -20,9 +20,8 @@ import (
 // persisted inside one store commit (index delta, rewritten document
 // stream and the bumped epoch number all land together), and only then
 // published to readers with a single pointer swap. The store commit is the
-// one durability point: both storage engines commit atomically (the
-// B+tree through its alternate meta slot, the log engine through a
-// CRC-framed commit record), so a crash at any point leaves either the old
+// one durability point: the B+tree commits atomically through its
+// alternate meta slot, so a crash at any point leaves either the old
 // epoch (commit torn or never reached — discarded on open) or the new one
 // (commit durable). An Apply that returns an error has rolled the store
 // back, so a reopen finds nothing of the refused batch.
@@ -153,24 +152,6 @@ func (e *Engine) commitEpoch(staged *mutate.StageResult, next uint64) error {
 		return fmt.Errorf("core: commit epoch %d: %w (rollback also failed: %v)", next, err, rbErr)
 	}
 	return fmt.Errorf("core: commit epoch %d: %w", next, err)
-}
-
-// Checkpoint folds the backing store's durable state: the log engine
-// seals its active segment, merges dead records away and writes hint
-// files; the B+tree engine commits (its copy-on-write design reuses freed
-// pages already). After a checkpoint a reopen pays hint-file loads — the
-// property that bounds reopen time on a long-lived live store no matter
-// how many epochs it has absorbed. No-op on engines without live state.
-func (e *Engine) Checkpoint() error {
-	e.applyMu.Lock()
-	defer e.applyMu.Unlock()
-	if e.live == nil {
-		return nil
-	}
-	if err := e.live.store.Checkpoint(); err != nil {
-		return fmt.Errorf("core: checkpoint: %w", err)
-	}
-	return nil
 }
 
 // OpenLive is Open plus live-update support: every Apply commits its batch

@@ -143,17 +143,12 @@ func TestQueryCacheDropsPreUpdateResults(t *testing.T) {
 	}
 }
 
-// seedLiveStore writes doc's index and document into a new store of the
-// given engine — a .kv page file for the B+tree, a segment directory for
-// the log engine — and returns its path.
-func seedLiveStore(t *testing.T, doc *xmltree.Document, kind storage.Kind) string {
+// seedLiveStore writes doc's index and document into a new store file
+// and returns its path.
+func seedLiveStore(t *testing.T, doc *xmltree.Document) string {
 	t.Helper()
-	name := "ix.kv"
-	if kind == storage.KindLog {
-		name = "ix.logdb"
-	}
-	path := filepath.Join(t.TempDir(), name)
-	store, err := backends.Open(kind, path, nil)
+	path := filepath.Join(t.TempDir(), "ix.kv")
+	store, err := kvstore.Open(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +162,7 @@ func seedLiveStore(t *testing.T, doc *xmltree.Document, kind storage.Kind) strin
 }
 
 func TestOpenLiveApplyPersistsAcrossReopen(t *testing.T) {
-	path := seedLiveStore(t, applyBaseDoc(t), storage.KindBTree)
+	path := seedLiveStore(t, applyBaseDoc(t))
 	store, err := kvstore.Open(path, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -223,10 +218,61 @@ func TestOpenLiveApplyPersistsAcrossReopen(t *testing.T) {
 	}
 }
 
-// TestApplyCrashRecoveryMatrix arms storage failpoints during Apply, on
-// both storage engines, crashes, and requires the store to reopen at the
-// epoch the last Apply acknowledged, answering queries exactly as a clean
-// engine at that epoch would. An Apply that returns an error leaves no
+// TestCheckpointBoundsReopen reopens a store that absorbed six epochs of
+// commits, each freeing pages the next one reuses: every commit is its own
+// checkpoint, so the reopen must come back at the last epoch, answering
+// every query byte-identically. The subtest names the B+tree engine.
+func TestCheckpointBoundsReopen(t *testing.T) {
+	t.Run(string(storage.KindBTree), func(t *testing.T) {
+		path := seedLiveStore(t, applyBaseDoc(t))
+		store, err := kvstore.Open(path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := OpenLive(store, "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const epochs = 6
+		for i := 0; i < epochs; i++ {
+			b := &mutate.Batch{Ops: []mutate.Op{{
+				Kind: mutate.OpInsert, Parent: dewey.Root(),
+				XML: `<paper><title>reopened keyword churn</title></paper>`,
+			}}}
+			if _, err := eng.Apply(b); err != nil {
+				t.Fatalf("apply %d: %v", i, err)
+			}
+		}
+		want := applySigs(t, eng, applyQueries)
+		if err := store.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		store2, err := kvstore.Open(path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer store2.Close()
+		re, err := OpenLive(store2, "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if re.Epoch() != epochs {
+			t.Fatalf("reopened at epoch %d, want %d", re.Epoch(), epochs)
+		}
+		got := applySigs(t, re, applyQueries)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("query %v changed across reopen", applyQueries[i])
+			}
+		}
+	})
+}
+
+// TestApplyCrashRecoveryMatrix arms storage failpoints during Apply,
+// crashes, and requires the store to reopen at the epoch the last Apply
+// acknowledged, answering queries exactly as a clean engine at that epoch
+// would. An Apply that returns an error leaves no
 // trace on disk, even when the client retries the refused batch. Only a
 // torn write, which the engine cannot see and so acknowledges, may cost
 // the acknowledged batch: it reopens at epoch 1 or 2, never half-applied.
@@ -272,66 +318,64 @@ func TestApplyCrashRecoveryMatrix(t *testing.T) {
 	var sawFail, sawSilent int
 	for _, arm := range arms {
 		t.Run(arm.name, func(t *testing.T) {
-			for _, kind := range []storage.Kind{storage.KindBTree, storage.KindLog} {
-				t.Run(string(kind), func(t *testing.T) {
-					path := seedLiveStore(t, doc.Clone(), kind)
-					faults := &storage.Faults{}
-					store, err := backends.Open(kind, path, &storage.Options{Faults: faults})
-					if err != nil {
-						t.Fatal(err)
+			t.Run("btree", func(t *testing.T) {
+				path := seedLiveStore(t, doc.Clone())
+				faults := &storage.Faults{}
+				store, err := backends.Open(storage.KindBTree, path, &storage.Options{Faults: faults})
+				if err != nil {
+					t.Fatal(err)
+				}
+				eng, err := OpenLive(store, "", nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := eng.Apply(batch1); err != nil {
+					t.Fatalf("clean batch: %v", err)
+				}
+				arm.arm(faults)
+				_, applyErr := eng.Apply(batch2)
+				for i := 1; i < arm.tries && applyErr != nil; i++ {
+					_, applyErr = eng.Apply(batch2)
+				}
+				lo, hi := uint64(2), uint64(2) // acknowledged over an honest disk
+				switch {
+				case applyErr != nil:
+					sawFail++
+					lo, hi = 1, 1
+				case arm.tries > 1:
+					t.Fatal("precondition: the batch was to be refused on every try")
+				default:
+					sawSilent++
+					if arm.torn {
+						lo = 1
 					}
-					eng, err := OpenLive(store, "", nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if _, err := eng.Apply(batch1); err != nil {
-						t.Fatalf("clean batch: %v", err)
-					}
-					arm.arm(faults)
-					_, applyErr := eng.Apply(batch2)
-					for i := 1; i < arm.tries && applyErr != nil; i++ {
-						_, applyErr = eng.Apply(batch2)
-					}
-					lo, hi := uint64(2), uint64(2) // acknowledged over an honest disk
-					switch {
-					case applyErr != nil:
-						sawFail++
-						lo, hi = 1, 1
-					case arm.tries > 1:
-						t.Fatal("precondition: the batch was to be refused on every try")
-					default:
-						sawSilent++
-						if arm.torn {
-							lo = 1
-						}
-					}
-					faults.Clear()
-					// Crash: drop the process state without any graceful flush.
-					store.Close()
+				}
+				faults.Clear()
+				// Crash: drop the process state without any graceful flush.
+				store.Close()
 
-					store2, err := backends.Open(kind, path, nil)
-					if err != nil {
-						t.Fatalf("reopen: %v", err)
+				store2, err := backends.Open(storage.KindBTree, path, nil)
+				if err != nil {
+					t.Fatalf("reopen: %v", err)
+				}
+				defer store2.Close()
+				re, err := OpenLive(store2, "", nil)
+				if err != nil {
+					t.Fatalf("reopen live: %v", err)
+				}
+				ep := re.Epoch()
+				if ep < lo || ep > hi {
+					t.Fatalf("reopened at epoch %d, want %d..%d (Apply error: %v)", ep, lo, hi, applyErr)
+				}
+				want := sigs[ep]
+				got := applySigs(t, re, queries)
+				for i := range want {
+					if got[i] != want[i] {
+						t.Errorf("epoch %d query %v diverged from clean engine\ngot  %s\nwant %s",
+							ep, queries[i], got[i], want[i])
 					}
-					defer store2.Close()
-					re, err := OpenLive(store2, "", nil)
-					if err != nil {
-						t.Fatalf("reopen live: %v", err)
-					}
-					ep := re.Epoch()
-					if ep < lo || ep > hi {
-						t.Fatalf("reopened at epoch %d, want %d..%d (Apply error: %v)", ep, lo, hi, applyErr)
-					}
-					want := sigs[ep]
-					got := applySigs(t, re, queries)
-					for i := range want {
-						if got[i] != want[i] {
-							t.Errorf("epoch %d query %v diverged from clean engine\ngot  %s\nwant %s",
-								ep, queries[i], got[i], want[i])
-						}
-					}
-				})
-			}
+				}
+			})
 		})
 	}
 	if sawFail == 0 || sawSilent == 0 {

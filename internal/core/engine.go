@@ -138,7 +138,7 @@ type Engine struct {
 	// NewWithExplorer was given (the shard router's walk over its shards).
 	explore func(in refine.Input, k int) (*refine.TopKOutcome, error)
 
-	// applyMu serializes writers (Apply, Publish, Checkpoint). Readers
+	// applyMu serializes writers (Apply, Publish). Readers
 	// never take it — they pin an epoch snapshot instead.
 	applyMu sync.Mutex
 	// live is the durable-update state (the store Apply commits to); nil

@@ -463,12 +463,10 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		body["replicas_healthy"] = healthy
 		body["replicas_total"] = len(hx.Replicas)
 	}
-	// Store-backed engines surface their storage-engine snapshot — kind,
-	// disk footprint, and on the log engine the segment/keydir/compaction
-	// state — so amplification is watchable without xstat -storage.
+	// Store-backed engines surface their storage snapshot — kind, keys,
+	// disk footprint, pages — so it is watchable without xstat -storage.
 	if hx.Storage != nil {
 		body["storage"] = *hx.Storage
-		body["storage_amplification"] = hx.Storage.Amplification()
 	}
 	writeJSON(w, body)
 }

@@ -12,6 +12,7 @@ import (
 
 	"xrefine/internal/core"
 	"xrefine/internal/datagen"
+	"xrefine/internal/kvstore"
 	"xrefine/internal/mutate"
 	"xrefine/internal/obs"
 	"xrefine/internal/refine"
@@ -52,7 +53,7 @@ func memRouter(t *testing.T, doc *xmltree.Document, n int, mode string, cfg *cor
 		if faults != nil {
 			f = faults[i]
 		}
-		stores[i] = newTestStore(t, f)
+		stores[i] = kvstore.NewMemWithFaults(f)
 		eng := core.NewFromDocument(sub, &core.Config{DisableMetrics: true})
 		if err := eng.SaveIndexWithDocument(stores[i]); err != nil {
 			t.Fatal(err)
@@ -281,7 +282,7 @@ func TestShardPartialDegrade(t *testing.T) {
 	}
 	stores := make([]storage.Backend, 2)
 	for i, sub := range subs {
-		stores[i] = newTestStore(t, faults[i])
+		stores[i] = kvstore.NewMemWithFaults(faults[i])
 		defer stores[i].Close()
 		eng := core.NewFromDocument(sub, &core.Config{DisableMetrics: true})
 		if err := eng.SaveIndexWithDocument(stores[i]); err != nil {

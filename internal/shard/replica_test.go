@@ -51,7 +51,7 @@ func memReplicatedRouter(t *testing.T, authors int, seed int64, n, rs int, opts 
 			if faults != nil && faults[i] != nil {
 				f = faults[i][j]
 			}
-			s := newTestStore(t, f)
+			s := kvstore.NewMemWithFaults(f)
 			if err := eng.SaveIndexWithDocument(s); err != nil {
 				t.Fatal(err)
 			}
@@ -293,17 +293,16 @@ func TestReplicaEpochReconcile(t *testing.T) {
 
 // openReplicaStores opens every replica store of the directory man
 // describes, with faults[shard][replica] attached when faults is non-nil.
-func openReplicaStores(t *testing.T, dir string, man *Manifest, kind storage.Kind, faults [][]*storage.Faults) [][]storage.Backend {
+func openReplicaStores(t *testing.T, dir string, man *Manifest, faults [][]*storage.Faults) [][]storage.Backend {
 	t.Helper()
 	stores := make([][]storage.Backend, len(man.Shards))
 	for i, ent := range man.Shards {
-		files := append([]ReplicaFiles{{Store: ent.Store}}, ent.Replicas...)
-		for j, rf := range files {
+		for j, rf := range ent.Files() {
 			var f *storage.Faults
 			if faults != nil {
 				f = faults[i][j]
 			}
-			s, err := backends.Open(kind, filepath.Join(dir, rf.Store), &storage.Options{Faults: f})
+			s, err := backends.Open(storage.KindBTree, filepath.Join(dir, rf.Store), &storage.Options{Faults: f})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -343,97 +342,95 @@ func keySpace(t *testing.T, s storage.Backend) map[string]string {
 // every query answers like the monolith, including queries for the term
 // the refused commits inserted.
 func TestReplicaLagQuarantinedAtOpen(t *testing.T) {
-	for _, kind := range []storage.Kind{storage.KindBTree, storage.KindLog} {
-		t.Run(string(kind), func(t *testing.T) {
-			doc := corpusDoc(t, 24, 9)
-			dir := t.TempDir()
-			man, err := WriteReplicatedStoresBackend(doc, dir, 2, ModeRange, 2, kind)
-			if err != nil {
+	t.Run("btree", func(t *testing.T) {
+		doc := corpusDoc(t, 24, 9)
+		dir := t.TempDir()
+		man, err := WriteReplicatedStores(doc, dir, 2, ModeRange, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mono := core.NewFromDocument(doc, nil)
+		monoSrv := server.New(mono, server.Config{})
+		faults := [][]*storage.Faults{{nil, {}}, {nil, nil}}
+		stores := openReplicaStores(t, dir, man, faults)
+		before, err := NewReplicated(stores, &Options{Live: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		faults[0][1].FailWrites(1)
+		parts := doc.Partitions()
+		for i := 0; i < 2; i++ {
+			b := &mutate.Batch{Ops: []mutate.Op{{Kind: mutate.OpInsert, Parent: parts[0].ID,
+				XML: "<paper><title>restart lag probe</title></paper>"}}}
+			if _, err := mono.Apply(b); err != nil {
 				t.Fatal(err)
 			}
-			mono := core.NewFromDocument(doc, nil)
-			monoSrv := server.New(mono, server.Config{})
-			faults := [][]*storage.Faults{{nil, {}}, {nil, nil}}
-			stores := openReplicaStores(t, dir, man, kind, faults)
-			before, err := NewReplicated(stores, &Options{Live: true})
-			if err != nil {
-				t.Fatal(err)
+			if _, err := before.Apply(b); err != nil {
+				t.Fatalf("routed apply %d: %v", i, err)
 			}
-			faults[0][1].FailWrites(1)
-			parts := doc.Partitions()
-			for i := 0; i < 2; i++ {
-				b := &mutate.Batch{Ops: []mutate.Op{{Kind: mutate.OpInsert, Parent: parts[0].ID,
-					XML: "<paper><title>restart lag probe</title></paper>"}}}
-				if _, err := mono.Apply(b); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := before.Apply(b); err != nil {
-					t.Fatalf("routed apply %d: %v", i, err)
-				}
-			}
-			closeStores(stores)
+		}
+		closeStores(stores)
 
-			// answersMatch checks every query, over several rounds so read
-			// selection tries every replica it would serve from.
-			answersMatch := func(r *Router, when string) {
-				t.Helper()
-				srv := server.New(r, server.Config{})
-				for _, q := range append([]string{"restart lag probe", "restart"}, diffQueries...) {
-					want := fetchSearch(t, monoSrv, q, 1, 3)
-					for i := 0; i < 4; i++ {
-						if got := fetchSearch(t, srv, q, 2, 3); got != want {
-							t.Fatalf("q=%q round %d diverged %s:\n got: %s\nwant: %s", q, i, when, got, want)
-						}
+		// answersMatch checks every query, over several rounds so read
+		// selection tries every replica it would serve from.
+		answersMatch := func(r *Router, when string) {
+			t.Helper()
+			srv := server.New(r, server.Config{})
+			for _, q := range append([]string{"restart lag probe", "restart"}, diffQueries...) {
+				want := fetchSearch(t, monoSrv, q, 1, 3)
+				for i := 0; i < 4; i++ {
+					if got := fetchSearch(t, srv, q, 2, 3); got != want {
+						t.Fatalf("q=%q round %d diverged %s:\n got: %s\nwant: %s", q, i, when, got, want)
 					}
 				}
 			}
+		}
 
-			stores = openReplicaStores(t, dir, man, kind, nil)
-			r, err := NewReplicated(stores, &Options{Live: true})
-			if err != nil {
-				t.Fatal(err)
+		stores = openReplicaStores(t, dir, man, nil)
+		r, err := NewReplicated(stores, &Options{Live: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range r.ReplicaTable() {
+			if row.State != StateHealthy || row.EpochLag != 0 {
+				t.Errorf("reopened replica %+v, want healthy at epoch lag 0", row)
 			}
-			for _, row := range r.ReplicaTable() {
-				if row.State != StateHealthy || row.EpochLag != 0 {
-					t.Errorf("reopened replica %+v, want healthy at epoch lag 0", row)
-				}
-			}
-			if got := r.m.quarantines.Value(); got != 1 {
-				t.Errorf("xrefine_replica_quarantines_total = %d, want 1", got)
-			}
-			evs := r.flight.Events(obs.EventFilter{Kind: obs.EvQuarantine})
-			if len(evs) != 1 || evs[0].Shard != 0 || evs[0].Replica != 1 || evs[0].N != 2 || evs[0].Note != "epoch-lag" {
-				t.Errorf("quarantine events = %+v, want one epoch-lag event for shard 0 replica 1 at lag 2", evs)
-			}
-			if got := r.m.reconciles.Value(); got != 1 {
-				t.Errorf("xrefine_replica_reconciles_total = %d, want 1", got)
-			}
-			evs = r.flight.Events(obs.EventFilter{Kind: obs.EvReconcile})
-			if len(evs) != 1 || evs[0].Shard != 0 || evs[0].Replica != 1 || evs[0].N != 2 {
-				t.Errorf("reconcile events = %+v, want one for shard 0 replica 1 at epoch 2", evs)
-			}
-			lagged, sibling := stores[0][1], stores[0][0]
-			if !maps.Equal(keySpace(t, lagged), keySpace(t, sibling)) {
-				t.Error("caught-up store's key space differs from its sibling's")
-			}
-			if lagged.Epoch() != sibling.Epoch() {
-				t.Errorf("caught-up store epoch = %d, sibling's = %d", lagged.Epoch(), sibling.Epoch())
-			}
-			answersMatch(r, "after restart")
-			closeStores(stores)
+		}
+		if got := r.m.quarantines.Value(); got != 1 {
+			t.Errorf("xrefine_replica_quarantines_total = %d, want 1", got)
+		}
+		evs := r.flight.Events(obs.EventFilter{Kind: obs.EvQuarantine})
+		if len(evs) != 1 || evs[0].Shard != 0 || evs[0].Replica != 1 || evs[0].N != 2 || evs[0].Note != "epoch-lag" {
+			t.Errorf("quarantine events = %+v, want one epoch-lag event for shard 0 replica 1 at lag 2", evs)
+		}
+		if got := r.m.reconciles.Value(); got != 1 {
+			t.Errorf("xrefine_replica_reconciles_total = %d, want 1", got)
+		}
+		evs = r.flight.Events(obs.EventFilter{Kind: obs.EvReconcile})
+		if len(evs) != 1 || evs[0].Shard != 0 || evs[0].Replica != 1 || evs[0].N != 2 {
+			t.Errorf("reconcile events = %+v, want one for shard 0 replica 1 at epoch 2", evs)
+		}
+		lagged, sibling := stores[0][1], stores[0][0]
+		if !maps.Equal(keySpace(t, lagged), keySpace(t, sibling)) {
+			t.Error("caught-up store's key space differs from its sibling's")
+		}
+		if lagged.Epoch() != sibling.Epoch() {
+			t.Errorf("caught-up store epoch = %d, sibling's = %d", lagged.Epoch(), sibling.Epoch())
+		}
+		answersMatch(r, "after restart")
+		closeStores(stores)
 
-			stores = openReplicaStores(t, dir, man, kind, nil)
-			defer closeStores(stores)
-			third, err := NewReplicated(stores, &Options{Live: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := third.m.quarantines.Value(); got != 0 {
-				t.Errorf("third open quarantined %d replicas, want 0", got)
-			}
-			answersMatch(third, "after a second restart")
-		})
-	}
+		stores = openReplicaStores(t, dir, man, nil)
+		defer closeStores(stores)
+		third, err := NewReplicated(stores, &Options{Live: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := third.m.quarantines.Value(); got != 0 {
+			t.Errorf("third open quarantined %d replicas, want 0", got)
+		}
+		answersMatch(third, "after a second restart")
+	})
 }
 
 // insertUnder returns a one-op batch inserting frag under parent.
@@ -539,51 +536,49 @@ func TestReplicaCatchUpSafety(t *testing.T) {
 		}
 	})
 
-	for _, kind := range []storage.Kind{storage.KindBTree, storage.KindLog} {
-		t.Run("failed-copy/"+string(kind), func(t *testing.T) {
-			dir := t.TempDir()
-			man, err := WriteReplicatedStoresBackend(doc, dir, 2, ModeRange, 2, kind)
-			if err != nil {
-				t.Fatal(err)
-			}
-			faults := [][]*storage.Faults{{nil, {}}, {nil, nil}}
-			stores := openReplicaStores(t, dir, man, kind, faults)
-			defer closeStores(stores)
-			r, err := NewReplicated(stores, &Options{Live: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			faults[0][1].FailWrites(1)
-			if _, err := r.Apply(insertUnder(parts[0].ID, "<paper><title>failed copy</title></paper>")); err != nil {
-				t.Fatal(err)
-			}
-			// One more attempt, explicitly, and it must reach the store.
-			injected := faults[0][1].Injected()
-			r.applyMu.Lock()
-			r.reconcileLocked(0)
-			r.applyMu.Unlock()
-			if faults[0][1].Injected() == injected {
-				t.Fatal("catch-up attempt never wrote to the faulted store")
-			}
-			lagging := r.groups[0].reps[1]
-			if !lagging.quarantined.Load() || r.m.reconciles.Value() != 0 {
-				t.Errorf("failed copy: quarantined=%v reconciles=%d, want quarantined and 0",
-					lagging.quarantined.Load(), r.m.reconciles.Value())
-			}
-			if e := lagging.store.Epoch(); e != 0 {
-				t.Errorf("failed copy moved the store epoch to %d, want 0", e)
-			}
-			closeStores(stores)
-			s, err := backends.Open(kind, filepath.Join(dir, man.Shards[0].Replicas[0].Store), nil)
-			if err != nil {
-				t.Fatalf("store unopenable after a failed copy: %v", err)
-			}
-			defer s.Close()
-			if e := s.Epoch(); e != 0 {
-				t.Errorf("reopened store epoch = %d, want 0", e)
-			}
-		})
-	}
+	t.Run("failed-copy/btree", func(t *testing.T) {
+		dir := t.TempDir()
+		man, err := WriteReplicatedStores(doc, dir, 2, ModeRange, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		faults := [][]*storage.Faults{{nil, {}}, {nil, nil}}
+		stores := openReplicaStores(t, dir, man, faults)
+		defer closeStores(stores)
+		r, err := NewReplicated(stores, &Options{Live: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		faults[0][1].FailWrites(1)
+		if _, err := r.Apply(insertUnder(parts[0].ID, "<paper><title>failed copy</title></paper>")); err != nil {
+			t.Fatal(err)
+		}
+		// One more attempt, explicitly, and it must reach the store.
+		injected := faults[0][1].Injected()
+		r.applyMu.Lock()
+		r.reconcileLocked(0)
+		r.applyMu.Unlock()
+		if faults[0][1].Injected() == injected {
+			t.Fatal("catch-up attempt never wrote to the faulted store")
+		}
+		lagging := r.groups[0].reps[1]
+		if !lagging.quarantined.Load() || r.m.reconciles.Value() != 0 {
+			t.Errorf("failed copy: quarantined=%v reconciles=%d, want quarantined and 0",
+				lagging.quarantined.Load(), r.m.reconciles.Value())
+		}
+		if e := lagging.store.Epoch(); e != 0 {
+			t.Errorf("failed copy moved the store epoch to %d, want 0", e)
+		}
+		closeStores(stores)
+		s, err := backends.Open(storage.KindBTree, filepath.Join(dir, man.Shards[0].Replicas[0].Store), nil)
+		if err != nil {
+			t.Fatalf("store unopenable after a failed copy: %v", err)
+		}
+		defer s.Close()
+		if e := s.Epoch(); e != 0 {
+			t.Errorf("reopened store epoch = %d, want 0", e)
+		}
+	})
 }
 
 // TestReplicaWriteRejectionNoQuarantine: a batch that no replica accepts

@@ -165,24 +165,18 @@ func Open(dir string, opts *Options) (*Router, error) {
 		}
 	}
 	for _, ent := range man.Shards {
-		files := []ReplicaFiles{{Store: ent.Store, Backend: ent.Backend}}
-		files = append(files, ent.Replicas...)
+		files := ent.Files()
 		if opts.Replicas > 0 && len(files) > opts.Replicas {
 			files = files[:opts.Replicas]
 		}
 		var grp []storage.Backend
 		var fs []*storage.Faults
 		for _, rf := range files {
-			kind, err := storage.ParseKind(rf.Backend)
-			if err != nil {
-				closeAll()
-				return nil, fmt.Errorf("shard: manifest: %s: %w", rf.Store, err)
-			}
 			var f *storage.Faults
 			if opts.Chaos != nil {
 				f = &storage.Faults{} // attached now, armed after load
 			}
-			s, err := backends.Open(kind, filepath.Join(dir, rf.Store), &storage.Options{ReadOnly: !opts.Live, Faults: f})
+			s, err := backends.Open(storage.KindBTree, filepath.Join(dir, rf.Store), &storage.Options{ReadOnly: !opts.Live, Faults: f})
 			if err != nil {
 				closeAll()
 				return nil, err

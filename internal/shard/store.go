@@ -56,9 +56,10 @@ type Manifest struct {
 // is the primary replica; Replicas lists the additional copies a
 // replicated directory carries (absent for R=1 directories, which keeps
 // version-1 manifests readable both ways). Backend names the primary
-// replica's storage engine; absent means btree, so pre-backend manifests
-// keep opening unchanged. Older manifests also carry a "wal" key per
-// replica; it is ignored.
+// replica's storage engine: absent or "btree". A directory written for
+// the retired log-structured engine names "log" and is refused by
+// ReadManifest. Older manifests also carry a "wal" key per replica; it
+// is ignored.
 type ManifestEntry struct {
 	Store    string         `json:"store"`
 	Backend  string         `json:"backend,omitempty"`
@@ -66,15 +67,20 @@ type ManifestEntry struct {
 }
 
 // ReplicaFiles names one additional replica's store, relative to the
-// directory. Backend follows the same absent-means-btree rule as
-// ManifestEntry — replicas of one shard may in principle mix engines,
-// since every replica is its own store/epoch world.
+// directory. Backend follows the same rule as ManifestEntry's.
 type ReplicaFiles struct {
 	Store   string `json:"store"`
 	Backend string `json:"backend,omitempty"`
 }
 
-// ReadManifest loads a shard directory's manifest.
+// Files lists the shard's replica stores, the primary first.
+func (e ManifestEntry) Files() []ReplicaFiles {
+	return append([]ReplicaFiles{{Store: e.Store, Backend: e.Backend}}, e.Replicas...)
+}
+
+// ReadManifest loads a shard directory's manifest. A replica on any
+// engine but the B+tree fails with an error wrapping
+// storage.ErrUnsupportedFormat.
 func ReadManifest(dir string) (*Manifest, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, ManifestName))
 	if err != nil {
@@ -86,6 +92,13 @@ func ReadManifest(dir string) (*Manifest, error) {
 	}
 	if m.Version != 1 || len(m.Shards) == 0 {
 		return nil, fmt.Errorf("shard: manifest: unsupported version %d with %d shards", m.Version, len(m.Shards))
+	}
+	for _, ent := range m.Shards {
+		for _, rf := range ent.Files() {
+			if _, err := storage.ParseKind(rf.Backend); err != nil {
+				return nil, fmt.Errorf("shard: manifest: %s: backend %q: %w", rf.Store, rf.Backend, storage.ErrUnsupportedFormat)
+			}
+		}
 	}
 	return &m, nil
 }
@@ -137,10 +150,17 @@ func SplitDocument(doc *xmltree.Document, n int, mode string) ([]*xmltree.Docume
 // WriteStores splits a corpus document into n shards and writes a shard
 // directory: shard-<i>.kv index stores (each carrying its sub-document,
 // so shards serve snippets and accept live updates) plus the manifest.
-// The directory is created if missing. The engine is storage.DefaultKind
-// (btree unless the XREFINE_BACKEND matrix override is set).
+// The directory is created if missing.
 func WriteStores(doc *xmltree.Document, dir string, n int, mode string) (*Manifest, error) {
-	return WriteReplicatedStoresBackend(doc, dir, n, mode, 1, storage.DefaultKind())
+	return WriteReplicatedStores(doc, dir, n, mode, 1)
+}
+
+// storeName names one replica's store file.
+func storeName(shard, replica int) string {
+	if replica == 0 {
+		return fmt.Sprintf("shard-%d.kv", shard)
+	}
+	return fmt.Sprintf("shard-%d.r%d.kv", shard, replica)
 }
 
 // WriteReplicatedStores is WriteStores with R copies of every shard: each
@@ -148,26 +168,6 @@ func WriteStores(doc *xmltree.Document, dir string, n int, mode string) (*Manife
 // (shard-<i>.kv plus shard-<i>.r<j>.kv), so a router can open an R-way
 // replica set where every replica holds its own store and epoch world.
 func WriteReplicatedStores(doc *xmltree.Document, dir string, n int, mode string, replicas int) (*Manifest, error) {
-	return WriteReplicatedStoresBackend(doc, dir, n, mode, replicas, storage.DefaultKind())
-}
-
-// storeName names one replica's store file (btree) or directory (log).
-func storeName(shard, replica int, kind storage.Kind) string {
-	ext := ".kv"
-	if kind == storage.KindLog {
-		ext = ".logdb"
-	}
-	if replica == 0 {
-		return fmt.Sprintf("shard-%d%s", shard, ext)
-	}
-	return fmt.Sprintf("shard-%d.r%d%s", shard, replica, ext)
-}
-
-// WriteReplicatedStoresBackend is WriteReplicatedStores with an explicit
-// storage engine. B+tree replicas are single files (shard-<i>.kv); log
-// replicas are segment directories (shard-<i>.logdb). The manifest records
-// the engine per replica so Open needs no flag to reopen the directory.
-func WriteReplicatedStoresBackend(doc *xmltree.Document, dir string, n int, mode string, replicas int, kind storage.Kind) (*Manifest, error) {
 	if replicas < 1 {
 		replicas = 1
 	}
@@ -179,18 +179,15 @@ func WriteReplicatedStoresBackend(doc *xmltree.Document, dir string, n int, mode
 		return nil, err
 	}
 	man := &Manifest{Version: 1, Mode: mode}
+	kind := string(storage.KindBTree)
 	for i, sub := range docs {
 		eng := core.NewFromDocument(sub, &core.Config{DisableMetrics: true})
-		ent := ManifestEntry{Store: storeName(i, 0, kind), Backend: string(kind)}
+		ent := ManifestEntry{Store: storeName(i, 0), Backend: kind}
 		for j := 1; j < replicas; j++ {
-			ent.Replicas = append(ent.Replicas, ReplicaFiles{Store: storeName(i, j, kind), Backend: string(kind)})
+			ent.Replicas = append(ent.Replicas, ReplicaFiles{Store: storeName(i, j), Backend: kind})
 		}
-		names := append([]string{ent.Store}, make([]string, 0, len(ent.Replicas))...)
-		for _, rf := range ent.Replicas {
-			names = append(names, rf.Store)
-		}
-		for _, name := range names {
-			store, err := backends.Open(kind, filepath.Join(dir, name), nil)
+		for _, rf := range ent.Files() {
+			store, err := backends.Open(storage.KindBTree, filepath.Join(dir, rf.Store), nil)
 			if err != nil {
 				return nil, err
 			}
@@ -199,7 +196,7 @@ func WriteReplicatedStoresBackend(doc *xmltree.Document, dir string, n int, mode
 				err = cerr
 			}
 			if err != nil {
-				return nil, fmt.Errorf("shard: write %s: %w", name, err)
+				return nil, fmt.Errorf("shard: write %s: %w", rf.Store, err)
 			}
 		}
 		man.Shards = append(man.Shards, ent)

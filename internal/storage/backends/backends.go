@@ -1,57 +1,34 @@
-// Package backends dispatches storage.Backend construction by engine
-// kind. It is the one package that imports both engines, keeping
-// internal/storage itself a dependency-free leaf that either engine (and
-// every consumer) can import.
+// Package backends opens storage.Backend values by engine kind. It keeps
+// internal/storage a dependency-free leaf that the engine (and every
+// consumer) can import.
 package backends
 
 import (
+	"fmt"
 	"os"
 
 	"xrefine/internal/kvstore"
-	"xrefine/internal/logstore"
 	"xrefine/internal/storage"
 )
 
-// Open opens (creating if writable and absent) the store at path with the
-// named engine: a single file for the B+tree, a segment directory for the
-// log engine.
+// Open opens (creating if writable and absent) the B+tree store file at
+// path. A directory at path is a store of the retired log-structured
+// engine and fails with storage.ErrUnsupportedFormat: it is rebuilt from
+// its source XML.
 func Open(kind storage.Kind, path string, opts *storage.Options) (storage.Backend, error) {
+	if kind != storage.KindBTree {
+		return nil, &storage.UnknownKindError{Value: string(kind)}
+	}
+	if fi, err := os.Stat(path); err == nil && fi.IsDir() {
+		return nil, fmt.Errorf("storage: %s is a directory, a log-structured store: %w", path, storage.ErrUnsupportedFormat)
+	}
 	var o storage.Options
 	if opts != nil {
 		o = *opts
 	}
-	switch kind {
-	case storage.KindLog:
-		return logstore.Open(path, &logstore.Options{
-			ReadOnly:      o.ReadOnly,
-			Faults:        o.Faults,
-			SegmentTarget: o.SegmentTarget,
-			NoAutoCompact: o.NoAutoCompact,
-			IgnoreHints:   o.IgnoreHints,
-		})
-	default:
-		return kvstore.Open(path, &kvstore.Options{
-			ReadOnly:  o.ReadOnly,
-			CacheSize: o.CacheSize,
-			Faults:    o.Faults,
-		})
-	}
+	return kvstore.Open(path, &kvstore.Options{
+		ReadOnly:  o.ReadOnly,
+		CacheSize: o.CacheSize,
+		Faults:    o.Faults,
+	})
 }
-
-// Detect sniffs the engine kind of an existing store path: a directory is
-// a log store, a file is a B+tree store. The error is the Stat error for
-// a missing path.
-func Detect(path string) (storage.Kind, error) {
-	st, err := os.Stat(path)
-	if err != nil {
-		return "", err
-	}
-	if st.IsDir() {
-		return storage.KindLog, nil
-	}
-	return storage.KindBTree, nil
-}
-
-// NewMem returns an in-memory backend (always the B+tree engine; the log
-// engine is file-backed by design).
-func NewMem() storage.Backend { return kvstore.NewMem() }

@@ -11,20 +11,18 @@ import (
 // Callers asserting on fault-injection outcomes test with errors.Is.
 var ErrInjected = errors.New("storage: injected fault")
 
-// Faults is a fault-injection harness for a storage engine's IO layer. It
-// began life wrapping the B+tree pager (internal/kvstore) and now lives at
-// the backend interface so the same fault matrices run against every
-// engine: the B+tree routes page reads/writes through it, the log engine
-// routes record appends, record preads and hint-file writes. One Faults
-// value drives one store; all counters and triggers are safe for
-// concurrent use, matching the engines' concurrent-reader contract.
+// Faults is a fault-injection harness for the storage engine's IO layer:
+// the B+tree pager (internal/kvstore) routes every page read and write
+// through it. One Faults value drives one store; all counters and
+// triggers are safe for concurrent use, matching the engine's
+// concurrent-reader contract.
 //
 // Failpoints count down: FailReads(3) lets two reads through and fails the
 // third and every read after it, until Clear. Torn writes are different —
 // the nth write persists only the first half of its payload and then
 // reports success, exactly the silent half-write a crash mid-commit leaves
-// behind; the corruption must be caught later by the page or record CRC,
-// not by the writer.
+// behind; the corruption must be caught later by the page CRC, not by the
+// writer.
 //
 // Alongside the deterministic failpoints there are probabilistic per-op
 // modes for soak-style chaos: SetErrorRate makes every read and write fail

@@ -5,7 +5,7 @@
 # Two phases, both under the race detector:
 #   1. The in-tree concurrency suites: queries pinning epochs while Apply
 #      publishes new ones, the crash-recovery fault matrix and the
-#      checkpoint reopen bound. `go test -timeout` is the hang detector —
+#      reopen-after-epochs check. `go test -timeout` is the hang detector —
 #      a reader stuck on a dead epoch or a deadlocked writer fails the
 #      build here.
 #   2. A live race-built xserve: concurrent query loops hammer /search
@@ -22,10 +22,6 @@ BASE="http://$ADDR"
 BATCHES="${BATCHES:-12}"
 OPS_PER_BATCH="${OPS_PER_BATCH:-5}"
 READERS="${READERS:-4}"
-# BACKEND selects the storage engine for the live store (btree | log);
-# the phase-1 suites also honour it via XREFINE_BACKEND.
-BACKEND="${BACKEND:-${XREFINE_BACKEND:-btree}}"
-export XREFINE_BACKEND="$BACKEND"
 WORK="$(mktemp -d)"
 SERVER_PID=""
 READER_PIDS=""
@@ -46,7 +42,7 @@ fail() {
 
 cd "$(dirname "$0")/.."
 
-echo "update-soak: phase 1: concurrency + crash-recovery suites (-race, backend=$BACKEND)"
+echo "update-soak: phase 1: concurrency + crash-recovery suites (-race)"
 go test -race -timeout 10m -count "${SOAK_COUNT:-2}" \
     -run 'TestQueriesPinEpochDuringApply|TestApplyCrashRecoveryMatrix|TestCheckpointBoundsReopen' \
     ./internal/core/ || fail "race suites failed"
@@ -63,8 +59,7 @@ echo "update-soak: generating corpus and update workload"
 "$WORK/xgen" -kind dblp -authors 150 -seed 42 -out "$WORK/dblp.xml" \
     -updates $((BATCHES * OPS_PER_BATCH)) -update-batch "$OPS_PER_BATCH"
 STORE="$WORK/dblp.kv"
-[ "$BACKEND" = "log" ] && STORE="$WORK/dblp.logdb"
-"$WORK/xrefine" index -xml "$WORK/dblp.xml" -index "$STORE" -backend "$BACKEND" -with-doc
+"$WORK/xrefine" index -xml "$WORK/dblp.xml" -index "$STORE" -with-doc
 
 # Split the ride-along batch file back into per-batch JSON bodies.
 awk -v dir="$WORK" '/^# batch /{n=$3; next} /^{/{print > (dir "/op-" n ".jsonl")}' \
@@ -166,4 +161,4 @@ grep -q "epoch:       $NBATCH" "$WORK/stat.txt" ||
 grep -q "backend:" "$WORK/storage.txt" ||
     fail "xstat -storage report malformed: $(cat "$WORK/storage.txt")"
 
-echo "update-soak: PASS ($NBATCH batches, $READERS readers, backend=$BACKEND)"
+echo "update-soak: PASS ($NBATCH batches, $READERS readers)"

@@ -5,17 +5,14 @@
 # A race-built xserve serves both surfaces from the same backend; every
 # request is answered once over HTTP GET /search and once over the wire
 # protocol (xrefine search -wire), and the two payloads must be
-# byte-identical. Three phases:
+# byte-identical. Two phases:
 #   1. Plain engine (-xml): k x parallelism; the retired strategy=sle is
 #      refused with 400.
 #   2. Replicated shards with probabilistic store chaos armed (-chaos):
 #      non-degraded responses must still match request-by-request; a
 #      degraded response may differ (it says so) but never silently.
-#   3. Log-structured storage backend (XREFINE_BACKEND=log -> xserve
-#      -backend log over an xgen-written log store): the wire surface is
-#      engine-agnostic like the HTTP one.
-# Finally the server must drain cleanly on SIGTERM with both surfaces up
-# and the race-instrumented log must be clean.
+# Finally the phase-2 server must drain cleanly on SIGTERM with both
+# surfaces up and the race-instrumented log must be clean.
 set -euo pipefail
 
 ADDR_HTTP="${ADDR_HTTP:-127.0.0.1:18090}"
@@ -118,14 +115,6 @@ while [ "$r" -lt "$ROUNDS" ]; do
     done
     r=$((r + 1))
 done
-stop_server
-
-echo "wire-diff: phase 3: log-structured storage backend"
-"$WORK/xrefine" index -xml "$WORK/dblp.xml" -index "$WORK/dblp.logdb" -backend log -with-doc
-start_server -index "$WORK/dblp.logdb" -backend log
-for q in "${QUERIES[@]}"; do
-    diff_one log "$q" 3 0
-done
 
 echo "wire-diff: drain check (SIGTERM with both surfaces up)"
 kill -TERM "$SRV_PID"
@@ -134,6 +123,6 @@ SRV_PID=""
 grep -q 'drained cleanly' "$WORK/srv.log" || fail "server did not drain cleanly"
 grep -q 'WARNING: DATA RACE' "$WORK/srv.log" && fail "race detected in server"
 
-WANT=$(( ${#QUERIES[@]} * (3 * 2 + ROUNDS + 1) ))
+WANT=$(( ${#QUERIES[@]} * (3 * 2 + ROUNDS) ))
 [ "$TOTAL" -eq "$WANT" ] || fail "$TOTAL requests diffed; want $WANT"
 echo "wire-diff: PASS ($TOTAL requests diffed, $DEGRADED skipped as degraded under chaos)"

@@ -74,10 +74,8 @@ const StrategyPartition = core.StrategyPartition
 // Document is a parsed XML document tree.
 type Document = xmltree.Document
 
-// Store is the storage backend indexes persist into. Two engines
-// implement it: the page-based B+tree (one file, the default) and the
-// Bitcask-style log-structured engine (a segment directory with hint-file
-// cold starts); OpenStoreKind picks one by name.
+// Store is the ordered key-value store indexes persist into: a B+tree in
+// one page file, the stand-in for the paper's Berkeley DB.
 type Store = storage.Backend
 
 // NewFromXML parses and indexes an XML document from r.
@@ -102,31 +100,11 @@ func Collection(rootTag string, docs ...*Document) (*Document, error) {
 	return xmltree.Collection(rootTag, docs...)
 }
 
-// OpenStore opens (or creates) an index store at path. An existing
-// store's engine is detected from its layout — a file is a B+tree store,
-// a directory a log store; a new store is created with the B+tree engine
-// (or the XREFINE_BACKEND override). Use OpenStoreKind to pick explicitly.
+// OpenStore opens (or creates) an index store at path. A directory at
+// path is a store of the retired log-structured engine: it fails to open
+// and is rebuilt from its source XML.
 func OpenStore(path string, readOnly bool) (Store, error) {
-	return OpenStoreKind("", path, readOnly)
-}
-
-// OpenStoreKind is OpenStore with an explicit engine name ("btree" or
-// "log"; empty auto-detects an existing store and uses the default engine
-// for a new one).
-func OpenStoreKind(backend string, path string, readOnly bool) (Store, error) {
-	var kind storage.Kind
-	if backend == "" {
-		var err error
-		if kind, err = backends.Detect(path); err != nil {
-			kind = storage.DefaultKind() // new store: no layout to sniff
-		}
-	} else {
-		var err error
-		if kind, err = storage.ParseKind(backend); err != nil {
-			return nil, err
-		}
-	}
-	return backends.Open(kind, path, &storage.Options{ReadOnly: readOnly})
+	return backends.Open(storage.KindBTree, path, &storage.Options{ReadOnly: readOnly})
 }
 
 // OpenIndex loads an engine from a previously saved index store. Stores
