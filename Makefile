@@ -41,6 +41,7 @@ fuzz:
 	$(GO) test ./internal/dewey -fuzz FuzzFromBytes -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dewey -fuzz FuzzParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/xmltree -fuzz FuzzParse -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/xmltree -fuzz FuzzAppendSnippet -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/kvstore -fuzz FuzzDecodeNode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/kvstore -fuzz FuzzDecodeMeta -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -fuzz FuzzQueryPipeline -fuzztime $(FUZZTIME)

@@ -608,21 +608,35 @@ func (e *Engine) finishTopK(trace *obs.Span, ep *epoch, resp *Response, terms []
 // document. ok is false when the engine has no document (loaded from an
 // index-only store) — the serving layer omits the snippet field then.
 func (e *Engine) Snippet(m refine.Match, max int) (string, bool) {
+	b, ok := e.AppendSnippet(nil, m, max)
+	return string(b), ok
+}
+
+// AppendSnippet appends the bytes of Snippet to dst; with ok false dst
+// comes back unchanged.
+func (e *Engine) AppendSnippet(dst []byte, m refine.Match, max int) ([]byte, bool) {
 	doc := e.snapshot().doc
 	if doc == nil {
-		return "", false
+		return dst, false
 	}
-	return Snippet(doc, m, max), true
+	return appendSnippet(dst, doc, m, max), true
 }
 
 // Snippet renders a human-readable preview of a match against the original
 // document; engines loaded from an index file have no document and return
 // the bare label.
 func Snippet(doc *xmltree.Document, m refine.Match, max int) string {
+	return string(appendSnippet(nil, doc, m, max))
+}
+
+// appendSnippet appends the bytes of Snippet to dst.
+func appendSnippet(dst []byte, doc *xmltree.Document, m refine.Match, max int) []byte {
 	if doc != nil {
 		if n, ok := doc.NodeByID(m.ID); ok {
-			return n.Snippet(max)
+			return n.AppendSnippet(dst, max)
 		}
 	}
-	return fmt.Sprintf("%s:%s", m.Type.Tag, m.ID)
+	dst = append(dst, m.Type.Tag...)
+	dst = append(dst, ':')
+	return m.ID.AppendText(dst)
 }

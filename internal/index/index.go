@@ -378,51 +378,61 @@ func (ix *Index) listCoDF(a, b string, t *xmltree.Type) (int, error) {
 // coOccurringRoots counts distinct T-typed subtree roots containing
 // postings from both lists. Both lists are in document order, so the
 // T-typed ancestor roots of each list are non-decreasing and the count is a
-// single sorted merge with on-the-fly dedup.
+// single sorted merge of two cursors, each yielding its list's distinct
+// roots.
 func coOccurringRoots(la, lb *List, t *xmltree.Type) int {
-	rootsA := typedRoots(la, t)
-	rootsB := typedRoots(lb, t)
-	i, j, count := 0, 0, 0
-	for i < len(rootsA) && j < len(rootsB) {
-		switch dewey.Compare(rootsA[i], rootsB[j]) {
+	a := rootCursor{c: la.NewCursor(), t: t}
+	defer a.c.Close()
+	b := rootCursor{c: lb.NewCursor(), t: t}
+	defer b.c.Close()
+	okA, okB := a.next(), b.next()
+	count := 0
+	for okA && okB {
+		switch dewey.Compare(a.root, b.root) {
 		case -1:
-			i++
+			okA = a.next()
 		case 1:
-			j++
+			okB = b.next()
 		default:
 			count++
-			i++
-			j++
+			okA, okB = a.next(), b.next()
 		}
 	}
 	return count
 }
 
-// typedRoots maps each posting to its T-typed ancestor root (when its path
-// passes through type t) and dedups consecutive repeats. It scans through
-// a cursor, so the list is decoded one pooled block at a time instead of
-// being materialized.
-func typedRoots(l *List, t *xmltree.Type) []dewey.ID {
-	var roots []dewey.ID
-	depth := t.Depth
-	c := l.NewCursor()
-	defer c.Close()
-	for ; c.Valid(); c.Next() {
-		p := c.Posting()
+// rootCursor walks a list in document order and yields the distinct
+// T-typed roots above its postings (those whose path passes through type
+// t). The list is decoded one pooled block at a time, and each root is
+// copied into root, a buffer the cursor reuses: root holds the current
+// root until the next call to next.
+type rootCursor struct {
+	c    *Cursor
+	t    *xmltree.Type
+	root dewey.ID
+}
+
+// next moves to the following distinct root and reports whether there is
+// one.
+func (r *rootCursor) next() bool {
+	depth := r.t.Depth
+	for ; r.c.Valid(); r.c.Next() {
+		p := r.c.Posting()
 		if p.Type.Depth < depth {
 			continue
 		}
-		at, err := p.Type.AncestorAt(depth)
-		if err != nil || at != t {
+		if at, err := p.Type.AncestorAt(depth); err != nil || at != r.t {
 			continue
 		}
-		root := p.ID[:depth+1] // aliases cursor scratch until the Clone below
-		if len(roots) > 0 && dewey.Equal(roots[len(roots)-1], root) {
+		root := p.ID[:depth+1] // aliases the cursor's block until copied
+		if len(r.root) > 0 && dewey.Equal(r.root, root) {
 			continue
 		}
-		roots = append(roots, root.Clone())
+		r.root = append(r.root[:0], root...)
+		r.c.Next()
+		return true
 	}
-	return roots
+	return false
 }
 
 // CompleteByPrefix returns up to k indexed terms starting with prefix,

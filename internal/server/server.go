@@ -87,9 +87,10 @@ type Backend interface {
 	// snapshot — for /healthz.
 	Health() core.HealthExtras
 	Index() *index.Index
-	// Snippet renders a match preview; ok is false when no source
-	// document is available and the snippet field should be omitted.
-	Snippet(m refine.Match, max int) (string, bool)
+	// AppendSnippet appends a match preview to dst; ok is false when no
+	// source document is available and the snippet field should be
+	// omitted.
+	AppendSnippet(dst []byte, m refine.Match, max int) ([]byte, bool)
 	// Metrics is the backend's one counter book: /metrics exposes it and
 	// /healthz reads its counters from a snapshot of it.
 	Metrics() *obs.Registry
@@ -253,14 +254,15 @@ func SearchBody(eng Backend, resp *core.Response, explain *obs.SpanData) SearchJ
 	for _, c := range resp.SearchFor {
 		out.SearchFor = append(out.SearchFor, c.Type.Path())
 	}
+	var scratch []byte // every snippet of the response renders here
 	for _, rq := range resp.Queries {
 		qj := QueryJSON{
 			Keywords:   rq.Keywords,
 			DSim:       rq.DSim,
 			Score:      rq.Score,
 			IsOriginal: rq.IsOriginal,
-			Results:    resultsJSON(eng, rq.Results),
 		}
+		qj.Results, scratch = resultsJSON(eng, rq.Results, scratch)
 		for _, st := range rq.Steps {
 			qj.Steps = append(qj.Steps, st.String())
 		}
@@ -588,19 +590,21 @@ func (s *Server) handleSlowlog(w http.ResponseWriter, r *http.Request) {
 
 // resultsJSON converts matches to API form, attaching snippets when the
 // backend can render them (it still holds a source document — for a shard
-// router, the owning shard's).
-func resultsJSON(eng Backend, ms []refine.Match) []ResultJSON {
+// router, the owning shard's). Snippets render through scratch, which is
+// returned for the next call, so each costs only its string.
+func resultsJSON(eng Backend, ms []refine.Match, scratch []byte) ([]ResultJSON, []byte) {
 	out := make([]ResultJSON, 0, len(ms))
 	for _, m := range ms {
 		rj := ResultJSON{ID: m.ID.String(), Type: m.Type.Path()}
 		if eng != nil {
-			if snip, ok := eng.Snippet(m, 80); ok {
-				rj.Snippet = snip
+			var ok bool
+			if scratch, ok = eng.AppendSnippet(scratch[:0], m, 80); ok {
+				rj.Snippet = string(scratch)
 			}
 		}
 		out = append(out, rj)
 	}
-	return out
+	return out, scratch
 }
 
 // intParam reads a non-negative integer parameter no larger than max; an

@@ -741,14 +741,21 @@ func (r *Router) Metrics() *obs.Registry { return r.mreg }
 
 // Snippet renders a match by routing to the shard owning its partition.
 func (r *Router) Snippet(m refine.Match, max int) (string, bool) {
+	b, ok := r.AppendSnippet(nil, m, max)
+	return string(b), ok
+}
+
+// AppendSnippet appends the bytes of Snippet to dst; with ok false dst
+// comes back unchanged.
+func (r *Router) AppendSnippet(dst []byte, m refine.Match, max int) ([]byte, bool) {
 	if len(m.ID) < 2 {
-		return "", false
+		return dst, false
 	}
 	i, ok := r.state().owners[m.ID[1]]
 	if !ok {
-		return "", false
+		return dst, false
 	}
-	return r.groups[i].primary().eng.Load().Snippet(m, max)
+	return r.groups[i].primary().eng.Load().AppendSnippet(dst, m, max)
 }
 
 // UpdateStats reports the router's live-update state: Epoch is the meta

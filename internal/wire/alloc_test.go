@@ -1,11 +1,14 @@
 package wire
 
 import (
+	"bytes"
 	"context"
 	"testing"
 
 	"xrefine/internal/core"
 	"xrefine/internal/datagen"
+	"xrefine/internal/dewey"
+	"xrefine/internal/refine"
 	"xrefine/internal/server"
 )
 
@@ -18,9 +21,11 @@ import (
 // Engine.QueryTermsCtx directly — slack for the decoded terms slice and
 // the runtime's network-poll bookkeeping.
 //
-// The engine is index-only (no document), so Snippet reports ok=false
-// and the encoder path is exercised without the per-snippet string
-// allocation — the same shape the mem gate measures.
+// It holds on two engines over one corpus. The index-only one has no
+// document, so no snippet is rendered — the shape the mem gate measures.
+// The document-backed one renders a snippet per result straight into the
+// connection buffer, so snippets too must cost nothing on a warm
+// connection.
 func TestWireAllocOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc measurement")
@@ -29,7 +34,27 @@ func TestWireAllocOverhead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := core.NewFromIndex(core.NewFromDocument(doc, nil).Index(), nil)
+	withDoc := core.NewFromDocument(doc, nil)
+	t.Run("index-only", func(t *testing.T) {
+		checkWireAllocOverhead(t, core.NewFromIndex(withDoc.Index(), nil), false)
+	})
+	t.Run("document", func(t *testing.T) {
+		checkWireAllocOverhead(t, withDoc, true)
+		// A root result's preview reads the corpus only up to its cut.
+		root := refine.Match{ID: dewey.Root(), Type: doc.Root.Type}
+		buf, ok := withDoc.AppendSnippet(nil, root, snippetMax)
+		if !ok {
+			t.Fatal("document-backed engine rendered no root snippet")
+		}
+		if allocs := testing.AllocsPerRun(100, func() {
+			buf, _ = withDoc.AppendSnippet(buf[:0], root, snippetMax)
+		}); allocs != 0 {
+			t.Errorf("AppendSnippet on the document root = %.1f allocs with a warm buffer, want 0", allocs)
+		}
+	})
+}
+
+func checkWireAllocOverhead(t *testing.T, eng *core.Engine, snippets bool) {
 	// Sampling off: the ratchet is on the unsampled path, where a retained
 	// span tree (1 request in 64 by default) would only add noise.
 	_, addr := serveWire(t, server.New(eng, server.Config{TraceSampleEvery: -1}).Pipeline())
@@ -49,12 +74,21 @@ func TestWireAllocOverhead(t *testing.T) {
 		if resp.Status != StatusOK {
 			t.Fatalf("status %d: %s", resp.Status, resp.Payload)
 		}
+		if got := bytes.Contains(resp.Payload, []byte(`"snippet": `)); got != snippets {
+			t.Fatalf("payload carries snippets = %v, want %v", got, snippets)
+		}
 	}
 
 	ctx := context.Background()
+	results := 0
 	base := testing.AllocsPerRun(200, func() {
-		if _, err := eng.QueryTermsCtx(ctx, terms, core.Strategy(strat), 3, 0); err != nil {
+		resp, err := eng.QueryTermsCtx(ctx, terms, core.Strategy(strat), 3, 0)
+		if err != nil {
 			t.Fatal(err)
+		}
+		results = 0
+		for _, q := range resp.Queries {
+			results += len(q.Results)
 		}
 	})
 	wire := testing.AllocsPerRun(200, func() {
@@ -66,8 +100,8 @@ func TestWireAllocOverhead(t *testing.T) {
 			t.Fatalf("status %d", resp.Status)
 		}
 	})
-	t.Logf("allocs/request: wire round trip %.1f, direct engine call %.1f, overhead %.1f",
-		wire, base, wire-base)
+	t.Logf("allocs/request (%d results): wire round trip %.1f, direct engine call %.1f, overhead %.1f",
+		results, wire, base, wire-base)
 	if wire > base+2 {
 		t.Errorf("wire round trip = %.1f allocs/request, direct = %.1f; overhead %.1f exceeds the 2-alloc ratchet",
 			wire, base, wire-base)

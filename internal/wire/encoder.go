@@ -20,19 +20,19 @@ import (
 // against encoding/json itself; the differential suite pins it against
 // the live HTTP handler.
 
-// Snippeter renders match previews; *core.Engine and the shard router
-// implement it. A nil Snippeter omits snippets the way a document-less
-// engine does.
+// Snippeter renders match previews into a buffer; *core.Engine and the
+// shard router implement it. ok false (dst unchanged) omits the snippet,
+// and so does a nil Snippeter, the way a document-less engine does.
 type Snippeter interface {
-	Snippet(m refine.Match, max int) (string, bool)
+	AppendSnippet(dst []byte, m refine.Match, max int) ([]byte, bool)
 }
 
 // snippetMax mirrors the HTTP handler's preview budget.
 const snippetMax = 80
 
 // AppendSearchBody appends the /search JSON document for resp onto dst
-// and returns the extended slice. It allocates only when dst must grow or
-// a snippet is rendered, so a warm connection buffer makes the encode
+// and returns the extended slice. It allocates only when dst must grow —
+// snippets included — so a warm connection buffer makes the encode
 // allocation-free.
 func AppendSearchBody(dst []byte, resp *core.Response, snip Snippeter) []byte {
 	dst = append(dst, '{')
@@ -162,11 +162,17 @@ func appendResult(dst []byte, m refine.Match, snip Snippeter) []byte {
 	dst = append(dst, `"type": `...)
 	dst = appendJSONString(dst, m.Type.Path())
 	if snip != nil {
-		if s, ok := snip.Snippet(m, snippetMax); ok {
-			dst = append(dst, ',')
-			dst = appendIndent(dst, 5)
-			dst = append(dst, `"snippet": `...)
-			dst = appendJSONString(dst, s)
+		// The snippet renders at the tail of dst, its field is written
+		// after it, JSON-escaping it, and the field then moves back over
+		// the raw rendering: no buffer but dst is needed.
+		start := len(dst)
+		if out, ok := snip.AppendSnippet(dst, m, snippetMax); ok {
+			raw := len(out)
+			out = append(out, ',')
+			out = appendIndent(out, 5)
+			out = append(out, `"snippet": `...)
+			out = appendJSONString(out, out[start:raw])
+			dst = out[:start+copy(out[start:], out[raw:])]
 		}
 	}
 	dst = appendIndent(dst, 4)
@@ -281,7 +287,7 @@ func appendJSONFloat(dst []byte, f float64) []byte {
 
 // appendJSONString appends s as a quoted JSON string with encoding/json's
 // default (HTML-escaping) rules.
-func appendJSONString(dst []byte, s string) []byte {
+func appendJSONString[S string | []byte](dst []byte, s S) []byte {
 	dst = append(dst, '"')
 	dst = appendEscaped(dst, s)
 	return append(dst, '"')
@@ -293,7 +299,7 @@ const hexDigits = "0123456789abcdef"
 // byte-identical to encoding/json with SetEscapeHTML(true): control
 // characters, quote and backslash escaped; <, >, & as \u00XX; invalid
 // UTF-8 byte as the six-byte escape \ufffd; U+2028/U+2029 as \u2028/\u2029.
-func appendEscaped(dst []byte, s string) []byte {
+func appendEscaped[S string | []byte](dst []byte, s S) []byte {
 	start := 0
 	for i := 0; i < len(s); {
 		if c := s[i]; c < utf8.RuneSelf {
@@ -322,7 +328,9 @@ func appendEscaped(dst []byte, s string) []byte {
 			start = i
 			continue
 		}
-		r, size := utf8.DecodeRuneInString(s[i:])
+		// A rune is at most UTFMax bytes; converting no more keeps a
+		// []byte s from allocating a string of its whole tail.
+		r, size := utf8.DecodeRuneInString(string(s[i:min(i+utf8.UTFMax, len(s))]))
 		if r == utf8.RuneError && size == 1 {
 			dst = append(dst, s[start:i]...)
 			dst = append(dst, `\ufffd`...)

@@ -174,6 +174,49 @@ func TestEncoderMatchesJSONOnEngineOutput(t *testing.T) {
 	}
 }
 
+// rawSnippets is a Backend whose every snippet is one fixed string, so a
+// snippet can carry what a document's text rarely does.
+type rawSnippets struct {
+	server.Backend
+	s string
+}
+
+func (r rawSnippets) AppendSnippet(dst []byte, _ refine.Match, _ int) ([]byte, bool) {
+	return append(dst, r.s...), true
+}
+
+// TestSnippetEscapedInPlace pins appendResult's in-buffer escape: a
+// snippet rendered at the tail of dst, escaped after itself and moved
+// back, is byte-identical to encoding/json of the same string, whether
+// dst has room to spare or must grow mid-escape.
+func TestSnippetEscapedInPlace(t *testing.T) {
+	reg := xmltree.NewRegistry()
+	paper := reg.Intern(reg.Intern(nil, "bib"), "paper")
+	resp := &core.Response{Queries: []core.RankedQuery{{
+		Results: []refine.Match{{ID: dewey.ID{0, 1}, Type: paper}, {ID: dewey.ID{0, 2}, Type: paper}},
+	}}}
+	// No empty snippet: a rendered one always starts with its tag.
+	for _, s := range []string{
+		`paper:0.1 "say \"hi\" \\ there"`,
+		"html <b>&amp;</b> \u2028 and \x00 ctrl \x1f",
+		"line\u2028sep\u2029 é 漢字 😀",
+		"invalid \xff\xfe utf8 \xe2\x80",
+		strings.Repeat("<&>\"\\\x01\xff", 40),
+	} {
+		snip := rawSnippets{s: s}
+		var want bytes.Buffer
+		if err := server.EncodeBody(&want, server.SearchBody(snip, resp, nil)); err != nil {
+			t.Fatal(err)
+		}
+		for _, capacity := range []int{0, 1 << 16} {
+			got := AppendSearchBody(make([]byte, 0, capacity), resp, snip)
+			if !bytes.Equal(got, want.Bytes()) {
+				t.Errorf("snippet %q, cap %d:\n got: %q\nwant: %q", s, capacity, got, want.Bytes())
+			}
+		}
+	}
+}
+
 // TestAppendJSONStringMatchesJSON fuzzes the string escaper against
 // encoding/json over random byte soup as well as targeted escapes.
 func TestAppendJSONStringMatchesJSON(t *testing.T) {
@@ -185,6 +228,9 @@ func TestAppendJSONStringMatchesJSON(t *testing.T) {
 		}
 		if got := appendJSONString(nil, s); !bytes.Equal(got, want) {
 			t.Errorf("string %q: got %q want %q", s, got, want)
+		}
+		if got := appendJSONString(nil, []byte(s)); !bytes.Equal(got, want) {
+			t.Errorf("bytes %q: got %q want %q", s, got, want)
 		}
 	}
 	for i := 0; i < 256; i++ {

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"xrefine/internal/dewey"
 	"xrefine/internal/tokenize"
@@ -63,12 +65,133 @@ func (n *Node) appendSubtext(b *strings.Builder) {
 
 // Snippet renders a short human-readable preview of the subtree: the tag,
 // the Dewey label and up to max runes of subtree text.
-func (n *Node) Snippet(max int) string {
-	txt := n.Subtext()
-	if r := []rune(txt); len(r) > max {
-		txt = string(r[:max]) + "…"
+func (n *Node) Snippet(max int) string { return string(n.AppendSnippet(nil, max)) }
+
+// AppendSnippet appends the bytes of Snippet to dst: `tag:label "text"`,
+// where text is the subtree's text in document order, single-space
+// separated and Go-quoted, cut after max runes with a trailing "…" (a
+// negative max counts as 0). It reads the text only as far as the cut, so
+// a result high in the tree costs what its preview shows, not its subtree,
+// and it allocates only when dst must grow.
+//
+// A cut text has each invalid UTF-8 byte replaced by U+FFFD, as a []rune
+// round trip would; an uncut text shows such bytes as \x escapes.
+func (n *Node) AppendSnippet(dst []byte, max int) []byte {
+	if max < 0 {
+		max = 0
 	}
-	return fmt.Sprintf("%s:%s %q", n.Tag, n.ID, txt)
+	dst = append(dst, n.Tag...)
+	dst = append(dst, ':')
+	dst = n.ID.AppendText(dst)
+	dst = append(dst, ' ', '"')
+	fits := (&textWalk{left: max}).fits(n)
+	w := textWalk{dst: dst, left: max, cut: !fits}
+	w.write(n)
+	dst = w.dst
+	if !fits {
+		dst = append(dst, "…"...)
+	}
+	return append(dst, '"')
+}
+
+// textWalk reads a subtree's text in document order, a single space
+// between non-empty texts, within a budget of runes.
+type textWalk struct {
+	dst  []byte
+	left int  // runes the budget still allows
+	sep  bool // a text has been read: the next one follows a space
+	cut  bool // the text is cut, so write replaces invalid bytes
+}
+
+// fits reports whether the rest of the text under n, separators
+// included, is at most w.left runes. It stops at the first text that
+// overflows the budget.
+func (w *textWalk) fits(n *Node) bool {
+	if n.Text != "" {
+		if w.sep {
+			w.left--
+		}
+		w.sep = true
+		// A text of more than UTFMax bytes per rune left overflows
+		// whatever its runes are; counting it would read all of it.
+		if w.left < 0 || len(n.Text)/utf8.UTFMax > w.left {
+			return false
+		}
+		if w.left -= utf8.RuneCountInString(n.Text); w.left < 0 {
+			return false
+		}
+	}
+	for _, c := range n.Children {
+		if !w.fits(c) {
+			return false
+		}
+	}
+	return true
+}
+
+// write appends the text under n, quoted; a cut text stops once w.left
+// runes are spent, and write then reports false.
+func (w *textWalk) write(n *Node) bool {
+	if s := n.Text; s != "" {
+		if w.sep {
+			if w.left == 0 {
+				return false
+			}
+			w.dst = append(w.dst, ' ')
+			w.left--
+		}
+		w.sep = true
+		i := len(s)
+		if w.cut {
+			// Only a cut text can end inside s, after w.left runes.
+			for i = 0; i < len(s) && w.left > 0; w.left-- {
+				_, size := utf8.DecodeRuneInString(s[i:])
+				i += size
+			}
+		}
+		w.dst = appendQuoted(w.dst, s[:i], w.cut)
+		if i < len(s) {
+			return false
+		}
+	}
+	for _, c := range n.Children {
+		if !w.write(c) {
+			return false
+		}
+	}
+	return true
+}
+
+// appendQuoted appends strconv.Quote(s) without its surrounding quotes.
+// With replace, each invalid UTF-8 byte of s becomes U+FFFD first, which
+// Quote leaves as it is.
+func appendQuoted(dst []byte, s string, replace bool) []byte {
+	for replace {
+		bad := invalidByte(s)
+		if bad < 0 {
+			break
+		}
+		dst = appendQuoted(dst, s[:bad], false)
+		dst = append(dst, string(utf8.RuneError)...)
+		s = s[bad+1:]
+	}
+	start := len(dst)
+	dst = strconv.AppendQuote(dst, s)
+	end := len(dst) - 1 // the closing quote
+	return dst[:start+copy(dst[start:], dst[start+1:end])]
+}
+
+// invalidByte returns the index of the first byte of s that is not part
+// of a valid UTF-8 encoding, or -1.
+func invalidByte(s string) int {
+	for i := 0; i < len(s); {
+		r, size := utf8.DecodeRuneInString(s[i:])
+		if r == utf8.RuneError && size == 1 {
+			return i
+		}
+		i += size
+	}
+	return -1
 }
 
 // SnippetHighlight is Snippet with query terms wrapped in [brackets], so a

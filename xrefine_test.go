@@ -93,9 +93,16 @@ func TestFacadeSnippet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := xrefine.Snippet(doc, resp.Queries[0].Results[0], 60)
+	m := resp.Queries[0].Results[0]
+	s := xrefine.Snippet(doc, m, 60)
 	if !strings.Contains(s, "online database") {
 		t.Errorf("snippet = %q", s)
+	}
+	// A negative rune budget counts as 0, the text cut at once, instead
+	// of panicking on a slice bound.
+	neg := xrefine.Snippet(doc, m, -1)
+	if want := xrefine.Snippet(doc, m, 0); neg != want || !strings.HasSuffix(neg, ` "…"`) {
+		t.Errorf("Snippet(-1) = %q, want Snippet(0) = %q, an empty cut text", neg, want)
 	}
 }
 
