@@ -9,8 +9,7 @@
 //
 //	xbench [-scale 1.0] [-reps 3] [-queries 50] <experiment>
 //	paper experiments: tables3-6 fig4 fig5 fig6 table7 table8 table9 table10
-//	extensions:        ablation-decay ablation-searchfor ablation-slca
-//	                   ablation-beam elca
+//	extensions:        ablation-decay ablation-searchfor ablation-beam elca
 //	or: all
 package main
 
@@ -34,7 +33,7 @@ var (
 func main() {
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: xbench [flags] tables3-6|fig4|fig5|fig6|table7|table8|table9|table10|ablation-decay|ablation-searchfor|ablation-slca|ablation-beam|elca|all")
+		fmt.Fprintln(os.Stderr, "usage: xbench [flags] tables3-6|fig4|fig5|fig6|table7|table8|table9|table10|ablation-decay|ablation-searchfor|ablation-beam|elca|all")
 		os.Exit(2)
 	}
 	runners := map[string]func() error{
@@ -48,7 +47,6 @@ func main() {
 		"table10":            table10,
 		"ablation-decay":     ablationDecay,
 		"ablation-searchfor": ablationSearchFor,
-		"ablation-slca":      ablationSLCA,
 		"ablation-beam":      ablationBeam,
 		"elca":               elcaCompare,
 	}
@@ -57,7 +55,7 @@ func main() {
 		for _, n := range []string{
 			"tables3-6", "fig4", "fig5", "fig6", "table7", "table8",
 			"table9", "table10", "ablation-decay", "ablation-searchfor",
-			"ablation-slca", "ablation-beam", "elca",
+			"ablation-beam", "elca",
 		} {
 			if err := runners[n](); err != nil {
 				fatal(err)
@@ -284,23 +282,6 @@ func ablationSearchFor() error {
 	for _, r := range rows {
 		fmt.Fprintf(w, "%.2f\t%.2f\t%.3f\t%.3f\t%.3f\t%.3f\n",
 			r.Theta, r.AvgCandidates, r.CG[0], r.CG[1], r.CG[2], r.CG[3])
-	}
-	return w.Flush()
-}
-
-func ablationSLCA() error {
-	c, err := corpus()
-	if err != nil {
-		return err
-	}
-	rows, err := experiments.AblationSLCA(c, 20, *reps)
-	if err != nil {
-		return err
-	}
-	w := header("Ablation: pluggable SLCA algorithm cost inside Partition (Lemma 3)")
-	fmt.Fprintln(w, "slca algorithm\tbatch avg (ms)")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%v\t%s\n", r.Algo, ms(r.Partition))
 	}
 	return w.Flush()
 }

@@ -402,7 +402,7 @@ func cmdNarrow(args []string) {
 }
 
 func narrowQuery(w io.Writer, eng *xrefine.Engine, query string, max, k int) error {
-	out, err := eng.Narrow(query, &xrefine.NarrowOptions{MaxResults: max, TopK: k})
+	out, err := eng.Narrow(context.Background(), query, &xrefine.NarrowOptions{MaxResults: max, TopK: k})
 	if err != nil {
 		return err
 	}

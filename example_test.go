@@ -443,7 +443,7 @@ func ExampleEngine_Narrow() {
 		"skyline computation", // already specific
 	} {
 		fmt.Printf("> %s\n", q)
-		out, err := eng.Narrow(q, &xrefine.NarrowOptions{MaxResults: 40, TopK: 4, TargetResults: 12})
+		out, err := eng.Narrow(context.Background(), q, &xrefine.NarrowOptions{MaxResults: 40, TopK: 4, TargetResults: 12})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -8,7 +8,6 @@ import (
 
 	"xrefine/internal/datagen"
 	"xrefine/internal/kvstore"
-	"xrefine/internal/refine"
 	"xrefine/internal/storage"
 	"xrefine/internal/testutil"
 )
@@ -16,11 +15,9 @@ import (
 // TestCancelPromptAtEveryStage cancels a slow query mid-flight and
 // requires a prompt return at every pipeline stage: the lazy index loads
 // (made slow by injected read latency), the sequential partition walk, the
-// parallel worker pool, and the SLCA computations they delegate to — and,
-// through NewWithExplorer, the reference algorithms' SLE exploration and
-// stack merge. Run under -race this also proves the
-// cooperative aborts do not race with the worker pool or the index
-// singleflight.
+// parallel worker pool, and the SLCA computations they delegate to. Run
+// under -race this also proves the cooperative aborts do not race with the
+// worker pool or the index singleflight.
 //
 // Each "load-*" stage opens a fresh engine whose first query pays the
 // lazily-loaded posting lists through a pager with injected latency, so
@@ -46,26 +43,15 @@ func TestCancelPromptAtEveryStage(t *testing.T) {
 	faults.ReadLatency = 500 * time.Microsecond
 
 	terms := []string{"database", "query", "xml"}
-	type explorer = func(refine.Input, int) (*refine.TopKOutcome, error)
-	stack := func(in refine.Input, _ int) (*refine.TopKOutcome, error) {
-		_, err := refine.Stack(in)
-		return &refine.TopKOutcome{}, err
-	}
 	stages := []struct {
-		name    string
-		cfg     *Config
-		explore explorer // nil serves the default partition walk
-		k       int
-		warm    bool
+		name string
+		cfg  *Config
+		warm bool
 	}{
-		{"load-partition-seq", &Config{Parallelism: 1}, nil, 3, false},
-		{"load-partition-parallel", &Config{Parallelism: 4}, nil, 3, false},
-		{"load-sle", &Config{Parallelism: 1}, refine.ShortListEager, 3, false},
-		{"load-stack", &Config{Parallelism: 1}, stack, 1, false},
-		{"walk-partition-seq", &Config{Parallelism: 1}, nil, 3, true},
-		{"walk-partition-parallel", &Config{Parallelism: 4}, nil, 3, true},
-		{"walk-sle", &Config{Parallelism: 1}, refine.ShortListEager, 3, true},
-		{"walk-stack", &Config{Parallelism: 1}, stack, 1, true},
+		{"load-partition-seq", &Config{Parallelism: 1}, false},
+		{"load-partition-parallel", &Config{Parallelism: 4}, false},
+		{"walk-partition-seq", &Config{Parallelism: 1}, true},
+		{"walk-partition-parallel", &Config{Parallelism: 4}, true},
 	}
 	for _, st := range stages {
 		t.Run(st.name, func(t *testing.T) {
@@ -74,11 +60,8 @@ func TestCancelPromptAtEveryStage(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if st.explore != nil {
-				eng = NewWithExplorer(eng.Index(), st.cfg, st.explore)
-			}
 			if st.warm {
-				if _, err := queryTerms(eng, terms, st.k); err != nil {
+				if _, err := queryTerms(eng, terms, 3); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -90,7 +73,7 @@ func TestCancelPromptAtEveryStage(t *testing.T) {
 			// before the query began and asserting nothing.
 			base := counter(eng, "xrefine_engine_queries_total")
 			go func() {
-				_, err := eng.QueryTermsCtx(ctx, terms, StrategyPartition, st.k, 0)
+				_, err := eng.QueryTermsCtx(ctx, terms, StrategyPartition, 3, 0)
 				done <- err
 			}()
 			testutil.Eventually(t, 5*time.Second, func() bool {

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"xrefine/internal/experiments/reference"
 	"xrefine/internal/refine"
 )
 
@@ -89,7 +90,7 @@ func TestStackStrategyNoRefinementFound(t *testing.T) {
 	if !resp.NeedRefine || len(resp.Queries) != 0 {
 		t.Fatalf("hopeless query: %+v", resp)
 	}
-	st, err := refine.Stack(*in)
+	st, err := reference.StackRefine(*in)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,13 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
 
+	"xrefine/internal/experiments/reference"
 	"xrefine/internal/narrow"
-	"xrefine/internal/refine"
 	"xrefine/internal/tokenize"
 	"xrefine/internal/xmltree"
 )
@@ -32,10 +33,10 @@ func queryAll(t *testing.T, e *Engine, q string) {
 	if _, err := queryTerms(eng, terms, 3); err != nil {
 		t.Fatalf("partition on %q: %v", q, err)
 	}
-	if _, err := queryTerms(NewWithExplorer(e.Index(), nil, refine.ShortListEager), terms, 3); err != nil {
+	if _, err := queryTerms(NewWithExplorer(e.Index(), nil, reference.ShortListEager), terms, 3); err != nil {
 		t.Errorf("sle on %q: %v", q, err)
 	}
-	if _, err := refine.Stack(*in); err != nil {
+	if _, err := reference.StackRefine(*in); err != nil {
 		t.Errorf("stack on %q: %v", q, err)
 	}
 }
@@ -126,7 +127,7 @@ func TestRepeatedTermEverywhere(t *testing.T) {
 
 func TestNarrowOnDegenerate(t *testing.T) {
 	e := engineFor(t, `<only>word</only>`)
-	out, err := e.Narrow("word", &narrow.Options{MaxResults: 1})
+	out, err := e.Narrow(context.Background(), "word", &narrow.Options{MaxResults: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

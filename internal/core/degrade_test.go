@@ -54,10 +54,8 @@ func TestCanceledContextErrors(t *testing.T) {
 	e, _ := newEngine(t, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for name, eng := range map[string]*Engine{"partition": e, "sle": NewWithExplorer(e.Index(), nil, refine.ShortListEager)} {
-		if _, err := eng.QueryTermsCtx(ctx, []string{"databse"}, StrategyPartition, 3, 0); !errors.Is(err, context.Canceled) {
-			t.Errorf("%s: err = %v, want context.Canceled", name, err)
-		}
+	if _, err := e.QueryTermsCtx(ctx, []string{"databse"}, StrategyPartition, 3, 0); !errors.Is(err, context.Canceled) {
+		t.Errorf("err = %v, want context.Canceled", err)
 	}
 }
 
@@ -65,13 +63,11 @@ func TestCanceledContextErrors(t *testing.T) {
 // must behave exactly as before — complete responses, no degraded flag.
 func TestZeroConfigNotDegraded(t *testing.T) {
 	e, _ := newEngine(t, nil)
-	for name, eng := range map[string]*Engine{"partition": e, "sle": NewWithExplorer(e.Index(), nil, refine.ShortListEager)} {
-		resp, err := queryTerms(eng, []string{"databse"}, 3)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if resp.Degraded || resp.DegradedReason != "" {
-			t.Errorf("%s: unconstrained query flagged degraded", name)
-		}
+	resp, err := queryTerms(e, []string{"databse"}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Degraded || resp.DegradedReason != "" {
+		t.Error("unconstrained query flagged degraded")
 	}
 }

@@ -29,7 +29,6 @@ import (
 	"xrefine/internal/refine"
 	"xrefine/internal/rules"
 	"xrefine/internal/searchfor"
-	"xrefine/internal/slca"
 	"xrefine/internal/storage"
 	"xrefine/internal/tokenize"
 	"xrefine/internal/xmltree"
@@ -366,8 +365,9 @@ func (e *Engine) Complete(partial string, k int) []string {
 // stated future work: a query with *too many* meaningful results. It
 // proposes narrowed queries (original keywords plus a discriminative
 // co-occurring term each), verified to still have meaningful results.
-// Engines loaded from an index store return narrow.ErrNeedsDocument.
-func (e *Engine) Narrow(q string, opts *narrow.Options) (*narrow.Outcome, error) {
+// Engines loaded from an index store return narrow.ErrNeedsDocument. Once
+// ctx is done, Narrow stops and returns its error.
+func (e *Engine) Narrow(ctx context.Context, q string, opts *narrow.Options) (*narrow.Outcome, error) {
 	terms := tokenize.Query(q)
 	if len(terms) == 0 {
 		return nil, errors.New("core: query has no keywords")
@@ -377,7 +377,7 @@ func (e *Engine) Narrow(q string, opts *narrow.Options) (*narrow.Outcome, error)
 	if err != nil {
 		return nil, err
 	}
-	return narrow.Narrow(ep.doc, ep.ix, terms, in.Judge, slca.AlgoScanEager, opts)
+	return narrow.Narrow(ctx, ep.doc, ep.ix, terms, in.Judge, opts)
 }
 
 // RankedQuery is one entry of a response: a query (the original or a

@@ -6,10 +6,10 @@ import (
 	"strings"
 	"testing"
 
+	"xrefine/internal/experiments/reference"
 	"xrefine/internal/kvstore"
 	"xrefine/internal/obs"
 	"xrefine/internal/refine"
-	"xrefine/internal/slca"
 	"xrefine/internal/storage"
 	"xrefine/internal/tokenize"
 	"xrefine/internal/xmltree"
@@ -226,11 +226,11 @@ func TestStrategiesAgreeOnBestDissimilarity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s/partition: %v", q, err)
 		}
-		sle, err := query(NewWithExplorer(e.Index(), nil, refine.ShortListEager), q)
+		sle, err := query(NewWithExplorer(e.Index(), nil, reference.ShortListEager), q)
 		if err != nil {
 			t.Fatalf("%s/sle: %v", q, err)
 		}
-		st, err := refine.Stack(in)
+		st, err := reference.StackRefine(in)
 		if err != nil {
 			t.Fatalf("%s/stack: %v", q, err)
 		}
@@ -367,32 +367,6 @@ func TestRetiredStoreFormatsRefused(t *testing.T) {
 				t.Fatalf("Open = %v, want storage.ErrUnsupportedFormat", err)
 			}
 		})
-	}
-}
-
-// TestSLCAConfigRespected: Lemma 3 — any SLCA algorithm can sit under the
-// walk. An explorer that picks the algorithm answers with the same results.
-func TestSLCAConfigRespected(t *testing.T) {
-	e, _ := newEngine(t, nil)
-	want, err := query(e, "online databse")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, algo := range []slca.Algorithm{slca.AlgoScanEager, slca.AlgoIndexedLookupEager, slca.AlgoStack, slca.AlgoMultiway} {
-		eng := NewWithExplorer(e.Index(), nil, func(in refine.Input, k int) (*refine.TopKOutcome, error) {
-			in.SLCA = algo
-			return refine.PartitionTopK(in, k)
-		})
-		resp, err := query(eng, "online databse")
-		if err != nil {
-			t.Fatalf("%v: %v", algo, err)
-		}
-		if len(resp.Queries) == 0 || len(resp.Queries[0].Results) == 0 {
-			t.Fatalf("%v: no results", algo)
-		}
-		if len(resp.Queries) != len(want.Queries) || matchIDs(resp.Queries[0].Results) != matchIDs(want.Queries[0].Results) {
-			t.Errorf("%v: answer differs from scan-eager", algo)
-		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -34,7 +35,7 @@ func broadDoc(t *testing.T) *xmltree.Document {
 func TestEngineNarrow(t *testing.T) {
 	doc := broadDoc(t)
 	e := NewFromDocument(doc, nil)
-	out, err := e.Narrow("database", &narrow.Options{MaxResults: 20, TopK: 3})
+	out, err := e.Narrow(context.Background(), "database", &narrow.Options{MaxResults: 20, TopK: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,14 +64,14 @@ func TestEngineNarrowWithoutDocument(t *testing.T) {
 	if loaded.Document() != nil {
 		t.Fatal("loaded engine should have no document")
 	}
-	if _, err := loaded.Narrow("database", nil); err != narrow.ErrNeedsDocument {
+	if _, err := loaded.Narrow(context.Background(), "database", nil); err != narrow.ErrNeedsDocument {
 		t.Errorf("expected ErrNeedsDocument, got %v", err)
 	}
 }
 
 func TestEngineNarrowEmptyQuery(t *testing.T) {
 	e := NewFromDocument(broadDoc(t), nil)
-	if _, err := e.Narrow("  ", nil); err == nil {
+	if _, err := e.Narrow(context.Background(), "  ", nil); err == nil {
 		t.Error("empty query accepted")
 	}
 }
@@ -90,7 +91,7 @@ func TestSaveIndexWithDocumentRestoresNarrow(t *testing.T) {
 	if loaded.Document() == nil {
 		t.Fatal("document not restored")
 	}
-	out, err := loaded.Narrow("database", &narrow.Options{MaxResults: 20, TopK: 2})
+	out, err := loaded.Narrow(context.Background(), "database", &narrow.Options{MaxResults: 20, TopK: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,23 +2,18 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"xrefine/internal/core"
 	"xrefine/internal/datagen"
 	"xrefine/internal/eval"
 	"xrefine/internal/rank"
-	"xrefine/internal/refine"
 	"xrefine/internal/searchfor"
-	"xrefine/internal/slca"
 )
 
 // This file holds ablations beyond the paper's own tables, probing the
 // design choices DESIGN.md calls out: the dissimilarity decay constant
 // (the paper asserts "ρ=0.8 is a good choice" without printing the sweep),
-// the search-for confidence threshold θ behind Guideline 3, and the cost
-// of each pluggable SLCA algorithm inside the partition framework
-// (Lemma 3 guarantees identical *results*; this measures the *time*).
+// and the search-for confidence threshold θ behind Guideline 3.
 
 // AblationDecay sweeps the Guideline-4 decay base and reports CG@1..4 —
 // the experiment behind the paper's "ρ=0.8" assertion.
@@ -98,38 +93,6 @@ func AblationSearchFor(c *Corpus, numQueries int) ([]SearchForRow, error) {
 			row.AvgCandidates = float64(candTotal) / float64(candQueries)
 		}
 		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-// SLCARow is one point of the SLCA-plugin cost ablation.
-type SLCARow struct {
-	Algo      slca.Algorithm
-	Partition time.Duration
-}
-
-// AblationSLCA times the partition-based Top-3 refinement with each
-// pluggable SLCA algorithm over the same batch, the algorithm set by the
-// engine's explorer. Lemma 3 says the results are identical (a property
-// test asserts it); this reports the price.
-func AblationSLCA(c *Corpus, batchSize, reps int) ([]SLCARow, error) {
-	batch, err := c.Workload(datagen.WorkloadConfig{Seed: 909, Queries: batchSize})
-	if err != nil {
-		return nil, err
-	}
-	var rows []SLCARow
-	for _, algo := range []slca.Algorithm{
-		slca.AlgoScanEager, slca.AlgoIndexedLookupEager, slca.AlgoStack, slca.AlgoMultiway,
-	} {
-		eng := core.NewWithExplorer(c.Index, nil, func(in refine.Input, k int) (*refine.TopKOutcome, error) {
-			in.SLCA = algo
-			return refine.PartitionTopK(in, k)
-		})
-		d, err := timeBatch(eng, batch, 3, reps)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, SLCARow{Algo: algo, Partition: d})
 	}
 	return rows, nil
 }

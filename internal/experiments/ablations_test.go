@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"testing"
-
-	"xrefine/internal/slca"
-)
+import "testing"
 
 func TestAblationDecay(t *testing.T) {
 	c := testCorpus(t)
@@ -52,26 +48,5 @@ func TestAblationSearchFor(t *testing.T) {
 			t.Errorf("theta %.2f admits more candidates (%.2f) than %.2f (%.2f)",
 				r.Theta, r.AvgCandidates, rows[i-1].Theta, rows[i-1].AvgCandidates)
 		}
-	}
-}
-
-func TestAblationSLCA(t *testing.T) {
-	c := testCorpus(t)
-	rows, err := AblationSLCA(c, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	seen := map[slca.Algorithm]bool{}
-	for _, r := range rows {
-		if r.Partition <= 0 {
-			t.Errorf("%v: non-positive timing", r.Algo)
-		}
-		seen[r.Algo] = true
-	}
-	if len(seen) != 4 {
-		t.Error("duplicate algorithms in ablation")
 	}
 }

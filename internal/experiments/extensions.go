@@ -4,6 +4,7 @@ import (
 	"math/rand"
 
 	"xrefine/internal/datagen"
+	"xrefine/internal/experiments/reference"
 	"xrefine/internal/index"
 	"xrefine/internal/refine"
 	"xrefine/internal/rules"
@@ -184,7 +185,7 @@ type ELCARow struct {
 
 // CompareELCA runs satisfiable workload queries under both SLCA and ELCA
 // and reports result counts — ELCA is always a superset (asserted by the
-// slca package tests); this measures by how much on realistic data.
+// reference package tests); this measures by how much on realistic data.
 func CompareELCA(c *Corpus, queries int) ([]ELCARow, error) {
 	cases, err := c.Workload(datagen.WorkloadConfig{Seed: 321, Queries: queries})
 	if err != nil {
@@ -208,10 +209,14 @@ func CompareELCA(c *Corpus, queries int) ([]ELCARow, error) {
 		if !ok {
 			continue
 		}
+		decoded := make([][]index.Posting, len(lists))
+		for i, l := range lists {
+			decoded[i] = l.Postings()
+		}
 		rows = append(rows, ELCARow{
 			Query: cs.Intended,
 			SLCA:  len(slca.ScanEager(lists)),
-			ELCA:  len(slca.ELCA(lists)),
+			ELCA:  len(reference.ELCA(decoded)),
 		})
 	}
 	return rows, nil

@@ -198,9 +198,6 @@ func TestSeekAndSubtreeOps(t *testing.T) {
 	if got := l.SeekGE(first); got != 0 {
 		t.Errorf("SeekGE(first) = %d", got)
 	}
-	if got := l.SeekGT(first); got != 1 {
-		t.Errorf("SeekGT(first) = %d", got)
-	}
 	// Subtree of author 0.1 holds exactly one xml posting.
 	s, e := l.InSubtree(dewey.MustParse("0.1"))
 	if e-s != 1 {
@@ -211,19 +208,6 @@ func TestSeekAndSubtreeOps(t *testing.T) {
 	}
 	if l.HasInSubtree(dewey.MustParse("0.5")) {
 		t.Error("HasInSubtree(0.5) = true")
-	}
-	// LM / RM match functions
-	if p, ok := l.LM(dewey.MustParse("0.1")); !ok || dewey.Compare(p.ID, dewey.MustParse("0.1")) > 0 {
-		t.Errorf("LM = %v %v", p.ID, ok)
-	}
-	if _, ok := l.LM(dewey.MustParse("0")); ok {
-		t.Error("LM before first should be false")
-	}
-	if p, ok := l.RM(dewey.MustParse("0.1")); !ok || dewey.Compare(p.ID, dewey.MustParse("0.1")) < 0 {
-		t.Errorf("RM = %v %v", p.ID, ok)
-	}
-	if _, ok := l.RM(dewey.MustParse("0.9")); ok {
-		t.Error("RM after last should be false")
 	}
 }
 

@@ -36,7 +36,7 @@ type Posting struct {
 // gather) never thrash each other's block locality; Sub shares its
 // parent's cache, because sub-windows (per-partition slices of one
 // query's lists) are visited in document order and want the warm blocks
-// their siblings just paid to decode. Random access (At, LM, RM) reads
+// their siblings just paid to decode. Random access (At, SeekGE) reads
 // through that cache; scan loops should prefer NewCursor, which reuses a
 // pooled decode buffer and produces no garbage.
 type List struct {
@@ -173,27 +173,19 @@ func (l *List) At(i int) Posting {
 	return db.posts[g-db.start]
 }
 
-// seek returns the window-relative index of the first posting with
-// ID >= d (strict=false) or ID > d (strict=true), or Len(). It binary
-// searches the skip table and decodes at most one block.
-func (l *List) seek(d dewey.ID, strict bool) int {
+// SeekGE returns the index of the first posting with ID >= d, or Len().
+// It binary searches the skip table and decodes at most one block.
+func (l *List) SeekGE(d dewey.ID) int {
 	if l == nil || l.core == nil || l.lo >= l.hi {
 		return 0
 	}
 	core := l.core
-	sat := func(id dewey.ID) bool {
-		c := dewey.Compare(id, d)
-		if strict {
-			return c > 0
-		}
-		return c >= 0
-	}
-	// First block whose first posting satisfies; the answer lives in the
+	// First block whose first posting is >= d; the answer lives in the
 	// block before it (or is that block's first posting).
 	g := 0
-	if j := sort.Search(len(core.skip), func(b int) bool { return sat(core.skip[b].first) }); j > 0 {
+	if j := sort.Search(len(core.skip), func(b int) bool { return dewey.Compare(core.skip[b].first, d) >= 0 }); j > 0 {
 		db := l.block(j - 1)
-		k := sort.Search(len(db.posts), func(i int) bool { return sat(db.posts[i].ID) })
+		k := sort.Search(len(db.posts), func(i int) bool { return dewey.Compare(db.posts[i].ID, d) >= 0 })
 		g = db.start + k
 	}
 	if g < l.lo {
@@ -204,12 +196,6 @@ func (l *List) seek(d dewey.ID, strict bool) int {
 	}
 	return g - l.lo
 }
-
-// SeekGE returns the index of the first posting with ID >= d, or Len().
-func (l *List) SeekGE(d dewey.ID) int { return l.seek(d, false) }
-
-// SeekGT returns the index of the first posting with ID > d, or Len().
-func (l *List) SeekGT(d dewey.ID) int { return l.seek(d, true) }
 
 // Range returns the half-open index interval [start, end) of postings whose
 // IDs fall in the Dewey interval [lo, hi).
@@ -223,8 +209,7 @@ func (l *List) InSubtree(root dewey.ID) (int, int) {
 	return l.Range(root, root.Next())
 }
 
-// HasInSubtree reports whether any posting lies in root's subtree; this is
-// the random-access probe of the short-list eager algorithm (Algorithm 3).
+// HasInSubtree reports whether any posting lies in root's subtree.
 func (l *List) HasInSubtree(root dewey.ID) bool {
 	s, e := l.InSubtree(root)
 	return s < e
@@ -251,26 +236,6 @@ func (l *List) Slice(start, end int) []Posting {
 
 // Postings materializes the whole list under the same contract as Slice.
 func (l *List) Postings() []Posting { return l.Slice(0, l.Len()) }
-
-// LM returns the rightmost posting with ID <= d (the paper's lm(v,S) match
-// function from XKSearch) and false when no posting precedes d.
-func (l *List) LM(d dewey.ID) (Posting, bool) {
-	i := l.SeekGT(d)
-	if i == 0 {
-		return Posting{}, false
-	}
-	return l.At(i - 1), true
-}
-
-// RM returns the leftmost posting with ID >= d (the rm(v,S) match function)
-// and false when no posting follows d.
-func (l *List) RM(d dewey.ID) (Posting, bool) {
-	i := l.SeekGE(d)
-	if i == l.Len() {
-		return Posting{}, false
-	}
-	return l.At(i), true
-}
 
 // MemoryBytes reports the resident cost of the list's encoded core:
 // compressed payload, skip table, and type table. Windows share one core;

@@ -16,6 +16,7 @@
 package narrow
 
 import (
+	"context"
 	"errors"
 	"sort"
 
@@ -23,7 +24,6 @@ import (
 	"xrefine/internal/rank"
 	"xrefine/internal/refine"
 	"xrefine/internal/searchfor"
-	"xrefine/internal/slca"
 	"xrefine/internal/xmltree"
 )
 
@@ -97,8 +97,9 @@ type Outcome struct {
 var ErrNeedsDocument = errors.New("narrow: narrowing requires the source document")
 
 // Narrow analyses query terms over the document and proposes narrowed
-// queries when the original floods.
-func Narrow(doc *xmltree.Document, ix *index.Index, terms []string, judge *searchfor.Judge, algo slca.Algorithm, opts *Options) (*Outcome, error) {
+// queries when the original floods. Every query it runs observes ctx: once
+// ctx is done, Narrow returns its error.
+func Narrow(ctx context.Context, doc *xmltree.Document, ix *index.Index, terms []string, judge *searchfor.Judge, opts *Options) (*Outcome, error) {
 	if doc == nil {
 		return nil, ErrNeedsDocument
 	}
@@ -106,8 +107,8 @@ func Narrow(doc *xmltree.Document, ix *index.Index, terms []string, judge *searc
 		return nil, errors.New("narrow: empty query")
 	}
 	o := opts.withDefaults()
-	in := refine.Input{Index: ix, Query: terms, Judge: judge, SLCA: algo}
-	base, err := originalMatches(in)
+	in := refine.Input{Index: ix, Query: terms, Judge: judge, Budget: refine.NewBudget(ctx, 0)}
+	base, err := refine.Original(in)
 	if err != nil {
 		return nil, err
 	}
@@ -184,7 +185,7 @@ func Narrow(doc *xmltree.Document, ix *index.Index, terms []string, judge *searc
 		narrowed := append(append([]string(nil), terms...), c.term)
 		nin := in
 		nin.Query = narrowed
-		res, err := originalMatches(nin)
+		res, err := refine.Original(nin)
 		if err != nil {
 			return nil, err
 		}
@@ -205,11 +206,6 @@ func Narrow(doc *xmltree.Document, ix *index.Index, terms []string, judge *searc
 		out.Suggestions = out.Suggestions[:o.TopK]
 	}
 	return out, nil
-}
-
-// originalMatches returns the meaningful SLCAs of in.Query.
-func originalMatches(in refine.Input) ([]refine.Match, error) {
-	return refine.Original(in)
 }
 
 // proximity maps a result count onto (0,1], peaking at the target count:

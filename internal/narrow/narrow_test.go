@@ -1,6 +1,7 @@
 package narrow
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -8,7 +9,6 @@ import (
 
 	"xrefine/internal/index"
 	"xrefine/internal/searchfor"
-	"xrefine/internal/slca"
 	"xrefine/internal/xmltree"
 )
 
@@ -43,7 +43,7 @@ func judgeFor(ix *index.Index, terms ...string) *searchfor.Judge {
 
 func TestNarrowFloodingQuery(t *testing.T) {
 	doc, ix := broadCorpus(t)
-	out, err := Narrow(doc, ix, []string{"database"}, judgeFor(ix, "database"), slca.AlgoScanEager, nil)
+	out, err := Narrow(context.Background(), doc, ix, []string{"database"}, judgeFor(ix, "database"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,8 +82,8 @@ func TestNarrowFloodingQuery(t *testing.T) {
 
 func TestNarrowPreciseQueryUntouched(t *testing.T) {
 	doc, ix := broadCorpus(t)
-	out, err := Narrow(doc, ix, []string{"database", "replication", "2001"},
-		judgeFor(ix, "database", "replication", "2001"), slca.AlgoScanEager, nil)
+	out, err := Narrow(context.Background(), doc, ix, []string{"database", "replication", "2001"},
+		judgeFor(ix, "database", "replication", "2001"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,8 +95,7 @@ func TestNarrowPreciseQueryUntouched(t *testing.T) {
 func TestNarrowThresholdOption(t *testing.T) {
 	doc, ix := broadCorpus(t)
 	// With a huge threshold even "database" is fine.
-	out, err := Narrow(doc, ix, []string{"database"}, judgeFor(ix, "database"),
-		slca.AlgoScanEager, &Options{MaxResults: 10000})
+	out, err := Narrow(context.Background(), doc, ix, []string{"database"}, judgeFor(ix, "database"), &Options{MaxResults: 10000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,8 +103,7 @@ func TestNarrowThresholdOption(t *testing.T) {
 		t.Error("threshold ignored")
 	}
 	// With threshold 1 almost anything is broad.
-	out2, err := Narrow(doc, ix, []string{"database"}, judgeFor(ix, "database"),
-		slca.AlgoScanEager, &Options{MaxResults: 1, TopK: 2})
+	out2, err := Narrow(context.Background(), doc, ix, []string{"database"}, judgeFor(ix, "database"), &Options{MaxResults: 1, TopK: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,11 +117,11 @@ func TestNarrowThresholdOption(t *testing.T) {
 
 func TestNarrowErrors(t *testing.T) {
 	_, ix := broadCorpus(t)
-	if _, err := Narrow(nil, ix, []string{"database"}, judgeFor(ix, "database"), slca.AlgoScanEager, nil); err != ErrNeedsDocument {
+	if _, err := Narrow(context.Background(), nil, ix, []string{"database"}, judgeFor(ix, "database"), nil); err != ErrNeedsDocument {
 		t.Errorf("nil doc error = %v", err)
 	}
 	doc, _ := broadCorpus(t)
-	if _, err := Narrow(doc, ix, nil, judgeFor(ix, "database"), slca.AlgoScanEager, nil); err == nil {
+	if _, err := Narrow(context.Background(), doc, ix, nil, judgeFor(ix, "database"), nil); err == nil {
 		t.Error("empty query accepted")
 	}
 }

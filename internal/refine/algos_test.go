@@ -1,8 +1,9 @@
 package refine
 
 import (
+	"context"
+	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -10,7 +11,6 @@ import (
 	"xrefine/internal/index"
 	"xrefine/internal/rules"
 	"xrefine/internal/searchfor"
-	"xrefine/internal/slca"
 	"xrefine/internal/xmltree"
 )
 
@@ -67,7 +67,7 @@ func (f *fixture) input(t testing.TB, q []string, rs *rules.Set) Input {
 	if rs == nil {
 		rs = rules.NewSet(2)
 	}
-	return Input{Index: f.ix, Query: q, Rules: rs, Judge: f.judge, SLCA: slca.AlgoScanEager}
+	return Input{Index: f.ix, Query: q, Rules: rs, Judge: f.judge}
 }
 
 func matchIDs(ms []Match) []string {
@@ -76,67 +76,6 @@ func matchIDs(ms []Match) []string {
 		out[i] = m.ID.String()
 	}
 	return out
-}
-
-func TestStackNoRefinementNeeded(t *testing.T) {
-	f := newFixture(t, fig1, []string{"online", "database"})
-	out, err := Stack(f.input(t, []string{"online", "database"}, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.NeedRefine {
-		t.Fatal("satisfiable meaningful query flagged for refinement")
-	}
-	if got := strings.Join(matchIDs(out.Original), " "); got != "0.0.1.1.0" {
-		t.Errorf("original results = %v", got)
-	}
-}
-
-func TestStackRefinesMerges(t *testing.T) {
-	f := newFixture(t, fig1, []string{"online", "database"})
-	rs := rules.NewSet(2)
-	mustAdd(t, rs, rules.Rule{Op: rules.OpMerge, LHS: []string{"on", "line"}, RHS: []string{"online"}, Score: 1})
-	mustAdd(t, rs, rules.Rule{Op: rules.OpMerge, LHS: []string{"data", "base"}, RHS: []string{"database"}, Score: 1})
-	out, err := Stack(f.input(t, []string{"on", "line", "data", "base"}, rs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.NeedRefine || !out.Found {
-		t.Fatalf("outcome = %+v", out)
-	}
-	if out.Best.DSim != 2 || out.Best.Key() != NewRQ([]string{"online", "database"}, 0).Key() {
-		t.Errorf("best = %v (dSim %v)", out.Best, out.Best.DSim)
-	}
-	if got := strings.Join(matchIDs(out.BestResults), " "); got != "0.0.1.1.0" {
-		t.Errorf("best results = %v", got)
-	}
-}
-
-// Q covered only at the root (across partitions): meaningless, so the
-// query needs refinement; the best refinements delete one side.
-func TestStackRootOnlyResultForcesRefinement(t *testing.T) {
-	f := newFixture(t, fig1, []string{"john", "swimming"})
-	out, err := Stack(f.input(t, []string{"john", "swimming"}, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.NeedRefine {
-		t.Fatal("root-only query must need refinement")
-	}
-	if !out.Found || out.Best.DSim != 2 || len(out.Best.Keywords) != 1 {
-		t.Fatalf("best = %v (dSim %v) found=%v", out.Best, out.Best.DSim, out.Found)
-	}
-}
-
-func TestStackUnmatchableQuery(t *testing.T) {
-	f := newFixture(t, fig1, []string{"online"})
-	out, err := Stack(f.input(t, []string{"zzz", "qqq"}, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.NeedRefine || out.Found {
-		t.Fatalf("nothing matchable: %+v", out)
-	}
 }
 
 func TestPartitionTopK(t *testing.T) {
@@ -189,282 +128,14 @@ func TestPartitionDetectsSatisfiableQuery(t *testing.T) {
 	}
 }
 
-func TestSLETopK(t *testing.T) {
-	f := newFixture(t, fig1, []string{"online", "database"})
-	rs := rules.NewSet(2)
-	mustAdd(t, rs, rules.Rule{Op: rules.OpMerge, LHS: []string{"on", "line"}, RHS: []string{"online"}, Score: 1})
-	mustAdd(t, rs, rules.Rule{Op: rules.OpMerge, LHS: []string{"data", "base"}, RHS: []string{"database"}, Score: 1})
-	out, err := ShortListEager(f.input(t, []string{"on", "line", "data", "base"}, rs), 2)
+func TestAlgorithmsOnEmptyQuery(t *testing.T) {
+	f := newFixture(t, fig1, []string{"online"})
+	out, err := PartitionTopK(f.input(t, nil, nil), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out.Candidates) == 0 {
-		t.Fatal("no candidates")
-	}
-	best := out.Candidates[0]
-	if best.RQ.DSim != 2 || best.RQ.Key() != NewRQ([]string{"online", "database"}, 0).Key() {
-		t.Errorf("best = %v (dSim %v)", best.RQ, best.RQ.DSim)
-	}
-	if got := strings.Join(matchIDs(best.Results), " "); got != "0.0.1.1.0" {
-		t.Errorf("results = %v", got)
-	}
-}
-
-func TestAlgorithmsOnEmptyQuery(t *testing.T) {
-	f := newFixture(t, fig1, []string{"online"})
-	for name, run := range map[string]func() error{
-		"stack": func() error { _, err := Stack(f.input(t, nil, nil)); return err },
-		"partition": func() error {
-			out, err := PartitionTopK(f.input(t, nil, nil), 2)
-			if err == nil && len(out.Candidates) != 0 {
-				return fmt.Errorf("empty query produced candidates")
-			}
-			return err
-		},
-		"sle": func() error {
-			out, err := ShortListEager(f.input(t, nil, nil), 2)
-			if err == nil && len(out.Candidates) != 0 {
-				return fmt.Errorf("empty query produced candidates")
-			}
-			return err
-		},
-	} {
-		if err := run(); err != nil {
-			t.Errorf("%s: %v", name, err)
-		}
-	}
-}
-
-// --- property tests against brute force ---
-
-// bruteBest finds, by walking every meaningful node, the minimum
-// dissimilarity of a refined query with at least one meaningful SLCA.
-func bruteBest(f *fixture, q []string, rs *rules.Set) (float64, bool) {
-	best := math.Inf(1)
-	found := false
-	f.doc.Walk(func(n *xmltree.Node) bool {
-		if !f.judge.Meaningful(n.Type) {
-			return true
-		}
-		av := map[string]bool{}
-		var rec func(m *xmltree.Node)
-		rec = func(m *xmltree.Node) {
-			for _, w := range m.Terms() {
-				av[w] = true
-			}
-			for _, c := range m.Children {
-				rec(c)
-			}
-		}
-		rec(n)
-		if rq, ok := OptimalRQ(q, av, rs); ok {
-			found = true
-			if rq.DSim < best {
-				best = rq.DSim
-			}
-		}
-		return true
-	})
-	return best, found
-}
-
-// bruteQHasMeaningfulSLCA checks Definition 3.4 directly.
-func bruteQHasMeaningfulSLCA(t *testing.T, f *fixture, q []string) bool {
-	ls := make([]*index.List, len(q))
-	for i, k := range q {
-		l, err := f.ix.List(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ls[i] = l
-	}
-	for _, id := range slca.Naive(ls) {
-		n, ok := f.doc.NodeByID(id)
-		if ok && f.judge.Meaningful(n.Type) {
-			return true
-		}
-	}
-	return false
-}
-
-func randomTestDoc(r *rand.Rand) string {
-	words := []string{"w0", "w1", "w2", "w3", "w4", "w5"}
-	var b strings.Builder
-	b.WriteString("<lib>")
-	items := 2 + r.Intn(3)
-	for i := 0; i < items; i++ {
-		b.WriteString("<item>")
-		entries := 1 + r.Intn(3)
-		for j := 0; j < entries; j++ {
-			b.WriteString("<entry><txt>")
-			n := 1 + r.Intn(3)
-			for w := 0; w < n; w++ {
-				b.WriteString(words[r.Intn(len(words))] + " ")
-			}
-			b.WriteString("</txt></entry>")
-		}
-		b.WriteString("</item>")
-	}
-	b.WriteString("</lib>")
-	return b.String()
-}
-
-func TestPropertyStackMatchesBruteForce(t *testing.T) {
-	r := rand.New(rand.NewSource(2718))
-	for trial := 0; trial < 150; trial++ {
-		src := randomTestDoc(r)
-		f := newFixture(t, src, []string{"w0", "w1", "w2"})
-		q := make([]string, 1+r.Intn(3))
-		for i := range q {
-			q[i] = fmt.Sprintf("w%d", r.Intn(8)) // w6, w7 never occur
-		}
-		rs := rules.NewSet(2)
-		_ = rs.Add(rules.Rule{Op: rules.OpSubstitute, LHS: []string{"w6"}, RHS: []string{"w0"}, Score: 1})
-		_ = rs.Add(rules.Rule{Op: rules.OpSubstitute, LHS: []string{"w7"}, RHS: []string{"w1", "w2"}, Score: 2})
-		in := f.input(t, q, rs)
-		out, err := Stack(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantNeed := !bruteQHasMeaningfulSLCA(t, f, q)
-		if out.NeedRefine != wantNeed {
-			t.Fatalf("trial %d: NeedRefine = %v, want %v (q=%v)\ndoc: %s", trial, out.NeedRefine, wantNeed, q, src)
-		}
-		if !out.NeedRefine {
-			if len(out.Original) == 0 {
-				t.Fatalf("trial %d: no original results despite satisfiable query", trial)
-			}
-			continue
-		}
-		best, found := bruteBest(f, q, rs)
-		if out.Found != found {
-			t.Fatalf("trial %d: Found = %v, want %v (q=%v)", trial, out.Found, found, q)
-		}
-		if !found {
-			continue
-		}
-		if out.Best.DSim != best {
-			t.Fatalf("trial %d: stack best dSim = %v, brute = %v (q=%v, best=%v)\ndoc: %s",
-				trial, out.Best.DSim, best, q, out.Best, src)
-		}
-		// Every reported result must be a meaningful SLCA of Best.
-		ls := make([]*index.List, len(out.Best.Keywords))
-		for i, k := range out.Best.Keywords {
-			l, err := f.ix.List(k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ls[i] = l
-		}
-		slcaSet := map[string]bool{}
-		for _, id := range slca.Naive(ls) {
-			slcaSet[id.String()] = true
-		}
-		if len(out.BestResults) == 0 {
-			t.Fatalf("trial %d: optimal RQ without results", trial)
-		}
-		for _, m := range out.BestResults {
-			if !slcaSet[m.ID.String()] {
-				t.Fatalf("trial %d: reported node %s is not an SLCA of %v", trial, m.ID, out.Best)
-			}
-			if !f.judge.Meaningful(m.Type) {
-				t.Fatalf("trial %d: reported node %s not meaningful", trial, m.ID)
-			}
-		}
-	}
-}
-
-func TestPropertyPartitionAndSLEMatchBruteForce(t *testing.T) {
-	r := rand.New(rand.NewSource(314))
-	for trial := 0; trial < 120; trial++ {
-		src := randomTestDoc(r)
-		f := newFixture(t, src, []string{"w0", "w1", "w2"})
-		q := make([]string, 1+r.Intn(3))
-		for i := range q {
-			q[i] = fmt.Sprintf("w%d", r.Intn(8))
-		}
-		rs := rules.NewSet(2)
-		_ = rs.Add(rules.Rule{Op: rules.OpSubstitute, LHS: []string{"w6"}, RHS: []string{"w0"}, Score: 1})
-		_ = rs.Add(rules.Rule{Op: rules.OpSubstitute, LHS: []string{"w7"}, RHS: []string{"w1", "w2"}, Score: 2})
-		in := f.input(t, q, rs)
-		best, found := bruteBest(f, q, rs)
-
-		pOut, err := PartitionTopK(in, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sOut, err := ShortListEager(in, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !found {
-			if len(pOut.Candidates) != 0 || len(sOut.Candidates) != 0 {
-				t.Fatalf("trial %d: candidates despite no meaningful refinement (q=%v)", trial, q)
-			}
-			continue
-		}
-		if len(pOut.Candidates) == 0 || pOut.Candidates[0].RQ.DSim != best {
-			t.Fatalf("trial %d: partition best = %+v, brute = %v (q=%v)\ndoc: %s",
-				trial, pOut.Candidates, best, q, src)
-		}
-		if len(sOut.Candidates) == 0 || sOut.Candidates[0].RQ.DSim != best {
-			t.Fatalf("trial %d: SLE best = %+v, brute = %v (q=%v)\ndoc: %s",
-				trial, sOut.Candidates, best, q, src)
-		}
-		// Validity of every candidate's results.
-		for algo, out := range map[string]*TopKOutcome{"partition": pOut, "sle": sOut} {
-			for _, it := range out.Candidates {
-				if len(it.Results) == 0 {
-					t.Fatalf("trial %d: %s candidate %v without results", trial, algo, it.RQ)
-				}
-				ls := make([]*index.List, len(it.RQ.Keywords))
-				for i, k := range it.RQ.Keywords {
-					l, err := f.ix.List(k)
-					if err != nil {
-						t.Fatal(err)
-					}
-					ls[i] = l
-				}
-				slcaSet := map[string]bool{}
-				for _, id := range slca.Naive(ls) {
-					slcaSet[id.String()] = true
-				}
-				for _, m := range it.Results {
-					if !slcaSet[m.ID.String()] || !f.judge.Meaningful(m.Type) {
-						t.Fatalf("trial %d: %s reported %s, not a meaningful SLCA of %v",
-							trial, algo, m.ID, it.RQ)
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestPartitionSLCAAlgorithmOrthogonality(t *testing.T) {
-	// Lemma 3: the partition algorithm must produce identical candidates
-	// and results no matter which SLCA algorithm it delegates to.
-	f := newFixture(t, fig1, []string{"online", "database"})
-	rs := rules.NewSet(2)
-	mustAdd(t, rs, rules.Rule{Op: rules.OpMerge, LHS: []string{"on", "line"}, RHS: []string{"online"}, Score: 1})
-	mustAdd(t, rs, rules.Rule{Op: rules.OpMerge, LHS: []string{"data", "base"}, RHS: []string{"database"}, Score: 1})
-	var snapshots []string
-	for _, algo := range []slca.Algorithm{slca.AlgoScanEager, slca.AlgoIndexedLookupEager, slca.AlgoStack, slca.AlgoMultiway} {
-		in := f.input(t, []string{"on", "line", "data", "base"}, rs)
-		in.SLCA = algo
-		out, err := PartitionTopK(in, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var b strings.Builder
-		for _, it := range out.Candidates {
-			fmt.Fprintf(&b, "%v@%v:%v;", it.RQ, it.RQ.DSim, matchIDs(it.Results))
-		}
-		snapshots = append(snapshots, b.String())
-	}
-	for i := 1; i < len(snapshots); i++ {
-		if snapshots[i] != snapshots[0] {
-			t.Fatalf("SLCA algorithm changed partition outcome:\n%s\nvs\n%s", snapshots[0], snapshots[i])
-		}
+	if len(out.Candidates) != 0 {
+		t.Error("empty query produced candidates")
 	}
 }
 
@@ -482,19 +153,13 @@ func TestOriginalBaseline(t *testing.T) {
 	if err != nil || res2 != nil {
 		t.Errorf("unmatched = %v, %v", res2, err)
 	}
-}
-
-func BenchmarkStackRefine(b *testing.B) {
-	f := newFixtureB(b)
-	rs := rules.NewSet(2)
-	rs.Add(rules.Rule{Op: rules.OpMerge, LHS: []string{"on", "line"}, RHS: []string{"online"}, Score: 1})
-	rs.Add(rules.Rule{Op: rules.OpMerge, LHS: []string{"data", "base"}, RHS: []string{"database"}, Score: 1})
-	in := Input{Index: f.ix, Query: []string{"on", "line", "data", "base"}, Rules: rs, Judge: f.judge, SLCA: slca.AlgoScanEager}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Stack(in); err != nil {
-			b.Fatal(err)
-		}
+	// A done context stops it with the context's error.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	in := f.input(t, []string{"online", "database"}, nil)
+	in.Budget = NewBudget(ctx, 0)
+	if res3, err := Original(in); !errors.Is(err, context.Canceled) || res3 != nil {
+		t.Errorf("canceled = %v, %v", res3, err)
 	}
 }
 
@@ -503,7 +168,7 @@ func BenchmarkPartitionTopK(b *testing.B) {
 	rs := rules.NewSet(2)
 	rs.Add(rules.Rule{Op: rules.OpMerge, LHS: []string{"on", "line"}, RHS: []string{"online"}, Score: 1})
 	rs.Add(rules.Rule{Op: rules.OpMerge, LHS: []string{"data", "base"}, RHS: []string{"database"}, Score: 1})
-	in := Input{Index: f.ix, Query: []string{"on", "line", "data", "base"}, Rules: rs, Judge: f.judge, SLCA: slca.AlgoScanEager}
+	in := Input{Index: f.ix, Query: []string{"on", "line", "data", "base"}, Rules: rs, Judge: f.judge}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := PartitionTopK(in, 3); err != nil {

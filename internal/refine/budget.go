@@ -50,10 +50,6 @@ type budgetShared struct {
 	tripped atomic.Bool  // sticky: some check already failed
 }
 
-// budgetStride batches budget charges in per-posting hot loops so the
-// atomic add and context poll amortize over many iterations.
-const budgetStride = 256
-
 // NewBudget builds a budget from a context and a posting limit. Both
 // dimensions are optional: a nil-deadline background context with limit 0
 // never stops anything. A nil *Budget is valid everywhere and means

@@ -151,31 +151,6 @@ func TopRQsBeam(q []string, avail map[string]bool, rs *rules.Set, m, beam int) [
 	return out
 }
 
-// OptimalRQ returns the single minimum-dissimilarity refined query, or
-// false when no non-empty refinement exists.
-func OptimalRQ(q []string, avail map[string]bool, rs *rules.Set) (RQ, bool) {
-	out := TopRQs(q, avail, rs, 1)
-	if len(out) == 0 {
-		return RQ{}, false
-	}
-	return out[0], true
-}
-
-// MinDissimilarity returns the cheapest achievable dissimilarity over the
-// available keywords, ignoring the non-emptiness constraint — the
-// C_potential bound of Algorithm 3's stop condition. False when the query
-// is empty.
-func MinDissimilarity(q []string, avail map[string]bool, rs *rules.Set) (float64, bool) {
-	if len(q) == 0 {
-		return 0, false
-	}
-	if rq, ok := OptimalRQ(q, avail, rs); ok {
-		return rq.DSim, true
-	}
-	// Only the everything-deleted refinement remains.
-	return float64(len(q)) * rs.DeleteCost, true
-}
-
 func matchesSuffix(prefix, lhs []string) bool {
 	off := len(prefix) - len(lhs)
 	for j, k := range lhs {

@@ -15,6 +15,16 @@ func mustAdd(t testing.TB, s *rules.Set, r rules.Rule) {
 	}
 }
 
+// optimalRQ is getOptimalRQ: the single cheapest refined query, or false
+// when no non-empty refinement exists.
+func optimalRQ(q []string, avail map[string]bool, rs *rules.Set) (RQ, bool) {
+	out := TopRQs(q, avail, rs, 1)
+	if len(out) == 0 {
+		return RQ{}, false
+	}
+	return out[0], true
+}
+
 func avail(terms ...string) map[string]bool {
 	m := make(map[string]bool, len(terms))
 	for _, k := range terms {
@@ -32,7 +42,7 @@ func TestOptimalRQExample3(t *testing.T) {
 	mustAdd(t, rs, rules.Rule{Op: rules.OpSubstitute, LHS: []string{"article"}, RHS: []string{"inproceedings"}, Score: 1})
 	q := []string{"www", "article", "machine", "learning"}
 	av := avail("world", "wide", "web", "inproceedings", "machine", "learning")
-	rq, ok := OptimalRQ(q, av, rs)
+	rq, ok := optimalRQ(q, av, rs)
 	if !ok {
 		t.Fatal("no RQ found")
 	}
@@ -53,18 +63,18 @@ func TestOptimalRQMerges(t *testing.T) {
 	mustAdd(t, rs, rules.Rule{Op: rules.OpMerge, LHS: []string{"data", "base"}, RHS: []string{"database"}, Score: 1})
 	q := []string{"on", "line", "data", "base"}
 
-	rq, ok := OptimalRQ(q, avail("online", "database"), rs)
+	rq, ok := optimalRQ(q, avail("online", "database"), rs)
 	if !ok || rq.DSim != 2 || rq.Key() != NewRQ([]string{"online", "database"}, 0).Key() {
 		t.Errorf("both available: %v ok=%v", rq, ok)
 	}
 	// Only "online" available: merge once, delete data and base.
-	rq2, ok := OptimalRQ(q, avail("online"), rs)
+	rq2, ok := optimalRQ(q, avail("online"), rs)
 	if !ok || rq2.DSim != 5 || rq2.Key() != NewRQ([]string{"online"}, 0).Key() {
 		t.Errorf("online only: %v (dSim %v) ok=%v", rq2, rq2.DSim, ok)
 	}
 	// Partial original terms available: keep them, delete the rest
 	// ({line, base} with two deletions, the paper's first candidate).
-	rq3, ok := OptimalRQ(q, avail("line", "base"), rs)
+	rq3, ok := optimalRQ(q, avail("line", "base"), rs)
 	if !ok || rq3.DSim != 4 || rq3.Key() != NewRQ([]string{"line", "base"}, 0).Key() {
 		t.Errorf("line+base: %v (dSim %v) ok=%v", rq3, rq3.DSim, ok)
 	}
@@ -73,7 +83,7 @@ func TestOptimalRQMerges(t *testing.T) {
 func TestOptimalRQKeepIsFree(t *testing.T) {
 	rs := rules.NewSet(2)
 	q := []string{"a", "b"}
-	rq, ok := OptimalRQ(q, avail("a", "b"), rs)
+	rq, ok := optimalRQ(q, avail("a", "b"), rs)
 	if !ok || rq.DSim != 0 || rq.Key() != NewRQ(q, 0).Key() {
 		t.Errorf("fully available query must refine to itself at cost 0: %v", rq)
 	}
@@ -81,24 +91,11 @@ func TestOptimalRQKeepIsFree(t *testing.T) {
 
 func TestOptimalRQNothingAvailable(t *testing.T) {
 	rs := rules.NewSet(2)
-	if _, ok := OptimalRQ([]string{"a", "b"}, avail(), rs); ok {
+	if _, ok := optimalRQ([]string{"a", "b"}, avail(), rs); ok {
 		t.Error("no keywords available must yield no RQ")
 	}
-	if _, ok := OptimalRQ(nil, avail("a"), rs); ok {
+	if _, ok := optimalRQ(nil, avail("a"), rs); ok {
 		t.Error("empty query must yield no RQ")
-	}
-}
-
-func TestMinDissimilarity(t *testing.T) {
-	rs := rules.NewSet(2)
-	if d, ok := MinDissimilarity([]string{"a", "b"}, avail(), rs); !ok || d != 4 {
-		t.Errorf("all-deleted bound = %v, %v, want 4", d, ok)
-	}
-	if d, ok := MinDissimilarity([]string{"a", "b"}, avail("a"), rs); !ok || d != 2 {
-		t.Errorf("one kept = %v, %v, want 2", d, ok)
-	}
-	if _, ok := MinDissimilarity(nil, avail("a"), rs); ok {
-		t.Error("empty query should report false")
 	}
 }
 
@@ -227,7 +224,7 @@ func TestPropertyDPAgainstBruteForce(t *testing.T) {
 				wantMin = c
 			}
 		}
-		got, ok := OptimalRQ(q, av, rs)
+		got, ok := optimalRQ(q, av, rs)
 		if math.IsInf(wantMin, 1) {
 			if ok {
 				t.Fatalf("trial %d: expected no RQ, got %v", trial, got)
@@ -328,7 +325,7 @@ func TestProvenanceSteps(t *testing.T) {
 	mustAdd(t, rs, rules.Rule{Op: rules.OpMerge, LHS: []string{"on", "line"}, RHS: []string{"online"}, Score: 1, Origin: "merge"})
 	q := []string{"on", "line", "data"}
 	// "online" available, "data" not: one merge + one deletion.
-	rq, ok := OptimalRQ(q, avail("online"), rs)
+	rq, ok := optimalRQ(q, avail("online"), rs)
 	if !ok {
 		t.Fatal("no RQ")
 	}
@@ -342,7 +339,7 @@ func TestProvenanceSteps(t *testing.T) {
 		t.Errorf("step 1 = %v, want delete data", rq.Steps[1])
 	}
 	// Kept keywords leave no step.
-	rq2, _ := OptimalRQ([]string{"a"}, avail("a"), rs)
+	rq2, _ := optimalRQ([]string{"a"}, avail("a"), rs)
 	if len(rq2.Steps) != 0 {
 		t.Errorf("kept-only query has steps: %v", rq2.Steps)
 	}

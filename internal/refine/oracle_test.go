@@ -21,6 +21,7 @@ import (
 
 	"xrefine/internal/core"
 	"xrefine/internal/dewey"
+	"xrefine/internal/experiments/reference"
 	"xrefine/internal/index"
 	"xrefine/internal/refine"
 	"xrefine/internal/searchfor"
@@ -185,7 +186,7 @@ func TestOracleConformance(t *testing.T) {
 
 		// Short-list eager at the same k: the same verdict and top-k score
 		// profile.
-		sle, err := core.NewWithExplorer(ix, cfg, refine.ShortListEager).
+		sle, err := core.NewWithExplorer(ix, cfg, reference.ShortListEager).
 			QueryTermsCtx(context.Background(), terms, core.StrategyPartition, 3, 0)
 		if err != nil {
 			t.Fatalf("seed %d: query %v sle: %v", seed, terms, err)
@@ -198,7 +199,7 @@ func TestOracleConformance(t *testing.T) {
 
 		// Stack-refine: the same verdict, and its optimum is Partition's
 		// minimum dissimilarity over the raw top-2K.
-		st, err := refine.Stack(refine.Input{Index: ix, Query: in.Query, Rules: in.Rules, Judge: judge})
+		st, err := reference.StackRefine(refine.Input{Index: ix, Query: in.Query, Rules: in.Rules, Judge: judge})
 		if err != nil {
 			t.Fatalf("seed %d: query %v stack: %v", seed, terms, err)
 		}

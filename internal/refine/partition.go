@@ -70,8 +70,8 @@ func (o *TopKOutcome) markDegraded(b *Budget) {
 // partition (Definition 6.1) in document order; within each partition run
 // the top-2K dynamic program over the keywords present, skip SLCA work for
 // candidates that cannot enter the current top-2K (the paper's key
-// optimization), and compute results with any SLCA algorithm, restricted to
-// the partition's sublists. Each list is traversed exactly once
+// optimization), and compute results with scan-eager, restricted to the
+// partition's sublists. Each list is traversed exactly once
 // (Theorem 2).
 //
 // It is the one walk of walk.go over ranges of one index: load the lists,
@@ -321,8 +321,8 @@ type slcaScratch struct {
 const minSlab = 64
 
 // partitionSLCA computes the meaningful SLCAs of c's refined query inside
-// one document partition by delegating to the configured SLCA algorithm
-// over the partition-restricted sublists, read straight from c's keyword
+// one document partition by running scan-eager over the
+// partition-restricted sublists, read straight from c's keyword
 // columns. The second return is the posting mass the SLCA computation
 // consumed (0 when a keyword was absent and the computation was skipped).
 // Under tracing, the time spent in the SLCA layer accumulates onto the
@@ -351,7 +351,7 @@ func (x *slcaScratch) partitionSLCA(in Input, c *dpCand, lists []*index.List, sp
 	if in.Trace != nil {
 		t0 = time.Now()
 	}
-	ids := x.slca.Compute(in.SLCA, sub)
+	ids := x.slca.ScanEager(sub)
 	if in.Trace != nil {
 		in.Trace.AddInt("slca_ns", int64(time.Since(t0)))
 	}
@@ -370,4 +370,30 @@ func (x *slcaScratch) partitionSLCA(in Input, c *dpCand, lists []*index.List, sp
 		return nil, cost
 	}
 	return x.slab[a:len(x.slab):len(x.slab)], cost
+}
+
+// Original computes the meaningful SLCAs of the original query directly —
+// what narrowing counts and verifies. It returns the context error of
+// in.Budget once that context is done, before or during the scan.
+func Original(in Input) ([]Match, error) {
+	ctx := in.Budget.Context()
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	sub := make([]*index.List, len(in.Query))
+	for i, kw := range in.Query {
+		l, _, err := in.Index.ListCtxInfo(ctx, kw)
+		if err != nil {
+			return nil, err
+		}
+		if l.Len() == 0 {
+			return nil, nil
+		}
+		sub[i] = l
+	}
+	ids, err := slca.ScanEagerCtx(ctx, sub)
+	if err != nil || len(ids) == 0 {
+		return nil, err
+	}
+	return appendMeaningful(nil, ids, sub[0], in.Judge), nil
 }

@@ -2,9 +2,10 @@
 // refined queries integrated with the generation of their matching results,
 // within one scan of the keyword inverted lists. It provides the dynamic
 // program of Section V (getOptimalRQ and its top-2K extension) and the
-// three query refinement algorithms of Section VI — stack-based (Algorithm
-// 1), partition-based top-K (Algorithm 2) and short-list eager (Algorithm
-// 3).
+// partition-based top-K refinement of Section VI (Algorithm 2), the one
+// the engine serves. The paper's other two refinement algorithms,
+// stack-based (Algorithm 1) and short-list eager (Algorithm 3), live in
+// internal/experiments/reference.
 package refine
 
 import (
@@ -165,9 +166,8 @@ type Input struct {
 	// Judge decides meaningfulness (Definition 3.3) from the inferred
 	// search-for candidates.
 	Judge *searchfor.Judge
-	// SLCA selects the SLCA computation the partition-based and
-	// short-list eager algorithms delegate to (Lemma 3 orthogonality).
-	// The zero value, scan-eager, is the one the engine serves.
+	// SLCA is ignored: every SLCA computation is scan-eager. The field
+	// stays only because the benchmark in bench/ still sets it.
 	SLCA slca.Algorithm
 	// Parallelism bounds the goroutines the walk's pool runs its scans on
 	// (see walk.go). 0 and 1 walk the whole document as one scan on the

@@ -13,7 +13,6 @@ import (
 	"xrefine/internal/index"
 	"xrefine/internal/rules"
 	"xrefine/internal/searchfor"
-	"xrefine/internal/slca"
 )
 
 func TestSharedBoundLowersMonotonically(t *testing.T) {
@@ -134,7 +133,7 @@ func largeInput(t testing.TB) Input {
 	sort.SliceStable(vocab, func(a, b int) bool { return ix.ListLen(vocab[a]) > ix.ListLen(vocab[b]) })
 	q := vocab[:3]
 	judge := searchfor.NewJudge(searchfor.Infer(ix, q, nil))
-	return Input{Index: ix, Query: q, Rules: rules.NewSet(2), Judge: judge, SLCA: slca.AlgoScanEager}
+	return Input{Index: ix, Query: q, Rules: rules.NewSet(2), Judge: judge}
 }
 
 func outcomeSig(out *TopKOutcome) string {

@@ -78,7 +78,7 @@ type Config struct {
 // engines. Every method must be safe for concurrent use.
 type Backend interface {
 	QueryTermsCtx(ctx context.Context, terms []string, strategy core.Strategy, k, parallelism int) (*core.Response, error)
-	Narrow(q string, opts *narrow.Options) (*narrow.Outcome, error)
+	Narrow(ctx context.Context, q string, opts *narrow.Options) (*narrow.Outcome, error)
 	Complete(partial string, k int) []string
 	Apply(b *mutate.Batch) (*core.ApplyResult, error)
 	UpdateStats() core.UpdateStats
@@ -316,7 +316,7 @@ type suggestion struct {
 	Results  int      `json:"results"`
 }
 
-func (s *Server) handleNarrow(_ context.Context, r *http.Request) (Outcome, any) {
+func (s *Server) handleNarrow(ctx context.Context, r *http.Request) (Outcome, any) {
 	qv := r.URL.Query()
 	q := qv.Get("q")
 	if strings.TrimSpace(q) == "" {
@@ -330,11 +330,15 @@ func (s *Server) handleNarrow(_ context.Context, r *http.Request) (Outcome, any)
 	if err != nil {
 		return fail(http.StatusBadRequest, err), nil
 	}
-	out, err := s.eng.Narrow(q, &narrow.Options{MaxResults: max, TopK: k})
-	if errors.Is(err, narrow.ErrNeedsDocument) {
+	out, err := s.eng.Narrow(ctx, q, &narrow.Options{MaxResults: max, TopK: k})
+	switch {
+	case errors.Is(err, narrow.ErrNeedsDocument):
 		return fail(http.StatusNotImplemented, err), nil
-	}
-	if err != nil {
+	case errors.Is(err, context.Canceled):
+		return fail(statusClientClosedRequest, err), nil
+	case errors.Is(err, context.DeadlineExceeded):
+		return fail(http.StatusGatewayTimeout, err), nil
+	case err != nil:
 		return fail(http.StatusInternalServerError, err), nil
 	}
 	body := narrowJSON{TooBroad: out.TooBroad, OriginalResults: out.OriginalResults}

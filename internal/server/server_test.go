@@ -1,12 +1,14 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"xrefine/internal/core"
 	"xrefine/internal/xmltree"
@@ -176,6 +178,25 @@ func TestNarrowEndpoint(t *testing.T) {
 	}
 	if body["original_results"].(float64) <= 5 {
 		t.Error("original_results inconsistent with too_broad")
+	}
+}
+
+// TestNarrowHonorsContext: /narrow runs under the request's context, as
+// /search does: a client that already went away gets 499, and a request
+// whose deadline expired gets 504 instead of a full answer.
+func TestNarrowHonorsContext(t *testing.T) {
+	s := testServer(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	req := httptest.NewRequest(http.MethodGet, "/narrow?q=database&max=5&k=2", nil).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, req)
+	if rec.Code != statusClientClosedRequest {
+		t.Errorf("canceled /narrow = %d %s, want %d", rec.Code, rec.Body, statusClientClosedRequest)
+	}
+	expired := New(s.eng, Config{Timeout: time.Nanosecond})
+	if rec, body := get(t, expired, "/narrow?q=database&max=5&k=2"); rec.Code != http.StatusGatewayTimeout {
+		t.Errorf("expired /narrow = %d %v, want %d", rec.Code, body, http.StatusGatewayTimeout)
 	}
 }
 

@@ -728,7 +728,7 @@ func (r *Router) Complete(partial string, k int) []string {
 
 // Narrow is unavailable on a router: narrowing verifies suggestions
 // against the source document, and the merged meta engine has none.
-func (r *Router) Narrow(q string, opts *narrow.Options) (*narrow.Outcome, error) {
+func (r *Router) Narrow(_ context.Context, q string, opts *narrow.Options) (*narrow.Outcome, error) {
 	return nil, narrow.ErrNeedsDocument
 }
 

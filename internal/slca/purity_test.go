@@ -8,19 +8,15 @@ import (
 	"xrefine/internal/dewey"
 )
 
-// TestAlgorithmsPureOverSharedLists runs every algorithm from many
-// goroutines over the same shared lists and checks each result against the
+// TestAlgorithmsPureOverSharedLists runs scan-eager from many goroutines
+// over the same shared lists and checks each result against the
 // single-threaded answer. Under -race this asserts the package-doc purity
-// contract: no algorithm writes to its input lists or to hidden shared
-// state.
+// contract: the scan writes neither to its input lists nor to hidden
+// shared state.
 func TestAlgorithmsPureOverSharedLists(t *testing.T) {
 	ix := buildIx(t, fig1)
 	shared := lists(t, ix, "xml", "online")
-	algos := []Algorithm{AlgoScanEager, AlgoIndexedLookupEager, AlgoStack, AlgoMultiway}
-	want := make(map[Algorithm]string)
-	for _, a := range algos {
-		want[a] = idsString(Compute(a, shared))
-	}
+	want := idsString(ScanEager(shared))
 	const goroutines = 8
 	const rounds = 50
 	var wg sync.WaitGroup
@@ -30,9 +26,8 @@ func TestAlgorithmsPureOverSharedLists(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				a := algos[(g+r)%len(algos)]
-				if got := idsString(Compute(a, shared)); got != want[a] {
-					errs <- a.String() + ": got " + got + " want " + want[a]
+				if got := idsString(ScanEager(shared)); got != want {
+					errs <- "got " + got + " want " + want
 					return
 				}
 			}

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"xrefine/internal/dewey"
 	"xrefine/internal/index"
 )
 
@@ -52,62 +51,54 @@ func postingsString(ls []*index.List) string {
 // (or neighbouring posting) the result is a prefix of. After appending to
 // every result, the lists and a second computation are unchanged.
 func TestResultIDsCapped(t *testing.T) {
-	algos := map[string]func([]*index.List) []dewey.ID{"naive": Naive}
-	for _, a := range allAlgos {
-		algos[a.String()] = func(ls []*index.List) []dewey.ID { return Compute(a, ls) }
-	}
 	contractCorpora(t, func(name string, ls []*index.List) {
 		postings := postingsString(ls)
-		for an, compute := range algos {
-			ids := compute(ls)
-			want := idsString(ids)
-			for i, id := range ids {
-				if cap(id) != len(id) {
-					t.Fatalf("%s %s: result %s has len %d, cap %d", name, an, id, len(id), cap(id))
-				}
-				ids[i] = append(id, 1<<31)
+		ids := ScanEager(ls)
+		want := idsString(ids)
+		for i, id := range ids {
+			if cap(id) != len(id) {
+				t.Fatalf("%s: result %s has len %d, cap %d", name, id, len(id), cap(id))
 			}
-			if got := idsString(compute(ls)); got != want {
-				t.Fatalf("%s %s: second computation %q, first %q", name, an, got, want)
-			}
-			if got := postingsString(ls); got != postings {
-				t.Fatalf("%s %s: appending to results changed the lists:\n%s\nwant\n%s", name, an, got, postings)
-			}
+			ids[i] = append(id, 1<<31)
+		}
+		if got := idsString(ScanEager(ls)); got != want {
+			t.Fatalf("%s: second computation %q, first %q", name, got, want)
+		}
+		if got := postingsString(ls); got != postings {
+			t.Fatalf("%s: appending to results changed the lists:\n%s\nwant\n%s", name, got, postings)
 		}
 	})
 }
 
 // TestScratchReuse: one Scratch reused over a sequence of different list
 // sets — more and fewer lists, longer and shorter, sub-windows, sets with
-// an empty list — answers every call as a fresh Compute does, so no
+// an empty list — answers every call as a fresh ScanEager does, so no
 // cursor, ordering or candidate state leaks from one call to the next.
 func TestScratchReuse(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
-	for _, algo := range allAlgos {
-		var s Scratch
-		calls := 0
-		contractCorpora(t, func(name string, ls []*index.List) {
-			sets := [][]*index.List{ls}
-			// A window of every list and the lists reversed: same
-			// keywords, other lengths and order.
-			win := make([]*index.List, len(ls))
-			rev := make([]*index.List, len(ls))
-			for i, l := range ls {
-				lo := 0
-				if l.Len() > 0 {
-					lo = r.Intn(l.Len())
-				}
-				win[i] = l.Sub(lo, l.Len())
-				rev[len(ls)-1-i] = l
+	var s Scratch
+	calls := 0
+	contractCorpora(t, func(name string, ls []*index.List) {
+		sets := [][]*index.List{ls}
+		// A window of every list and the lists reversed: same
+		// keywords, other lengths and order.
+		win := make([]*index.List, len(ls))
+		rev := make([]*index.List, len(ls))
+		for i, l := range ls {
+			lo := 0
+			if l.Len() > 0 {
+				lo = r.Intn(l.Len())
 			}
-			sets = append(sets, win, rev)
-			for _, set := range sets {
-				want := idsString(Compute(algo, set))
-				if got := idsString(s.Compute(algo, set)); got != want {
-					t.Fatalf("%s %s call %d: reused scratch %q, fresh %q", name, algo, calls, got, want)
-				}
-				calls++
+			win[i] = l.Sub(lo, l.Len())
+			rev[len(ls)-1-i] = l
+		}
+		sets = append(sets, win, rev)
+		for _, set := range sets {
+			want := idsString(ScanEager(set))
+			if got := idsString(s.ScanEager(set)); got != want {
+				t.Fatalf("%s call %d: reused scratch %q, fresh %q", name, calls, got, want)
 			}
-		})
-	}
+			calls++
+		}
+	})
 }

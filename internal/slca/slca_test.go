@@ -1,6 +1,7 @@
 package slca
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -72,19 +73,19 @@ func idsToStrings(ids []dewey.ID) []string {
 	return out
 }
 
-var allAlgos = []Algorithm{AlgoScanEager, AlgoIndexedLookupEager, AlgoStack, AlgoMultiway}
-
+// runAll checks scan-eager, through every entry point, against want.
 func runAll(t *testing.T, ls []*index.List, want []string) {
 	t.Helper()
-	for _, algo := range allAlgos {
-		got := idsToStrings(Compute(algo, ls))
-		if strings.Join(got, " ") != strings.Join(want, " ") {
-			t.Errorf("%s = %v, want %v", algo, got, want)
-		}
+	ctxIDs, err := ScanEagerCtx(context.Background(), ls)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// and the reference agrees
-	if got := idsToStrings(Naive(ls)); strings.Join(got, " ") != strings.Join(want, " ") {
-		t.Errorf("naive = %v, want %v", got, want)
+	for name, ids := range map[string][]dewey.ID{
+		"ScanEager": ScanEager(ls), "Compute": Compute(AlgoScanEager, ls), "ScanEagerCtx": ctxIDs,
+	} {
+		if got := idsToStrings(ids); strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Errorf("%s = %v, want %v", name, got, want)
+		}
 	}
 }
 
@@ -129,24 +130,7 @@ func TestDuplicateListsAndSharedNodes(t *testing.T) {
 }
 
 func TestEmptyInput(t *testing.T) {
-	if got := Compute(AlgoScanEager, nil); got != nil {
-		t.Errorf("no lists = %v", got)
-	}
-}
-
-func TestAlgorithmString(t *testing.T) {
-	names := map[Algorithm]string{
-		AlgoScanEager:          "scan-eager",
-		AlgoIndexedLookupEager: "indexed-lookup-eager",
-		AlgoStack:              "stack",
-		AlgoMultiway:           "multiway",
-		Algorithm(99):          "unknown",
-	}
-	for a, want := range names {
-		if a.String() != want {
-			t.Errorf("%d.String() = %q", a, a.String())
-		}
-	}
+	runAll(t, nil, nil)
 }
 
 // randomDoc builds a random tree with terms drawn from a tiny vocabulary so
@@ -176,97 +160,6 @@ func randomDoc(r *rand.Rand) string {
 	}
 	b.WriteString("</root>")
 	return b.String()
-}
-
-// referenceSLCA computes SLCAs straight from the tree definition: nodes
-// whose subtree contains all terms and none of whose children's subtrees
-// do.
-func referenceSLCA(doc *xmltree.Document, terms []string) []string {
-	var out []string
-	var containsAll func(n *xmltree.Node) map[string]bool
-	memo := map[*xmltree.Node]map[string]bool{}
-	containsAll = func(n *xmltree.Node) map[string]bool {
-		if m, ok := memo[n]; ok {
-			return m
-		}
-		m := map[string]bool{}
-		for _, w := range n.Terms() {
-			m[w] = true
-		}
-		for _, c := range n.Children {
-			for w := range containsAll(c) {
-				m[w] = true
-			}
-		}
-		memo[n] = m
-		return m
-	}
-	hasAll := func(n *xmltree.Node) bool {
-		m := containsAll(n)
-		for _, t := range terms {
-			if !m[t] {
-				return false
-			}
-		}
-		return true
-	}
-	doc.Walk(func(n *xmltree.Node) bool {
-		if !hasAll(n) {
-			return false // no descendant can have all either
-		}
-		childHas := false
-		for _, c := range n.Children {
-			if hasAll(c) {
-				childHas = true
-				break
-			}
-		}
-		if !childHas {
-			out = append(out, n.ID.String())
-			return false
-		}
-		return true
-	})
-	return out
-}
-
-// Property: all four algorithms agree with the tree-definition reference on
-// random documents and random queries.
-func TestPropertyAllAlgorithmsAgree(t *testing.T) {
-	r := rand.New(rand.NewSource(77))
-	for trial := 0; trial < 200; trial++ {
-		src := randomDoc(r)
-		doc, err := xmltree.ParseString(src, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ix := index.Build(doc)
-		nTerms := 1 + r.Intn(3)
-		terms := make([]string, nTerms)
-		for i := range terms {
-			terms[i] = fmt.Sprintf("t%d", r.Intn(4))
-		}
-		ls := lists(t, ix, terms...)
-		want := referenceSLCA(doc, terms)
-		allEmpty := false
-		for _, l := range ls {
-			if l.Len() == 0 {
-				allEmpty = true
-			}
-		}
-		if allEmpty {
-			want = nil
-		}
-		for _, algo := range allAlgos {
-			got := idsToStrings(Compute(algo, ls))
-			if strings.Join(got, " ") != strings.Join(want, " ") {
-				t.Fatalf("trial %d: %s(%v) = %v, want %v\ndoc: %s", trial, algo, terms, got, want, src)
-			}
-		}
-		if got := idsToStrings(Naive(ls)); strings.Join(got, " ") != strings.Join(want, " ") {
-			t.Fatalf("trial %d: naive(%v) = %v, want %v\ndoc: %s", trial, terms, got, want, src)
-		}
-	}
 }
 
 // Property: SLCA results never contain one another and each subtree really
@@ -328,32 +221,5 @@ func BenchmarkScanEager(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		ScanEager(ls)
-	}
-}
-
-func BenchmarkIndexedLookupEager(b *testing.B) {
-	ls := benchLists(b)
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		IndexedLookupEager(ls)
-	}
-}
-
-func BenchmarkStack(b *testing.B) {
-	ls := benchLists(b)
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Stack(ls)
-	}
-}
-
-func BenchmarkMultiway(b *testing.B) {
-	ls := benchLists(b)
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Multiway(ls)
 	}
 }
