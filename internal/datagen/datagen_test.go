@@ -152,7 +152,7 @@ func TestWorkloadCases(t *testing.T) {
 			t.Errorf("case %d: intended term missing from data: %v", i, cs.Intended)
 			continue
 		}
-		res := slca.ScanEager(lists)
+		res := slca.Compute(slca.AlgoScanEager, lists)
 		deep := false
 		for _, id := range res {
 			if len(id) > 1 {

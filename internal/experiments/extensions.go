@@ -215,7 +215,7 @@ func CompareELCA(c *Corpus, queries int) ([]ELCARow, error) {
 		}
 		rows = append(rows, ELCARow{
 			Query: cs.Intended,
-			SLCA:  len(slca.ScanEager(lists)),
+			SLCA:  len(slca.ScanEager(decoded)),
 			ELCA:  len(reference.ELCA(decoded)),
 		})
 	}

@@ -18,7 +18,7 @@ func TestELCAKnownCase(t *testing.T) {
 	if strings.Join(elca, " ") != "0 0.0.0" {
 		t.Fatalf("ELCA = %v, want [0 0.0.0]", elca)
 	}
-	sl := idsToStrings(slca.ScanEager(lists(t, ix, "a", "b")))
+	sl := idsToStrings(slca.Compute(slca.AlgoScanEager, lists(t, ix, "a", "b")))
 	if strings.Join(sl, " ") != "0.0.0" {
 		t.Fatalf("SLCA = %v", sl)
 	}
@@ -46,7 +46,7 @@ func TestELCASupersetOfSLCA(t *testing.T) {
 			terms = append(terms, "t2")
 		}
 		slcaSet := map[string]bool{}
-		for _, id := range slca.ScanEager(lists(t, ix, terms...)) {
+		for _, id := range slca.Compute(slca.AlgoScanEager, lists(t, ix, terms...)) {
 			slcaSet[id.String()] = true
 		}
 		elcaSet := map[string]bool{}

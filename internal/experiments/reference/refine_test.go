@@ -413,7 +413,7 @@ func TestPartitionSLCAAlgorithmOrthogonality(t *testing.T) {
 		}
 		for _, it := range out.Candidates {
 			ps := postingLists(t, c.f.ix, it.RQ.Keywords...)
-			want := strings.Join(idsToStrings(slca.ScanEager(lists(t, c.f.ix, it.RQ.Keywords...))), " ")
+			want := strings.Join(idsToStrings(slca.Compute(slca.AlgoScanEager, lists(t, c.f.ix, it.RQ.Keywords...))), " ")
 			for name, algo := range algorithms {
 				if got := strings.Join(idsToStrings(algo(ps)), " "); got != want {
 					t.Fatalf("q=%v rq=%v: %s = %s, scan-eager = %s", c.q, it.RQ, name, got, want)

@@ -15,8 +15,8 @@
 //
 // Every algorithm reads fully decoded posting slices in document order and
 // uses sort.Search where it needs a seek. Nothing here has a budget,
-// tracing, scratch memory or a block cache: the code is meant to be
-// obviously correct and fast enough at experiment scale.
+// tracing or scratch memory: the code is meant to be obviously correct
+// and fast enough at experiment scale.
 package reference
 
 import (

@@ -139,9 +139,9 @@ func treeSLCA(doc *xmltree.Document, terms []string) []string {
 // TestPropertyAllAlgorithmsAgree: on random documents and queries, the
 // served scan-eager and every reference algorithm agree with the tree
 // definition (Lemma 3's premise: the SLCA algorithm is interchangeable).
-// Each trial then cuts a random window out of every list, as the
-// partition walk does, and holds scan-eager over the served windows equal
-// to every reference algorithm over the same postings.
+// Each trial then cuts a random window out of every decoded list, as the
+// partition walk cuts a partition's postings, and holds scan-eager over
+// the windows equal to every reference algorithm over the same postings.
 func TestPropertyAllAlgorithmsAgree(t *testing.T) {
 	r := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 200; trial++ {
@@ -160,9 +160,9 @@ func TestPropertyAllAlgorithmsAgree(t *testing.T) {
 		if !nonEmpty(ps) {
 			want = nil
 		}
-		check := func(what string, served []*index.List, ps [][]index.Posting, want []string) {
+		check := func(what string, served []dewey.ID, ps [][]index.Posting, want []string) {
 			t.Helper()
-			if got := idsToStrings(slca.ScanEager(served)); strings.Join(got, " ") != strings.Join(want, " ") {
+			if got := idsToStrings(served); strings.Join(got, " ") != strings.Join(want, " ") {
 				t.Fatalf("trial %d %s: scan-eager(%v) = %v, want %v\ndoc: %s", trial, what, terms, got, want, src)
 			}
 			for name, algo := range algorithms {
@@ -171,17 +171,15 @@ func TestPropertyAllAlgorithmsAgree(t *testing.T) {
 				}
 			}
 		}
-		check("full lists", lists(t, ix, terms...), ps, want)
+		check("full lists", slca.Compute(slca.AlgoScanEager, lists(t, ix, terms...)), ps, want)
 
-		windows := make([]*index.List, len(ps))
 		cut := make([][]index.Posting, len(ps))
 		for i, p := range ps {
 			lo := r.Intn(len(p) + 1)
 			hi := lo + r.Intn(len(p)-lo+1)
-			windows[i] = index.NewList(terms[i], p).Sub(lo, hi)
 			cut[i] = p[lo:hi]
 		}
-		check("windows", windows, cut, idsToStrings(Naive(cut)))
+		check("windows", slca.ScanEager(cut), cut, idsToStrings(Naive(cut)))
 	}
 }
 

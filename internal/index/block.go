@@ -46,24 +46,15 @@ type blockRef struct {
 }
 
 // listCore is the shared, immutable backbone of a List and all its
-// Sub/View windows: the encoded bytes, the skip table, and the per-list
-// type table. It carries no decode state — caching and scratch live on
-// the views and cursors that read it — so it is trivially safe for any
-// number of concurrent readers.
+// windows: the encoded bytes, the skip table, and the per-list type
+// table. It carries no decode state — decode scratch lives on the cursors
+// that read it — so it is trivially safe for any number of concurrent
+// readers.
 type listCore struct {
 	enc   []byte
 	skip  []blockRef
 	n     int
 	types []*xmltree.Type // type ordinal -> interned node type
-}
-
-// decodedBlock is one lazily-decoded block published through a view's
-// one-slot cache. It is immutable after construction, so a stale pointer
-// held by a caller (e.g. a Posting.ID returned by At) stays valid
-// forever — the GC, not the cache, owns its lifetime.
-type decodedBlock struct {
-	start, end int // global posting index range [start, end)
-	posts      []Posting
 }
 
 // Package-level codec counters, bridged into the metrics registry by the
@@ -79,7 +70,7 @@ var (
 
 // BlockOpStats is a snapshot of the package-level codec counters.
 type BlockOpStats struct {
-	// Decodes counts block decode operations (cache/scratch misses).
+	// Decodes counts block decode operations.
 	Decodes uint64
 	// DecodedPostings counts postings materialized by those decodes.
 	DecodedPostings uint64
@@ -284,20 +275,6 @@ func readPostingHeader(buf []byte) (shared, extra int, rest []byte, err error) {
 	return int(s), int(e), buf[sz:], nil
 }
 
-// decodeBlock decodes block b into a freshly allocated immutable
-// decodedBlock, suitable for publishing through a view cache. Decode
-// errors panic: the encoder produced these bytes in-process (the load
-// path validates block framing before accepting a store's bytes), so a
-// failure here is a programming bug, not bad input.
-func (c *listCore) decodeBlock(b int) *decodedBlock {
-	posts, _, err := c.decodeBlockInto(b, nil, nil)
-	if err != nil {
-		panic(err)
-	}
-	start := int(c.skip[b].start)
-	return &decodedBlock{start: start, end: start + len(posts), posts: posts}
-}
-
 // memoryBytes is the resident cost of the core: encoded payload, skip
 // table (entry struct plus its first-ID copy), and the type table.
 func (c *listCore) memoryBytes() int {
@@ -390,14 +367,14 @@ var scratchPool = sync.Pool{New: func() any {
 
 // Cursor iterates a List (or window) in document order, decoding one
 // block at a time into a pooled scratch buffer. It is the zero-garbage
-// access path for the scan loops (the partition walker, the SLCA merge
-// scans, the shard list merge).
+// access path for every read of a list: the partition walker, the
+// co-occurrence merge, SLCA's decode, and the one-block seeks of
+// List.SeekGE.
 //
 // Sharing contract: a Cursor is single-goroutine. A Posting (and its ID)
 // returned by the cursor is valid only until the cursor moves to a
 // different block or is closed — callers that retain an ID across those
-// events must Clone it. Reads through List.At are unaffected (they go
-// through immutable cached blocks).
+// events must copy it (AppendUntil copies into a caller-owned arena).
 type Cursor struct {
 	l       *List
 	scratch *blockScratch
@@ -410,8 +387,15 @@ type Cursor struct {
 // NewCursor returns a cursor positioned at the first posting of l. Close
 // it when done to recycle its decode buffer.
 func (l *List) NewCursor() *Cursor {
+	c := l.cursor()
+	return &c
+}
+
+// cursor is NewCursor by value, for a read that keeps its cursor on the
+// stack.
+func (l *List) cursor() Cursor {
 	cursorScratchGets.Add(1)
-	return &Cursor{
+	return Cursor{
 		l:       l,
 		scratch: scratchPool.Get().(*blockScratch),
 		blk:     -1,
@@ -465,6 +449,25 @@ func (c *Cursor) decode(b int) {
 	c.blk = b
 	c.bStart = int(core.skip[b].start)
 	c.bEnd = c.bStart + len(posts)
+}
+
+// AppendUntil appends the postings from the cursor's position up to, not
+// including, the first with ID >= end (to the window's end when end is
+// nil) to dst, copying their IDs into arena, and leaves the cursor on
+// that first posting. It returns dst and arena grown. Each appended ID is
+// a capacity-capped slice of arena: it stays valid after the cursor moves
+// or closes, until the caller reuses the arena's memory.
+func (c *Cursor) AppendUntil(dst []Posting, arena []uint32, end dewey.ID) ([]Posting, []uint32) {
+	for hi := c.l.winHi(); c.g < hi; c.g++ {
+		p := c.Posting()
+		if end != nil && dewey.Compare(p.ID, end) >= 0 {
+			break
+		}
+		a := len(arena)
+		arena = append(arena, p.ID...)
+		dst = append(dst, Posting{ID: arena[a:len(arena):len(arena)], Type: p.Type})
+	}
+	return dst, arena
 }
 
 // SeekGE advances the cursor to the first posting with ID >= d at or

@@ -74,10 +74,25 @@ func verifyList(t *testing.T, l *List, want []Posting) {
 			t.Fatalf("Postings()[%d] = %v/%v, want %v/%v", i, got[i].ID, got[i].Type, want[i].ID, want[i].Type)
 		}
 	}
-	for i := range want {
-		p := l.At(i)
-		if !dewey.Equal(p.ID, want[i].ID) || p.Type != want[i].Type {
-			t.Fatalf("At(%d) = %v/%v, want %v/%v", i, p.ID, p.Type, want[i].ID, want[i].Type)
+	// Windows: Slice over a spread of ranges, and a cursor's AppendUntil
+	// bounded by the ID that ends the same range.
+	for i := 0; i < len(want); i += 1 + len(want)/16 {
+		j := i + (len(want)-i)/3
+		equalPostings(t, "Slice", l.Slice(i, j), want[i:j])
+		var end dewey.ID
+		if j < len(want) {
+			end = want[j].ID
+		}
+		c := l.NewCursor()
+		c.Seek(i)
+		got, _ := c.AppendUntil(nil, nil, end)
+		if c.Pos() != j {
+			t.Fatalf("AppendUntil from %d stopped at %d, want %d", i, c.Pos(), j)
+		}
+		c.Close()
+		equalPostings(t, "AppendUntil", got, want[i:j])
+		if f := l.BlockFirst(i); !dewey.Equal(f, want[i/blockMaxPostings*blockMaxPostings].ID) {
+			t.Fatalf("BlockFirst(%d) = %v, want the first ID of block %d", i, f, i/blockMaxPostings)
 		}
 	}
 	c := l.NewCursor()
@@ -110,6 +125,20 @@ func verifyList(t *testing.T, l *List, want []Posting) {
 	}
 	probe(dewey.ID{0})
 	probe(dewey.ID{1 << 30})
+}
+
+// equalPostings fails unless got holds exactly want's IDs and types, each
+// ID capacity-capped so an append to it cannot write into its neighbour.
+func equalPostings(t *testing.T, what string, got, want []Posting) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d postings, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if !dewey.Equal(got[i].ID, want[i].ID) || got[i].Type != want[i].Type || cap(got[i].ID) != len(got[i].ID) {
+			t.Fatalf("%s[%d] = %v/%v (cap %d), want %v/%v", what, i, got[i].ID, got[i].Type, cap(got[i].ID), want[i].ID, want[i].Type)
+		}
+	}
 }
 
 // TestBlockCodecRoundTripProperty is the encode→decode identity property

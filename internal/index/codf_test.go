@@ -118,3 +118,29 @@ func TestCoDFAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestSeekAllocs: the one-block seeks delta.go makes — SeekGE and
+// InSubtree — decode into pooled cursor scratch and allocate nothing,
+// on lists of one block and of many.
+func TestSeekAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	_, ix := codfCorpus(t)
+	for _, term := range ix.Vocabulary() {
+		l, err := ix.List(term)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps := l.Postings()
+		mid := ps[len(ps)/2].ID
+		root := mid[:min(2, len(mid))]
+		allocs := testing.AllocsPerRun(20, func() {
+			l.SeekGE(mid)
+			l.InSubtree(root)
+		})
+		if allocs != 0 {
+			t.Fatalf("SeekGE/InSubtree on %q (%d blocks) allocated %.1f times, want 0", term, l.BlockCount(), allocs)
+		}
+	}
+}

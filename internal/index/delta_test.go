@@ -56,10 +56,11 @@ func assertIndexEquivalent(t *testing.T, got, want *Index) {
 		if gl.Len() != wl.Len() {
 			t.Fatalf("list %q len = %d, want %d", term, gl.Len(), wl.Len())
 		}
-		for i := 0; i < wl.Len(); i++ {
-			if !dewey.Equal(gl.At(i).ID, wl.At(i).ID) || gl.At(i).Type.Path() != wl.At(i).Type.Path() {
+		gp, wp := gl.Postings(), wl.Postings()
+		for i := range wp {
+			if !dewey.Equal(gp[i].ID, wp[i].ID) || gp[i].Type.Path() != wp[i].Type.Path() {
 				t.Fatalf("list %q posting %d = %s (%s), want %s (%s)",
-					term, i, gl.At(i).ID, gl.At(i).Type.Path(), wl.At(i).ID, wl.At(i).Type.Path())
+					term, i, gp[i].ID, gp[i].Type.Path(), wp[i].ID, wp[i].Type.Path())
 			}
 		}
 		if g, w := got.ListLen(term), want.ListLen(term); g != w {

@@ -73,8 +73,9 @@ func TestListContentsAndOrder(t *testing.T) {
 	if l.Len() != 3 {
 		t.Fatalf("xml list len = %d, want 3", l.Len())
 	}
-	for i := 1; i < l.Len(); i++ {
-		if dewey.Compare(l.At(i-1).ID, l.At(i).ID) >= 0 {
+	ps := l.Postings()
+	for i := 1; i < len(ps); i++ {
+		if dewey.Compare(ps[i-1].ID, ps[i].ID) >= 0 {
 			t.Fatal("list out of document order")
 		}
 	}
@@ -194,7 +195,7 @@ func TestCoDF(t *testing.T) {
 func TestSeekAndSubtreeOps(t *testing.T) {
 	_, ix := buildFig1(t)
 	l, _ := ix.List("xml")
-	first := l.At(0).ID
+	first := l.Postings()[0].ID
 	if got := l.SeekGE(first); got != 0 {
 		t.Errorf("SeekGE(first) = %d", got)
 	}
@@ -275,8 +276,9 @@ func TestSaveLoadRoundtrip(t *testing.T) {
 		if l1.Len() != l2.Len() {
 			t.Fatalf("list %q len %d vs %d", term, l1.Len(), l2.Len())
 		}
-		for i := 0; i < l1.Len(); i++ {
-			p1, p2 := l1.At(i), l2.At(i)
+		ps1, ps2 := l1.Postings(), l2.Postings()
+		for i := range ps1 {
+			p1, p2 := ps1[i], ps2[i]
 			if !dewey.Equal(p1.ID, p2.ID) || p1.Type.Path() != p2.Type.Path() {
 				t.Fatalf("list %q posting %d: %v/%s vs %v/%s", term, i, p1.ID, p1.Type, p2.ID, p2.Type)
 			}
@@ -464,9 +466,10 @@ func TestLargeListChunking(t *testing.T) {
 	if l1.Len() != n || l2.Len() != n {
 		t.Fatalf("lens %d %d, want %d", l1.Len(), l2.Len(), n)
 	}
+	ps1, ps2 := l1.Postings(), l2.Postings()
 	for i := 0; i < n; i++ {
-		if !dewey.Equal(l1.At(i).ID, l2.At(i).ID) {
-			t.Fatalf("posting %d: %s vs %s", i, l1.At(i).ID, l2.At(i).ID)
+		if !dewey.Equal(ps1[i].ID, ps2[i].ID) {
+			t.Fatalf("posting %d: %s vs %s", i, ps1[i].ID, ps2[i].ID)
 		}
 	}
 }

@@ -36,8 +36,9 @@ func assertIndexesEqual(t *testing.T, a, b *Index, label string) {
 		if la.Len() != lb.Len() {
 			t.Fatalf("%s: list %q len %d vs %d", label, term, la.Len(), lb.Len())
 		}
-		for i := 0; i < la.Len(); i++ {
-			pa, pb := la.At(i), lb.At(i)
+		psa, psb := la.Postings(), lb.Postings()
+		for i := range psa {
+			pa, pb := psa[i], psb[i]
 			if !dewey.Equal(pa.ID, pb.ID) || pa.Type.Path() != pb.Type.Path() {
 				t.Fatalf("%s: list %q posting %d: %s/%s vs %s/%s",
 					label, term, i, pa.ID, pa.Type, pb.ID, pb.Type)

@@ -94,9 +94,10 @@ func TestStageMatchesRebuild(t *testing.T) {
 		if gl.Len() != wl.Len() {
 			t.Fatalf("term %q: %d postings, rebuild has %d", term, gl.Len(), wl.Len())
 		}
-		for i := 0; i < wl.Len(); i++ {
-			if !dewey.Equal(gl.At(i).ID, wl.At(i).ID) {
-				t.Fatalf("term %q posting %d: %s vs %s", term, i, gl.At(i).ID, wl.At(i).ID)
+		gp, wp := gl.Postings(), wl.Postings()
+		for i := range wp {
+			if !dewey.Equal(gp[i].ID, wp[i].ID) {
+				t.Fatalf("term %q posting %d: %s vs %s", term, i, gp[i].ID, wp[i].ID)
 			}
 		}
 	}

@@ -161,9 +161,7 @@ func scanLists(in Input, ks []string) ([]*index.List, error) {
 			loaded++
 		}
 		postings += int64(l.Len())
-		// A private view per query: block-cache locality of this scan is
-		// isolated from every other query sharing the resident list.
-		lists[i] = l.View()
+		lists[i] = l
 	}
 	if sp != nil {
 		sp.SetInt("lists", int64(len(ks)))
@@ -174,22 +172,26 @@ func scanLists(in Input, ks []string) ([]*index.List, error) {
 	return lists, nil
 }
 
-// span is a half-open index interval into a keyword list.
-type span struct{ start, end int }
-
 // partitionWalker advances a cursor set over the keyword lists one document
 // partition at a time (the getKLPartition loop of Algorithm 2, lines 5-8),
 // restricted to the Dewey interval [lo, hi) when bounds are given. Each
-// list is read through a pooled block cursor, so the walk decodes each
-// compressed block at most once per list and produces no per-posting
-// garbage; close() must run when the walk ends to recycle the decode
-// buffers. Its spans, mask and label buffers are likewise reused across
-// partitions so the hot loop does not allocate per partition visited.
+// list is read through one pooled block cursor that only moves forward,
+// so the walk decodes each compressed block once (Theorem 2's single
+// scan). In the same pass it copies the partition's postings into
+// walker-owned buffers — one posting buffer and one ID arena, reused
+// across partitions — which the partition's SLCA calls and result typing
+// read. close() must run when the walk ends to recycle the decode
+// buffers.
 type partitionWalker struct {
-	lists  []*index.List
-	curs   []*index.Cursor
-	limits []int
-	spans  []span
+	curs []*index.Cursor
+	hi   dewey.ID // exclusive bound of the walk; nil when open
+	// cols[i] is the current partition's postings of lists[i], a slice
+	// of posts whose IDs are cut from arena; both are overwritten by the
+	// next partition.
+	cols  [][]index.Posting
+	ends  []int
+	posts []index.Posting
+	arena []uint32
 	// mask is the partition's available-keyword set T as a bitset over
 	// the scan keywords: bit i is set when lists[i] has a posting in it.
 	mask   []byte
@@ -199,30 +201,21 @@ type partitionWalker struct {
 }
 
 // newPartitionWalker positions cursors at the first posting >= lo (or the
-// list start when lo is nil) and bounds the walk at the first posting >= hi
-// (or the list end when hi is nil). lo and hi must be partition roots so no
-// partition straddles two walkers.
+// list start when lo is nil); a list ends for the walk when its head
+// reaches hi (or its end when hi is nil). lo and hi must be partition
+// roots so no partition straddles two walkers.
 func newPartitionWalker(lists []*index.List, lo, hi dewey.ID) *partitionWalker {
 	w := &partitionWalker{
-		lists:  lists,
-		curs:   make([]*index.Cursor, len(lists)),
-		limits: make([]int, len(lists)),
-		spans:  make([]span, len(lists)),
-		mask:   make([]byte, (len(lists)+7)/8),
+		curs: make([]*index.Cursor, len(lists)),
+		hi:   hi,
+		cols: make([][]index.Posting, len(lists)),
+		ends: make([]int, len(lists)),
+		mask: make([]byte, (len(lists)+7)/8),
 	}
 	for i, l := range lists {
-		c := l.NewCursor()
-		w.curs[i] = c
+		w.curs[i] = l.NewCursor()
 		if lo != nil {
-			c.SeekGE(lo)
-		}
-		if hi != nil {
-			w.limits[i] = l.SeekGE(hi)
-		} else {
-			w.limits[i] = l.Len()
-		}
-		if w.limits[i] < c.Pos() {
-			w.limits[i] = c.Pos()
+			w.curs[i].SeekGE(lo)
 		}
 	}
 	return w
@@ -231,8 +224,7 @@ func newPartitionWalker(lists []*index.List, lo, hi dewey.ID) *partitionWalker {
 // maskHas reports whether bit i of a keyword mask is set.
 func maskHas(mask []byte, i int) bool { return mask[i/8]&(1<<(i%8)) != 0 }
 
-// close recycles the walker's cursor decode buffers; the walker (and any
-// ID it handed out by alias) must not be used afterwards.
+// close recycles the walker's cursor decode buffers.
 func (w *partitionWalker) close() {
 	for _, c := range w.curs {
 		c.Close()
@@ -241,32 +233,28 @@ func (w *partitionWalker) close() {
 
 // spanPostings returns the posting mass of the current partition — what
 // the budget charges per partition visited.
-func (w *partitionWalker) spanPostings() int {
-	n := 0
-	for _, s := range w.spans {
-		n += s.end - s.start
-	}
-	return n
-}
+func (w *partitionWalker) spanPostings() int { return len(w.posts) }
 
-// next advances to the next non-empty partition, filling w.spans and
-// w.mask with the partition's sublists, and returns its root label. The
+// next advances to the next non-empty partition, filling w.cols and
+// w.mask with the partition's postings, and returns its root label. The
 // label is w's own buffer, valid until the next call. It returns false
-// when every cursor reached its limit. Postings at the document root
-// belong to no partition and are skipped (the root is never a meaningful
-// result).
+// when every list has ended. Postings at the document root belong to no
+// partition and are skipped (the root is never a meaningful result).
 func (w *partitionWalker) next() (dewey.ID, bool) {
 	for {
 		// Smallest unconsumed node across lists (paper line 5). The IDs a
 		// cursor yields alias its reusable decode buffer, so the running
-		// minimum is copied into w.v — a later read that decodes a new
-		// block would otherwise recycle the memory under the comparison.
+		// minimum is copied into w.v.
 		found := false
-		for i, c := range w.curs {
-			if c.Pos() >= w.limits[i] {
+		for _, c := range w.curs {
+			if !c.Valid() {
 				continue
 			}
-			if id := c.ID(); !found || dewey.Compare(id, w.v) < 0 {
+			id := c.ID()
+			if w.hi != nil && dewey.Compare(id, w.hi) >= 0 {
+				continue // the list has ended for this walk
+			}
+			if !found || dewey.Compare(id, w.v) < 0 {
 				w.v = append(w.v[:0], id...)
 				found = true
 			}
@@ -276,77 +264,93 @@ func (w *partitionWalker) next() (dewey.ID, bool) {
 		}
 		v := w.v
 		if len(v) < 2 {
-			for i, c := range w.curs {
-				if c.Pos() < w.limits[i] && dewey.Equal(c.ID(), v) {
+			for _, c := range w.curs {
+				if c.Valid() && dewey.Equal(c.ID(), v) {
 					c.Next()
 				}
 			}
 			continue
 		}
-		// v.Partition() and its Next(), without the two clones.
-		w.pid = append(w.pid[:0], v[:2]...)
-		w.pidEnd = append(w.pidEnd[:0], w.pid...)
-		w.pidEnd[1]++
-		clear(w.mask)
-		for i, c := range w.curs {
-			start := c.Pos()
-			end := c.SeekGE(w.pidEnd)
-			if end > w.limits[i] {
-				// The cursor overshot this walker's range bound; the list
-				// is exhausted for this walk, so it is never read again.
-				end = w.limits[i]
-			}
-			w.spans[i] = span{start: start, end: end}
-			if end > start {
-				w.mask[i/8] |= 1 << (i % 8)
-			}
-		}
+		w.fill(v[:2])
 		return w.pid, true
 	}
 }
 
-// slcaScratch is one scan's working memory for its SLCA calls: the
-// current call's sub-windows, the SLCA computation's buffers, and the slab
-// the calls' results are cut from. A scan runs on one goroutine, and so
-// does the merge's replay of it, so each scan owns one scratch and no
-// scratch is shared across goroutines.
-type slcaScratch struct {
-	wins []index.List
-	sub  []*index.List
-	slca slca.Scratch
-	slab []Match
+// fill copies the postings of partition pid from every cursor into w's
+// buffers, advancing each cursor past them. Every cursor must stand on a
+// posting >= pid, or past its list's end.
+func (w *partitionWalker) fill(pid dewey.ID) {
+	w.pid = append(w.pid[:0], pid...)
+	w.pidEnd = append(w.pidEnd[:0], pid...)
+	w.pidEnd[len(w.pidEnd)-1]++
+	w.posts, w.arena = w.posts[:0], w.arena[:0]
+	clear(w.mask)
+	for i, c := range w.curs {
+		start := len(w.posts)
+		w.posts, w.arena = c.AppendUntil(w.posts, w.arena, w.pidEnd)
+		w.ends[i] = len(w.posts)
+		if len(w.posts) > start {
+			w.mask[i/8] |= 1 << (i % 8)
+		}
+	}
+	start := 0
+	for i, end := range w.ends {
+		w.cols[i] = w.posts[start:end:end]
+		start = end
+	}
 }
 
-// minSlab is the length of a scan's first result slab.
-const minSlab = 64
+// seek fills w with partition pid for the merge's replay: each cursor
+// moves forward to pid, then the partition is copied as next copies it.
+// Successive seeks must go forward in document order.
+func (w *partitionWalker) seek(pid dewey.ID) {
+	for _, c := range w.curs {
+		c.SeekGE(pid)
+	}
+	w.fill(pid)
+}
+
+// slcaScratch is one scan's working memory for its SLCA calls: the
+// current call's keyword columns, the SLCA computation's buffers, and the
+// slabs the calls' results are cut from. A scan runs on one goroutine,
+// and so does the merge's replay of it, so each scan owns one scratch and
+// no scratch is shared across goroutines.
+type slcaScratch struct {
+	sub  [][]index.Posting
+	slca slca.Scratch
+	slab []Match
+	ids  []uint32
+}
+
+// minSlab is the length of a scan's first result slab, and minIDSlab the
+// length of its first result-ID slab.
+const (
+	minSlab   = 64
+	minIDSlab = 512
+)
 
 // partitionSLCA computes the meaningful SLCAs of c's refined query inside
-// one document partition by running scan-eager over the
-// partition-restricted sublists, read straight from c's keyword
-// columns. The second return is the posting mass the SLCA computation
-// consumed (0 when a keyword was absent and the computation was skipped).
-// Under tracing, the time spent in the SLCA layer accumulates onto the
-// trace span's slca_ns attribute — safe from concurrent workers.
+// one document partition by running scan-eager over the partition's
+// postings, read straight from c's keyword columns of cols. The second
+// return is the posting mass the SLCA computation consumed (0 when a
+// keyword was absent and the computation was skipped). Under tracing, the
+// time spent in the SLCA layer accumulates onto the trace span's slca_ns
+// attribute — safe from concurrent workers.
 //
-// The results are a capacity-capped slice of x's slab, so appending to
-// them copies and never writes into another call's results. Once x's
-// buffers have grown, the call allocates nothing else but the blocks the
-// lists decode on a cache miss.
-func (x *slcaScratch) partitionSLCA(in Input, c *dpCand, lists []*index.List, spans []span) ([]Match, int) {
-	n := len(c.cols)
-	if cap(x.wins) < n {
-		x.wins = make([]index.List, n)
-		x.sub = make([]*index.List, n)
-	}
-	sub := x.sub[:n]
-	for i, col := range c.cols {
-		s := spans[col]
-		if s.end <= s.start {
+// cols alias the walker's buffers, which the next partition overwrites,
+// so every result ID is copied into x's ID slab. The results are a
+// capacity-capped slice of x's slab, so appending to them copies and never
+// writes into another call's results. Once x's buffers have grown, the
+// call allocates nothing.
+func (x *slcaScratch) partitionSLCA(in Input, c *dpCand, cols [][]index.Posting) ([]Match, int) {
+	sub := x.sub[:0]
+	for _, col := range c.cols {
+		if len(cols[col]) == 0 {
 			return nil, 0 // keyword absent from partition
 		}
-		lists[col].SubInto(&x.wins[i], s.start, s.end)
-		sub[i] = &x.wins[i]
+		sub = append(sub, cols[col])
 	}
+	x.sub = sub
 	var t0 time.Time
 	if in.Trace != nil {
 		t0 = time.Now()
@@ -365,9 +369,18 @@ func (x *slcaScratch) partitionSLCA(in Input, c *dpCand, lists []*index.List, sp
 		x.slab = make([]Match, 0, max(2*cap(x.slab), len(ids), minSlab))
 	}
 	a := len(x.slab)
-	x.slab = appendMeaningful(x.slab, ids, sub[n-1], in.Judge)
+	x.slab = appendMeaningful(x.slab, ids, sub[len(sub)-1], in.Judge)
 	if len(x.slab) == a {
 		return nil, cost
+	}
+	for i := a; i < len(x.slab); i++ {
+		id := x.slab[i].ID
+		if cap(x.ids)-len(x.ids) < len(id) {
+			x.ids = make([]uint32, 0, max(2*cap(x.ids), len(id), minIDSlab))
+		}
+		b := len(x.ids)
+		x.ids = append(x.ids, id...)
+		x.slab[i].ID = x.ids[b:len(x.ids):len(x.ids)]
 	}
 	return x.slab[a:len(x.slab):len(x.slab)], cost
 }
@@ -395,5 +408,19 @@ func Original(in Input) ([]Match, error) {
 	if err != nil || len(ids) == 0 {
 		return nil, err
 	}
-	return appendMeaningful(nil, ids, sub[0], in.Judge), nil
+	// The results are disjoint subtrees in document order, so one forward
+	// cursor finds each result's first witness posting.
+	c := sub[0].NewCursor()
+	defer c.Close()
+	var out []Match
+	for _, id := range ids {
+		c.SeekGE(id)
+		if !c.Valid() {
+			break
+		}
+		if m, ok := typedMatch(id, c.Posting()); ok && in.Judge.Meaningful(m.Type) {
+			out = append(out, m)
+		}
+	}
+	return out, nil
 }

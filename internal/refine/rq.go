@@ -213,16 +213,11 @@ func (in *Input) scanKeywords() []string {
 	return ks
 }
 
-// typedMatch resolves the node type of an SLCA result from a witnessing
-// posting list: the first posting at or after the result lies inside its
-// subtree, and the result's type is that posting's ancestor type at the
+// typedMatch resolves the node type of an SLCA result from p, the first
+// witnessing posting at or after it: that posting lies inside the result's
+// subtree, and the result's type is the posting's ancestor type at the
 // result's depth.
-func typedMatch(id dewey.ID, witness *index.List) (Match, bool) {
-	i := witness.SeekGE(id)
-	if i >= witness.Len() {
-		return Match{}, false
-	}
-	p := witness.At(i)
+func typedMatch(id dewey.ID, p index.Posting) (Match, bool) {
 	if !dewey.IsAncestorOrSelf(id, p.ID) {
 		return Match{}, false
 	}
@@ -233,12 +228,16 @@ func typedMatch(id dewey.ID, witness *index.List) (Match, bool) {
 	return Match{ID: id, Type: t}, true
 }
 
-// appendMeaningful converts raw SLCA IDs into typed matches and appends
-// the meaningful ones (Definition 3.3) to dst.
-func appendMeaningful(dst []Match, ids []dewey.ID, witness *index.List, judge *searchfor.Judge) []Match {
+// appendMeaningful converts raw SLCA IDs into typed matches, each typed
+// from the first posting at or after it in the document-ordered witness,
+// and appends the meaningful ones (Definition 3.3) to dst.
+func appendMeaningful(dst []Match, ids []dewey.ID, witness []index.Posting, judge *searchfor.Judge) []Match {
 	for _, id := range ids {
-		m, ok := typedMatch(id, witness)
-		if ok && judge.Meaningful(m.Type) {
+		i := sort.Search(len(witness), func(i int) bool { return dewey.Compare(witness[i].ID, id) >= 0 })
+		if i == len(witness) {
+			continue
+		}
+		if m, ok := typedMatch(id, witness[i]); ok && judge.Meaningful(m.Type) {
 			dst = append(dst, m)
 		}
 	}

@@ -61,10 +61,12 @@ func rangeBounds(pivots []dewey.ID, r int) (lo, hi dewey.ID) {
 
 // splitPivots picks up to n-1 partition-root labels splitting the combined
 // posting mass of the lists into roughly equal contiguous ranges. Pivot
-// candidates are the partition roots of the postings at fractional
-// positions of each list, so each costs O(1) and ranges align with
-// partition boundaries by construction. It returns nil when the lists
-// cannot support more than one range (e.g. all mass in one partition).
+// candidates are the partition roots of the skip-table entries (each
+// block's first ID) nearest fractional positions of each list, so each
+// costs a binary search and no decode, and ranges align with partition
+// boundaries by construction — the walk is exact for any partition-root
+// pivots. It returns nil when the lists cannot support more than one
+// range (e.g. all mass in one partition).
 func splitPivots(lists []*index.List, n int) []dewey.ID {
 	if n <= 1 {
 		return nil
@@ -75,8 +77,7 @@ func splitPivots(lists []*index.List, n int) []dewey.ID {
 			if l.Len() == 0 {
 				continue
 			}
-			idx := l.Len() * j / n
-			if p, ok := l.At(idx).ID.Partition(); ok {
+			if p, ok := l.BlockFirst(l.Len() * j / n).Partition(); ok {
 				cands = append(cands, p)
 			}
 		}
@@ -251,8 +252,11 @@ type Scan struct {
 	rqPruned     int
 	boundUpdates int
 
-	slca  slcaScratch // the SLCA calls of the scan and of its replay
-	spans []span      // merge-time scratch for recomputations
+	slca slcaScratch // the SLCA calls of the scan and of its replay
+	// reread re-reads the partitions the merge must recompute, through
+	// forward cursors: the merge replays a scan's records in document
+	// order. Opened on the first recomputation; MergeScans closes it.
+	reread *partitionWalker
 }
 
 // Partitions reports how many partitions the scan fully processed.
@@ -328,7 +332,7 @@ func scanRange(in Input, k int, ks []string, lists []*index.List, lo, hi dewey.I
 				}
 				continue
 			}
-			matches, postings := s.slca.partitionSLCA(in, c, lists, w.spans)
+			matches, postings := s.slca.partitionSLCA(in, c, w.cols)
 			s.slcaCalls++
 			s.slcaPostings += int64(postings)
 			if len(matches) == 0 {
@@ -417,6 +421,14 @@ func MergeScans(in Input, k int, scans []*Scan) (*TopKOutcome, error) {
 	}
 	out := &TopKOutcome{Workers: 1}
 	sorted := NewSortedList(2 * k)
+	defer func() {
+		for _, s := range scans {
+			if s != nil && s.reread != nil {
+				s.reread.close()
+				s.reread = nil
+			}
+		}
+	}()
 	type cursor struct {
 		s *Scan
 		i int
@@ -466,9 +478,9 @@ func MergeScans(in Input, k int, scans []*Scan) (*TopKOutcome, error) {
 // exactly the one-scan admission logic: membership and qualification are
 // judged against the replay list, and SLCA results the scan skipped (its
 // bound was a lower envelope of the replay's) are recomputed here from the
-// same partition sublists.
+// same partition's postings, re-read through the scan's forward cursors.
 func (s *Scan) replay(rec partitionRecord, sorted *SortedList, out *TopKOutcome) {
-	spansReady := false
+	read := false
 	for _, rr := range s.rqs[rec.first:rec.end] {
 		c := rr.c
 		item := sorted.byKey[c.key]
@@ -477,15 +489,15 @@ func (s *Scan) replay(rec partitionRecord, sorted *SortedList, out *TopKOutcome)
 		}
 		res := rr.results
 		if res == nil {
-			if !spansReady {
-				if s.spans == nil {
-					s.spans = make([]span, len(s.lists))
+			if !read {
+				if s.reread == nil {
+					s.reread = newPartitionWalker(s.lists, nil, nil)
 				}
-				partitionSpans(s.lists, rec.pid, s.spans)
-				spansReady = true
+				s.reread.seek(rec.pid)
+				read = true
 			}
 			var postings int
-			res, postings = s.slca.partitionSLCA(s.in, c, s.lists, s.spans)
+			res, postings = s.slca.partitionSLCA(s.in, c, s.reread.cols)
 			out.SLCACalls++
 			out.SLCAPostings += int64(postings)
 		}
@@ -497,16 +509,5 @@ func (s *Scan) replay(rec partitionRecord, sorted *SortedList, out *TopKOutcome)
 		} else {
 			sorted.insert(c.rq, c.key, res)
 		}
-	}
-}
-
-// partitionSpans reconstructs the sublist spans of a partition. Inside the
-// walk the span start is the cursor position, but by the time a partition
-// is visited every posting before its root has been consumed, so the
-// cursor equals SeekGE(pid) — two binary searches recover the same spans.
-func partitionSpans(lists []*index.List, pid dewey.ID, spans []span) {
-	pidEnd := pid.Next()
-	for i, l := range lists {
-		spans[i] = span{start: l.SeekGE(pid), end: l.SeekGE(pidEnd)}
 	}
 }

@@ -11,7 +11,7 @@ import (
 // walkAllocCeiling bounds the mean allocations of one walk (one query's
 // PartitionTopK) over the golden walk workload at k=3 on one scan. Lower it
 // as the walk gets cheaper; never raise it.
-const walkAllocCeiling = 1528
+const walkAllocCeiling = 1245
 
 // TestWalkAllocs is the walk's allocation ratchet: passes over
 // walkQueries on walkCorpus, after a warm pass has filled the lazily
@@ -54,8 +54,8 @@ func distinctMasks(t testing.TB, in refine.Input) int {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < l.Len(); i++ {
-			pid, ok := l.At(i).ID.Partition()
+		for _, p := range l.Postings() {
+			pid, ok := p.ID.Partition()
 			if !ok {
 				continue
 			}

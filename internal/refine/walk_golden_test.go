@@ -107,3 +107,33 @@ func TestOneRangeCountsGolden(t *testing.T) {
 		t.Errorf("one-range walk counts drifted from the sequential walk's:\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }
+
+// TestWalkDecodesEachBlockOnce is Theorem 2 as a count: a one-scan walk
+// reads each keyword list in a single forward pass, so the postings it
+// decodes never exceed the scan keywords' total list length. It reads
+// the index package's global codec counters, so it must not run beside
+// another test (no t.Parallel).
+func TestWalkDecodesEachBlockOnce(t *testing.T) {
+	c := walkCorpus(t)
+	var decoded, held uint64
+	for _, k := range []int{1, 3, 10} {
+		for _, terms := range walkQueries(t, c) {
+			in := prepareInput(t, c.Index, terms)
+			total := 0
+			for _, kw := range in.ScanKeywords() {
+				total += c.Index.ListLen(kw)
+			}
+			before := index.BlockStats().DecodedPostings
+			if _, err := refine.PartitionTopK(in, k); err != nil {
+				t.Fatal(err)
+			}
+			got := index.BlockStats().DecodedPostings - before
+			if got > uint64(total) {
+				t.Errorf("k=%d q=%s: decoded %d postings, the scan lists hold %d", k, strings.Join(terms, "+"), got, total)
+			}
+			decoded += got
+			held += uint64(total)
+		}
+	}
+	t.Logf("decoded %d postings over lists holding %d", decoded, held)
+}

@@ -75,7 +75,8 @@ func TestSplitPivotsArePartitionRoots(t *testing.T) {
 
 // TestWalkerRangesCoverFullWalk splits the fixture at every pivot and
 // checks that walking the ranges in order visits exactly the partitions of
-// the unbounded walk, with identical sublist spans and availability.
+// the unbounded walk, with identical partition postings and availability,
+// and that the postings are each list's postings under the partition.
 func TestWalkerRangesCoverFullWalk(t *testing.T) {
 	f := newFixture(t, fig1, []string{"online", "keyword"})
 	in := f.input(t, []string{"online", "keyword", "mining"}, nil)
@@ -86,7 +87,7 @@ func TestWalkerRangesCoverFullWalk(t *testing.T) {
 	}
 	type visit struct {
 		pid   string
-		spans string
+		posts string
 		avail string
 	}
 	record := func(w *partitionWalker) []visit {
@@ -102,7 +103,15 @@ func TestWalkerRangesCoverFullWalk(t *testing.T) {
 					avail += k + ","
 				}
 			}
-			out = append(out, visit{pid: pid.String(), spans: fmt.Sprint(w.spans), avail: avail})
+			var posts strings.Builder
+			for i, col := range w.cols {
+				want := lists[i].Slice(lists[i].InSubtree(pid))
+				if fmt.Sprint(col) != fmt.Sprint(want) {
+					t.Fatalf("partition %s list %s: walker copied %v, want %v", pid, ks[i], col, want)
+				}
+				fmt.Fprintf(&posts, "%v|", col)
+			}
+			out = append(out, visit{pid: pid.String(), posts: posts.String(), avail: avail})
 		}
 	}
 	full := record(newPartitionWalker(lists, nil, nil))

@@ -10,6 +10,8 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"xrefine/internal/experiments"
@@ -172,5 +174,60 @@ func TestParallelPartitionFuzzDifferential(t *testing.T) {
 			terms = append(terms, "databse") // spelling rule trigger
 		}
 		diffWalk(t, c, splits, terms, 1+rng.Intn(10), 2+rng.Intn(7))
+	}
+}
+
+// TestConcurrentWalksShareLists runs whole walks from eight goroutines at
+// once over one shared index — half on one scan, half split into ranges
+// on a pool of eight — and holds every outcome to the sequential walk's.
+// The walks share the resident lists and nothing else: each reads them
+// through its own cursors and copies partitions into its own buffers, so
+// under -race this proves no walk reads decode state another one writes.
+func TestConcurrentWalksShareLists(t *testing.T) {
+	c := walkCorpus(t)
+	queries := walkQueries(t, c)
+	queries = append(queries[:4:4], queries[len(queries)-4:]...) // four Table-VIII, four frequent-term
+	inputs := make([]refine.Input, len(queries))
+	want := make([]string, len(queries))
+	for i, terms := range queries {
+		inputs[i] = prepareInput(t, c.Index, terms)
+		out, err := refine.PartitionTopK(inputs[i], 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = walkSig(out)
+	}
+	var wg sync.WaitGroup
+	var split atomic.Bool
+	errs := make(chan string, 8*len(queries))
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := range queries {
+				in := inputs[(i+g)%len(inputs)]
+				in.Parallelism = []int{1, 8}[g%2]
+				out, err := refine.PartitionTopK(in, 3)
+				if err != nil {
+					errs <- err.Error()
+					return
+				}
+				if out.Workers > 1 {
+					split.Store(true)
+				}
+				if got := walkSig(out); got != want[(i+g)%len(inputs)] {
+					errs <- fmt.Sprintf("goroutine %d parallel=%d query %v diverged:\ngot:\n%s\nsequential:\n%s",
+						g, in.Parallelism, in.Query, got, want[(i+g)%len(inputs)])
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+	if !split.Load() {
+		t.Error("no concurrent walk split into ranges; the pool went unexercised")
 	}
 }

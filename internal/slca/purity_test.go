@@ -15,7 +15,7 @@ import (
 // shared state.
 func TestAlgorithmsPureOverSharedLists(t *testing.T) {
 	ix := buildIx(t, fig1)
-	shared := lists(t, ix, "xml", "online")
+	shared := postings(lists(t, ix, "xml", "online"))
 	want := idsString(ScanEager(shared))
 	const goroutines = 8
 	const rounds = 50

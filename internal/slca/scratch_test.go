@@ -9,16 +9,17 @@ import (
 	"xrefine/internal/index"
 )
 
-// contractCorpora yields the list sets the contract tests run on: queries
-// over fig1, then the random documents and queries of the property tests.
-func contractCorpora(t *testing.T, yield func(name string, ls []*index.List)) {
+// contractCorpora yields the decoded list sets the contract tests run on:
+// queries over fig1, then the random documents and queries of the
+// property tests.
+func contractCorpora(t *testing.T, yield func(name string, ls [][]index.Posting)) {
 	t.Helper()
 	ix := buildIx(t, fig1)
 	for _, q := range [][]string{
 		{"xml", "2003"}, {"online", "database"}, {"john", "swimming"},
 		{"xml"}, {"xml", "online"}, {"xml", "online", "2003"}, {"xml", "nosuch"},
 	} {
-		yield("fig1/"+strings.Join(q, "+"), lists(t, ix, q...))
+		yield("fig1/"+strings.Join(q, "+"), postings(lists(t, ix, q...)))
 	}
 	for _, seed := range []int64{77, 123} {
 		r := rand.New(rand.NewSource(seed))
@@ -28,17 +29,17 @@ func contractCorpora(t *testing.T, yield func(name string, ls []*index.List)) {
 			for i := range terms {
 				terms[i] = fmt.Sprintf("t%d", r.Intn(4))
 			}
-			yield(fmt.Sprintf("seed%d/%d/%s", seed, trial, strings.Join(terms, "+")), lists(t, ix, terms...))
+			yield(fmt.Sprintf("seed%d/%d/%s", seed, trial, strings.Join(terms, "+")), postings(lists(t, ix, terms...)))
 		}
 	}
 }
 
-// postingsString renders every posting ID of ls as At returns it.
-func postingsString(ls []*index.List) string {
+// postingsString renders every posting ID of ls.
+func postingsString(ls [][]index.Posting) string {
 	var b strings.Builder
 	for _, l := range ls {
-		for i := 0; i < l.Len(); i++ {
-			b.WriteString(l.At(i).ID.String())
+		for _, p := range l {
+			b.WriteString(p.ID.String())
 			b.WriteByte(' ')
 		}
 		b.WriteByte('|')
@@ -51,7 +52,7 @@ func postingsString(ls []*index.List) string {
 // (or neighbouring posting) the result is a prefix of. After appending to
 // every result, the lists and a second computation are unchanged.
 func TestResultIDsCapped(t *testing.T) {
-	contractCorpora(t, func(name string, ls []*index.List) {
+	contractCorpora(t, func(name string, ls [][]index.Posting) {
 		postings := postingsString(ls)
 		ids := ScanEager(ls)
 		want := idsString(ids)
@@ -78,18 +79,18 @@ func TestScratchReuse(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	var s Scratch
 	calls := 0
-	contractCorpora(t, func(name string, ls []*index.List) {
-		sets := [][]*index.List{ls}
+	contractCorpora(t, func(name string, ls [][]index.Posting) {
+		sets := [][][]index.Posting{ls}
 		// A window of every list and the lists reversed: same
 		// keywords, other lengths and order.
-		win := make([]*index.List, len(ls))
-		rev := make([]*index.List, len(ls))
+		win := make([][]index.Posting, len(ls))
+		rev := make([][]index.Posting, len(ls))
 		for i, l := range ls {
 			lo := 0
-			if l.Len() > 0 {
-				lo = r.Intn(l.Len())
+			if len(l) > 0 {
+				lo = r.Intn(len(l))
 			}
-			win[i] = l.Sub(lo, l.Len())
+			win[i] = l[lo:]
 			rev[len(ls)-1-i] = l
 		}
 		sets = append(sets, win, rev)

@@ -10,15 +10,20 @@
 // check) live in internal/experiments/reference, whose tests hold them
 // equal to this one (Lemma 3).
 //
-// ScanEager takes keyword inverted lists in document order and returns
-// SLCAs in document order. It is pure over its input lists: it reads
-// postings through the immutable List API and writes nothing but its own
-// working memory. A returned ID is an immutable, capacity-capped prefix of
-// a posting ID read through List.At: appending to it reallocates, and
-// writing into it is not allowed. Callers may therefore run any number of
-// computations concurrently over shared lists — the property the parallel
-// partition pipeline in internal/refine relies on. purity_test.go asserts
-// it under the race detector.
+// The scan runs over decoded postings: ScanEager takes each keyword's
+// postings as a document-ordered []index.Posting and returns SLCAs in
+// document order. It reads no List, so a caller that already holds the
+// postings — the partition walk copies each partition's postings once —
+// decodes nothing again. Compute and ScanEagerCtx take lists, decode each
+// once into fresh postings, and run the same scan.
+//
+// The scan is pure over its input: it writes nothing but its own working
+// memory. A returned ID is a capacity-capped prefix of an input posting
+// ID: appending to it reallocates, and writing into it is not allowed. It
+// lives as long as the postings it was cut from, so a caller that reuses
+// its postings' memory copies the IDs it keeps. Callers may run any
+// number of computations concurrently over shared postings — purity_test.go
+// asserts it under the race detector.
 //
 // The working memory — the lists in shortest-first order, cursors and
 // candidates — lives in a Scratch. ScanEager uses a fresh one per call; a
@@ -42,18 +47,20 @@ type Algorithm int
 // AlgoScanEager is XKSearch's Scan Eager.
 const AlgoScanEager Algorithm = 0
 
-// Compute runs scan-eager over lists; the algorithm argument is ignored.
+// Compute decodes lists once and runs scan-eager over their postings; the
+// algorithm argument is ignored. The returned IDs are cut from the
+// decoded postings, which nothing else references.
 func Compute(_ Algorithm, lists []*index.List) []dewey.ID {
-	return ScanEager(lists)
+	return new(Scratch).scanEager(nil, decode(lists))
 }
 
-// ScanEagerCtx runs scan-eager under a context: the scan checks for
+// ScanEagerCtx is Compute under a context: the scan checks for
 // cancellation periodically and returns the context error the moment it
 // observes one, so a canceled query never waits out a full-list
-// computation. With an un-canceled context the output is ScanEager's.
+// computation. With an un-canceled context the output is Compute's.
 func ScanEagerCtx(ctx context.Context, lists []*index.List) ([]dewey.ID, error) {
 	c := newCanceler(ctx)
-	ids := new(Scratch).scanEager(c, lists)
+	ids := new(Scratch).scanEager(c, decode(lists))
 	if err := c.err(); err != nil {
 		return nil, err
 	}
@@ -65,23 +72,42 @@ func ScanEagerCtx(ctx context.Context, lists []*index.List) ([]dewey.ID, error) 
 // Reused over calls, it lets a computation allocate nothing once its
 // buffers have grown. The zero value is ready; a Scratch belongs to one
 // goroutine.
-//
-// Lists arrive with whatever block cache the caller's window carries: the
-// refinement paths hand in Sub-windows of per-query views, so successive
-// SLCA calls over one query reuse each other's decoded blocks. Callers
-// fanning a shared resident list across goroutines should View-wrap once
-// per goroutine, not per call.
 type Scratch struct {
-	ordered []*index.List
+	ordered [][]index.Posting
 	cursors []int
 	cands   []dewey.ID
 }
 
 // ScanEager runs scan-eager as the package-level ScanEager does, in s's
 // buffers. The returned slice may alias s and is valid until the next
-// call on s; the IDs in it stay valid indefinitely.
-func (s *Scratch) ScanEager(lists []*index.List) []dewey.ID {
+// call on s; the IDs in it live as long as the input postings.
+func (s *Scratch) ScanEager(lists [][]index.Posting) []dewey.ID {
 	return s.scanEager(nil, lists)
+}
+
+// decode reads every list once, in document order, into fresh postings:
+// one posting buffer sized to the lists' total length and one component
+// arena their IDs are cut from. It returns nil when a list is empty,
+// since the SLCA of a query with an unmatched keyword is empty.
+func decode(lists []*index.List) [][]index.Posting {
+	total := 0
+	for _, l := range lists {
+		if l.Len() == 0 {
+			return nil
+		}
+		total += l.Len()
+	}
+	posts := make([]index.Posting, 0, total)
+	var arena []uint32
+	out := make([][]index.Posting, len(lists))
+	for i, l := range lists {
+		c := l.NewCursor()
+		start := len(posts)
+		posts, arena = c.AppendUntil(posts, arena, nil)
+		c.Close()
+		out[i] = posts[start:len(posts):len(posts)]
+	}
+	return out
 }
 
 // canceler samples a context's cancellation state once every checkStride
@@ -128,22 +154,22 @@ func (c *canceler) err() error {
 // Cost returns the posting mass of a computation's input — the sum of
 // list lengths. It is the unit the engine's SLCA metrics account in: the
 // scan's work is bounded by a small function of this mass.
-func Cost(lists []*index.List) int {
+func Cost(lists [][]index.Posting) int {
 	n := 0
 	for _, l := range lists {
-		n += l.Len()
+		n += len(l)
 	}
 	return n
 }
 
 // nonEmpty reports whether every list has at least one posting; SLCA of a
 // query with an unmatched keyword is empty by the conjunctive semantics.
-func nonEmpty(lists []*index.List) bool {
+func nonEmpty(lists [][]index.Posting) bool {
 	if len(lists) == 0 {
 		return false
 	}
 	for _, l := range lists {
-		if l.Len() == 0 {
+		if len(l) == 0 {
 			return false
 		}
 	}
@@ -153,10 +179,10 @@ func nonEmpty(lists []*index.List) bool {
 // shortestFirst returns the lists reordered so the shortest is first, ties
 // in input order; the scan takes its anchors from the first. A stable
 // insertion sort into s's buffer: query lists number a handful.
-func (s *Scratch) shortestFirst(lists []*index.List) []*index.List {
+func (s *Scratch) shortestFirst(lists [][]index.Posting) [][]index.Posting {
 	out := append(s.ordered[:0], lists...)
 	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Len() < out[j-1].Len(); j-- {
+		for j := i; j > 0 && len(out[j]) < len(out[j-1]); j-- {
 			out[j], out[j-1] = out[j-1], out[j]
 		}
 	}
@@ -200,11 +226,11 @@ func filterSLCA(cands []dewey.ID) []dewey.ID {
 // scanning wins when list sizes are comparable). Anchors arrive in increasing order,
 // so each cursor only ever moves forward — the whole computation is a
 // single coordinated scan.
-func ScanEager(lists []*index.List) []dewey.ID {
+func ScanEager(lists [][]index.Posting) []dewey.ID {
 	return new(Scratch).scanEager(nil, lists)
 }
 
-func (s *Scratch) scanEager(c *canceler, lists []*index.List) []dewey.ID {
+func (s *Scratch) scanEager(c *canceler, lists [][]index.Posting) []dewey.ID {
 	if !nonEmpty(lists) {
 		return nil
 	}
@@ -212,33 +238,33 @@ func (s *Scratch) scanEager(c *canceler, lists []*index.List) []dewey.ID {
 	anchors, others := ordered[0], ordered[1:]
 	cursors := s.zeroCursors(len(others))
 	cands := s.cands[:0]
-	for i := 0; i < anchors.Len(); i++ {
+	for _, a := range anchors {
 		if c.stop() {
 			return nil
 		}
 		// The folded x is always a prefix of anchor v: track its length.
-		v := anchors.At(i).ID
+		v := a.ID
 		n := len(v)
 		for j, l := range others {
 			x := v[:n]
-			// Position the cursor so that postings[cursor-1] <= x <
-			// postings[cursor]: the two sides are exactly lm(x) and
-			// rm(x). Anchors increase monotonically, but the folded x
-			// can jump back toward the root (an ancestor sorts before
-			// its descendants), so the cursor may also need to step
-			// back; the forward scan dominates the cost in practice.
-			for cursors[j] < l.Len() && dewey.Compare(l.At(cursors[j]).ID, x) <= 0 {
+			// Position the cursor so that l[cursor-1] <= x < l[cursor]:
+			// the two sides are exactly lm(x) and rm(x). Anchors increase
+			// monotonically, but the folded x can jump back toward the
+			// root (an ancestor sorts before its descendants), so the
+			// cursor may also need to step back; the forward scan
+			// dominates the cost in practice.
+			for cursors[j] < len(l) && dewey.Compare(l[cursors[j]].ID, x) <= 0 {
 				cursors[j]++
 			}
-			for cursors[j] > 0 && dewey.Compare(l.At(cursors[j]-1).ID, x) > 0 {
+			for cursors[j] > 0 && dewey.Compare(l[cursors[j]-1].ID, x) > 0 {
 				cursors[j]--
 			}
 			best := 0
 			if cursors[j] > 0 {
-				best = dewey.LCALen(x, l.At(cursors[j]-1).ID)
+				best = dewey.LCALen(x, l[cursors[j]-1].ID)
 			}
-			if cursors[j] < l.Len() {
-				best = max(best, dewey.LCALen(x, l.At(cursors[j]).ID))
+			if cursors[j] < len(l) {
+				best = max(best, dewey.LCALen(x, l[cursors[j]].ID))
 			}
 			n = best
 		}

@@ -56,6 +56,15 @@ func lists(t testing.TB, ix *index.Index, terms ...string) []*index.List {
 	return out
 }
 
+// postings decodes every list, as Compute does, for the slice core.
+func postings(ls []*index.List) [][]index.Posting {
+	out := make([][]index.Posting, len(ls))
+	for i, l := range ls {
+		out[i] = l.Postings()
+	}
+	return out
+}
+
 func buildIx(t testing.TB, src string) *index.Index {
 	t.Helper()
 	doc, err := xmltree.ParseString(src, nil)
@@ -73,7 +82,9 @@ func idsToStrings(ids []dewey.ID) []string {
 	return out
 }
 
-// runAll checks scan-eager, through every entry point, against want.
+// runAll checks scan-eager, through every entry point, against want:
+// the slice core over decoded postings, and the two entry points that
+// decode lists themselves.
 func runAll(t *testing.T, ls []*index.List, want []string) {
 	t.Helper()
 	ctxIDs, err := ScanEagerCtx(context.Background(), ls)
@@ -81,7 +92,7 @@ func runAll(t *testing.T, ls []*index.List, want []string) {
 		t.Fatal(err)
 	}
 	for name, ids := range map[string][]dewey.ID{
-		"ScanEager": ScanEager(ls), "Compute": Compute(AlgoScanEager, ls), "ScanEagerCtx": ctxIDs,
+		"ScanEager": ScanEager(postings(ls)), "Compute": Compute(AlgoScanEager, ls), "ScanEagerCtx": ctxIDs,
 	} {
 		if got := idsToStrings(ids); strings.Join(got, " ") != strings.Join(want, " ") {
 			t.Errorf("%s = %v, want %v", name, got, want)
@@ -171,7 +182,7 @@ func TestPropertySLCAInvariants(t *testing.T) {
 		ix := buildIx(t, src)
 		terms := []string{"t0", "t1"}
 		ls := lists(t, ix, terms...)
-		res := ScanEager(ls)
+		res := Compute(AlgoScanEager, ls)
 		for i := range res {
 			for j := range res {
 				if i != j && dewey.IsAncestorOrSelf(res[i], res[j]) {
@@ -198,19 +209,19 @@ func benchmarkDoc(n int) string {
 	return b.String()
 }
 
-func benchLists(b *testing.B) []*index.List {
+func benchLists(b *testing.B) [][]index.Posting {
 	doc, err := xmltree.ParseString(benchmarkDoc(5000), nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	ix := index.Build(doc)
-	out := make([]*index.List, 0, 2)
+	out := make([][]index.Posting, 0, 2)
 	for _, term := range []string{"alpha", "2003"} {
 		l, err := ix.List(term)
 		if err != nil {
 			b.Fatal(err)
 		}
-		out = append(out, l)
+		out = append(out, l.Postings())
 	}
 	return out
 }
