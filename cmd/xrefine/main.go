@@ -59,8 +59,8 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   xrefine index  -xml <file> -index <file> [-with-doc]   build a persistent index
-  xrefine search [-xml <file> | -index <file> | -shards <dir> [-replicas N] [-hedge-after D]] [-k N] [-parallel N] [-explain] <query>
-  xrefine batch  [-xml <file> | -index <file>] [-k N] [-parallel N] -queries <file>   one query per line, TSV out
+  xrefine search [-xml <file> | -index <file> | -shards <dir> [-replicas N] [-hedge-after D]] [-k N] [-explain] <query>
+  xrefine batch  [-xml <file> | -index <file>] [-k N] -queries <file>   one query per line, TSV out
   xrefine apply  -index <file> -batch <file>   apply an update batch as a new epoch
   xrefine explain [-xml <file> | -index <file>] <query>   full decision trace
   xrefine narrow [-xml <file>] [-max N] [-k N] <query>    too-many-results suggestions
@@ -116,7 +116,6 @@ type queryBackend interface {
 func load(fs *flag.FlagSet) (*xrefine.Engine, *xrefine.Document, func()) {
 	xmlPath := fs.Lookup("xml").Value.String()
 	indexPath := fs.Lookup("index").Value.String()
-	cfg := engineConfig(fs)
 	switch {
 	case xmlPath != "":
 		f, err := os.Open(xmlPath)
@@ -128,13 +127,13 @@ func load(fs *flag.FlagSet) (*xrefine.Engine, *xrefine.Document, func()) {
 		if err != nil {
 			fatal(err)
 		}
-		return xrefine.NewFromDocument(doc, cfg), doc, func() {}
+		return xrefine.NewFromDocument(doc, nil), doc, func() {}
 	case indexPath != "":
 		store, err := xrefine.OpenStore(indexPath, true)
 		if err != nil {
 			fatal(err)
 		}
-		eng, err := xrefine.OpenIndex(store, cfg)
+		eng, err := xrefine.OpenIndex(store, nil)
 		if err != nil {
 			store.Close()
 			fatal(err)
@@ -150,7 +149,7 @@ func load(fs *flag.FlagSet) (*xrefine.Engine, *xrefine.Document, func()) {
 // many replicas per shard attach and -hedge-after enables hedged reads.
 func loadBackend(fs *flag.FlagSet) (queryBackend, *xrefine.Document, func()) {
 	if f := fs.Lookup("shards"); f != nil && f.Value.String() != "" {
-		opts := &xrefine.ShardOptions{Config: engineConfig(fs)}
+		opts := &xrefine.ShardOptions{}
 		if rf := fs.Lookup("replicas"); rf != nil {
 			if n, err := strconv.Atoi(rf.Value.String()); err == nil && n > 0 {
 				opts.Replicas = n
@@ -171,21 +170,6 @@ func loadBackend(fs *flag.FlagSet) (queryBackend, *xrefine.Document, func()) {
 	return eng, doc, closeFn
 }
 
-// engineConfig translates the optional -parallel flag into an engine
-// config: unset or 0 keeps the default (all cores), 1 forces the
-// sequential partition walk. Output is identical at any setting.
-func engineConfig(fs *flag.FlagSet) *xrefine.Config {
-	f := fs.Lookup("parallel")
-	if f == nil {
-		return nil
-	}
-	n, err := strconv.Atoi(f.Value.String())
-	if err != nil || n <= 0 {
-		return nil
-	}
-	return &xrefine.Config{Parallelism: n}
-}
-
 func cmdSearch(args []string) {
 	fs := flag.NewFlagSet("search", flag.ExitOnError)
 	fs.String("xml", "", "XML document")
@@ -194,7 +178,6 @@ func cmdSearch(args []string) {
 	fs.Int("replicas", 0, "replicas per shard to attach from the manifest (0 = all)")
 	fs.Duration("hedge-after", 0, "hedge a slow shard scan onto the next replica after this delay (0 = off)")
 	k := fs.Int("k", 3, "number of refined queries")
-	parallel := fs.Int("parallel", 0, "partition-walk workers (0 = all cores, 1 = sequential)")
 	explainTrace := fs.Bool("explain", false, "print the query's stage trace (spans with durations) after the answer")
 	wireAddr := fs.String("wire", "", "query a running xserve -wire server at this address and print the raw JSON payload")
 	fs.Parse(args)
@@ -203,7 +186,7 @@ func cmdSearch(args []string) {
 	}
 	query := strings.Join(fs.Args(), " ")
 	if *wireAddr != "" {
-		wireSearch(*wireAddr, query, *k, *parallel)
+		wireSearch(*wireAddr, query, *k)
 		return
 	}
 	eng, doc, closeFn := loadBackend(fs)
@@ -215,7 +198,7 @@ func cmdSearch(args []string) {
 // payload, which is byte-identical to the HTTP /search body for the same
 // server state — scripts/wire_diff.sh diffs the two surfaces through
 // this path.
-func wireSearch(addr, query string, k, parallel int) {
+func wireSearch(addr, query string, k int) {
 	c, err := wire.Dial(addr, 5*time.Second)
 	if err != nil {
 		fatal(err)
@@ -225,7 +208,7 @@ func wireSearch(addr, query string, k, parallel int) {
 	if len(terms) == 0 {
 		fatal(fmt.Errorf("empty query after tokenization"))
 	}
-	resp, err := c.Query(0, byte(xrefine.StrategyPartition), k, parallel, terms)
+	resp, err := c.Query(0, byte(xrefine.StrategyPartition), k, 0, terms)
 	if err != nil {
 		fatal(err)
 	}
@@ -244,7 +227,6 @@ func cmdBatch(args []string) {
 	fs.String("xml", "", "XML document")
 	fs.String("index", "", "index file")
 	k := fs.Int("k", 3, "number of refined queries")
-	fs.Int("parallel", 0, "partition-walk workers (0 = all cores, 1 = sequential)")
 	queriesPath := fs.String("queries", "", "file with one keyword query per line")
 	fs.Parse(args)
 	if *queriesPath == "" {
@@ -430,7 +412,6 @@ func cmdREPL(args []string) {
 	fs.Int("replicas", 0, "replicas per shard to attach from the manifest (0 = all)")
 	fs.Duration("hedge-after", 0, "hedge a slow shard scan onto the next replica after this delay (0 = off)")
 	k := fs.Int("k", 3, "number of refined queries")
-	fs.Int("parallel", 0, "partition-walk workers (0 = all cores, 1 = sequential)")
 	fs.Parse(args)
 	eng, doc, closeFn := loadBackend(fs)
 	defer closeFn()

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	xserve -xml dblp.xml -addr :8080
-//	xserve -index dblp.kv -addr :8080 -parallel 4
+//	xserve -index dblp.kv -addr :8080
 //	xserve -index dblp.kv -timeout 2s -budget 5000000 -max-inflight 64
 //	xserve -index dblp.kv -live
 //	xserve -shards dblp-shards -addr :8080
@@ -13,7 +13,7 @@
 //
 // Endpoints:
 //
-//	GET /search?q=online+databse&k=3&parallel=N&explain=1
+//	GET /search?q=online+databse&k=3&explain=1
 //	GET /narrow?q=database&max=50&k=3    (requires -xml)
 //	GET /complete?q=datab&k=8            (search-as-you-type)
 //	POST /update                          (requires -live or -xml; see README)
@@ -98,7 +98,6 @@ func main() {
 		indexPath   = flag.String("index", "", "prebuilt index file to serve")
 		addr        = flag.String("addr", ":8080", "listen address")
 		wireAddr    = flag.String("wire", "", "also serve the binary wire protocol on this address, e.g. :7070 (same backend, same limits)")
-		parallel    = flag.Int("parallel", 0, "partition-walk workers per query (0 = all cores, 1 = sequential)")
 		timeout     = flag.Duration("timeout", 0, "per-query deadline; overruns return partial results flagged degraded (0 = none)")
 		budget      = flag.Int("budget", 0, "per-query posting budget; exhaustion degrades the response (0 = unlimited)")
 		maxInflight = flag.Int("max-inflight", 0, "max concurrently-handled query requests; excess is shed with 503 (0 = unbounded)")
@@ -119,10 +118,7 @@ func main() {
 
 	// -timeout is the pipeline's per-request deadline alone: the engine
 	// and the router see it through the request context.
-	cfg := &core.Config{
-		Parallelism:   *parallel,
-		PostingBudget: *budget,
-	}
+	cfg := &core.Config{PostingBudget: *budget}
 	var backend server.Backend
 	var eng *core.Engine
 	switch {

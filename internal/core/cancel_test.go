@@ -14,10 +14,11 @@ import (
 
 // TestCancelPromptAtEveryStage cancels a slow query mid-flight and
 // requires a prompt return at every pipeline stage: the lazy index loads
-// (made slow by injected read latency), the sequential partition walk, the
-// parallel worker pool, and the SLCA computations they delegate to. Run
-// under -race this also proves the cooperative aborts do not race with the
-// worker pool or the index singleflight.
+// (made slow by injected read latency), the partition walk, and the SLCA
+// computations it delegates to. Run under -race this also proves the
+// cooperative aborts do not race with the index singleflight. The
+// "-parallel" rows set the retired Config.Parallelism, which the benchmark
+// in bench/ still sets: it must change nothing, cancellation included.
 //
 // Each "load-*" stage opens a fresh engine whose first query pays the
 // lazily-loaded posting lists through a pager with injected latency, so

@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -68,19 +67,18 @@ type Config struct {
 	// ancestor (the entity), merging duplicates — XSeek-style display
 	// granularity instead of raw SLCA nodes.
 	ExpandResults bool
-	// Parallelism bounds the goroutines the partition walk runs its scans
-	// on (ranges of the document, or a router's shards).
-	// 0 means runtime.GOMAXPROCS(0); 1 walks on the query's goroutine.
-	// Responses are identical at every value, so it is a pure
-	// performance knob.
+	// Parallelism is ignored: a partition walk is one scan on the query's
+	// goroutine, and a router runs one goroutine per shard. The field
+	// stays only because the benchmark in bench/ still sets it.
 	Parallelism int
 	// PostingBudget caps the postings one query's exploration may consume
 	// when positive — a deterministic work bound, unlike the deadline of
-	// the query's context: under a posting budget the partition walk runs
-	// its scans one at a time, in document order (range-split shards
-	// too), so the budget stops it at the same partition at every
-	// Parallelism. Either expiry degrades the response rather than failing
-	// it, with reason "posting-budget" or "deadline". Zero means unlimited.
+	// the query's context: the partition walk charges partitions in
+	// document order, and under a posting budget a router runs its shard
+	// scans one at a time, in shard order, so the budget stops the walk at
+	// the same partition on every run. Either expiry degrades the response
+	// rather than failing it, with reason "posting-budget" or "deadline".
+	// Zero means unlimited.
 	PostingBudget int
 	// Metrics is the registry the engine registers its counters and
 	// histograms on. Nil means the engine creates a private registry,
@@ -110,9 +108,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.TopK <= 0 {
 		out.TopK = 3
-	}
-	if out.Parallelism <= 0 {
-		out.Parallelism = runtime.GOMAXPROCS(0)
 	}
 	return out
 }
@@ -172,10 +167,10 @@ func (e *Engine) snapshot() *epoch { return e.ep.Load() }
 // a store resume at the store's committed epoch.
 func (e *Engine) Epoch() uint64 { return e.snapshot().gen }
 
-// Health reports the configured worker bound and, for a store-backed
-// engine, the backing store's storage-engine snapshot.
+// Health reports, for a store-backed engine, the backing store's
+// storage-engine snapshot.
 func (e *Engine) Health() HealthExtras {
-	hx := HealthExtras{Parallelism: e.cfg.Parallelism}
+	var hx HealthExtras
 	if e.store != nil {
 		st := e.store.StorageStats()
 		hx.Storage = &st
@@ -187,9 +182,9 @@ func (e *Engine) Health() HealthExtras {
 // HTTP server registers its own metrics on. Nil when DisableMetrics.
 func (e *Engine) Metrics() *obs.Registry { return e.reg }
 
-// noteOutcome records one exploration's observables: parallel fan-out,
-// partitions visited, dynamic-program runs, candidate generation and
-// pruning, and the SLCA work delegated.
+// noteOutcome records one exploration's observables: a router's shard
+// fan-out, partitions visited, dynamic-program runs, candidate generation
+// and pruning, and the SLCA work delegated.
 func (e *Engine) noteOutcome(out *refine.TopKOutcome) {
 	if out.Workers > 1 {
 		e.m.parallel.Inc()
@@ -445,19 +440,18 @@ func (e *Engine) prepare(ep *epoch, terms []string) (refine.Input, []searchfor.C
 	inferTerms := append(append([]string(nil), terms...), rs.NewKeywords(terms)...)
 	cands := searchfor.Infer(ep.ix, inferTerms, &e.cfg.SearchFor)
 	in := refine.Input{
-		Index:       ep.ix,
-		Query:       terms,
-		Rules:       rs,
-		Judge:       searchfor.NewJudge(cands),
-		Parallelism: e.cfg.Parallelism,
+		Index: ep.ix,
+		Query: terms,
+		Rules: rs,
+		Judge: searchfor.NewJudge(cands),
 	}
 	return in, cands, nil
 }
 
 // QueryTermsCtx answers a pre-tokenized query under a caller context — the
 // engine's one query entry point. strategy must be StrategyPartition; k <= 0
-// uses Config.TopK; parallelism > 0 overrides Config.Parallelism for this
-// query (responses are identical at every value). The query's deadline is
+// uses Config.TopK; parallelism is ignored, and stays in the signature only
+// because the benchmark in bench/ still passes it. The query's deadline is
 // ctx's. An expired deadline or exhausted posting budget returns a partial
 // response with Degraded set; an outright cancellation returns ctx.Err().
 func (e *Engine) QueryTermsCtx(ctx context.Context, terms []string, strategy Strategy, k, parallelism int) (*Response, error) {
@@ -481,7 +475,7 @@ func (e *Engine) QueryTermsCtx(ctx context.Context, terms []string, strategy Str
 	ep := e.snapshot()
 	e.m.pinnedQueries.Add(1)
 	defer e.m.pinnedQueries.Add(-1)
-	resp, err := e.answer(ctx, ep, terms, k, parallelism)
+	resp, err := e.answer(ctx, ep, terms, k)
 	if err != nil {
 		return nil, err
 	}
@@ -504,9 +498,8 @@ func (e *Engine) QueryTermsCtx(ctx context.Context, terms []string, strategy Str
 }
 
 // answer runs the pipeline against one pinned epoch: prepare, explore,
-// rank. parallelism > 0 overrides the engine's configured partition-walk
-// fan-out for this query.
-func (e *Engine) answer(ctx context.Context, ep *epoch, terms []string, k, parallelism int) (*Response, error) {
+// rank.
+func (e *Engine) answer(ctx context.Context, ep *epoch, terms []string, k int) (*Response, error) {
 	root := obs.SpanFromContext(ctx)
 	psp := root.StartChild("prepare")
 	in, cands, err := e.prepare(ep, terms)
@@ -515,9 +508,6 @@ func (e *Engine) answer(ctx context.Context, ep *epoch, terms []string, k, paral
 		return nil, err
 	}
 	in.Budget = refine.NewBudget(ctx, e.cfg.PostingBudget)
-	if parallelism > 0 {
-		in.Parallelism = parallelism
-	}
 	var ssp *obs.Span
 	if root != nil {
 		ssp = root.StartChild("refine:partition")

@@ -33,12 +33,10 @@ type ReplicaStatus struct {
 	BreakerTrips      uint64  `json:"breaker_trips"`
 }
 
-// HealthExtras is the backend-specific part of /healthz: the configured
-// worker bound, plus what only some deployments have — each backend fills
-// in what it has and leaves the rest nil.
+// HealthExtras is the backend-specific part of /healthz: what only some
+// deployments have — each backend fills in what it has and leaves the rest
+// nil.
 type HealthExtras struct {
-	// Parallelism is the configured partition-walk worker bound.
-	Parallelism int
 	// ShardEpochs is every shard's current epoch, in shard order; nil on a
 	// single engine.
 	ShardEpochs []uint64

@@ -6,7 +6,6 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -197,14 +196,12 @@ func outlineSpans(d *obs.SpanData, depth int, b *strings.Builder) {
 	}
 }
 
-var rangeSpan = regexp.MustCompile(`^(\s*)range-\d+$`)
-
 // TestTraceSpanTreeGolden pins the span taxonomy of a sequential traced
 // query and checks the timing invariant: children are disjoint stages on
 // the sequential path, so their durations must sum to no more than the
 // root's.
 func TestTraceSpanTreeGolden(t *testing.T) {
-	e, _ := newEngine(t, &Config{Parallelism: 1})
+	e, _ := newEngine(t, nil)
 	ctx, root := obs.NewTrace(context.Background(), "query")
 	if _, err := queryCtx(ctx, e, "online databse"); err != nil {
 		t.Fatal(err)
@@ -255,10 +252,9 @@ query
 	}
 }
 
-// TestParallelTraceSpans: a traced query whose walk splits into ranges
-// emits one range span per range under the refine span, plus one merge
-// span. Range spans overlap in time, so only their count and naming are
-// asserted.
+// TestParallelTraceSpans: Config.Parallelism is retired, so a traced
+// query on an engine that still sets it walks as one scan — its refine
+// span holds the list loads and no per-range or merge span.
 func TestParallelTraceSpans(t *testing.T) {
 	e, _ := newEngine(t, &Config{Parallelism: 2})
 	ctx, root := obs.NewTrace(context.Background(), "query")
@@ -278,27 +274,17 @@ func TestParallelTraceSpans(t *testing.T) {
 	if refineSpan == nil {
 		t.Fatalf("no refine span in %v", d)
 	}
-	ranges, merges := 0, 0
-	for _, c := range refineSpan.Children {
-		switch {
-		case rangeSpan.MatchString(c.Name):
-			ranges++
-		case c.Name == "merge":
-			merges++
-		}
-	}
-	// A tiny corpus may not split the walk; when it does, the merge span
-	// must be present too.
-	if ranges > 0 && merges != 1 {
-		t.Errorf("refine span has %d range spans but %d merge spans", ranges, merges)
+	var b strings.Builder
+	outlineSpans(refineSpan, 0, &b)
+	if got, want := b.String(), "refine:partition\n  load-lists\n"; got != want {
+		t.Errorf("refine span outline = \n%s\nwant:\n%s", got, want)
 	}
 }
 
-// TestTracedQueriesRace drives concurrent traced parallel queries; run
-// with -race this guards the cross-goroutine span accumulation
-// (AddInt from SLCA workers) and the shared registry.
+// TestTracedQueriesRace drives concurrent traced queries; run with -race
+// this guards the shared registry.
 func TestTracedQueriesRace(t *testing.T) {
-	e, _ := newEngine(t, &Config{Parallelism: 4})
+	e, _ := newEngine(t, nil)
 	queries := []string{"online databse", "keyword search", "twig pattern", "skyline databse"}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -11,21 +10,19 @@ import (
 )
 
 // TestConcurrentQueriesRace drives one engine from many goroutines with a
-// mixed workload — one-range and ranged partition walks, lazily loaded
-// posting lists — and checks every response against a single-threaded
-// reference. Run under -race this covers the index singleflight
-// (concurrent first touches of the same and different terms over the
-// kvstore) and the shared pruning bound.
+// mixed workload over lazily loaded posting lists and checks every response
+// against a single-threaded reference. Run under -race this covers the
+// index singleflight (concurrent first touches of the same and different
+// terms over the kvstore).
 func TestConcurrentQueriesRace(t *testing.T) {
-	ref, _ := newEngine(t, &Config{Parallelism: 1})
+	ref, _ := newEngine(t, nil)
 	store := kvstore.NewMem()
 	defer store.Close()
 	if err := ref.SaveIndex(store); err != nil {
 		t.Fatal(err)
 	}
-	// The engine under test loads lists lazily from the store and fans
-	// partition walks out to 4 workers.
-	eng, err := Open(store, &Config{Parallelism: 4})
+	// The engine under test loads lists lazily from the store.
+	eng, err := Open(store, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,13 +61,7 @@ func TestConcurrentQueriesRace(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				i := (g*rounds + r*13) % len(queries)
-				// Alternate the per-query override so sequential and
-				// parallel walks interleave on the same engine.
-				parallelism := 0
-				if r%3 == 0 {
-					parallelism = 1
-				}
-				resp, err := eng.QueryTermsCtx(context.Background(), queries[i], StrategyPartition, 3, parallelism)
+				resp, err := queryTerms(eng, queries[i], 3)
 				if err != nil {
 					if want[i].err != err.Error() {
 						errs <- fmt.Sprintf("query %v: error %q, want %q", queries[i], err, want[i].err)

@@ -91,9 +91,6 @@ func verifyList(t *testing.T, l *List, want []Posting) {
 		}
 		c.Close()
 		equalPostings(t, "AppendUntil", got, want[i:j])
-		if f := l.BlockFirst(i); !dewey.Equal(f, want[i/blockMaxPostings*blockMaxPostings].ID) {
-			t.Fatalf("BlockFirst(%d) = %v, want the first ID of block %d", i, f, i/blockMaxPostings)
-		}
 	}
 	c := l.NewCursor()
 	defer c.Close()

@@ -99,14 +99,6 @@ func (l *List) Len() int {
 	return l.hi - l.lo
 }
 
-// BlockFirst returns the full ID of the first posting of the block that
-// holds the window's i-th posting, read from the skip table without
-// decoding anything. The ID may lie before the window; it belongs to the
-// list and must not be written.
-func (l *List) BlockFirst(i int) dewey.ID {
-	return l.core.skip[l.core.findBlock(l.lo+i)].first
-}
-
 // SeekGE returns the index of the first posting with ID >= d, or Len().
 // It binary searches the skip table and decodes at most one block, into
 // pooled cursor scratch, so it allocates nothing.

@@ -1,12 +1,10 @@
 package refine
 
 import (
-	"strconv"
 	"time"
 
 	"xrefine/internal/dewey"
 	"xrefine/internal/index"
-	"xrefine/internal/obs"
 	"xrefine/internal/slca"
 )
 
@@ -22,13 +20,13 @@ type TopKOutcome struct {
 	// Partitions counts document partitions actually visited, an
 	// efficiency observable for the experiments.
 	Partitions int
-	// SLCACalls counts delegated SLCA computations. A walk split into
-	// several scans may count more calls than one scan: each scan prunes
-	// against a bound that converges on the one-scan bound but can
+	// SLCACalls counts delegated SLCA computations. A walk over several
+	// shards may count more calls than a lone walk: each shard scan prunes
+	// against a bound that converges on the lone walk's but can
 	// transiently admit extra candidates.
 	SLCACalls int
 	// Workers is the number of goroutines the walk's scans ran on: 1 for
-	// a one-scan walk.
+	// a lone walk, the shard fan-out on a router.
 	Workers int
 	// Degraded reports that the exploration stopped early — deadline or
 	// posting budget — and Candidates holds the best refined queries
@@ -43,15 +41,15 @@ type TopKOutcome struct {
 	RQGenerated int
 	// DPRuns counts the partition walk's runs of the top-2K dynamic
 	// program: one per distinct available-keyword mask, shared by all the
-	// walk's scans, rather than one per partition.
+	// shard scans of a walk, rather than one per partition.
 	DPRuns int
 	// RQPruned counts candidates whose SLCA computation the top-2K
 	// dissimilarity bound skipped — the paper's key optimization made
 	// observable.
 	RQPruned int
 	// BoundUpdates counts tightenings of the pruning bound shared by the
-	// scans of a split walk (a one-scan walk's bound lives implicitly in
-	// its sorted list and reports 0).
+	// shard scans of a walk (a lone walk's bound lives implicitly in its
+	// sorted list and reports 0).
 	BoundUpdates int
 	// SLCAPostings totals the postings handed to delegated SLCA
 	// computations — the work the SLCA layer actually received.
@@ -74,16 +72,11 @@ func (o *TopKOutcome) markDegraded(b *Budget) {
 // partition's sublists. Each list is traversed exactly once
 // (Theorem 2).
 //
-// It is the one walk of walk.go over ranges of one index: load the lists,
-// split the document into contiguous partition ranges (a single range when
-// in.Parallelism <= 1, under a posting limit, or when the lists are below
-// the per-range posting floor), scan the ranges on the pool and merge them
-// in document order. The output is identical for every split, and the
-// ranges share one dynamic-program memo.
+// It is one run of walk.go's partition loop on the caller's goroutine,
+// admitting each partition's results straight into one top-2K SortedList,
+// which it returns as the candidates.
 func PartitionTopK(in Input, k int) (*TopKOutcome, error) {
-	if k < 1 {
-		k = 1
-	}
+	k = max(k, 1)
 	ks := in.scanKeywords()
 	if len(ks) == 0 {
 		return &TopKOutcome{Workers: 1}, nil
@@ -92,52 +85,14 @@ func PartitionTopK(in Input, k int) (*TopKOutcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	total := 0
-	for _, l := range lists {
-		total += l.Len()
-	}
-	workers := PoolSize(in.Budget, in.Parallelism, total/minPostingsPerRange)
-	var pivots []dewey.ID
-	if workers > 1 {
-		pivots = splitPivots(lists, workers*rangeOversplit)
-	}
-	jobs := make([]ScanJob, len(pivots)+1)
-	for r := range jobs {
-		lo, hi := rangeBounds(pivots, r)
-		jobs[r] = func(walk *Walk) (*Scan, error) {
-			if len(jobs) == 1 {
-				return scanRange(in, k, ks, lists, lo, hi, walk)
-			}
-			// One span per range; ranges overlap in time, so their
-			// durations are not additive with the sequential stage spans.
-			rin := in
-			rin.Trace = in.Trace.StartChild("range-" + strconv.Itoa(r))
-			defer rin.Trace.End()
-			s, err := scanRange(rin, k, ks, lists, lo, hi, walk)
-			if s != nil {
-				rin.Trace.SetInt("partitions", int64(s.Partitions()))
-				rin.Trace.SetInt("slca_calls", int64(s.slcaCalls))
-			}
-			return s, err
-		}
-	}
-	workers = PoolSize(in.Budget, workers, len(jobs))
-	scans, errs := RunScans(in.Budget, workers, jobs)
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	var ms *obs.Span
-	if len(scans) > 1 {
-		ms = in.Trace.StartChild("merge")
-	}
-	out, err := MergeScans(in, k, scans)
-	ms.End()
-	if err != nil {
+	s := &Scan{in: in, lists: lists, walk: newWalk()}
+	sorted := NewSortedList(2 * k)
+	if err := s.scan(k, ks, sorted, false); err != nil {
 		return nil, err
 	}
-	out.Workers = workers
+	out := &TopKOutcome{Candidates: sorted.Items(), Workers: 1}
+	s.addTo(out)
+	out.markDegraded(in.Budget)
 	return out, nil
 }
 
@@ -173,9 +128,8 @@ func scanLists(in Input, ks []string) ([]*index.List, error) {
 }
 
 // partitionWalker advances a cursor set over the keyword lists one document
-// partition at a time (the getKLPartition loop of Algorithm 2, lines 5-8),
-// restricted to the Dewey interval [lo, hi) when bounds are given. Each
-// list is read through one pooled block cursor that only moves forward,
+// partition at a time (the getKLPartition loop of Algorithm 2, lines 5-8).
+// Each list is read through one pooled block cursor that only moves forward,
 // so the walk decodes each compressed block once (Theorem 2's single
 // scan). In the same pass it copies the partition's postings into
 // walker-owned buffers — one posting buffer and one ID arena, reused
@@ -184,7 +138,6 @@ func scanLists(in Input, ks []string) ([]*index.List, error) {
 // buffers.
 type partitionWalker struct {
 	curs []*index.Cursor
-	hi   dewey.ID // exclusive bound of the walk; nil when open
 	// cols[i] is the current partition's postings of lists[i], a slice
 	// of posts whose IDs are cut from arena; both are overwritten by the
 	// next partition.
@@ -200,23 +153,16 @@ type partitionWalker struct {
 	pidEnd dewey.ID // pid.Next(), the partition's exclusive bound (reused)
 }
 
-// newPartitionWalker positions cursors at the first posting >= lo (or the
-// list start when lo is nil); a list ends for the walk when its head
-// reaches hi (or its end when hi is nil). lo and hi must be partition
-// roots so no partition straddles two walkers.
-func newPartitionWalker(lists []*index.List, lo, hi dewey.ID) *partitionWalker {
+// newPartitionWalker positions a cursor at the start of each list.
+func newPartitionWalker(lists []*index.List) *partitionWalker {
 	w := &partitionWalker{
 		curs: make([]*index.Cursor, len(lists)),
-		hi:   hi,
 		cols: make([][]index.Posting, len(lists)),
 		ends: make([]int, len(lists)),
 		mask: make([]byte, (len(lists)+7)/8),
 	}
 	for i, l := range lists {
 		w.curs[i] = l.NewCursor()
-		if lo != nil {
-			w.curs[i].SeekGE(lo)
-		}
 	}
 	return w
 }
@@ -251,9 +197,6 @@ func (w *partitionWalker) next() (dewey.ID, bool) {
 				continue
 			}
 			id := c.ID()
-			if w.hi != nil && dewey.Compare(id, w.hi) >= 0 {
-				continue // the list has ended for this walk
-			}
 			if !found || dewey.Compare(id, w.v) < 0 {
 				w.v = append(w.v[:0], id...)
 				found = true

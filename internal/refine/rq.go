@@ -125,7 +125,7 @@ func (l *SortedList) Insert(rq RQ, results []Match) *Item {
 }
 
 // insert is Insert with rq's identity key already computed — the walk
-// computes it once per candidate and reuses it for the scan's list and the
+// computes it once per candidate and reuses it for every partition and the
 // merge's replay.
 func (l *SortedList) insert(rq RQ, key string, results []Match) *Item {
 	if it := l.byKey[key]; it != nil {
@@ -166,12 +166,10 @@ type Input struct {
 	// Judge decides meaningfulness (Definition 3.3) from the inferred
 	// search-for candidates.
 	Judge *searchfor.Judge
-	// SLCA is ignored: every SLCA computation is scan-eager. The field
-	// stays only because the benchmark in bench/ still sets it.
-	SLCA slca.Algorithm
-	// Parallelism bounds the goroutines the walk's pool runs its scans on
-	// (see walk.go). 0 and 1 walk the whole document as one scan on the
-	// caller's goroutine; every value returns identical output.
+	// SLCA and Parallelism are ignored: every SLCA computation is
+	// scan-eager, and the walk is one scan on the caller's goroutine. The
+	// fields stay only because the benchmark in bench/ still sets them.
+	SLCA        slca.Algorithm
 	Parallelism int
 	// Budget, when non-nil, bounds the execution: cancellation aborts
 	// with the context error, while deadline expiry or posting-budget

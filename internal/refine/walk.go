@@ -3,7 +3,6 @@ package refine
 import (
 	"math"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -11,100 +10,35 @@ import (
 	"xrefine/internal/index"
 )
 
-// This file is Algorithm 2's one walk, built from three parts.
+// This file is Algorithm 2's one partition loop and the shard path around
+// it.
 //
-//   - Scan: scanRange walks a contiguous, document-ordered run of partitions
-//     of one index's keyword lists and records, per partition, the refined
-//     queries the dynamic program surfaced and the SLCA results it
-//     computed. It prunes against its own top-2K list and a PruneBound
-//     shared with the sibling scans of the same walk, and takes the
-//     dynamic program's output from a memo the sibling scans share too.
-//   - Pool: RunScans runs N scans on a bounded set of goroutines, handing
-//     each the walk's shared state (Walk).
+//   - Scan: Scan.scan walks every partition of one index's keyword lists in
+//     document order. A lone walk (PartitionTopK) admits each partition's
+//     SLCA results straight into its own top-2K SortedList, the paper's
+//     RQSortedList. A shard scan (ScanShard) runs the same loop in record
+//     mode: it prunes against its own list and a PruneBound shared with the
+//     sibling shard scans, and records per partition the refined queries
+//     surfaced and the results computed.
+//   - Pool: RunScans runs a walk's shard scans, one goroutine per shard,
+//     handing each the walk's shared state (Walk): the bound and the
+//     dynamic-program memo.
 //   - Merge: MergeScans replays every scan's records in global document
-//     order — partitions interleave across scans under a k-way merge on
-//     their labels — through one fresh SortedList, the exact one-scan
-//     admission logic. An SLCA a scan skipped but the replay needs (a rare
-//     race near the shared bound) is recomputed from the owning scan's
-//     lists.
+//     order (partitions interleave across shards under a k-way merge on
+//     their labels) through one fresh SortedList, the lone walk's
+//     admission logic. An SLCA a scan skipped but the replay needs (its
+//     bound was a lower envelope of the replay's) is recomputed from the
+//     owning scan's lists.
 //
-// Two kinds of source feed the pool: contiguous ranges of one index
-// (PartitionTopK splits the document by posting mass) and shards, each a
-// disjoint partition subset of one corpus with global Dewey labels
-// (ScanShard, which the shard router resolves against a replica set). The
-// outcome is identical for every split: the same partitions, in the same
-// order, through the same SortedList. The shared bound is only a
-// work-avoidance hint, so sharing it across any split preserves exactness;
-// the memo returns exactly what the dynamic program would, so sharing it
-// does too.
-
-// minPostingsPerRange keeps tiny documents on one range: below this much
-// posting mass per would-be range, goroutine and merge overhead dominates
-// any overlap win.
-const minPostingsPerRange = 256
-
-// rangeOversplit is how many ranges each worker gets on average; splitting
-// finer than the worker count lets the pool balance skewed partitions.
-const rangeOversplit = 4
-
-// rangeBounds returns the Dewey interval [lo, hi) of range r; nil means
-// unbounded on that side.
-func rangeBounds(pivots []dewey.ID, r int) (lo, hi dewey.ID) {
-	if r > 0 {
-		lo = pivots[r-1]
-	}
-	if r < len(pivots) {
-		hi = pivots[r]
-	}
-	return lo, hi
-}
-
-// splitPivots picks up to n-1 partition-root labels splitting the combined
-// posting mass of the lists into roughly equal contiguous ranges. Pivot
-// candidates are the partition roots of the skip-table entries (each
-// block's first ID) nearest fractional positions of each list, so each
-// costs a binary search and no decode, and ranges align with partition
-// boundaries by construction — the walk is exact for any partition-root
-// pivots. It returns nil when the lists cannot support more than one
-// range (e.g. all mass in one partition).
-func splitPivots(lists []*index.List, n int) []dewey.ID {
-	if n <= 1 {
-		return nil
-	}
-	var cands []dewey.ID
-	for j := 1; j < n; j++ {
-		for _, l := range lists {
-			if l.Len() == 0 {
-				continue
-			}
-			if p, ok := l.BlockFirst(l.Len() * j / n).Partition(); ok {
-				cands = append(cands, p)
-			}
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool { return dewey.Compare(cands[i], cands[j]) < 0 })
-	uniq := cands[:0]
-	for i, p := range cands {
-		if i == 0 || !dewey.Equal(cands[i-1], p) {
-			uniq = append(uniq, p)
-		}
-	}
-	if len(uniq) <= n-1 {
-		return uniq
-	}
-	// More distinct boundaries than ranges: sample evenly.
-	out := make([]dewey.ID, 0, n-1)
-	for i := 1; i < n; i++ {
-		p := uniq[len(uniq)*i/n]
-		if len(out) == 0 || !dewey.Equal(out[len(out)-1], p) {
-			out = append(out, p)
-		}
-	}
-	return out
-}
+// A shard is a disjoint partition subset of one corpus with global Dewey
+// labels, which the shard router resolves against a replica set. The
+// outcome is the lone walk's for every split: the same partitions, in the
+// same order, through the same admission logic. The shared bound is only a
+// work-avoidance hint, and the memo returns exactly what the dynamic
+// program would, so sharing either across shards preserves exactness.
 
 // PruneBound publishes the smallest full-local-list worst dissimilarity
-// any scan of one walk has seen — a lower envelope of the one-scan 2K-th
+// any scan of one walk has seen — a lower envelope of the lone walk's 2K-th
 // candidate bound. Candidates at or above it cannot enter the final top-2K,
 // so scans skip their SLCA computations. A nil bound (a walk of one scan)
 // never prunes and is never lowered.
@@ -143,13 +77,16 @@ func (b *PruneBound) lower(v float64) bool {
 }
 
 // Walk is the state every scan of one walk shares: the pruning bound and
-// the dynamic-program memo. RunScans makes one per walk and hands it to
-// each job; the jobs must scan the same keywords ks for the same query,
+// the dynamic-program memo. RunScans makes one per shard walk and hands it
+// to each job; the jobs must scan the same keywords ks for the same query,
 // rules and K, or the memo would mix their outputs.
 type Walk struct {
 	bound *PruneBound // nil for a walk of one scan
 	memo  dpMemo
 }
+
+// newWalk returns the state of a walk with no shared bound.
+func newWalk() *Walk { return &Walk{memo: dpMemo{byMask: make(map[string]*dpEntry)}} }
 
 // dpMemo memoises the top-2K dynamic program (line 10) for one walk. Its
 // output depends only on Q, the rules, K and the partition's available
@@ -219,10 +156,10 @@ func runDP(in Input, k int, ks []string, mask []byte) []dpCand {
 	return cands
 }
 
-// rqRecord is one refined query surfaced in one partition: a pointer into
-// the walk's memoised dynamic-program output and the partition's
-// meaningful SLCA results — nil when the scan skipped the computation and
-// the merge must recompute it on demand.
+// rqRecord is one refined query surfaced in one partition of a shard scan:
+// a pointer into the walk's memoised dynamic-program output and the
+// partition's meaningful SLCA results — nil when the scan skipped the
+// computation and the merge must recompute it on demand.
 type rqRecord struct {
 	c       *dpCand
 	results []Match
@@ -235,9 +172,10 @@ type partitionRecord struct {
 	first, end int
 }
 
-// Scan is the record of one scan, ready to merge. The input and lists are
-// retained because bound-skipped SLCA recomputations during the merge must
-// run against the lists of the scan that owns the partition.
+// Scan is one run of the partition loop over one index. A shard scan keeps
+// its records for the merge, and its input and lists, because bound-skipped
+// SLCA recomputations during the merge must run against the lists of the
+// scan that owns the partition.
 type Scan struct {
 	in    Input
 	lists []*index.List
@@ -262,6 +200,17 @@ type Scan struct {
 // Partitions reports how many partitions the scan fully processed.
 func (s *Scan) Partitions() int { return s.partitions }
 
+// addTo adds the scan's work counts to out.
+func (s *Scan) addTo(out *TopKOutcome) {
+	out.DPRuns = s.walk.memo.runs()
+	out.Partitions += s.partitions
+	out.SLCACalls += s.slcaCalls
+	out.SLCAPostings += s.slcaPostings
+	out.RQGenerated += s.rqGenerated
+	out.RQPruned += s.rqPruned
+	out.BoundUpdates += s.boundUpdates
+}
+
 // ScanJob produces one scan of a walk. walk is the state the pool shares
 // across the walk's scans.
 type ScanJob func(walk *Walk) (*Scan, error)
@@ -282,50 +231,48 @@ func ScanShard(in Input, k int, ks []string, walk *Walk) (*Scan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return scanRange(in, k, ks, lists, nil, nil, walk)
+	s := &Scan{in: in, lists: lists, walk: walk}
+	if err := s.scan(k, ks, NewSortedList(2*k), true); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
-// scanRange is the walk's one partition loop, over the partitions inside
-// [lo, hi) (nil bounds are open). For each partition it charges the
+// scan is the walk's one partition loop. For each partition it charges the
 // budget, takes the top-2K dynamic program's output (line 10) for the
-// partition's keyword mask from the walk's memo, and computes SLCA
-// results for every refined query that might still enter the global
-// top-2K, judged against the scan's own list and the shared bound; the
-// rest are skipped — the paper's advantage (2). The budget is checked at
-// partition granularity: a partition is either fully recorded or not at
-// all, so a degraded walk is a clean prefix of each scan.
+// partition's keyword mask from the walk's memo, and computes SLCA results
+// for every refined query that might still enter the top-2K, judged against
+// sorted and the walk's shared bound; the rest are skipped — the paper's
+// advantage (2). The budget is checked at partition granularity: a
+// partition is either fully processed or not at all, so a degraded walk is
+// a clean prefix. A degradable stop returns nil; a hard cancellation
+// returns the context error.
 //
-// The record keeps only what the merge can act on: candidates with
-// results, and — when sibling scans share the bound — skipped candidates
-// the merge may have to recompute. A candidate computed empty changes
-// nothing on replay, and a lone scan's replay repeats its own admission
-// decisions exactly, so it never recomputes what the scan skipped.
-func scanRange(in Input, k int, ks []string, lists []*index.List, lo, hi dewey.ID, walk *Walk) (*Scan, error) {
-	s := &Scan{in: in, lists: lists, walk: walk}
-	bound := walk.bound
-	local := NewSortedList(2 * k)
-	w := newPartitionWalker(lists, lo, hi)
+// Without record (a lone walk) the results go straight into sorted, which
+// is then the walk's answer. With record (a shard scan) sorted only
+// prunes, and the scan keeps what the merge can act on: candidates with
+// results, and, when sibling scans share the bound, skipped candidates the
+// merge may have to recompute. A candidate computed empty changes nothing
+// on replay.
+func (s *Scan) scan(k int, ks []string, sorted *SortedList, record bool) error {
+	in, bound := s.in, s.walk.bound
+	w := newPartitionWalker(s.lists)
 	defer w.close()
 	for {
 		pid, ok := w.next()
 		if !ok {
-			return s, nil
+			return nil
 		}
-		// A hard cancellation aborts with the context error; a degradable
-		// stop truncates the record here.
 		if !in.Budget.Charge(w.spanPostings()) {
-			if err := in.Budget.Err(); err != nil {
-				return nil, err
-			}
-			return s, nil
+			return in.Budget.Err()
 		}
-		cands := walk.memo.get(in, k, ks, w.mask)
+		cands := s.walk.memo.get(in, k, ks, w.mask)
 		s.rqGenerated += len(cands)
 		first := len(s.rqs)
 		for j := range cands {
 			c := &cands[j]
-			item := local.byKey[c.key]
-			if item == nil && !(c.rq.DSim < bound.get() && local.Qualifies(c.rq.DSim)) {
+			item := sorted.byKey[c.key]
+			if item == nil && !(c.rq.DSim < bound.get() && sorted.Qualifies(c.rq.DSim)) {
 				s.rqPruned++
 				if bound != nil {
 					s.rqs = append(s.rqs, rqRecord{c: c})
@@ -335,15 +282,17 @@ func scanRange(in Input, k int, ks []string, lists []*index.List, lo, hi dewey.I
 			matches, postings := s.slca.partitionSLCA(in, c, w.cols)
 			s.slcaCalls++
 			s.slcaPostings += int64(postings)
-			if len(matches) == 0 {
-				continue
-			}
-			s.rqs = append(s.rqs, rqRecord{c: c, results: matches})
-			if item != nil {
-				continue
-			}
-			if local.insert(c.rq, c.key, nil) != nil && local.Full() && bound.lower(local.Worst()) {
-				s.boundUpdates++
+			switch {
+			case len(matches) == 0:
+			case !record && item != nil:
+				item.Results = append(item.Results, matches...)
+			case !record:
+				sorted.insert(c.rq, c.key, matches)
+			default:
+				s.rqs = append(s.rqs, rqRecord{c: c, results: matches})
+				if item == nil && sorted.insert(c.rq, c.key, nil) != nil && sorted.Full() && bound.lower(sorted.Worst()) {
+					s.boundUpdates++
+				}
 			}
 		}
 		s.partitions++
@@ -353,64 +302,56 @@ func scanRange(in Input, k int, ks []string, lists []*index.List, lo, hi dewey.I
 	}
 }
 
-// PoolSize is the number of goroutines RunScans runs jobs scans on for a
-// requested worker bound: at most one per scan, at least one — and exactly
-// one under a posting limit. A posting budget is a deterministic work bound
-// only when it is charged in one fixed sequence, so a posting-limited walk
-// runs its scans one at a time, in the order given; sources given in
-// document order (ranges, range-split shards) then stop exactly where one
-// scan over the whole document would.
-func PoolSize(b *Budget, workers, jobs int) int {
-	if workers > jobs {
-		workers = jobs
+// PoolSize is the number of goroutines RunScans runs jobs scans on: one per
+// scan, and exactly one under a posting limit. A posting budget is a
+// deterministic work bound only when it is charged in one fixed sequence,
+// so a posting-limited walk runs its scans one at a time, in the order
+// given; shards given in document order (range-split shards) then stop
+// exactly where a lone walk over the whole document would.
+func PoolSize(b *Budget, jobs int) int {
+	if jobs < 1 || b.postingLimited() {
+		return 1
 	}
-	if workers < 1 || b.postingLimited() {
-		workers = 1
-	}
-	return workers
+	return jobs
 }
 
-// RunScans is the walk's one pool: it runs jobs on PoolSize(b, workers,
-// len(jobs)) goroutines, taking them in order, with one Walk — pruning
-// bound and dynamic-program memo — shared across them, and returns each
-// job's scan and error by index. A pool of one runs the jobs on the
-// caller's goroutine.
-func RunScans(b *Budget, workers int, jobs []ScanJob) ([]*Scan, []error) {
+// RunScans is the shard path's one pool: it runs the jobs with one Walk —
+// pruning bound and dynamic-program memo — shared across them, and returns
+// each job's scan and error by index. When PoolSize is one the jobs run in
+// order on the caller's goroutine. Otherwise every job but the first gets
+// a goroutine of its own and the first runs on the caller's, so it starts
+// first: the merge replays partitions in the order the jobs are given, and
+// a bound tightened first by a later job makes the merge recompute SLCAs
+// the earlier jobs skipped.
+func RunScans(b *Budget, jobs []ScanJob) ([]*Scan, []error) {
 	scans := make([]*Scan, len(jobs))
 	errs := make([]error, len(jobs))
-	walk := &Walk{memo: dpMemo{byMask: make(map[string]*dpEntry)}}
+	walk := newWalk()
 	if len(jobs) > 1 {
 		walk.bound = NewPruneBound()
 	}
-	workers = PoolSize(b, workers, len(jobs))
-	if workers == 1 {
+	if PoolSize(b, len(jobs)) == 1 {
 		for i, job := range jobs {
 			scans[i], errs[i] = job(walk)
 		}
 		return scans, errs
 	}
-	next := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for i := 1; i < len(jobs); i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range next {
-				scans[i], errs[i] = jobs[i](walk)
-			}
+			scans[i], errs[i] = jobs[i](walk)
 		}()
 	}
-	for i := range jobs {
-		next <- i
-	}
-	close(next)
+	scans[0], errs[0] = jobs[0](walk)
 	wg.Wait()
 	return scans, errs
 }
 
 // MergeScans is the walk's one merge: it replays the scans' partition
-// records in global document order through a fresh SortedList — the exact
-// one-scan admission logic — and returns the walk's outcome. The order in
+// records in global document order through a fresh SortedList — the lone
+// walk's admission logic — and returns the walk's outcome. The order in
 // which scans are passed does not matter; they must all come from one
 // RunScans. in is the walk-wide input (its Budget supplies the degradation
 // reason). Nil scans — failed shards — contribute nothing; the caller tags
@@ -475,7 +416,7 @@ func MergeScans(in Input, k int, scans []*Scan) (*TopKOutcome, error) {
 }
 
 // replay applies one recorded partition to the merge's SortedList with
-// exactly the one-scan admission logic: membership and qualification are
+// exactly the lone walk's admission logic: membership and qualification are
 // judged against the replay list, and SLCA results the scan skipped (its
 // bound was a lower envelope of the replay's) are recomputed here from the
 // same partition's postings, re-read through the scan's forward cursors.
@@ -491,7 +432,7 @@ func (s *Scan) replay(rec partitionRecord, sorted *SortedList, out *TopKOutcome)
 		if res == nil {
 			if !read {
 				if s.reread == nil {
-					s.reread = newPartitionWalker(s.lists, nil, nil)
+					s.reread = newPartitionWalker(s.lists)
 				}
 				s.reread.seek(rec.pid)
 				read = true

@@ -73,13 +73,13 @@ func prepareInput(t testing.TB, ix *index.Index, terms []string) refine.Input {
 	}
 	infer := append(append([]string(nil), terms...), rs.NewKeywords(terms)...)
 	judge := searchfor.NewJudge(searchfor.Infer(ix, infer, nil))
-	return refine.Input{Index: ix, Query: terms, Rules: rs, Judge: judge, Parallelism: 1}
+	return refine.Input{Index: ix, Query: terms, Rules: rs, Judge: judge}
 }
 
-// TestOneRangeCountsGolden pins the work counts of the one-range walk to
-// those of the sequential walk it replaced: testdata/walk_counts.golden was
-// written by the sequential partitionTopKSeq, and the one-range scan →
-// merge must visit, generate, prune and hand SLCA exactly the same.
+// TestOneRangeCountsGolden pins the work counts of the lone walk:
+// testdata/walk_counts.golden was written by an earlier sequential walk,
+// and the lone walk must visit, generate, prune and hand SLCA exactly the
+// same.
 func TestOneRangeCountsGolden(t *testing.T) {
 	c := walkCorpus(t)
 	var b strings.Builder
@@ -104,11 +104,11 @@ func TestOneRangeCountsGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := b.String(); got != string(want) {
-		t.Errorf("one-range walk counts drifted from the sequential walk's:\ngot:\n%s\nwant:\n%s", got, want)
+		t.Errorf("lone walk counts drifted from the golden:\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }
 
-// TestWalkDecodesEachBlockOnce is Theorem 2 as a count: a one-scan walk
+// TestWalkDecodesEachBlockOnce is Theorem 2 as a count: a lone walk
 // reads each keyword list in a single forward pass, so the postings it
 // decodes never exceed the scan keywords' total list length. It reads
 // the index package's global codec counters, so it must not run beside

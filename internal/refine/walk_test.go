@@ -1,9 +1,8 @@
 package refine_test
 
-// The one walk's contract: for any query, corpus and K, every split of the
-// walk — one range, N ranges of one index on the pool, the same document
-// split into shards whose scans are merged — returns exactly the
-// candidates of the one-range walk: same keyword sets, same
+// The one walk's contract: for any query, corpus and K, the document split
+// into shards whose scans are merged returns exactly the candidates of the
+// lone walk over the whole document: same keyword sets, same
 // dissimilarities, and Results concatenated in the same document order.
 
 import (
@@ -11,7 +10,6 @@ import (
 	"math/rand"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"xrefine/internal/experiments"
@@ -62,8 +60,10 @@ func shardSplits(t testing.TB, c *experiments.Corpus) []shardSplit {
 }
 
 // shardWalk runs the walk with each shard as a source and merges the scans
-// passed in rotated order — the merge must not depend on it.
-func shardWalk(t testing.TB, in refine.Input, k int, ixs []*index.Index, rotate int) *refine.TopKOutcome {
+// passed in rotated order — the merge must not depend on it. The second
+// return counts the SLCAs the merge's replay recomputed because a scan had
+// skipped them.
+func shardWalk(t testing.TB, in refine.Input, k int, ixs []*index.Index, rotate int) (*refine.TopKOutcome, int) {
 	t.Helper()
 	ks := in.ScanKeywords()
 	jobs := make([]refine.ScanJob, len(ixs))
@@ -74,79 +74,69 @@ func shardWalk(t testing.TB, in refine.Input, k int, ixs []*index.Index, rotate 
 			return refine.ScanShard(sin, k, ks, walk)
 		}
 	}
-	scans, errs := refine.RunScans(in.Budget, len(jobs), jobs)
-	for _, err := range errs {
+	scans, errs := refine.RunScans(in.Budget, jobs)
+	recomputed := 0
+	for i, err := range errs {
 		if err != nil {
 			t.Fatal(err)
 		}
+		recomputed -= refine.ScanSLCACalls(scans[i])
 	}
 	r := rotate % len(scans)
 	out, err := refine.MergeScans(in, k, append(scans[r:], scans[:r]...))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return out
+	return out, recomputed + out.SLCACalls
 }
 
-// diffWalk compares one query's one-range walk against ranged walks on
-// each worker count and against the shard splits; it reports whether a
-// ranged walk actually split.
-func diffWalk(t *testing.T, c *experiments.Corpus, splits []shardSplit, terms []string, k int, workers ...int) (split bool) {
+// diffWalk compares one query's lone walk against the merged scans of each
+// shard split; it returns how many SLCAs the merges' replays recomputed.
+func diffWalk(t *testing.T, c *experiments.Corpus, splits []shardSplit, terms []string, k int) (recomputed int) {
 	t.Helper()
 	in := prepareInput(t, c.Index, terms)
 	one, err := refine.PartitionTopK(in, k)
 	if err != nil {
-		t.Fatalf("one range %v: %v", terms, err)
+		t.Fatalf("lone walk %v: %v", terms, err)
 	}
 	want := walkSig(one)
-	check := func(name string, got *refine.TopKOutcome) {
-		t.Helper()
+	for i, sp := range splits {
+		got, n := shardWalk(t, in, k, sp.ixs, i+k)
 		if s := walkSig(got); s != want {
-			t.Errorf("query %v k=%d %s diverged\ngot:\n%s\none range:\n%s", terms, k, name, s, want)
+			t.Errorf("query %v k=%d shards %s diverged\ngot:\n%s\nlone walk:\n%s", terms, k, sp.name, s, want)
 		}
 		if got.Partitions != one.Partitions {
-			t.Errorf("query %v k=%d %s visited %d partitions, one range %d", terms, k, name, got.Partitions, one.Partitions)
+			t.Errorf("query %v k=%d shards %s visited %d partitions, lone walk %d", terms, k, sp.name, got.Partitions, one.Partitions)
 		}
+		recomputed += n
 	}
-	for _, w := range workers {
-		in.Parallelism = w
-		ranged, err := refine.PartitionTopK(in, k)
-		if err != nil {
-			t.Fatalf("ranged %v: %v", terms, err)
-		}
-		check(fmt.Sprintf("workers=%d", w), ranged)
-		split = split || ranged.Workers > 1
-	}
-	in.Parallelism = 1
-	for i, sp := range splits {
-		check("shards "+sp.name, shardWalk(t, in, k, sp.ixs, i+k))
-	}
-	return split
+	return recomputed
 }
 
 // TestParallelPartitionMatchesSequential runs the generated workload plus
-// frequent-term queries through every split of the walk for the grid
-// k ∈ {1,3,10} × workers ∈ {2,4,8}, shards ∈ {2,4} × {range, hash}.
+// frequent-term queries through every shard split of the walk for
+// k ∈ {1,3,10} × shards ∈ {2,4} × {range, hash}, the shard scans running
+// in parallel on the pool. Across the grid the merge's replay must
+// recompute at least one SLCA a scan skipped, or its re-read path would go
+// unchecked.
 func TestParallelPartitionMatchesSequential(t *testing.T) {
 	c := walkCorpus(t)
 	splits := shardSplits(t, c)
 	queries := walkQueries(t, c)
-	engaged := 0
+	recomputed := 0
 	for _, k := range []int{1, 3, 10} {
 		for _, terms := range queries {
-			if diffWalk(t, c, splits, terms, k, 2, 4, 8) {
-				engaged++
-			}
+			recomputed += diffWalk(t, c, splits, terms, k)
 		}
 	}
-	if engaged == 0 {
-		t.Fatal("no query split the walk into ranges; the differential proved nothing")
+	if recomputed == 0 {
+		t.Fatal("no replay recomputed a skipped SLCA; the re-read path went unexercised")
 	}
-	t.Logf("range split engaged on %d runs", engaged)
+	t.Logf("replays recomputed %d SLCAs", recomputed)
 }
 
-// TestParallelPartitionFuzzDifferential throws randomized queries, K and
-// worker counts at every split of the walk. The seed is fixed for
+// TestParallelPartitionFuzzDifferential throws randomized queries and K at
+// every shard split of the walk. The seed is fixed for
 // reproducibility.
 func TestParallelPartitionFuzzDifferential(t *testing.T) {
 	c := walkCorpus(t)
@@ -162,7 +152,7 @@ func TestParallelPartitionFuzzDifferential(t *testing.T) {
 		n := 2 + rng.Intn(3)
 		terms := make([]string, 0, n)
 		for j := 0; j < n; j++ {
-			// Mix frequent terms (long lists, range splits) with uniform
+			// Mix frequent terms (long lists, many partitions) with uniform
 			// vocabulary draws (short lists, absent partitions).
 			if rng.Intn(2) == 0 {
 				terms = append(terms, freq[rng.Intn(len(freq))])
@@ -173,32 +163,34 @@ func TestParallelPartitionFuzzDifferential(t *testing.T) {
 		if rng.Intn(4) == 0 {
 			terms = append(terms, "databse") // spelling rule trigger
 		}
-		diffWalk(t, c, splits, terms, 1+rng.Intn(10), 2+rng.Intn(7))
+		diffWalk(t, c, splits, terms, 1+rng.Intn(10))
 	}
 }
 
 // TestConcurrentWalksShareLists runs whole walks from eight goroutines at
-// once over one shared index — half on one scan, half split into ranges
-// on a pool of eight — and holds every outcome to the sequential walk's.
-// The walks share the resident lists and nothing else: each reads them
-// through its own cursors and copies partitions into its own buffers, so
-// under -race this proves no walk reads decode state another one writes.
+// once over shared indexes — half lone walks, half 4-shard walks whose
+// scans run on the pool and merge — and holds every outcome to the
+// sequential lone walk's. The walks share the resident lists and nothing
+// else: each reads them through its own cursors and copies partitions into
+// its own buffers, so under -race this proves no walk reads decode state
+// another one writes. The concurrent phase starts from cold judges, so
+// their meaningfulness memos are first written under contention too.
 func TestConcurrentWalksShareLists(t *testing.T) {
 	c := walkCorpus(t)
+	shards := shardSplits(t, c)[1].ixs
 	queries := walkQueries(t, c)
 	queries = append(queries[:4:4], queries[len(queries)-4:]...) // four Table-VIII, four frequent-term
 	inputs := make([]refine.Input, len(queries))
 	want := make([]string, len(queries))
 	for i, terms := range queries {
-		inputs[i] = prepareInput(t, c.Index, terms)
-		out, err := refine.PartitionTopK(inputs[i], 3)
+		out, err := refine.PartitionTopK(prepareInput(t, c.Index, terms), 3)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[i] = walkSig(out)
+		inputs[i] = prepareInput(t, c.Index, terms)
 	}
 	var wg sync.WaitGroup
-	var split atomic.Bool
 	errs := make(chan string, 8*len(queries))
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -206,18 +198,19 @@ func TestConcurrentWalksShareLists(t *testing.T) {
 			defer wg.Done()
 			for i := range queries {
 				in := inputs[(i+g)%len(inputs)]
-				in.Parallelism = []int{1, 8}[g%2]
-				out, err := refine.PartitionTopK(in, 3)
-				if err != nil {
-					errs <- err.Error()
-					return
-				}
-				if out.Workers > 1 {
-					split.Store(true)
+				var out *refine.TopKOutcome
+				if g%2 == 0 {
+					var err error
+					if out, err = refine.PartitionTopK(in, 3); err != nil {
+						errs <- err.Error()
+						return
+					}
+				} else {
+					out, _ = shardWalk(t, in, 3, shards, g)
 				}
 				if got := walkSig(out); got != want[(i+g)%len(inputs)] {
-					errs <- fmt.Sprintf("goroutine %d parallel=%d query %v diverged:\ngot:\n%s\nsequential:\n%s",
-						g, in.Parallelism, in.Query, got, want[(i+g)%len(inputs)])
+					errs <- fmt.Sprintf("goroutine %d query %v diverged:\ngot:\n%s\nsequential:\n%s",
+						g, in.Query, got, want[(i+g)%len(inputs)])
 				}
 			}
 		}(g)
@@ -226,8 +219,5 @@ func TestConcurrentWalksShareLists(t *testing.T) {
 	close(errs)
 	for e := range errs {
 		t.Error(e)
-	}
-	if !split.Load() {
-		t.Error("no concurrent walk split into ranges; the pool went unexercised")
 	}
 }

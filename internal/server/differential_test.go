@@ -2,7 +2,6 @@ package server
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -16,10 +15,10 @@ import (
 
 // TestSearchByteIdenticalAcrossConfigs is the differential guarantee of
 // the hardening work: with no deadline, budget, or fault configured, the
-// /search body must be byte-for-byte what the unhardened server returns —
-// at every parallelism, and on a server whose limits
-// exist but are too generous to fire. The degraded fields, the context
-// plumbing, and the admission gate must be invisible until they trigger.
+// /search body must be byte-for-byte what the unhardened server returns,
+// also on a server whose limits exist but are too generous to fire. The
+// degraded fields, the context plumbing, and the admission gate must be
+// invisible until they trigger.
 func TestSearchByteIdenticalAcrossConfigs(t *testing.T) {
 	doc, err := datagen.DBLPDocument(datagen.DBLPConfig{Authors: 120, Seed: 3})
 	if err != nil {
@@ -45,40 +44,35 @@ func TestSearchByteIdenticalAcrossConfigs(t *testing.T) {
 		"keyword serch xml", // partial mismatch
 		"twig matching pattern",
 	}
-	fetch := func(t *testing.T, s *Server, q string, parallel int) string {
+	fetch := func(t *testing.T, s *Server, q string) string {
 		t.Helper()
-		v := url.Values{"q": {q}}
-		if parallel > 0 {
-			v.Set("parallel", fmt.Sprint(parallel))
-		}
-		req := httptest.NewRequest(http.MethodGet, "/search?"+v.Encode(), nil)
+		req := httptest.NewRequest(http.MethodGet, "/search?"+url.Values{"q": {q}}.Encode(), nil)
 		rec := httptest.NewRecorder()
 		s.ServeHTTP(rec, req)
 		if rec.Code != http.StatusOK {
-			t.Fatalf("%s parallel=%d: %d %s", q, parallel, rec.Code, rec.Body.String())
+			t.Fatalf("%s: %d %s", q, rec.Code, rec.Body.String())
 		}
 		return rec.Body.String()
 	}
 	for _, q := range queries {
-		ref := fetch(t, bare, q, 1)
-		for _, parallel := range []int{0, 2, 4} {
-			if got := fetch(t, bare, q, parallel); got != ref {
-				t.Errorf("bare server: %q parallel=%d diverged from sequential", q, parallel)
-			}
-			if got := fetch(t, hardened, q, parallel); got != ref {
-				t.Errorf("hardened server: %q parallel=%d diverged from bare sequential", q, parallel)
-			}
-			if got := fetch(t, traced, q, parallel); got != ref {
-				t.Errorf("traced server: %q parallel=%d diverged from bare sequential", q, parallel)
-			}
+		ref := fetch(t, bare, q)
+		if got := fetch(t, bare, q); got != ref {
+			t.Errorf("bare server: %q nondeterministic", q)
+		}
+		if got := fetch(t, hardened, q); got != ref {
+			t.Errorf("hardened server: %q diverged from bare", q)
+		}
+		if got := fetch(t, traced, q); got != ref {
+			t.Errorf("traced server: %q diverged from bare", q)
 		}
 	}
 
 	// Rebuild equivalence (the live-update guarantee): a server that
 	// absorbed K random update batches through POST /update must answer
 	// every query byte-for-byte like a server whose index was rebuilt from
-	// scratch on the final document — at every parallelism. Incremental list deltas, stat-table maintenance, epoch
-	// swaps and the generation-keyed cache must leave no fingerprint.
+	// scratch on the final document. Incremental list deltas, stat-table
+	// maintenance, epoch swaps and the generation-keyed cache must leave
+	// no fingerprint.
 	t.Run("rebuild-equivalence", func(t *testing.T) {
 		updDoc, err := datagen.DBLPDocument(datagen.DBLPConfig{Authors: 60, Seed: 11})
 		if err != nil {
@@ -112,15 +106,13 @@ func TestSearchByteIdenticalAcrossConfigs(t *testing.T) {
 		// maintained frequency and co-occurrence tables.
 		updQueries := append(queries, "refinement suggestion", "keyword databse onlin")
 		for _, q := range updQueries {
-			ref := fetch(t, rebuilt, q, 1)
-			for _, parallel := range []int{0, 2, 4} {
-				if got := fetch(t, incremental, q, parallel); got != ref {
-					t.Errorf("incremental server: %q parallel=%d diverged from rebuilt index\nincremental: %s\nrebuilt:     %s",
-						q, parallel, got, ref)
-				}
-				if got := fetch(t, rebuilt, q, parallel); got != ref {
-					t.Errorf("rebuilt server: %q parallel=%d nondeterministic", q, parallel)
-				}
+			ref := fetch(t, rebuilt, q)
+			if got := fetch(t, incremental, q); got != ref {
+				t.Errorf("incremental server: %q diverged from rebuilt index\nincremental: %s\nrebuilt:     %s",
+					q, got, ref)
+			}
+			if got := fetch(t, rebuilt, q); got != ref {
+				t.Errorf("rebuilt server: %q nondeterministic", q)
 			}
 		}
 	})

@@ -88,10 +88,10 @@ func explainTree(t *testing.T, body map[string]any) map[string]any {
 
 // TestExplainSpanTree: explain=1 attaches the span tree to the /search
 // response; the same query without the flag must not leak the key. On a
-// sequential engine the stages are disjoint, so child durations must sum
-// to no more than the root duration.
+// monolith the stages are disjoint, so child durations must sum to no more
+// than the root duration.
 func TestExplainSpanTree(t *testing.T) {
-	s := New(testEngine(t, &core.Config{Parallelism: 1}), Config{})
+	s := New(testEngine(t, nil), Config{})
 	rec, body := get(t, s, "/search?q=databse&explain=1")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("search = %d", rec.Code)

@@ -22,12 +22,9 @@ import (
 // the same answer from each.
 const DefaultK = 3
 
-// MaxK and MaxParallel bound a query's k and parallel on every surface: the
-// HTTP codec answers 400 above them and the wire decoder refuses the frame.
-const (
-	MaxK        = 1 << 20
-	MaxParallel = 1 << 16
-)
+// MaxK bounds a query's k on every surface: the HTTP codec answers 400
+// above it and the wire decoder refuses the frame.
+const MaxK = 1 << 20
 
 // defaultTraceSampleEvery is the 1-in-N span-tree retention rate when
 // Config.TraceSampleEvery is 0.
@@ -283,10 +280,6 @@ type SearchRequest struct {
 	// K is the number of refined queries wanted; 0 means the backend's
 	// configured value.
 	K int
-	// Parallel overrides the backend's worker count for this query only;
-	// 0 keeps the configuration, 1 forces the sequential walk. Responses
-	// are identical either way.
-	Parallel int
 	// Explain asks for the span tree in the Outcome.
 	Explain bool
 	// Trace is the client's own trace ID; zero has the pipeline mint one.
@@ -331,7 +324,7 @@ func (p *Pipeline) search(ctx context.Context, req *SearchRequest) Outcome {
 		q = strings.Join(terms, " ")
 	}
 	start := time.Now()
-	resp, err := p.eng.QueryTermsCtx(ctx, terms, core.StrategyPartition, req.K, req.Parallel)
+	resp, err := p.eng.QueryTermsCtx(ctx, terms, core.StrategyPartition, req.K, 0)
 	out := Outcome{Code: http.StatusOK, Resp: resp}
 	if errors.Is(err, context.Canceled) {
 		out = fail(statusClientClosedRequest, err)

@@ -2,7 +2,7 @@
 // on (pipeline.go) and its HTTP codec, a small JSON API. Handlers are plain
 // net/http so the server embeds anywhere.
 //
-//	GET /search?q=online+databse&k=3&parallel=4&explain=1
+//	GET /search?q=online+databse&k=3&explain=1
 //	GET /narrow?q=database&max=50&k=3
 //	GET /complete?q=datab&k=8
 //	POST /update   {"ops":[{"op":"insert","parent":"0","xml":"<paper>...</paper>"}]}
@@ -293,9 +293,6 @@ func (s *Server) handleSearch(ctx context.Context, r *http.Request) (Outcome, an
 	if v := qv.Get("strategy"); v != "" && v != core.StrategyPartition.String() {
 		return fail(http.StatusBadRequest, fmt.Errorf("unsupported strategy %q", v)), nil
 	}
-	if req.Parallel, err = intParam(qv, "parallel", 0, MaxParallel); err != nil {
-		return fail(http.StatusBadRequest, err), nil
-	}
 	out := s.pipe.search(ctx, &req)
 	if out.Code != http.StatusOK {
 		return out, nil
@@ -420,7 +417,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		"live_updates":   us.Live,
 		"nodes":          s.eng.Index().NodeCount,
 		"terms":          len(s.eng.Index().Vocabulary()),
-		"parallelism":    hx.Parallelism,
 		"shed":           s.sf.mShed.Value(),
 		"panics":         s.sf.mPanics.Value(),
 		"max_inflight":   p.cfg.MaxInFlight,

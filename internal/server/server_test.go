@@ -121,17 +121,15 @@ func TestSearchStrategies(t *testing.T) {
 	}
 }
 
-// TestSearchBounds: k and parallel are refused above the bounds the wire
-// decoder enforces, and accepted at them.
+// TestSearchBounds: k is refused above the bound the wire decoder
+// enforces, and accepted at it. The retired parallel parameter is ignored.
 func TestSearchBounds(t *testing.T) {
 	s := testServer(t)
 	for path, want := range map[string]int{
-		"/search?q=databse&k=2000000":                               http.StatusBadRequest,
-		"/search?q=databse&parallel=100000":                         http.StatusBadRequest,
-		fmt.Sprintf("/search?q=databse&k=%d", MaxK+1):               http.StatusBadRequest,
-		fmt.Sprintf("/search?q=databse&parallel=%d", MaxParallel+1): http.StatusBadRequest,
-		fmt.Sprintf("/search?q=databse&k=%d", MaxK):                 http.StatusOK,
-		fmt.Sprintf("/search?q=databse&parallel=%d", MaxParallel):   http.StatusOK,
+		"/search?q=databse&k=2000000":                 http.StatusBadRequest,
+		fmt.Sprintf("/search?q=databse&k=%d", MaxK+1): http.StatusBadRequest,
+		fmt.Sprintf("/search?q=databse&k=%d", MaxK):   http.StatusOK,
+		"/search?q=databse&parallel=100000":           http.StatusOK,
 	} {
 		if rec, body := get(t, s, path); rec.Code != want {
 			t.Errorf("%s: code = %d, want %d (%v)", path, rec.Code, want, body)

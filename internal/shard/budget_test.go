@@ -9,14 +9,13 @@ import (
 
 // budgetBackend is what the determinism test drives: a monolith or a router.
 type budgetBackend interface {
-	QueryTermsCtx(ctx context.Context, terms []string, strategy core.Strategy, k, parallelism int) (*core.Response, error)
+	QueryTermsCtx(ctx context.Context, terms []string, strategy core.Strategy, k, _ int) (*core.Response, error)
 }
 
 // TestPostingBudgetDeterministic: a posting budget is a deterministic work
-// bound. Under one, the walk runs its scans one at a time in the order
-// given, so parallel=4 answers exactly like parallel=1 on the monolith and
-// on a range-split router (whose shards come in document order), and a
-// hash-split router answers the same on every repetition.
+// bound. Under one, a router runs its shard scans one at a time in the
+// order given, so the monolith and a range- or hash-split router each
+// answer the same on every repetition.
 func TestPostingBudgetDeterministic(t *testing.T) {
 	doc := corpusDoc(t, 120, 7)
 	queries := [][]string{{"database", "query"}, {"databse", "quary"}, {"keyword", "serch", "xml"}}
@@ -29,19 +28,16 @@ func TestPostingBudgetDeterministic(t *testing.T) {
 		backends := []struct {
 			name string
 			be   budgetBackend
-			// ref is the parallelism whose answer every repetition must
-			// match: parallel=1, or the first answer itself for hash.
-			ref int
 		}{
-			{"monolith", core.NewFromDocument(doc, cfg), 1},
-			{"range-4", memRouter(t, doc, 4, ModeRange, cfg, nil), 1},
-			{"hash-4", memRouter(t, doc, 4, ModeHash, cfg, nil), 4},
+			{"monolith", core.NewFromDocument(doc, cfg)},
+			{"range-4", memRouter(t, doc, 4, ModeRange, cfg, nil)},
+			{"hash-4", memRouter(t, doc, 4, ModeHash, cfg, nil)},
 		}
 		for _, b := range backends {
 			degraded := 0
 			for _, q := range queries {
-				query := func(parallelism int) string {
-					resp, err := b.be.QueryTermsCtx(context.Background(), q, core.StrategyPartition, 3, parallelism)
+				query := func() string {
+					resp, err := b.be.QueryTermsCtx(context.Background(), q, core.StrategyPartition, 3, 0)
 					if err != nil {
 						t.Fatalf("%s budget=%d %v: %v", b.name, budget, q, err)
 					}
@@ -50,11 +46,11 @@ func TestPostingBudgetDeterministic(t *testing.T) {
 					}
 					return fuzzSig(resp)
 				}
-				want := query(b.ref)
+				want := query()
 				for rep := 0; rep < reps; rep++ {
-					if got := query(4); got != want {
-						t.Fatalf("%s budget=%d %v rep %d: parallel=4 diverged from parallel=%d:\n got  %s\n want %s",
-							b.name, budget, q, rep, b.ref, got, want)
+					if got := query(); got != want {
+						t.Fatalf("%s budget=%d %v rep %d diverged from the first answer:\n got  %s\n want %s",
+							b.name, budget, q, rep, got, want)
 					}
 				}
 			}

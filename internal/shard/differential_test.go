@@ -24,8 +24,8 @@ import (
 
 // The tests here are differential: a router over N shards must answer
 // every query byte-for-byte like one monolithic engine over the
-// concatenated corpus — across shard counts, split modes and
-// parallelism — and must degrade (never lie) when a shard fails or a
+// concatenated corpus — across shard counts and split modes — and must
+// degrade (never lie) when a shard fails or a
 // budget expires. Comparison happens on the serving layer's JSON bodies,
 // so snippets, search-for candidates, scores and ordering are all covered.
 
@@ -72,17 +72,14 @@ func memRouter(t *testing.T, doc *xmltree.Document, n int, mode string, cfg *cor
 	return r
 }
 
-func fetchSearch(t *testing.T, h http.Handler, q string, parallel, k int) string {
+func fetchSearch(t *testing.T, h http.Handler, q string, k int) string {
 	t.Helper()
 	v := url.Values{"q": {q}, "k": {fmt.Sprint(k)}}
-	if parallel > 0 {
-		v.Set("parallel", fmt.Sprint(parallel))
-	}
 	req := httptest.NewRequest(http.MethodGet, "/search?"+v.Encode(), nil)
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
 	if rec.Code != http.StatusOK {
-		t.Fatalf("%s parallel=%d: %d %s", q, parallel, rec.Code, rec.Body.String())
+		t.Fatalf("%s: %d %s", q, rec.Code, rec.Body.String())
 	}
 	return rec.Body.String()
 }
@@ -95,8 +92,8 @@ var diffQueries = []string{
 }
 
 // TestShardByteIdentity is the core conformance claim: scatter-gather
-// output is byte-identical to the monolith for every shard count, split
-// mode and fan-out, including the 1-shard degenerate router.
+// output is byte-identical to the monolith for every shard count and split
+// mode, including the 1-shard degenerate router.
 func TestShardByteIdentity(t *testing.T) {
 	doc := corpusDoc(t, 48, 7)
 	mono := server.New(core.NewFromDocument(doc, nil), server.Config{})
@@ -105,13 +102,10 @@ func TestShardByteIdentity(t *testing.T) {
 			r := memRouter(t, doc, n, mode, nil, nil)
 			srv := server.New(r, server.Config{})
 			for _, q := range diffQueries {
-				want := fetchSearch(t, mono, q, 1, 3)
-				for _, parallel := range []int{0, 1, 3} {
-					got := fetchSearch(t, srv, q, parallel, 3)
-					if got != want {
-						t.Errorf("mode=%s shards=%d parallel=%d q=%q diverged:\n got: %s\nwant: %s",
-							mode, n, parallel, q, got, want)
-					}
+				want := fetchSearch(t, mono, q, 3)
+				if got := fetchSearch(t, srv, q, 3); got != want {
+					t.Errorf("mode=%s shards=%d q=%q diverged:\n got: %s\nwant: %s",
+						mode, n, q, got, want)
 				}
 			}
 		}
@@ -231,8 +225,8 @@ func TestShardLiveUpdates(t *testing.T) {
 			opsApplied++
 		}
 		for _, q := range diffQueries[:2] {
-			want := fetchSearch(t, monoSrv, q, 1, 3)
-			if got := fetchSearch(t, srv, q, 2, 3); got != want {
+			want := fetchSearch(t, monoSrv, q, 3)
+			if got := fetchSearch(t, srv, q, 3); got != want {
 				t.Fatalf("after batch %d: q=%q diverged:\n got: %s\nwant: %s", bi, q, got, want)
 			}
 		}

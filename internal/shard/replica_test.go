@@ -85,13 +85,10 @@ func TestReplicaByteIdentity(t *testing.T) {
 			r := memReplicatedRouter(t, 32, 11, 2, rs, &Options{HedgeAfter: hedge}, nil)
 			srv := server.New(r, server.Config{})
 			for _, q := range diffQueries {
-				want := fetchSearch(t, mono, q, 1, 3)
-				for _, parallel := range []int{1, 2} {
-					got := fetchSearch(t, srv, q, parallel, 3)
-					if got != want {
-						t.Errorf("replicas=%d hedge=%v parallel=%d q=%q diverged:\n got: %s\nwant: %s",
-							rs, hedge, parallel, q, got, want)
-					}
+				want := fetchSearch(t, mono, q, 3)
+				if got := fetchSearch(t, srv, q, 3); got != want {
+					t.Errorf("replicas=%d hedge=%v q=%q diverged:\n got: %s\nwant: %s",
+						rs, hedge, q, got, want)
 				}
 			}
 		}
@@ -105,7 +102,7 @@ func TestReplicaByteIdentity(t *testing.T) {
 func TestReplicaFaultMatrix(t *testing.T) {
 	doc := corpusDoc(t, 32, 5)
 	mono := server.New(core.NewFromDocument(doc, nil), server.Config{})
-	want := fetchSearch(t, mono, "database query", 1, 3)
+	want := fetchSearch(t, mono, "database query", 3)
 
 	t.Run("slow-replica-hedged", func(t *testing.T) {
 		faults := [][]*storage.Faults{{{}, nil}, {nil, nil}}
@@ -115,7 +112,7 @@ func TestReplicaFaultMatrix(t *testing.T) {
 		faults[0][0].ReadLatency = 2 * time.Millisecond
 		r.groups[0].reps[0].store.DropCaches()
 		for i := 0; i < 3; i++ {
-			if got := fetchSearch(t, srv, "database query", 2, 3); got != want {
+			if got := fetchSearch(t, srv, "database query", 3); got != want {
 				t.Fatalf("slow-replica query %d diverged:\n got: %s\nwant: %s", i, got, want)
 			}
 		}
@@ -135,7 +132,7 @@ func TestReplicaFaultMatrix(t *testing.T) {
 		faults[0][0].SetErrorRate(0.3)
 		r.groups[0].reps[0].store.DropCaches()
 		for i := 0; i < 8; i++ {
-			if got := fetchSearch(t, srv, "database query", 2, 3); got != want {
+			if got := fetchSearch(t, srv, "database query", 3); got != want {
 				t.Fatalf("flaky-replica query %d diverged:\n got: %s\nwant: %s", i, got, want)
 			}
 		}
@@ -153,9 +150,9 @@ func TestReplicaFaultMatrix(t *testing.T) {
 		// Every query, the refining ones included: ranking's co-occurrence
 		// counts must fail over to the live sibling just as the scans do.
 		for _, q := range diffQueries {
-			want := fetchSearch(t, mono, q, 1, 3)
+			want := fetchSearch(t, mono, q, 3)
 			for i := 0; i < 5; i++ {
-				if got := fetchSearch(t, srv, q, 2, 3); got != want {
+				if got := fetchSearch(t, srv, q, 3); got != want {
 					t.Fatalf("dead-replica q=%q round %d diverged:\n got: %s\nwant: %s", q, i, got, want)
 				}
 			}
@@ -264,8 +261,8 @@ func TestReplicaEpochReconcile(t *testing.T) {
 	// Reads while quarantined: byte-identical to the post-update monolith —
 	// the lagged replica serves nothing.
 	for _, q := range diffQueries[:2] {
-		want := fetchSearch(t, monoSrv, q, 1, 3)
-		if got := fetchSearch(t, srv, q, 2, 3); got != want {
+		want := fetchSearch(t, monoSrv, q, 3)
+		if got := fetchSearch(t, srv, q, 3); got != want {
 			t.Fatalf("query %q diverged while a replica lagged:\n got: %s\nwant: %s", q, got, want)
 		}
 	}
@@ -284,8 +281,8 @@ func TestReplicaEpochReconcile(t *testing.T) {
 		}
 	}
 	for _, q := range diffQueries[:2] {
-		want := fetchSearch(t, monoSrv, q, 1, 3)
-		if got := fetchSearch(t, srv, q, 2, 3); got != want {
+		want := fetchSearch(t, monoSrv, q, 3)
+		if got := fetchSearch(t, srv, q, 3); got != want {
 			t.Fatalf("query %q diverged after rejoin:\n got: %s\nwant: %s", q, got, want)
 		}
 	}
@@ -377,9 +374,9 @@ func TestReplicaLagQuarantinedAtOpen(t *testing.T) {
 			t.Helper()
 			srv := server.New(r, server.Config{})
 			for _, q := range append([]string{"restart lag probe", "restart"}, diffQueries...) {
-				want := fetchSearch(t, monoSrv, q, 1, 3)
+				want := fetchSearch(t, monoSrv, q, 3)
 				for i := 0; i < 4; i++ {
-					if got := fetchSearch(t, srv, q, 2, 3); got != want {
+					if got := fetchSearch(t, srv, q, 3); got != want {
 						t.Fatalf("q=%q round %d diverged %s:\n got: %s\nwant: %s", q, i, when, got, want)
 					}
 				}
@@ -477,9 +474,9 @@ func TestReplicaCatchUpBeyondOldWindow(t *testing.T) {
 	}
 	srv, monoSrv := server.New(r, server.Config{}), server.New(mono, server.Config{})
 	for _, q := range append([]string{"window probe"}, diffQueries...) {
-		want := fetchSearch(t, monoSrv, q, 1, 3)
+		want := fetchSearch(t, monoSrv, q, 3)
 		for i := 0; i < 2; i++ {
-			if got := fetchSearch(t, srv, q, 2, 3); got != want {
+			if got := fetchSearch(t, srv, q, 3); got != want {
 				t.Fatalf("q=%q round %d diverged after rejoin:\n got: %s\nwant: %s", q, i, got, want)
 			}
 		}
@@ -607,7 +604,7 @@ func TestReplicaWriteRejectionNoQuarantine(t *testing.T) {
 func TestReplicaHedgeCancelPromptness(t *testing.T) {
 	doc := corpusDoc(t, 24, 3)
 	mono := server.New(core.NewFromDocument(doc, nil), server.Config{})
-	want := fetchSearch(t, mono, "database query", 1, 3)
+	want := fetchSearch(t, mono, "database query", 3)
 	faults := [][]*storage.Faults{{{}, nil}, {{}, nil}}
 	r := memReplicatedRouter(t, 24, 3, 2, 2, &Options{HedgeAfter: 50 * time.Microsecond}, faults)
 	srv := server.New(r, server.Config{})
@@ -621,7 +618,7 @@ func TestReplicaHedgeCancelPromptness(t *testing.T) {
 	for c := 0; c < clients; c++ {
 		go func() {
 			for i := 0; i < rounds; i++ {
-				done <- fetchSearchQuiet(srv, "database query", 2, 3)
+				done <- fetchSearchQuiet(srv, "database query", 3)
 			}
 		}()
 	}
@@ -749,8 +746,8 @@ func addWALKeys(t *testing.T, dir string) {
 // fetchSearchQuiet is fetchSearch without the testing.T plumbing, for use
 // inside stress goroutines (t.Fatal must not be called off the test
 // goroutine); a non-200 body diverges from `want` and fails the compare.
-func fetchSearchQuiet(h http.Handler, q string, parallel, k int) string {
-	v := url.Values{"q": {q}, "k": {fmt.Sprint(k)}, "parallel": {fmt.Sprint(parallel)}}
+func fetchSearchQuiet(h http.Handler, q string, k int) string {
+	v := url.Values{"q": {q}, "k": {fmt.Sprint(k)}}
 	req := httptest.NewRequest(http.MethodGet, "/search?"+v.Encode(), nil)
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)

@@ -247,13 +247,11 @@ func NewReplicated(stores [][]storage.Backend, opts *Options) (*Router, error) {
 		r.mreg = obs.NewRegistry()
 	}
 	r.reg = xmltree.NewRegistry()
-	// Replica engines run without metrics — the meta engine counts every
-	// query and commit once on the shared registry — and walk sequentially:
-	// parallelism lives in the cross-shard fan-out, not inside one shard.
+	// Replica engines run without metrics: the meta engine counts every
+	// query and commit once on the shared registry.
 	r.shardCfg = cfg
 	r.shardCfg.Metrics = nil
 	r.shardCfg.DisableMetrics = true
-	r.shardCfg.Parallelism = 1
 	for i, grp := range stores {
 		if len(grp) == 0 {
 			return nil, fmt.Errorf("shard: shard %d has no replica stores", i)
@@ -490,7 +488,7 @@ func (r *Router) QueryTermsCtx(ctx context.Context, terms []string, strategy cor
 // first error is returned.
 func (r *Router) explore(in refine.Input, k int) (*refine.TopKOutcome, error) {
 	r.m.queries.Inc()
-	fan := refine.PoolSize(in.Budget, in.Parallelism, len(r.groups))
+	fan := refine.PoolSize(in.Budget, len(r.groups))
 	r.m.fanout.Set(int64(fan))
 	r.flight.Record(obs.Event{Trace: obs.TraceIDFromContext(in.Budget.Context()), Kind: obs.EvFanout,
 		Shard: -1, Replica: -1, N: int64(fan)})
@@ -512,7 +510,7 @@ func (r *Router) explore(in refine.Input, k int) (*refine.TopKOutcome, error) {
 			return scan, err
 		}
 	}
-	scans, errs := refine.RunScans(in.Budget, fan, jobs)
+	scans, errs := refine.RunScans(in.Budget, jobs)
 	// Classify failures: a hard cancellation aborts the query; a shard
 	// whose every replica attempt failed (storage fault) is dropped and
 	// the response degrades to the surviving shards, unless none survived.
@@ -608,7 +606,6 @@ func (r *Router) scanShardReplicated(in refine.Input, k int, ks []string, walk *
 		go func() {
 			sin := in
 			sin.Index = rp.eng.Load().Index()
-			sin.Parallelism = 1
 			sin.Budget = in.Budget.WithContext(actx)
 			var sp *obs.Span
 			if in.Trace != nil {

@@ -41,7 +41,8 @@ func (c *Client) Close() error { return c.nc.Close() }
 // Send queues one query request. Terms must be pre-tokenized with
 // tokenize.Query — the same normalization the HTTP handler applies to
 // ?q= — for the surfaces to answer identically. A zero trace asks the
-// server to mint one.
+// server to mint one; parallel fills the reserved field servers ignore
+// (AppendRequest).
 func (c *Client) Send(trace obs.TraceID, strategy byte, k, parallel int, terms []string) {
 	c.wbuf = AppendRequest(c.wbuf, trace, strategy, k, parallel, terms)
 	c.inflight++

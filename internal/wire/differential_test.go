@@ -20,7 +20,7 @@ import (
 
 // The HTTP-differential conformance suite: the binary surface must be a
 // transport, not a dialect. For the same engine state and the same query
-// mix — every k, parallelism, sharded and replicated backends,
+// mix — every k, sharded and replicated backends,
 // live updates, degradation — the payload inside a wire OK frame must be
 // byte-identical to the HTTP /search response body, including degraded
 // markers and reasons. Each surface gets its own engine built from the
@@ -37,14 +37,11 @@ var diffQueries = []string{
 
 // httpSearch fetches the /search body from an HTTP server. k < 0 omits
 // the parameter to exercise the handler's default.
-func httpSearch(t *testing.T, h http.Handler, q string, k, parallel int) (int, string) {
+func httpSearch(t *testing.T, h http.Handler, q string, k int) (int, string) {
 	t.Helper()
 	v := url.Values{"q": {q}}
 	if k >= 0 {
 		v.Set("k", fmt.Sprint(k))
-	}
-	if parallel > 0 {
-		v.Set("parallel", fmt.Sprint(parallel))
 	}
 	req := httptest.NewRequest(http.MethodGet, "/search?"+v.Encode(), nil)
 	rec := httptest.NewRecorder()
@@ -55,9 +52,9 @@ func httpSearch(t *testing.T, h http.Handler, q string, k, parallel int) (int, s
 // wireSearch round-trips the same query over the binary surface. The
 // returned payload is copied out of the client's reused buffer so
 // callers may hold several at once.
-func wireSearch(t *testing.T, c *Client, q string, k, parallel int) *Response {
+func wireSearch(t *testing.T, c *Client, q string, k int) *Response {
 	t.Helper()
-	resp, err := c.Query(0, byte(core.StrategyPartition), k, parallel, tokenize.Query(q))
+	resp, err := c.Query(0, byte(core.StrategyPartition), k, 0, tokenize.Query(q))
 	if err != nil {
 		t.Fatalf("wire query %q: %v", q, err)
 	}
@@ -78,7 +75,7 @@ func diffDoc(t *testing.T, authors int, seed int64) *xmltree.Document {
 // comparePair runs the full query mix against one HTTP handler and one
 // wire client and requires byte-identical payloads. ks may include -1
 // (HTTP k omitted, wire k=0) to pin default-k parity.
-func comparePair(t *testing.T, h http.Handler, c *Client, queries []string, ks, parallels []int) {
+func comparePair(t *testing.T, h http.Handler, c *Client, queries []string, ks []int) {
 	t.Helper()
 	for _, q := range queries {
 		for _, k := range ks {
@@ -86,32 +83,30 @@ func comparePair(t *testing.T, h http.Handler, c *Client, queries []string, ks, 
 			if k < 0 {
 				wireK = 0
 			}
-			for _, parallel := range parallels {
-				code, want := httpSearch(t, h, q, k, parallel)
-				if code != http.StatusOK {
-					t.Fatalf("http %q k=%d: %d %s", q, k, code, want)
-				}
-				resp := wireSearch(t, c, q, wireK, parallel)
-				if resp.Status != StatusOK {
-					t.Fatalf("wire %q k=%d: status %d: %s", q, k, resp.Status, resp.Payload)
-				}
-				if !bytes.Equal(resp.Payload, []byte(want)) {
-					t.Errorf("%q k=%d parallel=%d: wire payload diverges from HTTP body\nwire: %s\nhttp: %s",
-						q, k, parallel, resp.Payload, want)
-				}
+			code, want := httpSearch(t, h, q, k)
+			if code != http.StatusOK {
+				t.Fatalf("http %q k=%d: %d %s", q, k, code, want)
+			}
+			resp := wireSearch(t, c, q, wireK)
+			if resp.Status != StatusOK {
+				t.Fatalf("wire %q k=%d: status %d: %s", q, k, resp.Status, resp.Payload)
+			}
+			if !bytes.Equal(resp.Payload, []byte(want)) {
+				t.Errorf("%q k=%d: wire payload diverges from HTTP body\nwire: %s\nhttp: %s",
+					q, k, resp.Payload, want)
 			}
 		}
 	}
 }
 
 // TestWireHTTPDifferential is the headline conformance run on plain
-// engines: k (including each surface's default) × parallelism.
+// engines: every k, including each surface's default.
 func TestWireHTTPDifferential(t *testing.T) {
 	doc := diffDoc(t, 120, 3)
 	httpH := server.New(core.NewFromDocument(doc, nil), server.Config{})
 	_, addr := startServer(t, core.NewFromDocument(doc, nil))
 	c := dial(t, addr)
-	comparePair(t, httpH, c, diffQueries, []int{-1, 1, 10}, []int{0, 2, 4})
+	comparePair(t, httpH, c, diffQueries, []int{-1, 1, 10})
 }
 
 // TestWireHTTPDifferentialDegraded pins degradation parity: with a
@@ -126,8 +121,8 @@ func TestWireHTTPDifferentialDegraded(t *testing.T) {
 
 	sawReason := false
 	for _, q := range diffQueries {
-		_, want := httpSearch(t, httpH, q, 3, 0)
-		resp := wireSearch(t, c, q, 3, 0)
+		_, want := httpSearch(t, httpH, q, 3)
+		resp := wireSearch(t, c, q, 3)
 		if !bytes.Equal(resp.Payload, []byte(want)) {
 			t.Errorf("%q: degraded payload diverges\nwire: %s\nhttp: %s", q, resp.Payload, want)
 		}
@@ -174,7 +169,7 @@ func TestWireHTTPDifferentialLiveUpdates(t *testing.T) {
 		t.Fatalf("epochs diverged: http=%d wire=%d want %d", h, w, len(batches))
 	}
 	queries := append(append([]string(nil), diffQueries...), "refinement suggestion", "keyword databse onlin")
-	comparePair(t, httpH, c, queries, []int{3}, []int{0, 2})
+	comparePair(t, httpH, c, queries, []int{3})
 }
 
 // replicatedRouter writes a replicated shard directory and opens a
@@ -201,7 +196,7 @@ func TestWireHTTPDifferentialSharded(t *testing.T) {
 	httpH := server.New(replicatedRouter(t, doc, 3, 2, shard.Options{}), server.Config{})
 	_, addr := startServer(t, replicatedRouter(t, doc, 3, 2, shard.Options{}))
 	c := dial(t, addr)
-	comparePair(t, httpH, c, diffQueries, []int{3}, []int{0, 2})
+	comparePair(t, httpH, c, diffQueries, []int{3})
 }
 
 // TestWireHTTPDifferentialChaos arms a seeded fault injector on every
@@ -224,11 +219,11 @@ func TestWireHTTPDifferentialChaos(t *testing.T) {
 	compared, skipped := 0, 0
 	for round := 0; round < 5; round++ {
 		for _, q := range diffQueries {
-			code, want := httpSearch(t, httpH, q, 3, 0)
+			code, want := httpSearch(t, httpH, q, 3)
 			if code != http.StatusOK {
 				t.Fatalf("http %q under chaos: %d %s", q, code, want)
 			}
-			resp := wireSearch(t, c, q, 3, 0)
+			resp := wireSearch(t, c, q, 3)
 			if resp.Status != StatusOK {
 				t.Fatalf("wire %q under chaos: status %d: %s", q, resp.Status, resp.Payload)
 			}
@@ -259,7 +254,7 @@ func TestWireHTTPDifferentialErrors(t *testing.T) {
 
 	// Empty query: HTTP rejects missing q; the wire codec rejects a
 	// zero-term request at decode time.
-	if code, _ := httpSearch(t, httpH, "", 3, 0); code != http.StatusBadRequest {
+	if code, _ := httpSearch(t, httpH, "", 3); code != http.StatusBadRequest {
 		t.Errorf("http empty q = %d, want 400", code)
 	}
 	if _, err := c.nc.Write(AppendRequest(nil, 0, 0, 3, 0, nil)); err != nil {
@@ -298,7 +293,7 @@ func TestWireHTTPDifferentialErrors(t *testing.T) {
 	}
 
 	// Both surfaces remain healthy afterwards.
-	if code, _ := httpSearch(t, httpH, "database", 3, 0); code != http.StatusOK {
+	if code, _ := httpSearch(t, httpH, "database", 3); code != http.StatusOK {
 		t.Errorf("http unhealthy after rejects: %d", code)
 	}
 	if err := c.Ping(); err != nil {

@@ -81,19 +81,19 @@ func FuzzWireRequest(f *testing.F) {
 			for i, b := range r.Terms {
 				terms[i] = string(b)
 			}
-			frame = AppendRequest(nil, r.Trace, 0, r.K, r.Parallel, terms)
+			frame = AppendRequest(nil, r.Trace, 0, r.K, 0, terms)
 		} else {
 			frame = AppendControl(nil, r.Op, r.Trace)
 		}
-		op, trace, k, par := r.Op, r.Trace, r.K, r.Parallel
+		op, trace, k := r.Op, r.Trace, r.K
 		nterms := len(r.Terms)
 		var r2 Request
 		if err := r2.Decode(frame[4:]); err != nil {
 			t.Fatalf("re-encoded request does not decode: %v", err)
 		}
-		if r2.Op != op || r2.Trace != trace || r2.K != k || r2.Parallel != par || len(r2.Terms) != nterms {
-			t.Fatalf("round trip changed the request: %+v vs op=%d trace=%d k=%d par=%d nterms=%d",
-				r2, op, trace, k, par, nterms)
+		if r2.Op != op || r2.Trace != trace || r2.K != k || len(r2.Terms) != nterms {
+			t.Fatalf("round trip changed the request: %+v vs op=%d trace=%d k=%d nterms=%d",
+				r2, op, trace, k, nterms)
 		}
 		for i := range r2.Terms {
 			if !bytes.Equal(r2.Terms[i], r.Terms[i]) {

@@ -38,8 +38,9 @@
 //
 // OpQuery carries pre-tokenized terms (clients normalize with
 // tokenize.Query, exactly what the HTTP handler does to ?q=), a strategy
-// byte, K and a parallelism override. The strategy byte is reserved: only
-// the partition strategy (0) is served, and any other value is refused. The success body is the /search
+// byte, K and a reserved parallelism field that servers decode and ignore.
+// The strategy byte is reserved too: only the partition strategy (0) is
+// served, and any other value is refused. The success body is the /search
 // JSON document, byte-for-byte: the two surfaces answer identically
 // inside their envelopes, which is what the differential conformance
 // suite asserts. StatusRetry is the binary equivalent of HTTP 503 +
@@ -134,19 +135,18 @@ var (
 // they are valid until the next Decode into the same buffer, which is
 // exactly the lifetime the serving loop needs and saves per-term copies.
 type Request struct {
-	Op       byte
-	Flags    uint16
-	Trace    obs.TraceID
-	K        int
-	Parallel int
-	Terms    [][]byte
+	Op    byte
+	Flags uint16
+	Trace obs.TraceID
+	K     int
+	Terms [][]byte
 }
 
 // AppendRequest encodes a query request onto dst and returns the extended
 // slice, frame prefix included. strategy is the core.Strategy value, which
-// servers refuse unless it is core.StrategyPartition (0); k and parallel
-// follow the HTTP defaults (k<=0 means "server default",
-// parallel<=0 means "engine configuration").
+// servers refuse unless it is core.StrategyPartition (0); k<=0 means
+// "server default", as over HTTP. parallel fills the frame's reserved
+// parallelism field, which servers ignore.
 func AppendRequest(dst []byte, trace obs.TraceID, strategy byte, k, parallel int, terms []string) []byte {
 	start := len(dst)
 	dst = append(dst, 0, 0, 0, 0) // length prefix, patched below
@@ -197,7 +197,7 @@ func (r *Request) Decode(payload []byte) error {
 	r.Op = payload[1]
 	r.Flags = binary.BigEndian.Uint16(payload[2:4])
 	r.Trace = obs.TraceID(binary.BigEndian.Uint64(payload[4:12]))
-	r.K, r.Parallel = 0, 0
+	r.K = 0
 	r.Terms = r.Terms[:0]
 	body := payload[reqHeaderLen:]
 	switch r.Op {
@@ -222,8 +222,9 @@ func (r *Request) Decode(payload []byte) error {
 		return fmt.Errorf("%w: bad k", ErrBadFrame)
 	}
 	body = body[n:]
-	par, n := binary.Uvarint(body)
-	if n <= 0 || par > server.MaxParallel {
+	// The reserved parallelism field: read past, ignored.
+	_, n = binary.Uvarint(body)
+	if n <= 0 {
 		return fmt.Errorf("%w: bad parallelism", ErrBadFrame)
 	}
 	body = body[n:]
@@ -237,7 +238,7 @@ func (r *Request) Decode(payload []byte) error {
 	if nterms == 0 || nterms > uint64(len(body)) {
 		return fmt.Errorf("%w: %d terms in %d bytes", ErrBadFrame, nterms, len(body))
 	}
-	r.K, r.Parallel = int(k), int(par)
+	r.K = int(k)
 	for i := uint64(0); i < nterms; i++ {
 		tl, n := binary.Uvarint(body)
 		if n <= 0 || tl > uint64(len(body)-n) {

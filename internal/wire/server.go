@@ -388,7 +388,7 @@ func (c *conn) handleQuery(req *Request) {
 		k = server.DefaultK
 	}
 	out := c.srv.pipe.Search(c.reqCtx, c.srv.query, &server.SearchRequest{Terms: terms,
-		K: k, Parallel: req.Parallel, Trace: req.Trace})
+		K: k, Trace: req.Trace})
 	switch out.Code {
 	case 200:
 		c.wbuf, _ = appendRespHeader(c.wbuf[:0], StatusOK, out.Trace)

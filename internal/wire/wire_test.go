@@ -281,7 +281,7 @@ func slowEngine(t *testing.T, latency time.Duration) *core.Engine {
 	}
 	faults.ReadLatency = latency
 	store.DropCaches()
-	eng, err := core.Open(store, &core.Config{Parallelism: 1})
+	eng, err := core.Open(store, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +359,6 @@ func TestWireRequestDecodeRejects(t *testing.T) {
 		{"trailing-bytes", append(AppendRequest(nil, 0, 0, 1, 0, []string{"a"})[4:], 0), ErrBadFrame},
 		{"strategy-not-served", AppendRequest(nil, 0, 1, 1, 0, []string{"a"})[4:], ErrBadFrame},
 		{"k-over-max", AppendRequest(nil, 0, 0, server.MaxK+1, 0, []string{"a"})[4:], ErrBadFrame},
-		{"parallel-over-max", AppendRequest(nil, 0, 0, 1, server.MaxParallel+1, []string{"a"})[4:], ErrBadFrame},
 		{"empty-term", func() []byte {
 			p := AppendRequest(nil, 0, 0, 1, 0, []string{"a"})[4:]
 			p[len(p)-2] = 0 // zero the term length, leaving a trailing byte
@@ -374,9 +373,10 @@ func TestWireRequestDecodeRejects(t *testing.T) {
 	}
 }
 
-// TestWireRequestRoundTrip pins the request codec to itself.
+// TestWireRequestRoundTrip pins the request codec to itself. The reserved
+// parallelism field decodes at any value and is ignored.
 func TestWireRequestRoundTrip(t *testing.T) {
-	frame := AppendRequest(nil, 42, byte(core.StrategyPartition), 7, 4, []string{"alpha", "beta", "gamma"})
+	frame := AppendRequest(nil, 42, byte(core.StrategyPartition), 7, 1<<20, []string{"alpha", "beta", "gamma"})
 	if got := binary.BigEndian.Uint32(frame); int(got) != len(frame)-4 {
 		t.Fatalf("length prefix %d, frame body %d", got, len(frame)-4)
 	}
@@ -384,7 +384,7 @@ func TestWireRequestRoundTrip(t *testing.T) {
 	if err := r.Decode(frame[4:]); err != nil {
 		t.Fatal(err)
 	}
-	if r.Op != OpQuery || r.Trace != 42 || r.K != 7 || r.Parallel != 4 {
+	if r.Op != OpQuery || r.Trace != 42 || r.K != 7 {
 		t.Fatalf("decoded %+v", r)
 	}
 	if len(r.Terms) != 3 || string(r.Terms[0]) != "alpha" || string(r.Terms[2]) != "gamma" {

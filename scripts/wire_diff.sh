@@ -6,8 +6,8 @@
 # request is answered once over HTTP GET /search and once over the wire
 # protocol (xrefine search -wire), and the two payloads must be
 # byte-identical. Two phases:
-#   1. Plain engine (-xml): k x parallelism; the retired strategy=sle is
-#      refused with 400.
+#   1. Plain engine (-xml): every k; the retired strategy=sle is refused
+#      with 400.
 #   2. Replicated shards with probabilistic store chaos armed (-chaos):
 #      non-degraded responses must still match request-by-request; a
 #      degraded response may differ (it says so) but never silently.
@@ -70,14 +70,13 @@ stop_server() {
     return 0
 }
 
-# diff_one <phase> <query> <k> <parallel> [skip-degraded]
+# diff_one <phase> <query> <k> [skip-degraded]
 diff_one() {
-    local phase="$1" q="$2" k="$3" parallel="$4" skip="${5:-}"
+    local phase="$1" q="$2" k="$3" skip="${4:-}"
     local enc="${q// /+}"
     local url="$HTTP/search?q=$enc&k=$k"
-    [ "$parallel" -gt 0 ] && url="$url&parallel=$parallel"
     curl -fsS --max-time 15 "$url" >"$WORK/http.json" || fail "$phase: http query '$q' failed"
-    "$WORK/xrefine" search -wire "$ADDR_WIRE" -k "$k" -parallel "$parallel" \
+    "$WORK/xrefine" search -wire "$ADDR_WIRE" -k "$k" \
         $q >"$WORK/wire.json" || fail "$phase: wire query '$q' failed"
     TOTAL=$((TOTAL + 1))
     if [ -n "$skip" ] && grep -q '"degraded"' "$WORK/http.json" "$WORK/wire.json"; then
@@ -88,19 +87,17 @@ diff_one() {
     fi
     cmp -s "$WORK/http.json" "$WORK/wire.json" || {
         diff "$WORK/http.json" "$WORK/wire.json" | head -20 >&2
-        fail "$phase: wire payload diverged from HTTP body (q='$q' k=$k parallel=$parallel)"
+        fail "$phase: wire payload diverged from HTTP body (q='$q' k=$k)"
     }
 }
 
-echo "wire-diff: phase 1: plain engine, k x parallelism"
+echo "wire-diff: phase 1: plain engine, every k"
 start_server -xml "$WORK/dblp.xml"
 code="$(curl -s -o /dev/null -w '%{http_code}' "$HTTP/search?q=database&strategy=sle")"
 [ "$code" = 400 ] || fail "plain: strategy=sle answered $code, want 400"
 for q in "${QUERIES[@]}"; do
     for k in 1 3 10; do
-        for parallel in 0 2; do
-            diff_one plain "$q" "$k" "$parallel"
-        done
+        diff_one plain "$q" "$k"
     done
 done
 stop_server
@@ -111,7 +108,7 @@ start_server -shards "$WORK/shards" -replicas 2 -hedge-after 2ms \
 r=0
 while [ "$r" -lt "$ROUNDS" ]; do
     for q in "${QUERIES[@]}"; do
-        diff_one chaos "$q" 3 0 skip-degraded
+        diff_one chaos "$q" 3 skip-degraded
     done
     r=$((r + 1))
 done
@@ -123,6 +120,6 @@ SRV_PID=""
 grep -q 'drained cleanly' "$WORK/srv.log" || fail "server did not drain cleanly"
 grep -q 'WARNING: DATA RACE' "$WORK/srv.log" && fail "race detected in server"
 
-WANT=$(( ${#QUERIES[@]} * (3 * 2 + ROUNDS) ))
+WANT=$(( ${#QUERIES[@]} * (3 + ROUNDS) ))
 [ "$TOTAL" -eq "$WANT" ] || fail "$TOTAL requests diffed; want $WANT"
 echo "wire-diff: PASS ($TOTAL requests diffed, $DEGRADED skipped as degraded under chaos)"
