@@ -1,6 +1,7 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"log"
@@ -277,8 +278,7 @@ type SearchRequest struct {
 	Q     string
 	Terms []string
 
-	// K is the number of refined queries wanted; 0 means the backend's
-	// configured value.
+	// K is the number of refined queries wanted; 0 means DefaultK.
 	K int
 	// Explain asks for the span tree in the Outcome.
 	Explain bool
@@ -324,7 +324,7 @@ func (p *Pipeline) search(ctx context.Context, req *SearchRequest) Outcome {
 		q = strings.Join(terms, " ")
 	}
 	start := time.Now()
-	resp, err := p.eng.QueryTermsCtx(ctx, terms, core.StrategyPartition, req.K, 0)
+	resp, err := p.eng.QueryTermsCtx(ctx, terms, core.StrategyPartition, cmp.Or(req.K, DefaultK), 0)
 	out := Outcome{Code: http.StatusOK, Resp: resp}
 	if errors.Is(err, context.Canceled) {
 		out = fail(statusClientClosedRequest, err)

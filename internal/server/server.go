@@ -27,6 +27,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"xrefine/internal/core"
@@ -216,12 +217,10 @@ type QueryJSON struct {
 	Results    []ResultJSON `json:"results"`
 }
 
-// SearchJSON is the /search response body. The degraded pair is omitted
-// when empty, so responses of unconstrained servers stay byte-identical to
-// the pre-hardening format. The same document — byte for byte — is the
-// payload of a binary-protocol query response (internal/wire), whose
-// zero-copy encoder is differentially tested against this struct's
-// encoding/json form.
+// SearchJSON is the decode form of the /search document, for clients and
+// tests; AppendSearchBody writes it. The degraded pair is omitted when
+// empty, so responses of unconstrained servers stay byte-identical to the
+// pre-hardening format.
 type SearchJSON struct {
 	Terms      []string    `json:"terms"`
 	NeedRefine bool        `json:"need_refine"`
@@ -238,11 +237,11 @@ type SearchJSON struct {
 	Explain *obs.SpanData `json:"explain,omitempty"`
 }
 
-// SearchBody converts an engine response into the API document served on
-// both surfaces: the HTTP /search handler encodes exactly this value, and
-// the wire protocol's hand-rolled encoder must produce its encoding/json
-// bytes. Snippets are attached through eng (nil skips them the way a
-// document-less engine does); explain rides along when non-nil.
+// SearchBody projects an engine response onto SearchJSON. It is the
+// reference the answer encoder is tested against: AppendSearchBody must
+// produce exactly EncodeBody of its result. Snippets are attached through
+// eng (nil skips them the way a document-less engine does); explain rides
+// along when non-nil.
 func SearchBody(eng Backend, resp *core.Response, explain *obs.SpanData) SearchJSON {
 	out := SearchJSON{
 		Terms:          resp.Terms,
@@ -262,7 +261,17 @@ func SearchBody(eng Backend, resp *core.Response, explain *obs.SpanData) SearchJ
 			Score:      rq.Score,
 			IsOriginal: rq.IsOriginal,
 		}
-		qj.Results, scratch = resultsJSON(eng, rq.Results, scratch)
+		qj.Results = make([]ResultJSON, 0, len(rq.Results))
+		for _, m := range rq.Results {
+			rj := ResultJSON{ID: m.ID.String(), Type: m.Type.Path()}
+			if eng != nil {
+				var ok bool
+				if scratch, ok = eng.AppendSnippet(scratch[:0], m, snippetMax); ok {
+					rj.Snippet = string(scratch)
+				}
+			}
+			qj.Results = append(qj.Results, rj)
+		}
 		for _, st := range rq.Steps {
 			qj.Steps = append(qj.Steps, st.String())
 		}
@@ -271,10 +280,11 @@ func SearchBody(eng Backend, resp *core.Response, explain *obs.SpanData) SearchJ
 	return out
 }
 
-// EncodeBody writes v exactly the way every JSON response body of this
-// server is written: two-space indent, HTML-escaped strings, trailing
-// newline. Exported so the wire surface (and its conformance suite) can
-// produce reference bytes without an HTTP round trip.
+// EncodeBody writes v the way every JSON response body of this server is
+// written: two-space indent, HTML-escaped strings, trailing newline. It
+// encodes the bodies of every route but /search (/narrow, /complete,
+// /update, /healthz, /debug/*), and EncodeBody(SearchBody(...)) is the
+// reference bytes of the answer encoder.
 func EncodeBody(w io.Writer, v any) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -285,7 +295,7 @@ func (s *Server) handleSearch(ctx context.Context, r *http.Request) (Outcome, an
 	qv := r.URL.Query()
 	req := SearchRequest{Q: qv.Get("q"), Explain: qv.Get("explain") == "1"}
 	var err error
-	if req.K, err = intParam(qv, "k", DefaultK, MaxK); err != nil {
+	if req.K, err = intParam(qv, "k", 0, MaxK); err != nil {
 		return fail(http.StatusBadRequest, err), nil
 	}
 	// Partition is the one strategy served; the parameter is still
@@ -297,8 +307,16 @@ func (s *Server) handleSearch(ctx context.Context, r *http.Request) (Outcome, an
 	if out.Code != http.StatusOK {
 		return out, nil
 	}
-	return out, SearchBody(s.eng, out.Resp, out.Explain)
+	body := bodyPool.Get().(*encodedBody)
+	body.b = AppendSearchBody(body.b[:0], out.Resp, s.eng, out.Explain)
+	return out, body
 }
+
+// encodedBody is a response body the answer encoder already wrote; its
+// buffer goes back to bodyPool once written out.
+type encodedBody struct{ b []byte }
+
+var bodyPool = sync.Pool{New: func() any { return new(encodedBody) }}
 
 // narrowJSON is the /narrow response body.
 type narrowJSON struct {
@@ -588,25 +606,6 @@ func (s *Server) handleSlowlog(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// resultsJSON converts matches to API form, attaching snippets when the
-// backend can render them (it still holds a source document — for a shard
-// router, the owning shard's). Snippets render through scratch, which is
-// returned for the next call, so each costs only its string.
-func resultsJSON(eng Backend, ms []refine.Match, scratch []byte) ([]ResultJSON, []byte) {
-	out := make([]ResultJSON, 0, len(ms))
-	for _, m := range ms {
-		rj := ResultJSON{ID: m.ID.String(), Type: m.Type.Path()}
-		if eng != nil {
-			var ok bool
-			if scratch, ok = eng.AppendSnippet(scratch[:0], m, 80); ok {
-				rj.Snippet = string(scratch)
-			}
-		}
-		out = append(out, rj)
-	}
-	return out, scratch
-}
-
 // intParam reads a non-negative integer parameter no larger than max; an
 // absent one is def.
 func intParam(qv url.Values, name string, def, max int) (int, error) {
@@ -623,6 +622,11 @@ func intParam(qv url.Values, name string, def, max int) (int, error) {
 
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
+	if body, ok := v.(*encodedBody); ok {
+		_, _ = w.Write(body.b) // a failed write is a client gone; nothing is left to answer
+		bodyPool.Put(body)
+		return
+	}
 	_ = EncodeBody(w, v)
 }
 

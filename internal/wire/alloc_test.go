@@ -54,6 +54,9 @@ func TestWireAllocOverhead(t *testing.T) {
 	})
 }
 
+// snippetMax is the server's snippet budget, in runes.
+const snippetMax = 80
+
 func checkWireAllocOverhead(t *testing.T, eng *core.Engine, snippets bool) {
 	// Sampling off: the ratchet is on the unsampled path, where a retained
 	// span tree (1 request in 64 by default) would only add noise.

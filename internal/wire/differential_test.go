@@ -74,7 +74,7 @@ func diffDoc(t *testing.T, authors int, seed int64) *xmltree.Document {
 
 // comparePair runs the full query mix against one HTTP handler and one
 // wire client and requires byte-identical payloads. ks may include -1
-// (HTTP k omitted, wire k=0) to pin default-k parity.
+// (HTTP k omitted, wire k=0) and 0 (k=0 on both) to pin default-k parity.
 func comparePair(t *testing.T, h http.Handler, c *Client, queries []string, ks []int) {
 	t.Helper()
 	for _, q := range queries {
@@ -107,6 +107,16 @@ func TestWireHTTPDifferential(t *testing.T) {
 	_, addr := startServer(t, core.NewFromDocument(doc, nil))
 	c := dial(t, addr)
 	comparePair(t, httpH, c, diffQueries, []int{-1, 1, 10})
+}
+
+// TestWireHTTPDifferentialDefaultK pins what k=0 means: DefaultK on both
+// surfaces, whatever TopK the engine was configured with.
+func TestWireHTTPDifferentialDefaultK(t *testing.T) {
+	doc := diffDoc(t, 120, 3)
+	cfg := &core.Config{TopK: 5}
+	httpH := server.New(core.NewFromDocument(doc, cfg), server.Config{})
+	_, addr := startServer(t, core.NewFromDocument(doc, cfg))
+	comparePair(t, httpH, dial(t, addr), diffQueries, []int{-1, 0})
 }
 
 // TestWireHTTPDifferentialDegraded pins degradation parity: with a

@@ -40,10 +40,11 @@
 // tokenize.Query, exactly what the HTTP handler does to ?q=), a strategy
 // byte, K and a reserved parallelism field that servers decode and ignore.
 // The strategy byte is reserved too: only the partition strategy (0) is
-// served, and any other value is refused. The success body is the /search
-// JSON document, byte-for-byte: the two surfaces answer identically
-// inside their envelopes, which is what the differential conformance
-// suite asserts. StatusRetry is the binary equivalent of HTTP 503 +
+// served, and any other value is refused. K = 0 asks for server.DefaultK,
+// as an HTTP k=0 does. The success body is the /search JSON document,
+// written by the same encoder (server.AppendSearchBody) as the HTTP body:
+// the two surfaces answer identically inside their envelopes, which is
+// what the differential conformance suite asserts. StatusRetry is the binary equivalent of HTTP 503 +
 // Retry-After: one hint byte (jittered seconds) then the message.
 package wire
 
@@ -53,6 +54,7 @@ import (
 	"fmt"
 	"io"
 
+	"xrefine/internal/core"
 	"xrefine/internal/obs"
 	"xrefine/internal/server"
 )
@@ -272,6 +274,12 @@ func appendRespHeader(dst []byte, status byte, trace obs.TraceID) ([]byte, int) 
 func patchFrameLen(dst []byte, start int) []byte {
 	binary.BigEndian.PutUint32(dst[start:], uint32(len(dst)-start-4))
 	return dst
+}
+
+// AppendSearchBody is server.AppendSearchBody without explain, under the
+// name the benchmark module (bench/) calls.
+func AppendSearchBody(dst []byte, resp *core.Response, eng server.Backend) []byte {
+	return server.AppendSearchBody(dst, resp, eng, nil)
 }
 
 // AppendError encodes a StatusError response frame.

@@ -383,16 +383,12 @@ func (c *conn) handleQuery(req *Request) {
 	for _, tb := range req.Terms {
 		terms = append(terms, c.internTerm(tb))
 	}
-	k := req.K
-	if k <= 0 {
-		k = server.DefaultK
-	}
 	out := c.srv.pipe.Search(c.reqCtx, c.srv.query, &server.SearchRequest{Terms: terms,
-		K: k, Trace: req.Trace})
+		K: req.K, Trace: req.Trace})
 	switch out.Code {
 	case 200:
 		c.wbuf, _ = appendRespHeader(c.wbuf[:0], StatusOK, out.Trace)
-		c.wbuf = AppendSearchBody(c.wbuf, out.Resp, c.srv.pipe.Backend())
+		c.wbuf = server.AppendSearchBody(c.wbuf, out.Resp, c.srv.pipe.Backend(), nil)
 		c.wbuf = patchFrameLen(c.wbuf, 0)
 	case 503:
 		c.wbuf = AppendRetry(c.wbuf[:0], out.Trace, out.RetryAfter, out.Err.Error())

@@ -376,10 +376,13 @@ func ParseString(s string, opts *Options) (*Document, error) {
 // the position in the Children slice.
 func (n *Node) Ord() uint32 { return n.ID[len(n.ID)-1] }
 
-// ChildByOrd returns the child carrying the given ordinal. Children stay
-// sorted by ordinal, so this is a binary search — positions and ordinals
-// diverge once a deletion leaves a gap.
+// ChildByOrd returns the child carrying the given ordinal: the child at
+// position ord until a deletion leaves a gap, else a binary search, since
+// children stay sorted by ordinal.
 func (n *Node) ChildByOrd(ord uint32) (*Node, bool) {
+	if uint64(ord) < uint64(len(n.Children)) && n.Children[ord].Ord() == ord {
+		return n.Children[ord], true
+	}
 	i := sort.Search(len(n.Children), func(i int) bool { return n.Children[i].Ord() >= ord })
 	if i < len(n.Children) && n.Children[i].Ord() == ord {
 		return n.Children[i], true

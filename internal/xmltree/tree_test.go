@@ -81,6 +81,23 @@ func TestNodeByID(t *testing.T) {
 	if _, ok := d.NodeByID(dewey.MustParse("1")); ok {
 		t.Error("wrong root component resolved")
 	}
+
+	// A deletion leaves a gap: positions and ordinals of the surviving
+	// siblings diverge, and lookups must follow the ordinals.
+	first, _ := d.NodeByID(dewey.MustParse("0.0.1.0"))
+	if _, err := d.Detach(first); err != nil {
+		t.Fatal(err)
+	}
+	for id, title := range map[string]string{"0.0.1.1.0": "online database systems", "0.0.1.2.0": "XML data mining"} {
+		if n, ok := d.NodeByID(dewey.MustParse(id)); !ok || n.Text != title {
+			t.Errorf("after the gap, %s = %v, %v; want the title %q", id, n, ok, title)
+		}
+	}
+	for _, id := range []string{"0.0.1.0", "0.0.1.0.0", "0.0.1.3"} {
+		if _, ok := d.NodeByID(dewey.MustParse(id)); ok {
+			t.Errorf("%s resolved after the deletion", id)
+		}
+	}
 }
 
 func TestTypes(t *testing.T) {
