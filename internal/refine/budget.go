@@ -107,18 +107,6 @@ func (b *Budget) Charge(n int) bool {
 // runs its scans one at a time (see PoolSize).
 func (b *Budget) postingLimited() bool { return b != nil && b.s.limit > 0 }
 
-// Ok reports whether execution may continue without consuming postings —
-// the check loops use between partitions and before expensive stages.
-func (b *Budget) Ok() bool { return b.Charge(0) }
-
-// Used returns the postings consumed so far.
-func (b *Budget) Used() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.s.used.Load()
-}
-
 // Err returns the non-degradable stop cause: the context error when the
 // context was canceled outright. Deadline expiry and posting exhaustion —
 // the degradable causes — return nil here and are reported by Reason.

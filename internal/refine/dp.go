@@ -1,7 +1,9 @@
 package refine
 
 import (
-	"sort"
+	"cmp"
+	"math/bits"
+	"slices"
 	"strings"
 
 	"xrefine/internal/rules"
@@ -24,6 +26,13 @@ import (
 // processing of getOptimalRQ" made precise. It is a beam search: like the
 // paper's, it surfaces *some* (not provably all) of the best non-optimal
 // candidates, but the single best is exact.
+//
+// A keyword set is a bitset over the run's keyword universe, bits in
+// sorted-keyword order: identity is word equality, and the lowest differing
+// bit orders two equal-size sets as their keys. Partials are values in
+// per-cell buffers, provenance a parent-linked list of step nodes, all in a
+// dpScratch that one scan owns and reuses across masks; only the output is
+// allocated. prune's tie rules pin which derivation's steps a set reports.
 
 // Step records one refinement operation applied to produce an RQ — the
 // provenance a user-facing "did you mean" needs ("corrected databse →
@@ -48,33 +57,33 @@ func (s Step) String() string {
 	return "?"
 }
 
-// partial is one candidate refinement of a query prefix.
-type partial struct {
-	cost  float64
-	keys  []string // sorted unique keywords produced so far
-	key   string   // canonical identity of keys
-	steps []Step   // provenance, in application order
+// dpPartial is one candidate refinement of a query prefix: its cost, its
+// keyword set (offset in dpScratch.sets, and size) and its last step node
+// (-1 for none).
+type dpPartial struct {
+	cost         float64
+	set, n, step int
 }
 
-func mkPartial(cost float64, keys []string) partial {
-	ks := canonical(keys)
-	return partial{cost: cost, keys: ks, key: strings.Join(ks, "\x00")}
+// stepNode is one provenance step, linked to the one before it (or -1).
+type stepNode struct {
+	step   Step
+	parent int
 }
 
-// extend returns p with extra keywords added, cost increased, and the
-// step (when non-zero) appended to the provenance.
-func (p partial) extend(dCost float64, step Step, extra ...string) partial {
-	steps := p.steps
-	if step.Delete != "" || step.Rule != nil {
-		steps = append(append([]Step(nil), p.steps...), step)
-	}
-	if len(extra) == 0 {
-		return partial{cost: p.cost + dCost, keys: p.keys, key: p.key, steps: steps}
-	}
-	keys := append(append([]string(nil), p.keys...), extra...)
-	out := mkPartial(p.cost+dCost, keys)
-	out.steps = steps
-	return out
+// dpScratch is the dynamic program's working memory. A keyword set is w
+// words of sets, bit b standing for words[b]: the empty set at offset 0,
+// T at w, then the sets a run makes. A run reuses every buffer, which
+// grows with the partials actually produced.
+type dpScratch struct {
+	words  []string // the keyword universe, sorted
+	cols   []int    // cols[b] is words[b]'s scan-keyword column
+	w      int
+	sets   []uint64
+	steps  []stepNode
+	cells  []dpPartial // cell i is cells[cellAt[i]:cellAt[i+1]]
+	cellAt []int
+	next   []dpPartial
 }
 
 // TopRQs runs the top-m dynamic program: up to m distinct refined queries
@@ -90,103 +99,197 @@ func TopRQs(q []string, avail map[string]bool, rs *rules.Set, m int) []RQ {
 }
 
 // TopRQsBeam is TopRQs with an explicit per-cell beam width, exposed for
-// the beam ablation. beam < m is clamped to m.
+// the beam ablation. beam < m is clamped to m. It runs on a fresh scratch
+// whose universe, and columns, are the available keywords.
 func TopRQsBeam(q []string, avail map[string]bool, rs *rules.Set, m, beam int) []RQ {
-	if m < 1 {
-		m = 1
+	var x dpScratch
+	for kw, ok := range avail {
+		if ok {
+			x.words = append(x.words, kw)
+		}
 	}
-	if beam < m {
-		beam = m
+	slices.Sort(x.words)
+	x.w = max(1, (len(x.words)+63)/64)
+	x.sets = make([]uint64, 2*x.w)
+	for b := range x.words {
+		x.cols = append(x.cols, b)
+		x.admit(b)
 	}
-	cells := make([][]partial, len(q)+1)
-	cells[0] = []partial{mkPartial(0, nil)}
-	for i := 1; i <= len(q); i++ {
-		ki := q[i-1]
-		var next []partial
+	var out []RQ
+	for _, c := range x.emit(x.run(q, rs, max(beam, m, 1)), max(m, 1)) {
+		out = append(out, c.rq)
+	}
+	return out
+}
+
+// admit adds keyword b of the universe to T.
+func (x *dpScratch) admit(b int) { x.sets[x.w+b/64] |= 1 << (b % 64) }
+
+// setOf stores the set of kws and returns its offset, or -1 unless every
+// keyword is in T.
+func (x *dpScratch) setOf(kws ...string) int {
+	off := len(x.sets)
+	x.sets = append(x.sets, x.sets[:x.w]...) // a copy of the empty set
+	for _, kw := range kws {
+		b, ok := slices.BinarySearch(x.words, kw)
+		if !ok || x.sets[x.w+b/64]&(1<<(b%64)) == 0 {
+			x.sets = x.sets[:off]
+			return -1
+		}
+		x.sets[off+b/64] |= 1 << (b % 64)
+	}
+	return off
+}
+
+// run fills the cells of q under rs for the current T, at beam width
+// beam, and returns the last one.
+func (x *dpScratch) run(q []string, rs *rules.Set, beam int) []dpPartial {
+	x.sets, x.steps = x.sets[:2*x.w], x.steps[:0]
+	x.cells, x.cellAt = append(x.cells[:0], dpPartial{step: -1}), append(x.cellAt[:0], 0, 1)
+	for i, ki := range q {
+		x.next = x.next[:0]
 		// Option 1: keep k_i when the data has it.
-		if avail[ki] {
-			for _, p := range cells[i-1] {
-				next = append(next, p.extend(0, Step{}, ki))
+		if set := x.setOf(ki); set >= 0 {
+			for _, p := range x.cell(i) {
+				x.extend(p, 0, set, Step{})
 			}
 		}
 		// Option 2: delete k_i. Always available; this is what makes a
 		// refinement exist for every query.
-		for _, p := range cells[i-1] {
-			next = append(next, p.extend(rs.DeleteCost, Step{Delete: ki}))
+		for _, p := range x.cell(i) {
+			x.extend(p, rs.DeleteCost, 0, Step{Delete: ki})
 		}
 		// Option 3: apply a rule whose LHS ends at k_i and matches the
 		// preceding keywords, with every RHS keyword available.
-		for _, r := range rs.ByLastLHS(ki) {
-			n := len(r.LHS)
-			if n > i || !matchesSuffix(q[:i], r.LHS) {
-				continue
-			}
-			ok := true
-			for _, k := range r.RHS {
-				if !avail[k] {
-					ok = false
-					break
+		for _, j := range rs.ByLastLHS(ki) {
+			r := rs.Rule(j)
+			if n := len(r.LHS); n <= i+1 && slices.Equal(q[i+1-n:i+1], r.LHS) {
+				if set := x.setOf(r.RHS...); set >= 0 {
+					for _, p := range x.cell(i + 1 - n) {
+						x.extend(p, r.Score, set, Step{Rule: r})
+					}
 				}
 			}
-			if !ok {
-				continue
+		}
+		x.prune(beam)
+	}
+	return x.cell(len(q))
+}
+
+// cell returns cell i, the partials refining the query's first i keywords.
+func (x *dpScratch) cell(i int) []dpPartial { return x.cells[x.cellAt[i]:x.cellAt[i+1]] }
+
+// extend appends to next the partial p plus the set at add, at extra
+// cost, with step (unless zero) linked onto its provenance. When add does
+// not grow p's set, the new partial shares it.
+func (x *dpScratch) extend(p dpPartial, cost float64, add int, step Step) {
+	out := dpPartial{cost: p.cost + cost, set: len(x.sets), step: p.step}
+	if step != (Step{}) {
+		x.steps = append(x.steps, stepNode{step: step, parent: p.step})
+		out.step = len(x.steps) - 1
+	}
+	for j := range x.w {
+		v := x.sets[p.set+j] | x.sets[add+j]
+		x.sets = append(x.sets, v)
+		out.n += bits.OnesCount64(v)
+	}
+	if out.n == p.n {
+		x.sets, out.set = x.sets[:out.set], p.set
+	}
+	x.next = append(x.next, out)
+}
+
+// prune turns next into the next cell. It keeps one partial per keyword
+// set, the cheapest, and on a cost tie the first generated: the keep
+// option's, then the delete option's, then the rules' in ByLastLHS order,
+// each over the previous cell in its order. That partial's steps are the
+// ones the refined query reports. The survivors are ordered by cost, then
+// more keywords first (less information loss), then key, and the first
+// beam stay.
+func (x *dpScratch) prune(beam int) {
+	slices.SortStableFunc(x.next, func(a, b dpPartial) int {
+		return cmp.Or(x.cmpSet(a.set, b.set), cmp.Compare(a.cost, b.cost))
+	})
+	uniq := x.next[:0]
+	for _, p := range x.next {
+		if len(uniq) == 0 || x.cmpSet(uniq[len(uniq)-1].set, p.set) != 0 {
+			uniq = append(uniq, p)
+		}
+	}
+	slices.SortFunc(uniq, func(a, b dpPartial) int {
+		return cmp.Or(cmp.Compare(a.cost, b.cost), b.n-a.n, x.cmpSet(a.set, b.set))
+	})
+	x.cells = append(x.cells, uniq[:min(beam, len(uniq))]...)
+	x.cellAt = append(x.cellAt, len(x.cells))
+}
+
+// cmpSet orders the sets at offsets a and b: the set holding the smallest
+// keyword of their difference comes first, so sets of one size compare as
+// their keys do. It is 0 only for equal sets.
+func (x *dpScratch) cmpSet(a, b int) int {
+	for j := range x.w {
+		if d := x.sets[a+j] ^ x.sets[b+j]; d != 0 {
+			if x.sets[a+j]&(d&-d) != 0 {
+				return -1
 			}
-			rule := r
-			for _, p := range cells[i-n] {
-				next = append(next, p.extend(r.Score, Step{Rule: &rule}, r.RHS...))
+			return 1
+		}
+	}
+	return 0
+}
+
+// emit returns the first m non-empty keyword sets of the last cell as
+// candidates, in order. Candidates, keywords, columns and steps are each
+// cut from one slab, as capped slices so that an append copies, and the
+// keys are slices of one string. They are shared read-only.
+func (x *dpScratch) emit(last []dpPartial, m int) []dpCand {
+	nc, nk, ns, nb := 0, 0, 0, 0
+	for _, p := range last {
+		if p.n > 0 && nc < m {
+			nc, nk = nc+1, nk+p.n
+			for s := p.step; s >= 0; s = x.steps[s].parent {
+				ns++
+			}
+			for j := range x.w {
+				for v := x.sets[p.set+j]; v != 0; v &= v - 1 {
+					nb += len(x.words[64*j+bits.TrailingZeros64(v)]) + 1
+				}
 			}
 		}
-		cells[i] = prune(next, beam)
 	}
-	var out []RQ
-	for _, p := range cells[len(q)] {
-		if len(p.keys) == 0 {
+	if nc == 0 {
+		return nil
+	}
+	cands, kws, cols, steps := make([]dpCand, 0, nc), make([]string, 0, nk), make([]int, 0, nk), make([]Step, ns)
+	var key strings.Builder
+	key.Grow(nb)
+	for _, p := range last {
+		if p.n == 0 || len(cands) == nc {
 			continue
 		}
-		out = append(out, RQ{Keywords: p.keys, DSim: p.cost, Steps: p.steps})
-		if len(out) == m {
-			break
+		k0, b0 := len(kws), key.Len()
+		for j := range x.w {
+			for v := x.sets[p.set+j]; v != 0; v &= v - 1 {
+				b := 64*j + bits.TrailingZeros64(v)
+				if len(kws) > k0 {
+					key.WriteByte(0)
+				}
+				key.WriteString(x.words[b])
+				kws, cols = append(kws, x.words[b]), append(cols, x.cols[b])
+			}
 		}
-	}
-	return out
-}
-
-func matchesSuffix(prefix, lhs []string) bool {
-	off := len(prefix) - len(lhs)
-	for j, k := range lhs {
-		if prefix[off+j] != k {
-			return false
+		// The builder never reallocates, so earlier keys stay valid.
+		c := dpCand{rq: RQ{Keywords: kws[k0:len(kws):len(kws)], DSim: p.cost}, key: key.String()[b0:], cols: cols[k0:len(cols):len(cols)]}
+		// Steps are linked newest first, and fill the slab from its end.
+		end := ns
+		for s := p.step; s >= 0; s = x.steps[s].parent {
+			ns--
+			steps[ns] = x.steps[s].step
 		}
-	}
-	return true
-}
-
-// prune dedups partials by keyword set (keeping the cheapest) and trims to
-// the beam width, cheapest first with deterministic tie-breaking.
-func prune(ps []partial, beam int) []partial {
-	best := make(map[string]partial, len(ps))
-	for _, p := range ps {
-		if old, ok := best[p.key]; !ok || p.cost < old.cost {
-			best[p.key] = p
+		if ns < end {
+			c.rq.Steps = steps[ns:end:end]
 		}
+		cands = append(cands, c)
 	}
-	out := make([]partial, 0, len(best))
-	for _, p := range best {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].cost != out[j].cost {
-			return out[i].cost < out[j].cost
-		}
-		// Prefer keeping more keywords (less information loss), then
-		// lexicographic identity for determinism.
-		if len(out[i].keys) != len(out[j].keys) {
-			return len(out[i].keys) > len(out[j].keys)
-		}
-		return out[i].key < out[j].key
-	})
-	if len(out) > beam {
-		out = out[:beam]
-	}
-	return out
+	return cands
 }

@@ -3,6 +3,7 @@ package refine
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"xrefine/internal/rules"
@@ -315,6 +316,35 @@ func TestRQBasics(t *testing.T) {
 	}
 	if r.String() != "{a, b}" {
 		t.Errorf("String = %q", r.String())
+	}
+}
+
+// TestSameKeywords: SameKeywords agrees with the key comparison it
+// replaced on random keyword sets and term lists with duplicates and any
+// order, and allocates nothing.
+func TestSameKeywords(t *testing.T) {
+	r := rand.New(rand.NewSource(55))
+	vocab := []string{"a", "ab", "b", "ba", "c"}
+	draw := func() []string {
+		out := make([]string, r.Intn(6))
+		for i := range out {
+			out[i] = vocab[r.Intn(len(vocab))]
+		}
+		return out
+	}
+	for trial := range 2000 {
+		rq, terms := NewRQ(draw(), 0), draw()
+		if trial%3 == 0 {
+			terms = append(slices.Clone(rq.Keywords), rq.Keywords...)
+			r.Shuffle(len(terms), func(i, j int) { terms[i], terms[j] = terms[j], terms[i] })
+		}
+		if got, want := rq.SameKeywords(terms), rq.Key() == NewRQ(terms, 0).Key(); got != want {
+			t.Fatalf("%v.SameKeywords(%q) = %v, want %v", rq, terms, got, want)
+		}
+	}
+	rq, terms := NewRQ([]string{"b", "a"}, 0), []string{"b", "a", "b"}
+	if allocs := testing.AllocsPerRun(100, func() { rq.SameKeywords(terms) }); allocs != 0 {
+		t.Errorf("SameKeywords allocated %v times", allocs)
 	}
 }
 

@@ -77,7 +77,7 @@ func (o *TopKOutcome) markDegraded(b *Budget) {
 // which it returns as the candidates.
 func PartitionTopK(in Input, k int) (*TopKOutcome, error) {
 	k = max(k, 1)
-	ks := in.scanKeywords()
+	ks := in.ScanKeywords()
 	if len(ks) == 0 {
 		return &TopKOutcome{Workers: 1}, nil
 	}

@@ -10,6 +10,7 @@ package refine
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -39,15 +40,9 @@ func NewRQ(keywords []string, dSim float64) RQ {
 }
 
 func canonical(keywords []string) []string {
-	out := append([]string(nil), keywords...)
-	sort.Strings(out)
-	uniq := out[:0]
-	for i, k := range out {
-		if i == 0 || out[i-1] != k {
-			uniq = append(uniq, k)
-		}
-	}
-	return uniq
+	out := slices.Clone(keywords)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Key returns a canonical identity string, used for dedup.
@@ -56,9 +51,20 @@ func (r RQ) Key() string { return strings.Join(r.Keywords, "\x00") }
 // String renders the RQ for humans.
 func (r RQ) String() string { return "{" + strings.Join(r.Keywords, ", ") + "}" }
 
-// SameKeywords reports whether r's keyword set equals terms (as a set).
+// SameKeywords reports whether r's keyword set equals terms (as a set):
+// each contains the other. It allocates nothing.
 func (r RQ) SameKeywords(terms []string) bool {
-	return r.Key() == NewRQ(terms, 0).Key()
+	for _, t := range terms {
+		if !slices.Contains(r.Keywords, t) {
+			return false
+		}
+	}
+	for _, k := range r.Keywords {
+		if !slices.Contains(terms, k) {
+			return false
+		}
+	}
+	return true
 }
 
 // Match is one matching result: a meaningful SLCA node.
@@ -184,27 +190,16 @@ type Input struct {
 	Trace *obs.Span
 }
 
-// ScanKeywords returns the scan keyword set KS of Algorithms 1-3. The
-// shard router computes it once against the merged corpus index and hands
-// the same set to every per-shard scan, so all shards walk identical
-// keyword columns even when a term happens to be absent from one shard.
-func (in *Input) ScanKeywords() []string { return in.scanKeywords() }
-
-// scanKeywords returns Q's keywords plus the rule-generated new keywords,
-// restricted to terms that occur in the data — the KS of Algorithms 1-3 —
-// with Q's terms first, in Q order.
-func (in *Input) scanKeywords() []string {
-	seen := make(map[string]bool)
+// ScanKeywords returns the scan keyword set KS of Algorithms 1-3: Q's
+// keywords plus the rule-generated new keywords, restricted to terms that
+// occur in the data, with Q's terms first, in Q order. The shard router
+// computes it once against the merged corpus index and hands the same set
+// to every per-shard scan, so all shards walk identical keyword columns
+// even when a term happens to be absent from one shard.
+func (in *Input) ScanKeywords() []string {
 	var ks []string
-	for _, k := range in.Query {
-		if !seen[k] && in.Index.HasTerm(k) {
-			seen[k] = true
-			ks = append(ks, k)
-		}
-	}
-	for _, k := range in.Rules.NewKeywords(in.Query) {
-		if !seen[k] && in.Index.HasTerm(k) {
-			seen[k] = true
+	for _, k := range append(slices.Clone(in.Query), in.Rules.NewKeywords(in.Query)...) {
+		if !slices.Contains(ks, k) && in.Index.HasTerm(k) {
 			ks = append(ks, k)
 		}
 	}

@@ -114,8 +114,9 @@ type dpCand struct {
 }
 
 // get returns the dynamic program's output for the partitions whose
-// available scan keywords are mask, running it on the first request.
-func (m *dpMemo) get(in Input, k int, ks []string, mask []byte) []dpCand {
+// available scan keywords are mask, running it on x, the calling scan's
+// scratch, on the first request.
+func (m *dpMemo) get(in Input, k int, ks []string, mask []byte, x *dpScratch) []dpCand {
 	m.mu.Lock()
 	e := m.byMask[string(mask)]
 	if e == nil {
@@ -123,7 +124,7 @@ func (m *dpMemo) get(in Input, k int, ks []string, mask []byte) []dpCand {
 		m.byMask[string(mask)] = e
 	}
 	m.mu.Unlock()
-	e.once.Do(func() { e.cands = runDP(in, k, ks, mask) })
+	e.once.Do(func() { e.cands = x.runDP(in, k, ks, mask) })
 	return e.cands
 }
 
@@ -135,25 +136,25 @@ func (m *dpMemo) runs() int {
 	return len(m.byMask)
 }
 
-// runDP runs the top-2K dynamic program (TopRQs) over the scan keywords
-// in mask.
-func runDP(in Input, k int, ks []string, mask []byte) []dpCand {
-	avail := make(map[string]bool, len(ks))
-	for i, kw := range ks {
-		if maskHas(mask, i) {
-			avail[kw] = true
+// runDP runs the top-2K dynamic program over the scan keywords in mask.
+// The universe is ks in sorted order, fixed by the scratch's first run.
+func (x *dpScratch) runDP(in Input, k int, ks []string, mask []byte) []dpCand {
+	if x.cols == nil {
+		x.words = slices.Clone(ks)
+		slices.Sort(x.words)
+		for _, kw := range x.words {
+			x.cols = append(x.cols, slices.Index(ks, kw))
+		}
+		x.w = max(1, (len(ks)+63)/64)
+		x.sets = make([]uint64, 2*x.w)
+	}
+	clear(x.sets[x.w : 2*x.w])
+	for b, col := range x.cols {
+		if maskHas(mask, col) {
+			x.admit(b)
 		}
 	}
-	rqs := TopRQs(in.Query, avail, in.Rules, 2*k)
-	cands := make([]dpCand, len(rqs))
-	for j, rq := range rqs {
-		cols := make([]int, len(rq.Keywords))
-		for c, kw := range rq.Keywords {
-			cols[c] = slices.Index(ks, kw)
-		}
-		cands[j] = dpCand{rq: rq, key: rq.Key(), cols: cols}
-	}
-	return cands
+	return x.emit(x.run(in.Query, in.Rules, 4*k), 2*k)
 }
 
 // rqRecord is one refined query surfaced in one partition of a shard scan:
@@ -191,6 +192,7 @@ type Scan struct {
 	boundUpdates int
 
 	slca slcaScratch // the SLCA calls of the scan and of its replay
+	dp   dpScratch   // the dynamic-program runs the scan's memo misses make
 	// reread re-reads the partitions the merge must recompute, through
 	// forward cursors: the merge replays a scan's records in document
 	// order. Opened on the first recomputation; MergeScans closes it.
@@ -266,7 +268,7 @@ func (s *Scan) scan(k int, ks []string, sorted *SortedList, record bool) error {
 		if !in.Budget.Charge(w.spanPostings()) {
 			return in.Budget.Err()
 		}
-		cands := s.walk.memo.get(in, k, ks, w.mask)
+		cands := s.walk.memo.get(in, k, ks, w.mask, &s.dp)
 		s.rqGenerated += len(cands)
 		first := len(s.rqs)
 		for j := range cands {
@@ -379,13 +381,7 @@ func MergeScans(in Input, k int, scans []*Scan) (*TopKOutcome, error) {
 		if s == nil {
 			continue
 		}
-		out.DPRuns = s.walk.memo.runs()
-		out.Partitions += s.partitions
-		out.SLCACalls += s.slcaCalls
-		out.SLCAPostings += s.slcaPostings
-		out.RQGenerated += s.rqGenerated
-		out.RQPruned += s.rqPruned
-		out.BoundUpdates += s.boundUpdates
+		s.addTo(out)
 		if len(s.recs) > 0 {
 			cur = append(cur, cursor{s: s})
 		}

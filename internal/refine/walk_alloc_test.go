@@ -1,6 +1,7 @@
 package refine_test
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -10,7 +11,7 @@ import (
 // walkAllocCeiling bounds the mean allocations of one walk (one query's
 // PartitionTopK) over the golden walk workload at k=3. Lower it
 // as the walk gets cheaper; never raise it.
-const walkAllocCeiling = 962
+const walkAllocCeiling = 204
 
 // TestWalkAllocs is the walk's allocation ratchet: passes over
 // walkQueries on walkCorpus, after a warm pass has filled the lazily
@@ -37,6 +38,54 @@ func TestWalkAllocs(t *testing.T) {
 	t.Logf("%.0f allocations per walk, mean over %d queries", got, len(inputs))
 	if got > walkAllocCeiling {
 		t.Errorf("walk allocated %.0f times, ceiling %d", got, walkAllocCeiling)
+	}
+}
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+// hostileKSlack is the byte noise TestHostileKBytes tolerates between two
+// walks that do the same work: map growth differs slightly from run to run.
+const hostileKSlack = 1 << 10
+
+// TestHostileKBytes: a request's K, up to the server's cap of 1<<20, sets
+// only how many candidates the walk and its dynamic program may keep, and
+// nothing is sized by it. On a golden query whose walk does the same work
+// at k=10 and at k=1<<20, the two allocate the same bytes, within
+// hostileKSlack.
+func TestHostileKBytes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc measurement")
+	}
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	c := walkCorpus(t)
+	queries := walkQueries(t, c)
+	in := prepareInput(t, c.Index, queries[len(queries)-1])
+	bytes := func(k int) (uint64, string) {
+		out, err := refine.PartitionTopK(in, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const runs = 5
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		for range runs {
+			refine.PartitionTopK(in, k)
+		}
+		runtime.ReadMemStats(&ms)
+		return (ms.TotalAlloc - before) / runs, walkSig(out)
+	}
+	small, smallSig := bytes(10)
+	huge, hugeSig := bytes(1 << 20)
+	if smallSig != hugeSig {
+		t.Fatal("the query's walk differs between k=10 and k=1<<20; pick one whose candidates fit 2K at k=10")
+	}
+	t.Logf("%d bytes per walk at k=10, %d at k=1<<20", small, huge)
+	if huge > small+hostileKSlack {
+		t.Errorf("k=1<<20 allocated %d bytes per walk, k=10 %d: more than %d apart", huge, small, hostileKSlack)
 	}
 }
 

@@ -50,7 +50,7 @@ func TestSharedBoundConcurrentLowering(t *testing.T) {
 func TestWalkerCopiesEachPartition(t *testing.T) {
 	f := newFixture(t, fig1, []string{"online", "keyword"})
 	in := f.input(t, []string{"online", "keyword", "mining"}, nil)
-	ks := in.scanKeywords()
+	ks := in.ScanKeywords()
 	lists, err := scanLists(in, ks)
 	if err != nil {
 		t.Fatal(err)

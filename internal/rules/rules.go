@@ -14,7 +14,7 @@ package rules
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"xrefine/internal/tokenize"
@@ -111,7 +111,7 @@ func (s *Set) Add(r Rule) error {
 	}
 	for _, i := range s.byLast[r.LHS[len(r.LHS)-1]] {
 		old := &s.rules[i]
-		if sliceEq(old.LHS, r.LHS) && sameSet(old.RHS, r.RHS) {
+		if slices.Equal(old.LHS, r.LHS) && sameSet(old.RHS, r.RHS) {
 			if r.Score < old.Score {
 				old.Score = r.Score
 				old.Origin = r.Origin
@@ -126,16 +126,14 @@ func (s *Set) Add(r Rule) error {
 	return nil
 }
 
-// ByLastLHS returns every rule whose LHS ends with keyword k — the DP's
-// lookup shape.
-func (s *Set) ByLastLHS(k string) []Rule {
-	idx := s.byLast[k]
-	out := make([]Rule, len(idx))
-	for i, j := range idx {
-		out[i] = s.rules[j]
-	}
-	return out
-}
+// ByLastLHS returns the positions, for Rule, of every rule whose LHS ends
+// with keyword k, in insertion order — the DP's lookup shape. The slice is
+// a view of the set's index, not a copy: callers must not mutate it.
+func (s *Set) ByLastLHS(k string) []int { return s.byLast[k] }
+
+// Rule returns the stored rule at position i, not a copy. The pointer
+// stays valid until the next Add.
+func (s *Set) Rule(i int) *Rule { return &s.rules[i] }
 
 // Rules returns all rules in insertion order.
 func (s *Set) Rules() []Rule { return append([]Rule(nil), s.rules...) }
@@ -146,36 +144,16 @@ func (s *Set) Len() int { return len(s.rules) }
 // NewKeywords returns every RHS keyword that is not a keyword of q, in
 // sorted order — the getNewKeywords(Q) of Algorithms 1-3.
 func (s *Set) NewKeywords(q []string) []string {
-	in := make(map[string]bool, len(q))
-	for _, k := range q {
-		in[k] = true
-	}
-	set := map[string]bool{}
+	var out []string
 	for _, r := range s.rules {
 		for _, k := range r.RHS {
-			if !in[k] {
-				set[k] = true
+			if !slices.Contains(q, k) {
+				out = append(out, k)
 			}
 		}
 	}
-	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func sliceEq(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 func sameSet(a, b []string) bool {

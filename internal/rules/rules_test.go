@@ -49,14 +49,14 @@ func TestSetDedupKeepsCheaper(t *testing.T) {
 	if s.Len() != 1 {
 		t.Fatalf("len = %d", s.Len())
 	}
-	if got := s.ByLastLHS("a"); len(got) != 1 || got[0].Score != 1 || got[0].Origin != "y" {
-		t.Fatalf("dedup kept %+v", got)
+	if got := s.ByLastLHS("a"); len(got) != 1 || s.Rule(got[0]).Score != 1 || s.Rule(got[0]).Origin != "y" {
+		t.Fatalf("dedup kept %+v", s.Rules())
 	}
 	// More expensive duplicate does not override.
 	if err := s.Add(Rule{Op: OpSubstitute, LHS: []string{"a"}, RHS: []string{"b"}, Score: 5}); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.ByLastLHS("a"); got[0].Score != 1 {
+	if got := s.ByLastLHS("a"); s.Rule(got[0]).Score != 1 {
 		t.Fatal("expensive duplicate overrode cheaper rule")
 	}
 }
@@ -71,6 +71,17 @@ func TestByLastLHS(t *testing.T) {
 	}
 	if got := s.ByLastLHS("on"); len(got) != 0 {
 		t.Fatalf("ByLastLHS(on) = %d rules", len(got))
+	}
+	// The lookup and the accessor hand out the stored rules: no copy.
+	if allocs := testing.AllocsPerRun(10, func() {
+		for _, i := range s.ByLastLHS("line") {
+			_ = s.Rule(i)
+		}
+	}); allocs != 0 {
+		t.Errorf("ByLastLHS + Rule allocated %v times", allocs)
+	}
+	if i := s.ByLastLHS("base")[0]; s.Rule(i) != s.Rule(i) || s.Rule(i).RHS[0] != "bases" {
+		t.Error("Rule must point at the stored rule")
 	}
 }
 
