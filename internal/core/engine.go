@@ -598,33 +598,43 @@ func (e *Engine) finishTopK(trace *obs.Span, ep *epoch, resp *Response, terms []
 // document. ok is false when the engine has no document (loaded from an
 // index-only store) — the serving layer omits the snippet field then.
 func (e *Engine) Snippet(m refine.Match, max int) (string, bool) {
-	b, ok := e.AppendSnippet(nil, m, max)
-	return string(b), ok
+	doc := e.snapshot().doc
+	if doc == nil {
+		return "", false
+	}
+	return Snippet(doc, m, max), true
 }
 
-// AppendSnippet appends the bytes of Snippet to dst; with ok false dst
-// comes back unchanged.
-func (e *Engine) AppendSnippet(dst []byte, m refine.Match, max int) ([]byte, bool) {
+// AppendSnippetJSON appends Snippet as a JSON string literal to dst; with
+// ok false dst comes back unchanged.
+func (e *Engine) AppendSnippetJSON(dst []byte, m refine.Match, max int) ([]byte, bool) {
 	doc := e.snapshot().doc
 	if doc == nil {
 		return dst, false
 	}
-	return appendSnippet(dst, doc, m, max), true
+	return appendSnippet(dst, doc, m, max, true), true
 }
 
 // Snippet renders a human-readable preview of a match against the original
 // document; engines loaded from an index file have no document and return
 // the bare label.
 func Snippet(doc *xmltree.Document, m refine.Match, max int) string {
-	return string(appendSnippet(nil, doc, m, max))
+	return string(appendSnippet(nil, doc, m, max, false))
 }
 
-// appendSnippet appends the bytes of Snippet to dst.
-func appendSnippet(dst []byte, doc *xmltree.Document, m refine.Match, max int) []byte {
+// appendSnippet appends the bytes of Snippet to dst, as a JSON string
+// literal when inJSON.
+func appendSnippet(dst []byte, doc *xmltree.Document, m refine.Match, max int, inJSON bool) []byte {
 	if doc != nil {
 		if n, ok := doc.NodeByID(m.ID); ok {
+			if inJSON {
+				return n.AppendSnippetJSON(dst, max)
+			}
 			return n.AppendSnippet(dst, max)
 		}
+	}
+	if inJSON {
+		return xmltree.AppendJSONString(dst, m.Type.Tag+":"+m.ID.String())
 	}
 	dst = append(dst, m.Type.Tag...)
 	dst = append(dst, ':')

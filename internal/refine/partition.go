@@ -90,7 +90,7 @@ func PartitionTopK(in Input, k int) (*TopKOutcome, error) {
 	if err := s.scan(k, ks, sorted, false); err != nil {
 		return nil, err
 	}
-	out := &TopKOutcome{Candidates: sorted.Items(), Workers: 1}
+	out := &TopKOutcome{Candidates: sorted.settle(), Workers: 1}
 	s.addTo(out)
 	out.markDegraded(in.Budget)
 	return out, nil

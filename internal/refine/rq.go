@@ -80,6 +80,7 @@ type Item struct {
 	RQ      RQ
 	Results []Match
 	key     string // RQ.Key(), kept for eviction
+	more    int    // results queued by extend, not yet in Results
 }
 
 // SortedList is the RQSortedList of Section VI-B: a capacity-bounded list
@@ -91,6 +92,15 @@ type SortedList struct {
 	cap   int
 	items []*Item
 	byKey map[string]*Item
+	// later is extend's queue, in arrival order, in chunks of doubling
+	// size, so that growing it copies nothing.
+	later [][]laterResults
+}
+
+// laterResults is one run of results for an item already in the list.
+type laterResults struct {
+	it  *Item
+	res []Match
 }
 
 // NewSortedList returns an empty list holding at most cap candidates.
@@ -155,6 +165,37 @@ func (l *SortedList) insert(rq RQ, key string, results []Match) *Item {
 		}
 	}
 	return it
+}
+
+// extend queues res to follow the results of it. The walk extends an item
+// once per later partition that surfaces it; settle then sizes each item's
+// Results once, where an append per partition would regrow it each time.
+func (l *SortedList) extend(it *Item, res []Match) {
+	it.more += len(res)
+	n := len(l.later)
+	if n == 0 || len(l.later[n-1]) == cap(l.later[n-1]) {
+		l.later = append(l.later, make([]laterResults, 0, 8<<min(n, 16)))
+		n++
+	}
+	l.later[n-1] = append(l.later[n-1], laterResults{it, res})
+}
+
+// settle moves every queued run into its item's Results, in arrival
+// order, and returns Items.
+func (l *SortedList) settle() []*Item {
+	for _, chunk := range l.later {
+		for _, lr := range chunk {
+			it := lr.it
+			if it.more > 0 {
+				r := make([]Match, len(it.Results), len(it.Results)+it.more)
+				copy(r, it.Results)
+				it.Results, it.more = r, 0
+			}
+			it.Results = append(it.Results, lr.res...)
+		}
+	}
+	l.later = nil
+	return l.items
 }
 
 // Items returns the stored candidates, best (smallest dissimilarity) first.

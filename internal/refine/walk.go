@@ -287,7 +287,7 @@ func (s *Scan) scan(k int, ks []string, sorted *SortedList, record bool) error {
 			switch {
 			case len(matches) == 0:
 			case !record && item != nil:
-				item.Results = append(item.Results, matches...)
+				sorted.extend(item, matches)
 			case !record:
 				sorted.insert(c.rq, c.key, matches)
 			default:
@@ -406,7 +406,7 @@ func MergeScans(in Input, k int, scans []*Scan) (*TopKOutcome, error) {
 			cur = append(cur[:best], cur[best+1:]...)
 		}
 	}
-	out.Candidates = append(out.Candidates, sorted.Items()...)
+	out.Candidates = append(out.Candidates, sorted.settle()...)
 	out.markDegraded(in.Budget)
 	return out, nil
 }
@@ -442,7 +442,7 @@ func (s *Scan) replay(rec partitionRecord, sorted *SortedList, out *TopKOutcome)
 			continue
 		}
 		if item != nil {
-			item.Results = append(item.Results, res...)
+			sorted.extend(item, res)
 		} else {
 			sorted.insert(c.rq, c.key, res)
 		}

@@ -11,7 +11,7 @@ import (
 // walkAllocCeiling bounds the mean allocations of one walk (one query's
 // PartitionTopK) over the golden walk workload at k=3. Lower it
 // as the walk gets cheaper; never raise it.
-const walkAllocCeiling = 204
+const walkAllocCeiling = 183
 
 // TestWalkAllocs is the walk's allocation ratchet: passes over
 // walkQueries on walkCorpus, after a warm pass has filled the lazily
@@ -60,6 +60,9 @@ func TestHostileKBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector")
 	}
+	// One P, as testing.AllocsPerRun measures: a sync.Pool item put back on
+	// one P is not found by a Get on another, which then allocates anew.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	c := walkCorpus(t)
 	queries := walkQueries(t, c)
 	in := prepareInput(t, c.Index, queries[len(queries)-1])

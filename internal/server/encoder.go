@@ -4,11 +4,11 @@ import (
 	"encoding/json"
 	"math"
 	"strconv"
-	"unicode/utf8"
 
 	"xrefine/internal/core"
 	"xrefine/internal/obs"
 	"xrefine/internal/refine"
+	"xrefine/internal/xmltree"
 )
 
 // The answer encoder: a query response is rendered straight from the
@@ -47,7 +47,7 @@ func AppendSearchBody(dst []byte, resp *core.Response, eng Backend, explain *obs
 				dst = append(dst, ',')
 			}
 			dst = appendIndent(dst, 2)
-			dst = appendJSONString(dst, c.Type.Path())
+			dst = c.Type.AppendPathJSON(dst)
 		}
 		dst = appendIndent(dst, 1)
 		dst = append(dst, ']')
@@ -81,7 +81,7 @@ func AppendSearchBody(dst []byte, resp *core.Response, eng Backend, explain *obs
 		dst = append(dst, ',')
 		dst = appendIndent(dst, 1)
 		dst = append(dst, `"degraded_reason": `...)
-		dst = appendJSONString(dst, resp.DegradedReason)
+		dst = xmltree.AppendJSONString(dst, resp.DegradedReason)
 	}
 	if explain != nil {
 		// A debug path, so encoding/json renders the span tree; its names,
@@ -164,19 +164,17 @@ func appendResult(dst []byte, m refine.Match, eng Backend) []byte {
 	dst = append(dst, '"', ',')
 	dst = appendIndent(dst, 5)
 	dst = append(dst, `"type": `...)
-	dst = appendJSONString(dst, m.Type.Path())
+	dst = m.Type.AppendPathJSON(dst)
 	if eng != nil {
-		// The snippet renders at the tail of dst, its field is written
-		// after it, JSON-escaping it, and the field then moves back over
-		// the raw rendering: no buffer but dst is needed.
+		// The snippet renders in its final form, a JSON literal, after
+		// its key; a backend with no document takes the key back off.
 		start := len(dst)
-		if out, ok := eng.AppendSnippet(dst, m, snippetMax); ok {
-			raw := len(out)
-			out = append(out, ',')
-			out = appendIndent(out, 5)
-			out = append(out, `"snippet": `...)
-			out = appendJSONString(out, out[start:raw])
-			dst = out[:start+copy(out[start:], out[raw:])]
+		dst = append(dst, ',')
+		dst = appendIndent(dst, 5)
+		dst = append(dst, `"snippet": `...)
+		var ok bool
+		if dst, ok = eng.AppendSnippetJSON(dst, m, snippetMax); !ok {
+			dst = dst[:start]
 		}
 	}
 	dst = appendIndent(dst, 4)
@@ -191,23 +189,23 @@ func appendStep(dst []byte, st *refine.Step) []byte {
 	switch {
 	case st.Delete != "":
 		dst = append(dst, "delete "...)
-		dst = appendEscaped(dst, st.Delete)
+		dst = xmltree.AppendJSONEscaped(dst, st.Delete)
 	case st.Rule != nil:
 		r := st.Rule
 		for i, t := range r.LHS {
 			if i > 0 {
 				dst = append(dst, ',')
 			}
-			dst = appendEscaped(dst, t)
+			dst = xmltree.AppendJSONEscaped(dst, t)
 		}
 		dst = append(dst, ` -\u003e`...)
-		dst = appendEscaped(dst, r.Op.String())
+		dst = xmltree.AppendJSONEscaped(dst, r.Op.String())
 		dst = append(dst, ' ')
 		for i, t := range r.RHS {
 			if i > 0 {
 				dst = append(dst, ',')
 			}
-			dst = appendEscaped(dst, t)
+			dst = xmltree.AppendJSONEscaped(dst, t)
 		}
 		dst = append(dst, " (ds="...)
 		dst = strconv.AppendFloat(dst, r.Score, 'g', -1, 64)
@@ -233,7 +231,7 @@ func appendStringArray(dst []byte, ss []string, depth int) []byte {
 			dst = append(dst, ',')
 		}
 		dst = appendIndent(dst, depth+1)
-		dst = appendJSONString(dst, s)
+		dst = xmltree.AppendJSONString(dst, s)
 	}
 	dst = appendIndent(dst, depth)
 	return append(dst, ']')
@@ -267,69 +265,4 @@ func appendJSONFloat(dst []byte, f float64) []byte {
 		}
 	}
 	return dst
-}
-
-// appendJSONString appends s as a quoted JSON string with encoding/json's
-// default (HTML-escaping) rules.
-func appendJSONString[S string | []byte](dst []byte, s S) []byte {
-	dst = append(dst, '"')
-	dst = appendEscaped(dst, s)
-	return append(dst, '"')
-}
-
-const hexDigits = "0123456789abcdef"
-
-// appendEscaped appends the escaped body of s (no surrounding quotes),
-// byte-identical to encoding/json with SetEscapeHTML(true): control
-// characters, quote and backslash escaped; <, >, & as \u00XX; invalid
-// UTF-8 byte as the six-byte escape \ufffd; U+2028/U+2029 as \u2028/\u2029.
-func appendEscaped[S string | []byte](dst []byte, s S) []byte {
-	start := 0
-	for i := 0; i < len(s); {
-		if c := s[i]; c < utf8.RuneSelf {
-			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
-				i++
-				continue
-			}
-			dst = append(dst, s[start:i]...)
-			switch c {
-			case '\\', '"':
-				dst = append(dst, '\\', c)
-			case '\b':
-				dst = append(dst, '\\', 'b')
-			case '\f':
-				dst = append(dst, '\\', 'f')
-			case '\n':
-				dst = append(dst, '\\', 'n')
-			case '\r':
-				dst = append(dst, '\\', 'r')
-			case '\t':
-				dst = append(dst, '\\', 't')
-			default:
-				dst = append(dst, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
-			}
-			i++
-			start = i
-			continue
-		}
-		// A rune is at most UTFMax bytes; converting no more keeps a
-		// []byte s from allocating a string of its whole tail.
-		r, size := utf8.DecodeRuneInString(string(s[i:min(i+utf8.UTFMax, len(s))]))
-		if r == utf8.RuneError && size == 1 {
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, `\ufffd`...)
-			i += size
-			start = i
-			continue
-		}
-		if r == '\u2028' || r == '\u2029' {
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, '\\', 'u', '2', '0', '2', hexDigits[r&0xF])
-			i += size
-			start = i
-			continue
-		}
-		i += size
-	}
-	return append(dst, s[start:]...)
 }

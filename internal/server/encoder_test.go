@@ -196,46 +196,74 @@ func TestEncoderExplainMatchesJSON(t *testing.T) {
 	checkBody(t, "synthetic-explain", nil, &core.Response{Terms: []string{"x"}, Degraded: true}, tree)
 }
 
-// rawSnippets is a Backend whose every snippet is one fixed string, so a
-// snippet can carry what a document's text rarely does.
-type rawSnippets struct {
+// nodeSnippets is a Backend whose snippets all render from one node, so
+// a snippet can carry what a document's text rarely does. The match at
+// Dewey 0.2 has no snippet, as on a backend without a document.
+type nodeSnippets struct {
 	Backend
-	s string
+	n *xmltree.Node
 }
 
-func (r rawSnippets) AppendSnippet(dst []byte, _ refine.Match, _ int) ([]byte, bool) {
-	return append(dst, r.s...), true
+func (b nodeSnippets) AppendSnippetJSON(dst []byte, m refine.Match, max int) ([]byte, bool) {
+	if m.ID[1] == 2 {
+		return dst, false
+	}
+	return b.n.AppendSnippetJSON(dst, max), true
 }
 
-// TestSnippetEscapedInPlace pins appendResult's in-buffer escape: a
-// snippet rendered at the tail of dst, escaped after itself and moved
-// back, is byte-identical to encoding/json of the same string, whether
-// dst has room to spare or must grow mid-escape.
-func TestSnippetEscapedInPlace(t *testing.T) {
+// TestSnippetJSONThroughEncoder drives hostile texts through
+// appendResult, whose snippet literal renders straight after its key: the
+// body equals EncodeBody(SearchBody(…)) whether dst has room to spare or
+// must grow mid-snippet, the literal decodes to the node's Snippet, and a
+// result with no snippet leaves no key behind.
+func TestSnippetJSONThroughEncoder(t *testing.T) {
 	reg := xmltree.NewRegistry()
 	paper := reg.Intern(reg.Intern(nil, "bib"), "paper")
-	resp := &core.Response{Queries: []core.RankedQuery{{
-		Results: []refine.Match{{ID: dewey.ID{0, 1}, Type: paper}, {ID: dewey.ID{0, 2}, Type: paper}},
-	}}}
-	// No empty snippet: a rendered one always starts with its tag.
+	resp := &core.Response{Queries: []core.RankedQuery{{Results: []refine.Match{
+		{ID: dewey.ID{0, 1}, Type: paper}, {ID: dewey.ID{0, 2}, Type: paper}, {ID: dewey.ID{0, 3}, Type: paper},
+	}}}}
 	for _, s := range []string{
-		`paper:0.1 "say \"hi\" \\ there"`,
-		"html <b>&amp;</b> \u2028 and \x00 ctrl \x1f",
-		"line\u2028sep\u2029 é 漢字 😀",
+		`say "hi" \ there`,
+		"html <b>&amp;</b> \xe2\x80\xa8 and \x00 ctrl \x1f",
+		"line\xe2\x80\xa8sep\xe2\x80\xa9 é 漢字 😀",
 		"invalid \xff\xfe utf8 \xe2\x80",
-		strings.Repeat("<&>\"\\\x01\xff", 40),
+		strings.Repeat("<&>\"\\\x01\xff", 40), // cut after invalid bytes
 	} {
-		snip := rawSnippets{s: s}
+		n := &xmltree.Node{Tag: `p<"&>`, ID: dewey.ID{0, 1}, Text: s}
+		body := SearchBody(nodeSnippets{n: n}, resp, nil)
+		results := body.Queries[0].Results
+		if want := n.Snippet(snippetMax); results[0].Snippet != want || results[2].Snippet != want {
+			t.Errorf("text %q: snippets %q, %q, want %q", s, results[0].Snippet, results[2].Snippet, want)
+		}
+		if results[1].Snippet != "" {
+			t.Errorf("text %q: a result with no snippet has %q", s, results[1].Snippet)
+		}
 		var want bytes.Buffer
-		if err := EncodeBody(&want, SearchBody(snip, resp, nil)); err != nil {
+		if err := EncodeBody(&want, body); err != nil {
 			t.Fatal(err)
 		}
 		for _, capacity := range []int{0, 1 << 16} {
-			got := AppendSearchBody(make([]byte, 0, capacity), resp, snip, nil)
+			got := AppendSearchBody(make([]byte, 0, capacity), resp, nodeSnippets{n: n}, nil)
 			if !bytes.Equal(got, want.Bytes()) {
-				t.Errorf("snippet %q, cap %d:\n got: %q\nwant: %q", s, capacity, got, want.Bytes())
+				t.Errorf("text %q, cap %d:\n got: %q\nwant: %q", s, capacity, got, want.Bytes())
 			}
 		}
+	}
+}
+
+// TestTypePathEscaped: tokenized tags are letters and digits, but a loaded
+// store or a direct Intern can hold any path. One that is not plain bytes
+// is escaped, in results and in search_for alike.
+func TestTypePathEscaped(t *testing.T) {
+	reg := xmltree.NewRegistry()
+	root := reg.Intern(nil, "bib")
+	for _, tag := range []string{"a<b>", `q"t`, `back\slash`, "amp&", "sep\xe2\x80\xa8", "bad\xff", "del\x7f", "ctl\x01"} {
+		typ := reg.Intern(root, tag)
+		resp := &core.Response{
+			SearchFor: []searchfor.Candidate{{Type: typ}, {Type: root}},
+			Queries:   []core.RankedQuery{{Results: []refine.Match{{ID: dewey.ID{0, 1}, Type: typ}}}},
+		}
+		checkBody(t, tag, nil, resp, nil)
 	}
 }
 
@@ -248,10 +276,10 @@ func TestAppendJSONStringMatchesJSON(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := appendJSONString(nil, s); !bytes.Equal(got, want) {
+		if got := xmltree.AppendJSONString(nil, s); !bytes.Equal(got, want) {
 			t.Errorf("string %q: got %q want %q", s, got, want)
 		}
-		if got := appendJSONString(nil, []byte(s)); !bytes.Equal(got, want) {
+		if got := xmltree.AppendJSONString(nil, []byte(s)); !bytes.Equal(got, want) {
 			t.Errorf("bytes %q: got %q want %q", s, got, want)
 		}
 	}

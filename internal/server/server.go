@@ -88,10 +88,10 @@ type Backend interface {
 	// snapshot — for /healthz.
 	Health() core.HealthExtras
 	Index() *index.Index
-	// AppendSnippet appends a match preview to dst; ok is false when no
-	// source document is available and the snippet field should be
-	// omitted.
-	AppendSnippet(dst []byte, m refine.Match, max int) ([]byte, bool)
+	// AppendSnippetJSON appends a match preview to dst as a JSON string
+	// literal; ok is false, and dst unchanged, when no source document is
+	// available and the snippet field should be omitted.
+	AppendSnippetJSON(dst []byte, m refine.Match, max int) ([]byte, bool)
 	// Metrics is the backend's one counter book: /metrics exposes it and
 	// /healthz reads its counters from a snapshot of it.
 	Metrics() *obs.Registry
@@ -266,8 +266,10 @@ func SearchBody(eng Backend, resp *core.Response, explain *obs.SpanData) SearchJ
 			rj := ResultJSON{ID: m.ID.String(), Type: m.Type.Path()}
 			if eng != nil {
 				var ok bool
-				if scratch, ok = eng.AppendSnippet(scratch[:0], m, snippetMax); ok {
-					rj.Snippet = string(scratch)
+				if scratch, ok = eng.AppendSnippetJSON(scratch[:0], m, snippetMax); ok {
+					// A literal that does not decode leaves the field
+					// out, so the encoder's bytes differ from these.
+					_ = json.Unmarshal(scratch, &rj.Snippet)
 				}
 			}
 			qj.Results = append(qj.Results, rj)

@@ -738,21 +738,31 @@ func (r *Router) Metrics() *obs.Registry { return r.mreg }
 
 // Snippet renders a match by routing to the shard owning its partition.
 func (r *Router) Snippet(m refine.Match, max int) (string, bool) {
-	b, ok := r.AppendSnippet(nil, m, max)
-	return string(b), ok
+	if eng := r.owner(m); eng != nil {
+		return eng.Snippet(m, max)
+	}
+	return "", false
 }
 
-// AppendSnippet appends the bytes of Snippet to dst; with ok false dst
-// comes back unchanged.
-func (r *Router) AppendSnippet(dst []byte, m refine.Match, max int) ([]byte, bool) {
+// AppendSnippetJSON appends Snippet as a JSON string literal to dst; with
+// ok false dst comes back unchanged.
+func (r *Router) AppendSnippetJSON(dst []byte, m refine.Match, max int) ([]byte, bool) {
+	if eng := r.owner(m); eng != nil {
+		return eng.AppendSnippetJSON(dst, m, max)
+	}
+	return dst, false
+}
+
+// owner is the primary engine of the shard owning m's partition, or nil.
+func (r *Router) owner(m refine.Match) *core.Engine {
 	if len(m.ID) < 2 {
-		return dst, false
+		return nil
 	}
 	i, ok := r.state().owners[m.ID[1]]
 	if !ok {
-		return dst, false
+		return nil
 	}
-	return r.groups[i].primary().eng.Load().AppendSnippet(dst, m, max)
+	return r.groups[i].primary().eng.Load()
 }
 
 // UpdateStats reports the router's live-update state: Epoch is the meta

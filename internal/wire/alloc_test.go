@@ -42,14 +42,14 @@ func TestWireAllocOverhead(t *testing.T) {
 		checkWireAllocOverhead(t, withDoc, true)
 		// A root result's preview reads the corpus only up to its cut.
 		root := refine.Match{ID: dewey.Root(), Type: doc.Root.Type}
-		buf, ok := withDoc.AppendSnippet(nil, root, snippetMax)
+		buf, ok := withDoc.AppendSnippetJSON(nil, root, snippetMax)
 		if !ok {
 			t.Fatal("document-backed engine rendered no root snippet")
 		}
 		if allocs := testing.AllocsPerRun(100, func() {
-			buf, _ = withDoc.AppendSnippet(buf[:0], root, snippetMax)
+			buf, _ = withDoc.AppendSnippetJSON(buf[:0], root, snippetMax)
 		}); allocs != 0 {
-			t.Errorf("AppendSnippet on the document root = %.1f allocs with a warm buffer, want 0", allocs)
+			t.Errorf("AppendSnippetJSON on the document root = %.1f allocs with a warm buffer, want 0", allocs)
 		}
 	})
 }

@@ -1,10 +1,9 @@
 package xmltree
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
+	"strings"
 
 	"xrefine/internal/storage"
 )
@@ -128,8 +127,16 @@ func LoadDocumentInto(s storage.Backend, reg *Registry) (*Document, bool, error)
 		reg = NewRegistry()
 	}
 	doc := &Document{Types: reg}
-	r := bytes.NewReader(buf)
-	pos := func() int { return len(buf) - r.Len() }
+	// Tags and texts slice one copy of the stream: a subtree's texts lie
+	// together, in document order, where a snippet reads them.
+	stream := string(buf)
+	r := strings.NewReader(stream)
+	pos := func() int { return len(stream) - r.Len() }
+	slice := func(n uint64) string {
+		s := stream[pos():][:n]
+		r.Reset(stream[pos()+int(n):])
+		return s
+	}
 	var decode func(parent *Node) (*Node, error)
 	decode = func(parent *Node) (*Node, error) {
 		ord, err := binary.ReadUvarint(r)
@@ -143,10 +150,7 @@ func LoadDocumentInto(s storage.Backend, reg *Registry) (*Document, bool, error)
 		if uint64(r.Len()) < tagLen {
 			return nil, fmt.Errorf("xmltree: doc stream truncated tag at %d", pos())
 		}
-		tagBytes := make([]byte, tagLen)
-		if _, err := io.ReadFull(r, tagBytes); err != nil {
-			return nil, err
-		}
+		tag := slice(tagLen)
 		childCount, err := binary.ReadUvarint(r)
 		if err != nil {
 			return nil, err
@@ -158,11 +162,7 @@ func LoadDocumentInto(s storage.Backend, reg *Registry) (*Document, bool, error)
 		if uint64(r.Len()) < textLen {
 			return nil, fmt.Errorf("xmltree: doc stream truncated text at %d", pos())
 		}
-		textBytes := make([]byte, textLen)
-		if _, err := io.ReadFull(r, textBytes); err != nil {
-			return nil, err
-		}
-		n := &Node{Tag: string(tagBytes), Text: string(textBytes), Parent: parent}
+		n := &Node{Tag: tag, Text: slice(textLen), Parent: parent}
 		if parent == nil {
 			n.Type = reg.Intern(nil, n.Tag)
 			n.ID = []uint32{0}

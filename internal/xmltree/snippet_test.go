@@ -1,6 +1,7 @@
 package xmltree
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"strings"
@@ -32,8 +33,9 @@ func snippetTree(texts [4]string) *Node {
 	return root
 }
 
-// checkSnippet compares AppendSnippet, on a non-empty dst, and Snippet
-// against the reference for every node of the tree.
+// checkSnippet compares AppendSnippet and AppendSnippetJSON, on a non-empty
+// dst, and Snippet against the reference for every node of the tree: the
+// JSON form against encoding/json (HTML escaping on) of the reference.
 func checkSnippet(t *testing.T, root *Node, max int) {
 	t.Helper()
 	clamped := max
@@ -48,6 +50,13 @@ func checkSnippet(t *testing.T, root *Node, max int) {
 		}
 		if got := n.Snippet(max); got != want {
 			t.Fatalf("Snippet(%s, %d) = %q, want %q", n.ID, max, got, want)
+		}
+		wantJSON, err := json.Marshal(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := string(n.AppendSnippetJSON([]byte("prefix"), max)); got != "prefix"+string(wantJSON) {
+			t.Fatalf("AppendSnippetJSON(%s, %d) = %s, want %s", n.ID, max, got, "prefix"+string(wantJSON))
 		}
 		for _, c := range n.Children {
 			visit(c)
@@ -70,27 +79,38 @@ func TestAppendSnippetMatchesReference(t *testing.T) {
 		{"escapes", [4]string{`say "hi"`, `back\slash`, "<a> & b", "line\u2028sep\u2029"}},
 		{"controls", [4]string{"tab\there", "nl\nx", "\x00\x7f", "\u00ad\ufeff\U000e0001"}},
 		{"replacement char", [4]string{"\ufffd", "x\xef\xbf\xbd", "\xff\ufffd", "\u00e9"}},
+		// The cut is learnt after an invalid byte was written: the text
+		// renders again in cut mode.
+		{"invalid before cut", [4]string{"a\xffb", "\xfe", "", strings.Repeat("cut ", 30)}},
+		{"invalid in last text", [4]string{"one", "", "tw\x80o", "thr\xc3ee"}},
+		{"html and quotes", [4]string{"<p>", "&amp;", "\"\\", ">"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			root := snippetTree(tc.texts)
 			total := len([]rune(root.Subtext()))
+			// At max == total the text ends on the budget's last rune, uncut.
 			for _, max := range []int{-5, -1, 0, 1, 2, 3, total - 1, total, total + 1, 80, math.MaxInt} {
 				checkSnippet(t, root, max)
 			}
 		})
 	}
+	// A tag is written as it is, and JSON-escaped in the JSON form.
+	root := snippetTree([4]string{"one", "", "two", ""})
+	root.Tag = "<\"t&\\>\xff"
+	checkSnippet(t, root, 80)
 }
 
 // TestAppendSnippetRootAllocs pins the cost of a result high in the tree:
-// a warm buffer renders the root's preview of a large subtree with no
-// allocation, because only the text up to the cut is read.
+// a warm buffer renders the root's preview of a large subtree, in either
+// form, with no allocation, because only the text up to the cut is read.
 func TestAppendSnippetRootAllocs(t *testing.T) {
 	root := &Node{Tag: "bib", ID: dewey.ID{0}}
 	for i := 0; i < 2000; i++ {
 		root.Children = append(root.Children, &Node{
 			Tag: "title", ID: dewey.ID{0, uint32(i)}, Parent: root,
-			Text: strings.Repeat("keyword query refinement ", 4),
+			// Quoted, escaped and invalid bytes, and a cut: every path.
+			Text: strings.Repeat("keyword <query> \"refinement\" é\xff ", 4),
 		})
 	}
 	buf := root.AppendSnippet(nil, 80)
@@ -101,6 +121,11 @@ func TestAppendSnippetRootAllocs(t *testing.T) {
 		buf = root.AppendSnippet(buf[:0], 80)
 	}); allocs != 0 {
 		t.Errorf("AppendSnippet on the root = %.1f allocs with a warm buffer, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		buf = root.AppendSnippetJSON(buf[:0], 80)
+	}); allocs != 0 {
+		t.Errorf("AppendSnippetJSON on the root = %.1f allocs with a warm buffer, want 0", allocs)
 	}
 }
 

@@ -76,61 +76,58 @@ func (n *Node) Snippet(max int) string { return string(n.AppendSnippet(nil, max)
 //
 // A cut text has each invalid UTF-8 byte replaced by U+FFFD, as a []rune
 // round trip would; an uncut text shows such bytes as \x escapes.
-func (n *Node) AppendSnippet(dst []byte, max int) []byte {
+func (n *Node) AppendSnippet(dst []byte, max int) []byte { return n.appendSnippet(dst, max, false) }
+
+// AppendSnippetJSON appends Snippet as a JSON string literal, the bytes
+// encoding/json (HTML escaping on) writes for it, rendered in the same one
+// walk over the text as AppendSnippet.
+func (n *Node) AppendSnippetJSON(dst []byte, max int) []byte { return n.appendSnippet(dst, max, true) }
+
+func (n *Node) appendSnippet(dst []byte, max int, inJSON bool) []byte {
 	if max < 0 {
 		max = 0
 	}
-	dst = append(dst, n.Tag...)
+	open, end := ` "`, `"`
+	if inJSON {
+		dst = append(dst, '"')
+		dst = AppendJSONEscaped(dst, n.Tag)
+		open, end = ` \"`, `\""`
+	} else {
+		dst = append(dst, n.Tag...)
+	}
 	dst = append(dst, ':')
 	dst = n.ID.AppendText(dst)
-	dst = append(dst, ' ', '"')
-	fits := (&textWalk{left: max}).fits(n)
-	w := textWalk{dst: dst, left: max, cut: !fits}
-	w.write(n)
+	dst = append(dst, open...)
+	// The walk renders uncut until it learns the text overflows. A cut and
+	// an uncut text differ only in how invalid bytes show, so a cut learnt
+	// after one was written as \x renders the text again, in cut mode.
+	w := textWalk{dst: dst, left: max, json: inJSON}
+	cut := !w.write(n)
+	if cut && w.invalid {
+		w = textWalk{dst: w.dst[:len(dst)], left: max, json: inJSON, cut: true}
+		w.write(n)
+	}
 	dst = w.dst
-	if !fits {
+	if cut {
 		dst = append(dst, "…"...)
 	}
-	return append(dst, '"')
+	return append(dst, end...)
 }
 
-// textWalk reads a subtree's text in document order, a single space
-// between non-empty texts, within a budget of runes.
+// textWalk writes a subtree's text in document order, a single space
+// between non-empty texts, within a budget of runes: Go-quoted, and then
+// JSON-escaped for a JSON literal.
 type textWalk struct {
-	dst  []byte
-	left int  // runes the budget still allows
-	sep  bool // a text has been read: the next one follows a space
-	cut  bool // the text is cut, so write replaces invalid bytes
+	dst     []byte
+	left    int  // runes the budget still allows
+	sep     bool // a text has been written: the next one follows a space
+	cut     bool // the text is cut, so invalid bytes show as U+FFFD
+	json    bool // JSON-escape what Go quoting writes
+	invalid bool // an invalid byte has been written
 }
 
-// fits reports whether the rest of the text under n, separators
-// included, is at most w.left runes. It stops at the first text that
-// overflows the budget.
-func (w *textWalk) fits(n *Node) bool {
-	if n.Text != "" {
-		if w.sep {
-			w.left--
-		}
-		w.sep = true
-		// A text of more than UTFMax bytes per rune left overflows
-		// whatever its runes are; counting it would read all of it.
-		if w.left < 0 || len(n.Text)/utf8.UTFMax > w.left {
-			return false
-		}
-		if w.left -= utf8.RuneCountInString(n.Text); w.left < 0 {
-			return false
-		}
-	}
-	for _, c := range n.Children {
-		if !w.fits(c) {
-			return false
-		}
-	}
-	return true
-}
-
-// write appends the text under n, quoted; a cut text stops once w.left
-// runes are spent, and write then reports false.
+// write appends the text under n; it reports false, and stops, at the
+// first rune the budget does not allow.
 func (w *textWalk) write(n *Node) bool {
 	if s := n.Text; s != "" {
 		if w.sep {
@@ -141,17 +138,26 @@ func (w *textWalk) write(n *Node) bool {
 			w.left--
 		}
 		w.sep = true
-		i := len(s)
-		if w.cut {
-			// Only a cut text can end inside s, after w.left runes.
-			for i = 0; i < len(s) && w.left > 0; w.left-- {
-				_, size := utf8.DecodeRuneInString(s[i:])
-				i += size
+		for i := 0; i < len(s); {
+			if w.left == 0 {
+				return false
 			}
-		}
-		w.dst = appendQuoted(w.dst, s[:i], w.cut)
-		if i < len(s) {
-			return false
+			// A run of plain bytes, one rune each, is copied as it is.
+			j, end := i, len(s)
+			if w.left < end-i {
+				end = i + w.left
+			}
+			for j < end && plainByte(s[j]) {
+				j++
+			}
+			if j == i {
+				i += w.quoteRune(s[i:])
+				w.left--
+				continue
+			}
+			w.dst = append(w.dst, s[i:j]...)
+			w.left -= j - i
+			i = j
 		}
 	}
 	for _, c := range n.Children {
@@ -162,36 +168,25 @@ func (w *textWalk) write(n *Node) bool {
 	return true
 }
 
-// appendQuoted appends strconv.Quote(s) without its surrounding quotes.
-// With replace, each invalid UTF-8 byte of s becomes U+FFFD first, which
-// Quote leaves as it is.
-func appendQuoted(dst []byte, s string, replace bool) []byte {
-	for replace {
-		bad := invalidByte(s)
-		if bad < 0 {
-			break
+// quoteRune appends the first rune of s, Go-quoted, and returns its size.
+// An invalid byte shows as a \x escape, or as U+FFFD in a cut text.
+func (w *textWalk) quoteRune(s string) int {
+	r, size := utf8.DecodeRuneInString(s)
+	var buf [12]byte // the longest Go-quoted rune, `"\U0010ffff"`
+	q := strconv.AppendQuote(buf[:0], s[:size])
+	q = q[1 : len(q)-1]
+	if r == utf8.RuneError && size == 1 {
+		w.invalid = true
+		if w.cut {
+			q = append(q[:0], string(utf8.RuneError)...)
 		}
-		dst = appendQuoted(dst, s[:bad], false)
-		dst = append(dst, string(utf8.RuneError)...)
-		s = s[bad+1:]
 	}
-	start := len(dst)
-	dst = strconv.AppendQuote(dst, s)
-	end := len(dst) - 1 // the closing quote
-	return dst[:start+copy(dst[start:], dst[start+1:end])]
-}
-
-// invalidByte returns the index of the first byte of s that is not part
-// of a valid UTF-8 encoding, or -1.
-func invalidByte(s string) int {
-	for i := 0; i < len(s); {
-		r, size := utf8.DecodeRuneInString(s[i:])
-		if r == utf8.RuneError && size == 1 {
-			return i
-		}
-		i += size
+	if w.json {
+		w.dst = AppendJSONEscaped(w.dst, q)
+	} else {
+		w.dst = append(w.dst, q...)
 	}
-	return -1
+	return size
 }
 
 // SnippetHighlight is Snippet with query terms wrapped in [brackets], so a

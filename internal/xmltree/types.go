@@ -29,11 +29,21 @@ type Type struct {
 	// Depth is the number of edges from the root; the root type has 0.
 	Depth int
 
-	path string
+	path      string
+	plainPath bool // path needs no JSON escaping
 }
 
 // Path returns the full "/"-joined prefix path, e.g. "bib/author/name".
 func (t *Type) Path() string { return t.path }
+
+// AppendPathJSON appends Path as encoding/json writes it; a path of plain
+// bytes, known since Intern, is copied with no escape scan.
+func (t *Type) AppendPathJSON(dst []byte) []byte {
+	if t.plainPath {
+		return append(append(append(dst, '"'), t.path...), '"')
+	}
+	return AppendJSONString(dst, t.path)
+}
 
 // String implements fmt.Stringer.
 func (t *Type) String() string { return t.path }
@@ -106,7 +116,7 @@ func (r *Registry) Intern(parent *Type, tag string) *Type {
 	if t, ok := old.byPath[path]; ok { // lost the creation race
 		return t
 	}
-	t := &Type{ID: len(old.types), Tag: tag, Parent: parent, Depth: depth, path: path}
+	t := &Type{ID: len(old.types), Tag: tag, Parent: parent, Depth: depth, path: path, plainPath: !strings.ContainsFunc(path, notPlain)}
 	next := &regSnap{
 		byPath: make(map[string]*Type, len(old.byPath)+1),
 		types:  append(append(make([]*Type, 0, len(old.types)+1), old.types...), t),
