@@ -416,7 +416,9 @@ type Response struct {
 	// Degraded reports that a deadline or posting budget expired before
 	// the exploration finished: every result present is genuine, but the
 	// walk covered only part of the document, so candidates (or better
-	// refinements) may be missing.
+	// refinements) may be missing. The candidates are ranked with the
+	// co-occurrence counted over the partitions the walk covered: ranking
+	// reads no list, so a budget never buys decoding after the walk.
 	Degraded bool
 	// DegradedReason names the cause when Degraded: "deadline",
 	// "posting-budget" or, on a shard router, "shard-partial" (the
@@ -566,9 +568,15 @@ func (e *Engine) finishTopK(trace *obs.Span, ep *epoch, resp *Response, terms []
 		}
 	}
 	resp.NeedRefine = true
+	// Formula 7 reads the co-occurrence the walk counted; only an
+	// exploration that is not the walk leaves it to the lists.
+	var co rank.CoOccurrence = ep.ix
+	if out.CoCounts != nil {
+		co = out.CoCounts
+	}
 	for _, it := range out.Candidates {
 		sim := e.cfg.Rank.Similarity(ep.ix, resp.SearchFor, terms, it.RQ.Keywords, it.RQ.DSim)
-		dep, err := e.cfg.Rank.Dependence(ep.ix, resp.SearchFor, it.RQ.Keywords)
+		dep, err := e.cfg.Rank.DependenceFrom(ep.ix, co, resp.SearchFor, it.RQ.Keywords)
 		if err != nil {
 			return nil, err
 		}

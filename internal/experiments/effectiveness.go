@@ -139,7 +139,7 @@ func rankCandidates(c *Corpus, q evalQuery, m rank.Model, depth int) ([]map[stri
 	}
 	var ss []scored
 	for _, it := range q.outcome.Candidates {
-		score, err := m.Rank(c.Index, q.cands, q.cs.Corrupted, it.RQ.Keywords, it.RQ.DSim)
+		score, err := m.Rank(c.Index, q.outcome.CoCounts, q.cands, q.cs.Corrupted, it.RQ.Keywords, it.RQ.DSim)
 		if err != nil {
 			return nil, err
 		}

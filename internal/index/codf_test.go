@@ -62,7 +62,7 @@ func TestCoDFMatchesBruteForce(t *testing.T) {
 						want++
 					}
 				}
-				got, err := index.ListCoDF(ix, a, b, ty)
+				got, err := ix.CoDF(a, b, ty)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -74,7 +74,7 @@ func TestCoDFMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestCoDFAllocs bounds an uncached CoDF at a constant number of
+// TestCoDFAllocs bounds CoDF at a constant number of
 // allocations whatever the lists' lengths: the merge reads both lists
 // through pooled cursors and copies roots into two reused buffers.
 func TestCoDFAllocs(t *testing.T) {
@@ -108,12 +108,12 @@ func TestCoDFAllocs(t *testing.T) {
 	} {
 		for _, ty := range doc.Types.Types() {
 			allocs := testing.AllocsPerRun(20, func() {
-				if _, err := index.ListCoDF(ix, tc.a, tc.b, ty); err != nil {
+				if _, err := ix.CoDF(tc.a, tc.b, ty); err != nil {
 					t.Fatal(err)
 				}
 			})
 			if allocs > 4 {
-				t.Errorf("%s: uncached CoDF(%q, %q, %s) = %.1f allocs, want <= 4", tc.name, tc.a, tc.b, ty.Path(), allocs)
+				t.Errorf("%s: CoDF(%q, %q, %s) = %.1f allocs, want <= 4", tc.name, tc.a, tc.b, ty.Path(), allocs)
 			}
 		}
 	}

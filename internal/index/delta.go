@@ -52,7 +52,6 @@ func NewMutator(src *Index) *Mutator {
 		loader:    src.loader,
 		nt:        append([]uint32(nil), src.nt...),
 		gt:        append([]uint32(nil), src.gt...),
-		coCache:   make(map[coKey]int),
 		partRoot:  append([]dewey.ID(nil), src.partRoot...),
 		stat:      src.stat,
 	}

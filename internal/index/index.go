@@ -43,14 +43,11 @@ type Index struct {
 	// NodeCount is the total number of indexed nodes.
 	NodeCount int
 
-	mu       sync.Mutex // guards coCache only
 	terms    map[string]*kwEntry
 	loader   func(term string) (*List, error) // nil for fully-resident indexes
 	nt       []uint32                         // N_T per type ID
 	gt       []uint32                         // G_T per type ID
-	coCache  map[coKey]int
-	partRoot []dewey.ID // document partition roots in order
-	shards   [][]*Index // Merge results only: each shard's pinned replicas
+	partRoot []dewey.ID                       // document partition roots in order
 
 	// vocabOnce/vocab hold the one vocabulary-derived structure a higher
 	// layer attaches (see VocabDerived). Owned here, it is freed with the
@@ -118,11 +115,6 @@ func (ix *Index) VocabDerived(build func() any) any {
 	return ix.vocab
 }
 
-type coKey struct {
-	a, b   string
-	typeID int
-}
-
 // Build constructs the index from a parsed document with a single
 // document-order walk (the "multiple traversal" of the paper collapses to
 // one pass because every statistic here is prefix-incremental).
@@ -132,7 +124,6 @@ func Build(doc *xmltree.Document) *Index {
 		Root:      dewey.Root(),
 		NodeCount: doc.NodeCount,
 		terms:     make(map[string]*kwEntry),
-		coCache:   make(map[coKey]int),
 		stat:      &opStat{},
 	}
 	ix.nt = make([]uint32, doc.Types.Len())
@@ -332,38 +323,12 @@ func (ix *Index) PartitionRoots() []dewey.ID { return ix.partRoot }
 
 // CoDF returns the co-occurrence frequency f_{a,b}^T: the number of T-typed
 // nodes whose subtree contains both keywords. The paper materializes an
-// O(K^2 * T) table at parse time; this implementation computes entries on
-// demand from the two inverted lists (a sorted merge over subtree roots)
-// and memoizes them, which is the same table realized lazily. A merged
-// index (see Merge) holds no lists: it sums the shards' counts instead,
-// each read from the first of that shard's pinned replicas that answers.
+// O(K^2 * T) table at parse time; the served path counts the entries it
+// needs during the partition walk instead (refine.CoCounts), and this
+// two-list merge over subtree roots is the reference those counts are
+// tested against. It keeps no memo. A merged index (see Merge) holds no
+// lists, so CoDF on it fails.
 func (ix *Index) CoDF(a, b string, t *xmltree.Type) (int, error) {
-	if a > b {
-		a, b = b, a
-	}
-	key := coKey{a: a, b: b, typeID: t.ID}
-	ix.mu.Lock()
-	if v, ok := ix.coCache[key]; ok {
-		ix.mu.Unlock()
-		return v, nil
-	}
-	ix.mu.Unlock()
-	count := ix.listCoDF
-	if ix.shards != nil {
-		count = ix.shardCoDF
-	}
-	v, err := count(a, b, t)
-	if err != nil {
-		return 0, err
-	}
-	ix.mu.Lock()
-	ix.coCache[key] = v
-	ix.mu.Unlock()
-	return v, nil
-}
-
-// listCoDF is CoDF from the two inverted lists, without the memo.
-func (ix *Index) listCoDF(a, b string, t *xmltree.Type) (int, error) {
 	la, err := ix.List(a)
 	if err != nil {
 		return 0, err

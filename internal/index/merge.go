@@ -11,19 +11,18 @@ import (
 
 // Merge combines the indexes of shard sub-documents into one logical
 // corpus index whose every statistic — df/tf rows, N_T, G_T, list lengths,
-// partition roots, CoDF — is exactly what Build would produce over the
+// partition roots — is exactly what Build would produce over the
 // concatenated corpus. The sharded query path depends on that exactness:
 // rule generation, search-for inference and Formula-10 ranking all run
 // against this index, so any deviation would silently change scores
 // relative to a monolithic engine.
 //
-// shards[i] holds shard i's replica indexes pinned at one epoch, primary
-// first; the rows are built from each shard's first index. The contract
-// (guaranteed by xmltree.Document.Subset and enforced by
-// shard.WriteStores): every shard is a sub-document of one corpus, holding
-// a copy of the same bare container root (its tag token is its only term)
-// plus a disjoint set of partitions that keep their global Dewey labels,
-// and all shards share one type registry. Disjointness makes every
+// parts[i] is shard i's index. The contract (guaranteed by
+// xmltree.Document.Subset and enforced by shard.WriteStores): every shard
+// is a sub-document of one corpus, holding a copy of the same bare
+// container root (its tag token is its only term) plus a disjoint set of
+// partitions that keep their global Dewey labels, and all shards share one
+// type registry. Disjointness makes every
 // per-type and per-term statistic additive; the replicated root is the
 // single node counted once per shard, so its contributions are collapsed
 // back to one: the root type's N_T clamps to 1, every term's df at the
@@ -31,16 +30,12 @@ import (
 // root tag term sheds the duplicate root postings from its list length and
 // root-type tf.
 //
-// The merged index holds statistics only, never posting lists: List on it
-// fails, and CoDF sums the shards' own counts (see Index.CoDF). The
-// router's partition walk scans the shard lists themselves.
-func Merge(shards [][]*Index) (*Index, error) {
-	if len(shards) == 0 {
+// The merged index holds statistics only, never posting lists: List and
+// CoDF on it fail. The router's partition walk scans the shard lists
+// themselves, and counts the co-occurrence ranking reads as it goes.
+func Merge(parts []*Index) (*Index, error) {
+	if len(parts) == 0 {
 		return nil, fmt.Errorf("index: merge of zero shards")
-	}
-	parts := make([]*Index, len(shards))
-	for i, reps := range shards {
-		parts[i] = reps[0]
 	}
 	reg := parts[0].Types
 	for _, p := range parts[1:] {
@@ -49,11 +44,10 @@ func Merge(shards [][]*Index) (*Index, error) {
 		}
 	}
 	ix := &Index{
-		Types:   reg,
-		Root:    dewey.Root(),
-		terms:   make(map[string]*kwEntry),
-		coCache: make(map[coKey]int),
-		stat:    &opStat{},
+		Types: reg,
+		Root:  dewey.Root(),
+		terms: make(map[string]*kwEntry),
+		stat:  &opStat{},
 	}
 	dup := uint32(len(parts) - 1)
 	for _, p := range parts {
@@ -131,38 +125,5 @@ func Merge(shards [][]*Index) (*Index, error) {
 		return dewey.Compare(ix.partRoot[i], ix.partRoot[j]) < 0
 	})
 
-	ix.shards = shards
 	return ix, nil
-}
-
-// shardCoDF is CoDF on a merged index. Below the root type partitions are
-// disjoint, so it sums the shards' counts, each from the first of the
-// shard's pinned replicas that answers; only the merged index memoizes. At the root type it is 1 when both
-// terms occur anywhere, as the merged df rows record. A per-shard sum
-// counts the replicated root once per shard, and clamping it to 1 misses
-// two terms that occur in different shards only.
-func (ix *Index) shardCoDF(a, b string, t *xmltree.Type) (int, error) {
-	if t.Depth == 0 {
-		if ix.DF(a, t) > 0 && ix.DF(b, t) > 0 {
-			return 1, nil
-		}
-		return 0, nil
-	}
-	sum := 0
-shards:
-	for _, reps := range ix.shards {
-		var first error
-		for _, rep := range reps {
-			v, err := rep.listCoDF(a, b, t)
-			if err == nil {
-				sum += v
-				continue shards
-			}
-			if first == nil {
-				first = err
-			}
-		}
-		return 0, first
-	}
-	return sum, nil
 }

@@ -416,11 +416,10 @@ func load(s storage.Backend, reg *xmltree.Registry) (*Index, error) {
 		types = reg
 	}
 	ix := &Index{
-		Types:   types,
-		Root:    dewey.Root(),
-		terms:   make(map[string]*kwEntry),
-		coCache: make(map[coKey]int),
-		stat:    &opStat{},
+		Types: types,
+		Root:  dewey.Root(),
+		terms: make(map[string]*kwEntry),
+		stat:  &opStat{},
 	}
 	docRaw, ok, err := getDocMeta(s)
 	if err != nil {

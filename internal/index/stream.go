@@ -35,11 +35,10 @@ func BuildStream(r io.Reader, opts *xmltree.Options) (*Index, error) {
 
 	reg := xmltree.NewRegistry()
 	ix := &Index{
-		Types:   reg,
-		Root:    dewey.Root(),
-		terms:   make(map[string]*kwEntry),
-		coCache: make(map[coKey]int),
-		stat:    &opStat{},
+		Types: reg,
+		Root:  dewey.Root(),
+		terms: make(map[string]*kwEntry),
+		stat:  &opStat{},
 	}
 	var nt []uint32
 

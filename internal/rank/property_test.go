@@ -72,20 +72,20 @@ func TestPropertyRankLinearInWeights(t *testing.T) {
 		rq := []string{"w0", "w1"}
 		mA := Default()
 		mA.Beta = 0
-		simOnly, err := mA.Rank(ix, cands, q, rq, 1)
+		simOnly, err := mA.Rank(ix, ix, cands, q, rq, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		mB := Default()
 		mB.Alpha = 0
-		depOnly, err := mB.Rank(ix, cands, q, rq, 1)
+		depOnly, err := mB.Rank(ix, ix, cands, q, rq, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, ab := range [][2]float64{{1, 1}, {2, 1}, {1, 2}, {0.5, 3}} {
 			m := Default()
 			m.Alpha, m.Beta = ab[0], ab[1]
-			got, err := m.Rank(ix, cands, q, rq, 1)
+			got, err := m.Rank(ix, ix, cands, q, rq, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -113,7 +113,7 @@ func TestPropertyRankFiniteNonNegative(t *testing.T) {
 		for i := range rq {
 			rq[i] = fmt.Sprintf("w%d", r.Intn(8))
 		}
-		got, err := m.Rank(ix, cands, q, rq, float64(r.Intn(6)))
+		got, err := m.Rank(ix, ix, cands, q, rq, float64(r.Intn(6)))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -109,19 +109,19 @@ func TestConfFormula7(t *testing.T) {
 	inproc := ty(t, ix, "bib/author/publications/inproceedings")
 	// f_online^inproc = 2; both online inproceedings, one contains
 	// database -> C(online => database) = 1/2.
-	c, err := Conf(ix, "online", "database", inproc)
+	c, err := Conf(ix, ix, "online", "database", inproc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	almost(t, "C(online=>database)", c, 0.5)
 	// C(database => online) = 1/1 = 1.
-	c2, err := Conf(ix, "database", "online", inproc)
+	c2, err := Conf(ix, ix, "database", "online", inproc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	almost(t, "C(database=>online)", c2, 1)
 	// Absent antecedent -> 0.
-	c3, err := Conf(ix, "zzz", "online", inproc)
+	c3, err := Conf(ix, ix, "zzz", "online", inproc)
 	if err != nil || c3 != 0 {
 		t.Errorf("C(zzz=>online) = %v, %v", c3, err)
 	}
@@ -131,13 +131,13 @@ func TestDependenceAtFormula8(t *testing.T) {
 	ix := buildIx(t)
 	inproc := ty(t, ix, "bib/author/publications/inproceedings")
 	// RQ = {online, database}: (C(d=>o) + C(o=>d)) / 2 = (1 + 0.5)/2
-	d, err := DependenceAt(ix, []string{"online", "database"}, inproc)
+	d, err := DependenceAt(ix, ix, []string{"online", "database"}, inproc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	almost(t, "DependenceAt", d, 0.75)
 	// Single-keyword RQ has no pairwise dependence.
-	d1, err := DependenceAt(ix, []string{"online"}, inproc)
+	d1, err := DependenceAt(ix, ix, []string{"online"}, inproc)
 	if err != nil || d1 != 0 {
 		t.Errorf("singleton dependence = %v, %v", d1, err)
 	}
@@ -207,7 +207,7 @@ func TestRankFormula10(t *testing.T) {
 	q := []string{"on", "line", "data", "base"}
 	rq := []string{"online", "database"}
 	m := Default()
-	r, err := m.Rank(ix, cs, q, rq, 2)
+	r, err := m.Rank(ix, ix, cs, q, rq, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestRankFormula10(t *testing.T) {
 	// α=1, β=0 drops the dependence term.
 	mA := Default()
 	mA.Beta = 0
-	rA, err := mA.Rank(ix, cs, q, rq, 2)
+	rA, err := mA.Rank(ix, ix, cs, q, rq, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestRankFormula10(t *testing.T) {
 	// α=0, β=1 keeps only dependence.
 	mB := Default()
 	mB.Alpha = 0
-	rB, err := mB.Rank(ix, cs, q, rq, 2)
+	rB, err := mB.Rank(ix, ix, cs, q, rq, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestRankFormula10(t *testing.T) {
 func TestRankEmptyCandidates(t *testing.T) {
 	ix := buildIx(t)
 	m := Default()
-	r, err := m.Rank(ix, nil, []string{"a"}, []string{"b"}, 1)
+	r, err := m.Rank(ix, ix, nil, []string{"a"}, []string{"b"}, 1)
 	if err != nil || r != 0 {
 		t.Errorf("rank with no candidates = %v, %v", r, err)
 	}

@@ -2,6 +2,7 @@ package refine
 
 import (
 	"fmt"
+	"hash/maphash"
 	"math"
 	"math/rand"
 	"slices"
@@ -229,7 +230,7 @@ func TestDPScratchConcurrentMemo(t *testing.T) {
 		for i := range masks {
 			masks[i] = randomMask(r, len(ks))
 		}
-		memo := dpMemo{byMask: make(map[string]*dpEntry)}
+		memo := &newWalk().memo
 		got := make([][][]dpCand, 4)
 		var wg sync.WaitGroup
 		for g := range got {
@@ -250,6 +251,30 @@ func TestDPScratchConcurrentMemo(t *testing.T) {
 				checkCands(t, got[g][i], q, rs, ks, mask, 3)
 			}
 		}
+	}
+}
+
+// TestDPMemoHashCollision: the memo is keyed by a hash of the mask, and
+// two masks whose hashes collide still get each its own run. The
+// collision is forced by filing a second mask's hash under the first
+// mask's entry.
+func TestDPMemoHashCollision(t *testing.T) {
+	r := rand.New(rand.NewSource(77))
+	q, rs := dpInstance(r)
+	ks := scanKeywordsOf(q, rs)
+	in := Input{Query: q, Rules: rs}
+	a, b := randomMask(r, len(ks)), randomMask(r, len(ks))
+	for string(a) == string(b) {
+		b = randomMask(r, len(ks))
+	}
+	memo := &newWalk().memo
+	var x dpScratch
+	memo.get(in, 3, ks, a, &x)
+	memo.byHash[maphash.Bytes(memoSeed, b)] = memo.byHash[maphash.Bytes(memoSeed, a)]
+	checkCands(t, memo.get(in, 3, ks, b, &x), q, rs, ks, b, 3)
+	checkCands(t, memo.get(in, 3, ks, a, &x), q, rs, ks, a, 3)
+	if memo.runs() != 2 {
+		t.Errorf("%d runs for two masks", memo.runs())
 	}
 }
 

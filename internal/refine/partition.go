@@ -54,6 +54,10 @@ type TopKOutcome struct {
 	// SLCAPostings totals the postings handed to delegated SLCA
 	// computations — the work the SLCA layer actually received.
 	SLCAPostings int64
+	// CoCounts is the co-occurrence the walk counted, which ranking
+	// reads (Formula 7); a shard walk's is the sum of its scans'. Nil for
+	// an exploration that is not the partition walk.
+	CoCounts *CoCounts
 }
 
 // markDegraded records a budget-induced early stop on the outcome.
@@ -85,12 +89,14 @@ func PartitionTopK(in Input, k int) (*TopKOutcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Scan{in: in, lists: lists, walk: newWalk()}
+	s := newScan(in, ks, lists, newWalk())
 	sorted := NewSortedList(2 * k)
 	if err := s.scan(k, ks, sorted, false); err != nil {
 		return nil, err
 	}
-	out := &TopKOutcome{Candidates: sorted.settle(), Workers: 1}
+	// A copy, so the scan and its scratch stay on the stack.
+	co := s.co.CoCounts
+	out := &TopKOutcome{Candidates: sorted.settle(), Workers: 1, CoCounts: &co}
 	s.addTo(out)
 	out.markDegraded(in.Budget)
 	return out, nil

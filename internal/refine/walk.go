@@ -1,6 +1,7 @@
 package refine
 
 import (
+	"hash/maphash"
 	"math"
 	"slices"
 	"sync"
@@ -86,7 +87,10 @@ type Walk struct {
 }
 
 // newWalk returns the state of a walk with no shared bound.
-func newWalk() *Walk { return &Walk{memo: dpMemo{byMask: make(map[string]*dpEntry)}} }
+func newWalk() *Walk { return &Walk{memo: dpMemo{byHash: make(map[uint64]*dpEntry)}} }
+
+// memoSeed seeds the hash dpMemo keys its entries by.
+var memoSeed = maphash.MakeSeed()
 
 // dpMemo memoises the top-2K dynamic program (line 10) for one walk. Its
 // output depends only on Q, the rules, K and the partition's available
@@ -94,14 +98,24 @@ func newWalk() *Walk { return &Walk{memo: dpMemo{byMask: make(map[string]*dpEntr
 // T's bitset over the scan keywords, which every scan of a walk shares.
 // Each mask is computed once, by the first scan that meets it; a sibling
 // scan meeting it meanwhile waits on the entry.
+//
+// A miss allocates nothing of its own: entries are cut from chunks that
+// never move (sync.Once must not be copied), the map is keyed by the
+// mask's hash, and the masks are kept back to back in one arena, where
+// an entry's offset resolves a collision.
 type dpMemo struct {
 	mu     sync.Mutex
-	byMask map[string]*dpEntry
+	byHash map[uint64]*dpEntry // the first entry of each hash
+	free   []dpEntry           // the unused tail of the newest chunk
+	masks  []byte
+	n      int // entries made
 }
 
 type dpEntry struct {
 	once  sync.Once
 	cands []dpCand
+	off   int      // the entry's mask is masks[off:off+len(mask)]
+	next  *dpEntry // the next entry of the same hash
 }
 
 // dpCand is one refined query of a memoised dynamic-program run, with what
@@ -117,11 +131,21 @@ type dpCand struct {
 // available scan keywords are mask, running it on x, the calling scan's
 // scratch, on the first request.
 func (m *dpMemo) get(in Input, k int, ks []string, mask []byte, x *dpScratch) []dpCand {
+	h := maphash.Bytes(memoSeed, mask)
 	m.mu.Lock()
-	e := m.byMask[string(mask)]
+	e := m.byHash[h]
+	for e != nil && string(m.masks[e.off:e.off+len(mask)]) != string(mask) {
+		e = e.next
+	}
 	if e == nil {
-		e = &dpEntry{}
-		m.byMask[string(mask)] = e
+		if len(m.free) == 0 {
+			m.free = make([]dpEntry, max(8, m.n))
+		}
+		e, m.free = &m.free[0], m.free[1:]
+		e.off, e.next = len(m.masks), m.byHash[h]
+		m.masks = append(m.masks, mask...)
+		m.byHash[h] = e
+		m.n++
 	}
 	m.mu.Unlock()
 	e.once.Do(func() { e.cands = x.runDP(in, k, ks, mask) })
@@ -133,7 +157,7 @@ func (m *dpMemo) get(in Input, k int, ks []string, mask []byte, x *dpScratch) []
 func (m *dpMemo) runs() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.byMask)
+	return m.n
 }
 
 // runDP runs the top-2K dynamic program over the scan keywords in mask.
@@ -193,6 +217,7 @@ type Scan struct {
 
 	slca slcaScratch // the SLCA calls of the scan and of its replay
 	dp   dpScratch   // the dynamic-program runs the scan's memo misses make
+	co   coCounter   // the co-occurrence of the partitions scanned
 	// reread re-reads the partitions the merge must recompute, through
 	// forward cursors: the merge replays a scan's records in document
 	// order. Opened on the first recomputation; MergeScans closes it.
@@ -233,22 +258,29 @@ func ScanShard(in Input, k int, ks []string, walk *Walk) (*Scan, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Scan{in: in, lists: lists, walk: walk}
+	s := newScan(in, ks, lists, walk)
 	if err := s.scan(k, ks, NewSortedList(2*k), true); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
+// newScan returns a scan of lists, the lists of ks, sharing walk.
+func newScan(in Input, ks []string, lists []*index.List, walk *Walk) *Scan {
+	s := &Scan{in: in, lists: lists, walk: walk}
+	s.co.init(in, ks)
+	return s
+}
+
 // scan is the walk's one partition loop. For each partition it charges the
-// budget, takes the top-2K dynamic program's output (line 10) for the
-// partition's keyword mask from the walk's memo, and computes SLCA results
-// for every refined query that might still enter the top-2K, judged against
-// sorted and the walk's shared bound; the rest are skipped — the paper's
-// advantage (2). The budget is checked at partition granularity: a
-// partition is either fully processed or not at all, so a degraded walk is
-// a clean prefix. A degradable stop returns nil; a hard cancellation
-// returns the context error.
+// budget, counts its co-occurrences, takes the top-2K dynamic program's
+// output (line 10) for the partition's keyword mask from the walk's memo,
+// and computes SLCA results for every refined query that might still
+// enter the top-2K, judged against sorted and the walk's shared bound; the
+// rest are skipped — the paper's advantage (2). The budget is checked at
+// partition granularity: a partition is either fully processed or not at
+// all, so a degraded walk is a clean prefix. A degradable stop returns
+// nil; a hard cancellation returns the context error.
 //
 // Without record (a lone walk) the results go straight into sorted, which
 // is then the walk's answer. With record (a shard scan) sorted only
@@ -268,6 +300,7 @@ func (s *Scan) scan(k int, ks []string, sorted *SortedList, record bool) error {
 		if !in.Budget.Charge(w.spanPostings()) {
 			return in.Budget.Err()
 		}
+		s.co.count(w)
 		cands := s.walk.memo.get(in, k, ks, w.mask, &s.dp)
 		s.rqGenerated += len(cands)
 		first := len(s.rqs)
@@ -289,7 +322,12 @@ func (s *Scan) scan(k int, ks []string, sorted *SortedList, record bool) error {
 			case !record && item != nil:
 				sorted.extend(item, matches)
 			case !record:
-				sorted.insert(c.rq, c.key, matches)
+				// Once Q itself holds results it stays in the list (nothing
+				// qualifies below dSim 0), so the engine answers Q and ranks
+				// nothing: the counts are no longer needed.
+				if sorted.insert(c.rq, c.key, matches) != nil && c.rq.DSim == 0 && c.rq.SameKeywords(in.Query) {
+					s.co.answered = true
+				}
 			default:
 				s.rqs = append(s.rqs, rqRecord{c: c, results: matches})
 				if item == nil && sorted.insert(c.rq, c.key, nil) != nil && sorted.Full() && bound.lower(sorted.Worst()) {
@@ -380,6 +418,13 @@ func MergeScans(in Input, k int, scans []*Scan) (*TopKOutcome, error) {
 	for _, s := range scans {
 		if s == nil {
 			continue
+		}
+		if out.CoCounts == nil {
+			out.CoCounts = &s.co.CoCounts
+		} else {
+			for i, v := range s.co.pairs {
+				out.CoCounts.pairs[i] += v
+			}
 		}
 		s.addTo(out)
 		if len(s.recs) > 0 {

@@ -11,7 +11,7 @@ import (
 // walkAllocCeiling bounds the mean allocations of one walk (one query's
 // PartitionTopK) over the golden walk workload at k=3. Lower it
 // as the walk gets cheaper; never raise it.
-const walkAllocCeiling = 183
+const walkAllocCeiling = 179
 
 // TestWalkAllocs is the walk's allocation ratchet: passes over
 // walkQueries on walkCorpus, after a warm pass has filled the lazily

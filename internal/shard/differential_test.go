@@ -18,7 +18,6 @@ import (
 	"xrefine/internal/refine"
 	"xrefine/internal/server"
 	"xrefine/internal/storage"
-	"xrefine/internal/tokenize"
 	"xrefine/internal/xmltree"
 )
 
@@ -110,79 +109,6 @@ func TestShardByteIdentity(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestRouterCoDFMatchesMonolith checks the merged meta index's
-// co-occurrence, the one statistic it sums from the shards instead of
-// holding as a row: for every type (the root type included) and every pair
-// of a term sample, the router's CoDF equals the monolith's. The sample
-// holds the root tag term, which every shard's replicated root carries, and
-// terms that each occur in one shard only: two of those from different
-// shards co-occur under the corpus root but in no shard.
-func TestRouterCoDFMatchesMonolith(t *testing.T) {
-	for _, seed := range []int64{5, 7} {
-		doc := corpusDoc(t, 32, seed)
-		mono := core.NewFromDocument(doc, &core.Config{DisableMetrics: true}).Index()
-		rootTerm := tokenize.Tag(doc.Root.Type.Tag)
-		for _, mode := range []string{ModeRange, ModeHash} {
-			for _, n := range []int{2, 3} {
-				r := memRouter(t, doc, n, mode, &core.Config{DisableMetrics: true}, nil)
-				ix := r.Index()
-				sample := []string{rootTerm, "database", "query", "xml", "author", "title", "absentterm"}
-				only := shardOnlyTerms(r)
-				if len(only) < 2 {
-					t.Fatalf("seed=%d mode=%s shards=%d: shard-only terms %v, want two shards' worth", seed, mode, n, only)
-				}
-				sample = append(sample, only...)
-				for _, ty := range ix.Types.Types() {
-					mt, ok := mono.Types.ByPath(ty.Path())
-					if !ok {
-						t.Fatalf("type %s missing from the monolith registry", ty.Path())
-					}
-					for i, a := range sample {
-						for _, b := range sample[i:] {
-							got, err := ix.CoDF(a, b, ty)
-							if err != nil {
-								t.Fatalf("router CoDF(%s, %s, %s): %v", a, b, ty.Path(), err)
-							}
-							want, err := mono.CoDF(a, b, mt)
-							if err != nil {
-								t.Fatal(err)
-							}
-							if got != want {
-								t.Errorf("seed=%d mode=%s shards=%d CoDF(%s, %s, %s) = %d, monolith %d",
-									seed, mode, n, a, b, ty.Path(), got, want)
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// shardOnlyTerms returns, for each shard of r that has one, the first
-// vocabulary term occurring in that shard alone.
-func shardOnlyTerms(r *Router) []string {
-	found := make(map[int]string)
-	for _, term := range r.Index().Vocabulary() {
-		owner, in := -1, 0
-		for i, g := range r.groups {
-			if g.primary().eng.Load().Index().HasTerm(term) {
-				owner, in = i, in+1
-			}
-		}
-		if in == 1 && found[owner] == "" {
-			found[owner] = term
-		}
-	}
-	var out []string
-	for i := range r.groups {
-		if term := found[i]; term != "" {
-			out = append(out, term)
-		}
-	}
-	return out
 }
 
 // TestShardLiveUpdates drives the same random update stream into a live

@@ -422,22 +422,13 @@ func (r *Router) Health() core.HealthExtras {
 	return hx
 }
 
-// merge builds the meta index over each shard's replica indexes pinned
-// now: the primary's, whose rows it takes, then every other
-// non-quarantined replica's at the primary's epoch, which hold the same
-// content and serve co-occurrence when the primary's store fails.
+// merge builds the meta index over each shard primary's index.
 func (r *Router) merge() (*index.Index, error) {
-	shards := make([][]*index.Index, len(r.groups))
+	parts := make([]*index.Index, len(r.groups))
 	for i, g := range r.groups {
-		p := g.primary()
-		shards[i] = []*index.Index{p.eng.Load().Index()}
-		for _, rp := range g.reps {
-			if rp != p && !rp.quarantined.Load() && rp.eng.Load().Epoch() == p.eng.Load().Epoch() {
-				shards[i] = append(shards[i], rp.eng.Load().Index())
-			}
-		}
+		parts[i] = g.primary().eng.Load().Index()
 	}
-	return index.Merge(shards)
+	return index.Merge(parts)
 }
 
 // publish makes merged the meta engine's epoch at the sum of the shard
@@ -948,9 +939,8 @@ func (r *Router) reconcileLocked(si int) {
 // copyStore rewrites rp's store as src's committed key space at epoch
 // target, in one store commit, and swaps in an engine reopened over it.
 // It first forces every posting list of rp's current index resident: a
-// reader still pinned to that index (an in-flight scan, or a published
-// meta index's co-occurrence fallback) must never lazily load a list of
-// another epoch from the rewritten store. On error the store is rolled
+// reader still pinned to that index (an in-flight scan) must never lazily
+// load a list of another epoch from the rewritten store. On error the store is rolled
 // back to its last commit and rp keeps its engine.
 func (r *Router) copyStore(rp *replica, src storage.Backend, target uint64) error {
 	ix := rp.eng.Load().Index()
