@@ -569,8 +569,8 @@ func ExampleOpenIndex() {
 	// > xml publication 1999
 	//   inferred search target: author, publications
 	//   1. {1999 inproceedings xml} dSim=1.0 (87 results)
-	//   2. {inproceedings xml} dSim=3.0 (331 results)
-	//   3. {1999 article xml} dSim=1.0 (70 results)
+	//   2. {1999 article xml} dSim=1.0 (70 results)
+	//   3. {1999 publications xml} dSim=1.0 (87 results)
 	//
 	// > skyline computation sigmod
 	//   inferred search target: author, publications

@@ -5,7 +5,9 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"xrefine/internal/datagen"
 	"xrefine/internal/dewey"
@@ -489,11 +491,11 @@ func TestLazyListLoadsBesideApply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Each reader pages every list in through an index of its own, opened
-	// over the same store before the first write: enough cold loads to keep
-	// the store busy for as long as the writer runs.
-	const readers = 4
-	cold := make([]*Engine, 3*readers)
+	// Each reader pages every list in through cold indexes of its own,
+	// opened over the same store before the first write (opening one
+	// beside an open batch is not what this tests).
+	const readers, passes = 4, 8
+	cold := make([]*Engine, readers*passes)
 	for i := range cold {
 		if cold[i], err = Open(store, nil); err != nil {
 			t.Fatal(err)
@@ -528,12 +530,20 @@ func TestLazyListLoadsBesideApply(t *testing.T) {
 			}
 		}
 	}()
+	// The readers start once the writer has committed, and go on, one cold
+	// index per pass, until a pass has seen a batch commit while it
+	// loaded. Started at once, they could finish before the first commit.
+	for deadline := time.Now().Add(10 * time.Second); eng.Epoch() == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	var overlapped atomic.Bool
 	var wg sync.WaitGroup
-	for r := 0; r < readers; r++ {
+	for r := range readers {
 		wg.Add(1)
-		go func(r int) {
+		go func() {
 			defer wg.Done()
-			for e := r; e < len(cold); e += readers {
+			for e := r; e < len(cold) && !overlapped.Load(); e += readers {
+				before := eng.Epoch()
 				ix := cold[e].Index()
 				for _, term := range vocab {
 					l, err := ix.List(term)
@@ -546,13 +556,16 @@ func TestLazyListLoadsBesideApply(t *testing.T) {
 						return
 					}
 				}
+				if eng.Epoch() > before {
+					overlapped.Store(true)
+				}
 			}
-		}(r)
+		}()
 	}
 	wg.Wait()
 	close(stop)
 	<-done
-	if eng.Epoch() == 0 {
+	if eng.Epoch() == 0 || !overlapped.Load() {
 		t.Fatal("no batch committed while the lists loaded; the overlap was never exercised")
 	}
 }

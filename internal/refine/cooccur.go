@@ -19,8 +19,8 @@ import (
 // counts equal Index.CoDF's, and a degraded walk's count the partitions
 // it walked. Ranking reads them instead of the lists.
 //
-// A lone walk stops counting once Q itself holds results: the engine then
-// answers Q and ranks nothing.
+// A scan stops counting once Q itself holds results in it: Q is then in
+// the walk's answer, so the engine answers Q and ranks nothing.
 type CoCounts struct {
 	ks       []string
 	l        []searchfor.Candidate
@@ -37,6 +37,14 @@ func (c *CoCounts) CoDF(a, b string, t *xmltree.Type) (int, error) {
 		return 0, fmt.Errorf("refine: the walk did not count %q and %q under %v", a, b, t)
 	}
 	return int(c.pairs[ti*c.per+pairAt(len(c.ks), min(i, j), max(i, j))]), nil
+}
+
+// add adds the counts of o, another scan of the same walk.
+func (c *CoCounts) add(o *CoCounts) {
+	for i, v := range o.pairs {
+		c.pairs[i] += v
+	}
+	c.answered = c.answered || o.answered
 }
 
 // pairAt is the offset of pair (i, j), i < j, in an upper triangle over n

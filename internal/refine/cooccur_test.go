@@ -45,17 +45,17 @@ func checkCoCounts(t *testing.T, name string, in refine.Input, ix *index.Index, 
 	return n
 }
 
-// checkLoneCoCounts is checkCoCounts for a lone walk, which stops counting
-// once Q itself holds results: the engine then answers Q and ranks
-// nothing, and its counts must refuse to be read.
-func checkLoneCoCounts(t *testing.T, in refine.Input, ix *index.Index, out *refine.TopKOutcome) [2]int {
+// checkWalkCoCounts is checkCoCounts for a walk, whose scans stop
+// counting once Q itself holds results: the engine then answers Q and
+// ranks nothing, and the counts must refuse to be read.
+func checkWalkCoCounts(t *testing.T, name string, in refine.Input, ix *index.Index, out *refine.TopKOutcome) [2]int {
 	t.Helper()
 	if !answersQ(in, out) {
-		return checkCoCounts(t, "lone walk", in, ix, out)
+		return checkCoCounts(t, name, in, ix, out)
 	}
 	if ks, l := in.ScanKeywords(), in.Judge.Candidates(); len(ks) >= 2 && len(l) > 0 {
 		if _, err := out.CoCounts.CoDF(ks[0], ks[1], l[0].Type); err == nil {
-			t.Errorf("query %v: the walk answered Q but its counts were read", in.Query)
+			t.Errorf("%s query %v: the walk answered Q but its counts were read", name, in.Query)
 		}
 	}
 	return [2]int{}
@@ -74,8 +74,8 @@ func answersQ(in refine.Input, out *refine.TopKOutcome) bool {
 
 // TestCoCountsMatchCoDF: on the golden walk queries, the co-occurrence
 // the lone walk counts when the engine ranks, and the sum of the shard
-// scans' counts on every shard split, equal Index.CoDF on the whole
-// corpus.
+// scans' counts on every shard split when it ranks, equal Index.CoDF on
+// the whole corpus.
 func TestCoCountsMatchCoDF(t *testing.T) {
 	c := walkCorpus(t)
 	splits := shardSplits(t, c)
@@ -86,11 +86,11 @@ func TestCoCountsMatchCoDF(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n := checkLoneCoCounts(t, in, c.Index, out)
+		n := checkWalkCoCounts(t, "lone walk", in, c.Index, out)
 		nonzero[0], nonzero[1] = nonzero[0]+n[0], nonzero[1]+n[1]
 		for i, sp := range splits {
-			out, _ := shardWalk(t, in, 3, sp.ixs, i)
-			checkCoCounts(t, "shards "+sp.name, in, c.Index, out)
+			out := shardWalk(t, in, 3, sp.ixs, i)
+			checkWalkCoCounts(t, "shards "+sp.name, in, c.Index, out)
 		}
 	}
 	if nonzero[0] == 0 || nonzero[1] == 0 {
@@ -101,7 +101,7 @@ func TestCoCountsMatchCoDF(t *testing.T) {
 
 // TestCoCountsRandomDocs: on the conformance oracle's random documents and
 // queries, the lone walk's counts and a two-shard walk's summed counts
-// equal Index.CoDF.
+// equal Index.CoDF wherever the engine ranks.
 func TestCoCountsRandomDocs(t *testing.T) {
 	var nonzero [2]int
 	for seed := int64(0); seed < 250; seed++ {
@@ -116,7 +116,7 @@ func TestCoCountsRandomDocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n := checkLoneCoCounts(t, in, ix, out)
+		n := checkWalkCoCounts(t, "lone walk", in, ix, out)
 		nonzero[0], nonzero[1] = nonzero[0]+n[0], nonzero[1]+n[1]
 		for _, mode := range []string{shard.ModeRange, shard.ModeHash} {
 			subs, err := shard.SplitDocument(doc, 2, mode)
@@ -124,8 +124,8 @@ func TestCoCountsRandomDocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			ixs := []*index.Index{index.Build(subs[0]), index.Build(subs[1])}
-			out, _ := shardWalk(t, in, 3, ixs, int(seed))
-			checkCoCounts(t, "shards "+mode, in, ix, out)
+			out := shardWalk(t, in, 3, ixs, int(seed))
+			checkWalkCoCounts(t, "shards "+mode, in, ix, out)
 		}
 	}
 	if nonzero[0] == 0 || nonzero[1] == 0 {

@@ -270,7 +270,7 @@ func TestSortedList(t *testing.T) {
 		t.Fatalf("worst = %v", l.Worst())
 	}
 	// d does not qualify.
-	if l.Qualifies(d.DSim) || l.Insert(d, nil) != nil {
+	if l.Qualifies(d.DSim, d.Key()) || l.Insert(d, nil) != nil {
 		t.Error("worse candidate admitted")
 	}
 	// e evicts a.

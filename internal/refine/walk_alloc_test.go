@@ -151,7 +151,7 @@ func TestDPRunsShared(t *testing.T) {
 		}
 		check("lone walk", out)
 		for i, sp := range splits {
-			out, _ := shardWalk(t, in, 3, sp.ixs, i)
+			out := shardWalk(t, in, 3, sp.ixs, i)
 			check("shards "+sp.name, out)
 		}
 	}

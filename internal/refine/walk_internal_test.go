@@ -10,7 +10,7 @@ import (
 )
 
 func TestSharedBoundLowersMonotonically(t *testing.T) {
-	b := NewPruneBound()
+	b := newPruneBound()
 	if got := b.get(); !math.IsInf(got, 1) {
 		t.Fatalf("fresh bound = %v, want +Inf", got)
 	}
@@ -26,7 +26,7 @@ func TestSharedBoundLowersMonotonically(t *testing.T) {
 }
 
 func TestSharedBoundConcurrentLowering(t *testing.T) {
-	b := NewPruneBound()
+	b := newPruneBound()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -60,9 +60,15 @@ func TestWalkerCopiesEachPartition(t *testing.T) {
 	var prev dewey.ID
 	visited := 0
 	for {
-		pid, ok := w.next()
-		if !ok {
+		if !w.next() {
 			break
+		}
+		var pid dewey.ID
+		for _, col := range w.cols {
+			if len(col) > 0 {
+				pid = col[0].ID[:2]
+				break
+			}
 		}
 		if len(pid) != 2 {
 			t.Fatalf("partition %s is not a child of the root", pid)

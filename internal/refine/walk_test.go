@@ -7,14 +7,19 @@ package refine_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"xrefine/internal/experiments"
 	"xrefine/internal/index"
+	"xrefine/internal/lexicon"
 	"xrefine/internal/refine"
+	"xrefine/internal/rules"
+	"xrefine/internal/searchfor"
 	"xrefine/internal/shard"
 )
 
@@ -60,10 +65,8 @@ func shardSplits(t testing.TB, c *experiments.Corpus) []shardSplit {
 }
 
 // shardWalk runs the walk with each shard as a source and merges the scans
-// passed in rotated order — the merge must not depend on it. The second
-// return counts the SLCAs the merge's replay recomputed because a scan had
-// skipped them.
-func shardWalk(t testing.TB, in refine.Input, k int, ixs []*index.Index, rotate int) (*refine.TopKOutcome, int) {
+// passed in rotated order — the merge must not depend on it.
+func shardWalk(t testing.TB, in refine.Input, k int, ixs []*index.Index, rotate int) *refine.TopKOutcome {
 	t.Helper()
 	ks := in.ScanKeywords()
 	jobs := make([]refine.ScanJob, len(ixs))
@@ -75,64 +78,92 @@ func shardWalk(t testing.TB, in refine.Input, k int, ixs []*index.Index, rotate 
 		}
 	}
 	scans, errs := refine.RunScans(in.Budget, jobs)
-	recomputed := 0
-	for i, err := range errs {
+	for _, err := range errs {
 		if err != nil {
 			t.Fatal(err)
 		}
-		recomputed -= refine.ScanSLCACalls(scans[i])
 	}
 	r := rotate % len(scans)
-	out, err := refine.MergeScans(in, k, append(scans[r:], scans[:r]...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out, recomputed + out.SLCACalls
+	return refine.MergeScans(in, k, append(scans[r:], scans[:r]...))
 }
 
 // diffWalk compares one query's lone walk against the merged scans of each
-// shard split; it returns how many SLCAs the merges' replays recomputed.
-func diffWalk(t *testing.T, c *experiments.Corpus, splits []shardSplit, terms []string, k int) (recomputed int) {
+// shard split, and returns the lone walk.
+func diffWalk(t *testing.T, in refine.Input, splits []shardSplit, k int) *refine.TopKOutcome {
 	t.Helper()
-	in := prepareInput(t, c.Index, terms)
+	terms := in.Query
 	one, err := refine.PartitionTopK(in, k)
 	if err != nil {
 		t.Fatalf("lone walk %v: %v", terms, err)
 	}
 	want := walkSig(one)
 	for i, sp := range splits {
-		got, n := shardWalk(t, in, k, sp.ixs, i+k)
+		got := shardWalk(t, in, k, sp.ixs, i+k)
 		if s := walkSig(got); s != want {
 			t.Errorf("query %v k=%d shards %s diverged\ngot:\n%s\nlone walk:\n%s", terms, k, sp.name, s, want)
 		}
 		if got.Partitions != one.Partitions {
 			t.Errorf("query %v k=%d shards %s visited %d partitions, lone walk %d", terms, k, sp.name, got.Partitions, one.Partitions)
 		}
-		recomputed += n
 	}
-	return recomputed
+	return one
 }
 
 // TestParallelPartitionMatchesSequential runs the generated workload plus
 // frequent-term queries through every shard split of the walk for
 // k ∈ {1,3,10} × shards ∈ {2,4} × {range, hash}, the shard scans running
-// in parallel on the pool. Across the grid the merge's replay must
-// recompute at least one SLCA a scan skipped, or its re-read path would go
-// unchecked.
+// in parallel on the pool.
 func TestParallelPartitionMatchesSequential(t *testing.T) {
 	c := walkCorpus(t)
 	splits := shardSplits(t, c)
 	queries := walkQueries(t, c)
-	recomputed := 0
 	for _, k := range []int{1, 3, 10} {
 		for _, terms := range queries {
-			recomputed += diffWalk(t, c, splits, terms, k)
+			diffWalk(t, prepareInput(t, c.Index, terms), splits, k)
 		}
 	}
-	if recomputed == 0 {
-		t.Fatal("no replay recomputed a skipped SLCA; the re-read path went unexercised")
+}
+
+// TestFractionalLexiconShardSplits: with synonym scores that are not
+// whole numbers, a dSim's bits could depend on the order its rule scores
+// were summed in, and the same refined query could reach the merge at two
+// dissimilarities. On the golden walk queries under such a lexicon, every
+// shard split still returns the lone walk's candidates.
+func TestFractionalLexiconShardSplits(t *testing.T) {
+	c := walkCorpus(t)
+	splits := shardSplits(t, c)
+	lex := lexicon.New()
+	for i, pair := range [][2]string{
+		{"publication", "article"}, {"publication", "inproceedings"}, {"publication", "proceedings"},
+		{"article", "inproceedings"}, {"paper", "article"}, {"paper", "inproceedings"},
+		{"search", "retrieval"}, {"query", "search"}, {"database", "databases"}, {"web", "internet"},
+		{"mining", "analysis"}, {"efficient", "fast"}, {"xml", "data"}, {"keyword", "query"},
+	} {
+		if err := lex.AddSynonym(pair[0], pair[1], []float64{0.1, 0.2, 0.3, 0.7}[i%4]); err != nil {
+			t.Fatal(err)
+		}
 	}
-	t.Logf("replays recomputed %d SLCAs", recomputed)
+	fractional := 0
+	for _, k := range []int{1, 3} {
+		for _, terms := range walkQueries(t, c) {
+			rs, err := rules.Generator{Lexicon: lex}.Generate(c.Index, terms)
+			if err != nil {
+				t.Fatal(err)
+			}
+			infer := append(slices.Clone(terms), rs.NewKeywords(terms)...)
+			judge := searchfor.NewJudge(searchfor.Infer(c.Index, infer, nil))
+			out := diffWalk(t, refine.Input{Index: c.Index, Query: terms, Rules: rs, Judge: judge}, splits, k)
+			for _, it := range out.Candidates {
+				if it.RQ.DSim != math.Trunc(it.RQ.DSim) {
+					fractional++
+				}
+			}
+		}
+	}
+	if fractional == 0 {
+		t.Fatal("no candidate carried a fractional dSim; the lexicon did not apply")
+	}
+	t.Logf("%d candidates carried a fractional dSim", fractional)
 }
 
 // TestParallelPartitionFuzzDifferential throws randomized queries and K at
@@ -163,7 +194,7 @@ func TestParallelPartitionFuzzDifferential(t *testing.T) {
 		if rng.Intn(4) == 0 {
 			terms = append(terms, "databse") // spelling rule trigger
 		}
-		diffWalk(t, c, splits, terms, 1+rng.Intn(10))
+		diffWalk(t, prepareInput(t, c.Index, terms), splits, 1+rng.Intn(10))
 	}
 }
 
@@ -206,7 +237,7 @@ func TestConcurrentWalksShareLists(t *testing.T) {
 						return
 					}
 				} else {
-					out, _ = shardWalk(t, in, 3, shards, g)
+					out = shardWalk(t, in, 3, shards, g)
 				}
 				if got := walkSig(out); got != want[(i+g)%len(inputs)] {
 					errs <- fmt.Sprintf("goroutine %d query %v diverged:\ngot:\n%s\nsequential:\n%s",

@@ -527,12 +527,9 @@ func (r *Router) explore(in refine.Input, k int) (*refine.TopKOutcome, error) {
 	}
 	msp := in.Trace.StartChild("merge")
 	start := time.Now()
-	out, err := refine.MergeScans(in, k, scans)
+	out := refine.MergeScans(in, k, scans)
 	r.m.mergeSecs.Observe(time.Since(start).Seconds())
 	msp.End()
-	if err != nil {
-		return nil, err
-	}
 	out.Workers = fan
 	if partial {
 		out.Degraded = true
@@ -573,8 +570,7 @@ func (r *Router) scanShardReplicated(in refine.Input, k int, ks []string, walk *
 	var cancels []context.CancelFunc
 	defer func() {
 		// Cancel every attempt context on exit: losers stop promptly, and
-		// the winner's scan no longer consults its context (the merge
-		// replay runs on the query-level budget).
+		// the winner's scan no longer consults its context.
 		for _, c := range cancels {
 			c()
 		}
