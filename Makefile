@@ -47,6 +47,7 @@ fuzz:
 	$(GO) test ./internal/core -fuzz FuzzQueryPipeline -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/shard -fuzz FuzzShardMerge -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/index -fuzz FuzzBlockCodec -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/index -fuzz FuzzBuildStream -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wire -fuzz FuzzWireFrame -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wire -fuzz FuzzWireRequest -fuzztime $(FUZZTIME)
 

@@ -253,18 +253,6 @@ func NewFromXML(r io.Reader, cfg *Config) (*Engine, error) {
 	return NewFromDocument(doc, cfg), nil
 }
 
-// NewFromXMLStream indexes XML from r without materializing the document
-// tree — memory stays proportional to the index, which matters for
-// corpora the size of the paper's DBLP dump. The resulting engine has no
-// Document, so snippets and narrowing are unavailable.
-func NewFromXMLStream(r io.Reader, cfg *Config) (*Engine, error) {
-	ix, err := index.BuildStream(r, nil)
-	if err != nil {
-		return nil, err
-	}
-	return NewFromIndex(ix, cfg), nil
-}
-
 // Open loads an engine from an index file previously written with
 // SaveIndex or SaveIndexWithDocument. When the store also carries the
 // source document (SaveIndexWithDocument), it is restored so snippets and

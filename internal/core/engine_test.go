@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"xrefine/internal/experiments/reference"
+	"xrefine/internal/index"
 	"xrefine/internal/kvstore"
 	"xrefine/internal/obs"
 	"xrefine/internal/refine"
@@ -403,10 +404,11 @@ func TestStrategyString(t *testing.T) {
 
 func TestStreamEngineMatchesTreeEngine(t *testing.T) {
 	tree, _ := newEngine(t, nil)
-	streamed, err := NewFromXMLStream(strings.NewReader(corpus), nil)
+	ix, err := index.BuildStream(strings.NewReader(corpus), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	streamed := NewFromIndex(ix, nil)
 	if streamed.Document() != nil {
 		t.Error("stream engine should have no document")
 	}

@@ -22,13 +22,14 @@ import (
 // batch commits, the chunks that term's lazy loader would have read are
 // rewritten, so the previous epoch must never page it in again.
 //
-// Statistic maintenance mirrors Build exactly:
+// Statistic maintenance is Build's: the subtree is tallied by the same
+// counts walk, with df's floor at the subtree root's depth, and its rows
+// are added or subtracted:
 //
 //   - N_T: ±1 per node of the subtree.
 //   - tf(k,T): ±1 per occurrence, for every ancestor-or-self type.
 //   - f_k^T (df) inside the subtree: distinct containing roots at depths
-//     >= the subtree root, replayed with Build's consecutive-LCA trick
-//     seeded at the subtree root's depth.
+//     >= the subtree root.
 //   - f_k^T at strict-ancestor depths: ±1 only when the subtree adds the
 //     first (or removes the last) occurrence under that ancestor, probed
 //     against the unmodified list.
@@ -127,68 +128,6 @@ func (m *Mutator) growType(id int) {
 	}
 }
 
-// termDelta accumulates one term's contribution of a single subtree walk:
-// the postings rooted in the subtree (deduplicated per node, in document
-// order), tf occurrence counts per type, and the in-subtree df counts per
-// type (distinct containing roots at depths >= the subtree root).
-type termDelta struct {
-	postings []Posting
-	lastIn   dewey.ID
-	tf       map[int]uint32
-	df       map[int]uint32
-}
-
-// walkSubtree replays Build's single-pass statistics over just the
-// subtree rooted at sub, whose root sits at depth d = len(sub.ID)-1. The
-// returned map is keyed by term; order lists terms by first occurrence;
-// nt counts the subtree's nodes per type ID.
-func walkSubtree(sub *xmltree.Node) (deltas map[string]*termDelta, order []string, nt map[int]uint32) {
-	rootDepth := sub.Type.Depth
-	deltas = make(map[string]*termDelta)
-	nt = make(map[int]uint32)
-	var rec func(n *xmltree.Node)
-	rec = func(n *xmltree.Node) {
-		nt[n.Type.ID]++
-		terms := n.Terms()
-		if len(terms) > 0 {
-			ancestors := make([]*xmltree.Type, 0, n.Type.Depth+1)
-			for t := n.Type; t != nil; t = t.Parent {
-				ancestors = append(ancestors, t)
-			}
-			seen := make(map[string]bool, len(terms))
-			for _, term := range terms {
-				td := deltas[term]
-				if td == nil {
-					td = &termDelta{tf: make(map[int]uint32), df: make(map[int]uint32)}
-					deltas[term] = td
-					order = append(order, term)
-				}
-				for _, t := range ancestors {
-					td.tf[t.ID]++
-				}
-				if seen[term] {
-					continue
-				}
-				seen[term] = true
-				shared := rootDepth
-				if td.lastIn != nil {
-					shared = dewey.LCALen(td.lastIn, n.ID)
-				}
-				for depth := shared; depth <= n.Type.Depth; depth++ {
-					td.df[ancestors[len(ancestors)-1-depth].ID]++
-				}
-				td.lastIn = n.ID
-				td.postings = append(td.postings, Posting{ID: n.ID, Type: n.Type})
-			}
-		}
-		for _, c := range n.Children {
-			rec(c)
-		}
-	}
-	rec(sub)
-	return deltas, order, nt
-}
-
 // subChain returns sub's ancestor-or-self types indexed by depth
 // (subChain[d] is the depth-d ancestor type).
 func subChain(sub *xmltree.Node) []*xmltree.Type {
@@ -204,34 +143,31 @@ func subChain(sub *xmltree.Node) []*xmltree.Type {
 // labels and interned types are read as-is.
 func (m *Mutator) InsertSubtree(sub *xmltree.Node) error {
 	ix := m.ix
-	deltas, order, nt := walkSubtree(sub)
-	for id, n := range nt {
-		m.growType(id)
+	c := newCounts(sub.Type.Depth)
+	c.subtree(sub)
+	m.growType(len(c.nt) - 1)
+	for id, n := range c.nt {
 		ix.nt[id] += n
 	}
 	chain := subChain(sub)
 	rootDepth := sub.Type.Depth
-	for _, term := range order {
-		td := deltas[term]
+	for _, tc := range c.order {
+		term := tc.term
 		e, err := m.touch(term)
 		if err != nil {
 			return err
 		}
 		old := e.list.Load()
-		// tf first: it creates any missing rows (every df row below is
-		// on some posting's ancestor-or-self chain, so tf covers it).
-		for id, dtf := range td.tf {
+		// The subtree's rows hold every type on its postings' chains,
+		// the strict ancestors' rows below included.
+		for id, d := range tc.stats {
 			row, had := e.stats[id]
 			if !had {
 				m.growType(id)
 				ix.gt[id]++
 			}
-			row.tf += dtf
-			e.stats[id] = row
-		}
-		for id, ddf := range td.df {
-			row := e.stats[id]
-			row.df += ddf
+			row.tf += d.tf
+			row.df += d.df
 			e.stats[id] = row
 		}
 		// Strict ancestors of the subtree root: a new containing root
@@ -244,9 +180,9 @@ func (m *Mutator) InsertSubtree(sub *xmltree.Node) error {
 			}
 		}
 		at := old.SeekGE(sub.ID)
-		merged := make([]Posting, 0, old.Len()+len(td.postings))
+		merged := make([]Posting, 0, old.Len()+len(tc.postings))
 		merged = append(merged, old.Slice(0, at)...)
-		merged = append(merged, td.postings...)
+		merged = append(merged, tc.postings...)
 		merged = append(merged, old.Slice(at, old.Len())...)
 		// Checked constructor: document order is the invariant every
 		// downstream algorithm relies on; fail the batch, not the query.
@@ -256,7 +192,7 @@ func (m *Mutator) InsertSubtree(sub *xmltree.Node) error {
 	if len(sub.ID) == 2 {
 		ix.partRoot = append(ix.partRoot, sub.ID)
 	}
-	ix.NodeCount += xmltree.SubtreeSize(sub)
+	ix.NodeCount += c.nodes
 	return nil
 }
 
@@ -265,9 +201,10 @@ func (m *Mutator) InsertSubtree(sub *xmltree.Node) error {
 // intact) — the walk needs the subtree's structure and terms.
 func (m *Mutator) DeleteSubtree(sub *xmltree.Node) error {
 	ix := m.ix
-	deltas, order, nt := walkSubtree(sub)
-	for id, n := range nt {
-		m.growType(id)
+	c := newCounts(sub.Type.Depth)
+	c.subtree(sub)
+	m.growType(len(c.nt) - 1)
+	for id, n := range c.nt {
 		if ix.nt[id] < n {
 			return fmt.Errorf("index: delete of %s: N_T underflow for type %d", sub.ID, id)
 		}
@@ -275,28 +212,20 @@ func (m *Mutator) DeleteSubtree(sub *xmltree.Node) error {
 	}
 	chain := subChain(sub)
 	rootDepth := sub.Type.Depth
-	for _, term := range order {
-		td := deltas[term]
+	for _, tc := range c.order {
+		term := tc.term
 		e, err := m.touch(term)
 		if err != nil {
 			return err
 		}
 		old := e.list.Load()
 		lo, hi := old.InSubtree(sub.ID)
-		if hi-lo != len(td.postings) {
+		if hi-lo != len(tc.postings) {
 			return fmt.Errorf("index: delete of %s: list for %q holds %d postings in subtree, document has %d",
-				sub.ID, term, hi-lo, len(td.postings))
+				sub.ID, term, hi-lo, len(tc.postings))
 		}
-		// All df adjustments happen before tf so a drained row reads
-		// df==0 when its tf reaches zero.
-		for id, ddf := range td.df {
-			row, had := e.stats[id]
-			if !had || row.df < ddf {
-				return fmt.Errorf("index: delete of %s: df underflow for %q type %d", sub.ID, term, id)
-			}
-			row.df -= ddf
-			e.stats[id] = row
-		}
+		// The strict ancestors' df goes first, so a row whose tf drains
+		// below already reads its final df.
 		for d := 0; d < rootDepth; d++ {
 			alo, ahi := old.InSubtree(sub.ID[:d+1])
 			if (ahi-alo)-(hi-lo) == 0 {
@@ -308,12 +237,16 @@ func (m *Mutator) DeleteSubtree(sub *xmltree.Node) error {
 				e.stats[chain[d].ID] = row
 			}
 		}
-		for id, dtf := range td.tf {
+		for id, d := range tc.stats {
 			row, had := e.stats[id]
-			if !had || row.tf < dtf {
+			if !had || row.df < d.df {
+				return fmt.Errorf("index: delete of %s: df underflow for %q type %d", sub.ID, term, id)
+			}
+			if row.tf < d.tf {
 				return fmt.Errorf("index: delete of %s: tf underflow for %q type %d", sub.ID, term, id)
 			}
-			row.tf -= dtf
+			row.tf -= d.tf
+			row.df -= d.df
 			if row.tf == 0 {
 				if row.df != 0 {
 					return fmt.Errorf("index: delete of %s: row (%q, type %d) drained tf with df=%d", sub.ID, term, id, row.df)
@@ -351,7 +284,7 @@ func (m *Mutator) DeleteSubtree(sub *xmltree.Node) error {
 			}
 		}
 	}
-	ix.NodeCount -= xmltree.SubtreeSize(sub)
+	ix.NodeCount -= c.nodes
 	return nil
 }
 

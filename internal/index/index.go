@@ -3,6 +3,8 @@ package index
 import (
 	"context"
 	"fmt"
+	"io"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -117,79 +119,144 @@ func (ix *Index) VocabDerived(build func() any) any {
 
 // Build constructs the index from a parsed document with a single
 // document-order walk (the "multiple traversal" of the paper collapses to
-// one pass because every statistic here is prefix-incremental).
+// one pass because every statistic here is prefix-incremental). It feeds
+// counts the partitions and then the root, as BuildStream does.
 func Build(doc *xmltree.Document) *Index {
+	c := newCounts(0)
+	for _, p := range doc.Partitions() {
+		c.partition(p)
+	}
+	c.node(doc.Root)
+	return c.index(doc.Types)
+}
+
+// BuildStream constructs the index straight from XML, without holding the
+// document tree: xmltree.ParsePartitions hands over one partition at a
+// time and each is dropped once counted, so memory stays the index plus
+// one partition — the paper's DBLP corpus is 420 MB of XML whose tree
+// would dwarf its inverted lists. The reader and the counts are Build's,
+// fed in Build's order, so the index is Build(xmltree.Parse(r, opts))'s;
+// engines built from it have no Document, so snippets and narrowing are
+// unavailable.
+func BuildStream(r io.Reader, opts *xmltree.Options) (*Index, error) {
+	c := newCounts(0)
+	doc, err := xmltree.ParsePartitions(r, opts, c.partition)
+	if err != nil {
+		return nil, err
+	}
+	c.node(doc.Root)
+	return c.index(doc.Types), nil
+}
+
+// counts tallies the statistics of Section VII over the nodes fed to it in
+// document order: the one statistics walk, behind Build, BuildStream and
+// the Mutator's live updates. A term's df at type T counts the distinct
+// T-typed roots at depth floor or deeper whose subtree holds the term.
+// Consecutive postings of a term share containing roots exactly up to
+// their Dewey common-prefix length, so a posting's new roots are the ones
+// below that length.
+type counts struct {
+	floor int // depth of the shallowest roots df counts
+	terms map[string]*termCounts
+	order []*termCounts // terms by first occurrence
+	nt    []uint32      // N_T per type ID
+	nodes int
+	parts []dewey.ID // the roots fed through partition, in order
+}
+
+// termCounts is one term's share of a counts.
+type termCounts struct {
+	term     string
+	postings []Posting        // document order, one per node
+	stats    map[int]typeStat // tf and df per type ID
+	last     dewey.ID         // the node of the last posting
+}
+
+func newCounts(floor int) *counts {
+	return &counts{floor: floor, terms: make(map[string]*termCounts)}
+}
+
+// partition counts a partition (a child of the root) and records its root.
+func (c *counts) partition(p *xmltree.Node) {
+	c.subtree(p)
+	c.parts = append(c.parts, p.ID)
+}
+
+// subtree counts the nodes of the subtree rooted at n in document order.
+func (c *counts) subtree(n *xmltree.Node) {
+	c.node(n)
+	for _, ch := range n.Children {
+		c.subtree(ch)
+	}
+}
+
+// node counts one node: N_T, tf at every ancestor-or-self type per
+// occurrence of a term, and, the first time the node holds a term, its
+// posting and df at the containing roots no earlier posting shares. The
+// root is fed after its partitions, yet its posting leads every list, and
+// it shares depth 0 with every earlier posting, so its df needs nothing
+// more.
+func (c *counts) node(n *xmltree.Node) {
+	for n.Type.ID >= len(c.nt) {
+		c.nt = append(c.nt, 0)
+	}
+	c.nt[n.Type.ID]++
+	c.nodes++
+	for _, term := range n.Terms() {
+		tc := c.terms[term]
+		if tc == nil {
+			tc = &termCounts{term: term, stats: make(map[int]typeStat)}
+			c.terms[term] = tc
+			c.order = append(c.order, tc)
+		}
+		for t := n.Type; t != nil; t = t.Parent {
+			row := tc.stats[t.ID]
+			row.tf++
+			tc.stats[t.ID] = row
+		}
+		if dewey.Equal(tc.last, n.ID) {
+			continue // a term held twice by one node has one posting
+		}
+		shared := c.floor
+		if tc.last != nil {
+			shared = dewey.LCALen(tc.last, n.ID)
+		}
+		for t := n.Type; t != nil && t.Depth >= shared; t = t.Parent {
+			row := tc.stats[t.ID]
+			row.df++
+			tc.stats[t.ID] = row
+		}
+		tc.last = n.ID
+		p := Posting{ID: n.ID, Type: n.Type}
+		if len(n.ID) == 1 {
+			tc.postings = slices.Insert(tc.postings, 0, p)
+		} else {
+			tc.postings = append(tc.postings, p)
+		}
+	}
+}
+
+// index makes the resident index of a document every node of which c has
+// counted, its partitions through partition.
+func (c *counts) index(types *xmltree.Registry) *Index {
 	ix := &Index{
-		Types:     doc.Types,
+		Types:     types,
 		Root:      dewey.Root(),
-		NodeCount: doc.NodeCount,
-		terms:     make(map[string]*kwEntry),
+		NodeCount: c.nodes,
+		terms:     make(map[string]*kwEntry, len(c.order)),
+		nt:        make([]uint32, types.Len()),
+		gt:        make([]uint32, types.Len()),
+		partRoot:  c.parts,
 		stat:      &opStat{},
 	}
-	ix.nt = make([]uint32, doc.Types.Len())
-	type buildState struct {
-		*kwEntry
-		postings []Posting
-		lastID   dewey.ID // previous posting, for new-subtree-root detection
-	}
-	states := make(map[string]*buildState)
-	doc.Walk(func(n *xmltree.Node) bool {
-		ix.nt[n.Type.ID]++
-		terms := n.Terms()
-		if len(terms) == 0 {
-			return true
+	copy(ix.nt, c.nt)
+	for _, tc := range c.order {
+		e := &kwEntry{listLen: uint32(len(tc.postings)), stats: tc.stats}
+		e.list.Store(NewList(tc.term, tc.postings))
+		ix.terms[tc.term] = e
+		for id := range tc.stats {
+			ix.gt[id]++
 		}
-		// tf: every occurrence counts once per ancestor-or-self type.
-		ancestors := make([]*xmltree.Type, 0, n.Type.Depth+1)
-		for t := n.Type; t != nil; t = t.Parent {
-			ancestors = append(ancestors, t)
-		}
-		seen := make(map[string]bool, len(terms))
-		for _, term := range terms {
-			st := states[term]
-			if st == nil {
-				st = &buildState{kwEntry: &kwEntry{stats: make(map[int]typeStat)}}
-				states[term] = st
-			}
-			for _, t := range ancestors {
-				row := st.stats[t.ID]
-				row.tf++
-				st.stats[t.ID] = row
-			}
-			if seen[term] {
-				continue
-			}
-			seen[term] = true
-			// df: ancestor roots not shared with the previous posting
-			// of this term are newly-containing subtrees.
-			shared := 0
-			if st.lastID != nil {
-				shared = dewey.LCALen(st.lastID, n.ID)
-			}
-			for depth := shared; depth <= n.Type.Depth; depth++ {
-				t := ancestors[len(ancestors)-1-depth] // ancestors is self..root
-				row := st.stats[t.ID]
-				row.df++
-				st.stats[t.ID] = row
-			}
-			st.lastID = n.ID
-			st.postings = append(st.postings, Posting{ID: n.ID, Type: n.Type})
-		}
-		return true
-	})
-	for term, st := range states {
-		st.kwEntry.list.Store(NewList(term, st.postings))
-		st.kwEntry.listLen = uint32(len(st.postings))
-		ix.terms[term] = st.kwEntry
-	}
-	ix.gt = make([]uint32, doc.Types.Len())
-	for _, e := range ix.terms {
-		for tid := range e.stats {
-			ix.gt[tid]++
-		}
-	}
-	for _, p := range doc.Partitions() {
-		ix.partRoot = append(ix.partRoot, p.ID)
 	}
 	return ix
 }

@@ -63,20 +63,34 @@ func assertIndexesEqual(t *testing.T, a, b *Index, label string) {
 			t.Fatalf("%s: NT/GT mismatch at %s", label, ta.Path())
 		}
 	}
-	if len(a.PartitionRoots()) != len(b.PartitionRoots()) {
-		t.Fatalf("%s: partitions %d vs %d", label, len(a.PartitionRoots()), len(b.PartitionRoots()))
+	pa, pb := a.PartitionRoots(), b.PartitionRoots()
+	if len(pa) != len(pb) {
+		t.Fatalf("%s: partitions %d vs %d", label, len(pa), len(pb))
+	}
+	for i := range pa {
+		if !dewey.Equal(pa[i], pb[i]) {
+			t.Fatalf("%s: partition %d: %s vs %s", label, i, pa[i], pb[i])
+		}
 	}
 }
 
+// streamDocs are documents BuildStream must index as Build(Parse) does;
+// they also seed FuzzBuildStream.
+var streamDocs = []string{
+	`<bib><author><name>John Ben</name><paper year="2003"><title>xml database search</title></paper></author></bib>`,
+	`<r>text before <a>inner a</a> text between <b>inner b</b> text after</r>`,
+	`<r><a>shared shared</a><b>shared</b></r>`,
+	`<title>title words in a title tag</title>`, // tag term also in text
+	`<r><p><p><p>deep nesting terms</p></p></p></r>`,
+	// Mixed content: a child's tags split its parent's text into words.
+	`<r><a>foo<b>x</b>bar</a></r>`,
+	`<r>pre<a>x</a>post</r>`,
+	`<r year="1999">pre<p id="7">head<t>x</t>tail</p>post</r>`,
+	`<r>shared<a>shared</a><b>shared</b>shared</r>`, // the root's posting leads
+}
+
 func TestBuildStreamEquivalentToBuild(t *testing.T) {
-	docs := []string{
-		`<bib><author><name>John Ben</name><paper year="2003"><title>xml database search</title></paper></author></bib>`,
-		`<r>text before <a>inner a</a> text between <b>inner b</b> text after</r>`,
-		`<r><a>shared shared</a><b>shared</b></r>`,
-		`<title>title words in a title tag</title>`, // tag term also in text
-		`<r><p><p><p>deep nesting terms</p></p></p></r>`,
-	}
-	for i, src := range docs {
+	for i, src := range streamDocs {
 		doc, err := xmltree.ParseString(src, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -95,18 +109,33 @@ func TestBuildStreamPropertyEquivalence(t *testing.T) {
 	words := []string{"xml", "db", "search", "tree", "query"}
 	for trial := 0; trial < 30; trial++ {
 		var b strings.Builder
+		// touch writes, half the time, a word flush against the tags
+		// around it: mixed content, where element boundaries split words.
+		touch := func() {
+			if r.Intn(2) == 0 {
+				b.WriteString(words[r.Intn(len(words))])
+			}
+		}
 		b.WriteString("<root>")
 		for a := 0; a < 1+r.Intn(4); a++ {
+			touch()
 			b.WriteString("<item>")
 			for p := 0; p < r.Intn(4); p++ {
-				fmt.Fprintf(&b, `<paper year="%d"><title>`, 2000+r.Intn(5))
+				touch()
+				fmt.Fprintf(&b, `<paper year="%d">`, 2000+r.Intn(5))
+				touch()
+				b.WriteString("<title>")
 				for w := 0; w < 1+r.Intn(4); w++ {
 					b.WriteString(words[r.Intn(len(words))] + " ")
 				}
-				b.WriteString("</title></paper>")
+				b.WriteString("</title>")
+				touch()
+				b.WriteString("</paper>")
 			}
+			touch()
 			b.WriteString("</item>")
 		}
+		touch()
 		b.WriteString("</root>")
 		src := b.String()
 		doc, err := xmltree.ParseString(src, nil)
@@ -120,6 +149,24 @@ func TestBuildStreamPropertyEquivalence(t *testing.T) {
 		}
 		assertIndexesEqual(t, fromTree, fromStream, fmt.Sprintf("trial %d", trial))
 	}
+}
+
+// FuzzBuildStream holds the streaming build to the tree build on any
+// input: either both fail, or they build the same index.
+func FuzzBuildStream(f *testing.F) {
+	for _, src := range streamDocs {
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		fromStream, streamErr := BuildStream(strings.NewReader(src), nil)
+		doc, treeErr := xmltree.ParseString(src, nil)
+		if (streamErr == nil) != (treeErr == nil) {
+			t.Fatalf("BuildStream error %v, Parse error %v", streamErr, treeErr)
+		}
+		if treeErr == nil {
+			assertIndexesEqual(t, Build(doc), fromStream, "fuzz")
+		}
+	})
 }
 
 func TestBuildStreamErrors(t *testing.T) {

@@ -1,6 +1,7 @@
 package xmltree
 
 import (
+	"bytes"
 	"encoding/xml"
 	"errors"
 	"fmt"
@@ -28,8 +29,9 @@ type Node struct {
 	// Children holds child nodes in document order; the i-th child has
 	// Dewey label ID.Child(i).
 	Children []*Node
-	// Text is the concatenated character data directly under the element
-	// (not including descendant text), whitespace-trimmed.
+	// Text is the character data directly under the element, not its
+	// descendants': each run between element boundaries trimmed, and the
+	// non-empty runs joined by one space.
 	Text string
 }
 
@@ -260,33 +262,18 @@ func (o *Options) withDefaults() Options {
 
 // Parse reads an XML document from r and builds the tree. A nil opts uses
 // defaults.
-func Parse(r io.Reader, opts *Options) (*Document, error) {
-	o := opts.withDefaults()
+func Parse(r io.Reader, opts *Options) (*Document, error) { return ParsePartitions(r, opts, nil) }
+
+// ParsePartitions reads an XML document from r as Parse does, but one
+// partition (Definition 6.1: a child of the root) at a time: it hands each
+// partition to part once complete — at its end tag, or at once for an
+// attribute of the root — and then drops it, so memory holds one
+// partition, not the document. The returned document has every type, the
+// whole document's NodeCount and a childless root whose Text is complete.
+// A nil part keeps every partition under the root: that is Parse.
+func ParsePartitions(r io.Reader, opts *Options, part func(*Node)) (*Document, error) {
+	rd := &reader{o: opts.withDefaults(), doc: &Document{Types: NewRegistry()}, part: part}
 	dec := xml.NewDecoder(r)
-	reg := NewRegistry()
-	doc := &Document{Types: reg}
-
-	var stack []*Node
-	var text strings.Builder
-
-	flushText := func() {
-		if len(stack) == 0 {
-			text.Reset()
-			return
-		}
-		cur := stack[len(stack)-1]
-		t := strings.TrimSpace(text.String())
-		text.Reset()
-		if t == "" {
-			return
-		}
-		if cur.Text == "" {
-			cur.Text = t
-		} else {
-			cur.Text += " " + t
-		}
-	}
-
 	for {
 		tok, err := dec.Token()
 		if err == io.EOF {
@@ -297,67 +284,143 @@ func Parse(r io.Reader, opts *Options) (*Document, error) {
 		}
 		switch t := tok.(type) {
 		case xml.StartElement:
-			flushText()
-			if len(stack) >= o.MaxDepth {
-				return nil, fmt.Errorf("xmltree: document deeper than %d", o.MaxDepth)
-			}
-			tag := tokenize.Tag(t.Name.Local)
-			if tag == "" {
-				tag = "x"
-			}
-			var n *Node
-			if len(stack) == 0 {
-				if doc.Root != nil {
-					return nil, errors.New("xmltree: multiple root elements")
-				}
-				n = &Node{Tag: tag, Type: reg.Intern(nil, tag), ID: dewey.Root()}
-				doc.Root = n
-			} else {
-				p := stack[len(stack)-1]
-				n = &Node{
-					Tag:    tag,
-					Type:   reg.Intern(p.Type, tag),
-					ID:     p.ID.Child(uint32(len(p.Children))),
-					Parent: p,
-				}
-				p.Children = append(p.Children, n)
-			}
-			doc.NodeCount++
-			stack = append(stack, n)
-			if o.AttributesAsNodes {
-				for _, a := range t.Attr {
-					atag := tokenize.Tag(a.Name.Local)
-					if atag == "" || a.Name.Space == "xmlns" || a.Name.Local == "xmlns" {
-						continue
-					}
-					an := &Node{
-						Tag:    atag,
-						Type:   reg.Intern(n.Type, atag),
-						ID:     n.ID.Child(uint32(len(n.Children))),
-						Parent: n,
-						Text:   strings.TrimSpace(a.Value),
-					}
-					n.Children = append(n.Children, an)
-					doc.NodeCount++
-				}
-			}
+			err = rd.start(t)
 		case xml.EndElement:
-			flushText()
-			if len(stack) == 0 {
-				return nil, errors.New("xmltree: unbalanced end element")
-			}
-			stack = stack[:len(stack)-1]
+			err = rd.end()
 		case xml.CharData:
-			text.Write(t)
+			if len(rd.stack) > 0 {
+				rd.run = append(rd.run, t...)
+			}
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
-	if doc.Root == nil {
+	if rd.doc.Root == nil {
 		return nil, errors.New("xmltree: no root element")
 	}
-	if len(stack) != 0 {
+	if len(rd.stack) != 0 {
 		return nil, errors.New("xmltree: unclosed elements at EOF")
 	}
-	return doc, nil
+	return rd.doc, nil
+}
+
+// reader turns encoding/xml tokens into Nodes, the one place where that
+// happens.
+//
+// A node's Text joins its runs of character data: each run between two
+// element boundaries (a start or end tag, its own or a child's) is trimmed
+// of surrounding space, and the non-empty runs are joined by one space, so
+// in <a>foo<b>x</b>bar</a> a's text is "foo bar". Comments and processing
+// instructions are not boundaries. The open elements' runs share one
+// buffer, innermost last, and a node's Text is cut from it once, at its
+// end tag.
+type reader struct {
+	o     Options
+	doc   *Document
+	part  func(*Node) // nil: the root keeps its partitions
+	stack []frame     // the open elements, the root first
+	run   []byte      // character data since the last element boundary
+	text  []byte      // the open elements' joined runs
+}
+
+// frame is an open element.
+type frame struct {
+	n    *Node
+	kids uint32 // children so far: the next child's ordinal
+	text int    // where the element's runs begin in reader.text
+}
+
+// start opens an element and adds its attributes as its first children.
+func (rd *reader) start(t xml.StartElement) error {
+	rd.flush()
+	if len(rd.stack) >= rd.o.MaxDepth {
+		return fmt.Errorf("xmltree: document deeper than %d", rd.o.MaxDepth)
+	}
+	if len(rd.stack) == 0 && rd.doc.Root != nil {
+		return errors.New("xmltree: multiple root elements")
+	}
+	tag := tokenize.Tag(t.Name.Local)
+	if tag == "" {
+		tag = "x"
+	}
+	n := rd.add(tag)
+	rd.stack = append(rd.stack, frame{n: n, text: len(rd.text)})
+	if !rd.o.AttributesAsNodes {
+		return nil
+	}
+	for _, a := range t.Attr {
+		atag := tokenize.Tag(a.Name.Local)
+		if atag == "" || a.Name.Space == "xmlns" || a.Name.Local == "xmlns" {
+			continue
+		}
+		an := rd.add(atag)
+		an.Text = strings.TrimSpace(a.Value)
+		rd.done(an)
+	}
+	return nil
+}
+
+// end closes the innermost open element and sets its Text.
+func (rd *reader) end() error {
+	rd.flush()
+	if len(rd.stack) == 0 {
+		return errors.New("xmltree: unbalanced end element")
+	}
+	f := rd.stack[len(rd.stack)-1]
+	rd.stack = rd.stack[:len(rd.stack)-1]
+	if len(rd.text) > f.text {
+		f.n.Text = string(rd.text[f.text:])
+		rd.text = rd.text[:f.text]
+	}
+	rd.done(f.n)
+	return nil
+}
+
+// flush ends a run of character data at an element boundary: trimmed, the
+// run joins the innermost open element's runs, one space after the last.
+func (rd *reader) flush() {
+	t := bytes.TrimSpace(rd.run)
+	rd.run = rd.run[:0]
+	if len(t) == 0 {
+		return
+	}
+	if len(rd.text) > rd.stack[len(rd.stack)-1].text {
+		rd.text = append(rd.text, ' ')
+	}
+	rd.text = append(rd.text, t...)
+}
+
+// add makes a node tagged tag the last child of the innermost open
+// element, or the root when none is open.
+func (rd *reader) add(tag string) *Node {
+	rd.doc.NodeCount++
+	if len(rd.stack) == 0 {
+		rd.doc.Root = &Node{Tag: tag, Type: rd.doc.Types.Intern(nil, tag), ID: dewey.Root()}
+		return rd.doc.Root
+	}
+	f := &rd.stack[len(rd.stack)-1]
+	n := &Node{
+		Tag:    tag,
+		Type:   rd.doc.Types.Intern(f.n.Type, tag),
+		ID:     f.n.ID.Child(f.kids),
+		Parent: f.n,
+	}
+	f.kids++
+	f.n.Children = append(f.n.Children, n)
+	return n
+}
+
+// done takes each node once complete: a partition goes to part, if there
+// is one, and leaves the root.
+func (rd *reader) done(n *Node) {
+	if rd.part == nil || len(n.ID) != 2 {
+		return
+	}
+	rd.part(n)
+	root := rd.doc.Root
+	clear(root.Children)
+	root.Children = root.Children[:0]
 }
 
 // ParseString is Parse over an in-memory document.

@@ -202,20 +202,73 @@ func TestAttributesAsNodes(t *testing.T) {
 	}
 }
 
+// TestTextCoalescing pins how a node's character data becomes its Text:
+// each run between element boundaries is trimmed, non-empty runs join with
+// one space, and comments or CDATA sections do not split a run.
 func TestTextCoalescing(t *testing.T) {
-	src := `<a>one <b>inner</b> two</a>`
-	d, err := ParseString(src, nil)
+	for _, tc := range []struct{ src, root, first string }{
+		{`<a>one <b>inner</b> two</a>`, "one two", "inner"},
+		{`<r><a>foo<b>x</b>bar</a></r>`, "", "foo bar"},
+		{`<r>pre<a>x</a>post</r>`, "pre post", "x"},
+		{`<r>  pre  <a/>  <b/> post </r>`, "pre post", ""},
+		{`<r>a<!--c-->b<![CDATA[ c ]]>d</r>`, "ab c d", ""},
+		{`<r><p year=" 2003 ">head<t>x</t>tail</p></r>`, "", "head tail"},
+		{"<r>one\n two<a/>three</r>", "one\n two three", ""},
+	} {
+		d, err := ParseString(tc.src, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.src, err)
+		}
+		first := ""
+		if len(d.Root.Children) > 0 {
+			first = d.Root.Children[0].Text
+		}
+		if d.Root.Text != tc.root || first != tc.first {
+			t.Errorf("%s: root %q, first child %q; want %q, %q", tc.src, d.Root.Text, first, tc.root, tc.first)
+		}
+	}
+	d, err := ParseString(`<a>one <b>inner</b> two</a>`, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Root.Text != "one two" {
-		t.Errorf("root text = %q", d.Root.Text)
-	}
-	if d.Root.Children[0].Text != "inner" {
-		t.Errorf("inner text = %q", d.Root.Children[0].Text)
-	}
 	if got := d.Root.Subtext(); got != "one two inner" {
 		t.Errorf("subtext = %q", got)
+	}
+}
+
+// TestParsePartitions holds the partition-at-a-time reader to Parse: the
+// same partitions, in order, each complete when handed over, and a
+// childless root with the whole document's counts.
+func TestParsePartitions(t *testing.T) {
+	src := `<bib key="k1">lead<author><name>Ann</name><paper year="2003">x</paper></author>mid<author><name>Bo</name></author>tail</bib>`
+	want, err := ParseString(src, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []*Node
+	d, err := ParsePartitions(strings.NewReader(src), nil, func(p *Node) {
+		if len(p.Parent.Children) != 1 || p.Parent.Children[0] != p {
+			t.Errorf("partition %s handed over beside %d others", p.ID, len(p.Parent.Children)-1)
+		}
+		got = append(got, p)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(d.Root.Children) != 0 || d.Root.Text != want.Root.Text || d.NodeCount != want.NodeCount || d.Types.Len() != want.Types.Len() {
+		t.Fatalf("root: %d children, text %q, %d nodes, %d types", len(d.Root.Children), d.Root.Text, d.NodeCount, d.Types.Len())
+	}
+	wantParts := want.Partitions()
+	if len(got) != len(wantParts) {
+		t.Fatalf("%d partitions, want %d", len(got), len(wantParts))
+	}
+	for i, p := range got {
+		if p.ID.String() != wantParts[i].ID.String() || p.Subtext() != wantParts[i].Subtext() || SubtreeSize(p) != SubtreeSize(wantParts[i]) {
+			t.Errorf("partition %d: %s %q, want %s %q", i, p.ID, p.Subtext(), wantParts[i].ID, wantParts[i].Subtext())
+		}
+	}
+	if _, err := ParsePartitions(strings.NewReader("<a><b></a>"), nil, func(*Node) {}); err == nil {
+		t.Error("malformed XML accepted")
 	}
 }
 
