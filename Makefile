@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench benchsmoke cover fuzz experiments examples obs soak replicas wirediff clean
+.PHONY: all build vet test race bench benchsmoke cover fuzz experiments examples conformance clean
 
 all: build vet test
 
@@ -55,33 +55,12 @@ fuzz:
 experiments:
 	$(GO) run ./cmd/xbench -scale 1.0 -reps 3 -queries 50 all
 
-# End-to-end observability smoke test: boots xserve on a generated
-# corpus, validates the /metrics exposition with the in-tree parser
-# (cmd/obscheck), runs an explain=1 query, and checks /debug/slowlog.
-obs:
-	./scripts/obs_smoke.sh
-
-# Mixed read/write soak of the live-update subsystem: the in-tree
-# concurrency and crash-recovery suites under -race, then a race-built
-# live xserve with concurrent query loops against streamed POST /update
-# batches, ending in a durability-across-restart check.
-soak:
-	./scripts/update_soak.sh
-
-# Replica fault-matrix soak: the in-tree replica suites under -race
-# (byte-identity, hedging, failover, epoch reconciliation), then a
-# race-built replicated xserve (2 shards x 2 replicas, chaos armed)
-# diffed request-by-request against a monolith — zero result divergence.
-replicas:
-	./scripts/replica_soak.sh
-
-# Wire-protocol conformance soak: a race-built xserve serving HTTP and
-# the binary protocol from the same backend, diffed request-by-request
-# (plain engine, chaos-armed replicas) — every non-degraded wire payload
-# must be byte-identical to the HTTP body — ending in a both-surfaces
-# drain check.
-wirediff:
-	./scripts/wire_diff.sh
+# The conformance matrix under the race detector: every deployment (codec
+# x topology x server config x state) answers one script byte for byte
+# like one reference monolith, and the process cells boot race-built
+# xserves for the signal drain, the kill -9 restart and the ops surfaces.
+conformance:
+	$(GO) test -race -run TestConformance -v ./internal/wire
 
 examples:
 	$(GO) test -run '^Example' -v .

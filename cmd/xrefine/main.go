@@ -196,8 +196,8 @@ func cmdSearch(args []string) {
 
 // wireSearch answers one query over the binary protocol and prints the
 // payload, which is byte-identical to the HTTP /search body for the same
-// server state — scripts/wire_diff.sh diffs the two surfaces through
-// this path.
+// server state — the process cells of wire.TestConformance compare this
+// path's output with the reference's.
 func wireSearch(addr, query string, k int) {
 	c, err := wire.Dial(addr, 5*time.Second)
 	if err != nil {

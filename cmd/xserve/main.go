@@ -57,8 +57,8 @@
 // to every replica with epoch reconciliation quarantining and catching up
 // any copy that misses a commit. /healthz gains a per-replica health
 // table. -chaos arms seeded probabilistic store faults (error rate and/or
-// latency jitter) on every replica — the soak mode the replica fault
-// matrix in CI runs against.
+// latency jitter) on every replica — the mode the chaos cells of the
+// conformance matrix run against.
 //
 //	xserve -shards dblp-shards -replicas 2 -hedge-after 20ms -live
 //	xserve -shards dblp-shards -chaos rate=0.002,jitter=1ms-3ms

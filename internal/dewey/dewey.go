@@ -203,18 +203,6 @@ func LCALen(a, b ID) int {
 	return i
 }
 
-// LCAAll folds LCA over a non-empty set of labels.
-func LCAAll(ids []ID) (ID, error) {
-	if len(ids) == 0 {
-		return nil, errors.New("dewey: LCAAll of empty set")
-	}
-	acc := ids[0].Clone()
-	for _, id := range ids[1:] {
-		acc = acc[:LCALen(acc, id)]
-	}
-	return acc, nil
-}
-
 // Partition returns the document-partition label of d per Definition 6.1 of
 // the paper: the subtree rooted at the i-th child of the document root. It
 // returns false when d is the root itself (the root belongs to no

@@ -111,20 +111,6 @@ func TestLCA(t *testing.T) {
 	}
 }
 
-func TestLCAAll(t *testing.T) {
-	ids := []ID{MustParse("0.0.1.2"), MustParse("0.0.1.4"), MustParse("0.0.3")}
-	got, err := LCAAll(ids)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.String() != "0.0" {
-		t.Errorf("LCAAll = %s, want 0.0", got)
-	}
-	if _, err := LCAAll(nil); err == nil {
-		t.Error("LCAAll(nil) should error")
-	}
-}
-
 func TestPartition(t *testing.T) {
 	if _, ok := Root().Partition(); ok {
 		t.Error("root has no partition")

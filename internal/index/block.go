@@ -3,6 +3,7 @@ package index
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -99,14 +100,13 @@ type blockWriter struct {
 
 	enc   []byte
 	skip  []blockRef
-	types []*xmltree.Type
-	ord   map[*xmltree.Type]int
+	types []*xmltree.Type // the list's types, by ordinal
 	n     int
 
 	prev       dewey.ID // last appended ID (reused buffer)
 	blockBuf   []byte   // staged payload of the open block
 	blockN     int
-	blockFirst dewey.ID // first ID of the open block (reused buffer)
+	blockFirst dewey.ID // first ID of the open block, kept by its blockRef
 }
 
 func newBlockWriter(term string, checkOrder bool) *blockWriter {
@@ -139,21 +139,18 @@ func (w *blockWriter) Append(id dewey.ID, t *xmltree.Type) error {
 	}
 	if w.blockN == 0 {
 		shared = 0
-		w.blockFirst = append(w.blockFirst[:0], id...)
+		w.blockFirst = id.Clone()
 	}
 	w.blockBuf = binary.AppendUvarint(w.blockBuf, uint64(shared))
 	w.blockBuf = binary.AppendUvarint(w.blockBuf, uint64(len(id)-shared))
 	for _, c := range id[shared:] {
 		w.blockBuf = binary.AppendUvarint(w.blockBuf, uint64(c))
 	}
-	ord, ok := w.ord[t]
-	if !ok {
-		if w.ord == nil {
-			w.ord = make(map[*xmltree.Type]int, 8)
-		}
+	// A list holds few types, so a scan beats a map.
+	ord := slices.Index(w.types, t)
+	if ord < 0 {
 		ord = len(w.types)
 		w.types = append(w.types, t)
-		w.ord[t] = ord
 	}
 	w.blockBuf = binary.AppendUvarint(w.blockBuf, uint64(ord))
 	w.prev = append(w.prev[:0], id...)
@@ -167,7 +164,7 @@ func (w *blockWriter) flushBlock() {
 		return
 	}
 	w.skip = append(w.skip, blockRef{
-		first: w.blockFirst.Clone(),
+		first: w.blockFirst,
 		off:   uint32(len(w.enc)),
 		start: uint32(w.n - w.blockN),
 		n:     uint32(w.blockN),

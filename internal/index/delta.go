@@ -12,7 +12,8 @@ import (
 // Mutator derives a new index epoch from an existing one by applying
 // subtree insertions and deletions, keeping every statistic exactly what a
 // from-scratch Build over the mutated document would produce (the
-// rebuild-equivalence guarantee — the differential tests assert it).
+// rebuild-equivalence guarantee — the updated rows of
+// wire.TestConformance assert it).
 //
 // The derivation is copy-on-write at keyword granularity: the new index
 // shares the kwEntry of every untouched term with its source, and the

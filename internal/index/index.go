@@ -162,6 +162,7 @@ type counts struct {
 	nt    []uint32      // N_T per type ID
 	nodes int
 	parts []dewey.ID // the roots fed through partition, in order
+	held  []string   // the counted node's terms, reused across nodes
 }
 
 // termCounts is one term's share of a counts.
@@ -202,7 +203,8 @@ func (c *counts) node(n *xmltree.Node) {
 	}
 	c.nt[n.Type.ID]++
 	c.nodes++
-	for _, term := range n.Terms() {
+	c.held = n.AppendTerms(c.held[:0])
+	for _, term := range c.held {
 		tc := c.terms[term]
 		if tc == nil {
 			tc = &termCounts{term: term, stats: make(map[int]typeStat)}

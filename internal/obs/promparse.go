@@ -64,7 +64,8 @@ func (e *Exposition) Families() []string {
 // unbalanced label braces, unquoted label values, non-numeric samples,
 // samples with no preceding TYPE, duplicate TYPE lines — and returns the
 // parsed samples. It is deliberately NOT a full client_model parser; it is
-// the gate the CI scrape job and the exposition golden test run against.
+// the gate the conformance matrix's live scrapes and the exposition golden
+// test run against.
 func ParsePrometheus(r io.Reader) (*Exposition, error) {
 	exp := &Exposition{Types: make(map[string]string), Help: make(map[string]string)}
 	sc := bufio.NewScanner(r)
@@ -303,8 +304,9 @@ func parseLabels(s string, dst map[string]string) error {
 // structure: each series (label set minus le) must carry a terminal +Inf
 // bucket, its cumulative counts must be non-decreasing in ascending le
 // order, the +Inf count must equal the series' _count sample, and any
-// bucket exemplar must carry a value within the bucket's bound. This is
-// the malformed-exposition gate cmd/obscheck fails CI on.
+// bucket exemplar must carry a value within the bucket's bound. The
+// process cells of wire.TestConformance run it over a live server's
+// Prometheus and OpenMetrics expositions.
 func (e *Exposition) CheckHistograms() error {
 	type bucket struct {
 		le  float64

@@ -149,15 +149,3 @@ func (j *Judge) Meaningful(t *xmltree.Type) bool {
 	j.byID.Store(t.ID, v)
 	return v
 }
-
-// MeaningfulLCA reports whether the LCA at the given Dewey depth of a node
-// with posting type pt is meaningful. An LCA's type is the ancestor of any
-// contained posting's type at the LCA's depth, so the verdict needs no
-// access to the tree itself — only to the posting that witnessed the LCA.
-func (j *Judge) MeaningfulLCA(pt *xmltree.Type, depth int) bool {
-	t, err := pt.AncestorAt(depth)
-	if err != nil {
-		return false
-	}
-	return j.Meaningful(t)
-}

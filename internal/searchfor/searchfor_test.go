@@ -138,24 +138,6 @@ func TestJudgeMeaningful(t *testing.T) {
 	}
 }
 
-func TestJudgeMeaningfulLCA(t *testing.T) {
-	ix := buildIx(t)
-	j := NewJudge(Infer(ix, []string{"john", "swimming"}, nil))
-	title, _ := ix.Types.ByPath("bib/author/publications/inproceedings/title")
-	// LCA at depth 1 of a title posting is an author node -> meaningful.
-	if !j.MeaningfulLCA(title, 1) {
-		t.Error("author-depth LCA should be meaningful")
-	}
-	// LCA at depth 0 is the root -> not meaningful.
-	if j.MeaningfulLCA(title, 0) {
-		t.Error("root LCA should not be meaningful")
-	}
-	// Depth beyond the posting's own depth is invalid -> false.
-	if j.MeaningfulLCA(title, 99) {
-		t.Error("invalid depth should be false")
-	}
-}
-
 func TestEmptyJudge(t *testing.T) {
 	ix := buildIx(t)
 	j := NewJudge(nil)

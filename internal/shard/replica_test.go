@@ -24,11 +24,12 @@ import (
 	"xrefine/internal/storage/backends"
 )
 
-// The tests here extend the differential suite to replicated serving: a
-// router whose shards are R-way replica sets must stay byte-identical to
-// the monolith no matter which replica serves each scan — with hedging on
-// or off, under slow, flaky, dead and epoch-lagged replicas — and must
-// fail over rather than degrade whenever any replica of a shard survives.
+// The tests here cover replicated serving under faults: a router whose
+// shards are R-way replica sets must stay byte-identical to the monolith
+// under slow, flaky, dead and epoch-lagged replicas, and must fail over
+// rather than degrade whenever any replica of a shard survives. The
+// fault-free replicated layouts, hedged or not, are rows of
+// wire.TestConformance.
 
 // memReplicatedRouter splits a generated corpus across n shards of rs
 // in-memory replica stores each and routers them. faults, when non-nil, is
@@ -71,28 +72,6 @@ func memReplicatedRouter(t *testing.T, authors int, seed int64, n, rs int, opts 
 		}
 	})
 	return r
-}
-
-// TestReplicaByteIdentity is the replicated conformance claim: for every
-// replica count and with hedging off or aggressive, scatter-gather output
-// stays byte-identical to the monolith — whichever replica wins a race
-// serves the same bytes.
-func TestReplicaByteIdentity(t *testing.T) {
-	doc := corpusDoc(t, 32, 11)
-	mono := server.New(core.NewFromDocument(doc, nil), server.Config{})
-	for _, rs := range []int{1, 2, 3} {
-		for _, hedge := range []time.Duration{0, 50 * time.Microsecond} {
-			r := memReplicatedRouter(t, 32, 11, 2, rs, &Options{HedgeAfter: hedge}, nil)
-			srv := server.New(r, server.Config{})
-			for _, q := range diffQueries {
-				want := fetchSearch(t, mono, q, 3)
-				if got := fetchSearch(t, srv, q, 3); got != want {
-					t.Errorf("replicas=%d hedge=%v q=%q diverged:\n got: %s\nwant: %s",
-						rs, hedge, q, got, want)
-				}
-			}
-		}
-	}
 }
 
 // TestReplicaFaultMatrix drives the router through the replica fault

@@ -566,13 +566,25 @@ func (r *Router) scanShardReplicated(in refine.Input, k int, ks []string, walk *
 	baseCtx := in.Budget.Context()
 	ri := obs.ReqInfoFromContext(baseCtx)
 	tid := ri.TraceID()
+	// Read here, on the query's goroutine: a hedge loser outlives the
+	// query, and a wire connection reuses ri for its next request.
+	exemplar := ri.IsSampled() && tid != 0
 	resCh := make(chan attemptResult, maxAttempts)
 	var cancels []context.CancelFunc
+	outstanding := 0
 	defer func() {
 		// Cancel every attempt context on exit: losers stop promptly, and
 		// the winner's scan no longer consults its context.
 		for _, c := range cancels {
 			c()
+		}
+		// A traced loser writes into the query's span tree, which the
+		// pipeline returns to a pool once the query is answered: wait for
+		// the cancelled losers before answering.
+		if in.Trace != nil {
+			for ; outstanding > 0; outstanding-- {
+				<-resCh
+			}
 		}
 	}()
 	launched := 0
@@ -626,7 +638,7 @@ func (r *Router) scanShardReplicated(in refine.Input, k int, ks []string, walk *
 			}
 			r.flight.Record(ev)
 			h := r.m.attemptSecs.With(strconv.Itoa(si))
-			if ri.IsSampled() && tid != 0 {
+			if exemplar {
 				h.ObserveExemplar(dur.Seconds(), tid, time.Now())
 			} else {
 				h.Observe(dur.Seconds())
@@ -635,7 +647,7 @@ func (r *Router) scanShardReplicated(in refine.Input, k int, ks []string, walk *
 		}()
 	}
 	launch(false)
-	outstanding := 1
+	outstanding = 1
 	var hedgeC <-chan time.Time
 	if r.hedgeAfter > 0 && len(order) > 1 {
 		t := time.NewTimer(r.hedgeAfter)

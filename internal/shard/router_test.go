@@ -1,12 +1,10 @@
 package shard
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -21,12 +19,11 @@ import (
 	"xrefine/internal/xmltree"
 )
 
-// The tests here are differential: a router over N shards must answer
-// every query byte-for-byte like one monolithic engine over the
-// concatenated corpus — across shard counts and split modes — and must
-// degrade (never lie) when a shard fails or a
-// budget expires. Comparison happens on the serving layer's JSON bodies,
-// so snippets, search-for candidates, scores and ordering are all covered.
+// The tests here hold a router's own behavior: it degrades (never lies)
+// when a shard fails or a budget expires, traces its fan-out, and splits
+// cross-shard batches. That a router answers every query byte-for-byte
+// like the monolith, across shard counts, split modes and live updates,
+// is a row of wire.TestConformance.
 
 func corpusDoc(t *testing.T, authors int, seed int64) *xmltree.Document {
 	t.Helper()
@@ -88,105 +85,6 @@ var diffQueries = []string{
 	"databse quary",     // misspellings force refinement
 	"keyword serch xml", // partial mismatch
 	"twig matching pattern",
-}
-
-// TestShardByteIdentity is the core conformance claim: scatter-gather
-// output is byte-identical to the monolith for every shard count and split
-// mode, including the 1-shard degenerate router.
-func TestShardByteIdentity(t *testing.T) {
-	doc := corpusDoc(t, 48, 7)
-	mono := server.New(core.NewFromDocument(doc, nil), server.Config{})
-	for _, mode := range []string{ModeRange, ModeHash} {
-		for _, n := range []int{1, 2, 4, 8} {
-			r := memRouter(t, doc, n, mode, nil, nil)
-			srv := server.New(r, server.Config{})
-			for _, q := range diffQueries {
-				want := fetchSearch(t, mono, q, 3)
-				if got := fetchSearch(t, srv, q, 3); got != want {
-					t.Errorf("mode=%s shards=%d q=%q diverged:\n got: %s\nwant: %s",
-						mode, n, q, got, want)
-				}
-			}
-		}
-	}
-}
-
-// TestShardLiveUpdates drives the same random update stream into a live
-// monolith and a live sharded router (per-op, routed by partition) and
-// requires byte-identical answers after every batch, plus matching epoch
-// accounting on /healthz.
-func TestShardLiveUpdates(t *testing.T) {
-	doc := corpusDoc(t, 24, 9)
-	batches, err := datagen.Updates(doc, datagen.UpdatesConfig{Batches: 5, Ops: 4, Seed: 21})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	dir := t.TempDir()
-	if _, err := WriteStores(doc, filepath.Join(dir, "shards"), 3, ModeRange); err != nil {
-		t.Fatal(err)
-	}
-	r, err := Open(filepath.Join(dir, "shards"), &Options{Live: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	srv := server.New(r, server.Config{})
-
-	mono := core.NewFromDocument(doc, nil)
-	monoSrv := server.New(mono, server.Config{})
-
-	opsApplied := 0
-	for bi, b := range batches {
-		if _, err := mono.Apply(b); err != nil {
-			t.Fatalf("batch %d: monolith apply: %v", bi, err)
-		}
-		// The router commits per op: an op can target a partition created
-		// by an earlier op of the same batch, which only becomes routable
-		// once that commit rebuilds the ownership map.
-		for oi, op := range b.Ops {
-			if _, err := r.Apply(&mutate.Batch{Ops: []mutate.Op{op}}); err != nil {
-				t.Fatalf("batch %d op %d: router apply: %v", bi, oi, err)
-			}
-			opsApplied++
-		}
-		for _, q := range diffQueries[:2] {
-			want := fetchSearch(t, monoSrv, q, 3)
-			if got := fetchSearch(t, srv, q, 3); got != want {
-				t.Fatalf("after batch %d: q=%q diverged:\n got: %s\nwant: %s", bi, q, got, want)
-			}
-		}
-	}
-
-	us := r.UpdateStats()
-	if !us.Live {
-		t.Error("router UpdateStats.Live = false, want true")
-	}
-	if us.Epoch != uint64(opsApplied) {
-		t.Errorf("router epoch sum = %d, want %d (one per committed op)", us.Epoch, opsApplied)
-	}
-
-	req := httptest.NewRequest(http.MethodGet, "/healthz", nil)
-	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, req)
-	var health struct {
-		Shards      int      `json:"shards"`
-		ShardEpochs []uint64 `json:"shard_epochs"`
-		Epoch       uint64   `json:"epoch"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &health); err != nil {
-		t.Fatal(err)
-	}
-	if health.Shards != 3 || len(health.ShardEpochs) != 3 {
-		t.Errorf("healthz shards = %d epochs = %v, want 3 shards", health.Shards, health.ShardEpochs)
-	}
-	var sum uint64
-	for _, e := range health.ShardEpochs {
-		sum += e
-	}
-	if sum != health.Epoch || sum != uint64(opsApplied) {
-		t.Errorf("healthz epoch = %d, shard epochs sum = %d, want %d", health.Epoch, sum, opsApplied)
-	}
 }
 
 // TestShardPartialDegrade arms a read fault on one shard's store

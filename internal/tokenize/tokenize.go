@@ -54,8 +54,12 @@ func Normalize(s string) string {
 
 // Text splits free text into normalized terms. Runs of letters and digits
 // form terms; everything else separates them.
-func Text(s string) []string {
-	var terms []string
+func Text(s string) []string { return AppendText(nil, s) }
+
+// AppendText appends the terms Text would return for s to dst and returns
+// the extended slice.
+func AppendText(dst []string, s string) []string {
+	terms := dst
 	start := -1
 	flush := func(end int) {
 		if start >= 0 {

@@ -37,12 +37,15 @@ type Node struct {
 
 // Terms returns the normalized keyword terms of the node: its tag name plus
 // every term of its direct text value. The tag comes first.
-func (n *Node) Terms() []string {
-	terms := make([]string, 0, 4)
+func (n *Node) Terms() []string { return n.AppendTerms(nil) }
+
+// AppendTerms appends the node's Terms to dst and returns the extended
+// slice, so a walk over many nodes can reuse one buffer.
+func (n *Node) AppendTerms(dst []string) []string {
 	if t := tokenize.Tag(n.Tag); t != "" {
-		terms = append(terms, t)
+		dst = append(dst, t)
 	}
-	return append(terms, tokenize.Text(n.Text)...)
+	return tokenize.AppendText(dst, n.Text)
 }
 
 // Subtext concatenates all text in the node's subtree in document order,
@@ -189,43 +192,6 @@ func (w *textWalk) quoteRune(s string) int {
 		w.dst = append(w.dst, q...)
 	}
 	return size
-}
-
-// SnippetHighlight is Snippet with query terms wrapped in [brackets], so a
-// terminal UI can show why the node matched. Terms are compared after
-// normalization, the way the index matched them.
-func (n *Node) SnippetHighlight(max int, terms []string) string {
-	match := make(map[string]bool, len(terms))
-	for _, t := range terms {
-		match[t] = true
-	}
-	words := strings.Fields(n.Subtext())
-	var b strings.Builder
-	runes := 0
-	truncated := false
-	for i, w := range words {
-		render := w
-		if match[tokenize.Normalize(w)] {
-			render = "[" + w + "]"
-		}
-		if i > 0 {
-			runes++
-		}
-		runes += len([]rune(render))
-		if runes > max {
-			truncated = true
-			break
-		}
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		b.WriteString(render)
-	}
-	txt := b.String()
-	if truncated {
-		txt += "…"
-	}
-	return fmt.Sprintf("%s:%s %q", n.Tag, n.ID, txt)
 }
 
 // Document is a parsed XML document.

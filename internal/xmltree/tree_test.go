@@ -355,26 +355,3 @@ func TestSortTypesByPath(t *testing.T) {
 		}
 	}
 }
-
-func TestSnippetHighlight(t *testing.T) {
-	d := parsePaperDoc(t)
-	n, _ := d.NodeByID(dewey.MustParse("0.0.1.1.0"))
-	s := n.SnippetHighlight(100, []string{"database", "online"})
-	if !strings.Contains(s, "[online]") || !strings.Contains(s, "[database]") {
-		t.Errorf("highlight missing: %q", s)
-	}
-	if strings.Contains(s, "[systems]") {
-		t.Errorf("unmatched term highlighted: %q", s)
-	}
-	// Case-insensitive matching via normalization.
-	n2, _ := d.NodeByID(dewey.MustParse("0.0.1.0.0"))
-	s2 := n2.SnippetHighlight(100, []string{"dblp"})
-	if !strings.Contains(s2, "[DBLP]") {
-		t.Errorf("normalized highlight failed: %q", s2)
-	}
-	// Truncation marker.
-	s3 := n.SnippetHighlight(6, []string{"online"})
-	if !strings.Contains(s3, "…") {
-		t.Errorf("no truncation: %q", s3)
-	}
-}
