@@ -412,6 +412,24 @@ type Response struct {
 	// "posting-budget" or, on a shard router, "shard-partial" (the
 	// refine.Degraded* constants).
 	DegradedReason string
+
+	// out is the walk's outcome, whose state the results live in until
+	// Release.
+	out *refine.TopKOutcome
+}
+
+// Release hands the memory the response's results live in back to the
+// walk, for the next query to reuse: a server calls it once the response
+// is encoded. The response's queries must not be read afterwards; Release
+// drops them. A response that is never released is left to the
+// collector, which is what a caller that keeps its responses does.
+// Releasing twice, or a nil response, does nothing.
+func (r *Response) Release() {
+	if r != nil {
+		out := r.out
+		r.out, r.Queries = nil, nil
+		out.Release()
+	}
 }
 
 // prepare derives the per-query machinery — rule set, search-for
@@ -510,7 +528,12 @@ func (e *Engine) answer(ctx context.Context, ep *epoch, terms []string, k int) (
 		return nil, err
 	}
 	e.noteOutcome(out)
-	return e.finishTopK(root, ep, resp, terms, out, k)
+	resp.out = out
+	if err := e.finishTopK(root, ep, resp, terms, out, k); err != nil {
+		resp.Release()
+		return nil, err
+	}
+	return resp, nil
 }
 
 // annotateRefineSpan stamps the refine span with the exploration's
@@ -536,7 +559,7 @@ func annotateRefineSpan(sp *obs.Span, out *refine.TopKOutcome) {
 // are ranked with Formula 10 and cut to K (the paper's line 19). trace is
 // the query's root span (nil when untraced); ranking runs under a "rank"
 // child.
-func (e *Engine) finishTopK(trace *obs.Span, ep *epoch, resp *Response, terms []string, out *refine.TopKOutcome, k int) (*Response, error) {
+func (e *Engine) finishTopK(trace *obs.Span, ep *epoch, resp *Response, terms []string, out *refine.TopKOutcome, k int) error {
 	rsp := trace.StartChild("rank")
 	defer rsp.End()
 	if rsp != nil {
@@ -552,7 +575,7 @@ func (e *Engine) finishTopK(trace *obs.Span, ep *epoch, resp *Response, terms []
 				IsOriginal: true,
 				Results:    it.Results,
 			}}
-			return resp, nil
+			return nil
 		}
 	}
 	resp.NeedRefine = true
@@ -566,7 +589,7 @@ func (e *Engine) finishTopK(trace *obs.Span, ep *epoch, resp *Response, terms []
 		sim := e.cfg.Rank.Similarity(ep.ix, resp.SearchFor, terms, it.RQ.Keywords, it.RQ.DSim)
 		dep, err := e.cfg.Rank.DependenceFrom(ep.ix, co, resp.SearchFor, it.RQ.Keywords)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		resp.Queries = append(resp.Queries, RankedQuery{
 			Keywords: it.RQ.Keywords,
@@ -587,7 +610,7 @@ func (e *Engine) finishTopK(trace *obs.Span, ep *epoch, resp *Response, terms []
 	if len(resp.Queries) > k {
 		resp.Queries = resp.Queries[:k]
 	}
-	return resp, nil
+	return nil
 }
 
 // Snippet renders a human-readable preview of a match against the source

@@ -299,10 +299,7 @@ func (m *Mutator) SaveDelta(s storage.Backend) error {
 	if n := ix.Types.Len(); n > 0 {
 		m.growType(n - 1)
 	}
-	if err := s.Put([]byte(metaTypesKey), ix.Types.Marshal()); err != nil {
-		return err
-	}
-	if err := putDocMeta(s, ix.encodeDocMeta()); err != nil {
+	if err := ix.saveMeta(s); err != nil {
 		return err
 	}
 	for _, term := range m.Removed() {

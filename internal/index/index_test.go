@@ -521,3 +521,43 @@ func TestCompleteByPrefix(t *testing.T) {
 		t.Errorf("cap ignored: %v", got)
 	}
 }
+
+// TestSaveLoadManyTypes: a registry that outgrows one store cell — here
+// 300 tags of 12 bytes under one parent — spills into continuation cells
+// and loads back whole, in interning order.
+func TestSaveLoadManyTypes(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("<r>")
+	for i := range 300 {
+		fmt.Fprintf(&b, "<tag%09d>w%d</tag%09d>", i, i, i)
+	}
+	b.WriteString("</r>")
+	doc, err := xmltree.ParseString(b.String(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := Build(doc)
+	s := kvstore.NewMem()
+	if len(ix.Types.Marshal()) <= s.MaxKV() {
+		t.Fatalf("registry of %d bytes fits one cell of %d", len(ix.Types.Marshal()), s.MaxKV())
+	}
+	if err := ix.Save(s); err != nil {
+		t.Fatal(err)
+	}
+	ix2, err := Load(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, got := ix.Types.Types(), ix2.Types.Types()
+	if len(got) != len(want) {
+		t.Fatalf("loaded %d types, saved %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Path() != want[i].Path() {
+			t.Fatalf("type %d: loaded %s, saved %s", i, got[i].Path(), want[i].Path())
+		}
+	}
+	if n := ix2.ListLen("w299"); n != 1 {
+		t.Errorf("ListLen(w299) = %d after reload, want 1", n)
+	}
+}

@@ -15,7 +15,9 @@ import (
 // separates components so terms cannot collide with structure):
 //
 //	M\x00types                  node-type registry
+//	M\x00types\x00<seq BE32>     its continuation chunks, when it outgrows a cell
 //	M\x00doc                    document-level stats (N_T, G_T, partitions)
+//	M\x00doc\x00<seq BE32>       their continuation chunks
 //	F\x00<term>                 frequent-table row: list length + per-type df/tf
 //	L\x00<term>\x00<chunk BE32> posting-list chunk (see below)
 //
@@ -41,12 +43,8 @@ const FormatVersion = "2"
 const (
 	metaTypesKey = "M\x00types"
 	metaDocKey   = "M\x00doc"
-	// metaDocExtPrefix keys continuation chunks of the doc metadata when
-	// it outgrows a single cell (many types, or a fragmented partition
-	// set after live updates).
-	metaDocExtPrefix = "M\x00doc\x00"
-	freqPrefix       = "F\x00"
-	listPrefix       = "L\x00"
+	freqPrefix   = "F\x00"
+	listPrefix   = "L\x00"
 )
 
 // chunkBudget caps encoded chunk payloads comfortably under the B+tree backend's
@@ -56,10 +54,7 @@ const chunkBudget = 768
 // Save writes the whole index into the store and commits. Posting lists of
 // a lazily-loaded index are forced resident first.
 func (ix *Index) Save(s storage.Backend) error {
-	if err := s.Put([]byte(metaTypesKey), ix.Types.Marshal()); err != nil {
-		return err
-	}
-	if err := putDocMeta(s, ix.encodeDocMeta()); err != nil {
+	if err := ix.saveMeta(s); err != nil {
 		return err
 	}
 	for _, term := range ix.Vocabulary() {
@@ -194,53 +189,58 @@ func decodeDocMeta(ix *Index, b []byte, idMap []*xmltree.Type) error {
 	return nil
 }
 
-// putDocMeta writes the doc metadata, spilling into continuation chunks
-// when it exceeds a single cell. Stale continuation chunks are cleared
-// first (the metadata shrinks when partition runs re-coalesce).
-func putDocMeta(s storage.Backend, b []byte) error {
-	lo := []byte(metaDocExtPrefix)
-	hi := append(append([]byte(nil), lo...), 0xFF, 0xFF, 0xFF, 0xFF, 0xFF)
+// saveMeta writes the type registry and the doc metadata. Either grows
+// with the number of node types, and the doc metadata with a fragmented
+// partition set after live updates, so each spills into continuation
+// chunks when it outgrows a cell.
+func (ix *Index) saveMeta(s storage.Backend) error {
+	if err := putChunked(s, metaTypesKey, ix.Types.Marshal()); err != nil {
+		return err
+	}
+	return putChunked(s, metaDocKey, ix.encodeDocMeta())
+}
+
+// putChunked writes b under key, spilling what exceeds one cell into
+// continuation chunks keyed key+"\x00"+<seq BE32>. Stale continuation
+// chunks are cleared first (a value shrinks: the doc metadata when
+// partition runs re-coalesce). A value that fits one cell is one Put.
+func putChunked(s storage.Backend, key string, b []byte) error {
+	lo, hi := extRange(key)
 	if _, err := s.DeleteRange(lo, hi); err != nil {
 		return err
 	}
 	budget := s.MaxKV() - 16
-	end := len(b)
-	if end > budget {
-		end = budget
-	}
-	if err := s.Put([]byte(metaDocKey), b[:end]); err != nil {
+	end := min(len(b), budget)
+	if err := s.Put([]byte(key), b[:end]); err != nil {
 		return err
 	}
-	seq := uint32(0)
-	for off := end; off < len(b); {
-		end := off + budget
-		if end > len(b) {
-			end = len(b)
-		}
-		if err := s.Put(docMetaExtKey(seq), b[off:end]); err != nil {
+	for seq, off := uint32(0), end; off < len(b); seq++ {
+		end := min(off+budget, len(b))
+		if err := s.Put(binary.BigEndian.AppendUint32(lo, seq), b[off:end]); err != nil {
 			return err
 		}
 		off = end
-		seq++
 	}
 	return nil
 }
 
-func docMetaExtKey(seq uint32) []byte {
-	k := []byte(metaDocExtPrefix)
-	var be [4]byte
-	binary.BigEndian.PutUint32(be[:], seq)
-	return append(k, be[:]...)
+// extRange returns [lo, hi), the range of key's continuation chunk keys:
+// each is lo followed by a big-endian sequence number. lo is capped, so
+// appending to it copies.
+func extRange(key string) (lo, hi []byte) {
+	lo = append([]byte(key), 0)
+	hi = append(append([]byte(nil), lo...), 0xFF, 0xFF, 0xFF, 0xFF, 0xFF)
+	return lo[:len(lo):len(lo)], hi
 }
 
-// getDocMeta reads the doc metadata, concatenating continuation chunks.
-func getDocMeta(s storage.Backend) ([]byte, bool, error) {
-	b, ok, err := s.Get([]byte(metaDocKey))
+// getChunked reads the value putChunked wrote under key, concatenating
+// its continuation chunks.
+func getChunked(s storage.Backend, key string) ([]byte, bool, error) {
+	b, ok, err := s.Get([]byte(key))
 	if err != nil || !ok {
 		return nil, ok, err
 	}
-	lo := []byte(metaDocExtPrefix)
-	hi := append(append([]byte(nil), lo...), 0xFF, 0xFF, 0xFF, 0xFF, 0xFF)
+	lo, hi := extRange(key)
 	if err := s.Range(lo, hi, func(k, v []byte) bool {
 		b = append(b, v...)
 		return true
@@ -388,7 +388,7 @@ func LoadInto(s storage.Backend, reg *xmltree.Registry) (*Index, error) {
 }
 
 func load(s storage.Backend, reg *xmltree.Registry) (*Index, error) {
-	raw, ok, err := s.Get([]byte(metaTypesKey))
+	raw, ok, err := getChunked(s, metaTypesKey)
 	if err != nil {
 		return nil, err
 	}
@@ -421,7 +421,7 @@ func load(s storage.Backend, reg *xmltree.Registry) (*Index, error) {
 		terms: make(map[string]*kwEntry),
 		stat:  &opStat{},
 	}
-	docRaw, ok, err := getDocMeta(s)
+	docRaw, ok, err := getChunked(s, metaDocKey)
 	if err != nil {
 		return nil, err
 	}

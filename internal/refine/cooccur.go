@@ -55,6 +55,7 @@ func pairAt(n, i, j int) int { return i*(2*n-i-1)/2 + j - i - 1 }
 // counts and its scratch are cut from one slab.
 type coCounter struct {
 	CoCounts
+	buf     []uint32 // the slab, kept across walks
 	nreg    int      // registry types when the scan began
 	verdict []uint32 // per (type of L, registry type): 0 unknown, 1 under it, 2 not
 	pos     []uint32 // per column, the root merge's position
@@ -66,7 +67,7 @@ type coCounter struct {
 // init sizes the counter for the scan keywords ks and in's L; with fewer
 // than two keywords or no type in L there is nothing to count.
 func (c *coCounter) init(in Input, ks []string) {
-	c.ks, c.l = ks, in.Judge.Candidates()
+	c.ks, c.l, c.pairs, c.answered = ks, in.Judge.Candidates(), nil, false
 	n := len(ks)
 	c.per = n * (n - 1) / 2
 	if c.per == 0 || len(c.l) == 0 {
@@ -74,11 +75,23 @@ func (c *coCounter) init(in Input, ks []string) {
 	}
 	c.nreg = in.Index.Types.Len()
 	nv := len(c.l) * c.nreg
-	slab := make([]uint32, len(c.l)*c.per+nv+4*n)
+	c.buf = resize(c.buf, len(c.l)*c.per+nv+4*n)
+	slab := c.buf
 	c.pairs, slab = slab[:len(c.l)*c.per], slab[len(c.l)*c.per:]
 	c.verdict, slab = slab[:nv], slab[nv:]
 	c.pos, c.cols, c.act, c.grp = slab[:n], slab[n:n:2*n], slab[2*n:2*n:3*n], slab[3*n:3*n:4*n]
 }
+
+// copyFrom makes the counter's counts a copy of o, in its own slab: a
+// merge's counts outlive the scans it adds up.
+func (c *coCounter) copyFrom(o *CoCounts) {
+	c.buf = append(c.buf[:0], o.pairs...)
+	c.CoCounts = *o
+	c.pairs = c.buf
+}
+
+// reset drops the counter's references into the last walk's query.
+func (c *coCounter) reset() { c.CoCounts = CoCounts{} }
 
 // under reports whether a node of type ty lies in a subtree of L's type
 // ti, the verdict cached per type ID.

@@ -279,7 +279,7 @@ func TestDPScratchConcurrentMemo(t *testing.T) {
 		for i := range masks {
 			masks[i] = randomMask(r, len(ks))
 		}
-		memo := &newWalk().memo
+		memo := new(dpMemo)
 		got := make([][][]dpCand, 4)
 		var wg sync.WaitGroup
 		for g := range got {
@@ -316,7 +316,7 @@ func TestDPMemoHashCollision(t *testing.T) {
 	for string(a) == string(b) {
 		b = randomMask(r, len(ks))
 	}
-	memo := &newWalk().memo
+	memo := new(dpMemo)
 	var x dpScratch
 	memo.get(in, 3, ks, a, &x)
 	memo.byHash[maphash.Bytes(memoSeed, b)] = memo.byHash[maphash.Bytes(memoSeed, a)]

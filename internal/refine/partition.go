@@ -58,6 +58,8 @@ type TopKOutcome struct {
 	// reads (Formula 7); a shard walk's is the sum of its scans'. Nil for
 	// an exploration that is not the partition walk.
 	CoCounts *CoCounts
+
+	st *Scan // the state the outcome lives in, until Release
 }
 
 // markDegraded records a budget-induced early stop on the outcome.
@@ -77,36 +79,37 @@ func (o *TopKOutcome) markDegraded(b *Budget) {
 // (Theorem 2).
 //
 // It is one run of walk.go's partition loop on the caller's goroutine,
-// whose top-2K SortedList is the candidates.
+// whose top-2K SortedList is the candidates. The walk borrows a Scan from
+// the free list, and the outcome lives in it until Release.
 func PartitionTopK(in Input, k int) (*TopKOutcome, error) {
 	k = max(k, 1)
 	ks := in.ScanKeywords()
 	if len(ks) == 0 {
 		return &TopKOutcome{Workers: 1}, nil
 	}
-	var s Scan
-	if err := s.scan(in, k, ks, newWalk()); err != nil {
+	s := getScan()
+	if err := s.scan(in, k, ks, &s.own); err != nil {
+		s.Release()
 		return nil, err
 	}
-	// A copy, so the scan and its scratch stay on the stack.
-	co := s.co.CoCounts
-	out := &TopKOutcome{Candidates: s.list.settle(), Workers: 1, CoCounts: &co}
+	out := &s.out
+	*out = TopKOutcome{Candidates: s.list.settle(&s.slca.slab), Workers: 1, CoCounts: &s.co.CoCounts, st: s}
 	s.addTo(out)
 	out.markDegraded(in.Budget)
 	return out, nil
 }
 
-// scanLists fetches the inverted list of every scan keyword. Loads go
-// through the context-aware index path so a canceled query stops between
-// (possibly disk-backed) list loads. Under tracing it records a
-// "load-lists" span noting how many lists had to be lazily loaded (vs
-// already resident) and the posting mass fetched.
-func scanLists(in Input, ks []string) ([]*index.List, error) {
+// scanLists fetches the inverted list of every scan keyword into the
+// scan's list buffer. Loads go through the context-aware index path so a
+// canceled query stops between (possibly disk-backed) list loads. Under
+// tracing it records a "load-lists" span noting how many lists had to be
+// lazily loaded (vs already resident) and the posting mass fetched.
+func (s *Scan) scanLists(in Input, ks []string) ([]*index.List, error) {
 	ctx := in.Budget.Context()
 	sp := in.Trace.StartChild("load-lists")
-	lists := make([]*index.List, len(ks))
+	lists := s.lists[:0]
 	var loaded, postings int64
-	for i, kw := range ks {
+	for _, kw := range ks {
 		l, wasLoaded, err := in.Index.ListCtxInfo(ctx, kw)
 		if err != nil {
 			sp.End()
@@ -116,8 +119,9 @@ func scanLists(in Input, ks []string) ([]*index.List, error) {
 			loaded++
 		}
 		postings += int64(l.Len())
-		lists[i] = l
+		lists = append(lists, l)
 	}
+	s.lists = lists
 	if sp != nil {
 		sp.SetInt("lists", int64(len(ks)))
 		sp.SetInt("loaded", loaded)
@@ -133,11 +137,11 @@ func scanLists(in Input, ks []string) ([]*index.List, error) {
 // so the walk decodes each compressed block once (Theorem 2's single
 // scan). In the same pass it copies the partition's postings into
 // walker-owned buffers — one posting buffer and one ID arena, reused
-// across partitions — which the partition's SLCA calls and result typing
-// read. close() must run when the walk ends to recycle the decode
-// buffers.
+// across partitions and, in a Scan, across walks — which the partition's
+// SLCA calls and result typing read. close() must run when the walk ends
+// to recycle the decode buffers.
 type partitionWalker struct {
-	curs []*index.Cursor
+	curs []index.Cursor
 	// cols[i] is the current partition's postings of lists[i], a slice
 	// of posts whose IDs are cut from arena; both are overwritten by the
 	// next partition.
@@ -152,18 +156,22 @@ type partitionWalker struct {
 	pidEnd dewey.ID // the partition root's next sibling, its exclusive bound (reused)
 }
 
-// newPartitionWalker positions a cursor at the start of each list.
-func newPartitionWalker(lists []*index.List) *partitionWalker {
-	w := &partitionWalker{
-		curs: make([]*index.Cursor, len(lists)),
-		cols: make([][]index.Posting, len(lists)),
-		ends: make([]int, len(lists)),
-		mask: make([]byte, (len(lists)+7)/8),
-	}
+// open positions a cursor at the start of each list. The cursors are kept
+// by value, so opening them allocates nothing once the walker has grown.
+func (w *partitionWalker) open(lists []*index.List) {
+	w.curs = resize(w.curs, len(lists))
+	w.cols = resize(w.cols, len(lists))
+	w.ends = resize(w.ends, len(lists))
+	w.mask = resize(w.mask, (len(lists)+7)/8)
 	for i, l := range lists {
-		w.curs[i] = l.NewCursor()
+		w.curs[i] = *l.NewCursor()
 	}
-	return w
+}
+
+// reset drops the walker's references into the last walk's lists,
+// keeping its buffers.
+func (w *partitionWalker) reset() {
+	w.curs, w.cols, w.posts = clearAll(w.curs), clearAll(w.cols), clearAll(w.posts)
 }
 
 // maskHas reports whether bit i of a keyword mask is set.
@@ -171,8 +179,8 @@ func maskHas(mask []byte, i int) bool { return mask[i/8]&(1<<(i%8)) != 0 }
 
 // close recycles the walker's cursor decode buffers.
 func (w *partitionWalker) close() {
-	for _, c := range w.curs {
-		c.Close()
+	for i := range w.curs {
+		w.curs[i].Close()
 	}
 }
 
@@ -190,7 +198,8 @@ func (w *partitionWalker) next() bool {
 		// cursor yields alias its reusable decode buffer, so the running
 		// minimum is copied into w.v.
 		found := false
-		for _, c := range w.curs {
+		for i := range w.curs {
+			c := &w.curs[i]
 			if !c.Valid() {
 				continue
 			}
@@ -205,8 +214,8 @@ func (w *partitionWalker) next() bool {
 		}
 		v := w.v
 		if len(v) < 2 {
-			for _, c := range w.curs {
-				if c.Valid() && dewey.Equal(c.ID(), v) {
+			for i := range w.curs {
+				if c := &w.curs[i]; c.Valid() && dewey.Equal(c.ID(), v) {
 					c.Next()
 				}
 			}
@@ -225,9 +234,9 @@ func (w *partitionWalker) fill(pid dewey.ID) {
 	w.pidEnd[len(w.pidEnd)-1]++
 	w.posts, w.arena = w.posts[:0], w.arena[:0]
 	clear(w.mask)
-	for i, c := range w.curs {
+	for i := range w.curs {
 		start := len(w.posts)
-		w.posts, w.arena = c.AppendUntil(w.posts, w.arena, w.pidEnd)
+		w.posts, w.arena = w.curs[i].AppendUntil(w.posts, w.arena, w.pidEnd)
 		w.ends[i] = len(w.posts)
 		if len(w.posts) > start {
 			w.mask[i/8] |= 1 << (i % 8)
@@ -247,16 +256,9 @@ func (w *partitionWalker) fill(pid dewey.ID) {
 type slcaScratch struct {
 	sub  [][]index.Posting
 	slca slca.Scratch
-	slab []Match
-	ids  []uint32
+	slab arena[Match]
+	ids  arena[uint32]
 }
-
-// minSlab is the length of a scan's first result slab, and minIDSlab the
-// length of its first result-ID slab.
-const (
-	minSlab   = 64
-	minIDSlab = 512
-)
 
 // partitionSLCA computes the meaningful SLCAs of c's refined query inside
 // one document partition by running scan-eager over the partition's
@@ -269,8 +271,8 @@ const (
 // cols alias the walker's buffers, which the next partition overwrites,
 // so every result ID is copied into x's ID slab. The results are a
 // capacity-capped slice of x's slab, so appending to them copies and never
-// writes into another call's results. Once x's buffers have grown, the
-// call allocates nothing.
+// writes into another call's results. Once x's slabs have grown, in this
+// walk or an earlier one of the same Scan, the call allocates nothing.
 func (x *slcaScratch) partitionSLCA(in Input, c *dpCand, cols [][]index.Posting) ([]Match, int) {
 	sub := x.sub[:0]
 	for _, col := range c.cols {
@@ -292,26 +294,17 @@ func (x *slcaScratch) partitionSLCA(in Input, c *dpCand, cols [][]index.Posting)
 	if len(ids) == 0 {
 		return nil, cost
 	}
-	// A fresh slab chunk when the tail cannot hold every ID as a match;
-	// earlier results keep the old chunk alive.
-	if cap(x.slab)-len(x.slab) < len(ids) {
-		x.slab = make([]Match, 0, max(2*cap(x.slab), len(ids), minSlab))
-	}
-	a := len(x.slab)
-	x.slab = appendMeaningful(x.slab, ids, sub[len(sub)-1], in.Judge)
-	if len(x.slab) == a {
+	n := len(appendMeaningful(x.slab.tail(len(ids)), ids, sub[len(sub)-1], in.Judge))
+	if n == 0 {
 		return nil, cost
 	}
-	for i := a; i < len(x.slab); i++ {
-		id := x.slab[i].ID
-		if cap(x.ids)-len(x.ids) < len(id) {
-			x.ids = make([]uint32, 0, max(2*cap(x.ids), len(id), minIDSlab))
-		}
-		b := len(x.ids)
-		x.ids = append(x.ids, id...)
-		x.slab[i].ID = x.ids[b:len(x.ids):len(x.ids)]
+	res := x.slab.cut(n)
+	for i := range res {
+		id := x.ids.take(len(res[i].ID))
+		copy(id, res[i].ID)
+		res[i].ID = id
 	}
-	return x.slab[a:len(x.slab):len(x.slab)], cost
+	return res, cost
 }
 
 // Original computes the meaningful SLCAs of the original query directly —

@@ -99,9 +99,10 @@ type SortedList struct {
 	cap   int
 	items []*Item
 	byKey map[string]*Item
+	slab  arena[Item] // the items, cut from chunks that reset keeps
 	// later is extend's queue, in arrival order, in chunks of doubling
 	// size, so that growing it copies nothing.
-	later [][]laterResults
+	later arena[laterResults]
 }
 
 // laterResults is one run of results for an item already in the list.
@@ -112,10 +113,22 @@ type laterResults struct {
 
 // NewSortedList returns an empty list holding at most cap candidates.
 func NewSortedList(cap int) *SortedList {
-	if cap < 1 {
-		cap = 1
+	l := &SortedList{}
+	l.reset(cap)
+	return l
+}
+
+// reset empties the list and sets its capacity, keeping its table, item
+// chunks and queue chunks for reuse.
+func (l *SortedList) reset(cap int) {
+	l.cap = max(cap, 1)
+	l.items = clearAll(l.items)
+	if l.byKey == nil {
+		l.byKey = make(map[string]*Item)
 	}
-	return &SortedList{cap: cap, byKey: make(map[string]*Item)}
+	clear(l.byKey)
+	l.slab.reset()
+	l.later.reset()
 }
 
 // Len returns the number of stored candidates.
@@ -165,24 +178,19 @@ func (l *SortedList) insert(rq RQ, key string, results []Match) *Item {
 	if !l.Qualifies(rq.DSim, key) {
 		return nil
 	}
-	it := &Item{RQ: rq, Results: results, key: key}
-	l.add(it)
-	return it
-}
-
-// add places a qualifying item the list does not hold, evicting the
-// worst when over capacity.
-func (l *SortedList) add(it *Item) {
-	pos := sort.Search(len(l.items), func(i int) bool { return before(it.RQ.DSim, it.key, l.items[i]) })
+	it := &l.slab.take(1)[0]
+	*it = Item{RQ: rq, Results: results, key: key}
+	pos := sort.Search(len(l.items), func(i int) bool { return before(rq.DSim, key, l.items[i]) })
 	l.items = append(l.items, nil)
 	copy(l.items[pos+1:], l.items[pos:])
 	l.items[pos] = it
-	l.byKey[it.key] = it
+	l.byKey[key] = it
 	if len(l.items) > l.cap {
 		ev := l.items[len(l.items)-1]
 		l.items = l.items[:len(l.items)-1]
 		delete(l.byKey, ev.key)
 	}
+	return it
 }
 
 // extend queues res to follow the results of it. The walk extends an item
@@ -190,29 +198,29 @@ func (l *SortedList) add(it *Item) {
 // Results once, where an append per partition would regrow it each time.
 func (l *SortedList) extend(it *Item, res []Match) {
 	it.more += len(res)
-	n := len(l.later)
-	if n == 0 || len(l.later[n-1]) == cap(l.later[n-1]) {
-		l.later = append(l.later, make([]laterResults, 0, 8<<min(n, 16)))
-		n++
-	}
-	l.later[n-1] = append(l.later[n-1], laterResults{it, res})
+	l.later.take(1)[0] = laterResults{it, res}
 }
 
-// settle moves every queued run into its item's Results, in arrival
-// order, and returns Items.
-func (l *SortedList) settle() []*Item {
-	for _, chunk := range l.later {
-		for _, lr := range chunk {
-			it := lr.it
-			if it.more > 0 {
-				r := make([]Match, len(it.Results), len(it.Results)+it.more)
-				copy(r, it.Results)
-				it.Results, it.more = r, 0
-			}
-			it.Results = append(it.Results, lr.res...)
+// settle moves every queued run of a kept item into its Results, in
+// arrival order, and returns Items. Each kept item with queued runs gets
+// its Results cut from res once, at their full length; an evicted item's
+// runs are not copied. res may be the slab the runs were cut from: an
+// arena never moves what it has handed out.
+func (l *SortedList) settle(res *arena[Match]) []*Item {
+	for _, it := range l.items {
+		if it.more > 0 {
+			r := res.take(len(it.Results) + it.more)
+			it.Results, it.more = r[:copy(r, it.Results)], 0
 		}
 	}
-	l.later = nil
+	for _, chunk := range l.later.chunks {
+		for _, lr := range chunk {
+			if lr.it.more == 0 {
+				lr.it.Results = append(lr.it.Results, lr.res...)
+			}
+		}
+	}
+	l.later.reset()
 	return l.items
 }
 

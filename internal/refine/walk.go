@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"xrefine/internal/dewey"
+	"xrefine/internal/index"
 )
 
 // This file is Algorithm 2's one partition loop and the shard path around
@@ -90,9 +91,6 @@ type Walk struct {
 	memo  dpMemo
 }
 
-// newWalk returns the state of a walk with no shared bound.
-func newWalk() *Walk { return &Walk{memo: dpMemo{byHash: make(map[uint64]*dpEntry)}} }
-
 // memoSeed seeds the hash dpMemo keys its entries by.
 var memoSeed = maphash.MakeSeed()
 
@@ -103,16 +101,17 @@ var memoSeed = maphash.MakeSeed()
 // Each mask is computed once, by the first scan that meets it; a sibling
 // scan meeting it meanwhile waits on the entry.
 //
-// A miss allocates nothing of its own: entries are cut from chunks that
-// never move (sync.Once must not be copied), the map is keyed by the
-// mask's hash, and the masks are kept back to back in one arena, where
-// an entry's offset resolves a collision.
+// A miss allocates nothing of its own: entries are cut from an arena whose
+// chunks never move (sync.Once must not be copied), the map is keyed by
+// the mask's hash, and the masks are kept back to back in one buffer,
+// where an entry's offset resolves a collision. A lone walk's memo lives
+// in its Scan, and reset keeps all three for the next walk.
 type dpMemo struct {
-	mu     sync.Mutex
-	byHash map[uint64]*dpEntry // the first entry of each hash
-	free   []dpEntry           // the unused tail of the newest chunk
-	masks  []byte
-	n      int // entries made
+	mu      sync.Mutex
+	byHash  map[uint64]*dpEntry // the first entry of each hash
+	entries arena[dpEntry]
+	masks   []byte
+	n       int // entries made
 }
 
 type dpEntry struct {
@@ -137,15 +136,15 @@ type dpCand struct {
 func (m *dpMemo) get(in Input, k int, ks []string, mask []byte, x *dpScratch) []dpCand {
 	h := maphash.Bytes(memoSeed, mask)
 	m.mu.Lock()
+	if m.byHash == nil {
+		m.byHash = make(map[uint64]*dpEntry)
+	}
 	e := m.byHash[h]
 	for e != nil && string(m.masks[e.off:e.off+len(mask)]) != string(mask) {
 		e = e.next
 	}
 	if e == nil {
-		if len(m.free) == 0 {
-			m.free = make([]dpEntry, max(8, m.n))
-		}
-		e, m.free = &m.free[0], m.free[1:]
+		e = &m.entries.take(1)[0]
 		e.off, e.next = len(m.masks), m.byHash[h]
 		m.masks = append(m.masks, mask...)
 		m.byHash[h] = e
@@ -154,6 +153,14 @@ func (m *dpMemo) get(in Input, k int, ks []string, mask []byte, x *dpScratch) []
 	m.mu.Unlock()
 	e.once.Do(func() { e.cands = x.runDP(in, k, ks, mask) })
 	return e.cands
+}
+
+// reset empties the memo for the next walk, keeping its map, entries and
+// mask buffer.
+func (m *dpMemo) reset() {
+	clear(m.byHash)
+	m.entries.reset()
+	m.masks, m.n = m.masks[:0], 0
 }
 
 // runs reports how many masks the memo has run the dynamic program for:
@@ -165,16 +172,17 @@ func (m *dpMemo) runs() int {
 }
 
 // runDP runs the top-2K dynamic program over the scan keywords in mask.
-// The universe is ks in sorted order, fixed by the scratch's first run.
+// The universe is ks in sorted order, fixed by the scratch's first run in
+// the walk.
 func (x *dpScratch) runDP(in Input, k int, ks []string, mask []byte) []dpCand {
-	if x.cols == nil {
-		x.words = slices.Clone(ks)
+	if len(x.cols) == 0 {
+		x.words = append(x.words[:0], ks...)
 		slices.Sort(x.words)
 		for _, kw := range x.words {
 			x.cols = append(x.cols, slices.Index(ks, kw))
 		}
 		x.w = max(1, (len(ks)+63)/64)
-		x.sets = make([]uint64, 2*x.w)
+		x.sets = resize(x.sets, 2*x.w)
 	}
 	clear(x.sets[x.w : 2*x.w])
 	for b, col := range x.cols {
@@ -187,10 +195,14 @@ func (x *dpScratch) runDP(in Input, k int, ks []string, mask []byte) []dpCand {
 
 // Scan is one run of the partition loop over one index: its own top-2K
 // list, its work counts and the scratch its SLCA calls, dynamic-program
-// runs and co-occurrence counting reuse.
+// runs and co-occurrence counting reuse. It is also the query state a
+// walk borrows from the free list (state.go): a lone walk's outcome, and a
+// merge's, live in a Scan until Release.
 type Scan struct {
 	walk *Walk
-	list *SortedList
+	own  Walk // a lone walk's shared state: no bound, and its memo
+	list SortedList
+	out  TopKOutcome
 
 	partitions   int
 	slcaCalls    int
@@ -199,9 +211,12 @@ type Scan struct {
 	rqPruned     int
 	boundUpdates int
 
-	slca slcaScratch
-	dp   dpScratch
-	co   coCounter
+	lists []*index.List
+	w     partitionWalker
+	slca  slcaScratch
+	dp    dpScratch
+	co    coCounter
+	runs  [][]Match // a merge's runs of one candidate
 }
 
 // Partitions reports how many partitions the scan fully processed.
@@ -219,7 +234,8 @@ func (s *Scan) addTo(out *TopKOutcome) {
 }
 
 // ScanJob produces one scan of a walk. walk is the state the pool shares
-// across the walk's scans.
+// across the walk's scans. The scan it returns belongs to the caller, who
+// hands it to MergeScans or releases it.
 type ScanJob func(walk *Walk) (*Scan, error)
 
 // ScanShard is the scan of a shard source: every partition of in.Index,
@@ -229,10 +245,13 @@ type ScanJob func(walk *Walk) (*Scan, error)
 // corpus-wide index (Input.ScanKeywords), so every shard scans the same
 // keyword columns and can share the walk's memo. Degradable budget expiry
 // ends the scan early (only fully-processed partitions contribute); a
-// hard cancellation or storage fault returns the error.
+// hard cancellation or storage fault returns the error. The scan is
+// borrowed from the free list; the caller passes it to MergeScans, or
+// releases it.
 func ScanShard(in Input, k int, ks []string, walk *Walk) (*Scan, error) {
-	s := &Scan{}
+	s := getScan()
 	if err := s.scan(in, max(k, 1), ks, walk); err != nil {
+		s.Release()
 		return nil, err
 	}
 	return s, nil
@@ -249,14 +268,16 @@ func ScanShard(in Input, k int, ks []string, walk *Walk) (*Scan, error) {
 // is a clean prefix. A degradable stop returns nil; a hard cancellation
 // returns the context error.
 func (s *Scan) scan(in Input, k int, ks []string, walk *Walk) error {
-	lists, err := scanLists(in, ks)
+	lists, err := s.scanLists(in, ks)
 	if err != nil {
 		return err
 	}
-	s.walk, s.list = walk, NewSortedList(2*k)
+	s.walk = walk
+	s.list.reset(2 * k)
 	s.co.init(in, ks)
-	sorted, bound := s.list, walk.bound
-	w := newPartitionWalker(lists)
+	sorted, bound := &s.list, walk.bound
+	w := &s.w
+	w.open(lists)
 	defer w.close()
 	for w.next() {
 		if !in.Budget.Charge(w.spanPostings()) {
@@ -318,7 +339,7 @@ func PoolSize(b *Budget, jobs int) int {
 func RunScans(b *Budget, jobs []ScanJob) ([]*Scan, []error) {
 	scans := make([]*Scan, len(jobs))
 	errs := make([]error, len(jobs))
-	walk := newWalk()
+	walk := &Walk{}
 	if len(jobs) > 1 {
 		walk.bound = newPruneBound()
 	}
@@ -350,44 +371,69 @@ func RunScans(b *Budget, jobs []ScanJob) ([]*Scan, []error) {
 // from one RunScans. in is the walk-wide input (its Budget supplies the
 // degradation reason). Nil scans — failed shards — contribute nothing;
 // the caller tags the outcome.
+//
+// The outcome lives in a Scan of its own, borrowed from the free list:
+// the kept candidates' results and IDs are copied into it, and every scan
+// passed in is released once merged.
 func MergeScans(in Input, k int, scans []*Scan) *TopKOutcome {
-	out := &TopKOutcome{Workers: 1}
-	merged := NewSortedList(2 * max(k, 1))
+	q := getMergeScan(len(scans))
+	q.list.reset(2 * max(k, 1))
+	out := &q.out
+	*out = TopKOutcome{Workers: 1, st: q}
 	for _, s := range scans {
 		if s == nil {
 			continue
 		}
 		if out.CoCounts == nil {
-			out.CoCounts = &s.co.CoCounts
+			q.co.copyFrom(&s.co.CoCounts)
+			out.CoCounts = &q.co.CoCounts
 		} else {
 			out.CoCounts.add(&s.co.CoCounts)
 		}
 		s.addTo(out)
-		for _, it := range s.list.settle() {
-			switch have := merged.byKey[it.key]; {
-			case have != nil:
-				have.Results = mergeRuns(have.Results, it.Results)
-			case merged.Qualifies(it.RQ.DSim, it.key):
-				merged.add(it)
-			}
+		for _, it := range s.list.settle(&s.slca.slab) {
+			q.list.insert(it.RQ, it.key, nil)
 		}
 	}
-	out.Candidates = merged.items
+	for _, it := range q.list.items {
+		runs, total := q.runs[:0], 0
+		for _, s := range scans {
+			if s == nil {
+				continue
+			}
+			if sit := s.list.byKey[it.key]; sit != nil {
+				runs, total = append(runs, sit.Results), total+len(sit.Results)
+			}
+		}
+		it.Results, q.runs = q.mergeRuns(runs, total), runs
+	}
+	for _, s := range scans {
+		s.Release()
+	}
+	out.Candidates = q.list.items
 	out.markDegraded(in.Budget)
 	return out
 }
 
-// mergeRuns merges two runs of one candidate's results, each in document
-// order and from disjoint partitions, into one run in document order. For
-// range shards one run follows the other, and the merge copies each once.
-func mergeRuns(a, b []Match) []Match {
-	out := make([]Match, 0, len(a)+len(b))
-	for len(a) > 0 && len(b) > 0 {
-		if dewey.Compare(a[0].ID, b[0].ID) < 0 {
-			out, a = append(out, a[0]), a[1:]
-		} else {
-			out, b = append(out, b[0]), b[1:]
+// mergeRuns merges one candidate's result runs, each in document order and
+// from disjoint partitions, into one run of total results in document
+// order, cut from the scan's result slab with every ID copied into its ID
+// slab: the runs may live in scans about to be released. For range
+// shards one run follows the other.
+func (s *Scan) mergeRuns(runs [][]Match, total int) []Match {
+	out := s.slca.slab.take(total)
+	for i := range out {
+		b := 0
+		for j := 1; j < len(runs); j++ {
+			if len(runs[j]) > 0 && (len(runs[b]) == 0 || dewey.Compare(runs[j][0].ID, runs[b][0].ID) < 0) {
+				b = j
+			}
 		}
+		m := runs[b][0]
+		runs[b] = runs[b][1:]
+		id := s.slca.ids.take(len(m.ID))
+		copy(id, m.ID)
+		out[i] = Match{ID: id, Type: m.Type}
 	}
-	return append(append(out, a...), b...)
+	return out
 }

@@ -51,11 +51,13 @@ func TestWalkerCopiesEachPartition(t *testing.T) {
 	f := newFixture(t, fig1, []string{"online", "keyword"})
 	in := f.input(t, []string{"online", "keyword", "mining"}, nil)
 	ks := in.ScanKeywords()
-	lists, err := scanLists(in, ks)
+	var s Scan
+	lists, err := s.scanLists(in, ks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := newPartitionWalker(lists)
+	w := &s.w
+	w.open(lists)
 	defer w.close()
 	var prev dewey.ID
 	visited := 0

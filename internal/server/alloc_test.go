@@ -13,8 +13,9 @@ import (
 
 // TestHTTPAllocOverhead is the HTTP twin of wire's TestWireAllocOverhead:
 // the same corpus, query and engines, with the whole handler path —
-// route, pipeline, search, encode, write — measured against a direct
-// Engine.QueryTermsCtx call. The request and the recorder are built once
+// route, pipeline, search, encode, release, write — measured against a
+// direct Engine.QueryTermsCtx call whose response is released the same
+// way. The request and the recorder are built once
 // and reused, so the count is the server's own. The ratchet: a /search
 // request may allocate at most 32 more times than the direct call —
 // slack for URL parsing, the body bound, the request's trace info and
@@ -58,9 +59,11 @@ func checkHTTPAllocOverhead(t *testing.T, eng *core.Engine, snippets bool) {
 	terms := []string{"database", "query"}
 	ctx := context.Background()
 	base := testing.AllocsPerRun(200, func() {
-		if _, err := eng.QueryTermsCtx(ctx, terms, core.StrategyPartition, 3, 0); err != nil {
+		resp, err := eng.QueryTermsCtx(ctx, terms, core.StrategyPartition, 3, 0)
+		if err != nil {
 			t.Fatal(err)
 		}
+		resp.Release() // as the codec does once it has encoded
 	})
 	served := testing.AllocsPerRun(200, serve)
 	t.Logf("allocs/request: HTTP /search %.1f, direct engine call %.1f, overhead %.1f", served, base, served-base)

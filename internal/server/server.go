@@ -311,6 +311,9 @@ func (s *Server) handleSearch(ctx context.Context, r *http.Request) (Outcome, an
 	}
 	body := bodyPool.Get().(*encodedBody)
 	body.b = AppendSearchBody(body.b[:0], out.Resp, s.eng, out.Explain)
+	// The body holds the answer's bytes; the walk's state goes back for
+	// the next query.
+	out.Resp.Release()
 	return out, body
 }
 

@@ -16,12 +16,13 @@ var raceEnabled bool
 // routerAllocCeiling bounds the mean allocations of one query on a
 // two-shard range router at K=1 over the golden workload. Lower it as the
 // router gets cheaper; never raise it.
-const routerAllocCeiling = 418
+const routerAllocCeiling = 186
 
 // TestRouterQueryAllocs is the router's allocation ratchet: passes over
 // the seed-909 Table-VIII workload on the golden corpus split into two
 // range shards, after a warm pass has filled the lazily built state
-// (judge memos, resident lists). It measures at one P, as
+// (judge memos, resident lists). Each response is released, as the
+// servers release theirs once encoded. It measures at one P, as
 // testing.AllocsPerRun expects: a sync.Pool item put back on one P is not
 // found by a Get on another, which then allocates anew.
 func TestRouterQueryAllocs(t *testing.T) {
@@ -43,14 +44,16 @@ func TestRouterQueryAllocs(t *testing.T) {
 	r := memRouter(t, c.Doc, 2, ModeRange, &core.Config{DisableMetrics: true}, nil)
 	query := func() {
 		for _, cs := range batch {
-			if _, err := r.QueryTermsCtx(context.Background(), cs.Corrupted, core.StrategyPartition, 1, 0); err != nil {
+			resp, err := r.QueryTermsCtx(context.Background(), cs.Corrupted, core.StrategyPartition, 1, 0)
+			if err != nil {
 				t.Fatal(err)
 			}
+			resp.Release()
 		}
 	}
 	query()
 	got := testing.AllocsPerRun(3, query) / float64(len(batch))
-	t.Logf("%.0f allocations per router query, mean over %d queries", got, len(batch))
+	t.Logf("%.1f allocations per router query, mean over %d queries", got, len(batch))
 	if got > routerAllocCeiling {
 		t.Errorf("a router query allocated %.0f times, ceiling %d", got, routerAllocCeiling)
 	}

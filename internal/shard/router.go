@@ -514,6 +514,9 @@ func (r *Router) explore(in refine.Input, k int) (*refine.TopKOutcome, error) {
 			continue
 		}
 		if in.Budget.Err() != nil || errors.Is(err, context.Canceled) {
+			for _, s := range scans {
+				s.Release()
+			}
 			return nil, err
 		}
 		if firstErr == nil {
@@ -555,7 +558,8 @@ type attemptResult struct {
 // which shares the query's posting budget but not its lifetime). A failed
 // attempt fails over to the next replica with doubling backoff, up to one
 // attempt per readable replica plus the configured retries, before the
-// shard is declared failed.
+// shard is declared failed. Each attempt's scan borrows its own state; a
+// loser's is left to the collector, so it never touches the query's.
 func (r *Router) scanShardReplicated(in refine.Input, k int, ks []string, walk *refine.Walk, si int) (*refine.Scan, error) {
 	g := r.groups[si]
 	order := g.readOrder()

@@ -75,17 +75,27 @@ type Match struct {
 }
 
 // Within returns every stored word at Levenshtein distance in [1, max] of
-// word (the word itself is excluded), in no particular order.
+// word (the word itself is excluded), in no particular order. It converts
+// word once, and every visited node's word goes into one rune buffer and
+// is measured with one row, so the allocations of a call do not grow with
+// the nodes it visits.
 func (t *BKTree) Within(word string, max int) []Match {
 	if t.root == nil || max < 1 {
 		return nil
 	}
 	var out []Match
-	stack := []*bkNode{t.root}
+	q := []rune(word)
+	buf, row := make([]rune, 0, 32), make([]int, 0, 32)
+	stack := append(make([]*bkNode, 0, 64), t.root)
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		d := Levenshtein(word, n.word)
+		buf = buf[:0]
+		for _, r := range n.word {
+			buf = append(buf, r)
+		}
+		var d int
+		d, row = levenshtein(q, buf, -1, row)
 		if d >= 1 && d <= max {
 			out = append(out, Match{Word: n.word, Distance: d})
 		}

@@ -53,11 +53,18 @@ func TestBKTreeEmptyAndDegenerate(t *testing.T) {
 
 // Property: Within agrees exactly with a linear Levenshtein scan on random
 // vocabularies, for all query words and bounds.
+// TestPropertyBKTreeAgainstScan is Within's differential: its words and
+// the distances it reports, computed in buffers reused across the nodes
+// it visits, equal a scan with Levenshtein. Words mix multi-byte runes,
+// and one in ten is longer than the buffers Within starts with.
 func TestPropertyBKTreeAgainstScan(t *testing.T) {
 	r := rand.New(rand.NewSource(88))
-	letters := []rune("abcd")
+	letters := []rune("abcdé日")
 	randWordN := func() string {
 		n := 1 + r.Intn(7)
+		if r.Intn(10) == 0 {
+			n += 33
+		}
 		w := make([]rune, n)
 		for i := range w {
 			w[i] = letters[r.Intn(len(letters))]
@@ -108,17 +115,7 @@ func TestPropertyBKTreeAgainstScan(t *testing.T) {
 }
 
 func BenchmarkBKTreeWithin(b *testing.B) {
-	r := rand.New(rand.NewSource(3))
-	letters := []rune("abcdefghij")
-	vocab := make([]string, 20000)
-	for i := range vocab {
-		n := 3 + r.Intn(9)
-		w := make([]rune, n)
-		for j := range w {
-			w[j] = letters[r.Intn(len(letters))]
-		}
-		vocab[i] = string(w)
-	}
+	vocab := randomVocab(rand.New(rand.NewSource(3)), 20000)
 	tree := NewBKTree(vocab)
 	b.ResetTimer()
 	b.ReportAllocs()
@@ -128,17 +125,7 @@ func BenchmarkBKTreeWithin(b *testing.B) {
 }
 
 func BenchmarkLinearScanWithin(b *testing.B) {
-	r := rand.New(rand.NewSource(3))
-	letters := []rune("abcdefghij")
-	vocab := make([]string, 20000)
-	for i := range vocab {
-		n := 3 + r.Intn(9)
-		w := make([]rune, n)
-		for j := range w {
-			w[j] = letters[r.Intn(len(letters))]
-		}
-		vocab[i] = string(w)
-	}
+	vocab := randomVocab(rand.New(rand.NewSource(3)), 20000)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -146,5 +133,41 @@ func BenchmarkLinearScanWithin(b *testing.B) {
 		for _, w := range vocab {
 			DamerauLevenshteinWithin(q, w, 2)
 		}
+	}
+}
+
+// randomVocab returns n random words of 3 to 11 letters from a–j.
+func randomVocab(r *rand.Rand, n int) []string {
+	letters := []rune("abcdefghij")
+	vocab := make([]string, n)
+	for i := range vocab {
+		w := make([]rune, 3+r.Intn(9))
+		for j := range w {
+			w[j] = letters[r.Intn(len(letters))]
+		}
+		vocab[i] = string(w)
+	}
+	return vocab
+}
+
+// TestBKTreeWithinAllocsFlat: a Within call allocates its query's runes,
+// one rune buffer, one row and its stack, whatever the number of nodes it
+// visits. The query shares no letter with the vocabulary, so it has no
+// match at distance 2 and the answer allocates nothing; the allocations
+// then stay the same from 290 words to 20 000, although the larger tree
+// visits far more nodes.
+func TestBKTreeWithinAllocsFlat(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	var allocs []float64
+	for _, n := range []int{290, 20000} {
+		tree := NewBKTree(randomVocab(r, n))
+		if got := tree.Within("klmnopq", 2); len(got) != 0 {
+			t.Fatalf("%d words: %v within 2 of a word in other letters", n, got)
+		}
+		allocs = append(allocs, testing.AllocsPerRun(20, func() { tree.Within("klmnopq", 2) }))
+	}
+	t.Logf("allocations per Within: %v at 290 and 20 000 words", allocs)
+	if allocs[1] != allocs[0] {
+		t.Errorf("Within allocates %.0f times at 20 000 words, %.0f at 290", allocs[1], allocs[0])
 	}
 }

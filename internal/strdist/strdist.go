@@ -11,7 +11,8 @@ import "unicode/utf8"
 // minimum number of single-rune insertions, deletions and substitutions
 // turning a into b.
 func Levenshtein(a, b string) int {
-	return levenshtein([]rune(a), []rune(b), -1)
+	d, _ := levenshtein([]rune(a), []rune(b), -1, nil)
+	return d
 }
 
 // LevenshteinWithin returns the Levenshtein distance between a and b if it
@@ -27,7 +28,7 @@ func LevenshteinWithin(a, b string, max int) (int, bool) {
 	if la-lb > max || lb-la > max {
 		return 0, false
 	}
-	d := levenshtein([]rune(a), []rune(b), max)
+	d, _ := levenshtein([]rune(a), []rune(b), max, nil)
 	if d < 0 || d > max {
 		return 0, false
 	}
@@ -35,16 +36,21 @@ func LevenshteinWithin(a, b string, max int) (int, bool) {
 }
 
 // levenshtein computes the edit distance; when max >= 0 the computation is
-// banded and returns -1 as soon as the distance provably exceeds max.
-func levenshtein(a, b []rune, max int) int {
+// banded and returns -1 as soon as the distance provably exceeds max. It
+// computes in row, grown when shorter than the shorter string plus one,
+// and returns the row for the next call to reuse.
+func levenshtein(a, b []rune, max int, row []int) (int, []int) {
 	if len(a) < len(b) {
 		a, b = b, a
 	}
 	// b is the shorter string; one row of length len(b)+1.
 	if len(b) == 0 {
-		return len(a)
+		return len(a), row
 	}
-	row := make([]int, len(b)+1)
+	if cap(row) < len(b)+1 {
+		row = make([]int, len(b)+1)
+	}
+	row = row[:len(b)+1]
 	for j := range row {
 		row[j] = j
 	}
@@ -65,10 +71,10 @@ func levenshtein(a, b []rune, max int) int {
 			}
 		}
 		if max >= 0 && best > max {
-			return -1
+			return -1, row
 		}
 	}
-	return row[len(b)]
+	return row[len(b)], row
 }
 
 // DamerauLevenshtein returns the restricted Damerau-Levenshtein distance

@@ -18,7 +18,8 @@ import (
 // so with a zero-alloc client (pre-sized buffers, reused Response) the
 // measurement is the whole server path. The ratchet: a warm wire round
 // trip may allocate at most 2 more times per request than calling
-// Engine.QueryTermsCtx directly — slack for the decoded terms slice and
+// Engine.QueryTermsCtx directly and releasing the response, as the codec
+// does — slack for the decoded terms slice and
 // the runtime's network-poll bookkeeping.
 //
 // It holds on two engines over one corpus. The index-only one has no
@@ -93,6 +94,7 @@ func checkWireAllocOverhead(t *testing.T, eng *core.Engine, snippets bool) {
 		for _, q := range resp.Queries {
 			results += len(q.Results)
 		}
+		resp.Release() // as the codec does once it has encoded
 	})
 	wire := testing.AllocsPerRun(200, func() {
 		resp, err := c.Query(7, strat, 3, 0, terms)

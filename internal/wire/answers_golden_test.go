@@ -47,6 +47,11 @@ func goldenQueries(t *testing.T, c *experiments.Corpus) []string {
 // change to the walk, the ranking, the snippets or the encoder that moves
 // a single byte of an answer changes a line here; `go test -run
 // TestAnswersGolden ./internal/wire -update` rewrites the file.
+//
+// Both codecs release each response once encoded, so every request after
+// the first walks on the state the one before it released; the k=3
+// queries then run again in reverse order, each on a state another query
+// left, and must give the same bytes.
 func TestAnswersGolden(t *testing.T) {
 	c, err := experiments.DBLPCorpus(0.2)
 	if err != nil {
@@ -74,9 +79,15 @@ func TestAnswersGolden(t *testing.T) {
 
 	h, cl := serve(nil)
 	queries := goldenQueries(t, c)
+	bodies := map[string]string{}
 	for _, k := range []int{1, 3, 10} {
 		for _, q := range queries {
-			check(h, cl, fmt.Sprintf("k=%d q=%s", k, strings.ReplaceAll(q, " ", "+")), q, k)
+			bodies[fmt.Sprint(k, q)] = check(h, cl, fmt.Sprintf("k=%d q=%s", k, strings.ReplaceAll(q, " ", "+")), q, k)
+		}
+	}
+	for i := len(queries) - 1; i >= 0; i-- {
+		if _, body := httpSearch(t, h, queries[i], 3); body != bodies[fmt.Sprint(3, queries[i])] {
+			t.Errorf("k=3 q=%s: answered in reverse order, the body differs", queries[i])
 		}
 	}
 	if body := check(h, cl, "unmatchable k=3 q=qqzzx+wwyyv", "qqzzx wwyyv", 3); !strings.Contains(body, `"queries": null`) {

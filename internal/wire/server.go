@@ -370,11 +370,12 @@ func (c *conn) handle(pr *pendingReq) (closeConn bool) {
 }
 
 // handleQuery is the binary hot path: frame → request, the pipeline, and
-// the zero-copy encode of its Outcome into c.wbuf. Its per-request
-// allocations are the terms slice the engine retains (responses and the
-// query cache keep it, so it cannot be pooled) and whatever the pipeline
-// and engine themselves do — the TestWireAllocOverhead ratchet holds the
-// full round-trip to within two allocations of a direct engine call.
+// the zero-copy encode of its Outcome into c.wbuf, after which the
+// response is released and its walk state goes back for the next query.
+// Its per-request allocations are the terms slice the response keeps as
+// its Terms and whatever the pipeline and engine themselves do — the
+// TestWireAllocOverhead ratchet holds the full round-trip to within two
+// allocations of a direct engine call.
 func (c *conn) handleQuery(req *Request) {
 	// The term strings come from the per-connection intern table, so a
 	// repeated vocabulary costs one small allocation per request, not one
@@ -390,6 +391,7 @@ func (c *conn) handleQuery(req *Request) {
 		c.wbuf, _ = appendRespHeader(c.wbuf[:0], StatusOK, out.Trace)
 		c.wbuf = server.AppendSearchBody(c.wbuf, out.Resp, c.srv.pipe.Backend(), nil)
 		c.wbuf = patchFrameLen(c.wbuf, 0)
+		out.Resp.Release()
 	case 503:
 		c.wbuf = AppendRetry(c.wbuf[:0], out.Trace, out.RetryAfter, out.Err.Error())
 	case CodeCancelled:
