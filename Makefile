@@ -34,22 +34,21 @@ cover:
 	./scripts/cover_gate.sh
 
 # Short fuzz bursts on every fuzz target; lengthen with FUZZTIME=1m.
+# Targets are listed per package with `go test -list '^Fuzz'`, so a new
+# one runs without being named here. Every target runs even when an
+# earlier one fails; the recipe fails at the end, naming the failures.
 # Committed regression corpora live in each package's testdata/fuzz and
 # replay under plain `go test` as well.
 FUZZTIME ?= 10s
 fuzz:
-	$(GO) test ./internal/dewey -fuzz FuzzFromBytes -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/dewey -fuzz FuzzParse -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/xmltree -fuzz FuzzParse -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/xmltree -fuzz FuzzAppendSnippet -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/kvstore -fuzz FuzzDecodeNode -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/kvstore -fuzz FuzzDecodeMeta -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/core -fuzz FuzzQueryPipeline -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/shard -fuzz FuzzShardMerge -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/index -fuzz FuzzBlockCodec -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/index -fuzz FuzzBuildStream -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/wire -fuzz FuzzWireFrame -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/wire -fuzz FuzzWireRequest -fuzztime $(FUZZTIME)
+	@list=$$($(GO) test -list '^Fuzz' ./...) || { echo "$$list"; exit 1; }; \
+	targets=$$(echo "$$list" | awk '/^Fuzz/ { t[n++] = $$1; next } /^ok/ { for (i = 0; i < n; i++) print $$2 ":" t[i]; n = 0 }'); \
+	failed=""; \
+	for t in $$targets; do \
+		echo "== $$t"; \
+		$(GO) test "$${t%:*}" -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime $(FUZZTIME) || failed="$$failed $$t"; \
+	done; \
+	if [ -n "$$failed" ]; then echo "fuzz targets failed:$$failed"; exit 1; fi
 
 # Regenerate every table and figure of the paper (takes minutes at scale 1).
 experiments:

@@ -548,7 +548,7 @@ func ExampleOpenIndex() {
 		fmt.Println()
 	}
 	// Output:
-	// indexed corpus: 700 keys, 266240 bytes on disk
+	// indexed corpus: 658 keys, 229376 bytes on disk
 	//
 	// > databse query optimizaton
 	//   inferred search target: author, publications

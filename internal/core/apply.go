@@ -132,10 +132,6 @@ func (e *Engine) commitEpoch(staged *mutate.StageResult, next uint64) error {
 		if err := staged.Mut.SaveDelta(s); err != nil {
 			return err
 		}
-		lo, hi := xmltree.DocChunkBounds()
-		if _, err := s.DeleteRange(lo, hi); err != nil {
-			return err
-		}
 		if err := xmltree.SaveDocument(staged.Doc, s); err != nil {
 			return err
 		}

@@ -182,19 +182,14 @@ func (e *Engine) Health() HealthExtras {
 // HTTP server registers its own metrics on. Nil when DisableMetrics.
 func (e *Engine) Metrics() *obs.Registry { return e.reg }
 
-// noteOutcome records one exploration's observables: a router's shard
-// fan-out, partitions visited, dynamic-program runs, candidate generation
-// and pruning, and the SLCA work delegated.
+// noteOutcome records one exploration's observables: partitions visited,
+// dynamic-program runs, candidate generation and pruning, and the SLCA
+// work delegated.
 func (e *Engine) noteOutcome(out *refine.TopKOutcome) {
-	if out.Workers > 1 {
-		e.m.parallel.Inc()
-		e.m.workerRuns.Add(int64(out.Workers))
-	}
 	e.m.refinePartitions.Add(int64(out.Partitions))
 	e.m.rqGenerated.Add(int64(out.RQGenerated))
 	e.m.dpRuns.Add(int64(out.DPRuns))
 	e.m.rqPruned.Add(int64(out.RQPruned))
-	e.m.boundUpdates.Add(int64(out.BoundUpdates))
 	e.m.slcaCalls.Add(int64(out.SLCACalls))
 	e.m.slcaPostings.Add(out.SLCAPostings)
 }
@@ -546,7 +541,6 @@ func annotateRefineSpan(sp *obs.Span, out *refine.TopKOutcome) {
 		sp.SetInt("rq_generated", int64(out.RQGenerated))
 		sp.SetInt("dp_runs", int64(out.DPRuns))
 		sp.SetInt("rq_pruned", int64(out.RQPruned))
-		sp.SetInt("workers", int64(out.Workers))
 		if out.Degraded {
 			sp.SetStr("degraded", out.DegradedReason)
 		}

@@ -18,7 +18,7 @@ import (
 // ordinals, with a skip entry (first ID, byte offset, count) per block so
 // seeks binary-search the skip table and decode only the blocks they
 // touch. The encoded form is also the persisted form (persist.go writes
-// the byte stream straight into kvstore chunks), so disk and RAM shrink
+// the byte stream straight into store cells), so disk and RAM shrink
 // together. Consecutive Dewey labels in a document-ordered list share
 // long prefixes, which is where the compression comes from — the idea of
 // running the paper's algorithms directly over a compressed structure
@@ -92,7 +92,7 @@ func BlockStats() BlockOpStats {
 }
 
 // blockWriter encodes postings appended in document order into a
-// listCore. It is the single encoder behind NewList, the lazy chunk
+// listCore. It is the single encoder behind NewList, the lazy list
 // loader and the mutator's copy-on-write clones.
 type blockWriter struct {
 	term       string

@@ -20,7 +20,7 @@ import (
 // first mutation of a term clones its entry. The source index keeps
 // serving concurrent readers untouched throughout. Cloning a term first
 // forces its posting list resident through the *shared* entry — after the
-// batch commits, the chunks that term's lazy loader would have read are
+// batch commits, the cells that term's lazy loader would have read are
 // rewritten, so the previous epoch must never page it in again.
 //
 // Statistic maintenance is Build's: the subtree is tallied by the same
@@ -290,8 +290,8 @@ func (m *Mutator) DeleteSubtree(sub *xmltree.Node) error {
 }
 
 // SaveDelta writes the derivation into the store: document-level metadata
-// always (node counts and stats changed), removed terms' rows and chunks
-// deleted, changed terms' rows and chunks rewritten. It does not commit —
+// always (node counts and stats changed), removed terms' rows and lists
+// deleted, changed terms' rows and lists rewritten. It does not commit —
 // the caller batches it with the document rewrite and the epoch bump into
 // one atomic commit.
 func (m *Mutator) SaveDelta(s storage.Backend) error {
@@ -303,34 +303,15 @@ func (m *Mutator) SaveDelta(s storage.Backend) error {
 		return err
 	}
 	for _, term := range m.Removed() {
-		if _, err := s.Delete(freqKey(term)); err != nil {
-			return err
-		}
-		if err := deleteChunks(s, term); err != nil {
+		if err := deleteTerm(s, term); err != nil {
 			return err
 		}
 	}
 	for _, term := range m.Changed() {
 		e := ix.terms[term]
-		l := e.list.Load()
-		if err := deleteChunks(s, term); err != nil {
-			return err
-		}
-		if err := s.Put(freqKey(term), encodeFreqRow(uint32(l.Len()), e.stats)); err != nil {
-			return fmt.Errorf("index: save freq %q: %w", term, err)
-		}
-		if err := saveChunks(s, term, l); err != nil {
+		if err := saveTerm(s, term, e.list.Load(), e.stats); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// deleteChunks removes every persisted posting-list chunk of term.
-func deleteChunks(s storage.Backend, term string) error {
-	prefix := append([]byte(listPrefix), term...)
-	prefix = append(prefix, 0)
-	end := append(append([]byte(nil), prefix...), 0xFF, 0xFF, 0xFF, 0xFF, 0xFF)
-	_, err := s.DeleteRange(prefix, end)
-	return err
 }

@@ -75,7 +75,7 @@ func TestLazyListCorruptChunk(t *testing.T) {
 	s, _ := savedStore(t)
 	defer s.Close()
 	// Chunk with an impossible shared-prefix length.
-	if err := s.Put(listChunkKey("xml", 0), []byte{50, 1, 2, 3}); err != nil {
+	if err := s.Put(listKey("xml"), []byte{50, 1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
 	ix, err := Load(s)
@@ -86,14 +86,14 @@ func TestLazyListCorruptChunk(t *testing.T) {
 		t.Error("corrupt chunk decoded without error")
 	}
 	// Unknown type ID in a chunk.
-	if err := s.Put(listChunkKey("database", 0), []byte{0, 1, 0, 200}); err != nil {
+	if err := s.Put(listKey("database"), []byte{0, 1, 0, 200}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ix.List("database"); err == nil {
 		t.Error("unknown type ID decoded without error")
 	}
 	// Truncated varint stream.
-	if err := s.Put(listChunkKey("search", 0), []byte{0x80}); err != nil {
+	if err := s.Put(listKey("search"), []byte{0x80}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ix.List("search"); err == nil {
@@ -118,7 +118,7 @@ func TestLazyListOutOfOrderChunk(t *testing.T) {
 		0, 2, 1, 2, 0, // posting 1.2, type 0
 		2, 0, 0, // shared=2, extra=0 -> identical id, type 0
 	}
-	if err := s.Put(listChunkKey("query", 0), chunk); err != nil {
+	if err := s.Put(listKey("query"), chunk); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ix.List("query"); err == nil {

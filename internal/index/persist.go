@@ -12,22 +12,24 @@ import (
 )
 
 // On-disk layout inside the kvstore (all keys are byte strings; '\x00'
-// separates components so terms cannot collide with structure):
+// separates components so terms cannot collide with structure). Every value
+// is stored through storage.PutChunked, so any of them may continue in
+// cells under its key plus "\x00"+<seq BE32> when it outgrows one cell:
 //
-//	M\x00types                  node-type registry
-//	M\x00types\x00<seq BE32>     its continuation chunks, when it outgrows a cell
-//	M\x00doc                    document-level stats (N_T, G_T, partitions)
-//	M\x00doc\x00<seq BE32>       their continuation chunks
-//	F\x00<term>                 frequent-table row: list length + per-type df/tf
-//	L\x00<term>\x00<chunk BE32> posting-list chunk (see below)
+//	M\x00types   node-type registry
+//	M\x00doc     document-level stats (N_T, G_T, partitions)
+//	F\x00<term>  frequent-table row: list length + per-type df/tf
+//	L\x00<term>  posting-list stream (see below)
 //
-// A term's chunks, concatenated in key order (which is chunk order), form
-// one byte stream: [uvarint typeCount][typeCount × uvarint global type ID]
-// followed by the list's block-encoded payload exactly as it lives in RAM
-// (block.go) — the encoded form IS the persisted form, so loading a list
-// is a concatenation plus a skip-table walk, never a re-encode, and disk
-// shrinks with memory. Chunk boundaries are arbitrary byte splits sized to
-// the store's quarter-page cell bound; blocks need not align with chunks.
+// A term's list value is one byte stream: [uvarint typeCount][typeCount ×
+// uvarint global type ID] followed by the list's block-encoded payload
+// exactly as it lives in RAM (block.go) — the encoded form IS the
+// persisted form, so loading a list is a concatenation plus a skip-table
+// walk, never a re-encode, and disk shrinks with memory. Cell boundaries
+// are arbitrary byte splits; blocks need not align with cells. Stores
+// written before the chunker kept each list in 768-byte continuation cells
+// only, with no cell under L\x00<term>; the chunked reader joins those
+// unchanged.
 //
 // Stores written before the block codec used one delta-encoded posting
 // per cell with each chunk self-contained, so their first payload byte is
@@ -47,10 +49,6 @@ const (
 	listPrefix   = "L\x00"
 )
 
-// chunkBudget caps encoded chunk payloads comfortably under the B+tree backend's
-// quarter-page cell limit for the default page size.
-const chunkBudget = 768
-
 // Save writes the whole index into the store and commits. Posting lists of
 // a lazily-loaded index are forced resident first.
 func (ix *Index) Save(s storage.Backend) error {
@@ -62,27 +60,36 @@ func (ix *Index) Save(s storage.Backend) error {
 		if err != nil {
 			return err
 		}
-		e := ix.terms[term]
-		row := encodeFreqRow(uint32(l.Len()), e.stats)
-		if err := s.Put(freqKey(term), row); err != nil {
-			return fmt.Errorf("index: save freq %q: %w", term, err)
-		}
-		if err := saveChunks(s, term, l); err != nil {
+		if err := saveTerm(s, term, l, ix.terms[term].stats); err != nil {
 			return err
 		}
 	}
 	return s.Commit()
 }
 
+// saveTerm writes one term's frequent-table row and posting-list stream,
+// replacing whatever the store held for the term.
+func saveTerm(s storage.Backend, term string, l *List, stats map[int]typeStat) error {
+	if err := storage.PutChunked(s, freqKey(term), encodeFreqRow(uint32(l.Len()), stats)); err != nil {
+		return fmt.Errorf("index: save freq %q: %w", term, err)
+	}
+	if err := storage.PutChunked(s, listKey(term), encodeStream(l)); err != nil {
+		return fmt.Errorf("index: save list %q: %w", term, err)
+	}
+	return nil
+}
+
+// deleteTerm removes one term's row and list from the store.
+func deleteTerm(s storage.Backend, term string) error {
+	if err := storage.DeleteChunked(s, freqKey(term)); err != nil {
+		return err
+	}
+	return storage.DeleteChunked(s, listKey(term))
+}
+
 func freqKey(term string) []byte { return append([]byte(freqPrefix), term...) }
 
-func listChunkKey(term string, chunk uint32) []byte {
-	k := append([]byte(listPrefix), term...)
-	k = append(k, 0)
-	var be [4]byte
-	binary.BigEndian.PutUint32(be[:], chunk)
-	return append(k, be[:]...)
-}
+func listKey(term string) []byte { return append([]byte(listPrefix), term...) }
 
 func (ix *Index) encodeDocMeta() []byte {
 	var b []byte
@@ -191,63 +198,12 @@ func decodeDocMeta(ix *Index, b []byte, idMap []*xmltree.Type) error {
 
 // saveMeta writes the type registry and the doc metadata. Either grows
 // with the number of node types, and the doc metadata with a fragmented
-// partition set after live updates, so each spills into continuation
-// chunks when it outgrows a cell.
+// partition set after live updates.
 func (ix *Index) saveMeta(s storage.Backend) error {
-	if err := putChunked(s, metaTypesKey, ix.Types.Marshal()); err != nil {
+	if err := storage.PutChunked(s, []byte(metaTypesKey), ix.Types.Marshal()); err != nil {
 		return err
 	}
-	return putChunked(s, metaDocKey, ix.encodeDocMeta())
-}
-
-// putChunked writes b under key, spilling what exceeds one cell into
-// continuation chunks keyed key+"\x00"+<seq BE32>. Stale continuation
-// chunks are cleared first (a value shrinks: the doc metadata when
-// partition runs re-coalesce). A value that fits one cell is one Put.
-func putChunked(s storage.Backend, key string, b []byte) error {
-	lo, hi := extRange(key)
-	if _, err := s.DeleteRange(lo, hi); err != nil {
-		return err
-	}
-	budget := s.MaxKV() - 16
-	end := min(len(b), budget)
-	if err := s.Put([]byte(key), b[:end]); err != nil {
-		return err
-	}
-	for seq, off := uint32(0), end; off < len(b); seq++ {
-		end := min(off+budget, len(b))
-		if err := s.Put(binary.BigEndian.AppendUint32(lo, seq), b[off:end]); err != nil {
-			return err
-		}
-		off = end
-	}
-	return nil
-}
-
-// extRange returns [lo, hi), the range of key's continuation chunk keys:
-// each is lo followed by a big-endian sequence number. lo is capped, so
-// appending to it copies.
-func extRange(key string) (lo, hi []byte) {
-	lo = append([]byte(key), 0)
-	hi = append(append([]byte(nil), lo...), 0xFF, 0xFF, 0xFF, 0xFF, 0xFF)
-	return lo[:len(lo):len(lo)], hi
-}
-
-// getChunked reads the value putChunked wrote under key, concatenating
-// its continuation chunks.
-func getChunked(s storage.Backend, key string) ([]byte, bool, error) {
-	b, ok, err := s.Get([]byte(key))
-	if err != nil || !ok {
-		return nil, ok, err
-	}
-	lo, hi := extRange(key)
-	if err := s.Range(lo, hi, func(k, v []byte) bool {
-		b = append(b, v...)
-		return true
-	}); err != nil {
-		return nil, false, err
-	}
-	return b, true, nil
+	return storage.PutChunked(s, []byte(metaDocKey), ix.encodeDocMeta())
 }
 
 func encodeFreqRow(listLen uint32, stats map[int]typeStat) []byte {
@@ -298,10 +254,10 @@ func decodeFreqRow(b []byte) (uint32, map[int]typeStat, error) {
 	return uint32(listLen), stats, nil
 }
 
-// saveChunks writes a posting list as its block-encoded stream — type
-// table header plus the core's payload bytes verbatim — split into
-// cell-sized chunks.
-func saveChunks(s storage.Backend, term string, l *List) error {
+// encodeStream returns a posting list's persisted stream: the type table
+// header plus the core's payload bytes verbatim. An empty list is an empty
+// stream.
+func encodeStream(l *List) []byte {
 	if l == nil || l.core == nil || l.core.n == 0 {
 		return nil
 	}
@@ -311,59 +267,37 @@ func saveChunks(s storage.Backend, term string, l *List) error {
 	for _, t := range core.types {
 		stream = binary.AppendUvarint(stream, uint64(t.ID))
 	}
-	stream = append(stream, core.enc...)
-	for chunk, off := uint32(0), 0; off < len(stream); chunk++ {
-		end := off + chunkBudget
-		if end > len(stream) {
-			end = len(stream)
-		}
-		if err := s.Put(listChunkKey(term, chunk), stream[off:end]); err != nil {
-			return fmt.Errorf("index: save chunk %d of %q: %w", chunk, term, err)
-		}
-		off = end
-	}
-	return nil
+	return append(stream, core.enc...)
 }
 
-// loadChunks reads and concatenates every chunk of a term's posting list
-// into the resident encoded core. resolve maps the store's persisted type
-// IDs to interned types — the registry's own ByID for plain loads, an idMap
-// lookup for shared-registry loads.
-func loadChunks(s storage.Backend, resolve func(int) (*xmltree.Type, bool), term string) (*List, error) {
-	prefix := append([]byte(listPrefix), term...)
-	prefix = append(prefix, 0)
-	end := append(append([]byte(nil), prefix...), 0xFF, 0xFF, 0xFF, 0xFF, 0xFF)
-	var stream []byte
-	err := s.Range(prefix, end, func(k, v []byte) bool {
-		stream = append(stream, v...)
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
+// parseStream turns a term's persisted stream into the resident encoded
+// core. resolve maps the store's persisted type IDs to interned types —
+// the registry's own ByID for plain loads, an idMap lookup for
+// shared-registry loads.
+func parseStream(stream []byte, resolve func(int) (*xmltree.Type, bool), term string) (*List, error) {
 	if len(stream) == 0 {
 		return &List{Term: term}, nil
 	}
 	r := bytes.NewReader(stream)
 	nTypes, err := binary.ReadUvarint(r)
 	if err != nil || nTypes == 0 {
-		return nil, fmt.Errorf("index: chunks of %q: bad type table header", term)
+		return nil, fmt.Errorf("index: list of %q: bad type table header", term)
 	}
 	types := make([]*xmltree.Type, nTypes)
 	for i := range types {
 		tid, err := binary.ReadUvarint(r)
 		if err != nil {
-			return nil, fmt.Errorf("index: chunks of %q: truncated type table", term)
+			return nil, fmt.Errorf("index: list of %q: truncated type table", term)
 		}
 		t, ok := resolve(int(tid))
 		if !ok {
-			return nil, fmt.Errorf("index: chunks of %q name unknown type %d", term, tid)
+			return nil, fmt.Errorf("index: list of %q names unknown type %d", term, tid)
 		}
 		types[i] = t
 	}
 	core, err := parseCore(stream[len(stream)-r.Len():], types)
 	if err != nil {
-		return nil, fmt.Errorf("index: chunks of %q: %w", term, err)
+		return nil, fmt.Errorf("index: list of %q: %w", term, err)
 	}
 	return newListFromCore(term, core), nil
 }
@@ -388,7 +322,7 @@ func LoadInto(s storage.Backend, reg *xmltree.Registry) (*Index, error) {
 }
 
 func load(s storage.Backend, reg *xmltree.Registry) (*Index, error) {
-	raw, ok, err := getChunked(s, metaTypesKey)
+	raw, ok, err := storage.GetChunked(s, []byte(metaTypesKey))
 	if err != nil {
 		return nil, err
 	}
@@ -421,7 +355,7 @@ func load(s storage.Backend, reg *xmltree.Registry) (*Index, error) {
 		terms: make(map[string]*kwEntry),
 		stat:  &opStat{},
 	}
-	docRaw, ok, err := getChunked(s, metaDocKey)
+	docRaw, ok, err := storage.GetChunked(s, []byte(metaDocKey))
 	if err != nil {
 		return nil, err
 	}
@@ -434,7 +368,7 @@ func load(s storage.Backend, reg *xmltree.Registry) (*Index, error) {
 	// Frequent table: one row per term.
 	fEnd := []byte{freqPrefix[0], 1} // '\x01' > '\x00' separator
 	var rowErr error
-	err = s.Range([]byte(freqPrefix), fEnd, func(k, v []byte) bool {
+	err = storage.RangeChunked(s, []byte(freqPrefix), fEnd, func(k, v []byte) bool {
 		term := string(k[len(freqPrefix):])
 		listLen, stats, err := decodeFreqRow(v)
 		if err != nil {
@@ -470,7 +404,7 @@ func load(s storage.Backend, reg *xmltree.Registry) (*Index, error) {
 			return idMap[id], true
 		}
 	}
-	// The first list chunk tells the posting format apart (see the layout
+	// The first list cell tells the posting format apart (see the layout
 	// comment): refuse a pre-block-codec store here, at open, rather than
 	// with a parse error on some later query.
 	retired := false
@@ -483,7 +417,13 @@ func load(s storage.Backend, reg *xmltree.Registry) (*Index, error) {
 	if retired {
 		return nil, fmt.Errorf("index: posting lists predate format %s: %w", FormatVersion, storage.ErrUnsupportedFormat)
 	}
-	ix.loader = func(term string) (*List, error) { return loadChunks(s, resolve, term) }
+	ix.loader = func(term string) (*List, error) {
+		stream, _, err := storage.GetChunked(s, listKey(term))
+		if err != nil {
+			return nil, err
+		}
+		return parseStream(stream, resolve, term)
+	}
 	return ix, nil
 }
 

@@ -79,8 +79,6 @@ const (
 	EvFinish
 	// EvQuery is one engine query completing.
 	EvQuery
-	// EvFanout is a scatter-gather query fanning out; N is the worker count.
-	EvFanout
 	// EvAttemptStart/End/Cancel are one replica scan attempt's lifecycle;
 	// a cancelled attempt is a hedge loser or a query-wide abort.
 	EvAttemptStart
@@ -111,7 +109,6 @@ var kindNames = [...]string{
 	EvAdmit:         "admit",
 	EvFinish:        "finish",
 	EvQuery:         "query",
-	EvFanout:        "fanout",
 	EvAttemptStart:  "attempt-start",
 	EvAttemptEnd:    "attempt-end",
 	EvAttemptCancel: "attempt-cancel",

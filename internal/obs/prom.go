@@ -12,47 +12,7 @@ import (
 // format (version 0.0.4): families in name order, each with HELP and TYPE
 // lines, series in label order, histograms with cumulative le buckets plus
 // _sum and _count. A nil registry writes nothing.
-func (r *Registry) WritePrometheus(w io.Writer) error {
-	if r == nil {
-		return nil
-	}
-	bw := bufio.NewWriter(w)
-	for _, f := range r.sortedFamilies() {
-		fmt.Fprintf(bw, "# HELP %s %s\n", f.name, escapeHelp(f.help))
-		fmt.Fprintf(bw, "# TYPE %s %s\n", f.name, f.typ)
-		f.mu.Lock()
-		fn := f.fn
-		f.mu.Unlock()
-		if fn != nil {
-			fmt.Fprintf(bw, "%s %s\n", f.name, formatValue(fn()))
-			continue
-		}
-		if len(f.labels) == 0 {
-			c := f.childFor(nil)
-			switch f.typ {
-			case typeCounter:
-				fmt.Fprintf(bw, "%s %d\n", f.name, c.counter.Value())
-			case typeGauge:
-				fmt.Fprintf(bw, "%s %d\n", f.name, c.gauge.Value())
-			case typeHistogram:
-				writeHistogram(bw, f.name, "", c.hist)
-			}
-			continue
-		}
-		for _, c := range f.sortedChildren() {
-			sig := labelSig(f.labels, c.labelVals)
-			switch f.typ {
-			case typeCounter:
-				fmt.Fprintf(bw, "%s{%s} %d\n", f.name, sig, c.counter.Value())
-			case typeGauge:
-				fmt.Fprintf(bw, "%s{%s} %d\n", f.name, sig, c.gauge.Value())
-			case typeHistogram:
-				writeHistogram(bw, f.name, sig, c.hist)
-			}
-		}
-	}
-	return bw.Flush()
-}
+func (r *Registry) WritePrometheus(w io.Writer) error { return r.write(w, false) }
 
 // WriteOpenMetrics renders the registry in the OpenMetrics-flavored text
 // format: the same families and sample lines as WritePrometheus, plus
@@ -60,7 +20,11 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 // histogram buckets to retained traces, and the terminating `# EOF`.
 // Served on /metrics content negotiation; the default exposition stays
 // byte-identical to the pre-exemplar format.
-func (r *Registry) WriteOpenMetrics(w io.Writer) error {
+func (r *Registry) WriteOpenMetrics(w io.Writer) error { return r.write(w, true) }
+
+// write is the one family walk behind both expositions; openMetrics adds
+// the bucket exemplars and the closing `# EOF`.
+func (r *Registry) write(w io.Writer, openMetrics bool) error {
 	if r == nil {
 		return nil
 	}
@@ -76,38 +40,45 @@ func (r *Registry) WriteOpenMetrics(w io.Writer) error {
 			continue
 		}
 		if len(f.labels) == 0 {
-			c := f.childFor(nil)
-			switch f.typ {
-			case typeCounter:
-				fmt.Fprintf(bw, "%s %d\n", f.name, c.counter.Value())
-			case typeGauge:
-				fmt.Fprintf(bw, "%s %d\n", f.name, c.gauge.Value())
-			case typeHistogram:
-				writeHistogramExemplars(bw, f.name, "", c.hist)
-			}
+			writeSeries(bw, f, "", f.childFor(nil), openMetrics)
 			continue
 		}
 		for _, c := range f.sortedChildren() {
-			sig := labelSig(f.labels, c.labelVals)
-			switch f.typ {
-			case typeCounter:
-				fmt.Fprintf(bw, "%s{%s} %d\n", f.name, sig, c.counter.Value())
-			case typeGauge:
-				fmt.Fprintf(bw, "%s{%s} %d\n", f.name, sig, c.gauge.Value())
-			case typeHistogram:
-				writeHistogramExemplars(bw, f.name, sig, c.hist)
-			}
+			writeSeries(bw, f, labelSig(f.labels, c.labelVals), c, openMetrics)
 		}
 	}
-	fmt.Fprintln(bw, "# EOF")
+	if openMetrics {
+		fmt.Fprintln(bw, "# EOF")
+	}
 	return bw.Flush()
 }
 
-// writeHistogramExemplars is writeHistogram with each bucket line carrying
-// its exemplar, when one was pinned.
-func writeHistogramExemplars(w io.Writer, name, extraSig string, h *Histogram) {
-	ex := h.exemplars()
-	cum := h.cumulative()
+// writeSeries emits one series of family f. sig is its label signature
+// ("" when none).
+func writeSeries(w io.Writer, f *family, sig string, c *child, openMetrics bool) {
+	name := f.name
+	if sig != "" {
+		name += "{" + sig + "}"
+	}
+	switch f.typ {
+	case typeCounter:
+		fmt.Fprintf(w, "%s %d\n", name, c.counter.Value())
+	case typeGauge:
+		fmt.Fprintf(w, "%s %d\n", name, c.gauge.Value())
+	case typeHistogram:
+		writeHistogram(w, f.name, sig, c.hist, openMetrics)
+	}
+}
+
+// writeHistogram emits the bucket/sum/count triplet of one histogram
+// series. extraSig carries the series' label signature ("" when none);
+// with exemplars, each bucket line carries its exemplar when one was
+// pinned.
+func writeHistogram(w io.Writer, name, extraSig string, h *Histogram, exemplars bool) {
+	var ex []Exemplar
+	if exemplars {
+		ex = h.exemplars()
+	}
 	exSuffix := func(i int) string {
 		if i >= len(ex) || ex[i].Trace == 0 {
 			return ""
@@ -115,6 +86,7 @@ func writeHistogramExemplars(w io.Writer, name, extraSig string, h *Histogram) {
 		return fmt.Sprintf(" # {trace_id=\"%s\"} %s %.3f",
 			ex[i].Trace, formatValue(ex[i].Value), float64(ex[i].TimeNS)/1e9)
 	}
+	cum := h.cumulative()
 	for i, b := range h.bounds {
 		sig := `le="` + formatValue(b) + `"`
 		if extraSig != "" {
@@ -127,30 +99,6 @@ func writeHistogramExemplars(w io.Writer, name, extraSig string, h *Histogram) {
 		sig = extraSig + "," + sig
 	}
 	fmt.Fprintf(w, "%s_bucket{%s} %d%s\n", name, sig, h.Count(), exSuffix(len(h.bounds)))
-	suffix := ""
-	if extraSig != "" {
-		suffix = "{" + extraSig + "}"
-	}
-	fmt.Fprintf(w, "%s_sum%s %s\n", name, suffix, formatValue(h.Sum()))
-	fmt.Fprintf(w, "%s_count%s %d\n", name, suffix, h.Count())
-}
-
-// writeHistogram emits the bucket/sum/count triplet of one histogram
-// series. extraSig carries the series' label signature ("" when none).
-func writeHistogram(w io.Writer, name, extraSig string, h *Histogram) {
-	cum := h.cumulative()
-	for i, b := range h.bounds {
-		sig := `le="` + formatValue(b) + `"`
-		if extraSig != "" {
-			sig = extraSig + "," + sig
-		}
-		fmt.Fprintf(w, "%s_bucket{%s} %d\n", name, sig, cum[i])
-	}
-	sig := `le="+Inf"`
-	if extraSig != "" {
-		sig = extraSig + "," + sig
-	}
-	fmt.Fprintf(w, "%s_bucket{%s} %d\n", name, sig, h.Count())
 	suffix := ""
 	if extraSig != "" {
 		suffix = "{" + extraSig + "}"

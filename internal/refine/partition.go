@@ -25,9 +25,6 @@ type TopKOutcome struct {
 	// makes: each shard scan prunes against its own list and a shared
 	// bound, both looser than the lone walk's list until they fill.
 	SLCACalls int
-	// Workers is the number of goroutines the walk's scans ran on: 1 for
-	// a lone walk, the shard fan-out on a router.
-	Workers int
 	// Degraded reports that the exploration stopped early — deadline or
 	// posting budget — and Candidates holds the best refined queries
 	// found up to that point rather than the complete answer.
@@ -47,10 +44,6 @@ type TopKOutcome struct {
 	// dissimilarity bound skipped — the paper's key optimization made
 	// observable.
 	RQPruned int
-	// BoundUpdates counts tightenings of the pruning bound shared by the
-	// shard scans of a walk (a lone walk's bound lives implicitly in its
-	// sorted list and reports 0).
-	BoundUpdates int
 	// SLCAPostings totals the postings handed to delegated SLCA
 	// computations — the work the SLCA layer actually received.
 	SLCAPostings int64
@@ -85,7 +78,7 @@ func PartitionTopK(in Input, k int) (*TopKOutcome, error) {
 	k = max(k, 1)
 	ks := in.ScanKeywords()
 	if len(ks) == 0 {
-		return &TopKOutcome{Workers: 1}, nil
+		return &TopKOutcome{}, nil
 	}
 	s := getScan()
 	if err := s.scan(in, k, ks, &s.own); err != nil {
@@ -93,7 +86,7 @@ func PartitionTopK(in Input, k int) (*TopKOutcome, error) {
 		return nil, err
 	}
 	out := &s.out
-	*out = TopKOutcome{Candidates: s.list.settle(&s.slca.slab), Workers: 1, CoCounts: &s.co.CoCounts, st: s}
+	*out = TopKOutcome{Candidates: s.list.settle(&s.slca.slab), CoCounts: &s.co.CoCounts, st: s}
 	s.addTo(out)
 	out.markDegraded(in.Budget)
 	return out, nil

@@ -109,7 +109,7 @@ func (s *Scan) reset() {
 	s.list.reset(1)
 	s.out = TopKOutcome{}
 	s.partitions, s.slcaCalls, s.slcaPostings = 0, 0, 0
-	s.rqGenerated, s.rqPruned, s.boundUpdates = 0, 0, 0
+	s.rqGenerated, s.rqPruned = 0, 0
 	s.lists = clearAll(s.lists)
 	s.w.reset()
 	s.slca.sub = clearAll(s.slca.sub)

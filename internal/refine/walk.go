@@ -66,18 +66,15 @@ func (b *pruneBound) get() float64 {
 	return math.Float64frombits(b.bits.Load())
 }
 
-// lower tightens the bound to v if v is smaller, reporting whether it did.
-func (b *pruneBound) lower(v float64) bool {
+// lower tightens the bound to v if v is smaller.
+func (b *pruneBound) lower(v float64) {
 	if b == nil {
-		return false
+		return
 	}
 	for {
 		old := b.bits.Load()
-		if math.Float64frombits(old) <= v {
-			return false
-		}
-		if b.bits.CompareAndSwap(old, math.Float64bits(v)) {
-			return true
+		if math.Float64frombits(old) <= v || b.bits.CompareAndSwap(old, math.Float64bits(v)) {
+			return
 		}
 	}
 }
@@ -209,7 +206,6 @@ type Scan struct {
 	slcaPostings int64
 	rqGenerated  int
 	rqPruned     int
-	boundUpdates int
 
 	lists []*index.List
 	w     partitionWalker
@@ -230,7 +226,6 @@ func (s *Scan) addTo(out *TopKOutcome) {
 	out.SLCAPostings += s.slcaPostings
 	out.RQGenerated += s.rqGenerated
 	out.RQPruned += s.rqPruned
-	out.BoundUpdates += s.boundUpdates
 }
 
 // ScanJob produces one scan of a walk. walk is the state the pool shares
@@ -308,8 +303,8 @@ func (s *Scan) scan(in Input, k int, ks []string, walk *Walk) error {
 				if c.rq.DSim == 0 && c.rq.SameKeywords(in.Query) {
 					s.co.answered = true
 				}
-				if sorted.Full() && bound.lower(sorted.Worst()) {
-					s.boundUpdates++
+				if sorted.Full() {
+					bound.lower(sorted.Worst())
 				}
 			}
 		}
@@ -379,7 +374,7 @@ func MergeScans(in Input, k int, scans []*Scan) *TopKOutcome {
 	q := getMergeScan(len(scans))
 	q.list.reset(2 * max(k, 1))
 	out := &q.out
-	*out = TopKOutcome{Workers: 1, st: q}
+	*out = TopKOutcome{st: q}
 	for _, s := range scans {
 		if s == nil {
 			continue

@@ -102,8 +102,6 @@ type Backend interface {
 var healthCounters = [...]struct{ key, family string }{
 	{"queries", "xrefine_engine_queries_total"},
 	{"refined", "xrefine_engine_refined_total"},
-	{"parallel_queries", "xrefine_engine_parallel_queries_total"},
-	{"worker_runs", "xrefine_engine_worker_runs_total"},
 	{"degraded", "xrefine_engine_degraded_total"},
 	{"applied_batches", "xrefine_mutate_applied_batches_total"},
 	{"applied_ops", "xrefine_mutate_applied_ops_total"},

@@ -78,8 +78,6 @@ type metaState struct {
 // routerMetrics are the scatter-gather and replica families, registered on
 // the shared registry next to the meta engine's.
 type routerMetrics struct {
-	fanout     *obs.Gauge
-	queries    *obs.Counter
 	scans      *obs.CounterVec
 	scanErrors *obs.CounterVec
 	partial    *obs.Counter
@@ -138,7 +136,7 @@ type Router struct {
 
 	m routerMetrics
 	// flight is the shared registry's event ring: the router records the
-	// fan-out lifecycle (fanout, per-replica attempts, hedges, retries,
+	// fan-out lifecycle (per-replica attempts, hedges, retries,
 	// breaker trips, quarantine/reconcile, commits) for every request.
 	flight *obs.FlightRecorder
 }
@@ -275,10 +273,6 @@ func NewReplicated(stores [][]storage.Backend, opts *Options) (*Router, error) {
 		r.groups = append(r.groups, g)
 	}
 	r.m = routerMetrics{
-		fanout: r.mreg.Gauge("xrefine_shard_fanout",
-			"Worker goroutines the last scatter-gather query fanned out to."),
-		queries: r.mreg.Counter("xrefine_shard_queries_total",
-			"Queries executed scatter-gather across the shards."),
 		scans: r.mreg.CounterVec("xrefine_shard_scans_total",
 			"Per-shard partition scans executed.", "shard"),
 		scanErrors: r.mreg.CounterVec("xrefine_shard_scan_errors_total",
@@ -478,17 +472,12 @@ func (r *Router) QueryTermsCtx(ctx context.Context, terms []string, strategy cor
 // query; hard cancellation still aborts, and when every shard fails the
 // first error is returned.
 func (r *Router) explore(in refine.Input, k int) (*refine.TopKOutcome, error) {
-	r.m.queries.Inc()
-	fan := refine.PoolSize(in.Budget, len(r.groups))
-	r.m.fanout.Set(int64(fan))
-	r.flight.Record(obs.Event{Trace: obs.TraceIDFromContext(in.Budget.Context()), Kind: obs.EvFanout,
-		Shard: -1, Replica: -1, N: int64(fan)})
 	// The scan keyword set is fixed here, against the merged index, so
 	// every shard walks identical keyword columns even when a term is
 	// absent from its slice of the corpus.
 	ks := in.ScanKeywords()
 	if len(ks) == 0 {
-		return &refine.TopKOutcome{Workers: 1}, nil
+		return &refine.TopKOutcome{}, nil
 	}
 	jobs := make([]refine.ScanJob, len(r.groups))
 	for i := range jobs {
@@ -533,7 +522,6 @@ func (r *Router) explore(in refine.Input, k int) (*refine.TopKOutcome, error) {
 	out := refine.MergeScans(in, k, scans)
 	r.m.mergeSecs.Observe(time.Since(start).Seconds())
 	msp.End()
-	out.Workers = fan
 	if partial {
 		out.Degraded = true
 		out.DegradedReason = refine.DegradedShardPartial

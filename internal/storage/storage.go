@@ -1,9 +1,10 @@
 // Package storage defines the storage contract the index persistence
 // layers write against. One engine implements it: the B+tree kvstore
 // (internal/kvstore), the ordered key-value store that stands in for the
-// paper's Berkeley DB. Everything above this interface — index chunk
+// paper's Berkeley DB. Everything above this interface — index
 // persistence, document streams, live-update epoch commits, shard
-// manifests — sees only the contract.
+// manifests — sees only the contract, and stores every value through the
+// chunker (chunk.go), the one code that splits a value larger than a cell.
 //
 // The package is a leaf: it depends on nothing in the repository, so the
 // engine and every consumer can import it without cycles. The

@@ -11,7 +11,15 @@ package tokenize
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
+
+// MaxTermBytes bounds a term's length in bytes: Normalize keeps the
+// longest prefix, cut at a rune boundary, that fits. Index and query pass
+// through the same cut, so an overlong word still finds itself, and every
+// key the index stores stays far below a storage cell. 255 is Lucene
+// StandardAnalyzer's default maxTokenLength.
+const MaxTermBytes = 255
 
 // termRune reports whether r may appear in a canonical term: a digit, or a
 // letter that is its own lowercase form (covers cased lowercase letters and
@@ -35,17 +43,20 @@ func Term(s string) bool {
 }
 
 // Normalize lowercases s and strips everything but letters and digits,
-// producing the canonical form of a single term. Letters with no canonical
-// lowercase form (rare typographic variants) are dropped. It returns ""
-// when nothing survives.
+// producing the canonical form of a single term, at most MaxTermBytes
+// long. Letters with no canonical lowercase form (rare typographic
+// variants) are dropped. It returns "" when nothing survives.
 func Normalize(s string) string {
 	var b strings.Builder
-	b.Grow(len(s))
+	b.Grow(min(len(s), MaxTermBytes))
 	for _, r := range s {
 		if !unicode.IsLetter(r) && !unicode.IsDigit(r) {
 			continue
 		}
 		if l := unicode.ToLower(r); termRune(l) {
+			if b.Len()+utf8.RuneLen(l) > MaxTermBytes {
+				break
+			}
 			b.WriteRune(l)
 		}
 	}

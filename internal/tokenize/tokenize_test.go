@@ -2,8 +2,10 @@ package tokenize
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unicode/utf8"
 )
 
 func TestTerm(t *testing.T) {
@@ -96,5 +98,32 @@ func TestPropertyTextTerms(t *testing.T) {
 	}
 	if got := Text("database"); len(got) != 1 || got[0] != "database" {
 		t.Errorf("Text(term) = %v", got)
+	}
+}
+
+// Normalize cuts a term to MaxTermBytes at a rune boundary, and Text and
+// Query cut the same word the same way.
+func TestNormalizeCutsLongTerms(t *testing.T) {
+	cases := []struct {
+		in   string
+		want string
+	}{
+		{strings.Repeat("a", 300), strings.Repeat("a", MaxTermBytes)},
+		{strings.Repeat("A", MaxTermBytes), strings.Repeat("a", MaxTermBytes)},
+		{strings.Repeat("é", 200), strings.Repeat("é", MaxTermBytes/2)}, // 254 bytes: the next rune would cross
+		{strings.Repeat("x", 254) + "日本", strings.Repeat("x", 254)},
+		{strings.Repeat("-a", 300), strings.Repeat("a", 300)[:MaxTermBytes]},
+	}
+	for _, c := range cases {
+		got := Normalize(c.in)
+		if got != c.want || !utf8.ValidString(got) {
+			t.Errorf("Normalize(%d bytes) = %d bytes, want %d", len(c.in), len(got), len(c.want))
+		}
+		if q := Query(c.in); len(q) != 1 || q[0] != got {
+			t.Errorf("Query(%d bytes) = %d terms, not the cut term", len(c.in), len(q))
+		}
+	}
+	if got := Text(strings.Repeat("b", 1000) + " c"); len(got) != 2 || got[0] != strings.Repeat("b", MaxTermBytes) {
+		t.Errorf("Text cut the long word to %d bytes", len(got[0]))
 	}
 }

@@ -15,33 +15,28 @@ import (
 //
 // Layout: one pre-order byte stream (v2, per node: varint child ordinal,
 // varint tag length, tag, varint child count, varint text length, text),
-// chunked under sequential keys to respect the store's cell bound:
+// stored through storage.PutChunked under one key:
 //
-//	D\x00v                version marker
-//	D\x00c\x00<seq BE32>  chunk of the serialized tree
+//	D\x00v  version marker
+//	D\x00c  the serialized tree, continuing in cells under D\x00c\x00<seq BE32>
 //
-// Chunk keys sort by sequence number, so a Range reads the stream back in
-// order. Reconstruction is a single recursive decode. The explicit child
+// Stores written before the chunker hold the stream in continuation cells
+// only, with no cell under D\x00c; the chunked reader joins those
+// unchanged. Reconstruction is a single recursive decode. The explicit child
 // ordinal is what lets a mutated tree round-trip: after a subtree deletion
 // the surviving siblings keep their original ordinals, so positions in the
 // child list no longer determine Dewey labels. A stream of any other
 // version — v1 had no marker and no ordinals — is refused with
 // storage.ErrUnsupportedFormat.
 const (
-	docChunkPrefix  = "D\x00c\x00"
+	docStreamKey    = "D\x00c"
 	docVersionKey   = "D\x00v"
 	docVersionValue = 2
 )
 
-// DocChunkBounds returns the key range [lo, hi) covering every persisted
-// document key (version marker and chunks), for callers that rewrite the
-// document in place and must clear stale chunks first.
-func DocChunkBounds() (lo, hi []byte) {
-	return []byte("D\x00"), []byte("D\x01")
-}
-
-// SaveDocument writes the document into the store (without committing; the
-// caller batches it with the index save).
+// SaveDocument writes the document into the store, replacing any document
+// stored there (without committing; the caller batches it with the index
+// save).
 func SaveDocument(d *Document, s storage.Backend) error {
 	if d == nil || d.Root == nil {
 		return fmt.Errorf("xmltree: nil document")
@@ -64,30 +59,7 @@ func SaveDocument(d *Document, s storage.Backend) error {
 	if err := s.Put([]byte(docVersionKey), []byte{docVersionValue}); err != nil {
 		return err
 	}
-	budget := s.MaxKV() - 16
-	seq := uint32(0)
-	for off := 0; off < len(buf); {
-		end := off + budget
-		if end > len(buf) {
-			end = len(buf)
-		}
-		if err := s.Put(docChunkKey(seq), buf[off:end]); err != nil {
-			return err
-		}
-		off = end
-		seq++
-	}
-	if len(buf) == 0 { // cannot happen (root has a tag) but stay total
-		return s.Put(docChunkKey(0), []byte{})
-	}
-	return nil
-}
-
-func docChunkKey(seq uint32) []byte {
-	k := []byte(docChunkPrefix)
-	var be [4]byte
-	binary.BigEndian.PutUint32(be[:], seq)
-	return append(k, be[:]...)
+	return storage.PutChunked(s, []byte(docStreamKey), buf)
 }
 
 // LoadDocument reconstructs a document previously written with
@@ -104,13 +76,8 @@ func LoadDocument(s storage.Backend) (*Document, bool, error) {
 // *equals* an index-side type would make every judgment that compares the
 // two silently false — in particular for nodes grafted by live updates.
 func LoadDocumentInto(s storage.Backend, reg *Registry) (*Document, bool, error) {
-	var buf []byte
-	prefix := []byte(docChunkPrefix)
-	end := append(append([]byte(nil), prefix...), 0xFF, 0xFF, 0xFF, 0xFF, 0xFF)
-	if err := s.Range(prefix, end, func(k, v []byte) bool {
-		buf = append(buf, v...)
-		return true
-	}); err != nil {
+	buf, _, err := storage.GetChunked(s, []byte(docStreamKey))
+	if err != nil {
 		return nil, false, err
 	}
 	if len(buf) == 0 {

@@ -94,7 +94,7 @@ func TestLoadDocumentAbsent(t *testing.T) {
 func TestLoadDocumentCorrupt(t *testing.T) {
 	s := kvstore.NewMem()
 	defer s.Close()
-	if err := s.Put(docChunkKey(0), []byte{0xFF, 0xFF, 0xFF}); err != nil {
+	if err := s.Put([]byte(docStreamKey), []byte{0xFF, 0xFF, 0xFF}); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := LoadDocument(s); err == nil {
@@ -107,7 +107,8 @@ func TestLoadDocumentCorrupt(t *testing.T) {
 	if err := SaveDocument(doc, s2); err != nil {
 		t.Fatal(err)
 	}
-	if err := s2.Put(docChunkKey(9), []byte{1, 2, 3}); err != nil {
+	// A stray continuation cell past the stream's end.
+	if err := s2.Put([]byte(docStreamKey+"\x00\x00\x00\x00\x09"), []byte{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := LoadDocument(s2); err == nil {
