@@ -244,12 +244,7 @@ func Example_quickstart() {
 // listings. Most queries miss the corpus vocabulary; refinement rescues
 // them instead of showing no ad at all.
 func Example_sponsored() {
-	// High recall on a tiny corpus: slightly more aggressive spelling
-	// correction and more refinement options.
-	cfg := &xrefine.Config{TopK: 3}
-	cfg.Rules.MaxEditDistance = 2
-	cfg.Rules.MaxSpellingCandidates = 4
-	eng, err := xrefine.NewFromXML(strings.NewReader(sponsoredAds), cfg)
+	eng, err := xrefine.NewFromXML(strings.NewReader(sponsoredAds), &xrefine.Config{TopK: 3})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -49,13 +49,10 @@ func (s Strategy) String() string {
 }
 
 // Config tunes an Engine. The zero value works: builtin lexicon, default
-// generator, default ranking model, top-3 refinements.
+// ranking model, top-3 refinements.
 type Config struct {
 	// Lexicon used for synonym/acronym rules; nil means lexicon.Builtin().
 	Lexicon *lexicon.Lexicon
-	// Rules configures rule generation; its Lexicon field is overridden
-	// by the engine's.
-	Rules rules.Generator
 	// Rank is the ranking model; a zero model is replaced by
 	// rank.Default().
 	Rank rank.Model
@@ -63,10 +60,6 @@ type Config struct {
 	SearchFor searchfor.Options
 	// TopK bounds the number of refined queries returned; 0 means 3.
 	TopK int
-	// ExpandResults lifts every match to its closest search-for-typed
-	// ancestor (the entity), merging duplicates — XSeek-style display
-	// granularity instead of raw SLCA nodes.
-	ExpandResults bool
 	// Parallelism is ignored: a partition walk is one scan on the query's
 	// goroutine, and a router runs one goroutine per shard. The field
 	// stays only because the benchmark in bench/ still sets it.
@@ -102,7 +95,6 @@ func (c *Config) withDefaults() Config {
 	if out.Lexicon == nil {
 		out.Lexicon = lexicon.Builtin()
 	}
-	out.Rules.Lexicon = out.Lexicon
 	if out.Rank == (rank.Model{}) {
 		out.Rank = rank.Default()
 	}
@@ -433,7 +425,7 @@ func (r *Response) Release() {
 // one epoch, so a query whose front half races an Apply still reads rules,
 // inference and lists from one consistent snapshot.
 func (e *Engine) prepare(ep *epoch, terms []string) (refine.Input, []searchfor.Candidate, error) {
-	rs, err := e.cfg.Rules.Generate(ep.ix, terms)
+	rs, err := rules.Generator{Lexicon: e.cfg.Lexicon}.Generate(ep.ix, terms)
 	if err != nil {
 		return refine.Input{}, nil, fmt.Errorf("core: rule generation: %w", err)
 	}
@@ -481,9 +473,6 @@ func (e *Engine) QueryTermsCtx(ctx context.Context, terms []string, strategy Str
 	resp, err := e.answer(ctx, ep, terms, k)
 	if err != nil {
 		return nil, err
-	}
-	if e.cfg.ExpandResults {
-		expandResponse(resp)
 	}
 	if resp.NeedRefine {
 		e.m.refined.Inc()

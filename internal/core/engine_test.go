@@ -432,3 +432,25 @@ func TestStreamEngineMatchesTreeEngine(t *testing.T) {
 		}
 	}
 }
+
+func TestComplete(t *testing.T) {
+	e, _ := newEngine(t, nil)
+	got := e.Complete("data", 5)
+	if len(got) == 0 || got[0] != "database" {
+		t.Errorf("Complete(data) = %v", got)
+	}
+	// completes the LAST token
+	got2 := e.Complete("online dat", 5)
+	if len(got2) == 0 || !strings.HasPrefix(got2[0], "dat") {
+		t.Errorf("Complete(online dat) = %v", got2)
+	}
+	if e.Complete("   ", 5) != nil {
+		t.Error("blank partial completed")
+	}
+	if e.Complete("zzzz", 5) != nil {
+		t.Error("no-match prefix completed")
+	}
+	if got := e.Complete("s", 2); len(got) > 2 {
+		t.Errorf("k ignored: %v", got)
+	}
+}

@@ -8,7 +8,7 @@ import (
 )
 
 // FuzzQueryPipeline throws arbitrary query strings at a fixed engine: the
-// whole pipeline (tokenizer, rule generation including BK-tree probes, DP,
+// whole pipeline (tokenizer, rule generation including spelling walks, DP,
 // partition scan, ranking) must never panic, and every reported result
 // must be non-root with a positive result count when NeedRefine is false.
 func FuzzQueryPipeline(f *testing.F) {

@@ -18,8 +18,8 @@ func liveHeap() uint64 {
 
 // TestAppliedEpochsAreCollected: every applied batch swaps in a new epoch
 // index, and once no query pins the old one it must be collectable together
-// with what rule generation derived from it (the spelling BK-tree and stem
-// map). A process-global cache keyed by index once kept every dead epoch
+// with what rule generation derived from it (the sorted vocabulary and the
+// stem map). A process-global cache keyed by index once kept every dead epoch
 // alive; live heap then grew by tens of megabytes over this run.
 func TestAppliedEpochsAreCollected(t *testing.T) {
 	if testing.Short() {
@@ -39,7 +39,7 @@ func TestAppliedEpochsAreCollected(t *testing.T) {
 		if _, err := e.Apply(b); err != nil {
 			t.Fatalf("batch %d: %v", i, err)
 		}
-		// A misspelling, so rule generation derives the epoch's BK-tree.
+		// A misspelling, so rule generation sorts the epoch's vocabulary.
 		if _, err := query(e, "online databse"); err != nil {
 			t.Fatal(err)
 		}

@@ -68,8 +68,10 @@ func NewMutator(src *Index) *Mutator {
 	}
 }
 
-// Index returns the derived index. It is safe to publish once the caller
-// is done mutating.
+// Index returns the derived index. It is safe to publish, and to read,
+// once the caller is done mutating: its sorted vocabulary and the
+// structure VocabDerived attaches are built on first use and never
+// rebuilt.
 func (m *Mutator) Index() *Index { return m.ix }
 
 // Changed returns the terms whose rows/lists differ from the source, in

@@ -51,9 +51,13 @@ type Index struct {
 	gt       []uint32                         // G_T per type ID
 	partRoot []dewey.ID                       // document partition roots in order
 
-	// vocabOnce/vocab hold the one vocabulary-derived structure a higher
-	// layer attaches (see VocabDerived). Owned here, it is freed with the
-	// epoch that built it.
+	// sortOnce/sorted hold the vocabulary in lexicographic order, sorted on
+	// first use (see Vocabulary); vocabOnce/vocab hold the one
+	// vocabulary-derived structure a higher layer attaches (see
+	// VocabDerived). Owned here, both are freed with the epoch that built
+	// them.
+	sortOnce  sync.Once
+	sorted    []string
 	vocabOnce sync.Once
 	vocab     any
 
@@ -108,10 +112,10 @@ func (ix *Index) ResidentBytes() int {
 }
 
 // VocabDerived returns the structure build derives from this index's
-// vocabulary, building it on the first call — the rules package's spelling
-// BK-tree and stem map. An index's vocabulary never changes, so one build
-// serves the index's lifetime; a live update's new epoch builds its own, and
-// the old one is collected with its index.
+// vocabulary, building it on the first call — the rules package's stem
+// map. An index's vocabulary never changes, so one build serves the
+// index's lifetime; a live update's new epoch builds its own, and the old
+// one is collected with its index.
 func (ix *Index) VocabDerived(build func() any) any {
 	ix.vocabOnce.Do(func() { ix.vocab = build() })
 	return ix.vocab
@@ -342,14 +346,18 @@ func (ix *Index) ListLen(term string) int {
 	return int(e.listLen)
 }
 
-// Vocabulary returns every indexed term in lexicographic order.
+// Vocabulary returns every indexed term in lexicographic order. The slice
+// is sorted once per index, on the first call, and every caller shares it:
+// callers must not modify it.
 func (ix *Index) Vocabulary() []string {
-	out := make([]string, 0, len(ix.terms))
-	for t := range ix.terms {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
+	ix.sortOnce.Do(func() {
+		ix.sorted = make([]string, 0, len(ix.terms))
+		for t := range ix.terms {
+			ix.sorted = append(ix.sorted, t)
+		}
+		sort.Strings(ix.sorted)
+	})
+	return ix.sorted
 }
 
 // DF returns the XML document frequency f_k^T (Definition 3.2).
@@ -471,8 +479,8 @@ func (r *rootCursor) next() bool {
 
 // CompleteByPrefix returns up to k indexed terms starting with prefix,
 // most frequent first — the datasource behind search-as-you-type
-// completion. The vocabulary is consulted in sorted order, so the prefix
-// range is two binary searches plus a scan of the matching block.
+// completion. The prefix range is a binary search of the sorted
+// vocabulary plus a scan of the matching block.
 func (ix *Index) CompleteByPrefix(prefix string, k int) []string {
 	if prefix == "" || k < 1 {
 		return nil

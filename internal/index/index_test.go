@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -519,6 +520,24 @@ func TestCompleteByPrefix(t *testing.T) {
 	}
 	if got := ix.CompleteByPrefix("xml", 1); len(got) != 1 {
 		t.Errorf("cap ignored: %v", got)
+	}
+}
+
+// TestVocabularySortedOnce: the vocabulary is sorted once per index and
+// shared — a second call, and one after a completion, return the same
+// backing array without allocating.
+func TestVocabularySortedOnce(t *testing.T) {
+	_, ix := buildFig1(t)
+	first := ix.Vocabulary()
+	if !sort.StringsAreSorted(first) || len(first) == 0 {
+		t.Fatalf("vocabulary not sorted: %v", first)
+	}
+	ix.CompleteByPrefix("s", 3)
+	if again := ix.Vocabulary(); &again[0] != &first[0] || len(again) != len(first) {
+		t.Error("a second Vocabulary call returned another slice")
+	}
+	if allocs := testing.AllocsPerRun(10, func() { ix.Vocabulary() }); allocs != 0 {
+		t.Errorf("Vocabulary allocates %v times once sorted", allocs)
 	}
 }
 

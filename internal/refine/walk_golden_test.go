@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -35,7 +36,7 @@ func walkCorpus(t testing.TB) *experiments.Corpus {
 // them have the longest lists and are guaranteed to split the walk on the
 // test corpus.
 func frequentTerms(c *experiments.Corpus, n int) []string {
-	vocab := c.Index.Vocabulary()
+	vocab := slices.Clone(c.Index.Vocabulary())
 	sort.SliceStable(vocab, func(a, b int) bool {
 		return c.Index.ListLen(vocab[a]) > c.Index.ListLen(vocab[b])
 	})

@@ -1,7 +1,8 @@
 package rules
 
 import (
-	"sort"
+	"slices"
+	"strings"
 
 	"xrefine/internal/index"
 	"xrefine/internal/lexicon"
@@ -9,26 +10,33 @@ import (
 	"xrefine/internal/strdist"
 )
 
-// derived holds the per-index vocabulary structures shared by every
-// Generate call: a BK-tree for spelling neighbourhoods and the Porter-stem
-// inverse map. Both depend only on the (immutable) vocabulary, so the index
-// owns one instance, built on first use and freed with the index.
+// derived holds the Porter-stem inverse map shared by every Generate call.
+// It depends only on the (immutable) vocabulary, so the index owns one
+// instance, built on first use and freed with the index.
 type derived struct {
-	tree   *strdist.BKTree
 	byStem map[string][]string
 }
 
 func derivedFor(ix *index.Index) *derived {
 	return ix.VocabDerived(func() any {
-		vocab := ix.Vocabulary()
-		d := &derived{tree: strdist.NewBKTree(vocab), byStem: make(map[string][]string)}
-		for _, w := range vocab {
+		d := &derived{byStem: make(map[string][]string)}
+		for _, w := range ix.Vocabulary() {
 			s := stem.Stem(w)
 			d.byStem[s] = append(d.byStem[s], w)
 		}
 		return d
 	}).(*derived)
 }
+
+const (
+	// maxEditDistance bounds the spelling-correction search.
+	maxEditDistance = 2
+	// maxSpellingCandidates caps the corrections of one query term.
+	maxSpellingCandidates = 3
+	// minSplitPart is the shortest part of a term split (splitting off
+	// single letters produces junk).
+	minSplitPart = 2
+)
 
 // Generator derives the rule set relevant to one query from the indexed
 // vocabulary and a lexicon. Every generated RHS keyword occurs in the data;
@@ -37,88 +45,36 @@ func derivedFor(ix *index.Index) *derived {
 type Generator struct {
 	// Lexicon supplies synonym and acronym rules; nil disables both.
 	Lexicon *lexicon.Lexicon
-	// MaxEditDistance bounds spelling-correction search; 0 means 2.
-	MaxEditDistance int
-	// MaxSpellingCandidates caps corrections per query term; 0 means 3.
-	MaxSpellingCandidates int
-	// MinSplitPart is the minimum length of each part of a term split;
-	// 0 means 2 (splitting off single letters produces junk).
-	MinSplitPart int
-	// SpellKnownTerms also proposes corrections for terms that already
-	// occur in the data (off by default: a matching term is very likely
-	// intended).
-	SpellKnownTerms bool
-	// DeleteCost prices term deletion in the produced set; 0 selects
-	// DefaultDeleteCost.
-	DeleteCost float64
-	// Disable switches for ablation and experiments.
-	NoMerge, NoSplit, NoSpelling, NoStemming, NoSynonyms, NoAcronyms bool
-}
-
-func (g Generator) maxED() int {
-	if g.MaxEditDistance <= 0 {
-		return 2
-	}
-	return g.MaxEditDistance
-}
-
-func (g Generator) maxSpell() int {
-	if g.MaxSpellingCandidates <= 0 {
-		return 3
-	}
-	return g.MaxSpellingCandidates
-}
-
-func (g Generator) minSplit() int {
-	if g.MinSplitPart <= 0 {
-		return 2
-	}
-	return g.MinSplitPart
 }
 
 // Generate builds the rule set relevant to query terms q against the index
-// vocabulary.
+// vocabulary. Term deletion costs DefaultDeleteCost.
 func (g Generator) Generate(ix *index.Index, q []string) (*Set, error) {
-	s := NewSet(g.DeleteCost)
-	add := func(r Rule) error {
-		return s.Add(r)
+	s := NewSet(DefaultDeleteCost)
+	if err := mergeRules(ix, q, s.Add); err != nil {
+		return nil, err
 	}
-	if !g.NoMerge {
-		if err := g.mergeRules(ix, q, add); err != nil {
-			return nil, err
-		}
+	if err := splitRules(ix, q, s.Add); err != nil {
+		return nil, err
 	}
-	if !g.NoSplit {
-		if err := g.splitRules(ix, q, add); err != nil {
-			return nil, err
-		}
+	if err := spellingRules(ix, q, s.Add); err != nil {
+		return nil, err
 	}
-	if !g.NoSpelling {
-		if err := g.spellingRules(ix, q, add); err != nil {
-			return nil, err
-		}
+	if err := stemmingRules(ix, q, s.Add); err != nil {
+		return nil, err
 	}
-	if !g.NoStemming {
-		if err := g.stemmingRules(ix, q, add); err != nil {
-			return nil, err
-		}
+	if err := g.synonymRules(ix, q, s.Add); err != nil {
+		return nil, err
 	}
-	if g.Lexicon != nil && !g.NoSynonyms {
-		if err := g.synonymRules(ix, q, add); err != nil {
-			return nil, err
-		}
-	}
-	if g.Lexicon != nil && !g.NoAcronyms {
-		if err := g.acronymRules(ix, q, add); err != nil {
-			return nil, err
-		}
+	if err := g.acronymRules(ix, q, s.Add); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
 
 // mergeRules joins 2 or 3 adjacent query terms when the concatenation is a
 // data term; each removed space costs 1 (paper rules r1/r2).
-func (g Generator) mergeRules(ix *index.Index, q []string, add func(Rule) error) error {
+func mergeRules(ix *index.Index, q []string, add func(Rule) error) error {
 	for width := 2; width <= 3; width++ {
 		for i := 0; i+width <= len(q); i++ {
 			lhs := q[i : i+width]
@@ -146,13 +102,9 @@ func (g Generator) mergeRules(ix *index.Index, q []string, add func(Rule) error)
 
 // splitRules divides one query term into two data terms; one added space
 // costs 1 (paper rule r7).
-func (g Generator) splitRules(ix *index.Index, q []string, add func(Rule) error) error {
-	minPart := g.minSplit()
+func splitRules(ix *index.Index, q []string, add func(Rule) error) error {
 	for _, k := range q {
-		if len(k) < 2*minPart {
-			continue
-		}
-		for cut := minPart; cut <= len(k)-minPart; cut++ {
+		for cut := minSplitPart; cut <= len(k)-minSplitPart; cut++ {
 			left, right := k[:cut], k[cut:]
 			if !ix.HasTerm(left) || !ix.HasTerm(right) {
 				continue
@@ -174,52 +126,37 @@ func (g Generator) splitRules(ix *index.Index, q []string, add func(Rule) error)
 
 // spellingRules proposes vocabulary terms within a bounded edit distance of
 // a query term; the distance is the dissimilarity (paper rule r5: ds = 2
-// for "mecine" -> "machine"). Candidates come from a BK-tree neighbourhood
-// probe (Levenshtein, a true metric); each hit is re-scored with the
-// Damerau variant so an adjacent transposition costs one edit, not two.
-func (g Generator) spellingRules(ix *index.Index, q []string, add func(Rule) error) error {
-	tree := derivedFor(ix).tree
-	maxED := g.maxED()
+// for "mecine" -> "machine"). Candidates are the words within Levenshtein
+// distance maxEditDistance, found by one walk of the index's sorted
+// vocabulary; each is scored with the restricted Damerau distance, so an
+// adjacent transposition costs one edit, not two.
+func spellingRules(ix *index.Index, q []string, add func(Rule) error) error {
+	vocab := ix.Vocabulary()
+	var buf [16]strdist.Match
 	for _, k := range q {
-		if !g.SpellKnownTerms && ix.HasTerm(k) {
+		// Known terms are very likely intended, and 1-2 letter terms
+		// match half the vocabulary.
+		if ix.HasTerm(k) || len(k) <= 2 {
 			continue
 		}
-		if len(k) <= 2 {
-			continue // 1-2 letter terms match half the vocabulary
-		}
-		type cand struct {
-			word string
-			dist int
-			freq int
-		}
-		var cands []cand
-		for _, m := range tree.Within(k, maxED) {
-			d := m.Distance
-			if dd := strdist.DamerauLevenshtein(k, m.Word); dd < d {
-				d = dd
-			}
-			cands = append(cands, cand{word: m.Word, dist: d, freq: ix.ListLen(m.Word)})
-		}
+		cands := strdist.Within(buf[:0], vocab, k, maxEditDistance)
 		// Closest first; break distance ties toward frequent terms,
 		// which are likelier intended.
-		sort.Slice(cands, func(i, j int) bool {
-			if cands[i].dist != cands[j].dist {
-				return cands[i].dist < cands[j].dist
+		slices.SortFunc(cands, func(a, b strdist.Match) int {
+			if a.Damerau != b.Damerau {
+				return a.Damerau - b.Damerau
 			}
-			if cands[i].freq != cands[j].freq {
-				return cands[i].freq > cands[j].freq
+			if fa, fb := ix.ListLen(a.Word), ix.ListLen(b.Word); fa != fb {
+				return fb - fa
 			}
-			return cands[i].word < cands[j].word
+			return strings.Compare(a.Word, b.Word)
 		})
-		if len(cands) > g.maxSpell() {
-			cands = cands[:g.maxSpell()]
-		}
-		for _, c := range cands {
+		for _, c := range cands[:min(len(cands), maxSpellingCandidates)] {
 			r := Rule{
 				Op:     OpSubstitute,
 				LHS:    []string{k},
-				RHS:    []string{c.word},
-				Score:  float64(c.dist),
+				RHS:    []string{c.Word},
+				Score:  float64(c.Damerau),
 				Origin: "spelling",
 			}
 			if err := add(r); err != nil {
@@ -232,7 +169,7 @@ func (g Generator) spellingRules(ix *index.Index, q []string, add func(Rule) err
 
 // stemmingRules substitutes a query term by data terms sharing its Porter
 // stem at cost 1 (paper: "match" -> "matching").
-func (g Generator) stemmingRules(ix *index.Index, q []string, add func(Rule) error) error {
+func stemmingRules(ix *index.Index, q []string, add func(Rule) error) error {
 	byStem := derivedFor(ix).byStem
 	for _, k := range q {
 		for _, w := range byStem[stem.Stem(k)] {
@@ -257,6 +194,9 @@ func (g Generator) stemmingRules(ix *index.Index, q []string, add func(Rule) err
 // synonymRules substitutes lexicon synonyms that occur in the data, scored
 // by the lexicon's semantic distance (paper rule r3).
 func (g Generator) synonymRules(ix *index.Index, q []string, add func(Rule) error) error {
+	if g.Lexicon == nil {
+		return nil
+	}
 	for _, k := range q {
 		for _, syn := range g.Lexicon.Synonyms(k) {
 			other := syn.Other(k)
@@ -282,6 +222,9 @@ func (g Generator) synonymRules(ix *index.Index, q []string, add func(Rule) erro
 // contracts expansions present in the query back to their short form, both
 // at cost 1 (paper rule r6 and its inverse).
 func (g Generator) acronymRules(ix *index.Index, q []string, add func(Rule) error) error {
+	if g.Lexicon == nil {
+		return nil
+	}
 	for i, k := range q {
 		if a, ok := g.Lexicon.Expand(k); ok {
 			allPresent := true

@@ -7,9 +7,10 @@
 // The paper obtains rules from human annotators, WordNet and query-log
 // mining. This package derives them automatically against the indexed
 // vocabulary: merges and splits from vocabulary membership, spelling
-// corrections from bounded Damerau-Levenshtein search, synonym/acronym
-// substitutions from the lexicon, and stemming substitutions from Porter
-// stem equivalence — one generator per rule class of Table II.
+// corrections from a bounded edit-distance walk of the sorted vocabulary,
+// synonym/acronym substitutions from the lexicon, and stemming
+// substitutions from Porter stem equivalence — one generator per rule
+// class of Table II.
 package rules
 
 import (

@@ -6,6 +6,7 @@ import (
 
 	"xrefine/internal/index"
 	"xrefine/internal/lexicon"
+	"xrefine/internal/strdist"
 	"xrefine/internal/xmltree"
 )
 
@@ -210,26 +211,6 @@ func TestGenerateSynonymsAndAcronyms(t *testing.T) {
 	}
 }
 
-func TestGenerateDisableSwitches(t *testing.T) {
-	ix := buildIx(t)
-	g := Generator{
-		Lexicon:    lexicon.Builtin(),
-		NoMerge:    true,
-		NoSplit:    true,
-		NoSpelling: true,
-		NoStemming: true,
-		NoSynonyms: true,
-		NoAcronyms: true,
-	}
-	s, err := g.Generate(ix, []string{"on", "line", "eficient", "match", "publication", "www"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Len() != 0 {
-		t.Fatalf("all generators disabled but %d rules produced: %v", s.Len(), s.Rules())
-	}
-}
-
 func TestGenerateRHSAlwaysInData(t *testing.T) {
 	ix := buildIx(t)
 	g := Generator{Lexicon: lexicon.Builtin()}
@@ -249,20 +230,25 @@ func TestGenerateRHSAlwaysInData(t *testing.T) {
 	}
 }
 
+// TestSpellingCandidateCap: a term with more candidates than the cap gets
+// only the cap's closest, frequent ones. "2004" is one edit from each of
+// the five years; 2008 is the most frequent.
 func TestSpellingCandidateCap(t *testing.T) {
 	ix := buildIx(t)
-	g := Generator{MaxSpellingCandidates: 1, MaxEditDistance: 2}
-	s, err := g.Generate(ix, []string{"dataa"})
+	if n := len(strdist.Within(nil, ix.Vocabulary(), "2004", maxEditDistance)); n <= maxSpellingCandidates {
+		t.Fatalf("2004 has %d candidates, want more than %d", n, maxSpellingCandidates)
+	}
+	s, err := Generator{}.Generate(ix, []string{"2004"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := 0
+	var got []string
 	for _, r := range s.Rules() {
 		if r.Origin == "spelling" {
-			n++
+			got = append(got, r.RHS[0])
 		}
 	}
-	if n > 1 {
-		t.Errorf("cap 1 but %d spelling rules", n)
+	if strings.Join(got, " ") != "2008 2003 2005" {
+		t.Errorf("spelling rules for 2004 = %v, want 2008 2003 2005", got)
 	}
 }

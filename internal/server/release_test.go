@@ -7,6 +7,7 @@ import (
 	"net/url"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -35,7 +36,7 @@ func goldenWalkQueries(t *testing.T) (*experiments.Corpus, [][]string) {
 	for _, cs := range batch {
 		qs = append(qs, cs.Corrupted)
 	}
-	vocab := c.Index.Vocabulary()
+	vocab := slices.Clone(c.Index.Vocabulary())
 	sort.SliceStable(vocab, func(a, b int) bool {
 		return c.Index.ListLen(vocab[a]) > c.Index.ListLen(vocab[b])
 	})

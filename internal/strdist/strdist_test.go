@@ -31,24 +31,6 @@ func TestLevenshteinKnown(t *testing.T) {
 	}
 }
 
-func TestLevenshteinWithin(t *testing.T) {
-	if d, ok := LevenshteinWithin("kitten", "sitting", 3); !ok || d != 3 {
-		t.Errorf("within 3: %d %v", d, ok)
-	}
-	if _, ok := LevenshteinWithin("kitten", "sitting", 2); ok {
-		t.Error("distance 3 should not fit within 2")
-	}
-	if _, ok := LevenshteinWithin("a", "abcdef", 2); ok {
-		t.Error("length gap filter failed")
-	}
-	if _, ok := LevenshteinWithin("a", "b", -1); ok {
-		t.Error("negative max should reject")
-	}
-	if d, ok := LevenshteinWithin("same", "same", 0); !ok || d != 0 {
-		t.Errorf("identical within 0: %d %v", d, ok)
-	}
-}
-
 func TestDamerau(t *testing.T) {
 	cases := []struct {
 		a, b string
@@ -69,18 +51,6 @@ func TestDamerau(t *testing.T) {
 	}
 }
 
-func TestDamerauWithin(t *testing.T) {
-	if d, ok := DamerauLevenshteinWithin("machien", "machine", 1); !ok || d != 1 {
-		t.Errorf("within: %d %v", d, ok)
-	}
-	if _, ok := DamerauLevenshteinWithin("abcdef", "a", 2); ok {
-		t.Error("length filter failed")
-	}
-	if _, ok := DamerauLevenshteinWithin("ab", "ba", -1); ok {
-		t.Error("negative max should reject")
-	}
-}
-
 // naive reference implementation for the property tests.
 func naiveLevenshtein(a, b []rune) int {
 	dp := make([][]int, len(a)+1)
@@ -97,7 +67,7 @@ func naiveLevenshtein(a, b []rune) int {
 			if a[i-1] == b[j-1] {
 				cost = 0
 			}
-			dp[i][j] = min3(dp[i-1][j]+1, dp[i][j-1]+1, dp[i-1][j-1]+cost)
+			dp[i][j] = min(dp[i-1][j]+1, dp[i][j-1]+1, dp[i-1][j-1]+cost)
 		}
 	}
 	return dp[len(a)][len(b)]
@@ -119,12 +89,6 @@ func TestPropertyMatchesNaive(t *testing.T) {
 		want := naiveLevenshtein([]rune(a), []rune(b))
 		if got := Levenshtein(a, b); got != want {
 			t.Fatalf("Levenshtein(%q,%q) = %d, want %d", a, b, got, want)
-		}
-		for max := 0; max <= 4; max++ {
-			d, ok := LevenshteinWithin(a, b, max)
-			if (want <= max) != ok || (ok && d != want) {
-				t.Fatalf("LevenshteinWithin(%q,%q,%d) = %d,%v want %d", a, b, max, d, ok, want)
-			}
 		}
 	}
 }
@@ -161,12 +125,5 @@ func TestPropertyDamerauNotWorse(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkLevenshteinWithin(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		LevenshteinWithin("inproceedings", "inproceeding", 2)
 	}
 }

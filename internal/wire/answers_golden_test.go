@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -32,7 +33,7 @@ func goldenQueries(t *testing.T, c *experiments.Corpus) []string {
 	for _, cs := range batch {
 		qs = append(qs, strings.Join(cs.Corrupted, " "))
 	}
-	vocab := c.Index.Vocabulary()
+	vocab := slices.Clone(c.Index.Vocabulary())
 	sort.SliceStable(vocab, func(a, b int) bool {
 		return c.Index.ListLen(vocab[a]) > c.Index.ListLen(vocab[b])
 	})
