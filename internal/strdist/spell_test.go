@@ -38,24 +38,18 @@ func sortedSet(words []string) []string {
 	return slices.Compact(words)
 }
 
-func TestWithinEdges(t *testing.T) {
-	basic := []string{"database", "databases", "databse", "keyword", "keywords", "search"}
-	for _, c := range []struct {
-		vocab []string
-		q     string
-		max   int
-		want  []string
-	}{
-		{basic, "databse", 1, []string{"database"}},
-		{basic, "database", 2, []string{"databases", "databse"}}, // the query itself is excluded
-		{basic, "databse", 0, nil},
-		{nil, "x", 2, nil},
-		{[]string{"solo"}, "sole", 1, []string{"solo"}},
-		{[]string{"", "a", "ab"}, "", 1, []string{"a"}},
-		{[]string{"", "a", "ab"}, "b", 2, []string{"", "a", "ab"}},
-		{[]string{"machine"}, "machien", 2, []string{"machine"}},
-		{[]string{"инфа", "инфо", "инфор"}, "инфо", 1, []string{"инфа", "инфор"}},
-	} {
+type withinCase struct {
+	vocab []string
+	q     string
+	max   int
+	want  []string
+}
+
+// checkWords checks the words Within returns, in order, and that its
+// matches equal scan's.
+func checkWords(t *testing.T, cases []withinCase) {
+	t.Helper()
+	for _, c := range cases {
 		got := strdist.Within(nil, c.vocab, c.q, c.max)
 		var words []string
 		for _, m := range got {
@@ -66,9 +60,30 @@ func TestWithinEdges(t *testing.T) {
 		}
 		checkWithin(t, c.vocab, c.q, c.max)
 	}
+}
+
+func TestWithinBasics(t *testing.T) {
+	basic := []string{"database", "databases", "databse", "keyword", "keywords", "search"}
+	checkWords(t, []withinCase{
+		{basic, "databse", 1, []string{"database"}},
+		{basic, "database", 2, []string{"databases", "databse"}}, // the query itself is excluded
+		{[]string{"machine"}, "machien", 2, []string{"machine"}},
+		{[]string{"инфа", "инфо", "инфор"}, "инфо", 1, []string{"инфа", "инфор"}},
+	})
 	if m := strdist.Within(nil, []string{"machine"}, "machien", 2); m[0].Distance != 2 || m[0].Damerau != 1 {
 		t.Errorf("machien -> machine scored %+v, want Levenshtein 2, Damerau 1", m[0])
 	}
+}
+
+func TestWithinEmptyAndDegenerate(t *testing.T) {
+	basic := []string{"database", "databases", "databse", "keyword", "keywords", "search"}
+	checkWords(t, []withinCase{
+		{basic, "databse", 0, nil},
+		{nil, "x", 2, nil},
+		{[]string{"solo"}, "sole", 1, []string{"solo"}},
+		{[]string{"", "a", "ab"}, "", 1, []string{"a"}},
+		{[]string{"", "a", "ab"}, "b", 2, []string{"", "a", "ab"}},
+	})
 	// Invalid UTF-8: "\xe6\x97" decodes to two error runes, while a word
 	// that continues its bytes into a valid rune (日) decodes to one, so the
 	// rows of the shared byte prefix must not be shared.
